@@ -17,8 +17,9 @@ module Rng = Repro_util.Rng
    contents being a function of [(stream, idx)] alone.  The price is
    that a streamed generator draws *different* edges than its
    single-rng materialized twin in {!Generators} even at equal seeds —
-   the oracle tests therefore compare a stream against its own
-   {!materialize}, not against {!Generators}. *)
+   both run the one R-MAT kernel {!Generators.rmat_fill}, but on
+   different rng streams — so the oracle tests compare a stream against
+   its own {!materialize}, not against {!Generators}. *)
 
 type chunk = { src : int array; dst : int array; mutable len : int }
 
@@ -88,49 +89,51 @@ let describe t =
 let make_chunk t =
   { src = Array.make t.chunk_size 0; dst = Array.make t.chunk_size 0; len = 0 }
 
-(* Zipf-ish endpoint for the power-law stream: invert the continuous
-   power-law CDF on [1, n + 1) with exponent [theta], then truncate.
-   Stateless per draw, so chunks replay exactly. *)
-let power_law_endpoint rng ~n ~theta =
-  let u = Rng.float rng in
-  let e = 1. -. theta in
-  (* x = (1 + u * ((n+1)^e - 1))^(1/e) in [1, n + 1) *)
-  let x = Float.pow (1. +. (u *. (Float.pow (float_of_int (n + 1)) e -. 1.))) (1. /. e) in
-  let v = int_of_float x - 1 in
-  if v < 0 then 0 else if v >= n then n - 1 else v
-
 let chunk_rng t idx = Rng.create ((t.seed * 1_000_003) + idx)
 
+(* One dedicated loop per generator kind, so the per-edge path is straight
+   int code: no closure call, no tuple, no boxed float. *)
 let fill t idx chunk =
   let chunks = chunk_count t in
   if idx < 0 || idx >= chunks then
     invalid_arg
       (Printf.sprintf "Edge_stream.fill: chunk %d out of range [0, %d)" idx
          chunks);
-  if Array.length chunk.src < t.chunk_size then
+  let src = chunk.src and dst = chunk.dst in
+  if Array.length src < t.chunk_size || Array.length dst < t.chunk_size then
     invalid_arg "Edge_stream.fill: chunk buffer smaller than chunk_size";
-  let lo = idx * t.chunk_size in
-  let len = min t.chunk_size (t.m - lo) in
-  let rng = chunk_rng t idx in
-  let draw =
-    match t.kind with
-    | Erdos_renyi ->
-      fun () -> (Rng.int rng t.n, Rng.int rng t.n)
-    | Rmat { scale; a; b; c } -> fun () -> Generators.rmat_edge rng ~scale ~a ~b ~c
-    | Power_law { theta } ->
-      (* Hub endpoint × uniform endpoint: heavy-tailed degrees without
-         the quadratic cost of two Zipf draws hitting the same hubs. *)
-      fun () -> (power_law_endpoint rng ~n:t.n ~theta, Rng.int rng t.n)
-  in
-  for k = 0 to len - 1 do
-    let u, v = draw () in
-    let u, v =
-      if t.simple && u = v then (u, Generators.other_endpoint rng ~n:t.n u)
-      else (u, v)
-    in
-    Array.unsafe_set chunk.src k u;
-    Array.unsafe_set chunk.dst k v
-  done;
+  let len = min t.chunk_size (t.m - (idx * t.chunk_size)) in
+  let rng = chunk_rng t idx and n = t.n and simple = t.simple in
+  (match t.kind with
+   | Rmat { scale; a; b; c } ->
+     Generators.rmat_fill rng ~scale ~a ~b ~c ~simple ~src ~dst len
+   | Erdos_renyi ->
+     for k = 0 to len - 1 do
+       (* Second endpoint first: the pinned stream digests fix the order. *)
+       let v = Rng.int rng n in
+       let u = Rng.int rng n in
+       let v = if simple && u = v then Generators.other_endpoint rng ~n u else v in
+       Array.unsafe_set src k u;
+       Array.unsafe_set dst k v
+     done
+   | Power_law { theta } ->
+     (* Hub endpoint × uniform endpoint: heavy-tailed degrees without the
+        quadratic cost of two Zipf draws hitting the same hubs.  The hub
+        inverts the continuous power-law CDF on [1, n + 1) with exponent
+        [theta], x = (1 + u * ((n+1)^e - 1))^(1/e), then truncates; the
+        uniform endpoint is drawn first. *)
+     let e = 1. -. theta in
+     let span = Float.pow (float_of_int (n + 1)) e -. 1. and inv_e = 1. /. e in
+     for k = 0 to len - 1 do
+       let v = Rng.int rng n in
+       (* [Rng.float], spelled out so the draw stays unboxed. *)
+       let r = float_of_int (Rng.bits53 rng) *. 0x1p-53 in
+       let u = int_of_float (Float.pow (1. +. (r *. span)) inv_e) - 1 in
+       let u = if u < 0 then 0 else if u >= n then n - 1 else u in
+       let v = if simple && u = v then Generators.other_endpoint rng ~n u else v in
+       Array.unsafe_set src k u;
+       Array.unsafe_set dst k v
+     done);
   chunk.len <- len
 
 let iter t f =

@@ -11,8 +11,9 @@
     parallel driver (round-robin chunk hand-out), crash replay, and the
     deterministic bulk engine all rely on.  Consequence: a stream draws
     different edges than the single-rng materialized generators in
-    {!Generators} even at equal seeds; oracle tests compare a stream
-    against its own {!materialize}.
+    {!Generators} even at equal seeds (R-MAT streams and {!Generators.rmat}
+    share the kernel {!Generators.rmat_fill}, not the rng stream); oracle
+    tests compare a stream against its own {!materialize}.
 
     [~simple:true] rejects [u = v] self-loops by resampling the second
     endpoint ({!Generators.other_endpoint}); duplicate edges remain
@@ -66,8 +67,9 @@ val fill : t -> int -> chunk -> unit
 (** [fill t idx chunk] (re)generates chunk [idx] into [chunk], setting
     [chunk.len].  Deterministic in [(t, idx)]; safe to call concurrently
     from many domains on distinct chunks.
-    @raise Invalid_argument if [idx] is out of range or the buffer is too
-    small. *)
+    Generation allocates nothing per edge.
+    @raise Invalid_argument if [idx] is out of range or either buffer
+    ([src] or [dst]) is shorter than [chunk_size]. *)
 
 val iter : t -> (int -> int -> unit) -> unit
 (** Sequential scan of the whole stream in chunk order, using one

@@ -75,25 +75,44 @@ let grid2d ~rows ~cols =
   done;
   Graph.create ~n:(rows * cols) ~edges:(Array.of_list !acc)
 
-(* One R-MAT endpoint pair: recurse [scale] times into the quadrant the
-   (a, b, c, d) mix selects, accumulating one bit of each endpoint per
-   level.  Shared with {!Edge_stream.fill} so the streamed and
-   materialized generators draw identical edges from identical rng
-   states. *)
-let rmat_edge rng ~scale ~a ~b ~c =
-  let u = ref 0 and v = ref 0 in
-  for _bit = 1 to scale do
-    let r = Rng.float rng in
-    let du, dv =
-      if r < a then (0, 0)
-      else if r < a +. b then (0, 1)
-      else if r < a +. b +. c then (1, 0)
-      else (1, 1)
-    in
-    u := (!u lsl 1) lor du;
-    v := (!v lsl 1) lor dv
-  done;
-  (!u, !v)
+(* Integer form of [Rng.float rng < x]: [Rng.float] is [bits53 * 2^-53]
+   exactly, so for the integer [bits53] the test holds iff
+   [bits53 < ceil (x * 2^53)].  Clamped so that NaN and out-of-range
+   probabilities compare exactly as the float test would. *)
+let threshold53 x =
+  if not (x > 0.) then 0
+  else if x >= 1. then 1 lsl 53
+  else int_of_float (Float.ceil (Float.ldexp x 53))
+
+(* R-MAT edges [0, len) into [src]/[dst]: per edge, recurse [scale] times
+   into the quadrant the (a, b, c, d) mix selects, accumulating one bit of
+   each endpoint per level.  The quadrant is the first of
+   [r < a], [r < a + b], [r < a + b + c], otherwise d, on one draw [r];
+   with the three compares as 0/1 integers that is
+   [du = ge_a & ge_ab] and [dv = ge_a & (not ge_ab | ge_abc)], computed
+   without branches. *)
+let rmat_fill rng ~scale ~a ~b ~c ~simple ~src ~dst len =
+  if len < 0 || len > Array.length src || len > Array.length dst then
+    invalid_arg "Generators.rmat_fill: len exceeds a destination buffer";
+  let ta = threshold53 a
+  and tab = threshold53 (a +. b)
+  and tabc = threshold53 (a +. b +. c) in
+  let n = 1 lsl scale in
+  for k = 0 to len - 1 do
+    let u = ref 0 and v = ref 0 in
+    for _bit = 1 to scale do
+      let x = Rng.bits53 rng in
+      let ge_a = Bool.to_int (x >= ta)
+      and ge_ab = Bool.to_int (x >= tab)
+      and ge_abc = Bool.to_int (x >= tabc) in
+      u := (!u lsl 1) lor (ge_a land ge_ab);
+      v := (!v lsl 1) lor (ge_a land ((ge_ab lxor 1) lor ge_abc))
+    done;
+    let u = !u in
+    let v = if simple && u = !v then other_endpoint rng ~n u else !v in
+    Array.unsafe_set src k u;
+    Array.unsafe_set dst k v
+  done
 
 let rmat ?(simple = false) ~rng ~scale ~edge_factor ?(a = 0.57) ?(b = 0.19)
     ?(c = 0.19) () =
@@ -101,11 +120,9 @@ let rmat ?(simple = false) ~rng ~scale ~edge_factor ?(a = 0.57) ?(b = 0.19)
   let n = 1 lsl scale in
   require_two "rmat" ~simple ~n;
   let m = edge_factor * n in
-  let one_edge () =
-    let u, v = rmat_edge rng ~scale ~a ~b ~c in
-    if simple && u = v then (u, other_endpoint rng ~n u) else (u, v)
-  in
-  Graph.create ~n ~edges:(Array.init m (fun _ -> one_edge ()))
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  rmat_fill rng ~scale ~a ~b ~c ~simple ~src ~dst m;
+  Graph.create ~n ~edges:(Array.init m (fun k -> (src.(k), dst.(k))))
 
 let preferential ~rng ~n ~deg =
   if deg < 1 then invalid_arg "Generators.preferential: deg must be >= 1";

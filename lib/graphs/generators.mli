@@ -35,11 +35,17 @@ val rmat :
     the Graph500 parameters.  [~simple:true] resamples the second endpoint
     of self-loops (duplicates remain; see the module contract). *)
 
-val rmat_edge :
-  Repro_util.Rng.t -> scale:int -> a:float -> b:float -> c:float -> int * int
-(** One R-MAT endpoint pair from the given rng state — the single-edge
-    kernel {!rmat} and {!Edge_stream} share, so streamed chunks replay
-    exactly the edges the materialized generator draws. *)
+val rmat_fill :
+  Repro_util.Rng.t -> scale:int -> a:float -> b:float -> c:float ->
+  simple:bool -> src:int array -> dst:int array -> int -> unit
+(** [rmat_fill rng ~scale ~a ~b ~c ~simple ~src ~dst len] writes [len]
+    R-MAT edges into [(src.(k), dst.(k))] for [k < len], drawing from
+    [rng]; with [~simple] a self-loop's second endpoint is resampled by
+    {!other_endpoint}.  The branch-free, allocation-free R-MAT kernel that
+    {!rmat} and {!Edge_stream} share.  They share the kernel, not the rng
+    stream: {!rmat} draws every edge from the one rng it is given, while a
+    stream seeds a fresh rng per chunk, so equal seeds give different edges.
+    @raise Invalid_argument if [len] exceeds either buffer. *)
 
 val other_endpoint : Repro_util.Rng.t -> n:int -> int -> int
 (** [other_endpoint rng ~n u] draws a vertex distinct from [u] (the

@@ -1,4 +1,13 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words live unboxed in one 32-byte buffer (s0..s3
+   at byte offsets 0, 8, 16, 24), read and written through the unboxed
+   64-bit bytes primitives.  A step keeps the words in let-bound locals,
+   which the native compiler holds in registers, so [bits53] and every
+   [int]-returning draw allocate nothing; [int64] fields of a record would
+   be boxed, one allocation per word per step. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SplitMix64: used only to expand a seed into the four xoshiro words, and to
    derive split streams. *)
@@ -12,33 +21,41 @@ let splitmix_next state =
 
 let of_seed64 seed64 =
   let state = ref seed64 in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for word = 0 to 3 do
+    set64 t (8 * word) (splitmix_next state)
+  done;
+  t
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let int64 t =
+let[@inline] int64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
   result
 
 let split t = of_seed64 (int64 t)
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
+let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
+
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
 
 let rec int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -58,9 +75,7 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t =
-  let bits53 = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
-  float_of_int bits53 *. 0x1p-53
+let[@inline] float t = float_of_int (bits53 t) *. 0x1p-53
 
 let bool t = Int64.compare (Int64.logand (int64 t) 1L) 0L <> 0
 

@@ -7,7 +7,7 @@
     construction of Blackman and Vigna. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state (four unboxed 64-bit words). *)
 
 val create : int -> t
 (** [create seed] builds a generator from an integer seed.  Distinct seeds
@@ -28,6 +28,11 @@ val int64 : t -> int64
 val bits30 : t -> int
 (** Next 30 uniformly random bits as a non-negative [int]. *)
 
+val bits53 : t -> int
+(** Next 53 uniformly random bits (the top 53 of {!int64}) as a
+    non-negative [int].  Allocates nothing, which makes it the draw for
+    hot generation loops. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound).  Requires [bound > 0]. *)
 
@@ -35,7 +40,8 @@ val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)
 
 val float : t -> float
-(** Uniform float in [0, 1). *)
+(** Uniform float in [0, 1): exactly [float_of_int (bits53 t) *. 0x1p-53].
+    Consumes one {!int64}. *)
 
 val bool : t -> bool
 (** Fair coin flip. *)

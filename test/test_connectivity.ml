@@ -117,6 +117,119 @@ let edge_stream_tests =
         let s = Edge_stream.erdos_renyi ~seed:1 ~n:10 ~m:10 () in
         expect_invalid "chunk index" (fun () ->
             Edge_stream.fill s 7 (Edge_stream.make_chunk s)));
+    case "fill rejects a short src or dst buffer" (fun () ->
+        let s =
+          Edge_stream.erdos_renyi ~chunk_size:256 ~seed:1 ~n:10 ~m:1000 ()
+        in
+        let short = Invalid_argument
+            "Edge_stream.fill: chunk buffer smaller than chunk_size" in
+        let full = Array.make 256 0 and tiny = Array.make 3 0 in
+        Alcotest.check_raises "short dst" short (fun () ->
+            Edge_stream.fill s 0 { Edge_stream.src = full; dst = tiny; len = 0 });
+        Alcotest.check_raises "short src" short (fun () ->
+            Edge_stream.fill s 0 { Edge_stream.src = tiny; dst = full; len = 0 });
+        check Alcotest.(array int) "dst untouched" [| 0; 0; 0 |] tiny);
+    case "fill allocates < 1 minor word per edge" (fun () ->
+        (* One full default-size chunk per kind, measured after a warm-up
+           fill so only the steady-state generation loop is counted. *)
+        let m = 2 * 65536 in
+        List.iter
+          (fun s ->
+            let chunk = Edge_stream.make_chunk s in
+            Edge_stream.fill s 0 chunk;
+            let before = Gc.minor_words () in
+            Edge_stream.fill s 1 chunk;
+            let words = Gc.minor_words () -. before in
+            check Alcotest.int "full chunk" 65536 chunk.Edge_stream.len;
+            let per_edge = words /. float_of_int chunk.Edge_stream.len in
+            if per_edge >= 1. then
+              Alcotest.failf "%s%s: %.3f minor words/edge"
+                (Edge_stream.kind_name s)
+                (if Edge_stream.is_simple s then " simple" else "")
+                per_edge)
+          [
+            Edge_stream.rmat ~seed:1 ~scale:14 ~edge_factor:8 ();
+            Edge_stream.rmat ~simple:true ~seed:1 ~scale:14 ~edge_factor:8 ();
+            Edge_stream.erdos_renyi ~seed:1 ~n:4096 ~m ();
+            Edge_stream.power_law ~seed:1 ~n:4096 ~m ();
+          ]);
+  ]
+
+(* ------------------------------------------------------ golden output *)
+
+let stream_md5 stream =
+  let b = Buffer.create 4096 in
+  Edge_stream.iter stream (fun u v -> Printf.bprintf b "%d %d\n" u v);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let graph_md5 g =
+  let b = Buffer.create 4096 in
+  Array.iter (fun (u, v) -> Printf.bprintf b "%d %d\n" u v) (Graph.edges g);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Absolute digests of generator output.  Every stream, oracle and
+   determinism digest in the repo is a function of these bytes, so a
+   generator rewrite must reproduce them exactly. *)
+let golden_tests =
+  let pinned name want stream =
+    case name (fun () -> check Alcotest.string "md5" want (stream_md5 stream))
+  in
+  [
+    pinned "rmat scale 16 (benchmark stream)" "423b42e577afbe673981628f932ddb59"
+      (Edge_stream.rmat ~seed:1 ~scale:16 ~edge_factor:8 ());
+    pinned "rmat small chunks" "1dc1d95a496310aaeaeeb0bccedce312"
+      (Edge_stream.rmat ~chunk_size:256 ~seed:11 ~scale:9 ~edge_factor:4 ());
+    pinned "rmat small chunks, simple" "bc8db811dca2af1b3158a063de71dd64"
+      (Edge_stream.rmat ~simple:true ~chunk_size:256 ~seed:11 ~scale:9
+         ~edge_factor:4 ());
+    pinned "erdos-renyi" "71bea50062d86fd01011d552c44b576a"
+      (Edge_stream.erdos_renyi ~seed:3 ~n:1000 ~m:5000 ());
+    pinned "power-law" "6602c069a5fed8a62c8fca4a7230f85e"
+      (Edge_stream.power_law ~seed:3 ~n:1000 ~m:5000 ());
+    case "rmat_fill matches the float quadrant chain" (fun () ->
+        (* Reference: the per-level float draw and if-chain that the
+           integer-threshold kernel replaces, including probability mixes
+           whose thresholds are not increasing, NaN and out-of-range ones. *)
+        let reference rng ~scale ~a ~b ~c =
+          let u = ref 0 and v = ref 0 in
+          for _ = 1 to scale do
+            let r = Rng.float rng in
+            let du, dv =
+              if r < a then (0, 0)
+              else if r < a +. b then (0, 1)
+              else if r < a +. b +. c then (1, 0)
+              else (1, 1)
+            in
+            u := (!u lsl 1) lor du;
+            v := (!v lsl 1) lor dv
+          done;
+          (!u, !v)
+        in
+        List.iter
+          (fun (a, b, c) ->
+            let len = 2000 and scale = 10 in
+            let src = Array.make len 0 and dst = Array.make len 0 in
+            Generators.rmat_fill (Rng.create 9) ~scale ~a ~b ~c ~simple:false
+              ~src ~dst len;
+            let rng = Rng.create 9 in
+            for k = 0 to len - 1 do
+              let u, v = reference rng ~scale ~a ~b ~c in
+              if u <> src.(k) || v <> dst.(k) then
+                Alcotest.failf "(%g, %g, %g) edge %d: (%d,%d) vs (%d,%d)" a b
+                  c k src.(k) dst.(k) u v
+            done)
+          [
+            (0.57, 0.19, 0.19); (0.25, 0.25, 0.25); (0.1, -0.05, 0.3);
+            (0.6, 0.3, -0.2); (0., 0., 0.); (1.5, -1., 0.); (Float.nan, 0.1, 0.1);
+          ]);
+    case "materialized rmat" (fun () ->
+        check Alcotest.string "plain" "d740a83d4c3beb25899cc6b4a89d224f"
+          (graph_md5
+             (Generators.rmat ~rng:(Rng.create 5) ~scale:9 ~edge_factor:4 ()));
+        check Alcotest.string "simple" "745c66a0a087817bf0e394640e92bcb8"
+          (graph_md5
+             (Generators.rmat ~simple:true ~rng:(Rng.create 5) ~scale:9
+                ~edge_factor:4 ())));
   ]
 
 (* --------------------------------------------------- generator hygiene *)
@@ -563,6 +676,7 @@ let () =
   Alcotest.run "connectivity"
     [
       ("edge_stream", edge_stream_tests);
+      ("golden", golden_tests);
       ("generator_hygiene", generator_hygiene_tests);
       ("pipeline", pipeline_tests);
       ("determinism", determinism_tests);

@@ -122,6 +122,31 @@ let rng_tests =
         let p1 = Rng.permutation (Rng.create 1) 50 in
         let p2 = Rng.permutation (Rng.create 2) 50 in
         check Alcotest.bool "different" true (p1 <> p2));
+    case "golden int64 stream (pinned)" (fun () ->
+        let a = Rng.create 42 in
+        List.iter
+          (fun want -> check Alcotest.int64 "draw" want (Rng.int64 a))
+          [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L ]);
+    case "golden derived draws (pinned)" (fun () ->
+        (* One digest over every public draw kind, so a change to any
+           derivation (rejection sampling, float scaling, split seeding,
+           shuffling) shows even when the raw int64 stream is intact. *)
+        let a = Rng.create 2024 in
+        let b = Buffer.create 8192 in
+        for i = 1 to 200 do
+          let bits = Rng.bits30 a in
+          let small = Rng.int a (1 + (i * 7919)) in
+          let large = Rng.int a ((1 lsl 40) + i) in
+          let f = Rng.float a in
+          let coin = Rng.bool a in
+          let ranged = Rng.int_in a (-i) i in
+          Printf.bprintf b "%d %d %d %h %b %d\n" bits small large f coin ranged
+        done;
+        let child = Rng.split a in
+        Printf.bprintf b "%Ld %Ld\n" (Rng.int64 child) (Rng.int64 (Rng.copy a));
+        Array.iter (Printf.bprintf b "%d ") (Rng.permutation a 64);
+        check Alcotest.string "md5" "5296a2ea1f70e8ece30012a78d61be07"
+          (Digest.to_hex (Digest.string (Buffer.contents b))));
     case "shuffle preserves multiset" (fun () ->
         let a = Rng.create 37 in
         let arr = [| 1; 1; 2; 3; 5; 8; 13 |] in
