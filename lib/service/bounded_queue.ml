@@ -6,10 +6,12 @@
    hybrid keeps that structure over a fixed ring but publishes occupancy
    through a single atomic [size] counter:
 
-   - [size] is incremented only AFTER the slot write, under the enqueue
-     lock; decremented only AFTER the slot is taken, under the dequeue
+   - [size] is incremented only AFTER the slot writes, under the enqueue
+     lock; decremented only AFTER the slots are taken, under the dequeue
      lock.  The increment is the linearization point of enqueue, the
-     decrement of dequeue.
+     decrement of dequeue.  The batch operations write or take k slots
+     and then publish them with a single [fetch_and_add size (+/-k)]: the
+     k elements linearize together at that one update, in ring order.
    - The full/empty fast paths ([try_enqueue] on a full queue, [dequeue]
      on an empty one) are a single atomic load — no lock is touched, so a
      producer hammering a full queue (the backpressure case this queue
@@ -59,18 +61,19 @@ let is_empty t = length t = 0
 
 let[@inline] hit site = if Atomic.get Fi.armed then Fi.hit site
 
-(* Put [v] into the ring; caller holds [enq_mu] and has room. *)
+(* Write [v] into the tail slot; caller holds [enq_mu], has room, and
+   publishes the write through [size] afterwards.  Ring indices wrap by
+   compare, not [mod]: these run once per element on the drain path. *)
 let[@inline] put t v =
   t.slots.(t.tail) <- Some v;
-  t.tail <- (t.tail + 1) mod t.cap;
-  Atomic.incr t.size
+  t.tail <- (if t.tail + 1 = t.cap then 0 else t.tail + 1)
 
-(* Take the head slot; caller holds [deq_mu] and has checked non-empty. *)
+(* Clear the head slot and return its element; caller holds [deq_mu], has
+   checked it is occupied, and publishes the take through [size]. *)
 let[@inline] take t =
   let v = t.slots.(t.head) in
   t.slots.(t.head) <- None;
-  t.head <- (t.head + 1) mod t.cap;
-  Atomic.decr t.size;
+  t.head <- (if t.head + 1 = t.cap then 0 else t.head + 1);
   match v with Some v -> v | None -> assert false
 
 (* The sites are hit after the occupancy probe and before the lock: a
@@ -83,7 +86,10 @@ let try_enqueue t v =
     hit Site.Queue_enq_cas;
     Mutex.lock t.enq_mu;
     let ok = Atomic.get t.size < t.cap in
-    if ok then put t v;
+    if ok then begin
+      put t v;
+      Atomic.incr t.size
+    end;
     Mutex.unlock t.enq_mu;
     ok
   end
@@ -105,7 +111,14 @@ let shed_enqueue t v =
          the one place both locks nest; dequeue-side paths never take
          [enq_mu], so the order cannot invert. *)
       Mutex.lock t.deq_mu;
-      let d = if Atomic.get t.size >= t.cap then Some (take t) else None in
+      let d =
+        if Atomic.get t.size >= t.cap then begin
+          let v = take t in
+          Atomic.decr t.size;
+          Some v
+        end
+        else None
+      in
       Mutex.unlock t.deq_mu;
       d
     end
@@ -114,15 +127,56 @@ let shed_enqueue t v =
   (* Room is guaranteed now: under [enq_mu] no other producer runs, and
      consumers only shrink [size]. *)
   put t v;
+  Atomic.incr t.size;
   Mutex.unlock t.enq_mu;
   dropped
+
+let shed_enqueue_batch t a ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length a then
+    invalid_arg "Bounded_queue.shed_enqueue_batch: range outside the array";
+  if len = 0 then 0
+  else begin
+    hit Site.Queue_enq_cas;
+    Mutex.lock t.enq_mu;
+    (* Elements that would be displaced by later ones of the same batch
+       never enter the ring; queued elements are displaced oldest first,
+       under [deq_mu] (same nesting as [shed_enqueue]). *)
+    let skip = if len > t.cap then len - t.cap else 0 in
+    let k = len - skip in
+    let evicted =
+      if Atomic.get t.size + k <= t.cap then 0
+      else begin
+        Mutex.lock t.deq_mu;
+        let d = max 0 (Atomic.get t.size + k - t.cap) in
+        for _ = 1 to d do
+          ignore (take t)
+        done;
+        ignore (Atomic.fetch_and_add t.size (-d));
+        Mutex.unlock t.deq_mu;
+        d
+      end
+    in
+    for i = pos + skip to pos + len - 1 do
+      put t a.(i)
+    done;
+    ignore (Atomic.fetch_and_add t.size k);
+    Mutex.unlock t.enq_mu;
+    skip + evicted
+  end
 
 let dequeue_opt t =
   if Atomic.get t.size = 0 then None
   else begin
     hit Site.Queue_deq_cas;
     Mutex.lock t.deq_mu;
-    let r = if Atomic.get t.size = 0 then None else Some (take t) in
+    let r =
+      if Atomic.get t.size = 0 then None
+      else begin
+        let v = take t in
+        Atomic.decr t.size;
+        Some v
+      end
+    in
     Mutex.unlock t.deq_mu;
     r
   end
@@ -133,10 +187,26 @@ let dequeue_batch t ~max =
   else begin
     hit Site.Queue_deq_cas;
     Mutex.lock t.deq_mu;
-    let rec go k acc =
-      if k = 0 || Atomic.get t.size = 0 then acc else go (k - 1) (take t :: acc)
+    (* Producers only grow [size] while we hold [deq_mu], so the k slots
+       from [head] read here stay occupied until the publish below. *)
+    let size = Atomic.get t.size in
+    let k = if size < max then size else max in
+    (* cons from the last slot back so the list comes out in FIFO order *)
+    let rec collect i acc =
+      if i < 0 then acc
+      else begin
+        let j = t.head + i in
+        let j = if j >= t.cap then j - t.cap else j in
+        match t.slots.(j) with
+        | Some v ->
+          t.slots.(j) <- None;
+          collect (i - 1) (v :: acc)
+        | None -> assert false
+      end
     in
-    let r = List.rev (go max []) in
+    let r = collect (k - 1) [] in
+    t.head <- (t.head + k) mod t.cap;
+    ignore (Atomic.fetch_and_add t.size (-k));
     Mutex.unlock t.deq_mu;
     r
   end

@@ -14,6 +14,8 @@
     {!enqueue_until} bounds the wait by a deadline, and {!shed_enqueue}
     always admits but hands back the displaced oldest element so the
     caller can answer its submitter — nothing is ever dropped silently.
+    {!shed_enqueue_batch} is the same policy for a run of elements under
+    one lock acquisition, counting what it displaced.
 
     With {!Repro_fault.Inject} armed, every operation hits
     {!Repro_fault.Site.Queue_enq_cas} / {!Repro_fault.Site.Queue_deq_cas}
@@ -45,8 +47,20 @@ val shed_enqueue : 'a t -> 'a -> 'a option
     oldest element was displaced to make room — the shed-oldest admission
     policy; the caller owes the displaced element a response. *)
 
+val shed_enqueue_batch : 'a t -> 'a array -> pos:int -> len:int -> int
+(** [shed_enqueue_batch q a ~pos ~len] admits [a.(pos) .. a.(pos+len-1)]
+    in order under one enqueue-lock acquisition and one occupancy
+    publish, with the outcome of [len] successive {!shed_enqueue}s: the
+    queue then holds the newest [capacity] of its old contents followed
+    by the run.  Returns how many elements were displaced (queued ones
+    oldest first, then — when [len > capacity] — the run's own first
+    [len - capacity]); they are dropped, so a caller that owes them a
+    response must size the queue so that this returns 0.  [len = 0] is a
+    no-op.  @raise Invalid_argument if the range is outside [a]. *)
+
 val dequeue_opt : 'a t -> 'a option
 
 val dequeue_batch : 'a t -> max:int -> 'a list
-(** Up to [max] elements, FIFO order, taken under one lock acquisition —
-    the worker drain path.  @raise Invalid_argument if [max < 1]. *)
+(** Up to [max] elements, FIFO order, taken under one lock acquisition
+    and published with one occupancy update — the worker drain path.
+    @raise Invalid_argument if [max < 1]. *)

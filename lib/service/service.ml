@@ -2,10 +2,14 @@
 
    Client sessions submit ops into per-worker bounded ingestion queues
    under an explicit admission policy; worker domains drain batches and
-   apply them through the layouts' bulk kernels where available; when a
-   WAL is attached, a group commit is forced BEFORE any op in the batch
-   is acknowledged, so an acked unite is always on disk — that ordering
-   is the whole RPO=0 argument, and the serving chaos drill measures it.
+   apply them op by op, in FIFO order, through the per-op dispatchers;
+   when a WAL is attached, a group commit is forced BEFORE any op in the
+   batch is acknowledged, so an acked unite is always on disk — that
+   ordering is the whole RPO=0 argument, and the serving chaos drill
+   measures it.  A drained batch costs a constant number of locks,
+   atomics and clock reads: one dequeue, one clock read for deadlines,
+   one after the durability barrier to stamp every response, one
+   counter bump per outcome kind and one completion-lane push.
 
    Every admitted op gets exactly one response (Done, Shed, Timed_out or
    Failed) unless the worker holding it crashes, in which case it is lost
@@ -129,6 +133,7 @@ type t = {
   timed_out : int Atomic.t;
   acked : int Atomic.t;
   failed : int Atomic.t;
+  idle_sleeps : int Atomic.t;
   displaced : int Atomic.t;  (* completion-lane displacement: 0 by sizing *)
   batches : int Atomic.t;
   max_batch : int Atomic.t;
@@ -181,15 +186,11 @@ let healthy t =
 (* ------------------------------------------------------------ responses *)
 
 (* Completion lanes are sized in [create] for the worst-case in-flight
-   population, so the shed path below is unreachable in a correctly-sized
-   service; it exists (instead of a blocking push) so a worker can never
+   population, so the shed paths below are unreachable in a correctly-sized
+   service; they exist (instead of a blocking push) so a worker can never
    be wedged by a client that stopped polling, and the [displaced]
    counter makes any sizing violation loud. *)
-let push_completion t (rsp : response) =
-  let lane = t.completions.(rsp.r_session mod Array.length t.completions) in
-  match Queue.shed_enqueue lane rsp with
-  | None -> ()
-  | Some _ -> Atomic.incr t.displaced
+let lane_of t session = t.completions.(session mod Array.length t.completions)
 
 let respond t (r : request) outcome =
   (match outcome with
@@ -203,7 +204,7 @@ let respond t (r : request) outcome =
     Atomic.incr t.timed_out;
     Metrics.incr t.m_timed_out
   | Failed _ -> Atomic.incr t.failed);
-  push_completion t
+  let rsp =
     {
       r_id = r.id;
       r_session = r.session;
@@ -212,82 +213,83 @@ let respond t (r : request) outcome =
       r_intended_ns = r.intended_ns;
       r_completed_ns = Clock.now_ns ();
     }
+  in
+  match Queue.shed_enqueue (lane_of t r.session) rsp with
+  | None -> ()
+  | Some _ -> Atomic.incr t.displaced
+
+(* Push [rsps.(0 .. n-1)] in order, one lock acquisition per run of
+   responses bound for the same lane — one per batch when the batch's
+   sessions share a lane, which is the common case. *)
+let push_completions t rsps n =
+  let lanes = Array.length t.completions in
+  let pos = ref 0 in
+  while !pos < n do
+    let lane = rsps.(!pos).r_session mod lanes in
+    let stop = ref (!pos + 1) in
+    while !stop < n && rsps.(!stop).r_session mod lanes = lane do
+      incr stop
+    done;
+    let d =
+      Queue.shed_enqueue_batch t.completions.(lane) rsps ~pos:!pos
+        ~len:(!stop - !pos)
+    in
+    if d > 0 then ignore (Atomic.fetch_and_add t.displaced d);
+    pos := !stop
+  done
 
 (* ---------------------------------------------------------- application *)
 
-(* Apply a drained batch in FIFO order, fusing maximal consecutive runs of
-   the same constructor through the bulk kernels where the layout has them
-   (flat and packed); other layouts and singleton runs fall back to the
-   uniform per-op dispatchers.  Returns [(request, value)] in FIFO order. *)
-let apply t reqs =
-  let out = ref [] in
-  let flush_run run =
-    match run with
-    | [] -> ()
-    | ({ op = Unite _; _ } :: _ as rs) ->
-      let arr = Array.of_list rs in
-      let get f r = match r.op with Unite (x, y) -> f x y | _ -> assert false in
-      let xs = Array.map (get (fun x _ -> x)) arr in
-      let ys = Array.map (get (fun _ y -> y)) arr in
-      (match t.backend with
-      | Restore.Flat d when Array.length arr > 1 -> Dsu.Native.unite_batch d xs ys
-      | Restore.Packed d when Array.length arr > 1 ->
-        Dsu.Packed.Native.unite_batch d xs ys
-      | b ->
-        for i = 0 to Array.length arr - 1 do
-          Restore.unite b xs.(i) ys.(i)
-        done);
-      Array.iter (fun r -> out := (r, V_unit) :: !out) arr
-    | ({ op = Same_set _; _ } :: _ as rs) ->
-      let arr = Array.of_list rs in
-      let get f r =
-        match r.op with Same_set (x, y) -> f x y | _ -> assert false
-      in
-      let xs = Array.map (get (fun x _ -> x)) arr in
-      let ys = Array.map (get (fun _ y -> y)) arr in
-      let bs =
-        match t.backend with
-        | Restore.Flat d when Array.length arr > 1 ->
-          Dsu.Native.same_set_batch d xs ys
-        | Restore.Packed d when Array.length arr > 1 ->
-          Dsu.Packed.Native.same_set_batch d xs ys
-        | b -> Array.mapi (fun i x -> Restore.same_set b x ys.(i)) xs
-      in
-      Array.iteri (fun i r -> out := (r, V_bool bs.(i)) :: !out) arr
-    | [ ({ op = Find x; _ } as r) ] ->
-      out := (r, V_int (Restore.find t.backend x)) :: !out
-    | { op = Find _; _ } :: _ -> assert false (* finds are never fused *)
-  in
-  let tag r =
-    match r.op with Unite _ -> 0 | Same_set _ -> 1 | Find _ -> 2
-  in
-  let rec go run run_tag = function
-    | [] -> flush_run (List.rev run)
-    | r :: tl when tag r = run_tag && run_tag <> 2 -> go (r :: run) run_tag tl
-    | r :: tl ->
-      flush_run (List.rev run);
-      go [ r ] (tag r) tl
-  in
-  (match reqs with [] -> () | r :: tl -> go [ r ] (tag r) tl);
-  List.rev !out
+(* Outcomes shared by every response that carries them. *)
+let done_unit = Done V_unit
+let done_true = Done (V_bool true)
+let done_false = Done (V_bool false)
+let failed_wal = Failed "wal-committer-dead"
 
-let process_batch t reqs =
-  Atomic.incr t.batches;
-  note_max t.max_batch (List.length reqs);
-  let now = Clock.now_ns () in
-  (* ops that missed their deadline while queued time out before touching
-     the structure — the client already gave up on them *)
-  let live =
-    List.filter
-      (fun r ->
-        if r.deadline_ns > 0 && now > r.deadline_ns then begin
-          respond t r Timed_out;
-          false
-        end
-        else true)
-      reqs
+(* A worker's reusable per-batch buffers, [batch] entries each. *)
+type scratch = { outs : outcome array; rsps : response array }
+
+let scratch t =
+  let blank =
+    {
+      r_id = -1;
+      r_session = 0;
+      r_op = Find 0;
+      r_outcome = Shed;
+      r_intended_ns = 0;
+      r_completed_ns = 0;
+    }
   in
-  let results = apply t live in
+  { outs = Array.make t.cfg.batch Shed; rsps = Array.make t.cfg.batch blank }
+
+let apply_op backend = function
+  | Unite (x, y) ->
+    Restore.unite backend x y;
+    done_unit
+  | Same_set (x, y) -> if Restore.same_set backend x y then done_true else done_false
+  | Find x -> Done (V_int (Restore.find backend x))
+
+let process_batch t sc reqs =
+  Atomic.incr t.batches;
+  let now = Clock.now_ns () in
+  (* Apply in FIFO order.  Ops that missed their deadline while queued
+     time out without touching the structure — the client already gave
+     up on them. *)
+  let n = ref 0 and expired = ref 0 in
+  List.iter
+    (fun r ->
+      let o =
+        if r.deadline_ns > 0 && now > r.deadline_ns then begin
+          incr expired;
+          Timed_out
+        end
+        else apply_op t.backend r.op
+      in
+      sc.outs.(!n) <- o;
+      incr n)
+    reqs;
+  let n = !n and expired = !expired in
+  note_max t.max_batch n;
   (* The durability barrier: force the group commit and only ack if the
      committer is still alive to have performed it.  An ack therefore
      implies the batch's links are on disk — RPO = 0 by construction. *)
@@ -298,15 +300,39 @@ let process_batch t reqs =
       Wal.flush w;
       Wal.crashed w = None && Wal.failed w = None
   in
-  if durable then List.iter (fun (r, v) -> respond t r (Done v)) results
-  else begin
-    Atomic.set t.unhealthy true;
-    List.iter (fun (r, _) -> respond t r (Failed "wal-committer-dead")) results
+  let live = n - expired in
+  if expired > 0 then begin
+    ignore (Atomic.fetch_and_add t.timed_out expired);
+    Metrics.add t.m_timed_out expired
   end;
+  if live > 0 then
+    if durable then begin
+      ignore (Atomic.fetch_and_add t.acked live);
+      Metrics.add t.m_acked live
+    end
+    else ignore (Atomic.fetch_and_add t.failed live);
+  if not durable then Atomic.set t.unhealthy true;
+  let completed = Clock.now_ns () in
+  List.iteri
+    (fun i r ->
+      let o = sc.outs.(i) in
+      sc.rsps.(i) <-
+        {
+          r_id = r.id;
+          r_session = r.session;
+          r_op = r.op;
+          r_outcome =
+            (match o with Done _ when not durable -> failed_wal | _ -> o);
+          r_intended_ns = r.intended_ns;
+          r_completed_ns = completed;
+        })
+    reqs;
+  push_completions t sc.rsps n;
   durable
 
 let worker_loop t k =
   let q = t.queues.(k) in
+  let sc = scratch t in
   let idle = ref 0 in
   try
     let continue = ref true in
@@ -318,18 +344,22 @@ let worker_loop t k =
           incr idle;
           (* brief spin, then sleep: an idle worker must not steal the
              mutators' CPU (same reasoning as the WAL committer) *)
-          if !idle < 64 then Domain.cpu_relax () else Unix.sleepf 0.0002
+          if !idle < 64 then Domain.cpu_relax ()
+          else begin
+            Atomic.incr t.idle_sleeps;
+            Unix.sleepf 0.0002
+          end
         end
       | reqs ->
         idle := 0;
-        if not (process_batch t reqs) then begin
+        if not (process_batch t sc reqs) then begin
           (* No durable acks are possible any more: fail the backlog so
              nothing rots unanswered, then leave. *)
           let rec drain () =
             match Queue.dequeue_opt q with
             | None -> ()
             | Some r ->
-              respond t r (Failed "wal-committer-dead");
+              respond t r failed_wal;
               drain ()
           in
           drain ();
@@ -448,6 +478,7 @@ let create ?backend ?wal ?on_worker_start ?(kind = Rsnap.Flat) cfg =
       timed_out = Atomic.make 0;
       acked = Atomic.make 0;
       failed = Atomic.make 0;
+      idle_sleeps = Atomic.make 0;
       displaced = Atomic.make 0;
       batches = Atomic.make 0;
       max_batch = Atomic.make 0;
@@ -487,7 +518,12 @@ let check_element t x =
   if x < 0 || x >= t.cfg.n then
     invalid_arg (Printf.sprintf "Service.submit: element %d outside [0, %d)" x t.cfg.n)
 
+let check_session fn session =
+  if session < 0 then
+    invalid_arg (Printf.sprintf "Service.%s: session %d is negative" fn session)
+
 let submit t ?intended_ns ?(deadline_ns = 0) ~session op =
+  check_session "submit" session;
   (match op with
   | Unite (x, y) | Same_set (x, y) ->
     check_element t x;
@@ -544,7 +580,8 @@ let submit t ?intended_ns ?(deadline_ns = 0) ~session op =
   end
 
 let poll ?(max = max_int) t ~session =
-  let lane = t.completions.(session mod t.cfg.clients) in
+  check_session "poll" session;
+  let lane = lane_of t session in
   if Queue.is_empty lane then [] else Queue.dequeue_batch lane ~max
 
 (* ------------------------------------------------------------------ stop *)
@@ -586,6 +623,7 @@ type stats = {
   s_acked : int;
   s_failed : int;
   s_displaced : int;
+  s_idle_sleeps : int;
   s_batches : int;
   s_max_batch : int;
   s_max_depth : int;
@@ -604,6 +642,7 @@ let stats t =
     s_acked = Atomic.get t.acked;
     s_failed = Atomic.get t.failed;
     s_displaced = Atomic.get t.displaced;
+    s_idle_sleeps = Atomic.get t.idle_sleeps;
     s_batches = Atomic.get t.batches;
     s_max_batch = Atomic.get t.max_batch;
     s_max_depth = Atomic.get t.max_depth;

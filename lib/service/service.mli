@@ -17,11 +17,13 @@
       admitted or the admission deadline [t] expires
       ([Rejected Admission_deadline]).
 
-    Worker domains drain FIFO batches and apply them through the bulk
-    [unite_batch]/[same_set_batch] kernels where the layout has them
-    (flat, packed), falling back to the uniform per-op dispatchers
-    elsewhere.  An op carrying a [deadline_ns] that expired while queued
-    is answered [Timed_out] without touching the structure.
+    Worker domains drain FIFO batches and apply each op in FIFO order
+    through the per-op dispatchers ({!Repro_recover.Restore.unite},
+    [same_set], [find]) on every layout.  An op carrying a [deadline_ns]
+    that expired while queued is answered [Timed_out] without touching
+    the structure.  A batch's responses are stamped with one clock read
+    taken after the durability barrier and pushed to their completion
+    lane under one lock acquisition.
 
     {2 Ack/durability contract}
 
@@ -124,12 +126,14 @@ val submit :
 (** [intended_ns] (default: now) is echoed in the response for open-loop
     latency accounting; [deadline_ns] (default: none) expires the op if
     still queued past that clock value.  Routing: session mod workers.
-    @raise Invalid_argument if an element is outside [\[0, n)]. *)
+    @raise Invalid_argument if [session < 0] or an element is outside
+    [\[0, n)]; nothing is counted or admitted then. *)
 
 val poll : ?max:int -> t -> session:int -> response list
 (** Drain (up to [max]) responses from the session's completion lane.
     Lanes are shared by sessions congruent mod [clients]; give each
-    polling domain its own lane. *)
+    polling domain its own lane.
+    @raise Invalid_argument if [session < 0]. *)
 
 val stop : t -> unit
 (** Graceful shutdown: workers drain their queues and exit, the
@@ -165,6 +169,9 @@ type stats = {
   s_displaced : int;
       (** completion-lane displacements: always 0 (lanes are sized for the
           worst-case in-flight population); nonzero means a sizing bug *)
+  s_idle_sleeps : int;
+      (** times a worker found its queue empty past its spin budget and
+          slept (200 us) — nonzero means the workers outran the clients *)
   s_batches : int;
   s_max_batch : int;
   s_max_depth : int;  (** max ingestion depth seen at submit *)
