@@ -473,14 +473,9 @@ let bench_bulk_mixed_per_op =
          let d = Dsu.Native.create ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
 
-(* Packed-vs-rank headline pairs: the bit-packed single-word layout
-   (Dsu.Packed) against the two-array rank comparator (Dsu.Rank) on the
-   same n=2^20 endpoint streams — unite over a fresh structure, then find
-   over a prepared flattened one.  Both link by rank with splitting, so
-   the pair isolates the memory layout: one word per node with mask/shift
-   unpacking versus two arrays with a div/mod decode and twice the
-   traffic.  Streams are shared (same seeds), so each pair is a paired
-   comparison; docs/PERFORMANCE.md quotes these numbers. *)
+(* The bit-packed rank layout (Dsu.Packed) on n=2^20 endpoint streams —
+   unite over a fresh structure, then find over a prepared flattened one;
+   docs/PERFORMANCE.md quotes these numbers. *)
 let bench_packed_unite_pairs =
   let xs, ys = bulk_pairs bulk_unites 83 in
   Test.make ~name:"packedrank/unite-packed"
@@ -488,16 +483,6 @@ let bench_packed_unite_pairs =
          let d = Dsu.Packed.Native.create n_bulk in
          for k = 0 to bulk_unites - 1 do
            Dsu.Packed.Native.unite d (Array.unsafe_get xs k)
-             (Array.unsafe_get ys k)
-         done))
-
-let bench_rank_unite_pairs =
-  let xs, ys = bulk_pairs bulk_unites 83 in
-  Test.make ~name:"packedrank/unite-rank"
-    (Staged.stage (fun () ->
-         let d = Dsu.Rank.Native.create n_bulk in
-         for k = 0 to bulk_unites - 1 do
-           Dsu.Rank.Native.unite d (Array.unsafe_get xs k)
              (Array.unsafe_get ys k)
          done))
 
@@ -521,24 +506,6 @@ let bench_packed_find =
     (Staged.stage (fun () ->
          for k = 0 to bulk_queries - 1 do
            ignore (Dsu.Packed.Native.find d (Array.unsafe_get idx k))
-         done))
-
-let bench_rank_find =
-  let d = Dsu.Rank.Native.create n_bulk in
-  let xs, ys = bulk_pairs bulk_unites 83 in
-  for k = 0 to bulk_unites - 1 do
-    Dsu.Rank.Native.unite d xs.(k) ys.(k)
-  done;
-  for _ = 1 to 3 do
-    for i = 0 to n_bulk - 1 do
-      ignore (Dsu.Rank.Native.find d i)
-    done
-  done;
-  let idx = bulk_find_indices 97 in
-  Test.make ~name:"packedrank/find-rank"
-    (Staged.stage (fun () ->
-         for k = 0 to bulk_queries - 1 do
-           ignore (Dsu.Rank.Native.find d (Array.unsafe_get idx k))
          done))
 
 let all_tests () =
@@ -584,9 +551,7 @@ let all_tests () =
     bench_bulk_mixed_batched;
     bench_bulk_mixed_per_op;
     bench_packed_unite_pairs;
-    bench_rank_unite_pairs;
     bench_packed_find;
-    bench_rank_find;
   ]
 
 (* ------------------------------------------------------------ CLI state *)

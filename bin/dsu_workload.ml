@@ -256,13 +256,12 @@ let with_progress progress f =
 
 (* ---------------------------------------------------------- native mode *)
 
-type impl = Jt | Jt_early | Rank | Packed | Aw | Lock | Seq
+type impl = Jt | Jt_early | Packed | Aw | Lock | Seq
 
 let impl_conv =
   let parse = function
     | "jt" -> Ok Jt
     | "jt-early" -> Ok Jt_early
-    | "rank" -> Ok Rank
     | "packed" -> Ok Packed
     | "aw" -> Ok Aw
     | "lock" -> Ok Lock
@@ -274,7 +273,6 @@ let impl_conv =
       (match impl with
       | Jt -> "jt"
       | Jt_early -> "jt-early"
-      | Rank -> "rank"
       | Packed -> "packed"
       | Aw -> "aw"
       | Lock -> "lock"
@@ -289,7 +287,7 @@ let impl_arg =
     & info [ "impl" ] ~docv:"IMPL"
         ~doc:
           "Implementation: jt (the paper's algorithm), jt-early (Section 6 \
-           variant), rank (Section 7 variant), packed (single-word \
+           variant), packed (Section 7 linking by rank over a single-word \
            rank+parent layout), aw (Anderson-Woll), lock (global mutex), \
            seq (sequential).")
 
@@ -322,6 +320,9 @@ let plan_arg =
            fastest plan for this workload profile via the autotuner (cached \
            by profile fingerprint; see $(b,--autotune-cache)).  Overrides \
            $(b,--impl) and $(b,--policy).")
+
+(* The default plan under a --policy compaction rule. *)
+let plan_of_policy policy = { Dsu.Plan.default with compaction = policy }
 
 let autotune_cache_arg =
   Arg.(
@@ -363,7 +364,7 @@ let wal_arg =
     & info [ "wal" ] ~docv:"FILE"
         ~doc:
           "Append every link to a group-committed write-ahead log at \
-           $(docv) (jt, jt-early, rank, packed or $(b,--plan) only — the \
+           $(docv) (jt, jt-early, packed or $(b,--plan) only — the \
            baselines carry no link notification).")
 
 let wal_flush_records_arg =
@@ -398,9 +399,9 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
   let* () =
     check_arg
       (wal = None || plan <> None
-      || match impl with Jt | Jt_early | Rank | Packed -> true | Aw | Lock | Seq -> false)
+      || match impl with Jt | Jt_early | Packed -> true | Aw | Lock | Seq -> false)
       "--wal needs an implementation with link notifications (jt, jt-early, \
-       rank, packed or --plan)"
+       packed or --plan)"
   in
   let* () =
     check_arg (wal_flush_records >= 1) "--wal-flush-records must be >= 1"
@@ -468,56 +469,28 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
         List.iter Domain.join handles;
         Unix.gettimeofday () -. t0)
   in
+  (* The plan-shaped implementations all run through the one backend
+     type; jt and packed are plans under the --policy compaction rule. *)
+  let on_driver plan =
+    let d = Dsu.Driver.create ~plan ~seed ~collect_stats:true ?on_link n in
+    let dt =
+      in_domains
+        (apply_ops ~unite:(Dsu.Driver.unite d) ~same_set:(Dsu.Driver.same_set d)
+           ~find:(Dsu.Driver.find d))
+    in
+    let parents = Dsu.Driver.parents_snapshot d in
+    root_fn := Some (fun i -> parents.(i) = i);
+    (dt, Dsu.Driver.count_sets d, Some (Dsu.Driver.stats d))
+  in
   let elapsed, final_sets, stats =
-    match plan with
-    | Some p -> (
-      let policy = p.Dsu.Plan.compaction in
-      let memory_order = p.Dsu.Plan.memory_order in
-      let backoff = p.Dsu.Plan.backoff in
-      match p.Dsu.Plan.layout with
-      | Dsu.Plan.Flat | Dsu.Plan.Padded ->
-        let d =
-          Dsu.Native.create ~policy ~memory_order ~backoff
-            ~padded:(p.Dsu.Plan.layout = Dsu.Plan.Padded) ~collect_stats:true
-            ?on_link ~seed n
-        in
-        let dt =
-          in_domains
-            (apply_ops ~unite:(Dsu.Native.unite d)
-               ~same_set:(Dsu.Native.same_set d) ~find:(Dsu.Native.find d))
-        in
-        root_fn := Some (Dsu.Native.is_root d);
-        (dt, Dsu.Native.count_sets d, Some (Dsu.Native.stats d))
-      | Dsu.Plan.Boxed ->
-        let d =
-          Dsu.Boxed.create ~policy ~backoff ~collect_stats:true ?on_link ~seed n
-        in
-        let dt =
-          in_domains
-            (apply_ops ~unite:(Dsu.Boxed.unite d)
-               ~same_set:(Dsu.Boxed.same_set d) ~find:(Dsu.Boxed.find d))
-        in
-        root_fn := Some (Dsu.Boxed.is_root d);
-        (dt, Dsu.Boxed.count_sets d, Some (Dsu.Boxed.stats d))
-      | Dsu.Plan.Packed ->
-        let d =
-          Dsu.Packed.Native.create ~policy ~backoff ~memory_order
-            ~collect_stats:true ?on_link n
-        in
-        let dt =
-          in_domains
-            (apply_ops ~unite:(Dsu.Packed.Native.unite d)
-               ~same_set:(Dsu.Packed.Native.same_set d)
-               ~find:(Dsu.Packed.Native.find d))
-        in
-        root_fn := Some (Dsu.Packed.Native.is_root d);
-        (dt, Dsu.Packed.Native.count_sets d, Some (Dsu.Packed.Native.stats d)))
-    | None -> (
-      match impl with
-      | Jt | Jt_early ->
+    match (plan, impl) with
+    | Some p, _ -> on_driver p
+    | None, Jt -> on_driver (plan_of_policy policy)
+    | None, Packed ->
+      on_driver (Dsu.Driver.plan_for Dsu.Driver.Packed (plan_of_policy policy))
+    | None, Jt_early ->
       let d =
-        Dsu.Native.create ~policy ~early:(impl = Jt_early) ~collect_stats:true
-          ?on_link ~seed n
+        Dsu.Native.create ~policy ~early:true ~collect_stats:true ?on_link ~seed n
       in
       let dt =
         in_domains
@@ -526,25 +499,7 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
       in
       root_fn := Some (Dsu.Native.is_root d);
       (dt, Dsu.Native.count_sets d, Some (Dsu.Native.stats d))
-    | Rank ->
-      let d = Dsu.Rank.Native.create ~collect_stats:true ?on_link n in
-      let dt =
-        in_domains
-          (apply_ops ~unite:(Dsu.Rank.Native.unite d)
-             ~same_set:(Dsu.Rank.Native.same_set d) ~find:(Dsu.Rank.Native.find d))
-      in
-      (dt, Dsu.Rank.Native.count_sets d, Some (Dsu.Rank.Native.stats d))
-    | Packed ->
-      let d = Dsu.Packed.Native.create ~policy ~collect_stats:true ?on_link n in
-      let dt =
-        in_domains
-          (apply_ops ~unite:(Dsu.Packed.Native.unite d)
-             ~same_set:(Dsu.Packed.Native.same_set d)
-             ~find:(Dsu.Packed.Native.find d))
-      in
-      root_fn := Some (Dsu.Packed.Native.is_root d);
-      (dt, Dsu.Packed.Native.count_sets d, Some (Dsu.Packed.Native.stats d))
-    | Aw ->
+    | None, Aw ->
       let d = Baselines.Anderson_woll.Native.create ~collect_stats:true n in
       let dt =
         in_domains
@@ -555,7 +510,7 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
       in
       (dt, Baselines.Anderson_woll.Native.count_sets d,
        Some (Baselines.Anderson_woll.Native.stats d))
-    | Lock ->
+    | None, Lock ->
       let d = Baselines.Locked_dsu.create ~seed n in
       let dt =
         in_domains
@@ -564,11 +519,11 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
              ~find:(Baselines.Locked_dsu.find d))
       in
       (dt, Baselines.Locked_dsu.count_sets d, None)
-    | Seq ->
+    | None, Seq ->
       let d = Sequential.Seq_dsu.create ~seed n in
       let t0 = Unix.gettimeofday () in
       Workload.Op.run_seq d ops_list;
-      (Unix.gettimeofday () -. t0, Sequential.Seq_dsu.count_sets d, None))
+      (Unix.gettimeofday () -. t0, Sequential.Seq_dsu.count_sets d, None)
   in
   Printf.printf "elements:      %d\noperations:    %d (%.0f%% unions)\ndomains:       %d\n"
     n ops (unite_frac *. 100.) domains;
@@ -793,14 +748,14 @@ let run_snapshot policy n ops unite_frac seed domains snapshot_out format
       (unite_frac >= 0. && unite_frac <= 1.)
       "--unite-frac must be in [0, 1]"
   in
-  let d = Dsu.Native.create ~policy ~seed n in
+  let d = Dsu.Driver.create ~plan:(plan_of_policy policy) ~seed n in
   let buckets =
     Workload.Op.round_robin (workload ~n ~ops ~unite_frac ~seed) ~p:domains
   in
   let fuzzy_cap =
     if not fuzzy then begin
-      in_domains_apply ~domains ~unite:(Dsu.Native.unite d)
-        ~same_set:(Dsu.Native.same_set d) ~find:(Dsu.Native.find d) buckets;
+      in_domains_apply ~domains ~unite:(Dsu.Driver.unite d)
+        ~same_set:(Dsu.Driver.same_set d) ~find:(Dsu.Driver.find d) buckets;
       None
     end
     else begin
@@ -813,21 +768,21 @@ let run_snapshot policy n ops unite_frac seed domains snapshot_out format
                 List.iter
                   (fun op ->
                     match op with
-                    | Workload.Op.Unite (x, y) -> Dsu.Native.unite d x y
+                    | Workload.Op.Unite (x, y) -> Dsu.Driver.unite d x y
                     | Workload.Op.Same_set (x, y) ->
-                      ignore (Dsu.Native.same_set d x y : bool)
-                    | Workload.Op.Find x -> ignore (Dsu.Native.find d x : int))
+                      ignore (Dsu.Driver.same_set d x y : bool)
+                    | Workload.Op.Find x -> ignore (Dsu.Driver.find d x : int))
                   buckets.(k)))
       in
-      let cap = Dfuzzy.of_native d in
+      let cap = Dfuzzy.of_driver d in
       List.iter Domain.join handles;
       Some cap
     end
   in
-  let sets = Dsu.Native.count_sets d in
+  let sets = Dsu.Driver.count_sets d in
   let snap =
     match fuzzy_cap with
-    | None -> Rsnap.of_native d
+    | None -> Rsnap.of_driver d
     | Some cap -> cap.Dfuzzy.snapshot
   in
   (match fuzzy_cap with
@@ -910,17 +865,17 @@ let run_restore policy resume_from wal repair validate ops unite_frac seed
     (fun fix -> Format.printf "repair: %a@." Rrepair.pp_fix fix)
     fixes;
   let* restored =
-    match Rrestore.restore_result ~policy snap with
+    match Rrestore.restore_result ~plan:(plan_of_policy policy) snap with
     | Ok r -> Ok r
     | Error msg ->
       Error
         (`Msg (if repair then msg else msg ^ " (a corrupted snapshot may need --repair)"))
   in
-  let count = Rrestore.n restored in
+  let count = Dsu.Driver.n restored in
   Printf.printf "restored: %s snapshot, %d elements, %d sets\n"
-    (Rsnap.kind_to_string (Rrestore.kind restored))
+    (Rsnap.kind_to_string (Dsu.Driver.kind restored))
     count
-    (Rrestore.count_sets restored);
+    (Dsu.Driver.count_sets restored);
   let* () =
     match wal with
     | None -> Ok ()
@@ -944,22 +899,23 @@ let run_restore policy resume_from wal repair validate ops unite_frac seed
         (match tail.Dwal.truncated_at with
         | None -> ""
         | Some off -> Printf.sprintf " (torn tail at byte %d dropped)" off)
-        (Rrestore.count_sets restored);
+        (Dsu.Driver.count_sets restored);
       Ok ()
   in
   if ops > 0 then begin
     let buckets =
       Workload.Op.round_robin (workload ~n:count ~ops ~unite_frac ~seed) ~p:domains
     in
-    in_domains_apply ~domains ~unite:(Rrestore.unite restored)
-      ~same_set:(Rrestore.same_set restored) ~find:(Rrestore.find restored) buckets;
+    in_domains_apply ~domains ~unite:(Dsu.Driver.unite restored)
+      ~same_set:(Dsu.Driver.same_set restored) ~find:(Dsu.Driver.find restored)
+      buckets;
     Printf.printf "resumed:  %d ops on %d domain(s), %d sets\n" ops domains
-      (Rrestore.count_sets restored)
+      (Dsu.Driver.count_sets restored)
   end;
   let* () =
     if not validate then Ok ()
     else begin
-      let report = Rsnap.check (Rrestore.snapshot restored) in
+      let report = Rsnap.check (Rsnap.of_driver restored) in
       if Repro_fault.Forest_check.ok report then begin
         Printf.printf "validate: ok (%d roots, max depth %d)\n"
           report.Repro_fault.Forest_check.roots
@@ -976,7 +932,7 @@ let run_restore policy resume_from wal repair validate ops unite_frac seed
   match snapshot_out with
   | None -> Ok ()
   | Some out ->
-    let* () = write_snapshot_or_die ~format out (Rrestore.snapshot restored) in
+    let* () = write_snapshot_or_die ~format out (Rsnap.of_driver restored) in
     Printf.printf "snapshot: -> %s\n" out;
     Ok ()
 
@@ -1166,7 +1122,7 @@ let kinds_arg =
     & info [ "kind" ] ~docv:"KIND"
         ~doc:
           "With $(b,--durable): snapshot kind to drill — flat, boxed, \
-           growable, rank or packed (repeatable; default all five).")
+           growable or packed (repeatable; default all four).")
 
 let chaos_snapshot_out_arg =
   Arg.(
@@ -1814,9 +1770,11 @@ let serve_admission_arg =
 let serve_kind_arg =
   Arg.(
     value
-    & opt kind_conv Rsnap.Flat
+    & opt (some kind_conv) None
     & info [ "kind" ] ~docv:"KIND"
-        ~doc:"Backend kind: flat, boxed, growable, rank or packed.")
+        ~doc:
+          "Backend kind: flat, boxed, growable or packed (default: the \
+           layout $(b,--plan) names; growable runs a flat plan).")
 
 let serve_find_frac_arg =
   Arg.(
@@ -1850,7 +1808,7 @@ let serve_chaos_arg =
     value & flag
     & info [ "chaos" ]
         ~doc:
-          "Run the crash-recovery drill over all five backend kinds instead \
+          "Run the crash-recovery drill over all four backend kinds instead \
            of the sweep: crash a worker mid-drain and the WAL committer \
            mid-commit, recover from the newest fuzzy snapshot + WAL tail, \
            resume serving, and measure RPO (acked-but-lost unites; must be \
@@ -1879,7 +1837,11 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
   in
   let* plan =
     match plan with
-    | None -> Ok Dsu.Plan.default
+    | None ->
+      Ok
+        (match kind with
+        | Some k -> Dsu.Driver.plan_for k Dsu.Plan.default
+        | None -> Dsu.Plan.default)
     | Some (`Plan p) -> Ok p
     | Some `Auto ->
       let profile =
@@ -1899,6 +1861,14 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
         (Dsu.Plan.to_string r.Harness.Autotune.winner)
         (match source with `Cached -> "cached" | `Measured -> "measured");
       Ok r.Harness.Autotune.winner
+  in
+  let kind =
+    Option.value kind ~default:(Dsu.Driver.kind_of_layout plan.Dsu.Plan.layout)
+  in
+  let* () =
+    Result.map_error
+      (fun e -> `Msg ("--kind/--plan: " ^ e))
+      (Dsu.Driver.check_kind kind plan)
   in
   let config =
     {

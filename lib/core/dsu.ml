@@ -6,6 +6,8 @@
 
     - {!Native} — the user-facing DSU over OCaml 5 domains.
     - {!Growable} — the [MakeSet] extension (elements created on the fly).
+    - {!Packed} — Section 7's linking by rank over one packed word.
+    - {!Driver} — any of those layouts as one value, chosen by a {!Plan}.
     - {!Sim} — the same algorithm instrumented to run inside the APRAM
       simulator ({!Apram.Sim}) for exact work measurements.
     - {!Find_policy} — selects among the paper's three [Find] variants.
@@ -45,19 +47,17 @@ module Growable_unbounded = Growable_unbounded
 (** The capacity-free [MakeSet] variant: the universe grows without bound
     (Section 3 remark); set operations stay lock-free. *)
 
-module Rank = Rank_dsu
-(** The concurrent linking-by-rank variant of Section 7, which needs no
-    independence assumption; see experiment E15. *)
-
 module Packed = Packed_dsu
-(** Linking by rank over a bit-packed [(root flag, rank, parent)] word —
-    the shift/mask layout that replaces {!Rank}'s division-based packing;
-    supports every {!Find_policy} compaction rule. *)
+(** The concurrent linking-by-rank variant of Section 7, which needs no
+    independence assumption (see experiment E15), over a bit-packed
+    [(root flag, rank, parent)] word; supports every {!Find_policy}
+    compaction rule. *)
 
 module Plan = Dsu_plan
-
-(** Plan-dispatched backend as a first-class closure record. *)
-module Driver = Dsu_driver
 (** First-class configuration points of the plan space (linking rule x
     compaction x memory order x backoff x layout), with the registry swept
     by [Harness.Autotune] and the [--plan] CLI spec syntax. *)
+
+module Driver = Dsu_driver
+(** The one backend type: a variant over the flat, boxed, growable and
+    packed layouts, built from a {!Plan} or restored from a snapshot. *)

@@ -1,93 +1,176 @@
-(** A {!Dsu_plan}-dispatched DSU backend as a first-class value.
+(** A DSU backend as one value; see the interface.  The two layout
+    dispatches are {!create} here and [Repro_recover.Restore.restore]. *)
 
-    [Harness.Scalability.run_plan_point] dispatches a plan to the right
-    layout constructor inline; every new plan-aware subsystem (the
-    connectivity pipeline, the service layer) was about to repeat that
-    match.  This module does the dispatch once and hands back a record of
-    closures over the constructed structure, so callers are parametric in
-    the plan without a functor boundary or a GADT.
+type kind = Flat | Boxed | Growable | Packed
 
-    The closure record costs one indirect call per operation.  The bulk
-    kernels ([unite_batch] / [same_set_batch] / [find_batch]) amortize
-    that over the whole batch, so plan-parametric batch pipelines pay
-    essentially nothing; per-op hot loops that care about the last few
-    percent should keep matching on the layout themselves (as the
-    scalability harness does). *)
+type t =
+  | Flat of Dsu_native.t
+  | Boxed of Dsu_boxed.t
+  | Growable of Growable.t
+  | Packed of Packed_dsu.Native.t
 
-type t = {
-  n : int;
-  plan : Dsu_plan.t;
-  find : int -> int;
-  same_set : int -> int -> bool;
-  unite : int -> int -> unit;
-  unite_batch : int array -> int array -> unit;
-  same_set_batch : int array -> int array -> bool array;
-  find_batch : int array -> int array;
-  count_sets : unit -> int;
-  parents_snapshot : unit -> int array;
-  stats : unit -> Dsu_stats.snapshot option;
-}
+let kind : t -> kind = function
+  | Flat _ -> Flat
+  | Boxed _ -> Boxed
+  | Growable _ -> Growable
+  | Packed _ -> Packed
 
-let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false) n =
+let kind_to_string : kind -> string = function
+  | Flat -> "flat"
+  | Boxed -> "boxed"
+  | Growable -> "growable"
+  | Packed -> "packed"
+
+let kind_of_layout : Dsu_plan.layout -> kind = function
+  | Dsu_plan.Flat | Dsu_plan.Padded -> Flat
+  | Dsu_plan.Boxed -> Boxed
+  | Dsu_plan.Packed -> Packed
+
+let plan_for (kind : kind) (p : Dsu_plan.t) =
+  match kind with
+  | Flat when p.Dsu_plan.layout = Dsu_plan.Padded -> p
+  | Flat | Growable -> Dsu_plan.on_layout Dsu_plan.Flat p
+  | Boxed -> Dsu_plan.on_layout Dsu_plan.Boxed p
+  | Packed -> Dsu_plan.on_layout Dsu_plan.Packed p
+
+let check_kind (kind : kind) (p : Dsu_plan.t) =
+  let built = kind_of_layout p.Dsu_plan.layout in
+  if built = kind || (kind = Growable && p.Dsu_plan.layout = Dsu_plan.Flat) then
+    Ok ()
+  else
+    Error
+      (Printf.sprintf "kind %s contradicts plan %s (which builds %s)"
+         (kind_to_string kind) (Dsu_plan.to_string p) (kind_to_string built))
+
+let create ?plan ?kind ?(seed = 1) ?(collect_stats = false) ?on_link n =
+  let plan =
+    match (plan, kind) with
+    | Some p, _ -> p
+    | None, Some k -> plan_for k Dsu_plan.default
+    | None, None -> Dsu_plan.default
+  in
   (match Dsu_plan.validate plan with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Dsu_driver.create: invalid plan: " ^ msg));
-  let policy = plan.Dsu_plan.compaction in
-  let backoff = plan.Dsu_plan.backoff in
-  let memory_order = plan.Dsu_plan.memory_order in
-  match plan.Dsu_plan.layout with
-  | Dsu_plan.Flat | Dsu_plan.Padded ->
-    let padded = plan.Dsu_plan.layout = Dsu_plan.Padded in
+  let kind = Option.value kind ~default:(kind_of_layout plan.Dsu_plan.layout) in
+  (match check_kind kind plan with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Dsu_driver.create: " ^ msg));
+  let { Dsu_plan.compaction = policy; backoff; memory_order; layout; _ } = plan in
+  match kind with
+  | Flat ->
+    Flat
+      (Dsu_native.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
+         ~seed ~padded:(layout = Dsu_plan.Padded) n)
+  | Boxed ->
+    Boxed (Dsu_boxed.create ~policy ~backoff ~collect_stats ?on_link ~seed n)
+  | Growable ->
     let d =
-      Dsu_native.create ~policy ~backoff ~memory_order ~collect_stats ~seed
-        ~padded n
+      Growable.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
+        ~seed ~capacity:n ()
     in
-    {
-      n;
-      plan;
-      find = Dsu_native.find d;
-      same_set = Dsu_native.same_set d;
-      unite = Dsu_native.unite d;
-      unite_batch = Dsu_native.unite_batch d;
-      same_set_batch = Dsu_native.same_set_batch d;
-      find_batch = Dsu_native.find_batch d;
-      count_sets = (fun () -> Dsu_native.count_sets d);
-      parents_snapshot = (fun () -> Dsu_native.parents_snapshot d);
-      stats =
-        (fun () -> if collect_stats then Some (Dsu_native.stats d) else None);
-    }
-  | Dsu_plan.Boxed ->
-    let d = Dsu_boxed.create ~policy ~backoff ~collect_stats ~seed n in
-    {
-      n;
-      plan;
-      find = Dsu_boxed.find d;
-      same_set = Dsu_boxed.same_set d;
-      unite = Dsu_boxed.unite d;
-      unite_batch = Dsu_boxed.unite_batch d;
-      same_set_batch = Dsu_boxed.same_set_batch d;
-      find_batch = Dsu_boxed.find_batch d;
-      count_sets = (fun () -> Dsu_boxed.count_sets d);
-      parents_snapshot = (fun () -> Dsu_boxed.parents_snapshot d);
-      stats =
-        (fun () -> if collect_stats then Some (Dsu_boxed.stats d) else None);
-    }
-  | Dsu_plan.Packed ->
-    let d =
-      Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats n
-    in
-    {
-      n;
-      plan;
-      find = Packed_dsu.Native.find d;
-      same_set = Packed_dsu.Native.same_set d;
-      unite = Packed_dsu.Native.unite d;
-      unite_batch = Packed_dsu.Native.unite_batch d;
-      same_set_batch = Packed_dsu.Native.same_set_batch d;
-      find_batch = Packed_dsu.Native.find_batch d;
-      count_sets = (fun () -> Packed_dsu.Native.count_sets d);
-      parents_snapshot = (fun () -> Packed_dsu.Native.parents_snapshot d);
-      stats =
-        (fun () ->
-          if collect_stats then Some (Packed_dsu.Native.stats d) else None);
-    }
+    (* The universe exists up front: make_set is not WAL-logged, so a
+       recovered universe is the snapshot's. *)
+    for _ = 1 to n do
+      ignore (Growable.make_set d)
+    done;
+    Growable d
+  | Packed ->
+    Packed
+      (Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats
+         ?on_link n)
+
+let n = function
+  | Flat d -> Dsu_native.n d
+  | Boxed d -> Dsu_boxed.n d
+  | Growable d -> Growable.cardinal d
+  | Packed d -> Packed_dsu.Native.n d
+
+let capacity = function Growable d -> Growable.capacity d | t -> n t
+
+let find t x =
+  match t with
+  | Flat d -> Dsu_native.find d x
+  | Boxed d -> Dsu_boxed.find d x
+  | Growable d -> Growable.find d x
+  | Packed d -> Packed_dsu.Native.find d x
+
+let same_set t x y =
+  match t with
+  | Flat d -> Dsu_native.same_set d x y
+  | Boxed d -> Dsu_boxed.same_set d x y
+  | Growable d -> Growable.same_set d x y
+  | Packed d -> Packed_dsu.Native.same_set d x y
+
+let unite t x y =
+  match t with
+  | Flat d -> Dsu_native.unite d x y
+  | Boxed d -> Dsu_boxed.unite d x y
+  | Growable d -> Growable.unite d x y
+  | Packed d -> Packed_dsu.Native.unite d x y
+
+let same_length what xs ys =
+  if Array.length xs <> Array.length ys then
+    invalid_arg ("Dsu_driver." ^ what ^ ": length mismatch")
+
+let unite_batch t xs ys =
+  match t with
+  | Flat d -> Dsu_native.unite_batch d xs ys
+  | Boxed d -> Dsu_boxed.unite_batch d xs ys
+  | Growable d ->
+    same_length "unite_batch" xs ys;
+    Array.iteri (fun k x -> Growable.unite d x ys.(k)) xs
+  | Packed d -> Packed_dsu.Native.unite_batch d xs ys
+
+let same_set_batch t xs ys =
+  match t with
+  | Flat d -> Dsu_native.same_set_batch d xs ys
+  | Boxed d -> Dsu_boxed.same_set_batch d xs ys
+  | Growable d ->
+    same_length "same_set_batch" xs ys;
+    Array.mapi (fun k x -> Growable.same_set d x ys.(k)) xs
+  | Packed d -> Packed_dsu.Native.same_set_batch d xs ys
+
+let find_batch t xs =
+  match t with
+  | Flat d -> Dsu_native.find_batch d xs
+  | Boxed d -> Dsu_boxed.find_batch d xs
+  | Growable d -> Array.map (Growable.find d) xs
+  | Packed d -> Packed_dsu.Native.find_batch d xs
+
+let count_sets = function
+  | Flat d -> Dsu_native.count_sets d
+  | Boxed d -> Dsu_boxed.count_sets d
+  | Growable d -> Growable.count_sets d
+  | Packed d -> Packed_dsu.Native.count_sets d
+
+let parents_snapshot = function
+  | Flat d -> Dsu_native.parents_snapshot d
+  | Boxed d -> Dsu_boxed.parents_snapshot d
+  | Growable d -> Growable.parents_snapshot d
+  | Packed d -> Packed_dsu.Native.parents_snapshot d
+
+let prio t x =
+  match t with
+  | Flat d -> Dsu_native.id d x
+  | Boxed d -> Dsu_boxed.id d x
+  | Growable d -> Growable.priority d x
+  | Packed d -> Packed_dsu.Native.rank_of d x
+
+let prios_snapshot = function
+  | Flat d -> Dsu_native.ids_snapshot d
+  | Boxed d -> Dsu_boxed.ids_snapshot d
+  | Growable d -> Growable.priorities_snapshot d
+  | Packed d -> Packed_dsu.Native.ranks_snapshot d
+
+let snapshot_fuzzy = function
+  | Flat d -> Dsu_native.snapshot_fuzzy d
+  | Boxed d -> Dsu_boxed.snapshot_fuzzy d
+  | Growable d -> Growable.snapshot_fuzzy d
+  | Packed d -> Packed_dsu.Native.snapshot_fuzzy d
+
+let stats = function
+  | Flat d -> Dsu_native.stats d
+  | Boxed d -> Dsu_boxed.stats d
+  | Growable d -> Growable.stats d
+  | Packed d -> Packed_dsu.Native.stats d

@@ -1,30 +1,94 @@
-(** A {!Dsu_plan}-dispatched DSU backend as a first-class value: one
-    layout dispatch at [create] time, then a record of closures over the
-    constructed structure.  Lets plan-parametric subsystems (the
-    connectivity pipeline, batch services) stay agnostic of the layout
-    without repeating the [Harness.Scalability]-style match.  The extra
-    indirect call is negligible on the batch entry points; keep per-op
-    hot loops layout-matched if the last few percent matter. *)
+(** A DSU backend as one value: a variant over the layouts.
 
-type t = {
-  n : int;
-  plan : Dsu_plan.t;
-  find : int -> int;
-  same_set : int -> int -> bool;
-  unite : int -> int -> unit;
-  unite_batch : int array -> int array -> unit;
-  same_set_batch : int array -> int array -> bool array;
-  find_batch : int array -> int array;
-  count_sets : unit -> int;  (** Quiescent only. *)
-  parents_snapshot : unit -> int array;  (** Quiescent only. *)
-  stats : unit -> Dsu_stats.snapshot option;
-      (** [None] unless created with [~collect_stats:true]. *)
-}
+    Everything above the layout modules — the connectivity pipeline, the
+    service, the chaos and recovery drills, snapshots and fuzzy captures —
+    holds a [t] and calls the functions below, so there are exactly two
+    layout dispatches outside the layouts themselves: the fresh
+    constructor {!create} and the snapshot restore
+    ([Repro_recover.Restore.restore]).
 
-val create : ?plan:Dsu_plan.t -> ?seed:int -> ?collect_stats:bool -> int -> t
+    A variant rather than a record of closures: each call is one match on
+    a known constructor followed by a direct call, which the serving path
+    pays per op.  On the [serve] mix a closure record took a median
+    0.98–1.10x the variant's time per op over 8 runs (median 1.05x;
+    docs/PERFORMANCE.md, "Backend dispatch"): the variant is at least as
+    fast. *)
+
+type kind =
+  | Flat  (** {!Dsu_native}, also the padded layout *)
+  | Boxed  (** {!Dsu_boxed} *)
+  | Growable  (** {!Growable}, universe pre-created by {!create} *)
+  | Packed  (** {!Packed_dsu.Native}, linking by rank *)
+
+type t =
+  | Flat of Dsu_native.t
+  | Boxed of Dsu_boxed.t
+  | Growable of Growable.t
+  | Packed of Packed_dsu.Native.t
+
+val kind : t -> kind
+val kind_to_string : kind -> string
+
+val kind_of_layout : Dsu_plan.layout -> kind
+(** The kind a plan's layout builds ([Padded] is [Flat]). *)
+
+val plan_for : kind -> Dsu_plan.t -> Dsu_plan.t
+(** The plan moved onto [kind]'s layout ({!Dsu_plan.on_layout}), keeping
+    its compaction, backoff and (where the layout has one) memory order. *)
+
+val check_kind : kind -> Dsu_plan.t -> (unit, string) result
+(** [Error] naming both when the plan's layout cannot build [kind]
+    ([Growable] runs on the flat layout's plan). *)
+
+val create :
+  ?plan:Dsu_plan.t ->
+  ?kind:kind ->
+  ?seed:int ->
+  ?collect_stats:bool ->
+  ?on_link:(child:int -> parent:int -> unit) ->
+  int ->
+  t
 (** [create n] builds the structure the plan names ([plan] defaults to
-    {!Dsu_plan.default}, i.e. the flat native layout).  [seed] feeds the
-    random priority permutation on the id-linking layouts (ignored by
-    [packed], whose rank linking is seedless).
-    @raise Invalid_argument if {!Dsu_plan.validate} rejects the plan, or
-    [n < 1] (packed additionally bounds [n] by its parent-field width). *)
+    [plan_for kind Dsu_plan.default], or {!Dsu_plan.default} without a
+    [kind]).  [kind] defaults to the plan's layout; pass [Growable] for the
+    [MakeSet] layout, whose [n] elements are created up front.  [seed]
+    feeds the random priorities of the id-linking layouts (ignored by
+    [Packed]); [on_link] hooks every successful link CAS.
+    @raise Invalid_argument if {!Dsu_plan.validate} rejects the plan, the
+    kind contradicts it ({!check_kind}), or [n < 1]. *)
+
+val n : t -> int
+(** Elements present ([cardinal] for Growable). *)
+
+val capacity : t -> int
+(** Slots allocated; [n] except for Growable. *)
+
+val find : t -> int -> int
+val same_set : t -> int -> int -> bool
+val unite : t -> int -> int -> unit
+
+val unite_batch : t -> int array -> int array -> unit
+val same_set_batch : t -> int array -> int array -> bool array
+val find_batch : t -> int array -> int array
+(** The layouts' bulk kernels; Growable runs the per-op loop.
+    @raise Invalid_argument on length mismatch or out-of-range nodes. *)
+
+val count_sets : t -> int
+(** Quiescent only. *)
+
+val parents_snapshot : t -> int array
+(** Quiescent only. *)
+
+val prio : t -> int -> int
+(** The node's linking order, read live: the id or random priority, or
+    the packed rank, which moves as roots are promoted. *)
+
+val prios_snapshot : t -> int array
+(** {!prio} of every node.  Quiescent only. *)
+
+val snapshot_fuzzy : t -> int array * int array
+(** The layout's fuzzy [(parents, prios)] scan, safe concurrent with
+    mutators (see {!Dsu_native.snapshot_fuzzy}). *)
+
+val stats : t -> Dsu_stats.snapshot
+(** {!Dsu_stats.zero} unless created with [~collect_stats:true]. *)

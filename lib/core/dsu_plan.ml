@@ -13,9 +13,7 @@
 
     - [Random_id] linking (the paper's randomized algorithm) runs over
       the [Flat], [Padded] and [Boxed] layouts;
-    - [By_rank] linking runs over the [Packed] single-word layout (the
-      two-array {!Rank_dsu} comparator is fixed to two-try splitting and
-      is deliberately not a plan point);
+    - [By_rank] linking runs over the [Packed] single-word layout;
     - [By_size] linking names the remaining cell of the Alistarh et al.
       grid but has no concurrent implementation here yet — always
       invalid, with a saying-so error;
@@ -115,6 +113,16 @@ let validate p =
     else Ok ()
 
 let is_valid p = Result.is_ok (validate p)
+
+(* [p] moved onto [layout]: the linking rule that layout implements, and
+   seq-cst on the boxed layout, which has no memory-order knob. *)
+let on_layout layout p =
+  {
+    p with
+    layout;
+    linking = (if layout = Packed then By_rank else Random_id);
+    memory_order = (if layout = Boxed then Memory_order.Seq_cst else p.memory_order);
+  }
 
 let of_string s =
   match String.split_on_char ':' s with

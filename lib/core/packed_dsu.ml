@@ -1,12 +1,12 @@
 (** Concurrent linking-by-rank DSU over a {e bit-packed} single word per
     node — the GBBS [jayanti.h] layout.
 
-    {!Rank_dsu} already packs [(rank, parent)] into one word, but with
-    arithmetic coding ([word = rank * n + parent]): every hop pays an
-    integer division and a modulo by the {e non-constant} [n] to unpack,
-    which the compiler cannot strength-reduce.  Here the word is split
-    into fixed bit fields, so unpacking is a mask and a shift and the
-    root test is a single bit test:
+    Packing [(rank, parent)] with arithmetic coding ([word = rank * n +
+    parent]) makes every hop pay an integer division and a modulo by the
+    {e non-constant} [n] to unpack, which the compiler cannot
+    strength-reduce.  Here the word is split into fixed bit fields, so
+    unpacking is a mask and a shift and the root test is a single bit
+    test:
 
     {v
       bit 62        (unused — OCaml ints are 63-bit)
@@ -21,9 +21,10 @@
     exceed [ceil(lg n) <= 40], far below the 21-bit field's 2^21 - 1.
 
     Linking is by rank with ties broken by node index (the winner's rank
-    promotion is a separate, best-effort CAS), so — like {!Rank_dsu} —
-    the structure needs no independence assumption; [find] supports all
-    five compaction policies with rank-preserving updates. *)
+    promotion is a separate, best-effort CAS), so — as Section 7
+    announces for linking by rank — the structure needs no independence
+    assumption; [find] supports all five compaction policies with
+    rank-preserving updates. *)
 
 (* ------------------------------------------------------- word layout *)
 
@@ -172,7 +173,7 @@ module Make (M : Memory_intf.S) = struct
     in
     loop x
 
-  (* Two-try splitting (the {!Rank_dsu} find, re-coded on the bit fields):
+  (* Two-try splitting (Algorithm 5, re-coded on the bit fields):
      each node gets two splitting attempts before the traversal advances. *)
   let find_two_try t x =
     let try_split u =
@@ -558,7 +559,7 @@ module Make (M : Memory_intf.S) = struct
 
   let ranks_snapshot t = Array.init t.n (fun i -> rank_of_word (M.read t.mem i))
 
-  (* Fuzzy (non-quiescent) scan; see {!Rank_dsu.Make.snapshot_fuzzy} — one
+  (* Fuzzy (non-quiescent) scan; see {!Dsu_native.snapshot_fuzzy} — one
      word read per node keeps each (rank, parent) pair internally
      consistent, and cross-node order violations from racing rank
      promotions are left to the {!Repro_durable.Fuzzy} reconciliation
@@ -573,7 +574,7 @@ module Make (M : Memory_intf.S) = struct
     done;
     (parents, ranks)
 
-  (* The by-rank order invariant (the {!Rank_dsu} analogue of Lemma 3.1):
+  (* The by-rank order invariant (the linking-by-rank analogue of Lemma 3.1):
      every non-root points to a strictly larger rank, ties broken by node
      index.  The root flag must also agree with the parent field. *)
   let invariant_violations t =

@@ -1,8 +1,9 @@
 (** Concurrent linking-by-rank DSU over a bit-packed single word per node
     (the GBBS [jayanti.h] layout): parent index, rank and a root flag in
     fixed bit fields of one 63-bit OCaml int, so link and split each stay
-    a single CAS and every unpack is a mask/shift instead of
-    {!Rank_dsu}'s division by the non-constant [n].
+    a single CAS and every unpack is a mask/shift rather than the
+    division by the non-constant [n] that arithmetic [rank * n + parent]
+    coding needs.
 
     {v
       bit 61        root flag (set iff the node is a tree root)
@@ -93,7 +94,7 @@ module Make (M : Memory_intf.S) : sig
       node with {!Repro_fault.Site.Snapshot_read} hits; racing rank
       promotions can leave cross-node [(rank, index)] order violations
       for the {!Repro_durable.Fuzzy} reconciliation pass to repair.  See
-      {!Rank_dsu.Make.snapshot_fuzzy}. *)
+      {!Dsu_native.snapshot_fuzzy}. *)
 end
 
 (** Native instantiation over {!Native_memory} ([Flat_atomic_array] with

@@ -1,6 +1,5 @@
 module Snapshot = Repro_recover.Snapshot
 module Repair = Repro_recover.Repair
-module Restore = Repro_recover.Restore
 module Clock = Repro_obs.Clock
 
 type capture = {
@@ -11,14 +10,21 @@ type capture = {
   repair_ns : int;
 }
 
-let capture ?epoch ~kind ~capacity scan =
+let of_driver ?epoch d =
   let e = match epoch with Some e -> Epoch.bump e | None -> 0 in
   let t0 = Clock.now_ns () in
-  let parents, prios = scan () in
+  let parents, prios = Dsu.Driver.snapshot_fuzzy d in
   let scan_ns = Clock.now_ns () - t0 in
   let n = Array.length parents in
   let raw =
-    { Snapshot.kind; n; capacity = max capacity n; epoch = e; parents; prios }
+    {
+      Snapshot.kind = Dsu.Driver.kind d;
+      n;
+      capacity = max (Dsu.Driver.capacity d) n;
+      epoch = e;
+      parents;
+      prios;
+    }
   in
   let t1 = Clock.now_ns () in
   let repaired, fixes = Repair.repair raw in
@@ -28,32 +34,3 @@ let capture ?epoch ~kind ~capacity scan =
      void: stamp 0 and recovery replays the whole log. *)
   let snapshot = if fixes = [] then repaired else Snapshot.with_epoch repaired 0 in
   { snapshot; raw; fixes; scan_ns; repair_ns }
-
-let of_native ?epoch d =
-  capture ?epoch ~kind:Snapshot.Flat ~capacity:(Dsu.Native.n d) (fun () ->
-      Dsu.Native.snapshot_fuzzy d)
-
-let of_boxed ?epoch d =
-  capture ?epoch ~kind:Snapshot.Boxed ~capacity:(Dsu.Boxed.n d) (fun () ->
-      Dsu.Boxed.snapshot_fuzzy d)
-
-let of_growable ?epoch d =
-  capture ?epoch ~kind:Snapshot.Growable ~capacity:(Dsu.Growable.capacity d)
-    (fun () -> Dsu.Growable.snapshot_fuzzy d)
-
-let of_rank ?epoch d =
-  capture ?epoch ~kind:Snapshot.Rank ~capacity:(Dsu.Rank.Native.n d) (fun () ->
-      Dsu.Rank.Native.snapshot_fuzzy d)
-
-let of_packed ?epoch d =
-  capture ?epoch ~kind:Snapshot.Packed ~capacity:(Dsu.Packed.Native.n d)
-    (fun () -> Dsu.Packed.Native.snapshot_fuzzy d)
-
-let of_restored ?epoch r =
-  let capacity =
-    match r with
-    | Restore.Growable d -> Dsu.Growable.capacity d
-    | _ -> Restore.n r
-  in
-  capture ?epoch ~kind:(Restore.kind r) ~capacity (fun () ->
-      Restore.snapshot_fuzzy r)

@@ -7,15 +7,15 @@
     the random-priority layouts: priorities are immutable, so every
     scanned edge satisfies the order invariant at whatever moment it was
     read, and the cut's partition {e refines} the final one — no union is
-    invented, racing unions may be absent.  For the rank layouts a racing
-    rank promotion can leave a cross-node order violation in the cut; the
+    invented, racing unions may be absent.  For the packed rank layout a
+    racing rank promotion can leave a cross-node order violation in the cut; the
     reconciliation pass below removes it.
 
     Every capture runs {!Repro_recover.Repair.repair} on the scanned cut
     (reconciliation).  For flat/boxed/growable the fix list is empty by
     the argument above — a non-empty list there would falsify Lemma 3.1
-    and the chaos drill checks exactly that.  For rank/packed a few fixes
-    are legitimate; each fix only splits sets, so the repaired cut still
+    and the chaos drill checks exactly that.  For packed a few fixes are
+    legitimate; each fix only splits sets, so the repaired cut still
     refines the final partition.
 
     The snapshot is stamped with the epoch obtained by {!Epoch.bump}
@@ -38,12 +38,6 @@ type capture = {
   repair_ns : int;
 }
 
-val of_native : ?epoch:Epoch.t -> Dsu.Native.t -> capture
-val of_boxed : ?epoch:Epoch.t -> Dsu.Boxed.t -> capture
-val of_growable : ?epoch:Epoch.t -> Dsu.Growable.t -> capture
-val of_rank : ?epoch:Epoch.t -> Dsu.Rank.Native.t -> capture
-val of_packed : ?epoch:Epoch.t -> Dsu.Packed.Native.t -> capture
-
-val of_restored : ?epoch:Epoch.t -> Repro_recover.Restore.restored -> capture
-(** Dispatch on a restored handle's kind — what a recovered-and-resumed
-    server uses for its next checkpoint. *)
+val of_driver : ?epoch:Epoch.t -> Dsu.Driver.t -> capture
+(** Scan, reconcile and stamp a live backend of any kind — fresh or
+    restored. *)

@@ -16,7 +16,7 @@ type stats = {
 let ( let* ) = Result.bind
 
 let replay r ~from_epoch (records : Wal.record array) =
-  let n = Restore.n r in
+  let n = Dsu.Driver.n r in
   let replayed = ref 0 and skipped = ref 0 and oor = ref 0 in
   Array.iter
     (fun (rc : Wal.record) ->
@@ -28,19 +28,19 @@ let replay r ~from_epoch (records : Wal.record array) =
            record is the only sound choice for a fixed universe. *)
         incr oor
       else begin
-        Restore.unite r rc.x rc.y;
+        Dsu.Driver.unite r rc.x rc.y;
         incr replayed
       end)
     records;
   (!replayed, !skipped, !oor)
 
-let recover ?policy ?early ?collect_stats ?padded ?on_link ~snapshot ~tail () =
+let recover ?plan ?collect_stats ?on_link ~snapshot ~tail () =
   (* Repair before restore: a snapshot corrupted in storage must not make
      restore raise, and any fix voids the epoch-cut guarantee, so the
      replay falls back to the whole log. *)
   let repaired, fixes = Repair.repair snapshot in
   let from_epoch = if fixes = [] then snapshot.Snapshot.epoch else 0 in
-  let* r = Restore.restore_result ?policy ?early ?collect_stats ?padded ?on_link repaired in
+  let* r = Restore.restore_result ?plan ?collect_stats ?on_link repaired in
   let replayed, skipped, out_of_range = replay r ~from_epoch tail.Wal.records in
   Ok
     ( r,
@@ -65,8 +65,7 @@ let newest_valid paths =
         | _ -> Some (p, s)))
     None paths
 
-let recover_files ?policy ?early ?collect_stats ?padded ?on_link ~snapshots
-    ?wal () =
+let recover_files ?plan ?collect_stats ?on_link ~snapshots ?wal () =
   let* snapshot =
     match newest_valid snapshots with
     | Some (_, s) -> Ok s
@@ -77,7 +76,7 @@ let recover_files ?policy ?early ?collect_stats ?padded ?on_link ~snapshots
     | None -> Ok Wal.empty_tail
     | Some p -> if Sys.file_exists p then Wal.read_file p else Ok Wal.empty_tail
   in
-  recover ?policy ?early ?collect_stats ?padded ?on_link ~snapshot ~tail ()
+  recover ?plan ?collect_stats ?on_link ~snapshot ~tail ()
 
 let stats_to_json s =
   J.Obj

@@ -31,7 +31,7 @@ type stats = {
 }
 
 val replay :
-  Repro_recover.Restore.restored ->
+  Dsu.Driver.t ->
   from_epoch:int ->
   Wal.record array ->
   int * int * int
@@ -39,16 +39,15 @@ val replay :
     a unite on the restored structure. *)
 
 val recover :
-  ?policy:Dsu.Find_policy.t ->
-  ?early:bool ->
+  ?plan:Dsu.Plan.t ->
   ?collect_stats:bool ->
-  ?padded:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
   snapshot:Repro_recover.Snapshot.t ->
   tail:Wal.tail ->
   unit ->
-  (Repro_recover.Restore.restored * stats, string) result
-(** Repair, restore, replay.  [on_link] re-attaches a fresh WAL so the
+  (Dsu.Driver.t * stats, string) result
+(** Repair, restore ({!Repro_recover.Restore.restore}, whose [plan]
+    knobs these are), replay.  [on_link] re-attaches a fresh WAL so the
     recovered structure resumes logging. *)
 
 val newest_valid :
@@ -57,15 +56,13 @@ val newest_valid :
     (later in the list wins ties); [None] if none decodes. *)
 
 val recover_files :
-  ?policy:Dsu.Find_policy.t ->
-  ?early:bool ->
+  ?plan:Dsu.Plan.t ->
   ?collect_stats:bool ->
-  ?padded:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
   snapshots:string list ->
   ?wal:string ->
   unit ->
-  (Repro_recover.Restore.restored * stats, string) result
+  (Dsu.Driver.t * stats, string) result
 (** {!newest_valid} over the snapshot candidates, then {!recover} with
     the WAL file's valid prefix (a missing WAL file means an empty
     tail). *)

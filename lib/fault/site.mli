@@ -32,8 +32,8 @@
       a process crashed between them dies holding the growth lock released
       only by its [Fun.protect], exercising the spin-bound slow path.
     - [Rank_read] — after a packed [(rank, parent)] word read that feeds a
-      linking decision in {!Dsu.Rank}; a process stalled here holds a stale
-      rank, exercising the re-validation [Cas].
+      linking decision in {!Dsu.Packed}; a process stalled here holds a
+      stale rank, exercising the re-validation [Cas].
 
     Durability sites, arming the fuzzy-snapshot scan and the write-ahead
     log's group commit ({!Repro_durable}):

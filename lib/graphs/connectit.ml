@@ -34,13 +34,13 @@ let in_domains ~domains f =
    shared array.  Writes are range-partitioned, so no two domains touch
    the same slot. *)
 let parallel_labels ~domains (driver : Dsu.Driver.t) =
-  let n = driver.Dsu.Driver.n in
+  let n = Dsu.Driver.n driver in
   let labels = Array.make n 0 in
   in_domains ~domains (fun k total ->
       let lo = n * k / total and hi = n * (k + 1) / total in
       if hi > lo then begin
         let xs = Array.init (hi - lo) (fun i -> lo + i) in
-        let roots = driver.Dsu.Driver.find_batch xs in
+        let roots = Dsu.Driver.find_batch driver xs in
         Array.blit roots 0 labels lo (hi - lo)
       end);
   labels
@@ -90,7 +90,6 @@ let components ?(domains = 4) ?(seed = 1) ?(strategy = Sampled 2)
   let edges = Graph.edges g in
   let m = Array.length edges in
   let d = Dsu.Driver.create ~plan ~seed ~collect_stats n in
-  let unite = d.Dsu.Driver.unite in
   let sample_unites = ref 0 in
   let skipped = Atomic.make 0 in
   (match strategy with
@@ -98,7 +97,7 @@ let components ?(domains = 4) ?(seed = 1) ?(strategy = Sampled 2)
     in_domains ~domains (fun k total ->
         for i = m * k / total to (m * (k + 1) / total) - 1 do
           let u, v = edges.(i) in
-          unite u v
+          Dsu.Driver.unite d u v
         done)
   | Sampled k_out ->
     (* Phase 1: k-out sampling over the adjacency lists (parallel over
@@ -108,7 +107,7 @@ let components ?(domains = 4) ?(seed = 1) ?(strategy = Sampled 2)
         for v = n * k / total to (n * (k + 1) / total) - 1 do
           let neighbours = adj.(v) in
           for j = 0 to min k_out (Array.length neighbours) - 1 do
-            unite v neighbours.(j)
+            Dsu.Driver.unite d v neighbours.(j)
           done
         done);
     sample_unites :=
@@ -122,15 +121,11 @@ let components ?(domains = 4) ?(seed = 1) ?(strategy = Sampled 2)
         for i = m * k / total to (m * (k + 1) / total) - 1 do
           let u, v = edges.(i) in
           if labels.(u) = giant && labels.(v) = giant then incr my_skipped
-          else unite u v
+          else Dsu.Driver.unite d u v
         done;
         ignore (Atomic.fetch_and_add skipped !my_skipped)));
   let labels = normalize_min_id (parallel_labels ~domains d) in
-  let dsu_work =
-    match d.Dsu.Driver.stats () with
-    | Some s -> Dsu.Stats.total_work s
-    | None -> 0
-  in
+  let dsu_work = Dsu.Stats.total_work (Dsu.Driver.stats d) in
   ( labels,
     {
       edges_total = m;
@@ -248,8 +243,7 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
     }
   | Racy ->
     let d = Dsu.Driver.create ~plan ~seed n in
-    let unite = d.Dsu.Driver.unite in
-    let sample_unites = ref 0 in
+      let sample_unites = ref 0 in
     (* -------- Phase 1: sampling over a stream prefix. ------------- *)
     (match sampling with
     | No_sampling -> ()
@@ -269,7 +263,7 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
             let b = Char.code (Bytes.unsafe_get budget u) in
             if b < k then begin
               Bytes.unsafe_set budget u (Char.unsafe_chr (b + 1));
-              unite u v;
+              Dsu.Driver.unite d u v;
               incr mine
             end
           done;
@@ -304,7 +298,7 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
             let u = buf.Edge_stream.src.(e)
             and v = buf.Edge_stream.dst.(e) in
             if is_hub u || is_hub v then begin
-              unite u v;
+              Dsu.Driver.unite d u v;
               incr mine
             end
           done;
@@ -340,14 +334,14 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
                 and v = buf.Edge_stream.dst.(e) in
                 match skip_filter with
                 | Some skip when skip u v -> incr my_skipped
-                | _ -> unite u v
+                | _ -> Dsu.Driver.unite d u v
               done
             | Bulk ->
               (match skip_filter with
               | None when buf.Edge_stream.len = cap ->
                 (* Full chunk, nothing to skip: feed the chunk buffers
                    straight to the kernel, no compaction copy. *)
-                d.Dsu.Driver.unite_batch buf.Edge_stream.src
+                Dsu.Driver.unite_batch d buf.Edge_stream.src
                   buf.Edge_stream.dst
               | _ ->
                 (* Compact the survivors, then one bulk-kernel call per
@@ -365,7 +359,7 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
                     incr len
                 done;
                 if !len > 0 then
-                  d.Dsu.Driver.unite_batch (Array.sub xs 0 !len)
+                  Dsu.Driver.unite_batch d (Array.sub xs 0 !len)
                     (Array.sub ys 0 !len)));
             loop ()
           end

@@ -9,6 +9,7 @@ module Seq = Sequential.Seq_dsu
 module Rsnap = Repro_recover.Snapshot
 module Rrepair = Repro_recover.Repair
 module Rrestore = Repro_recover.Restore
+module Driver = Dsu.Driver
 module Depoch = Repro_durable.Epoch
 module Dwal = Repro_durable.Wal
 module Dfuzzy = Repro_durable.Fuzzy
@@ -71,70 +72,11 @@ let scenario_ok s = s.failures = [] && List.for_all (fun c -> c.passed) s.checks
 
 let hop_budget n = 16. *. ((log (float_of_int n) /. log 2.) +. 2.)
 
-(* One closure set per memory layout, so the worker loop and the audit are
-   written once.  [prio] feeds Forest_check the linking order the structure
-   actually used. *)
-type handle = {
-  unite : int -> int -> unit;
-  same_set : int -> int -> bool;
-  find : int -> int;
-  parents : unit -> int array;
-  prio : int -> int;
-  snapshot : unit -> Rsnap.t;
-}
-
-let handle_of ~layout ~policy ~memory_order ~seed n =
-  match (layout : Scalability.layout) with
-  | Flat | Padded ->
-    let d =
-      Dsu.Native.create
-        ~padded:(layout = Scalability.Padded)
-        ~policy ~memory_order ~seed n
-    in
-    {
-      unite = Dsu.Native.unite d;
-      same_set = Dsu.Native.same_set d;
-      find = Dsu.Native.find d;
-      parents = (fun () -> Dsu.Native.parents_snapshot d);
-      prio = Dsu.Native.id d;
-      snapshot = (fun () -> Rsnap.of_native d);
-    }
-  | Boxed ->
-    let d = Dsu.Boxed.create ~policy ~seed n in
-    {
-      unite = Dsu.Boxed.unite d;
-      same_set = Dsu.Boxed.same_set d;
-      find = Dsu.Boxed.find d;
-      parents = (fun () -> Dsu.Boxed.parents_snapshot d);
-      prio = Dsu.Boxed.id d;
-      snapshot = (fun () -> Rsnap.of_boxed d);
-    }
-  | Packed ->
-    (* Linking by rank: [seed] draws no priorities; the forest audit's
-       order is the rank unpacked from the live words. *)
-    let d = Dsu.Packed.Native.create ~policy ~memory_order n in
-    {
-      unite = Dsu.Packed.Native.unite d;
-      same_set = Dsu.Packed.Native.same_set d;
-      find = Dsu.Packed.Native.find d;
-      parents = (fun () -> Dsu.Packed.Native.parents_snapshot d);
-      prio = Dsu.Packed.Native.rank_of d;
-      snapshot = (fun () -> Rsnap.of_packed d);
-    }
-
-(* A handle over a restored structure, whatever kind came back.  The node
-   order is immutable, so it is captured once rather than re-snapshotted on
-   every [prio] call. *)
-let handle_of_restored (r : Rrestore.restored) =
-  let prios = (Rrestore.snapshot r).Rsnap.prios in
-  {
-    unite = Rrestore.unite r;
-    same_set = Rrestore.same_set r;
-    find = Rrestore.find r;
-    parents = (fun () -> (Rrestore.snapshot r).Rsnap.parents);
-    prio = (fun i -> prios.(i));
-    snapshot = (fun () -> Rrestore.snapshot r);
-  }
+(* The plan a (layout, policy) scenario runs under: the config's memory
+   order, moved onto the layout (the boxed layout is always seq-cst). *)
+let dsu_plan ~config ~layout ~policy =
+  Dsu.Plan.on_layout layout
+    { Dsu.Plan.default with compaction = policy; memory_order = config.memory_order }
 
 let gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain =
   Array.init domains (fun k ->
@@ -143,6 +85,35 @@ let gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain =
           let x = Rng.int rng n and y = Rng.int rng n in
           if Rng.int rng 100 < unite_percent then Op.Unite (x, y)
           else Op.Same_set (x, y)))
+
+(* One run's per-slot state — op streams, logical-clock stamps, answers,
+   progress and fate — kept in one value so a recovery can resume it. *)
+type run = {
+  ops : Op.t array array;
+  clock : int Atomic.t;
+  starts : int array array;
+  stops : int array array;
+  results : int array array;
+  cur : int array;  (* the op each slot is on; [m] once finished *)
+  crash_site : Site.t option array;
+  failed : string option array;
+  own_hops : int array;
+}
+
+let fresh_run config =
+  let { n; ops_per_domain = m; domains; unite_percent; seed; _ } = config in
+  let per_op () = Array.init domains (fun _ -> Array.make m (-1)) in
+  {
+    ops = gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain:m;
+    clock = Atomic.make 0;
+    starts = per_op ();
+    stops = per_op ();
+    results = per_op ();
+    cur = Array.make domains 0;
+    crash_site = Array.make domains None;
+    failed = Array.make domains None;
+    own_hops = Array.make domains 0;
+  }
 
 (* Crash countdowns are staggered per slot so victims fall at different
    depths of the run; every slot shares the stall/yield noise. *)
@@ -208,10 +179,11 @@ let completed_ops ~starts ~stops ~ops k =
   done;
   !acc
 
-let audit ~config ~(h : handle) ~ops ~starts ~stops ~results ~cur ~interrupted =
+let audit ~config ~d { ops; starts; stops; results; cur; _ } ~interrupted =
   let n = config.n in
-  let parents = h.parents () in
-  let forest = Fc.check ~prio:h.prio parents in
+  let parents = Driver.parents_snapshot d in
+  (* [prio] is read live: packed ranks move as roots are promoted. *)
+  let forest = Fc.check ~prio:(Driver.prio d) parents in
   let forest_check =
     mk "forest" (Fc.ok forest)
       (if Fc.ok forest then "" else Format.asprintf "%a" Fc.pp forest)
@@ -237,10 +209,10 @@ let audit ~config ~(h : handle) ~ops ~starts ~stops ~results ~cur ~interrupted =
        when repeated — note find may compact, so this runs on the live
        structure after the snapshot was taken. *)
     let find_check =
-      let find_roots = Array.init n h.find in
+      let find_roots = Array.init n (Driver.find d) in
       let unstable = ref None in
       for i = 0 to n - 1 do
-        if !unstable = None && h.find i <> find_roots.(i) then unstable := Some i
+        if !unstable = None && Driver.find d i <> find_roots.(i) then unstable := Some i
       done;
       match (refines snap_roots find_roots, refines find_roots snap_roots, !unstable) with
       | None, None, None -> mk "find-idempotent" true ""
@@ -380,8 +352,8 @@ let validate_config c =
    end.  Used for the initial run (every slot from 0) and for the
    post-restore resume (crashed slots from the op they died inside —
    re-running it is safe: [unite] is idempotent, queries are read-only). *)
-let run_workers ~m ~(h : handle) ~ops ~clock ~starts ~stops ~results ~cur ~crash_site
-    ~failed ~hops slots =
+let run_workers ~m ~d r slots =
+  let { ops; clock; starts; stops; results; cur; crash_site; failed; own_hops } = r in
   let worker k () =
     Fi.enroll ~slot:k;
     (try
@@ -390,11 +362,12 @@ let run_workers ~m ~(h : handle) ~ops ~clock ~starts ~stops ~results ~cur ~crash
          starts.(k).(j) <- Atomic.fetch_and_add clock 1;
          (match ops.(k).(j) with
           | Op.Unite (x, y) ->
-            h.unite x y;
+            Driver.unite d x y;
             results.(k).(j) <- 2
-          | Op.Same_set (x, y) -> results.(k).(j) <- (if h.same_set x y then 1 else 0)
+          | Op.Same_set (x, y) ->
+            results.(k).(j) <- (if Driver.same_set d x y then 1 else 0)
           | Op.Find x ->
-            ignore (h.find x);
+            ignore (Driver.find d x);
             results.(k).(j) <- 3);
          stops.(k).(j) <- Atomic.fetch_and_add clock 1
        done;
@@ -402,7 +375,7 @@ let run_workers ~m ~(h : handle) ~ops ~clock ~starts ~stops ~results ~cur ~crash
      with
     | Fi.Crashed (site, _) -> crash_site.(k) <- Some site
     | e -> failed.(k) <- Some (Printexc.to_string e));
-    hops.(k) <- hops.(k) + Fi.my_hops ()
+    own_hops.(k) <- own_hops.(k) + Fi.my_hops ()
   in
   let handles = List.map (fun k -> Domain.spawn (worker k)) slots in
   List.iter Domain.join handles
@@ -415,15 +388,15 @@ let completed_counts ~domains ~stops =
 
 (* The per-op audit plus the run-level checks (crash plan respected,
    survivors finished, survivor hop budget). *)
-let full_audit ~config ~h ~ops ~starts ~stops ~results ~cur ~crash_site ~failed
-    ~completed ~hops ~crashed =
+let full_audit ~config ~d r ~completed ~crashed =
+  let { crash_site; failed; own_hops = hops; _ } = r in
   let m = config.ops_per_domain in
   let interrupted =
     List.filter
       (fun k -> crash_site.(k) <> None || failed.(k) <> None)
       (List.init config.domains Fun.id)
   in
-  let forest, checks = audit ~config ~h ~ops ~starts ~stops ~results ~cur ~interrupted in
+  let forest, checks = audit ~config ~d r ~interrupted in
   let plan_check =
     (* Only planned victims may crash; whether every planned victim's
        countdown was reached depends on the workload length, so unfired
@@ -465,55 +438,55 @@ let full_audit ~config ~h ~ops ~starts ~stops ~results ~cur ~crash_site ~failed
   in
   (forest, checks @ [ plan_check; complete_check; hop_check ])
 
-let run_scenario ?(config = default_config) ~layout ~policy () =
+(* Phase 1 of the mutator drills: every slot's stream against a fresh
+   structure with the crash plan armed, then the audit. *)
+let run_phase1 ~config ~layout ~policy =
   validate_config config;
-  let { n; ops_per_domain = m; domains; unite_percent; seed; _ } = config in
-  let ops = gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain:m in
-  let h = handle_of ~layout ~policy ~memory_order:config.memory_order ~seed n in
-  let clock = Atomic.make 0 in
-  let starts = Array.init domains (fun _ -> Array.make m (-1)) in
-  let stops = Array.init domains (fun _ -> Array.make m (-1)) in
-  let results = Array.init domains (fun _ -> Array.make m (-1)) in
-  let cur = Array.make domains 0 in
-  let crash_site = Array.make domains None in
-  let failed = Array.make domains None in
-  let hops = Array.make domains 0 in
+  let domains = config.domains in
+  let r = fresh_run config in
+  let d =
+    Driver.create ~plan:(dsu_plan ~config ~layout ~policy) ~seed:config.seed
+      config.n
+  in
   Fi.arm (plan_of config);
   let t0 = Repro_obs.Clock.now_ns () in
-  run_workers ~m ~h ~ops ~clock ~starts ~stops ~results ~cur ~crash_site ~failed ~hops
-    (List.init domains Fun.id);
+  run_workers ~m:config.ops_per_domain ~d r (List.init domains Fun.id);
   let seconds = float_of_int (Repro_obs.Clock.now_ns () - t0) /. 1e9 in
   Fi.disarm ();
   let fault_totals = Fi.totals () in
   let crashed =
     List.filter_map
-      (fun k -> Option.map (fun site -> (k, site)) crash_site.(k))
+      (fun k -> Option.map (fun site -> (k, site)) r.crash_site.(k))
       (List.init domains Fun.id)
   in
   let failures =
     List.filter_map
-      (fun k -> Option.map (fun msg -> (k, msg)) failed.(k))
+      (fun k -> Option.map (fun msg -> (k, msg)) r.failed.(k))
       (List.init domains Fun.id)
   in
-  let completed = completed_counts ~domains ~stops in
+  let completed = completed_counts ~domains ~stops:r.stops in
   let forest, checks =
     if not config.validate then (None, [])
-    else
-      full_audit ~config ~h ~ops ~starts ~stops ~results ~cur ~crash_site ~failed
-        ~completed ~hops ~crashed
+    else full_audit ~config ~d r ~completed ~crashed
   in
-  {
-    layout;
-    policy;
-    crashed;
-    completed;
-    failures;
-    hops;
-    fault_totals;
-    forest;
-    checks;
-    seconds;
-  }
+  ( {
+      layout;
+      policy;
+      crashed;
+      completed;
+      failures;
+      hops = r.own_hops;
+      fault_totals;
+      forest;
+      checks;
+      seconds;
+    },
+    d,
+    r )
+
+let run_scenario ?(config = default_config) ~layout ~policy () =
+  let s, _, _ = run_phase1 ~config ~layout ~policy in
+  s
 
 (* ---------- crash -> snapshot -> repair -> resume ---------- *)
 
@@ -548,62 +521,14 @@ let delta_counters ~before ~after =
     after
 
 let run_recovery_scenario ?(config = default_config) ~layout ~policy () =
-  validate_config config;
-  let { n; ops_per_domain = m; domains; unite_percent; seed; _ } = config in
-  let ops = gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain:m in
-  let h = handle_of ~layout ~policy ~memory_order:config.memory_order ~seed n in
-  let clock = Atomic.make 0 in
-  let starts = Array.init domains (fun _ -> Array.make m (-1)) in
-  let stops = Array.init domains (fun _ -> Array.make m (-1)) in
-  let results = Array.init domains (fun _ -> Array.make m (-1)) in
-  let cur = Array.make domains 0 in
-  let crash_site = Array.make domains None in
-  let failed = Array.make domains None in
-  let hops = Array.make domains 0 in
-  (* Phase 1: the ordinary chaos run, crashes armed. *)
-  Fi.arm (plan_of config);
-  let t0 = Repro_obs.Clock.now_ns () in
-  run_workers ~m ~h ~ops ~clock ~starts ~stops ~results ~cur ~crash_site ~failed ~hops
-    (List.init domains Fun.id);
-  let seconds = float_of_int (Repro_obs.Clock.now_ns () - t0) /. 1e9 in
-  Fi.disarm ();
-  let fault_totals = Fi.totals () in
-  let crashed =
-    List.filter_map
-      (fun k -> Option.map (fun site -> (k, site)) crash_site.(k))
-      (List.init domains Fun.id)
-  in
-  let failures =
-    List.filter_map
-      (fun k -> Option.map (fun msg -> (k, msg)) failed.(k))
-      (List.init domains Fun.id)
-  in
-  let completed = completed_counts ~domains ~stops in
-  let forest, checks =
-    if not config.validate then (None, [])
-    else
-      full_audit ~config ~h ~ops ~starts ~stops ~results ~cur ~crash_site ~failed
-        ~completed ~hops ~crashed
-  in
-  let phase1 =
-    {
-      layout;
-      policy;
-      crashed;
-      completed;
-      failures;
-      hops;
-      fault_totals;
-      forest;
-      checks;
-      seconds;
-    }
-  in
+  let phase1, d, r = run_phase1 ~config ~layout ~policy in
+  let { ops_per_domain = m; domains; _ } = config in
+  let { cur; crash_site; failed; stops; _ } = r in
   (* Crash-time bookkeeping: metrics accumulated so far belong to phase 1;
      the resumed run reports only its delta. *)
   let phase1_counters = counter_samples (Repro_obs.Metrics.snapshot ()) in
   (* Snapshot the crashed structure and prove the codec round-trips it. *)
-  let snap = h.snapshot () in
+  let snap = Rsnap.of_driver d in
   let codec_check =
     match
       ( Rsnap.of_binary_string (Rsnap.to_binary_string snap),
@@ -632,10 +557,7 @@ let run_recovery_scenario ?(config = default_config) ~layout ~policy () =
   (* Restore into a fresh structure and resume the crashed slots' streams
      from the op they died inside; stall/yield noise stays armed, crashes
      do not re-fire. *)
-  let h2 =
-    handle_of_restored
-      (Rrestore.restore ~policy ~padded:(layout = Scalability.Padded) repaired)
-  in
+  let d2 = Rrestore.restore ~plan:(dsu_plan ~config ~layout ~policy) repaired in
   let resumed_slots =
     List.filter
       (fun k -> crash_site.(k) <> None || failed.(k) <> None)
@@ -649,8 +571,7 @@ let run_recovery_scenario ?(config = default_config) ~layout ~policy () =
   let resumed_ops = List.fold_left (fun acc k -> acc + (m - cur.(k))) 0 resumed_slots in
   Fi.arm { Fi.seed = config.fault_seed + 1; rules_for = (fun _ -> noise_of config) };
   let t1 = Repro_obs.Clock.now_ns () in
-  run_workers ~m ~h:h2 ~ops ~clock ~starts ~stops ~results ~cur ~crash_site ~failed
-    ~hops resumed_slots;
+  run_workers ~m ~d:d2 r resumed_slots;
   let resume_seconds = float_of_int (Repro_obs.Clock.now_ns () - t1) /. 1e9 in
   Fi.disarm ();
   let resume_counters =
@@ -661,8 +582,7 @@ let run_recovery_scenario ?(config = default_config) ~layout ~policy () =
   let resumed_forest, resume_checks =
     if not config.validate then (None, [])
     else
-      full_audit ~config ~h:h2 ~ops ~starts ~stops ~results ~cur ~crash_site ~failed
-        ~completed ~hops ~crashed:[]
+      full_audit ~config ~d:d2 r ~completed ~crashed:[]
   in
   let resumed_complete =
     match List.find_opt (fun k -> completed.(k) < m) (List.init domains Fun.id) with
@@ -898,73 +818,6 @@ type durable = {
 
 let durable_ok d = List.for_all (fun c -> c.passed) d.d_checks
 
-(* The durable drill runs over snapshot kinds, not harness layouts: the
-   drill's point is that every layout a snapshot can restore survives a
-   crash during its own fuzzy scan. *)
-let durable_handle_of ~kind ~policy ~memory_order ~seed ~on_link n =
-  match (kind : Rsnap.kind) with
-  | Rsnap.Flat ->
-    let d = Dsu.Native.create ~policy ~memory_order ~on_link ~seed n in
-    ( {
-        unite = Dsu.Native.unite d;
-        same_set = Dsu.Native.same_set d;
-        find = Dsu.Native.find d;
-        parents = (fun () -> Dsu.Native.parents_snapshot d);
-        prio = Dsu.Native.id d;
-        snapshot = (fun () -> Rsnap.of_native d);
-      },
-      fun epoch -> Dfuzzy.of_native ~epoch d )
-  | Rsnap.Boxed ->
-    let d = Dsu.Boxed.create ~policy ~on_link ~seed n in
-    ( {
-        unite = Dsu.Boxed.unite d;
-        same_set = Dsu.Boxed.same_set d;
-        find = Dsu.Boxed.find d;
-        parents = (fun () -> Dsu.Boxed.parents_snapshot d);
-        prio = Dsu.Boxed.id d;
-        snapshot = (fun () -> Rsnap.of_boxed d);
-      },
-      fun epoch -> Dfuzzy.of_boxed ~epoch d )
-  | Rsnap.Growable ->
-    let d = Dsu.Growable.create ~policy ~memory_order ~on_link ~seed ~capacity:n () in
-    (* Pre-create the universe before the run so the workload's element ids
-       are live; make_set is not WAL-logged, so recovery's universe is the
-       snapshot's. *)
-    for _ = 1 to n do
-      ignore (Dsu.Growable.make_set d)
-    done;
-    ( {
-        unite = Dsu.Growable.unite d;
-        same_set = Dsu.Growable.same_set d;
-        find = Dsu.Growable.find d;
-        parents = (fun () -> Dsu.Growable.parents_snapshot d);
-        prio = Dsu.Growable.priority d;
-        snapshot = (fun () -> Rsnap.of_growable d);
-      },
-      fun epoch -> Dfuzzy.of_growable ~epoch d )
-  | Rsnap.Rank ->
-    let d = Dsu.Rank.Native.create ~memory_order ~on_link n in
-    ( {
-        unite = Dsu.Rank.Native.unite d;
-        same_set = Dsu.Rank.Native.same_set d;
-        find = Dsu.Rank.Native.find d;
-        parents = (fun () -> Dsu.Rank.Native.parents_snapshot d);
-        prio = Dsu.Rank.Native.rank_of d;
-        snapshot = (fun () -> Rsnap.of_rank d);
-      },
-      fun epoch -> Dfuzzy.of_rank ~epoch d )
-  | Rsnap.Packed ->
-    let d = Dsu.Packed.Native.create ~policy ~memory_order ~on_link n in
-    ( {
-        unite = Dsu.Packed.Native.unite d;
-        same_set = Dsu.Packed.Native.same_set d;
-        find = Dsu.Packed.Native.find d;
-        parents = (fun () -> Dsu.Packed.Native.parents_snapshot d);
-        prio = Dsu.Packed.Native.rank_of d;
-        snapshot = (fun () -> Rsnap.of_packed d);
-      },
-      fun epoch -> Dfuzzy.of_packed ~epoch d )
-
 (* Mutator slots get the usual stall/yield noise; the snapshotter (slot
    [domains]) crashes mid-way through its second fuzzy scan (the first
    scan spends [n] Snapshot_read hits, so hit [n + n/2 + 1] is halfway
@@ -994,10 +847,9 @@ let temp_dir () =
 
 let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
   validate_config config;
-  let { n; ops_per_domain = m; domains; unite_percent; seed; _ } = config in
+  let { n; ops_per_domain = m; domains; seed; _ } = config in
   let dir = match dir with Some d -> d | None -> temp_dir () in
   let wal_path = Filename.concat dir "wal.log" in
-  let ops = gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain:m in
   (* Arm before creating the writer: arming opens a fresh inject epoch and
      drops stale enrollments, so the committer domain enrolls itself via
      [on_committer_start], which runs after this arm. *)
@@ -1008,19 +860,12 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
       ~on_committer_start:(fun () -> Fi.enroll ~slot:(domains + 1))
       wal_path
   in
-  let h, fuzzy =
-    durable_handle_of ~kind ~policy ~memory_order:config.memory_order ~seed
-      ~on_link:(Dwal.append wal) n
+  let plan =
+    Driver.plan_for kind (dsu_plan ~config ~layout:Dsu.Plan.Flat ~policy)
   in
+  let d = Driver.create ~plan ~kind ~seed ~on_link:(Dwal.append wal) n in
   let epoch = Dwal.epoch wal in
-  let clock = Atomic.make 0 in
-  let starts = Array.init domains (fun _ -> Array.make m (-1)) in
-  let stops = Array.init domains (fun _ -> Array.make m (-1)) in
-  let results = Array.init domains (fun _ -> Array.make m (-1)) in
-  let cur = Array.make domains 0 in
-  let crash_site = Array.make domains None in
-  let failed = Array.make domains None in
-  let hops = Array.make domains 0 in
+  let r = fresh_run config in
   let mutators_done = Atomic.make false in
   let snaps = ref [] and snap_crash = ref None and snap_count = ref 0 in
   let snapshotter =
@@ -1031,7 +876,7 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
              [< 2] clause keeps the drill deterministic even when the
              mutators drain before the snapshotter gets going. *)
           while !snap_count < 2 || not (Atomic.get mutators_done) do
-            let cap = fuzzy epoch in
+            let cap = Dfuzzy.of_driver ~epoch d in
             incr snap_count;
             let path =
               Filename.concat dir (Printf.sprintf "snap-%03d.bin" !snap_count)
@@ -1042,9 +887,7 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
         with Fi.Crashed (site, _) -> snap_crash := Some site)
   in
   let t0 = Repro_obs.Clock.now_ns () in
-  run_workers ~m ~h ~ops ~clock ~starts ~stops ~results ~cur ~crash_site ~failed
-    ~hops
-    (List.init domains Fun.id);
+  run_workers ~m ~d r (List.init domains Fun.id);
   Atomic.set mutators_done true;
   Domain.join snapshotter;
   Dwal.close wal;
@@ -1053,15 +896,12 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
   let fault_totals = Fi.totals () in
   let wal_stats = Dwal.writer_stats wal in
   let caps = List.rev !snaps in
-  let completed = completed_counts ~domains ~stops in
-  let final = h.snapshot () in
+  let completed = completed_counts ~domains ~stops:r.stops in
+  let final = Rsnap.of_driver d in
   let final_roots = roots_of final.Rsnap.parents in
   (* Phase-1 audit: the mutators never crash in this drill, so the whole
      workload must have survived the WAL hook and the concurrent scans. *)
-  let _, phase1_checks =
-    full_audit ~config ~h ~ops ~starts ~stops ~results ~cur ~crash_site ~failed
-      ~completed ~hops ~crashed:[]
-  in
+  let _, phase1_checks = full_audit ~config ~d r ~completed ~crashed:[] in
   let crash_checks =
     [
       mk "fuzzy-crash"
@@ -1085,22 +925,18 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
   in
   (* Per-capture checks.  Reconciliation must be a no-op for the layouts
      whose fuzzy scan is provably a forest cut (flat/boxed/growable: one
-     acquire load per node, ancestors are monotone).  Rank and packed
-     scans can legitimately catch a racing promotion as a cross-node
-     order violation, so there the bar is only that the repaired cut
-     refines both the raw scan and the final partition. *)
-  let repair_exempt =
-    match kind with
-    | Rsnap.Rank | Rsnap.Packed -> true
-    | Rsnap.Flat | Rsnap.Boxed | Rsnap.Growable -> false
-  in
+     acquire load per node, ancestors are monotone).  Packed scans can
+     legitimately catch a racing promotion as a cross-node order
+     violation, so there the bar is only that the repaired cut refines
+     both the raw scan and the final partition. *)
+  let repair_exempt = kind = Rsnap.Packed in
   let cap_checks =
     let dirty =
       List.find_opt (fun (_, c) -> c.Dfuzzy.fixes <> []) caps
     in
     let repair_clean =
       if repair_exempt then
-        mk "fuzzy-repair-clean" true "rank scans may race a promotion; exempt"
+        mk "fuzzy-repair-clean" true "packed scans may race a promotion; exempt"
       else
         match dirty with
         | None -> mk "fuzzy-repair-clean" true ""
@@ -1187,18 +1023,18 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
      whole workload on the restored structure and re-audit it against the
      sequential oracle. *)
   let recovery =
-    Drecovery.recover_files ~policy ~snapshots:(List.map fst caps)
+    Drecovery.recover_files ~plan ~snapshots:(List.map fst caps)
       ~wal:wal_path ()
   in
   let recovery_stats, recovery_checks, resume_seconds =
     match recovery with
     | Error e -> (None, [ mk "recovery" false e ], 0.)
-    | Ok (r, rstats) ->
+    | Ok (d2, rstats) ->
       let contains_log =
         match tail with
         | None -> mk "recovered-contains-log" false "WAL unreadable"
         | Some t -> (
-          let nr = Rrestore.n r in
+          let nr = Driver.n d2 in
           let bad = ref None in
           Array.iter
             (fun (rc : Dwal.record) ->
@@ -1208,7 +1044,7 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
                 && rc.Dwal.x < nr
                 && rc.Dwal.y >= 0
                 && rc.Dwal.y < nr
-                && not (Rrestore.same_set r rc.Dwal.x rc.Dwal.y)
+                && not (Driver.same_set d2 rc.Dwal.x rc.Dwal.y)
               then bad := Some rc)
             t.Dwal.records;
           match !bad with
@@ -1220,7 +1056,7 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
                  rc.Dwal.x rc.Dwal.y))
       in
       let recovered_refines =
-        match refines (roots_of (Rrestore.snapshot r).Rsnap.parents) final_roots with
+        match refines (roots_of (Driver.parents_snapshot d2)) final_roots with
         | None -> mk "recovered-refines-final" true ""
         | Some (i, j) ->
           mk "recovered-refines-final" false
@@ -1232,34 +1068,15 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
          structure.  Re-running completed unites is idempotent, and the
          full audit's partition sandwich stays sound because the re-run's
          completed unites connect everything recovery restored. *)
-      let h2 =
-        let base = handle_of_restored r in
-        match r with
-        (* Ranks move during the resumed run (promotions), so the audit
-           must read them live, not from the recovery-time capture. *)
-        | Rrestore.Rank d -> { base with prio = Dsu.Rank.Native.rank_of d }
-        | Rrestore.Packed d -> { base with prio = Dsu.Packed.Native.rank_of d }
-        | _ -> base
-      in
-      let starts = Array.init domains (fun _ -> Array.make m (-1)) in
-      let stops = Array.init domains (fun _ -> Array.make m (-1)) in
-      let results = Array.init domains (fun _ -> Array.make m (-1)) in
-      let cur = Array.make domains 0 in
-      let crash_site = Array.make domains None in
-      let failed = Array.make domains None in
-      let hops = Array.make domains 0 in
-      let clock = Atomic.make 0 in
+      let r2 = fresh_run config in
       Fi.arm { Fi.seed = config.fault_seed + 1; rules_for = (fun _ -> noise_of config) };
       let t1 = Repro_obs.Clock.now_ns () in
-      run_workers ~m ~h:h2 ~ops ~clock ~starts ~stops ~results ~cur ~crash_site
-        ~failed ~hops
-        (List.init domains Fun.id);
+      run_workers ~m ~d:d2 r2 (List.init domains Fun.id);
       let resume_seconds = float_of_int (Repro_obs.Clock.now_ns () - t1) /. 1e9 in
       Fi.disarm ();
-      let completed = completed_counts ~domains ~stops in
+      let completed = completed_counts ~domains ~stops:r2.stops in
       let _, resume_checks =
-        full_audit ~config ~h:h2 ~ops ~starts ~stops ~results ~cur ~crash_site
-          ~failed ~completed ~hops ~crashed:[]
+        full_audit ~config ~d:d2 r2 ~completed ~crashed:[]
       in
       let resumed_complete =
         match
@@ -1294,7 +1111,7 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
     d_resume_seconds = resume_seconds;
   }
 
-let all_kinds = [ Rsnap.Flat; Rsnap.Boxed; Rsnap.Growable; Rsnap.Rank; Rsnap.Packed ]
+let all_kinds = [ Rsnap.Flat; Rsnap.Boxed; Rsnap.Growable; Rsnap.Packed ]
 
 let run_durable_all ?(config = default_config) ?(kinds = all_kinds) ?progress () =
   let emit d = match progress with None -> () | Some f -> f d in

@@ -196,7 +196,7 @@ val pp_recovery_report : Format.formatter -> (scenario * recovery) list -> unit
     At quiescence the drill audits phase 1 like {!run_scenario}, then
     checks the durability story end to end: the crashes fired where
     planned; at least one fuzzy snapshot survived; reconciliation was a
-    no-op for the single-pointer layouts (rank/packed scans may race a
+    no-op for the single-pointer layouts (packed scans may race a
     promotion, so there only refinement is asserted); each reconciled cut
     refines both its raw scan and the final partition; the WAL tail is
     torn and truncates cleanly; every valid record below a capture's
@@ -240,7 +240,7 @@ val run_durable_scenario :
     not the mutators, and runs over snapshot kinds. *)
 
 val all_kinds : Repro_recover.Snapshot.kind list
-(** All five snapshot kinds, the default drill coverage. *)
+(** All four snapshot kinds, the default drill coverage. *)
 
 val run_durable_all :
   ?config:config ->

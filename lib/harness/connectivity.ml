@@ -281,9 +281,9 @@ let run_adversarial ?(config = default_config) ~domains () =
       let i = ref k in
       while !i < total do
         (match ops.(!i) with
-        | Workload.Op.Unite (x, y) -> d.Dsu.Driver.unite x y
-        | Workload.Op.Same_set (x, y) -> ignore (d.Dsu.Driver.same_set x y)
-        | Workload.Op.Find x -> ignore (d.Dsu.Driver.find x));
+        | Workload.Op.Unite (x, y) -> Dsu.Driver.unite d x y
+        | Workload.Op.Same_set (x, y) -> ignore (Dsu.Driver.same_set d x y)
+        | Workload.Op.Find x -> ignore (Dsu.Driver.find d x));
         i := !i + total_d
       done);
   let dt = Clock.now_ns () - t0 in

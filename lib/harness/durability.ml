@@ -124,7 +124,7 @@ let run ?(config = default_config) () =
     best c (fun () ->
         let ns, d, () = timed_run c ~on_link:None ~during:(fun _ -> ()) in
         let t0 = Clock.now_ns () in
-        ignore (Rsnap.of_native d : Rsnap.t);
+        ignore (Rsnap.of_driver (Dsu.Driver.Flat d) : Rsnap.t);
         (ns, float_of_int (Clock.now_ns () - t0)))
   in
   (* Phase 2: concurrent fuzzy captures.  The per-capture "pause" is the
@@ -135,7 +135,7 @@ let run ?(config = default_config) () =
           timed_run c ~on_link:None ~during:(fun d ->
               let scans = ref 0 in
               for _ = 1 to c.snapshots do
-                let cap = Dfuzzy.of_native d in
+                let cap = Dfuzzy.of_driver (Dsu.Driver.Flat d) in
                 scans := !scans + cap.Dfuzzy.scan_ns
               done;
               float_of_int !scans /. float_of_int c.snapshots)

@@ -8,8 +8,9 @@
 
     Section 7's answer is linking by rank ("one of them is randomized and
     needs no independence assumption; the other two are deterministic");
-    {!Dsu.Rank} implements the deterministic one, and this experiment shows
-    it is immune to the same adversary.  Compaction (splitting) also
+    {!Dsu.Packed} implements a deterministic one (rank linking, index
+    tie-break, over one packed word), and this experiment shows it is
+    immune to the same adversary.  Compaction (splitting) also
     repairs the damage for randomized linking in the amortized sense — the
     chain is expensive once, not per operation. *)
 
@@ -54,15 +55,15 @@ let randomized_probe_work ~policy ~n ~seed =
   float_of_int (Dsu.Stats.total_work delta) /. float_of_int probes
 
 let rank_chain_height ~n =
-  let d = Dsu.Rank.Native.create n in
+  let d = Dsu.Packed.Native.create n in
   for i = 0 to n - 2 do
-    Dsu.Rank.Native.unite d i (i + 1)
+    Dsu.Packed.Native.unite d i (i + 1)
   done;
   let max_depth = ref 0 in
   for i = 0 to n - 1 do
     let u = ref i and depth = ref 0 in
-    while Dsu.Rank.Native.parent_of d !u <> !u do
-      u := Dsu.Rank.Native.parent_of d !u;
+    while Dsu.Packed.Native.parent_of d !u <> !u do
+      u := Dsu.Packed.Native.parent_of d !u;
       incr depth
     done;
     max_depth := max !max_depth !depth

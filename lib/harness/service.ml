@@ -27,7 +27,6 @@ module Clock = Repro_obs.Clock
 module Rng = Repro_util.Rng
 module Wal = Repro_durable.Wal
 module Recovery = Repro_durable.Recovery
-module Restore = Repro_recover.Restore
 module Snapshot = Repro_recover.Snapshot
 module Fi = Repro_fault.Inject
 module Site = Repro_fault.Site
@@ -331,6 +330,7 @@ let check name passed detail = { c_name = name; c_passed = passed; c_detail = de
    deterministically tearing the final record of that batch.  Both
    crashes land with acked traffic before, between, and after them. *)
 let drill ~config ~kind () =
+  let config = { config with plan = Dsu.Driver.plan_for kind config.plan } in
   let workers = Stdlib.max 2 config.workers in
   let dir = temp_dir () in
   let wal_path = Filename.concat dir "wal.log" in
@@ -431,9 +431,8 @@ let drill ~config ~kind () =
   Fi.disarm ();
   let snapshots = Svc.snapshot_files svc in
   let wal2 = Wal.create_writer (Filename.concat dir "wal-resume.log") in
-  let padded = config.plan.Dsu.Plan.layout = Dsu.Plan.Padded in
   let recovered =
-    Recovery.recover_files ~policy:config.plan.Dsu.Plan.compaction ~padded
+    Recovery.recover_files ~plan:config.plan
       ~on_link:(fun ~child ~parent -> Wal.append wal2 ~child ~parent)
       ~snapshots ~wal:wal_path ()
   in
@@ -470,10 +469,10 @@ let drill ~config ~kind () =
     let rpo_lost =
       List.length
         (List.filter
-           (fun (x, y) -> not (Restore.same_set restored x y))
+           (fun (x, y) -> not (Dsu.Driver.same_set restored x y))
            !acked_unites)
     in
-    let audit1 = Snapshot.ok (Restore.snapshot restored) in
+    let audit1 = Snapshot.ok (Snapshot.of_driver restored) in
     (* Resume serving on the recovered backend, logging to the fresh WAL. *)
     let dir2 = Filename.concat dir "resume" in
     Unix.mkdir dir2 0o700;
@@ -502,10 +501,10 @@ let drill ~config ~kind () =
        still hold after the resumed service has served fresh traffic *)
     let survived =
       List.for_all
-        (fun (x, y) -> Restore.same_set (Svc.backend svc2) x y)
+        (fun (x, y) -> Dsu.Driver.same_set (Svc.backend svc2) x y)
         !acked_unites
     in
-    let audit2 = Snapshot.ok (Restore.snapshot (Svc.backend svc2)) in
+    let audit2 = Snapshot.ok (Snapshot.of_driver (Svc.backend svc2)) in
     Wal.close wal2;
     rmrf dir;
     let checks =
@@ -542,13 +541,7 @@ let drill ~config ~kind () =
 let drill_all ~config () =
   List.map
     (fun kind -> drill ~config ~kind ())
-    [
-      Snapshot.Flat;
-      Snapshot.Boxed;
-      Snapshot.Growable;
-      Snapshot.Rank;
-      Snapshot.Packed;
-    ]
+    [ Snapshot.Flat; Snapshot.Boxed; Snapshot.Growable; Snapshot.Packed ]
 
 (* -------------------------------------------------------------- JSON *)
 

@@ -36,6 +36,7 @@ type config = {
   admission : Repro_service.Service.admission;
   plan : Dsu.Plan.t;
   kind : Repro_recover.Snapshot.kind;
+      (** must agree with [plan] ({!Dsu.Driver.check_kind}) *)
   op_deadline_ms : float;  (** 0 = no per-op deadline *)
   durable : bool;  (** attach a WAL (group commit on the drain path) *)
 }
@@ -98,11 +99,12 @@ type drill = {
 
 val drill : config:config -> kind:Repro_recover.Snapshot.kind -> unit -> drill
 (** The crash-recovery drill for one backend kind (uses [config]'s plan
-    knobs, at least 2 workers, block admission, and its own scratch
-    directory — removed before returning). *)
+    moved onto the kind's layout by {!Dsu.Driver.plan_for}, at least 2
+    workers, block admission, and its own scratch directory — removed
+    before returning). *)
 
 val drill_all : config:config -> unit -> drill list
-(** {!drill} over all five kinds: flat, boxed, growable, rank, packed. *)
+(** {!drill} over all four kinds: flat, boxed, growable, packed. *)
 
 val to_json : config -> points:point list -> drills:drill list -> Repro_obs.Json.t
 (** The [dsu-service/v1] document (either list may be empty). *)

@@ -1,94 +1,26 @@
-type restored =
-  | Flat of Dsu.Native.t
-  | Boxed of Dsu.Boxed.t
-  | Growable of Dsu.Growable.t
-  | Rank of Dsu.Rank.Native.t
-  | Packed of Dsu.Packed.Native.t
-
-let restore ?policy ?early ?(collect_stats = false) ?(padded = false) ?on_link
-    (s : Snapshot.t) =
+let restore ?(plan = Dsu.Plan.default) ?(collect_stats = false) ?on_link
+    (s : Snapshot.t) : Dsu.Driver.t =
+  let { Dsu.Plan.compaction = policy; backoff; memory_order; layout; _ } = plan in
   match s.kind with
   | Snapshot.Flat ->
     Flat
-      (Dsu.Native.of_snapshot ?policy ?early ~collect_stats ~padded ?on_link
-         ~parents:s.parents ~ids:s.prios ())
+      (Dsu.Native.of_snapshot ~policy ~backoff ~memory_order ~collect_stats
+         ~padded:(layout = Dsu.Plan.Padded) ?on_link ~parents:s.parents
+         ~ids:s.prios ())
   | Snapshot.Boxed ->
     Boxed
-      (Dsu.Boxed.of_snapshot ?policy ?early ~collect_stats ?on_link ~parents:s.parents
-         ~ids:s.prios ())
+      (Dsu.Boxed.of_snapshot ~policy ~backoff ~collect_stats ?on_link
+         ~parents:s.parents ~ids:s.prios ())
   | Snapshot.Growable ->
     Growable
-      (Dsu.Growable.of_snapshot ?policy ?early ~collect_stats ?on_link
-         ~capacity:s.capacity ~parents:s.parents ~prios:s.prios ())
-  | Snapshot.Rank ->
-    Rank
-      (Dsu.Rank.Native.of_snapshot ~collect_stats ?on_link ~parents:s.parents
-         ~ranks:s.prios ())
+      (Dsu.Growable.of_snapshot ~policy ~backoff ~memory_order ~collect_stats
+         ?on_link ~capacity:s.capacity ~parents:s.parents ~prios:s.prios ())
   | Snapshot.Packed ->
     Packed
-      (Dsu.Packed.Native.of_snapshot ?policy ~collect_stats ~padded ?on_link
-         ~parents:s.parents ~ranks:s.prios ())
+      (Dsu.Packed.Native.of_snapshot ~policy ~backoff ~memory_order
+         ~collect_stats ?on_link ~parents:s.parents ~ranks:s.prios ())
 
-let restore_result ?policy ?early ?collect_stats ?padded ?on_link s =
-  match restore ?policy ?early ?collect_stats ?padded ?on_link s with
+let restore_result ?plan ?collect_stats ?on_link s =
+  match restore ?plan ?collect_stats ?on_link s with
   | r -> Ok r
   | exception Invalid_argument msg -> Error msg
-
-let snapshot = function
-  | Flat d -> Snapshot.of_native d
-  | Boxed d -> Snapshot.of_boxed d
-  | Growable d -> Snapshot.of_growable d
-  | Rank d -> Snapshot.of_rank d
-  | Packed d -> Snapshot.of_packed d
-
-let snapshot_fuzzy = function
-  | Flat d -> Dsu.Native.snapshot_fuzzy d
-  | Boxed d -> Dsu.Boxed.snapshot_fuzzy d
-  | Growable d -> Dsu.Growable.snapshot_fuzzy d
-  | Rank d -> Dsu.Rank.Native.snapshot_fuzzy d
-  | Packed d -> Dsu.Packed.Native.snapshot_fuzzy d
-
-let n = function
-  | Flat d -> Dsu.Native.n d
-  | Boxed d -> Dsu.Boxed.n d
-  | Growable d -> Dsu.Growable.cardinal d
-  | Rank d -> Dsu.Rank.Native.n d
-  | Packed d -> Dsu.Packed.Native.n d
-
-let unite t x y =
-  match t with
-  | Flat d -> Dsu.Native.unite d x y
-  | Boxed d -> Dsu.Boxed.unite d x y
-  | Growable d -> Dsu.Growable.unite d x y
-  | Rank d -> Dsu.Rank.Native.unite d x y
-  | Packed d -> Dsu.Packed.Native.unite d x y
-
-let same_set t x y =
-  match t with
-  | Flat d -> Dsu.Native.same_set d x y
-  | Boxed d -> Dsu.Boxed.same_set d x y
-  | Growable d -> Dsu.Growable.same_set d x y
-  | Rank d -> Dsu.Rank.Native.same_set d x y
-  | Packed d -> Dsu.Packed.Native.same_set d x y
-
-let find t x =
-  match t with
-  | Flat d -> Dsu.Native.find d x
-  | Boxed d -> Dsu.Boxed.find d x
-  | Growable d -> Dsu.Growable.find d x
-  | Rank d -> Dsu.Rank.Native.find d x
-  | Packed d -> Dsu.Packed.Native.find d x
-
-let count_sets = function
-  | Flat d -> Dsu.Native.count_sets d
-  | Boxed d -> Dsu.Boxed.count_sets d
-  | Growable d -> Dsu.Growable.count_sets d
-  | Rank d -> Dsu.Rank.Native.count_sets d
-  | Packed d -> Dsu.Packed.Native.count_sets d
-
-let kind = function
-  | Flat _ -> Snapshot.Flat
-  | Boxed _ -> Snapshot.Boxed
-  | Growable _ -> Snapshot.Growable
-  | Rank _ -> Snapshot.Rank
-  | Packed _ -> Snapshot.Packed

@@ -1,56 +1,27 @@
 (** Rebuild a live structure from a {!Snapshot.t}.
 
     Dispatches on the snapshot's kind to the layout's validated
-    [of_snapshot] constructor; the uniform {!unite}/{!same_set}/{!find}
-    dispatchers let a resumed workload drive whichever layout came back
-    without caring which it was. *)
-
-type restored =
-  | Flat of Dsu.Native.t
-  | Boxed of Dsu.Boxed.t
-  | Growable of Dsu.Growable.t
-  | Rank of Dsu.Rank.Native.t
-  | Packed of Dsu.Packed.Native.t
+    [of_snapshot] constructor and hands back the one backend type,
+    {!Dsu.Driver.t}; re-capture is {!Snapshot.of_driver}. *)
 
 val restore :
-  ?policy:Dsu.Find_policy.t ->
-  ?early:bool ->
+  ?plan:Dsu.Plan.t ->
   ?collect_stats:bool ->
-  ?padded:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
   Snapshot.t ->
-  restored
-(** [policy] applies to the Flat, Boxed, Growable and Packed kinds;
-    [early] to Flat, Boxed and Growable; [padded] to Flat and Packed;
-    [on_link] (all kinds) hooks every successful link CAS — pass
-    {!Repro_durable.Wal.append} to resume logging after recovery.
+  Dsu.Driver.t
+(** The snapshot's kind picks the layout; [plan] (default
+    {!Dsu.Plan.default}) supplies the compaction rule, backoff and memory
+    order, and a [Padded] plan layout pads a flat restore.  [on_link]
+    hooks every successful link CAS — pass {!Repro_durable.Wal.append} to
+    resume logging after recovery.
     @raise Invalid_argument when the snapshot fails the layout's invariant
     validation (run {!Repair.repair} first). *)
 
 val restore_result :
-  ?policy:Dsu.Find_policy.t ->
-  ?early:bool ->
+  ?plan:Dsu.Plan.t ->
   ?collect_stats:bool ->
-  ?padded:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
   Snapshot.t ->
-  (restored, string) result
+  (Dsu.Driver.t, string) result
 (** {!restore} with the validation failure as an [Error]. *)
-
-val snapshot : restored -> Snapshot.t
-(** Re-capture (quiescent only) — the round-trip proof obligation. *)
-
-val snapshot_fuzzy : restored -> int array * int array
-(** The layout's fuzzy [(parents, prios)] scan (see
-    {!Dsu.Native.snapshot_fuzzy}); safe concurrent with mutators. *)
-
-val n : restored -> int
-(** Elements present ([cardinal] for Growable). *)
-
-val unite : restored -> int -> int -> unit
-val same_set : restored -> int -> int -> bool
-val find : restored -> int -> int
-val count_sets : restored -> int
-(** Quiescent only. *)
-
-val kind : restored -> Snapshot.kind

@@ -1,6 +1,6 @@
 module J = Repro_obs.Json
 
-type kind = Flat | Boxed | Growable | Rank | Packed
+type kind = Dsu.Driver.kind = Flat | Boxed | Growable | Packed
 
 type t = {
   kind : kind;
@@ -15,73 +15,23 @@ let with_epoch t epoch =
   if epoch < 0 then invalid_arg "Snapshot.with_epoch: negative epoch";
   { t with epoch }
 
-let kind_to_string = function
-  | Flat -> "flat"
-  | Boxed -> "boxed"
-  | Growable -> "growable"
-  | Rank -> "rank"
-  | Packed -> "packed"
+let kind_to_string = Dsu.Driver.kind_to_string
 
 let kind_of_string = function
   | "flat" -> Some Flat
   | "boxed" -> Some Boxed
   | "growable" -> Some Growable
-  | "rank" -> Some Rank
   | "packed" -> Some Packed
   | _ -> None
 
-let of_native d =
-  let n = Dsu.Native.n d in
+let of_driver d =
   {
-    kind = Flat;
-    n;
-    capacity = n;
+    kind = Dsu.Driver.kind d;
+    n = Dsu.Driver.n d;
+    capacity = Dsu.Driver.capacity d;
     epoch = 0;
-    parents = Dsu.Native.parents_snapshot d;
-    prios = Dsu.Native.ids_snapshot d;
-  }
-
-let of_boxed d =
-  let n = Dsu.Boxed.n d in
-  {
-    kind = Boxed;
-    n;
-    capacity = n;
-    epoch = 0;
-    parents = Dsu.Boxed.parents_snapshot d;
-    prios = Dsu.Boxed.ids_snapshot d;
-  }
-
-let of_growable d =
-  {
-    kind = Growable;
-    n = Dsu.Growable.cardinal d;
-    capacity = Dsu.Growable.capacity d;
-    epoch = 0;
-    parents = Dsu.Growable.parents_snapshot d;
-    prios = Dsu.Growable.priorities_snapshot d;
-  }
-
-let of_rank d =
-  let n = Dsu.Rank.Native.n d in
-  {
-    kind = Rank;
-    n;
-    capacity = n;
-    epoch = 0;
-    parents = Dsu.Rank.Native.parents_snapshot d;
-    prios = Dsu.Rank.Native.ranks_snapshot d;
-  }
-
-let of_packed d =
-  let n = Dsu.Packed.Native.n d in
-  {
-    kind = Packed;
-    n;
-    capacity = n;
-    epoch = 0;
-    parents = Dsu.Packed.Native.parents_snapshot d;
-    prios = Dsu.Packed.Native.ranks_snapshot d;
+    parents = Dsu.Driver.parents_snapshot d;
+    prios = Dsu.Driver.prios_snapshot d;
   }
 
 let check t = Repro_fault.Forest_check.check ~prio:(fun i -> t.prios.(i)) t.parents
@@ -89,48 +39,34 @@ let ok t = Repro_fault.Forest_check.ok (check t)
 
 let crc32 = Repro_util.Crc32.string
 
-let kind_byte = function
-  | Flat -> 0
-  | Boxed -> 1
-  | Growable -> 2
-  | Rank -> 3
-  | Packed -> 4
+let kind_byte = function Flat -> 0 | Boxed -> 1 | Growable -> 2 | Packed -> 4
+
+(* Byte 3 (JSON "rank") is the retired two-array rank layout; its ranks
+   and forest obey the same [(rank, index)] order, so it restores as
+   packed. *)
+let legacy_rank_byte = 3
 
 let kind_of_byte = function
   | 0 -> Some Flat
   | 1 -> Some Boxed
   | 2 -> Some Growable
-  | 3 -> Some Rank
-  | 4 -> Some Packed
+  | 3 | 4 -> Some Packed
   | _ -> None
 
-(* The canonical v2 body both codecs checksum: kind byte, then epoch, n,
-   capacity and the two arrays as 8-byte little-endian words. *)
-let body t =
+(* The canonical body both codecs checksum: kind byte, then epoch (v2
+   only), n, capacity and the two arrays as 8-byte little-endian words.
+   [byte] overrides the kind byte, for legacy files that recorded one a
+   current kind no longer writes. *)
+let body ?(v2 = true) ?byte t =
   let buf = Buffer.create (25 + (16 * t.n)) in
-  Buffer.add_char buf (Char.chr (kind_byte t.kind));
+  let byte = Option.value byte ~default:(kind_byte t.kind) in
+  Buffer.add_char buf (Char.chr byte);
   let scratch = Bytes.create 8 in
   let add_word v =
     Bytes.set_int64_le scratch 0 (Int64.of_int v);
     Buffer.add_bytes buf scratch
   in
-  add_word t.epoch;
-  add_word t.n;
-  add_word t.capacity;
-  Array.iter add_word t.parents;
-  Array.iter add_word t.prios;
-  Buffer.contents buf
-
-(* The v1 body — no epoch — kept so checksums in v1 files (binary and
-   JSON) still validate on read. *)
-let body_v1 t =
-  let buf = Buffer.create (17 + (16 * t.n)) in
-  Buffer.add_char buf (Char.chr (kind_byte t.kind));
-  let scratch = Bytes.create 8 in
-  let add_word v =
-    Bytes.set_int64_le scratch 0 (Int64.of_int v);
-    Buffer.add_bytes buf scratch
-  in
+  if v2 then add_word t.epoch;
   add_word t.n;
   add_word t.capacity;
   Array.iter add_word t.parents;
@@ -267,11 +203,12 @@ let of_json json =
     | _ -> Error "field \"schema\" is not a string"
   in
   let* k = field "kind" (J.member "kind" json) in
-  let* kind =
+  let* kind, byte =
     match k with
+    | J.String "rank" -> Ok (Packed, Some legacy_rank_byte)
     | J.String v -> (
       match kind_of_string v with
-      | Some k -> Ok k
+      | Some k -> Ok (k, None)
       | None -> Error (Printf.sprintf "unknown kind %S" v))
     | _ -> Error "field \"kind\" is not a string"
   in
@@ -290,7 +227,7 @@ let of_json json =
   let t = { kind; n; capacity; epoch; parents; prios } in
   let* stored = int_field "checksum" in
   (* v1 files checksummed the v1 body (no epoch). *)
-  let computed = if v2 then checksum t else crc32 (body_v1 t) in
+  let computed = crc32 (body ~v2 ?byte t) in
   if stored = computed then Ok t
   else Error (Printf.sprintf "checksum mismatch: stored %08x, computed %08x" stored computed)
 

@@ -3,8 +3,8 @@
     A snapshot is the raw state any of the layouts can be rebuilt from:
     the parent array plus the per-node linking order ([prios] — the id
     permutation for {!Dsu.Native}/{!Dsu.Boxed}, the 62-bit random priorities
-    for {!Dsu.Growable}, the ranks for {!Dsu.Rank.Native} and
-    {!Dsu.Packed.Native}, extracted from the packed words).  All the orders
+    for {!Dsu.Growable}, the ranks for {!Dsu.Packed.Native}, extracted from
+    the packed words).  All the orders
     share the algorithm's [less]: priority first, node index on ties — so
     one {!check} validates any kind against Lemma 3.1.
 
@@ -31,12 +31,16 @@
     - JSON: schema ["dsu-snapshot/v2"] with the checksum as a field.
 
     Both decoders also read the previous version (["DSUSNAP1"] /
-    ["dsu-snapshot/v1"], no epoch field) as [epoch = 0].
+    ["dsu-snapshot/v1"], no epoch field) as [epoch = 0], and the retired
+    two-array rank layout's snapshots (kind byte 3, JSON kind ["rank"], in
+    either version) as {!Packed}: the same ranks and forest under the same
+    [(rank, index)] order, re-packed and checked on restore.
 
     Decoders return [result]s — a malformed or checksum-failing file is an
     ordinary error, never an exception. *)
 
-type kind = Flat | Boxed | Growable | Rank | Packed
+type kind = Dsu.Driver.kind = Flat | Boxed | Growable | Packed
+(** The layout a snapshot restores into; [Flat] covers padded. *)
 
 type t = {
   kind : kind;
@@ -56,14 +60,9 @@ val kind_of_string : string -> kind option
 
 (** {1 Capture} — quiescent only; see the layout's [parents_snapshot] doc. *)
 
-val of_native : Dsu.Native.t -> t
-val of_boxed : Dsu.Boxed.t -> t
-val of_growable : Dsu.Growable.t -> t
-val of_rank : Dsu.Rank.Native.t -> t
-
-val of_packed : Dsu.Packed.Native.t -> t
-(** [prios] holds the ranks unpacked from the bit fields; restore re-packs
-    them ({!Dsu.Packed.Native.of_snapshot}). *)
+val of_driver : Dsu.Driver.t -> t
+(** [prios] is {!Dsu.Driver.prios_snapshot}: ids, priorities, or the
+    ranks unpacked from the packed words, which restore re-packs. *)
 
 (** {1 Validation} *)
 

@@ -2,7 +2,7 @@
 
    Client sessions submit ops into per-worker bounded ingestion queues
    under an explicit admission policy; worker domains drain batches and
-   apply them op by op, in FIFO order, through the per-op dispatchers;
+   apply them op by op, in FIFO order, through the backend's per-op calls;
    when a WAL is attached, a group commit is forced BEFORE any op in the
    batch is acknowledged, so an acked unite is always on disk — that
    ordering is the whole RPO=0 argument, and the serving chaos drill
@@ -23,7 +23,6 @@ module Clock = Repro_obs.Clock
 module Metrics = Repro_obs.Metrics
 module Wal = Repro_durable.Wal
 module Fuzzy = Repro_durable.Fuzzy
-module Restore = Repro_recover.Restore
 module Rsnap = Repro_recover.Snapshot
 
 type op = Unite of int * int | Same_set of int * int | Find of int
@@ -114,7 +113,7 @@ let default_config =
 
 type t = {
   cfg : config;
-  backend : Restore.restored;
+  backend : Dsu.Driver.t;
   wal : Wal.writer option;
   queues : request Queue.t array;
   completions : response Queue.t array;
@@ -147,7 +146,7 @@ type t = {
 }
 
 let backend t = t.backend
-let kind t = Restore.kind t.backend
+let kind t = Dsu.Driver.kind t.backend
 
 let note_max cell v =
   let rec go () =
@@ -264,10 +263,10 @@ let scratch t =
 
 let apply_op backend = function
   | Unite (x, y) ->
-    Restore.unite backend x y;
+    Dsu.Driver.unite backend x y;
     done_unit
-  | Same_set (x, y) -> if Restore.same_set backend x y then done_true else done_false
-  | Find x -> Done (V_int (Restore.find backend x))
+  | Same_set (x, y) -> if Dsu.Driver.same_set backend x y then done_true else done_false
+  | Find x -> Done (V_int (Dsu.Driver.find backend x))
 
 let process_batch t sc reqs =
   Atomic.incr t.batches;
@@ -376,7 +375,7 @@ let worker_loop t k =
 
 let write_snapshot t dir seq =
   let epoch = Option.map Wal.epoch t.wal in
-  let cap = Fuzzy.of_restored ?epoch t.backend in
+  let cap = Fuzzy.of_driver ?epoch t.backend in
   Rsnap.write_file
     (Filename.concat dir (Printf.sprintf "snap-%03d.bin" seq))
     cap.Fuzzy.snapshot;
@@ -407,31 +406,6 @@ let snapshot_files t =
 
 (* -------------------------------------------------------------- lifecycle *)
 
-let backend_of ~kind ~(plan : Dsu.Plan.t) ~seed ?on_link n =
-  let policy = plan.Dsu.Plan.compaction in
-  let memory_order = plan.Dsu.Plan.memory_order in
-  let backoff = plan.Dsu.Plan.backoff in
-  match (kind : Rsnap.kind) with
-  | Rsnap.Flat ->
-    Restore.Flat
-      (Dsu.Native.create
-         ~padded:(plan.Dsu.Plan.layout = Dsu.Plan.Padded)
-         ~policy ~backoff ~memory_order ?on_link ~seed n)
-  | Rsnap.Boxed -> Restore.Boxed (Dsu.Boxed.create ~policy ~backoff ?on_link ~seed n)
-  | Rsnap.Growable ->
-    let d =
-      Dsu.Growable.create ~policy ~memory_order ?on_link ~seed ~capacity:n ()
-    in
-    (* pre-create the universe: make_set is not WAL-logged, so a recovered
-       universe is the snapshot's (same convention as the durable drill) *)
-    for _ = 1 to n do
-      ignore (Dsu.Growable.make_set d)
-    done;
-    Restore.Growable d
-  | Rsnap.Rank -> Restore.Rank (Dsu.Rank.Native.create ~memory_order ?on_link n)
-  | Rsnap.Packed ->
-    Restore.Packed (Dsu.Packed.Native.create ~policy ~backoff ~memory_order ?on_link n)
-
 let validate_config cfg =
   if cfg.n < 2 then invalid_arg "Service.create: n must be >= 2";
   if cfg.workers < 1 then invalid_arg "Service.create: workers must be >= 1";
@@ -442,7 +416,7 @@ let validate_config cfg =
   if cfg.snapshot_interval <= 0. then
     invalid_arg "Service.create: snapshot_interval must be positive"
 
-let create ?backend ?wal ?on_worker_start ?(kind = Rsnap.Flat) cfg =
+let create ?backend ?wal ?on_worker_start ?kind cfg =
   validate_config cfg;
   let backend =
     match backend with
@@ -451,7 +425,7 @@ let create ?backend ?wal ?on_worker_start ?(kind = Rsnap.Flat) cfg =
       let on_link =
         Option.map (fun w -> fun ~child ~parent -> Wal.append w ~child ~parent) wal
       in
-      backend_of ~kind ~plan:cfg.plan ~seed:cfg.seed ?on_link cfg.n
+      Dsu.Driver.create ~plan:cfg.plan ?kind ~seed:cfg.seed ?on_link cfg.n
   in
   (* worst-case responses outstanding per lane: every admitted op of every
      worker (queued + one in-process batch) could route to one lane *)

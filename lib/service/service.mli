@@ -18,8 +18,8 @@
       ([Rejected Admission_deadline]).
 
     Worker domains drain FIFO batches and apply each op in FIFO order
-    through the per-op dispatchers ({!Repro_recover.Restore.unite},
-    [same_set], [find]) on every layout.  An op carrying a [deadline_ns]
+    through the backend's per-op calls ({!Dsu.Driver.unite}, [same_set],
+    [find]) on every layout.  An op carrying a [deadline_ns]
     that expired while queued is answered [Timed_out] without touching
     the structure.  A batch's responses are stamped with one clock read
     taken after the durability barrier and pushed to their completion
@@ -45,7 +45,7 @@
     {e synchronously} before serving begins (recovery always has a
     candidate) and a snapshotter domain checkpoints every
     [snapshot_interval] seconds, epoch-stamped against the WAL
-    ({!Repro_durable.Fuzzy.of_restored}).
+    ({!Repro_durable.Fuzzy.of_driver}).
 
     Do not {!submit} concurrently with {!stop}: the shutdown sweep can
     miss a submission racing the final drain. *)
@@ -104,22 +104,23 @@ val default_config : config
 type t
 
 val create :
-  ?backend:Repro_recover.Restore.restored ->
+  ?backend:Dsu.Driver.t ->
   ?wal:Repro_durable.Wal.writer ->
   ?on_worker_start:(int -> unit) ->
-  ?kind:Repro_recover.Snapshot.kind ->
+  ?kind:Dsu.Driver.kind ->
   config ->
   t
-(** Build the backend (from [kind], default [Flat], under the config's
-    plan; WAL [on_link] attached when [wal] is given), write the initial
-    snapshot if configured, and spawn the worker and snapshotter domains.
-    [backend] overrides construction — pass a recovered
-    {!Repro_recover.Restore.restored} (with its own [on_link] re-attached
-    via {!Repro_durable.Recovery.recover_files}) to resume serving after
-    a crash.  The WAL writer remains owned by the caller and is {e not}
+(** Build the backend ({!Dsu.Driver.create} under the config's plan and
+    [kind], which defaults to the plan's layout; WAL [on_link] attached
+    when [wal] is given), write the initial snapshot if configured, and
+    spawn the worker and snapshotter domains.  [backend] overrides
+    construction — pass a recovered backend (with its own [on_link]
+    re-attached via {!Repro_durable.Recovery.recover_files}) to resume
+    serving after a crash.  The WAL writer remains owned by the caller and is {e not}
     closed by {!stop}.  [on_worker_start k] runs first on worker domain
     [k] — the chaos drill uses it to enroll workers for fault injection.
-    @raise Invalid_argument on nonsensical knobs. *)
+    @raise Invalid_argument on nonsensical knobs, or a [kind] the plan
+    cannot build ({!Dsu.Driver.check_kind}). *)
 
 val submit :
   t -> ?intended_ns:int -> ?deadline_ns:int -> session:int -> op -> admit
@@ -150,8 +151,8 @@ type health = {
 val health : t -> health
 val healthy : t -> bool
 
-val backend : t -> Repro_recover.Restore.restored
-val kind : t -> Repro_recover.Snapshot.kind
+val backend : t -> Dsu.Driver.t
+val kind : t -> Dsu.Driver.kind
 
 val snapshot_files : t -> string list
 (** Checkpoints written so far (sorted), for recovery. *)

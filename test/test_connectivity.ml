@@ -426,11 +426,11 @@ let determinism_tests =
             let idx = if variant = 0 then j else chunks - 1 - j in
             Edge_stream.fill stream idx buf;
             for k = 0 to buf.Edge_stream.len - 1 do
-              d.Dsu.Driver.unite buf.Edge_stream.src.(k)
+              Dsu.Driver.unite d buf.Edge_stream.src.(k)
                 buf.Edge_stream.dst.(k)
             done
           done;
-          d.Dsu.Driver.parents_snapshot ()
+          Dsu.Driver.parents_snapshot d
         in
         let distinguished =
           List.exists
@@ -467,12 +467,12 @@ let driver_tests =
         List.iter
           (fun plan ->
             let d = Dsu.Driver.create ~plan ~seed:3 n in
-            Array.iter (fun (u, v) -> d.Dsu.Driver.unite u v) edges;
+            Array.iter (fun (u, v) -> Dsu.Driver.unite d u v) edges;
             let ok = ref true in
             for v = 0 to n - 1 do
               if
-                d.Dsu.Driver.same_set v expected.(v) = false
-                || d.Dsu.Driver.find v <> d.Dsu.Driver.find expected.(v)
+                Dsu.Driver.same_set d v expected.(v) = false
+                || Dsu.Driver.find d v <> Dsu.Driver.find d expected.(v)
               then ok := false
             done;
             if not !ok then
@@ -481,7 +481,7 @@ let driver_tests =
             check Alcotest.int
               (Dsu.Plan.to_string plan ^ " count_sets")
               (Components.count expected)
-              (d.Dsu.Driver.count_sets ()))
+              (Dsu.Driver.count_sets d))
           [
             Dsu.Plan.default;
             { Dsu.Plan.default with layout = Dsu.Plan.Padded };
@@ -509,11 +509,11 @@ let driver_tests =
         List.iter
           (fun plan ->
             let d = Dsu.Driver.create ~plan ~seed:5 n in
-            Array.iter (fun (u, v) -> d.Dsu.Driver.unite u v) edges;
-            let batched = d.Dsu.Driver.find_batch xs in
+            Array.iter (fun (u, v) -> Dsu.Driver.unite d u v) edges;
+            let batched = Dsu.Driver.find_batch d xs in
             Array.iteri
               (fun i r ->
-                if d.Dsu.Driver.find i <> r then
+                if Dsu.Driver.find d i <> r then
                   Alcotest.failf "plan %s: find_batch(%d) = %d <> find"
                     (Dsu.Plan.to_string plan) i r)
               batched)
@@ -536,10 +536,10 @@ let driver_tests =
         let xs = Array.map fst edges and ys = Array.map snd edges in
         let expected = reference_labels n edges in
         let d = Dsu.Driver.create ~seed:7 n in
-        d.Dsu.Driver.unite_batch xs ys;
+        Dsu.Driver.unite_batch d xs ys;
         check Alcotest.int "count" (Components.count expected)
-          (d.Dsu.Driver.count_sets ());
-        let answers = d.Dsu.Driver.same_set_batch xs ys in
+          (Dsu.Driver.count_sets d);
+        let answers = Dsu.Driver.same_set_batch d xs ys in
         Array.iter
           (fun a -> if not a then Alcotest.fail "united pair not same_set")
           answers);
@@ -576,11 +576,11 @@ let adversarial_tests =
         let d = Dsu.Driver.create n in
         List.iter
           (function
-            | Workload.Op.Unite (u, v) -> d.Dsu.Driver.unite u v
-            | Workload.Op.Same_set (u, v) -> ignore (d.Dsu.Driver.same_set u v)
-            | Workload.Op.Find x -> ignore (d.Dsu.Driver.find x))
+            | Workload.Op.Unite (u, v) -> Dsu.Driver.unite d u v
+            | Workload.Op.Same_set (u, v) -> ignore (Dsu.Driver.same_set d u v)
+            | Workload.Op.Find x -> ignore (Dsu.Driver.find d x))
           ops;
-        check Alcotest.int "one component" 1 (d.Dsu.Driver.count_sets ()));
+        check Alcotest.int "one component" 1 (Dsu.Driver.count_sets d));
   ]
 
 (* -------------------------------------------------------------- harness *)

@@ -1,0 +1,180 @@
+(* Conformance of the one backend type, Dsu.Driver, over every layout it
+   builds: the same table of checks runs on flat, padded, boxed, growable
+   and packed — per-op answers against a sequential oracle, batch kernels
+   against per-op calls, a quiescent snapshot -> restore round trip, and a
+   quiescent fuzzy capture against the quiescent snapshot.  Growable runs
+   twice: as Driver.create builds it (capacity = n) and with spare
+   capacity, where the snapshot's n (the cardinal) and capacity differ. *)
+
+module Driver = Dsu.Driver
+module Snap = Repro_recover.Snapshot
+module Restore = Repro_recover.Restore
+module Fuzzy = Repro_durable.Fuzzy
+module Quick_find = Sequential.Quick_find
+module Rng = Repro_util.Rng
+
+let check = Alcotest.check
+let case name f = Alcotest.test_case name `Quick f
+let n = 200
+
+type layout = {
+  name : string;
+  plan : Dsu.Plan.t;
+  kind : Snap.kind;
+  capacity : int;
+  make : unit -> Driver.t;
+}
+
+let fresh name plan kind =
+  { name; plan; kind; capacity = n; make = (fun () -> Driver.create ~plan ~kind ~seed:9 n) }
+
+(* n make_sets into a growable of twice that capacity. *)
+let spare_growable =
+  let make () =
+    let g = Dsu.Growable.create ~seed:9 ~capacity:(2 * n) () in
+    for _ = 1 to n do
+      ignore (Dsu.Growable.make_set g : int)
+    done;
+    Driver.Growable g
+  in
+  { name = "growable, spare capacity"; plan = Dsu.Plan.default;
+    kind = Snap.Growable; capacity = 2 * n; make }
+
+let layouts =
+  [
+    fresh "flat" Dsu.Plan.default Snap.Flat;
+    fresh "padded" { Dsu.Plan.default with layout = Dsu.Plan.Padded } Snap.Flat;
+    fresh "boxed" (Driver.plan_for Snap.Boxed Dsu.Plan.default) Snap.Boxed;
+    fresh "growable" Dsu.Plan.default Snap.Growable;
+    spare_growable;
+    fresh "packed" (Driver.plan_for Snap.Packed Dsu.Plan.default) Snap.Packed;
+  ]
+
+let pairs ~seed count =
+  let rng = Rng.create seed in
+  let xs = Array.init count (fun _ -> Rng.int rng n) in
+  (xs, Array.init count (fun _ -> Rng.int rng n))
+
+(* Same partition over every pair (i, i+1..i+7) plus every node vs 0. *)
+let same_partition name same_a same_b =
+  for x = 0 to n - 1 do
+    for y = x to min (n - 1) (x + 7) do
+      check Alcotest.bool (Printf.sprintf "%s: %d~%d" name x y) (same_a x y)
+        (same_b x y)
+    done;
+    check Alcotest.bool (Printf.sprintf "%s: 0~%d" name x) (same_a 0 x)
+      (same_b 0 x)
+  done
+
+let conformance { name; plan; kind; capacity; make } =
+  let populated () =
+    let d = make () in
+    let xs, ys = pairs ~seed:4 (n / 2) in
+    Array.iteri (fun k x -> Driver.unite d x ys.(k)) xs;
+    d
+  in
+  [
+    case (name ^ ": kind and size") (fun () ->
+        let d = make () in
+        check Alcotest.bool "kind" true (Driver.kind d = kind);
+        check Alcotest.int "n" n (Driver.n d);
+        check Alcotest.int "capacity" capacity (Driver.capacity d);
+        check Alcotest.int "singletons" n (Driver.count_sets d));
+    case (name ^ ": random ops match the sequential oracle") (fun () ->
+        let d = make () and q = Quick_find.create n in
+        let rng = Rng.create 17 in
+        for _ = 1 to 4 * n do
+          let x = Rng.int rng n and y = Rng.int rng n in
+          match Rng.int rng 3 with
+          | 0 ->
+            Driver.unite d x y;
+            Quick_find.unite q x y
+          | 1 ->
+            check Alcotest.bool "same_set" (Quick_find.same_set q x y)
+              (Driver.same_set d x y)
+          | _ ->
+            check Alcotest.bool "find is a member" true
+              (Quick_find.same_set q x (Driver.find d x))
+        done;
+        check Alcotest.int "count_sets" (Quick_find.count_sets q)
+          (Driver.count_sets d));
+    case (name ^ ": batch kernels agree with per-op calls") (fun () ->
+        let batched = make () and per_op = make () in
+        let xs, ys = pairs ~seed:5 (n / 2) in
+        Driver.unite_batch batched xs ys;
+        Array.iteri (fun k x -> Driver.unite per_op x ys.(k)) xs;
+        same_partition "unite_batch" (Driver.same_set per_op)
+          (Driver.same_set batched);
+        let qx, qy = pairs ~seed:6 n in
+        check (Alcotest.array Alcotest.bool) "same_set_batch"
+          (Array.mapi (fun k x -> Driver.same_set batched x qy.(k)) qx)
+          (Driver.same_set_batch batched qx qy);
+        check (Alcotest.array Alcotest.int) "find_batch"
+          (Array.map (Driver.find batched) qx)
+          (Driver.find_batch batched qx));
+    case (name ^ ": snapshot -> restore round trip") (fun () ->
+        let d = populated () in
+        let snap = Snap.of_driver d in
+        check Alcotest.bool "snapshot passes check" true (Snap.ok snap);
+        check Alcotest.int "snapshot n" n snap.Snap.n;
+        check Alcotest.int "snapshot capacity" capacity snap.Snap.capacity;
+        let r = Restore.restore ~plan snap in
+        check Alcotest.bool "restored kind" true (Driver.kind r = kind);
+        check Alcotest.int "restored n" n (Driver.n r);
+        check Alcotest.int "restored capacity" capacity (Driver.capacity r);
+        check Alcotest.bool "re-snapshot equal" true
+          (Snap.equal snap (Snap.of_driver r));
+        same_partition "restored" (Driver.same_set d) (Driver.same_set r);
+        check Alcotest.bool "restored passes check" true
+          (Snap.ok (Snap.of_driver r)));
+    case (name ^ ": quiescent fuzzy capture is the snapshot") (fun () ->
+        let d = populated () in
+        let cap = Fuzzy.of_driver d in
+        check Alcotest.int "no fixes" 0 (List.length cap.Fuzzy.fixes);
+        check Alcotest.bool "raw equals snapshot" true
+          (Snap.equal cap.Fuzzy.raw (Snap.of_driver d));
+        check Alcotest.bool "reconciled equals snapshot" true
+          (Snap.equal cap.Fuzzy.snapshot (Snap.of_driver d)));
+  ]
+
+let kind_checks =
+  [
+    case "a kind the plan cannot build is rejected, naming both" (fun () ->
+        match Driver.check_kind Snap.Packed Dsu.Plan.default with
+        | Ok () -> Alcotest.fail "packed accepted a flat plan"
+        | Error e ->
+          let has s =
+            let ls = String.length s in
+            let rec go i =
+              i + ls <= String.length e && (String.sub e i ls = s || go (i + 1))
+            in
+            go 0
+          in
+          check Alcotest.bool "names the kind" true (has "packed");
+          check Alcotest.bool "names the plan" true
+            (has (Dsu.Plan.to_string Dsu.Plan.default));
+          Alcotest.check_raises "create raises"
+            (Invalid_argument ("Dsu_driver.create: " ^ e))
+            (fun () -> ignore (Driver.create ~kind:Snap.Packed ~plan:Dsu.Plan.default 8)));
+    case "growable runs on the flat plan only" (fun () ->
+        check Alcotest.bool "flat" true
+          (Driver.check_kind Snap.Growable Dsu.Plan.default = Ok ());
+        check Alcotest.bool "padded" false
+          (Result.is_ok
+             (Driver.check_kind Snap.Growable
+                { Dsu.Plan.default with layout = Dsu.Plan.Padded })));
+    case "the kind defaults to the plan's layout" (fun () ->
+        List.iter
+          (fun { plan; kind; _ } ->
+            if kind <> Snap.Growable then
+              check Alcotest.bool "kind" true
+                (Driver.kind (Driver.create ~plan 4) = kind))
+          layouts);
+  ]
+
+let () =
+  Alcotest.run "driver"
+    [
+      ("conformance", List.concat_map conformance layouts);
+      ("kind", kind_checks);
+    ]

@@ -287,7 +287,7 @@ let test_truncate_file () =
 let test_replay_epoch_cut () =
   let d = Dsu.Native.create ~seed:1 8 in
   Dsu.Native.unite d 0 1;
-  let snap = Snap.with_epoch (Snap.of_native d) 3 in
+  let snap = Snap.with_epoch (Snap.of_driver (Dsu.Driver.Flat d)) 3 in
   let restored =
     match Restore.restore_result snap with
     | Ok r -> r
@@ -307,9 +307,9 @@ let test_replay_epoch_cut () =
   check Alcotest.int "replayed" 2 replayed;
   check Alcotest.int "skipped" 1 skipped;
   check Alcotest.int "out of range" 1 out_of_range;
-  check Alcotest.bool "4-5 united" true (Restore.same_set restored 4 5);
-  check Alcotest.bool "0-6 united" true (Restore.same_set restored 0 6);
-  check Alcotest.bool "2-3 stayed apart" false (Restore.same_set restored 2 3)
+  check Alcotest.bool "4-5 united" true (Dsu.Driver.same_set restored 4 5);
+  check Alcotest.bool "0-6 united" true (Dsu.Driver.same_set restored 0 6);
+  check Alcotest.bool "2-3 stayed apart" false (Dsu.Driver.same_set restored 2 3)
 
 (* End to end: an epoch-0 quiescent snapshot, then a fuzzy epoch-stamped
    one, then more logged unites.  recover_files must skip the garbage
@@ -329,8 +329,8 @@ let test_recover_files_end_to_end () =
   for _ = 1 to 30 do
     Dsu.Native.unite d (Rng.int rng n) (Rng.int rng n)
   done;
-  Snap.write_file s_old (Snap.of_native d);
-  let cap = Fuzzy.of_native ~epoch:(Wal.epoch w) d in
+  Snap.write_file s_old (Snap.of_driver (Dsu.Driver.Flat d));
+  let cap = Fuzzy.of_driver ~epoch:(Wal.epoch w) (Dsu.Driver.Flat d) in
   check Alcotest.int "no fixes at quiescence" 0 (List.length cap.Fuzzy.fixes);
   check Alcotest.bool "epoch stamped" true (cap.Fuzzy.snapshot.Snap.epoch > 0);
   Snap.write_file s_new cap.Fuzzy.snapshot;
@@ -353,7 +353,7 @@ let test_recover_files_end_to_end () =
         check Alcotest.bool
           (Printf.sprintf "partition matches at (%d,%d)" i j)
           (Dsu.Native.same_set d i j)
-          (Restore.same_set restored i j)
+          (Dsu.Driver.same_set restored i j)
       done
     done);
   List.iter Sys.remove [ wal_path; s_old; s_new; junk ]
@@ -404,65 +404,25 @@ let race_n = 64
 let race_ops = 300
 let race_domains = 2
 
-let test_fuzzy_flat () =
-  check_fuzzy_refines ~name:"flat" ~seeds ~strict:true (fun seed ->
-      let d = Dsu.Native.create ~seed race_n in
+let test_fuzzy kind () =
+  (* Packed scans may race a rank promotion, so fixes are allowed there. *)
+  let strict = kind <> Snap.Packed in
+  check_fuzzy_refines ~name:(Snap.kind_to_string kind) ~seeds ~strict
+    (fun seed ->
+      let d = Dsu.Driver.create ~kind ~seed race_n in
       let cap =
         run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
-          ~unite:(Dsu.Native.unite d)
-          ~capture:(fun () -> Fuzzy.of_native d)
+          ~unite:(Dsu.Driver.unite d)
+          ~capture:(fun () -> Fuzzy.of_driver d)
       in
-      (cap, Snap.of_native d))
-
-let test_fuzzy_boxed () =
-  check_fuzzy_refines ~name:"boxed" ~seeds ~strict:true (fun seed ->
-      let d = Dsu.Boxed.create ~seed race_n in
-      let cap =
-        run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
-          ~unite:(Dsu.Boxed.unite d)
-          ~capture:(fun () -> Fuzzy.of_boxed d)
-      in
-      (cap, Snap.of_boxed d))
-
-let test_fuzzy_growable () =
-  check_fuzzy_refines ~name:"growable" ~seeds ~strict:true (fun seed ->
-      let d = Dsu.Growable.create ~seed ~capacity:race_n () in
-      for _ = 1 to race_n do
-        ignore (Dsu.Growable.make_set d : int)
-      done;
-      let cap =
-        run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
-          ~unite:(Dsu.Growable.unite d)
-          ~capture:(fun () -> Fuzzy.of_growable d)
-      in
-      (cap, Snap.of_growable d))
-
-let test_fuzzy_rank () =
-  check_fuzzy_refines ~name:"rank" ~seeds ~strict:false (fun seed ->
-      let d = Dsu.Rank.Native.create race_n in
-      let cap =
-        run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
-          ~unite:(Dsu.Rank.Native.unite d)
-          ~capture:(fun () -> Fuzzy.of_rank d)
-      in
-      (cap, Snap.of_rank d))
-
-let test_fuzzy_packed () =
-  check_fuzzy_refines ~name:"packed" ~seeds ~strict:false (fun seed ->
-      let d = Dsu.Packed.Native.create race_n in
-      let cap =
-        run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
-          ~unite:(Dsu.Packed.Native.unite d)
-          ~capture:(fun () -> Fuzzy.of_packed d)
-      in
-      (cap, Snap.of_packed d))
+      (cap, Snap.of_driver d))
 
 (* -------------------------------------------------------- snapshot epoch *)
 
 let test_snapshot_epoch_roundtrip () =
   let d = Dsu.Native.create ~seed:2 16 in
   Dsu.Native.unite d 0 1;
-  let s = Snap.with_epoch (Snap.of_native d) 42 in
+  let s = Snap.with_epoch (Snap.of_driver (Dsu.Driver.Flat d)) 42 in
   (match Snap.of_binary_string (Snap.to_binary_string s) with
   | Ok b -> check Alcotest.int "binary epoch" 42 b.Snap.epoch
   | Error e -> Alcotest.fail e);
@@ -477,12 +437,12 @@ let test_write_file_atomic () =
   let path = Filename.temp_file "test-durable-atomic" ".snap" in
   let d = Dsu.Native.create ~seed:4 8 in
   Dsu.Native.unite d 0 1;
-  Snap.write_file path (Snap.of_native d);
+  Snap.write_file path (Snap.of_driver (Dsu.Driver.Flat d));
   let first =
     match Snap.read_file path with Ok s -> s | Error e -> Alcotest.fail e
   in
   Dsu.Native.unite d 2 3;
-  Snap.write_file path (Snap.of_native d);
+  Snap.write_file path (Snap.of_driver (Dsu.Driver.Flat d));
   let second =
     match Snap.read_file path with Ok s -> s | Error e -> Alcotest.fail e
   in
@@ -554,11 +514,10 @@ let () =
         ] );
       ( "fuzzy-refines",
         [
-          case "flat x100 races" test_fuzzy_flat;
-          case "boxed x100 races" test_fuzzy_boxed;
-          case "growable x100 races" test_fuzzy_growable;
-          case "rank x100 races" test_fuzzy_rank;
-          case "packed x100 races" test_fuzzy_packed;
+          case "flat x100 races" (test_fuzzy Snap.Flat);
+          case "boxed x100 races" (test_fuzzy Snap.Boxed);
+          case "growable x100 races" (test_fuzzy Snap.Growable);
+          case "packed x100 races" (test_fuzzy Snap.Packed);
         ] );
       ( "snapshot",
         [

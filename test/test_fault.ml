@@ -200,24 +200,24 @@ let armed_site_tests =
         Dsu.Growable_unbounded.unite d x y;
         check Alcotest.bool "united" true (Dsu.Growable_unbounded.same_set d x y));
     case "ranked unite crashes at Rank_read, forest stays valid" (fun () ->
-        let d = Dsu.Rank.Native.create 32 in
+        let d = Dsu.Packed.Native.create 32 in
         with_plan
           (crash_at [ Site.Rank_read ])
           (fun () ->
             Inject.enroll ~slot:0;
             try
-              Dsu.Rank.Native.unite d 0 1;
+              Dsu.Packed.Native.unite d 0 1;
               Alcotest.fail "expected Crashed"
             with Inject.Crashed (site, _) ->
               check Alcotest.bool "site" true (site = Site.Rank_read));
         (* The abandoned unite installed at most one CAS: re-running it
            completes, and the forest validates under the rank order. *)
-        Dsu.Rank.Native.unite d 0 1;
-        check Alcotest.bool "united" true (Dsu.Rank.Native.same_set d 0 1);
+        Dsu.Packed.Native.unite d 0 1;
+        check Alcotest.bool "united" true (Dsu.Packed.Native.same_set d 0 1);
         let r =
           Forest_check.check
-            ~prio:(Dsu.Rank.Native.rank_of d)
-            (Dsu.Rank.Native.parents_snapshot d)
+            ~prio:(Dsu.Packed.Native.rank_of d)
+            (Dsu.Packed.Native.parents_snapshot d)
         in
         check Alcotest.bool "forest ok" true (Forest_check.ok r));
   ]

@@ -234,18 +234,18 @@ let rank_matches_oracle =
   prop "concurrent rank variant matches quick-find" ~count:150 (gen_ops 20)
     print_ops
     (fun ops ->
-      let d = Dsu.Rank.Native.create 20 in
+      let d = Dsu.Packed.Native.create 20 in
       let q = Quick_find.create 20 in
       List.for_all
         (fun op ->
           match op with
           | Workload.Op.Unite (x, y) ->
-            Dsu.Rank.Native.unite d x y;
+            Dsu.Packed.Native.unite d x y;
             Quick_find.unite q x y;
             true
           | Workload.Op.Same_set (x, y) ->
-            Dsu.Rank.Native.same_set d x y = Quick_find.same_set q x y
-          | Workload.Op.Find x -> Quick_find.same_set q x (Dsu.Rank.Native.find d x))
+            Dsu.Packed.Native.same_set d x y = Quick_find.same_set q x y
+          | Workload.Op.Find x -> Quick_find.same_set q x (Dsu.Packed.Native.find d x))
         ops)
 
 let rank_heights_logarithmic =
@@ -253,18 +253,18 @@ let rank_heights_logarithmic =
     (gen_ops 32) print_ops
     (fun ops ->
       let n = 32 in
-      let d = Dsu.Rank.Native.create n in
+      let d = Dsu.Packed.Native.create n in
       List.iter
         (fun op ->
           match op with
-          | Workload.Op.Unite (x, y) -> Dsu.Rank.Native.unite d x y
+          | Workload.Op.Unite (x, y) -> Dsu.Packed.Native.unite d x y
           | Workload.Op.Same_set _ | Workload.Op.Find _ -> ())
         ops;
       let ok = ref true in
       for i = 0 to n - 1 do
         let u = ref i and depth = ref 0 in
-        while Dsu.Rank.Native.parent_of d !u <> !u do
-          u := Dsu.Rank.Native.parent_of d !u;
+        while Dsu.Packed.Native.parent_of d !u <> !u do
+          u := Dsu.Packed.Native.parent_of d !u;
           incr depth
         done;
         if !depth > 5 then ok := false

@@ -23,12 +23,12 @@ let rng_ops ~seed ~n ~ops apply =
 let native_snap () =
   let d = Dsu.Native.create ~seed:5 128 in
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Native.unite d);
-  Snap.of_native d
+  Snap.of_driver (Dsu.Driver.Flat d)
 
 let boxed_snap () =
   let d = Dsu.Boxed.create ~seed:5 128 in
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Boxed.unite d);
-  Snap.of_boxed d
+  Snap.of_driver (Dsu.Driver.Boxed d)
 
 let growable_snap () =
   let d = Dsu.Growable.create ~seed:5 ~capacity:256 () in
@@ -36,22 +36,17 @@ let growable_snap () =
     ignore (Dsu.Growable.make_set d : int)
   done;
   rng_ops ~seed:11 ~n:100 ~ops:150 (Dsu.Growable.unite d);
-  Snap.of_growable d
-
-let rank_snap () =
-  let d = Dsu.Rank.Native.create 128 in
-  rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Rank.Native.unite d);
-  Snap.of_rank d
+  Snap.of_driver (Dsu.Driver.Growable d)
 
 let packed_snap () =
   let d = Dsu.Packed.Native.create 128 in
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Packed.Native.unite d);
-  Snap.of_packed d
+  Snap.of_driver (Dsu.Driver.Packed d)
 
 let all_layouts =
   [
     ("flat", native_snap); ("boxed", boxed_snap); ("growable", growable_snap);
-    ("rank", rank_snap); ("packed", packed_snap);
+    ("packed", packed_snap);
   ]
 
 (* ---------------------------------------------------------------- codec *)
@@ -87,13 +82,6 @@ let codec_tests =
                       check Alcotest.bool "equal" true (Snap.equal snap snap')
                     | Error e -> Alcotest.failf "read_file: %s" e))
               [ Snap.Binary; Snap.Json ]);
-        case (layout ^ ": restore round-trips the snapshot") (fun () ->
-            let snap = make () in
-            let restored = Restore.restore snap in
-            check Alcotest.bool "re-snapshot equal" true
-              (Snap.equal snap (Restore.snapshot restored));
-            check Alcotest.string "kind" layout
-              (Snap.kind_to_string (Restore.kind restored)));
       ])
     all_layouts
   @ [
@@ -102,7 +90,7 @@ let codec_tests =
             (fun k ->
               check Alcotest.bool "round-trip" true
                 (Snap.kind_of_string (Snap.kind_to_string k) = Some k))
-            [ Snap.Flat; Snap.Boxed; Snap.Growable; Snap.Rank; Snap.Packed ]);
+            [ Snap.Flat; Snap.Boxed; Snap.Growable; Snap.Packed ]);
       case "corrupted byte fails the checksum" (fun () ->
           let s = Snap.to_binary_string (native_snap ()) in
           let b = Bytes.of_string s in
@@ -202,34 +190,34 @@ let codec_tests =
               ("negative rank", with_prio 0 (-1));
               ("out-of-range parent", with_parent 3 base.Snap.n);
             ]);
-      case "packed: restore-unite-resnapshot agrees with the rank oracle"
+      case "packed: restore-unite-resnapshot agrees with a quick-find oracle"
         (fun () ->
           (* Resume semantics: operations applied to a restored packed
              instance must partition identically to the same operations on
-             an independently restored instance of another kind. *)
+             a sequential oracle seeded with the snapshot's partition. *)
           let snap = packed_snap () in
           let restored = Restore.restore snap in
           (match restored with
-          | Restore.Packed _ -> ()
+          | Dsu.Driver.Packed _ -> ()
           | _ -> Alcotest.fail "packed snapshot restored to another kind");
-          let oracle =
-            Restore.restore { snap with Snap.kind = Snap.Rank }
-          in
+          let oracle = Sequential.Quick_find.create snap.Snap.n in
+          Array.iteri (Sequential.Quick_find.unite oracle) snap.Snap.parents;
           rng_ops ~seed:23 ~n:snap.Snap.n ~ops:150 (fun x y ->
-              Restore.unite restored x y;
-              Restore.unite oracle x y);
+              Dsu.Driver.unite restored x y;
+              Sequential.Quick_find.unite oracle x y);
           for x = 0 to snap.Snap.n - 1 do
             for y = x + 1 to min (snap.Snap.n - 1) (x + 7) do
               check Alcotest.bool
                 (Printf.sprintf "same_set %d %d" x y)
-                (Restore.same_set oracle x y)
-                (Restore.same_set restored x y)
+                (Sequential.Quick_find.same_set oracle x y)
+                (Dsu.Driver.same_set restored x y)
             done
           done;
-          check Alcotest.int "set counts agree" (Restore.count_sets oracle)
-            (Restore.count_sets restored);
+          check Alcotest.int "set counts agree"
+            (Sequential.Quick_find.count_sets oracle)
+            (Dsu.Driver.count_sets restored);
           check Alcotest.bool "re-snapshot still a valid forest" true
-            (Snap.ok (Restore.snapshot restored)));
+            (Snap.ok (Snap.of_driver restored)));
     ]
 
 (* --------------------------------------------------------------- repair *)
@@ -364,6 +352,28 @@ let recovery_tests =
         check Alcotest.bool "oracle sweep passed" true oracle.Chaos.passed;
         check Alcotest.bool "crash snapshot itself validates" true
           (Snap.ok r.Chaos.crash_snapshot));
+    case "packed early crash: the resumed audit reads ranks live" (fun () ->
+        (* Resumed unites promote ranks past their restore-time values; an
+           audit that froze them reported false order violations here. *)
+        let config =
+          {
+            Chaos.default_config with
+            Chaos.n = 512;
+            ops_per_domain = 500;
+            domains = 2;
+            crash_after = 200;
+            seed = 1;
+          }
+        in
+        let s, r =
+          Chaos.run_recovery_scenario ~config ~layout:Harness.Scalability.Packed
+            ~policy:Dsu.Find_policy.Two_try_splitting ()
+        in
+        check Alcotest.bool "phase-1 scenario ok" true (Chaos.scenario_ok s);
+        check Alcotest.bool "a slot crashed" true (r.Chaos.resumed_slots <> []);
+        let forest = find_check "forest" r.Chaos.recovery_checks in
+        check Alcotest.string "resumed forest" "" forest.Chaos.detail;
+        check Alcotest.bool "recovery ok" true (Chaos.recovery_ok r));
     case "crash-free recovery drill also passes (nothing to resume)"
       (fun () ->
         let config =
@@ -415,10 +425,52 @@ let recovery_tests =
         | _ -> Alcotest.fail "scenarios missing");
   ]
 
+(* ---------------------------------------------------- legacy rank files *)
+
+(* Snapshots of the retired two-array rank layout (kind byte 3 / JSON
+   "rank"), captured from a forest built by 4 racing domains over 48
+   nodes, in both codecs and both versions.  rank-partition.txt holds the
+   captured partition as each node's smallest set member. *)
+let legacy_partition () =
+  In_channel.with_open_text "data/rank-partition.txt" In_channel.input_all
+  |> String.trim |> String.split_on_char ' ' |> List.map int_of_string
+  |> Array.of_list
+
+let legacy_tests =
+  List.map
+    (fun file ->
+      case ("legacy rank snapshot " ^ file ^ " restores as packed") (fun () ->
+          let snap =
+            match Snap.read_file (Filename.concat "data" file) with
+            | Ok s -> s
+            | Error e -> Alcotest.failf "%s: %s" file e
+          in
+          check Alcotest.string "decoded kind" "packed"
+            (Snap.kind_to_string snap.Snap.kind);
+          check Alcotest.bool "passes check" true (Snap.ok snap);
+          let d = Restore.restore snap in
+          check Alcotest.string "restored kind" "packed"
+            (Snap.kind_to_string (Dsu.Driver.kind d));
+          let labels = legacy_partition () in
+          check Alcotest.int "universe" (Array.length labels) (Dsu.Driver.n d);
+          Array.iteri
+            (fun i l ->
+              for j = 0 to Array.length labels - 1 do
+                check Alcotest.bool
+                  (Printf.sprintf "same_set %d %d" i j)
+                  (l = labels.(j))
+                  (Dsu.Driver.same_set d i j)
+              done)
+            labels;
+          check Alcotest.bool "re-snapshot passes check" true
+            (Snap.ok (Snap.of_driver d))))
+    [ "rank-v2.bin"; "rank-v2.json"; "rank-v1.bin"; "rank-v1.json" ]
+
 let () =
   Alcotest.run "recover"
     [
       ("codec", codec_tests);
+      ("legacy", legacy_tests);
       ("repair", repair_tests);
       ("recovery", recovery_tests);
     ]

@@ -276,7 +276,7 @@ let test_queue_stress_yields mode () =
 (* --------------------------------------------- service vs sequential *)
 
 let kinds =
-  Repro_recover.Snapshot.[ Flat; Boxed; Growable; Rank; Packed ]
+  Repro_recover.Snapshot.[ Flat; Boxed; Growable; Packed ]
 
 (* Sequential union-find oracle over [0, n). *)
 let oracle n =
@@ -327,6 +327,7 @@ let test_service_sequential_oracle () =
           queue_capacity = 64;
           batch = 16;
           admission = Svc.Block 0.2;
+          plan = Dsu.Driver.plan_for kind Dsu.Plan.default;
         }
       in
       let svc = Svc.create ~kind cfg in
@@ -469,7 +470,7 @@ let test_service_find_is_root () =
   check Alcotest.bool "find answered with a member's root" true
     (!root = 1 || !root = 2);
   check Alcotest.bool "backend agrees" true
-    (Repro_recover.Restore.same_set (Svc.backend svc) !root 1)
+    (Dsu.Driver.same_set (Svc.backend svc) !root 1)
 
 let test_service_element_bounds () =
   let cfg = { Svc.default_config with Svc.n = 8; workers = 1; clients = 1 } in
