@@ -15,8 +15,9 @@
     - {!Obs} — telemetry instruments ({!Repro_obs} glue): latency/step
       histograms, CAS counters and trace events, armed globally via
       [Repro_obs.Metrics.set_enabled] / [Repro_obs.Trace.set_enabled].
-    - {!Algorithm} — the functor over {!Memory_intf.S}, for embedding the
-      algorithm over a custom shared memory. *)
+    - {!Algorithm} — the functor over {!Memory_intf.S} and a linking rule
+      ({!Algorithm.LINK}), for embedding the algorithm over a custom
+      shared memory. *)
 
 module Find_policy = Find_policy
 module Memory_order = Memory_order
@@ -50,7 +51,8 @@ module Growable_unbounded = Growable_unbounded
 module Packed = Packed_dsu
 (** The concurrent linking-by-rank variant of Section 7, which needs no
     independence assumption (see experiment E15), over a bit-packed
-    [(root flag, rank, parent)] word; supports every {!Find_policy}
+    [(root flag, rank, parent)] word: an instance of {!Algorithm.Make}
+    with its own link step, so it supports every {!Find_policy}
     compaction rule. *)
 
 module Plan = Dsu_plan

@@ -1,5 +1,5 @@
 (** The concurrent disjoint-set-union algorithm of Jayanti and Tarjan,
-    parameterized by the shared-memory implementation.
+    parameterized by the shared-memory implementation and the linking rule.
 
     The functor body transcribes the paper's pseudocode:
 
@@ -10,25 +10,104 @@
       interleave the two finds and always step from the node with the
       smaller id.
 
-    Node ids are fixed uniformly at random at creation (randomized linking,
-    Section 3): [Unite] always links the root with the smaller id below the
-    root with the larger id, so every link is one [Cas] on one word and the
-    structure needs no rank or size fields.  Ids are immutable, so processes
-    read them from ordinary (non-shared-memory-step) storage.
+    None of these depends on how two roots are linked, so the linking rule
+    is the second functor argument ({!LINK}), consulted only when linking,
+    never on a hop:
+
+    - {!By_id} is the paper's randomized linking (Section 3).  Node ids are
+      fixed uniformly at random at creation; [Unite] links the root with
+      the smaller id below the root with the larger id, so every link is
+      one [Cas] on one word and the structure needs no rank or size fields.
+      Ids are immutable, so processes read them from ordinary
+      (non-shared-memory-step) storage.
+    - {!Packed_dsu.By_rank} is Section 7's linking by rank over a packed
+      [(root flag, rank, parent)] word, seen through a memory view whose
+      [read] returns the parent field.  Early termination needs an order
+      that never changes, which only linking by id has, so the packed
+      instance does not offer [~early].
 
     One deliberate deviation from the printed pseudocode: Algorithms 6 and 7
     perform the splitting [Cas(u.parent, z, w)] even when [z = w]; a [Cas]
     that would store the value already present is unobservable, so we skip
     it.  This only lowers constant factors and is noted in EXPERIMENTS.md. *)
 
-module Make (M : Memory_intf.S) = struct
+(* Telemetry (lib/obs) and fault injection (lib/fault).  A per-hop armed
+   test would cost a load, a call and a branch on every parent-pointer
+   hop, which is measurable on the native fast path, so each find loop
+   exists twice: the plain body below, byte-identical to the untraced
+   algorithm, and an instrumented twin ([..._obs]) carrying both the
+   telemetry hooks and the labeled fault-injection sites (see
+   {!Repro_fault.Site}).  [find_root] picks a body with one atomic load
+   each of [Dsu_obs.armed] and [Repro_fault.Inject.armed] per traversal,
+   and the outer loops test them only at their (rare) retry/link/
+   early-step sites — never via a captured binding, which would be
+   captured into every per-operation loop closure and grow each
+   operation's allocation by a word; spelling out [Atomic.get
+   Dsu_obs.armed] compiles to a global access instead.  The hooks
+   themselves are individually gated too (telemetry by the registry
+   switch, fault sites by per-domain enrollment), so a stale pick is safe
+   either way. *)
+
+module Fi = Repro_fault.Inject
+
+(* Shorthands for the compiled-in fault sites.  Each expands to an atomic
+   load + branch when fault injection is disarmed; [Fi.hit] may raise
+   [Repro_fault.Inject.Crashed] to model crash-stop mid-operation. *)
+let[@inline] fault_hop () =
+  if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Find_hop
+
+let[@inline] fault_gap () =
+  if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Split_read_gap
+
+let[@inline] fault_split_pre () =
+  if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Split_cas_pre
+
+let[@inline] fault_split_post () =
+  if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Split_cas_post
+
+let[@inline] fault_link_pre () =
+  if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Link_cas_pre
+
+let[@inline] fault_link_post () =
+  if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Link_cas_post
+
+(* Of the two roots [u] and [v], the one that is not [child]; branch-free,
+   because which root becomes the child is a coin flip the branch
+   predictor cannot learn. *)
+let[@inline] other_root u v child = u lxor v lxor child
+
+(* A link step's result is one unboxed int: the child on a successful
+   CAS, [lnot child] on a failed one, [stale] when no CAS was tried. *)
+let stale = min_int
+
+module type LINK = sig
+  type mem
+
+  val link : mem -> prio:(int -> int) -> int -> int -> int
+end
+
+module By_id (M : Memory_intf.S) = struct
+  type mem = M.t
+
+  (* Typed [int] so the comparisons compile to integer ones, not calls to
+     the polymorphic compare. *)
+  let link mem ~(prio : int -> int) (u : int) (v : int) =
+    let pu = prio u and pv = prio v in
+    let child = if pu < pv || (pu = pv && u < v) then u else v in
+    let parent = other_root u v child in
+    fault_link_pre ();
+    if M.cas mem child child parent then child else lnot child
+end
+
+module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
   module Backoff = Repro_util.Backoff
 
   type t = {
     mem : M.t;
     n : int;
     prio : int -> int;
-        (** [prio i] = node [i]'s position in the random total order.  Ties
+        (** [prio i] = node [i]'s position in the linking order: its random
+            id under {!By_id}, its current rank under linking by rank.  Ties
             are broken by node index, so priorities need not be distinct
             (needed by the growable extension, where priorities are drawn
             on the fly from a large universe). *)
@@ -66,46 +145,6 @@ module Make (M : Memory_intf.S) = struct
 
   let record_link t ~child ~parent =
     match t.on_link with None -> () | Some f -> f ~child ~parent
-
-  (* Telemetry (lib/obs) and fault injection (lib/fault).  A per-hop armed
-     test would cost a load, a call and a branch on every parent-pointer
-     hop, which is measurable on the native fast path, so each find loop
-     exists twice: the plain body below, byte-identical to the untraced
-     algorithm, and an instrumented twin ([..._obs]) carrying both the
-     telemetry hooks and the labeled fault-injection sites (see
-     {!Repro_fault.Site}).  [find_root] picks a body with one atomic load
-     each of [Dsu_obs.armed] and [Repro_fault.Inject.armed] per traversal,
-     and the outer loops test them only at their (rare) retry/link/
-     early-step sites — never via a captured binding or functor-level
-     helper, either of which would be captured into every per-operation
-     loop closure and grow each operation's allocation by a word; spelling
-     out [Atomic.get Dsu_obs.armed] compiles to a global access instead.
-     The hooks themselves are individually gated too (telemetry by the
-     registry switch, fault sites by per-domain enrollment), so a stale
-     pick is safe either way. *)
-
-  module Fi = Repro_fault.Inject
-
-  (* Shorthands for the compiled-in fault sites.  Each expands to an atomic
-     load + branch when fault injection is disarmed; [Fi.hit] may raise
-     [Repro_fault.Inject.Crashed] to model crash-stop mid-operation. *)
-  let[@inline] fault_hop () =
-    if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Find_hop
-
-  let[@inline] fault_gap () =
-    if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Split_read_gap
-
-  let[@inline] fault_split_pre () =
-    if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Split_cas_pre
-
-  let[@inline] fault_split_post () =
-    if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Split_cas_post
-
-  let[@inline] fault_link_pre () =
-    if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Link_cas_pre
-
-  let[@inline] fault_link_post () =
-    if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Link_cas_post
 
   (* Algorithm 1: Find without compaction. *)
   let find_no_compaction t x =
@@ -480,13 +519,41 @@ module Make (M : Memory_intf.S) = struct
     in
     loop x y ~first:true
 
-  (* Algorithm 3: Unite via two complete finds per round; link the root with
-     the smaller id below the other with one Cas.  The link CAS stays
-     {e strong} (a reported failure must mean a real conflict) because a
-     failure triggers the bounded exponential backoff: another domain just
-     linked the same root, so an immediate retry mostly re-collides.  The
-     spin count [spins] is threaded as an unboxed loop argument. *)
-  let unite_plain t x y =
+  (* One link attempt between the distinct roots [u] and [v] just observed:
+     the rule's CAS, then the counters, telemetry and the post-CAS fault
+     site shared by every rule.  Returns the parent on success, a negative
+     code otherwise ([stale] when the rule tried no CAS). *)
+  let link t u v =
+    let c = L.link t.mem ~prio:t.prio u v in
+    if c = stale then c
+    else begin
+      let ok = c >= 0 in
+      let child = if ok then c else lnot c in
+      bump t (Dsu_stats.incr_link_cas ~ok);
+      if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:child ~ok;
+      fault_link_post ();
+      if ok then begin
+        let parent = other_root u v child in
+        record_link t ~child ~parent;
+        parent
+      end
+      else c
+    end
+
+  (* Only a failed link CAS backs off: another domain just linked the same
+     root, so an immediate retry mostly re-collides.  A stale observation
+     and an early step are progress.  The spin count is threaded as an
+     unboxed loop argument. *)
+  let[@inline] after_failed_link t code spins =
+    if code <> stale && t.backoff then Backoff.once spins else spins
+
+  (* Algorithm 3: Unite via two complete finds per round, then one link
+     attempt.  The link CAS stays {e strong} (a reported failure must mean
+     a real conflict) because a failure triggers the bounded exponential
+     backoff.  Returns a common ancestor of [x] and [y] once they are in
+     one set (the link target on success, the shared root when already
+     joined), which the bulk kernels' root cache keeps. *)
+  let unite_rounds t x y =
     let rec loop u v spins ~first =
       if not first then begin
         bump t Dsu_stats.incr_outer_retry;
@@ -494,26 +561,11 @@ module Make (M : Memory_intf.S) = struct
       end;
       let u = find_root t u in
       let v = find_root t v in
-      if u = v then ()
-      else if less t u v then begin
-        fault_link_pre ();
-        let ok = M.cas t.mem u u v in
-        bump t (Dsu_stats.incr_link_cas ~ok);
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:u ~ok;
-        fault_link_post ();
-        if ok then record_link t ~child:u ~parent:v
-        else
-          loop u v (if t.backoff then Backoff.once spins else spins) ~first:false
-      end
+      if u = v then u
       else begin
-        fault_link_pre ();
-        let ok = M.cas t.mem v v u in
-        bump t (Dsu_stats.incr_link_cas ~ok);
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:v ~ok;
-        fault_link_post ();
-        if ok then record_link t ~child:v ~parent:u
-        else
-          loop u v (if t.backoff then Backoff.once spins else spins) ~first:false
+        let p = link t u v in
+        if p >= 0 then p
+        else loop u v (after_failed_link t p spins) ~first:false
       end
     in
     loop x y Backoff.initial ~first:true
@@ -522,7 +574,8 @@ module Make (M : Memory_intf.S) = struct
      an unconditional linking Cas as the root test; attempting the Cas only
      after a read observes [u] to be a root costs the same step when [u] is
      a root and saves a wasted Cas when it is not (the Cas still re-verifies
-     rootness atomically, so correctness is unchanged). *)
+     rootness atomically, so correctness is unchanged).  The rule links [u]
+     below [v], as [u] precedes [v] in the order. *)
   let unite_early t x y =
     let rec loop u v spins ~first =
       if not first then begin
@@ -534,17 +587,8 @@ module Make (M : Memory_intf.S) = struct
         let u, v = if less t v u then (v, u) else (u, v) in
         let z = M.read t.mem u in
         if z = u then begin
-          fault_link_pre ();
-          let ok = M.cas t.mem u u v in
-          bump t (Dsu_stats.incr_link_cas ~ok);
-          if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:u ~ok;
-          fault_link_post ();
-          if ok then record_link t ~child:u ~parent:v
-          else
-            (* Only a failed link CAS backs off; early steps are progress. *)
-            loop u v
-              (if t.backoff then Backoff.once spins else spins)
-              ~first:false
+          let p = link t u v in
+          if p < 0 then loop u v (after_failed_link t p spins) ~first:false
         end
         else begin
           let u =
@@ -568,7 +612,7 @@ module Make (M : Memory_intf.S) = struct
     check_node t x;
     check_node t y;
     bump t Dsu_stats.incr_unite;
-    if t.early then unite_early t x y else unite_plain t x y
+    if t.early then unite_early t x y else ignore (unite_rounds t x y : int)
 
   (* ------------------------------------------------------ bulk kernels *)
 
@@ -590,41 +634,13 @@ module Make (M : Memory_intf.S) = struct
 
      The kernels use the plain (non-early) rounds regardless of [t.early]:
      batched callers want the roots settled for the cache.  Fault sites
-     and telemetry fire exactly as in [unite] — the link CAS is wrapped in
-     [fault_link_pre/post] — so chaos coverage extends to the bulk path. *)
+     and telemetry fire exactly as in [unite] (they are the same rounds),
+     so chaos coverage extends to the bulk path. *)
 
   let cache_bits = 8
   let cache_size = 1 lsl cache_bits
   let cache_mask = cache_size - 1
   let prefetch_dist = 8
-
-  (* Returns a common ancestor of [u] and [v] once they are in one set
-     (the link target on success, the shared root when already joined). *)
-  let settle_unite t u v =
-    let rec loop u v spins ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-      end;
-      let u = find_root t u in
-      let v = find_root t v in
-      if u = v then u
-      else begin
-        let child, parent = if less t u v then (u, v) else (v, u) in
-        fault_link_pre ();
-        let ok = M.cas t.mem child child parent in
-        bump t (Dsu_stats.incr_link_cas ~ok);
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:child ~ok;
-        fault_link_post ();
-        if ok then begin
-          record_link t ~child ~parent;
-          parent
-        end
-        else
-          loop u v (if t.backoff then Backoff.once spins else spins) ~first:false
-      end
-    in
-    loop u v Backoff.initial ~first:true
 
   let check_batch t op xs ys =
     let len = Array.length xs in
@@ -655,7 +671,7 @@ module Make (M : Memory_intf.S) = struct
       end;
       let x = Array.unsafe_get xs k and y = Array.unsafe_get ys k in
       bump t Dsu_stats.incr_unite;
-      let a = settle_unite t (cache_hint keys anc x) (cache_hint keys anc y) in
+      let a = unite_rounds t (cache_hint keys anc x) (cache_hint keys anc y) in
       cache_store keys anc x a;
       cache_store keys anc y a
     done

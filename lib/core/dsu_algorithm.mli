@@ -1,16 +1,44 @@
 (** The concurrent disjoint-set-union algorithm of Jayanti and Tarjan,
-    as a functor over the shared-memory primitives — one implementation of
-    Algorithms 1–7 that runs both natively (over [Atomic]; see
-    {!Dsu_native}) and inside the APRAM simulator (see {!Dsu_sim}).
+    as a functor over the shared-memory primitives and the linking rule —
+    one implementation of Algorithms 1–7 that runs natively (see
+    {!Dsu_native}), inside the APRAM simulator (see {!Dsu_sim}), and under
+    both linking rules: the paper's randomized linking by id ({!By_id})
+    and Section 7's linking by rank ({!Packed_dsu}).
 
     See the implementation for the transcription notes (the two documented
     deviations from the printed pseudocode are the merged redundant read in
     the early-termination variants and the skipped no-op splitting [Cas]). *)
 
-module Make (M : Memory_intf.S) : sig
+val fault_link_pre : unit -> unit
+(** Fires {!Repro_fault.Site.Link_cas_pre} when fault injection is armed;
+    a linking rule calls it just before its link CAS. *)
+
+val stale : int
+(** The result of {!LINK.link} when it tried no CAS (see there). *)
+
+(** A linking rule: which of two roots goes below the other, and the one
+    CAS that puts it there. *)
+module type LINK = sig
+  type mem
+
+  val link : mem -> prio:(int -> int) -> int -> int -> int
+  (** [link mem ~prio u v]: [u <> v] were both just observed as roots by
+      [find].  Links one below the other with a single CAS on the child's
+      word, calling {!fault_link_pre} just before it.  Returns the child
+      when the CAS succeeded, [lnot child] when it failed, or {!stale} when
+      a re-read showed that one of them is no longer a root and no CAS
+      was tried.  Consulted only when linking, never on a hop. *)
+end
+
+module By_id (M : Memory_intf.S) : LINK with type mem = M.t
+(** Randomized linking (Section 3): the root earlier in the [prio] order
+    (ties broken by node index) goes below the other, by one CAS of its
+    cell from itself to the other root. *)
+
+module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) : sig
   type t
-  (** A handle: the memory holding the parent array plus the immutable
-      linking order, the chosen [Find] variant, and instrumentation. *)
+  (** A handle: the memory holding the parent array plus the linking
+      order, the chosen [Find] variant, and instrumentation. *)
 
   val create :
     ?policy:Find_policy.t ->
@@ -23,15 +51,16 @@ module Make (M : Memory_intf.S) : sig
     prio:(int -> int) ->
     unit ->
     t
-  (** [create ~mem ~n ~prio ()] wraps a memory whose cell [i] holds node
-      [i]'s parent (initially [i]).  [prio i] is node [i]'s position in the
-      random total order; ties are broken by node index, so priorities need
-      not be distinct (the growable extension draws them from a large
-      universe on the fly).  [policy] defaults to two-try splitting;
-      [early] selects Algorithms 6/7; [backoff] (default [true]) spins a
-      bounded, exponentially growing number of [cpu_relax] iterations after
-      a failed link CAS in [unite] (see {!Repro_util.Backoff}); [on_link]
-      observes every successful link (the union forest). *)
+  (** [create ~mem ~n ~prio ()] wraps a memory whose cell [i] reads as
+      node [i]'s parent (initially [i]).  [prio i] is node [i]'s position
+      in the linking order (passed to [L.link]); ties are broken by node
+      index, so priorities need not be distinct (the growable extension
+      draws them from a large universe on the fly).  [policy] defaults to
+      two-try splitting; [early] selects Algorithms 6/7, which need a
+      [prio] that never changes; [backoff] (default [true]) spins a
+      bounded, exponentially growing number of [cpu_relax] iterations
+      after a failed link CAS in [unite] (see {!Repro_util.Backoff});
+      [on_link] observes every successful link (the union forest). *)
 
   val n : t -> int
   val mem : t -> M.t

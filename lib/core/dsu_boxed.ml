@@ -1,7 +1,8 @@
 module Atomic_array = Repro_util.Atomic_array
 module Rng = Repro_util.Rng
 
-module A = Dsu_algorithm.Make (Boxed_memory)
+module A =
+  Dsu_algorithm.Make (Boxed_memory) (Dsu_algorithm.By_id (Boxed_memory))
 
 type t = A.t
 

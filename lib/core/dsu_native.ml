@@ -1,7 +1,8 @@
 module Flat_atomic_array = Repro_util.Flat_atomic_array
 module Rng = Repro_util.Rng
 
-module A = Dsu_algorithm.Make (Native_memory)
+module A =
+  Dsu_algorithm.Make (Native_memory) (Dsu_algorithm.By_id (Native_memory))
 
 type t = A.t
 

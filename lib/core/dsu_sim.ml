@@ -1,6 +1,6 @@
 module Rng = Repro_util.Rng
 
-module Sim_memory = struct
+module Memory = struct
   type t = unit
 
   let read () a = Apram.Process.read a
@@ -13,7 +13,7 @@ module Sim_memory = struct
   let prefetch () _ = ()
 end
 
-module A = Dsu_algorithm.Make (Sim_memory)
+module A = Dsu_algorithm.Make (Memory) (Dsu_algorithm.By_id (Memory))
 
 type spec = { n : int; policy : Find_policy.t; early : bool; ids : int array }
 

@@ -21,6 +21,11 @@
       ...
     ]} *)
 
+module Memory : Memory_intf.S with type t = unit
+(** The simulator's shared memory as a {!Memory_intf.S}: every [read] and
+    [cas] is one {!Apram.Process} step, so it must run inside a simulated
+    process.  Cell [i] holds node [i]'s word. *)
+
 type spec = {
   n : int;
   policy : Find_policy.t;

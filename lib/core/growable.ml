@@ -2,7 +2,8 @@ module Flat_atomic_array = Repro_util.Flat_atomic_array
 module Rng = Repro_util.Rng
 module Fi = Repro_fault.Inject
 
-module Algo = Dsu_algorithm.Make (Native_memory)
+module Algo =
+  Dsu_algorithm.Make (Native_memory) (Dsu_algorithm.By_id (Native_memory))
 
 type t = {
   capacity : int;

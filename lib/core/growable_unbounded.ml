@@ -98,7 +98,7 @@ module Memory = struct
   let prefetch _ _ = ()
 end
 
-module Algo = Dsu_algorithm.Make (Memory)
+module Algo = Dsu_algorithm.Make (Memory) (Dsu_algorithm.By_id (Memory))
 
 type t = {
   parents : Chunked.t;

@@ -1,13 +1,19 @@
 (** The shared-memory primitives the concurrent algorithm needs.
 
-    Cell [i] of the memory holds the parent of node [i].  Only single-word
+    Cell [i] of the memory reads as the parent of node [i].  Only single-word
     atomic reads and compare-and-swaps are required — this is the point of
     randomized linking: unlike linking by rank or size, no second word ever
     has to change together with a parent pointer (Section 3).
 
-    Two instantiations exist: {!Dsu.Native_memory} over [Atomic] for real
-    OCaml 5 domains, and {!Dsu_sim.Sim_memory} over the APRAM simulator's
-    effect-based shared memory for exact step counting. *)
+    Instances: {!Native_memory} over {!Repro_util.Flat_atomic_array} (one
+    unboxed word per node) for real OCaml 5 domains; {!Boxed_memory} over
+    an [int Atomic.t array], the layout A/B baseline;
+    [Growable_unbounded]'s internal [Memory] over chunked, growable
+    storage; and {!Dsu_sim.Memory} over the APRAM simulator's effect-based
+    shared memory for exact step counting.  {!Packed_dsu.View} turns any of them
+    holding packed [(root flag, rank, parent)] words into a parent array:
+    its [read] returns the parent field, so the same algorithm loops run
+    over both linking rules. *)
 
 module type S = sig
   type t

@@ -418,6 +418,54 @@ let sim_tests =
         check Alcotest.(array int) "roots" [| 2; 2; 2; 3 |] roots);
   ]
 
+(* Linking by rank in the simulator: the folded functor over the packed
+   view of the simulator memory, so the model checker below reaches every
+   interleaving of the rank read, the link CAS and the promotion CAS. *)
+module Packed_sim =
+  Dsu.Algorithm.Make
+    (Dsu.Packed.View (Dsu.Sim.Memory))
+    (Dsu.Packed.By_rank (Dsu.Sim.Memory))
+
+let packed_sim ~policy ~n =
+  Packed_sim.create ~policy ~mem:() ~n
+    ~prio:(fun i -> Dsu.Packed.rank_of_word (Dsu.Sim.Memory.read () i))
+    ()
+
+let packed_unite_op h x y () =
+  Apram.Process.record_invoke ~name:"unite" ~args:[ x; y ];
+  Packed_sim.unite h x y;
+  Apram.Process.record_return 0
+
+let packed_same_set_op h x y () =
+  Apram.Process.record_invoke ~name:"same_set" ~args:[ x; y ];
+  let r = Packed_sim.same_set h x y in
+  Apram.Process.record_return (if r then 1 else 0)
+
+(* Post-mortem over the final words: every node's root, and whether every
+   word keeps the (rank, index) order and a root flag that agrees with
+   its parent field. *)
+let packed_words memory n = Array.init n (Apram.Memory.peek memory)
+
+let packed_roots words =
+  let rec root u =
+    let w = words.(u) in
+    if Dsu.Packed.is_root_word w then u else root (Dsu.Packed.parent_of_word w)
+  in
+  Array.init (Array.length words) root
+
+let packed_order_ok words =
+  let ok = ref true in
+  Array.iteri
+    (fun i w ->
+      let p = Dsu.Packed.parent_of_word w and r = Dsu.Packed.rank_of_word w in
+      if Dsu.Packed.is_root_word w then (if p <> i then ok := false)
+      else begin
+        let rp = Dsu.Packed.rank_of_word words.(p) in
+        if p = i || not (r < rp || (r = rp && i < p)) then ok := false
+      end)
+    words;
+  !ok
+
 (* Exhaustive interleaving check: two processes, all 2^k prefixes of
    schedules of a fixed workload, every policy.  The custom scheduler
    consumes a bit string (bit = which process steps next, falling back to
@@ -479,6 +527,63 @@ let exhaustive_tests =
                 false s.Apram.Explore.truncated
             | Error v ->
               Alcotest.failf "policy %s, schedule %d wrong partition"
+                (Policy.to_string policy) v.Apram.Explore.schedule_index)
+          Policy.all);
+    case "packed: every schedule of unite || same_set linearizes" (fun () ->
+        List.iter
+          (fun policy ->
+            let make_ops () =
+              let h = packed_sim ~policy ~n:3 in
+              [| [ packed_unite_op h 0 1 ]; [ packed_same_set_op h 0 1 ] |]
+            in
+            match
+              Apram.Explore.run_all ~max_schedules:500_000 ~mem_size:3
+                ~init:Dsu.Packed.init_word ~make_ops
+                ~check:(fun o ->
+                  Lincheck.Checker.check ~n:3 o.Apram.Sim.history
+                  = Lincheck.Checker.Linearizable)
+                ()
+            with
+            | Ok s ->
+              check Alcotest.bool
+                (Printf.sprintf "%s complete" (Policy.to_string policy))
+                false s.Apram.Explore.truncated;
+              check Alcotest.bool "several schedules" true
+                (s.Apram.Explore.schedules > 10)
+            | Error v ->
+              Alcotest.failf "policy %s, schedule %d not linearizable"
+                (Policy.to_string policy) v.Apram.Explore.schedule_index)
+          Policy.all);
+    case "packed: every schedule of racing unites keeps the rank order"
+      (fun () ->
+        (* unite(0,1) racing unite(1,2) from all-rank-0 roots: every link
+           is a rank tie, so the promotion CAS races the other link. *)
+        List.iter
+          (fun policy ->
+            let promoted = ref false in
+            let make_ops () =
+              let h = packed_sim ~policy ~n:3 in
+              [| [ packed_unite_op h 0 1 ]; [ packed_unite_op h 1 2 ] |]
+            in
+            match
+              Apram.Explore.run_all ~max_schedules:500_000 ~mem_size:3
+                ~init:Dsu.Packed.init_word ~make_ops
+                ~check:(fun o ->
+                  let words = packed_words o.Apram.Sim.memory 3 in
+                  if Array.exists (fun w -> Dsu.Packed.rank_of_word w > 0) words
+                  then promoted := true;
+                  let roots = packed_roots words in
+                  roots.(0) = roots.(1) && roots.(1) = roots.(2)
+                  && packed_order_ok words)
+                ()
+            with
+            | Ok s ->
+              check Alcotest.bool
+                (Printf.sprintf "%s complete" (Policy.to_string policy))
+                false s.Apram.Explore.truncated;
+              check Alcotest.bool "a promotion landed" true !promoted
+            | Error v ->
+              Alcotest.failf "policy %s, schedule %d: wrong partition or order"
                 (Policy.to_string policy) v.Apram.Explore.schedule_index)
           Policy.all);
     case "all interleavings of a 2-process workload linearize" (fun () ->
@@ -602,7 +707,8 @@ module Flaky_memory = struct
   let prefetch t i = Dsu.Native_memory.prefetch t.inner i
 end
 
-module Flaky = Dsu.Algorithm.Make (Flaky_memory)
+module Flaky =
+  Dsu.Algorithm.Make (Flaky_memory) (Dsu.Algorithm.By_id (Flaky_memory))
 
 let flaky_tests =
   let make_flaky ~policy ~early ~n ~seed =
@@ -777,6 +883,57 @@ let batch_tests =
         done);
   ]
 
+(* ---------------------------------------------------- allocation parity *)
+
+(* Both linking rules run the same find loops and rounds, so packed [find]
+   and [unite] must allocate what flat does, up to the link step: within
+   [alloc_slack] minor words per operation, for every policy.  Measured
+   over 2^16 random operations at n = 2^16. *)
+let alloc_slack = 2.0
+
+let words_per_op ops f =
+  let before = Gc.minor_words () in
+  for k = 0 to Array.length ops - 1 do
+    f (Array.unsafe_get ops k)
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (Array.length ops)
+
+let alloc_tests =
+  let n = 1 lsl 16 in
+  let rng = Rng.create 2016 in
+  let pairs = Array.init n (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+  let nodes = Array.init n (fun _ -> Rng.int rng n) in
+  List.map
+    (fun policy ->
+      case
+        (Printf.sprintf "packed allocates like flat (%s)"
+           (Policy.to_string policy))
+        (fun () ->
+          let flat = Native.create ~policy ~seed:7 n in
+          let packed = Dsu.Packed.Native.create ~policy n in
+          let flat_unite =
+            words_per_op pairs (fun (x, y) -> Native.unite flat x y)
+          in
+          let packed_unite =
+            words_per_op pairs (fun (x, y) ->
+                Dsu.Packed.Native.unite packed x y)
+          in
+          let flat_find =
+            words_per_op nodes (fun x -> ignore (Native.find flat x : int))
+          in
+          let packed_find =
+            words_per_op nodes (fun x ->
+                ignore (Dsu.Packed.Native.find packed x : int))
+          in
+          let within what f p =
+            if Float.abs (p -. f) > alloc_slack then
+              Alcotest.failf "%s: packed %.1f vs flat %.1f minor words/op" what
+                p f
+          in
+          within "unite" flat_unite packed_unite;
+          within "find" flat_find packed_find))
+    Policy.all
+
 let () =
   Alcotest.run "dsu"
     [
@@ -790,4 +947,5 @@ let () =
       ("batch", batch_tests);
       ("simulator", sim_tests);
       ("exhaustive", exhaustive_tests);
+      ("alloc", alloc_tests);
     ]

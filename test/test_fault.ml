@@ -228,39 +228,55 @@ let armed_site_tests =
    CAS, link backoff) reuses the instrumented twins, so every fault site
    must keep firing when the structure is created with
    [~memory_order:Relaxed_reads] — including inside the bulk kernels.
-   These are regression tests against the tuning silently bypassing
-   injection. *)
+   Both linking rules run the same twins, so each case runs on the flat
+   (by id) and the packed (by rank) layouts.  These are regression tests
+   against the tuning, or either rule, silently bypassing injection. *)
 
-let tuned_create ?(n = 256) ~seed () =
-  Dsu.Native.create ~memory_order:Dsu.Memory_order.Relaxed_reads ~seed n
+module Driver = Dsu.Driver
 
-let tuned_site_tests =
+let tuned_create kind ?(n = 256) ~seed () =
+  let plan =
+    Driver.plan_for kind
+      {
+        Dsu.Plan.default with
+        Dsu.Plan.memory_order = Dsu.Memory_order.Relaxed_reads;
+      }
+  in
+  Driver.create ~plan ~seed n
+
+let random_unites d ~seed ~count =
+  let rng = Repro_util.Rng.create seed in
+  for _ = 1 to count do
+    Driver.unite d (Repro_util.Rng.int rng 256) (Repro_util.Rng.int rng 256)
+  done
+
+let forest_ok d =
+  let r =
+    Forest_check.check ~prio:(Driver.prio d) (Driver.parents_snapshot d)
+  in
+  check Alcotest.bool "forest ok" true (Forest_check.ok r)
+
+let tuned_site_cases =
   [
-    case "tuned path still counts Find_hop hits" (fun () ->
-        let d = tuned_create ~seed:31 () in
+    ( "tuned path still counts Find_hop hits",
+      fun kind ->
+        let d = tuned_create kind ~seed:31 () in
         with_plan
           { Inject.seed = 30; rules_for = (fun _ -> []) }
           (fun () ->
             Inject.enroll ~slot:0;
-            let rng = Repro_util.Rng.create 7 in
-            for _ = 1 to 300 do
-              Dsu.Native.unite d (Repro_util.Rng.int rng 256)
-                (Repro_util.Rng.int rng 256)
-            done;
+            random_unites d ~seed:7 ~count:300;
             for i = 0 to 255 do
-              ignore (Dsu.Native.find d i : int)
+              ignore (Driver.find d i : int)
             done;
             check Alcotest.bool "hits recorded" true
               ((Inject.totals ()).Inject.hits > 0);
-            check Alcotest.bool "hops recorded" true (Inject.my_hops () > 0)));
-    case "split CAS sites still crash the tuned find" (fun () ->
-        let d = tuned_create ~seed:33 () in
+            check Alcotest.bool "hops recorded" true (Inject.my_hops () > 0)) );
+    ( "split CAS sites still crash the tuned find",
+      fun kind ->
+        let d = tuned_create kind ~seed:33 () in
         (* Build depth while disarmed so the crash plan only sees finds. *)
-        let rng = Repro_util.Rng.create 9 in
-        for _ = 1 to 400 do
-          Dsu.Native.unite d (Repro_util.Rng.int rng 256)
-            (Repro_util.Rng.int rng 256)
-        done;
+        random_unites d ~seed:9 ~count:400;
         with_plan
           (crash_at [ Site.Split_cas_pre; Site.Split_cas_post ])
           (fun () ->
@@ -268,7 +284,7 @@ let tuned_site_tests =
             let crashed = ref false in
             (try
                for i = 0 to 255 do
-                 ignore (Dsu.Native.find d i : int)
+                 ignore (Driver.find d i : int)
                done
              with Inject.Crashed (site, _) ->
                crashed := true;
@@ -278,15 +294,12 @@ let tuned_site_tests =
         (* The abandoned split is harmless: queries and the forest audit
            still pass. *)
         for i = 0 to 255 do
-          ignore (Dsu.Native.find d i : int)
+          ignore (Driver.find d i : int)
         done;
-        let r =
-          Forest_check.check ~prio:(Dsu.Native.id d)
-            (Dsu.Native.parents_snapshot d)
-        in
-        check Alcotest.bool "forest ok" true (Forest_check.ok r));
-    case "Link_cas_pre still crashes inside unite_batch" (fun () ->
-        let d = tuned_create ~seed:35 () in
+        forest_ok d );
+    ( "Link_cas_pre still crashes inside unite_batch",
+      fun kind ->
+        let d = tuned_create kind ~seed:35 () in
         let xs = Array.init 128 (fun i -> i) in
         let ys = Array.init 128 (fun i -> i + 128) in
         with_plan
@@ -294,37 +307,41 @@ let tuned_site_tests =
           (fun () ->
             Inject.enroll ~slot:0;
             try
-              Dsu.Native.unite_batch d xs ys;
+              Driver.unite_batch d xs ys;
               Alcotest.fail "expected Crashed"
             with Inject.Crashed (site, _) ->
               check Alcotest.bool "link site" true (site = Site.Link_cas_pre));
         (* Re-running the abandoned batch disarmed completes it. *)
-        Dsu.Native.unite_batch d xs ys;
+        Driver.unite_batch d xs ys;
         for i = 0 to 127 do
           check Alcotest.bool "pair united" true
-            (Dsu.Native.same_set d xs.(i) ys.(i))
+            (Driver.same_set d xs.(i) ys.(i))
         done;
-        let r =
-          Forest_check.check ~prio:(Dsu.Native.id d)
-            (Dsu.Native.parents_snapshot d)
-        in
-        check Alcotest.bool "forest ok" true (Forest_check.ok r));
-    case "same_set_batch traversals still count Find_hop" (fun () ->
-        let d = tuned_create ~seed:37 () in
-        let rng = Repro_util.Rng.create 11 in
-        for _ = 1 to 300 do
-          Dsu.Native.unite d (Repro_util.Rng.int rng 256)
-            (Repro_util.Rng.int rng 256)
-        done;
+        forest_ok d );
+    ( "same_set_batch traversals still count Find_hop",
+      fun kind ->
+        let d = tuned_create kind ~seed:37 () in
+        random_unites d ~seed:11 ~count:300;
         let xs = Array.init 128 (fun i -> i) in
         let ys = Array.init 128 (fun i -> 255 - i) in
         with_plan
           { Inject.seed = 36; rules_for = (fun _ -> []) }
           (fun () ->
             Inject.enroll ~slot:0;
-            ignore (Dsu.Native.same_set_batch d xs ys : bool array);
-            check Alcotest.bool "hops recorded" true (Inject.my_hops () > 0)));
+            ignore (Driver.same_set_batch d xs ys : bool array);
+            check Alcotest.bool "hops recorded" true (Inject.my_hops () > 0)) );
   ]
+
+let tuned_site_tests =
+  List.concat_map
+    (fun kind ->
+      List.map
+        (fun (name, f) ->
+          case
+            (Printf.sprintf "%s: %s" (Driver.kind_to_string kind) name)
+            (fun () -> f kind))
+        tuned_site_cases)
+    [ Driver.Flat; Driver.Packed ]
 
 (* --------------------------------------------------------- Forest_check *)
 
