@@ -2214,15 +2214,15 @@ let run_connectivity gens samplings finishes modes domains_list scale
     let outcome =
       Lincheck.Determinism.check
         ~run:(fun ~domains ~on_round ->
-          let labels, _ =
+          let labels, report =
             Graphs.Det_bulk.run ~domains ~block_chunks ~on_round stream
           in
-          labels)
+          (labels, report.Graphs.Det_bulk.rounds))
         ()
     in
     Printf.printf "determinism: %d runs, %s\n" outcome.Lincheck.Determinism.runs
       (if outcome.Lincheck.Determinism.ok then
-         Printf.sprintf "all labels byte-identical (digest %s)"
+         Printf.sprintf "labels and rounds byte-identical (digest %s)"
            outcome.Lincheck.Determinism.digest
        else "DISAGREEMENT");
     if not outcome.Lincheck.Determinism.ok then begin

@@ -7,7 +7,7 @@ module Faa = Repro_util.Flat_atomic_array
    the OS schedule, and any injected delays.
 
    The stream is consumed in *blocks* of [block_chunks] chunks.  A block
-   is processed in barrier-separated rounds of three phases:
+   is processed in rounds of two phases, each ended by a barrier:
 
    - {b propose}: the forest is frozen; every domain walks its share of
      the block's (still unmerged) edges, chases both endpoints to their
@@ -15,20 +15,26 @@ module Faa = Repro_util.Flat_atomic_array
      where [hi = max ru rv], [lo = min ru rv].  writeMin (a CAS-min loop)
      is commutative and associative, so after the barrier [propose.(h)]
      is the minimum over every proposal for [h] this round — whatever
-     the interleaving.
-   - {b link}: each domain re-reads the slots it touched and installs
-     [parent.(hi) <- propose.(hi)].  Several domains may write the same
-     slot; they write the same (now frozen) value, so the writes are
-     idempotent.  Links always point root -> strictly smaller id, so no
-     cycle can form and the final root of a component is its minimum id.
-   - {b reset}: touched propose slots return to the sentinel, so the
-     next round starts clean.
+     the interleaving.  The domain whose CAS replaced the sentinel owns
+     the slot for the round and is the only one to record it, so every
+     proposed slot appears on exactly one domain's [touched] list.
+   - {b link + reset}: each owner installs [parent.(hi) <- propose.(hi)]
+     and puts the sentinel back, so the next round starts clean.  Each
+     slot has one writer, and the value it writes is frozen.  Links
+     always point root -> strictly smaller id, so no cycle can form and
+     the final root of a component is its minimum id.
 
-   A round with no proposal anywhere ends the block (the shared
-   [progress] flag is an OR — again commutative).  Because every phase
-   is deterministic given the frozen state before it, by induction the
-   parent array after every round — and hence the final labels — is
-   schedule-independent.
+   A round with no proposal anywhere ends the block.  Progress is an OR
+   (again commutative) into one of two flags chosen by round parity.
+   Round [r]'s link phase clears the flag of round [r + 1]: it is the
+   flag round [r - 1] used, whose readers have all passed round [r]'s
+   first barrier, and the barrier after the link phase orders the clear
+   before round [r + 1]'s proposals.  Because every phase is
+   deterministic given the frozen state before it, by induction the
+   parent array after every round — and hence the final labels and the
+   round count — is schedule-independent.  After a block's last round
+   the forest is fully compressed (a range-partitioned pass, then a
+   barrier), so the next block starts from depth-one trees.
 
    Work partitioning is by *chunk index*, never by domain count: chunk
    [j] of a block always belongs to domain [j mod domains], so changing
@@ -67,7 +73,8 @@ let barrier_wait b ~local_sense =
     done
   end
 
-(* One domain's slice of the current block, compacted across rounds. *)
+(* One domain's slice of the current block, compacted across rounds,
+   and the propose slots it owns this round. *)
 type slice = {
   src : int array;
   dst : int array;
@@ -76,24 +83,23 @@ type slice = {
   mutable touched_len : int;
 }
 
-let run ?(domains = 4) ?(block_chunks = 8) ?(flatten_every = 1)
+let run ?(domains = 4) ?(block_chunks = 8)
     ?(on_round = fun ~domain:_ ~round:_ -> ()) stream =
   if domains < 1 then invalid_arg "Det_bulk.run: domains must be >= 1";
   if block_chunks < 1 then
     invalid_arg "Det_bulk.run: block_chunks must be >= 1";
-  if flatten_every < 1 then
-    invalid_arg "Det_bulk.run: flatten_every must be >= 1";
   let n = Edge_stream.n stream in
   let m = Edge_stream.total_edges stream in
   let chunk_size = Edge_stream.chunk_size stream in
   let chunks = Edge_stream.chunk_count stream in
   let blocks = (chunks + block_chunks - 1) / block_chunks in
   (* Plain parent array: written only in barrier-separated link/flatten
-     phases (same-value races only), read only in frozen phases. *)
+     phases (one writer per slot), read only in frozen phases. *)
   let parent = Array.init n (fun i -> i) in
   let sentinel = n in
   let propose = Faa.make n (fun _ -> sentinel) in
-  let progress = Atomic.make false in
+  (* [progress.(r land 1)]: some edge of round [r] still joins two roots. *)
+  let progress = [| Atomic.make false; Atomic.make false |] in
   let barrier = barrier_make domains in
   let rounds_total = ref 0 in
   (* Per-domain slice capacity: chunks j mod domains = d of a block. *)
@@ -118,7 +124,7 @@ let run ?(domains = 4) ?(block_chunks = 8) ?(flatten_every = 1)
         src = Array.make slice_cap 0;
         dst = Array.make slice_cap 0;
         live = 0;
-        touched = Array.make slice_cap 0;
+        touched = Array.make (min slice_cap n) 0;
         touched_len = 0;
       }
     in
@@ -139,7 +145,11 @@ let run ?(domains = 4) ?(block_chunks = 8) ?(flatten_every = 1)
       let round = ref 0 in
       let continue = ref true in
       while !continue do
-        (* Propose phase: compact live edges in place. *)
+        let flag = progress.(!round land 1) in
+        (* Propose phase: compact live edges in place.  A plain load
+           suffices for writeMin: within the phase a slot only
+           decreases, so a stale read is too large and the CAS retries,
+           and the barriers order every reset before it. *)
         let keep = ref 0 in
         sl.touched_len <- 0;
         for k = 0 to sl.live - 1 do
@@ -148,38 +158,37 @@ let run ?(domains = 4) ?(block_chunks = 8) ?(flatten_every = 1)
           if ru <> rv then begin
             let hi = if ru > rv then ru else rv in
             let lo = if ru > rv then rv else ru in
-            (* writeMin *)
-            let rec write_min () =
-              let cur = Faa.get propose hi in
-              if lo < cur && not (Faa.cas propose hi cur lo) then write_min ()
-            in
-            write_min ();
-            sl.touched.(sl.touched_len) <- hi;
-            sl.touched_len <- sl.touched_len + 1;
+            (* writeMin, as a loop: a local closure would allocate per
+               edge, and every minor collection stops both domains. *)
+            let cur = ref (Faa.unsafe_load propose hi) in
+            while lo < !cur do
+              if Faa.unsafe_cas propose hi !cur lo then begin
+                if !cur = sentinel then begin
+                  Array.unsafe_set sl.touched sl.touched_len hi;
+                  sl.touched_len <- sl.touched_len + 1
+                end;
+                cur := lo
+              end
+              else cur := Faa.unsafe_load propose hi
+            done;
             Array.unsafe_set sl.src !keep ru;
             Array.unsafe_set sl.dst !keep rv;
             incr keep
           end
         done;
         sl.live <- !keep;
-        if sl.touched_len > 0 && not (Atomic.get progress) then
-          Atomic.set progress true;
+        if !keep > 0 && not (Atomic.get flag) then Atomic.set flag true;
         bar ();
         on_round ~domain:d ~round:!round;
-        if Atomic.get progress then begin
-          (* Link phase: idempotent same-value writes. *)
+        if Atomic.get flag then begin
+          (* Link + reset over the slots this domain owns. *)
           for k = 0 to sl.touched_len - 1 do
-            let hi = sl.touched.(k) in
-            let p = Faa.get propose hi in
-            if p < hi then Array.unsafe_set parent hi p
-          done;
-          bar ();
-          (* Reset phase. *)
-          for k = 0 to sl.touched_len - 1 do
-            Faa.set propose sl.touched.(k) sentinel
+            let hi = Array.unsafe_get sl.touched k in
+            Array.unsafe_set parent hi (Faa.unsafe_load propose hi);
+            Faa.unsafe_set_release propose hi sentinel
           done;
           if d = 0 then begin
-            Atomic.set progress false;
+            Atomic.set progress.((!round + 1) land 1) false;
             incr rounds_total
           end;
           bar ();
@@ -190,15 +199,19 @@ let run ?(domains = 4) ?(block_chunks = 8) ?(flatten_every = 1)
       (* Deterministic flatten: each vertex's root is frozen, so the
          range-partitioned writes commute with concurrent root chases
          (a racy read sees the old or the new parent — both reach the
-         same root). *)
-      if (b + 1) mod flatten_every = 0 || b = blocks - 1 then begin
-        let lo = d * n / domains and hi = (d + 1) * n / domains in
-        for v = lo to hi - 1 do
-          let r = root v in
-          if Array.unsafe_get parent v <> r then Array.unsafe_set parent v r
-        done;
-        bar ()
-      end
+         same root).  Both progress flags are cleared before the
+         barrier: the other parity still holds the previous round's
+         [true], which would otherwise run an empty round 0 next block. *)
+      let lo = d * n / domains and hi = (d + 1) * n / domains in
+      for v = lo to hi - 1 do
+        let r = root v in
+        if Array.unsafe_get parent v <> r then Array.unsafe_set parent v r
+      done;
+      if d = 0 then begin
+        Atomic.set progress.(0) false;
+        Atomic.set progress.(1) false
+      end;
+      bar ()
     done
   in
   if domains = 1 then body 0

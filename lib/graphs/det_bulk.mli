@@ -1,17 +1,21 @@
 (** Internally deterministic bulk union-find over an {!Edge_stream}
-    (after Fedorov–Hashemi–Nadiradze–Alistarh): barrier-separated
-    propose / link / reset rounds whose only cross-domain combination
-    operators are writeMin and OR — both commutative — so the output
-    forest is a function of the input stream alone, independent of the
-    domain count, the OS schedule, and any injected delays.
+    (after Fedorov–Hashemi–Nadiradze–Alistarh): rounds of a propose
+    phase and a fused link + reset phase, each ended by a barrier, whose
+    only cross-domain combination operators are writeMin and OR — both
+    commutative — so the output forest is a function of the input
+    stream alone, independent of the domain count, the OS schedule, and
+    any injected delays.
 
     Links always point root → strictly smaller id, so the final label of
     every vertex is its component's minimum id: the labels are canonical
     without a normalization pass, and two runs agree byte-for-byte.
 
-    Roughly 2–3× slower than the racy {!Connectit} finish phase on the
-    same stream (three barriers per round, no early settling) — the
-    price of replayability; see docs/PERFORMANCE.md. *)
+    No sampling and no early settling: every unmerged edge of a block
+    is chased to its roots in every round until the block settles,
+    which is the price of replayability.  Even so, on the benchmark's
+    R-MAT stream at 2 domains it outruns the racy {!Connectit} pipeline
+    with k-out sampling; see docs/PERFORMANCE.md ("Deterministic
+    mode"). *)
 
 type report = {
   n : int;
@@ -24,16 +28,15 @@ type report = {
 val run :
   ?domains:int ->
   ?block_chunks:int ->
-  ?flatten_every:int ->
   ?on_round:(domain:int -> round:int -> unit) ->
   Edge_stream.t ->
   int array * report
 (** [run stream] returns [(labels, report)]: [labels.(v)] is the minimum
     vertex id of [v]'s component.  [domains] (default 4) only changes
     who does the work, never the result.  [block_chunks] (default 8)
-    bounds resident edges at [block_chunks * chunk_size] pairs;
-    [flatten_every] (default 1) full-compresses the forest after every
-    k-th block (a barrier-separated, deterministic pass).  [on_round]
-    fires on every domain after each round barrier — the determinism
-    check injects sleeps here to perturb schedules.
+    bounds resident edges at [block_chunks * chunk_size] pairs; the
+    forest is fully compressed after every block (a barrier-separated,
+    deterministic pass).  [on_round] fires on every domain after each
+    round's first barrier — the determinism check injects sleeps here
+    to perturb schedules.
     @raise Invalid_argument on non-positive parameters. *)

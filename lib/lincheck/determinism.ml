@@ -5,7 +5,9 @@ module Rng = Repro_util.Rng
    lincheck-style companion to {!Checker}: instead of searching for a
    linearization of one observed history, it replays the *same input
    stream* under many schedules (domain counts x perturbation seeds x
-   injected yields) and demands byte-identical output.
+   injected yields) and demands byte-identical output — the labels and
+   the round count, since min-id labels alone are the same for any
+   correct engine.
 
    The check has teeth in both directions:
 
@@ -19,16 +21,16 @@ module Rng = Repro_util.Rng
      is a property of the engine, not of the workload. *)
 
 type outcome = {
-  digest : string;  (** digest of the agreed labels (when [ok]) *)
+  digest : string;  (** digest of the agreed labels and rounds (when [ok]) *)
   runs : int;
   ok : bool;
   failures : string list;
-      (** one ["domains=2 seed=3 yields=on: <digest>"] line per
+      (** one ["domains=D perturb=S: <got> (expected <ref>)"] line per
           disagreeing run *)
 }
 
-let digest_labels (labels : int array) =
-  Digest.to_hex (Digest.string (Marshal.to_string labels []))
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+let digest_labels (labels : int array) = digest labels
 
 (* A pseudo-random sleep schedule: perturb domain [d] after round [r]
    with probability ~1/4, sleeping up to ~200us.  Enough jitter to
@@ -51,8 +53,8 @@ let check ?(domain_counts = [ 1; 2; 4 ]) ?(perturb_seeds = [ 0; 1; 2 ])
             if perturb_seed = 0 then fun ~domain:_ ~round:_ -> ()
             else yield_schedule perturb_seed
           in
-          let labels : int array = run ~domains ~on_round in
-          let d = digest_labels labels in
+          let (labels : int array), (rounds : int) = run ~domains ~on_round in
+          let d = digest (labels, rounds) in
           incr runs;
           match !reference with
           | None -> reference := Some d

@@ -1,7 +1,10 @@
 (** Determinism checking — the lincheck-style companion to {!Checker}
     for the internally deterministic bulk connectivity engine: replay
     one input under many schedules (domain counts × perturbation seeds
-    with injected sleeps) and demand byte-identical output.
+    with injected sleeps) and demand byte-identical output: the labels
+    and the engine's round count.  Canonical (min-id) labels alone are
+    the same for {e any} correct engine; the round count is what pins the
+    engine's own schedule-independent trajectory.
 
     The module is engine-agnostic: callers pass a closure that runs the
     engine at a given domain count with a given round hook, so the check
@@ -9,7 +12,7 @@
     the graphs layer. *)
 
 type outcome = {
-  digest : string;  (** digest of the agreed labels (when [ok]) *)
+  digest : string;  (** digest of the agreed labels and rounds (when [ok]) *)
   runs : int;
   ok : bool;
   failures : string list;
@@ -25,12 +28,15 @@ val check :
   ?domain_counts:int list ->
   ?perturb_seeds:int list ->
   run:
-    (domains:int -> on_round:(domain:int -> round:int -> unit) -> int array) ->
+    (domains:int ->
+    on_round:(domain:int -> round:int -> unit) ->
+    int array * int) ->
   unit ->
   outcome
 (** Run the engine once per (domain count × perturbation seed) — seeds
     default to [[0; 1; 2]], where seed 0 injects no delays and the rest
-    sleep pseudo-randomly inside [on_round] — and compare digests.
+    sleep pseudo-randomly inside [on_round] — and compare digests of the
+    [(labels, rounds)] pair each run returns.
     [ok = false] lists every run disagreeing with the first. *)
 
 val distinguish :

@@ -379,14 +379,58 @@ let determinism_tests =
           Determinism.check ~domain_counts:[ 1; 2; 4 ]
             ~perturb_seeds:[ 0; 1; 2 ]
             ~run:(fun ~domains ~on_round ->
-              let labels, _ = Det_bulk.run ~domains ~on_round s in
-              labels)
+              let labels, report = Det_bulk.run ~domains ~on_round s in
+              (labels, report.Det_bulk.rounds))
             ()
         in
         check Alcotest.int "runs" 9 out.Determinism.runs;
         if not out.Determinism.ok then
           Alcotest.failf "determinism violated:\n%s"
             (String.concat "\n" out.Determinism.failures));
+    case "det reports pinned on multi-block streams (golden)" (fun () ->
+        (* Rounds, blocks, components and the labels' MD5 are functions
+           of the stream alone, so they are pinned at every domain count.
+           Each stream spans four blocks (8 chunks of 256 edges each).
+           The dense stream is connected within its first block, whose
+           last round has an odd index, so its later blocks propose
+           nothing: a progress flag leaking into the next block shows up
+           there as an extra round. *)
+        let labels_md5 labels =
+          let b = Buffer.create 4096 in
+          Array.iter (fun l -> Printf.bprintf b "%d\n" l) labels;
+          Digest.to_hex (Digest.string (Buffer.contents b))
+        in
+        List.iter
+          (fun (name, s, rounds, components, md5) ->
+            List.iter
+              (fun domains ->
+                let what = Printf.sprintf "%s, %d domain(s)" name domains in
+                let labels, r = Det_bulk.run ~domains s in
+                check Alcotest.int (what ^ ": blocks") 4 r.Det_bulk.blocks;
+                check Alcotest.int (what ^ ": rounds") rounds r.Det_bulk.rounds;
+                check Alcotest.int (what ^ ": components") components
+                  r.Det_bulk.components;
+                check Alcotest.string (what ^ ": labels md5") md5
+                  (labels_md5 labels))
+              [ 1; 2; 3; 4 ])
+          [
+            ( "rmat",
+              Edge_stream.rmat ~chunk_size:256 ~seed:41 ~scale:10
+                ~edge_factor:8 (),
+              6, 224, "4154117fd27376c305d7e52ae3e2a2cd" );
+            ( "erdos-renyi",
+              Edge_stream.erdos_renyi ~chunk_size:256 ~seed:43 ~n:4000
+                ~m:6500 (),
+              11, 156, "1b89e1f3c7f6b49fa483b4539375ca88" );
+            ( "power-law",
+              Edge_stream.power_law ~chunk_size:256 ~seed:47 ~n:4000 ~m:6500
+                (),
+              7, 760, "d55c0c98bd1d25289b07f0c878b0eef8" );
+            ( "dense erdos-renyi",
+              Edge_stream.erdos_renyi ~chunk_size:256 ~seed:53 ~n:1024
+                ~m:8192 (),
+              3, 1, "4930370422bacc1c6a7d302703657c0b" );
+          ]);
     case "det run_stream is byte-identical across domain counts" (fun () ->
         let s =
           Edge_stream.power_law ~chunk_size:256 ~seed:31 ~n:700 ~m:2800 ()
