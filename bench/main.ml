@@ -22,7 +22,7 @@
    A second mode, --parallel, skips bechamel entirely and runs the
    domain-parallel scalability sweep (Harness.Scalability): one shared DSU
    under 1..N domains, across find policies, memory layouts (flat /
-   cache-line-padded / boxed), parent-load memory orders, link-CAS backoff
+   cache-line-padded / packed), parent-load memory orders, link-CAS backoff
    on/off, and key distributions (uniform / skewed).  --out then writes
    the dsu-scalability/v2 JSON document; see docs/PERFORMANCE.md.
 
@@ -77,16 +77,8 @@ let bench_native_policy policy =
          let d = Dsu.Native.create ~policy ~seed:7 n_medium in
          Workload.Op.run_native_array d ops))
 
-(* Memory-layout A/B twins: the identical workload over the boxed
-   (pre-flat) parent array, and over the cache-line-padded flat array. *)
-let bench_boxed_policy policy =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make
-    ~name:(Printf.sprintf "native/boxed-%s" (Policy.to_string policy))
-    (Staged.stage (fun () ->
-         let d = Dsu.Boxed.create ~policy ~seed:7 n_medium in
-         Workload.Op.run_boxed_array d ops))
-
+(* Memory-layout A/B twin: the identical workload over the
+   cache-line-padded flat array. *)
 let bench_native_padded =
   let ops = mixed_ops_arr n_medium n_medium 3 in
   Test.make ~name:"native/padded-two-try"
@@ -286,8 +278,8 @@ let bench_growable_unbounded =
            Dsu.Growable_unbounded.unite g first e
          done))
 
-(* Micro: single operations on a prepared structure, with boxed-layout and
-   padded-layout twins for the flat-vs-boxed headline number.
+(* Micro: single operations on a prepared structure, with a padded-layout
+   twin for the false-sharing ablation.
 
    The preparation ends with repeated find passes over every node: two-try
    splitting keeps shortening paths, so without the passes the structure
@@ -299,13 +291,6 @@ let flatten_native d =
   for _ = 1 to 3 do
     for i = 0 to Dsu.Native.n d - 1 do
       ignore (Dsu.Native.find d i)
-    done
-  done
-
-let flatten_boxed d =
-  for _ = 1 to 3 do
-    for i = 0 to Dsu.Boxed.n d - 1 do
-      ignore (Dsu.Boxed.find d i)
     done
   done
 
@@ -334,17 +319,6 @@ let bench_single_find =
            ignore (Dsu.Native.find d (Array.unsafe_get idx k))
          done))
 
-let bench_single_find_boxed =
-  let d = Dsu.Boxed.create ~seed:41 n_medium in
-  Workload.Op.run_boxed_array d (Array.of_list (spanning_ops n_medium 43));
-  flatten_boxed d;
-  let idx = micro_indices 47 in
-  Test.make ~name:"micro/find-boxed"
-    (Staged.stage (fun () ->
-         for k = 0 to micro_batch - 1 do
-           ignore (Dsu.Boxed.find d (Array.unsafe_get idx k))
-         done))
-
 let bench_single_find_padded =
   let d = Dsu.Native.create ~padded:true ~seed:41 n_medium in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
@@ -366,18 +340,6 @@ let bench_single_same_set =
          for k = 0 to micro_batch - 1 do
            ignore
              (Dsu.Native.same_set d (Array.unsafe_get xs k) (Array.unsafe_get ys k))
-         done))
-
-let bench_single_same_set_boxed =
-  let d = Dsu.Boxed.create ~seed:53 n_medium in
-  Workload.Op.run_boxed_array d (Array.of_list (spanning_ops n_medium 59));
-  flatten_boxed d;
-  let xs = micro_indices 61 and ys = micro_indices 67 in
-  Test.make ~name:"micro/same_set-boxed"
-    (Staged.stage (fun () ->
-         for k = 0 to micro_batch - 1 do
-           ignore
-             (Dsu.Boxed.same_set d (Array.unsafe_get xs k) (Array.unsafe_get ys k))
          done))
 
 (* Memory-order micro twin of micro/find: identical flattened structure and
@@ -513,8 +475,6 @@ let all_tests () =
     bench_native_policy Policy.No_compaction;
     bench_native_policy Policy.One_try_splitting;
     bench_native_policy Policy.Two_try_splitting;
-    bench_boxed_policy Policy.Two_try_splitting;
-    bench_boxed_policy Policy.One_try_splitting;
     bench_native_padded;
     bench_native_seqcst;
     bench_native_nobackoff;
@@ -539,11 +499,9 @@ let all_tests () =
     bench_growable;
     bench_growable_unbounded;
     bench_single_find;
-    bench_single_find_boxed;
     bench_single_find_padded;
     bench_single_find_seqcst;
     bench_single_same_set;
-    bench_single_same_set_boxed;
     bench_bulk_unite_batch;
     bench_bulk_unite_per_op;
     bench_bulk_same_set_batch;
@@ -566,7 +524,7 @@ let parallel_ops = ref 400_000
 let max_domains = ref 8
 let unite_percent = ref 30
 let parallel_policies = ref [ Policy.Two_try_splitting; Policy.One_try_splitting ]
-let parallel_layouts = ref [ Harness.Scalability.Flat; Harness.Scalability.Boxed ]
+let parallel_layouts = ref [ Harness.Scalability.Flat ]
 let parallel_orders = ref [ Dsu.Memory_order.default ]
 let parallel_backoffs = ref [ true ]
 let parallel_dists = ref [ Harness.Scalability.Uniform ]
@@ -611,8 +569,9 @@ let set_layouts s =
     String.split_on_char ',' s
     |> List.map (fun l ->
            match Harness.Scalability.layout_of_string (String.trim l) with
-           | Some l -> l
-           | None -> raise (Arg.Bad (Printf.sprintf "unknown layout %S" l)))
+           | Some Harness.Scalability.Growable | None ->
+             raise (Arg.Bad (Printf.sprintf "unknown or unswept layout %S" l))
+           | Some l -> l)
   in
   if layouts = [] then raise (Arg.Bad "--layouts: empty list");
   parallel_layouts := layouts
@@ -693,8 +652,8 @@ let speclist =
       "P1,P2  find policies for --parallel (default two-try,one-try)" );
     ( "--layouts",
       Arg.String set_layouts,
-      "L1,L2  memory layouts for --parallel: flat, flat-padded, boxed \
-       (default flat,boxed)" );
+      "L1,L2  memory layouts for --parallel: flat, flat-padded, packed \
+       (default flat)" );
     ( "--memory-orders",
       Arg.String set_memory_orders,
       "O1,O2  parent-load memory orders for --parallel: seq-cst, acquire, \

@@ -16,7 +16,7 @@
      dsu_workload native --impl jt --wal ops.wal
      dsu_workload snapshot --fuzzy --snapshot-out fuzzy.snap
      dsu_workload restore --resume-from fuzzy.snap --wal ops.wal --validate
-     dsu_workload chaos --durable --kind packed
+     dsu_workload chaos --durable --layout packed
      dsu_workload wal --file ops.wal --dump --check
      dsu_workload durability --max-overhead 15
      dsu_workload serve --arrival-rate 20000 --workers 2 --admission reject
@@ -487,7 +487,7 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
     | Some p, _ -> on_driver p
     | None, Jt -> on_driver (plan_of_policy policy)
     | None, Packed ->
-      on_driver (Dsu.Driver.plan_for Dsu.Driver.Packed (plan_of_policy policy))
+      on_driver (Dsu.Plan.on_layout Dsu.Plan.Packed (plan_of_policy policy))
     | None, Jt_early ->
       let d =
         Dsu.Native.create ~policy ~early:true ~collect_stats:true ?on_link ~seed n
@@ -1065,8 +1065,8 @@ let layouts_arg =
     & opt_all layout_conv []
     & info [ "layout" ] ~docv:"LAYOUT"
         ~doc:
-          "Memory layout to test: flat, flat-padded or boxed (repeatable; \
-           default flat).")
+          "Memory layout to test: flat, flat-padded, growable or packed \
+           (repeatable; default flat).")
 
 let policies_arg =
   Arg.(
@@ -1103,26 +1103,8 @@ let durable_arg =
            snapshots; crashes are injected into the snapshot scan and \
            mid-group-commit, then recovery (newest snapshot + WAL tail \
            replay) must restore a structure that absorbs a full re-run and \
-           passes the audit.  Runs over snapshot kinds ($(b,--kind)), not \
-           $(b,--layout).")
-
-let kind_conv =
-  let parse s =
-    match Rsnap.kind_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg (Printf.sprintf "unknown snapshot kind %S" s))
-  in
-  let print ppf k = Format.pp_print_string ppf (Rsnap.kind_to_string k) in
-  Arg.conv (parse, print)
-
-let kinds_arg =
-  Arg.(
-    value
-    & opt_all kind_conv []
-    & info [ "kind" ] ~docv:"KIND"
-        ~doc:
-          "With $(b,--durable): snapshot kind to drill — flat, boxed, \
-           growable or packed (repeatable; default all four).")
+           passes the audit.  Runs over $(b,--layout), like the other \
+           drills.")
 
 let chaos_snapshot_out_arg =
   Arg.(
@@ -1135,7 +1117,7 @@ let chaos_snapshot_out_arg =
 
 let run_chaos n ops domains crash_domains crash_after stall_prob stall_len
     unite_frac seed fault_seed policies layouts memory_order validate recover
-    durable kinds snapshot_out json_out metrics_out =
+    durable snapshot_out json_out metrics_out =
   let* () =
     check_arg
       (not (durable && recover))
@@ -1180,9 +1162,8 @@ let run_chaos n ops domains crash_domains crash_after stall_prob stall_len
     }
   in
   if durable then begin
-    let kinds = if kinds = [] then Chaos.all_kinds else kinds in
     let ds =
-      Chaos.run_durable_all ~config ~kinds
+      Chaos.run_durable_all ~config
         ~progress:(fun d -> Format.printf "%a@." Chaos.pp_durable d)
         ()
     in
@@ -1271,7 +1252,7 @@ let chaos_cmd =
         $ crash_after_arg $ stall_prob_arg $ stall_len_arg $ unite_frac_arg
         $ seed_arg $ fault_seed_arg $ policies_arg $ layouts_arg
         $ memory_order_arg $ validate_arg $ recover_arg $ durable_arg
-        $ kinds_arg $ chaos_snapshot_out_arg $ json_out_arg $ metrics_out_arg))
+        $ chaos_snapshot_out_arg $ json_out_arg $ metrics_out_arg))
 
 (* --------------------------------------------------------- latency mode *)
 
@@ -1767,15 +1748,6 @@ let serve_admission_arg =
            answered Shed, never dropped silently), $(b,block) or \
            $(b,block:MS) retries under backoff until a deadline.")
 
-let serve_kind_arg =
-  Arg.(
-    value
-    & opt (some kind_conv) None
-    & info [ "kind" ] ~docv:"KIND"
-        ~doc:
-          "Backend kind: flat, boxed, growable or packed (default: the \
-           layout $(b,--plan) names; growable runs a flat plan).")
-
 let serve_find_frac_arg =
   Arg.(
     value
@@ -1808,7 +1780,7 @@ let serve_chaos_arg =
     value & flag
     & info [ "chaos" ]
         ~doc:
-          "Run the crash-recovery drill over all four backend kinds instead \
+          "Run the crash-recovery drill over all three backend kinds instead \
            of the sweep: crash a worker mid-drain and the WAL committer \
            mid-commit, recover from the newest fuzzy snapshot + WAL tail, \
            resume serving, and measure RPO (acked-but-lost unites; must be \
@@ -1816,7 +1788,7 @@ let serve_chaos_arg =
            any drill check fails.")
 
 let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
-    batch admission plan autotune_cache kind durable deadline_ms chaos
+    batch admission plan autotune_cache durable deadline_ms chaos
     json_out baseline threshold =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
@@ -1837,11 +1809,7 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
   in
   let* plan =
     match plan with
-    | None ->
-      Ok
-        (match kind with
-        | Some k -> Dsu.Driver.plan_for k Dsu.Plan.default
-        | None -> Dsu.Plan.default)
+    | None -> Ok Dsu.Plan.default
     | Some (`Plan p) -> Ok p
     | Some `Auto ->
       let profile =
@@ -1862,14 +1830,6 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
         (match source with `Cached -> "cached" | `Measured -> "measured");
       Ok r.Harness.Autotune.winner
   in
-  let kind =
-    Option.value kind ~default:(Dsu.Driver.kind_of_layout plan.Dsu.Plan.layout)
-  in
-  let* () =
-    Result.map_error
-      (fun e -> `Msg ("--kind/--plan: " ^ e))
-      (Dsu.Driver.check_kind kind plan)
-  in
   let config =
     {
       Hservice.n;
@@ -1884,7 +1844,6 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
       batch;
       admission;
       plan;
-      kind;
       op_deadline_ms = deadline_ms;
       durable;
     }
@@ -1941,7 +1900,7 @@ let serve_cmd =
         (const run_serve $ n_arg $ ops_arg $ unite_frac_arg
         $ serve_find_frac_arg $ seed_arg $ serve_gens_arg $ arrival_rates_arg
         $ shape_arg $ serve_workers_arg $ serve_qcap_arg $ serve_batch_arg
-        $ serve_admission_arg $ plan_arg $ autotune_cache_arg $ serve_kind_arg
+        $ serve_admission_arg $ plan_arg $ autotune_cache_arg
         $ serve_wal_arg $ serve_deadline_arg $ serve_chaos_arg $ json_out_arg
         $ baseline_arg $ diff_threshold_arg))
 

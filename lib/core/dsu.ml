@@ -34,13 +34,6 @@ module Algorithm = Dsu_algorithm
 module Native_memory = Native_memory
 module Native = Dsu_native
 
-module Boxed_memory = Boxed_memory
-(** The pre-flat-layout memory ([int Atomic.t array]); baseline side of the
-    memory-layout A/B benchmarks. *)
-
-(** The algorithm over {!Boxed_memory} — benchmarking comparator only; use
-    {!Native} for real work. *)
-module Boxed = Dsu_boxed
 module Sim = Dsu_sim
 module Growable = Growable
 
@@ -61,5 +54,6 @@ module Plan = Dsu_plan
     by [Harness.Autotune] and the [--plan] CLI spec syntax. *)
 
 module Driver = Dsu_driver
-(** The one backend type: a variant over the flat, boxed, growable and
-    packed layouts, built from a {!Plan} or restored from a snapshot. *)
+(** The one backend type: a variant over the flat, growable and packed
+    layouts, built from the {!Plan} that names it or restored from a
+    snapshot. *)

@@ -1,70 +1,40 @@
 (** A DSU backend as one value; see the interface.  The two layout
     dispatches are {!create} here and [Repro_recover.Restore.restore]. *)
 
-type kind = Flat | Boxed | Growable | Packed
+type kind = Flat | Growable | Packed
 
 type t =
   | Flat of Dsu_native.t
-  | Boxed of Dsu_boxed.t
   | Growable of Growable.t
   | Packed of Packed_dsu.Native.t
 
 let kind : t -> kind = function
   | Flat _ -> Flat
-  | Boxed _ -> Boxed
   | Growable _ -> Growable
   | Packed _ -> Packed
 
 let kind_to_string : kind -> string = function
   | Flat -> "flat"
-  | Boxed -> "boxed"
   | Growable -> "growable"
   | Packed -> "packed"
 
 let kind_of_layout : Dsu_plan.layout -> kind = function
   | Dsu_plan.Flat | Dsu_plan.Padded -> Flat
-  | Dsu_plan.Boxed -> Boxed
+  | Dsu_plan.Growable -> Growable
   | Dsu_plan.Packed -> Packed
 
-let plan_for (kind : kind) (p : Dsu_plan.t) =
-  match kind with
-  | Flat when p.Dsu_plan.layout = Dsu_plan.Padded -> p
-  | Flat | Growable -> Dsu_plan.on_layout Dsu_plan.Flat p
-  | Boxed -> Dsu_plan.on_layout Dsu_plan.Boxed p
-  | Packed -> Dsu_plan.on_layout Dsu_plan.Packed p
-
-let check_kind (kind : kind) (p : Dsu_plan.t) =
-  let built = kind_of_layout p.Dsu_plan.layout in
-  if built = kind || (kind = Growable && p.Dsu_plan.layout = Dsu_plan.Flat) then
-    Ok ()
-  else
-    Error
-      (Printf.sprintf "kind %s contradicts plan %s (which builds %s)"
-         (kind_to_string kind) (Dsu_plan.to_string p) (kind_to_string built))
-
-let create ?plan ?kind ?(seed = 1) ?(collect_stats = false) ?on_link n =
-  let plan =
-    match (plan, kind) with
-    | Some p, _ -> p
-    | None, Some k -> plan_for k Dsu_plan.default
-    | None, None -> Dsu_plan.default
-  in
+let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false)
+    ?on_link n =
   (match Dsu_plan.validate plan with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Dsu_driver.create: invalid plan: " ^ msg));
-  let kind = Option.value kind ~default:(kind_of_layout plan.Dsu_plan.layout) in
-  (match check_kind kind plan with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Dsu_driver.create: " ^ msg));
   let { Dsu_plan.compaction = policy; backoff; memory_order; layout; _ } = plan in
-  match kind with
-  | Flat ->
+  match layout with
+  | Dsu_plan.Flat | Dsu_plan.Padded ->
     Flat
       (Dsu_native.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
          ~seed ~padded:(layout = Dsu_plan.Padded) n)
-  | Boxed ->
-    Boxed (Dsu_boxed.create ~policy ~backoff ~collect_stats ?on_link ~seed n)
-  | Growable ->
+  | Dsu_plan.Growable ->
     let d =
       Growable.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
         ~seed ~capacity:n ()
@@ -75,14 +45,13 @@ let create ?plan ?kind ?(seed = 1) ?(collect_stats = false) ?on_link n =
       ignore (Growable.make_set d)
     done;
     Growable d
-  | Packed ->
+  | Dsu_plan.Packed ->
     Packed
       (Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats
          ?on_link n)
 
 let n = function
   | Flat d -> Dsu_native.n d
-  | Boxed d -> Dsu_boxed.n d
   | Growable d -> Growable.cardinal d
   | Packed d -> Packed_dsu.Native.n d
 
@@ -91,21 +60,18 @@ let capacity = function Growable d -> Growable.capacity d | t -> n t
 let find t x =
   match t with
   | Flat d -> Dsu_native.find d x
-  | Boxed d -> Dsu_boxed.find d x
   | Growable d -> Growable.find d x
   | Packed d -> Packed_dsu.Native.find d x
 
 let same_set t x y =
   match t with
   | Flat d -> Dsu_native.same_set d x y
-  | Boxed d -> Dsu_boxed.same_set d x y
   | Growable d -> Growable.same_set d x y
   | Packed d -> Packed_dsu.Native.same_set d x y
 
 let unite t x y =
   match t with
   | Flat d -> Dsu_native.unite d x y
-  | Boxed d -> Dsu_boxed.unite d x y
   | Growable d -> Growable.unite d x y
   | Packed d -> Packed_dsu.Native.unite d x y
 
@@ -116,7 +82,6 @@ let same_length what xs ys =
 let unite_batch t xs ys =
   match t with
   | Flat d -> Dsu_native.unite_batch d xs ys
-  | Boxed d -> Dsu_boxed.unite_batch d xs ys
   | Growable d ->
     same_length "unite_batch" xs ys;
     Array.iteri (fun k x -> Growable.unite d x ys.(k)) xs
@@ -125,7 +90,6 @@ let unite_batch t xs ys =
 let same_set_batch t xs ys =
   match t with
   | Flat d -> Dsu_native.same_set_batch d xs ys
-  | Boxed d -> Dsu_boxed.same_set_batch d xs ys
   | Growable d ->
     same_length "same_set_batch" xs ys;
     Array.mapi (fun k x -> Growable.same_set d x ys.(k)) xs
@@ -134,43 +98,36 @@ let same_set_batch t xs ys =
 let find_batch t xs =
   match t with
   | Flat d -> Dsu_native.find_batch d xs
-  | Boxed d -> Dsu_boxed.find_batch d xs
   | Growable d -> Array.map (Growable.find d) xs
   | Packed d -> Packed_dsu.Native.find_batch d xs
 
 let count_sets = function
   | Flat d -> Dsu_native.count_sets d
-  | Boxed d -> Dsu_boxed.count_sets d
   | Growable d -> Growable.count_sets d
   | Packed d -> Packed_dsu.Native.count_sets d
 
 let parents_snapshot = function
   | Flat d -> Dsu_native.parents_snapshot d
-  | Boxed d -> Dsu_boxed.parents_snapshot d
   | Growable d -> Growable.parents_snapshot d
   | Packed d -> Packed_dsu.Native.parents_snapshot d
 
 let prio t x =
   match t with
   | Flat d -> Dsu_native.id d x
-  | Boxed d -> Dsu_boxed.id d x
   | Growable d -> Growable.priority d x
   | Packed d -> Packed_dsu.Native.rank_of d x
 
 let prios_snapshot = function
   | Flat d -> Dsu_native.ids_snapshot d
-  | Boxed d -> Dsu_boxed.ids_snapshot d
   | Growable d -> Growable.priorities_snapshot d
   | Packed d -> Packed_dsu.Native.ranks_snapshot d
 
 let snapshot_fuzzy = function
   | Flat d -> Dsu_native.snapshot_fuzzy d
-  | Boxed d -> Dsu_boxed.snapshot_fuzzy d
   | Growable d -> Growable.snapshot_fuzzy d
   | Packed d -> Packed_dsu.Native.snapshot_fuzzy d
 
 let stats = function
   | Flat d -> Dsu_native.stats d
-  | Boxed d -> Dsu_boxed.stats d
   | Growable d -> Growable.stats d
   | Packed d -> Packed_dsu.Native.stats d

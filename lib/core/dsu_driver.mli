@@ -1,4 +1,6 @@
-(** A DSU backend as one value: a variant over the layouts.
+(** A DSU backend as one value: a variant over the three kinds of layout
+    (flat, also padded; growable; packed).  A {!Dsu_plan.t} is the only
+    selector: {!create} builds whatever layout the plan names.
 
     Everything above the layout modules — the connectivity pipeline, the
     service, the chaos and recovery drills, snapshots and fuzzy captures —
@@ -16,13 +18,11 @@
 
 type kind =
   | Flat  (** {!Dsu_native}, also the padded layout *)
-  | Boxed  (** {!Dsu_boxed} *)
   | Growable  (** {!Growable}, universe pre-created by {!create} *)
   | Packed  (** {!Packed_dsu.Native}, linking by rank *)
 
 type t =
   | Flat of Dsu_native.t
-  | Boxed of Dsu_boxed.t
   | Growable of Growable.t
   | Packed of Packed_dsu.Native.t
 
@@ -32,30 +32,20 @@ val kind_to_string : kind -> string
 val kind_of_layout : Dsu_plan.layout -> kind
 (** The kind a plan's layout builds ([Padded] is [Flat]). *)
 
-val plan_for : kind -> Dsu_plan.t -> Dsu_plan.t
-(** The plan moved onto [kind]'s layout ({!Dsu_plan.on_layout}), keeping
-    its compaction, backoff and (where the layout has one) memory order. *)
-
-val check_kind : kind -> Dsu_plan.t -> (unit, string) result
-(** [Error] naming both when the plan's layout cannot build [kind]
-    ([Growable] runs on the flat layout's plan). *)
-
 val create :
   ?plan:Dsu_plan.t ->
-  ?kind:kind ->
   ?seed:int ->
   ?collect_stats:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
   int ->
   t
 (** [create n] builds the structure the plan names ([plan] defaults to
-    [plan_for kind Dsu_plan.default], or {!Dsu_plan.default} without a
-    [kind]).  [kind] defaults to the plan's layout; pass [Growable] for the
-    [MakeSet] layout, whose [n] elements are created up front.  [seed]
-    feeds the random priorities of the id-linking layouts (ignored by
-    [Packed]); [on_link] hooks every successful link CAS.
-    @raise Invalid_argument if {!Dsu_plan.validate} rejects the plan, the
-    kind contradicts it ({!check_kind}), or [n < 1]. *)
+    {!Dsu_plan.default}): its layout picks the kind, and a [Growable]
+    plan creates its [n] elements up front.  [seed] feeds the random
+    priorities of the id-linking layouts (ignored by [Packed]); [on_link]
+    hooks every successful link CAS.
+    @raise Invalid_argument if {!Dsu_plan.validate} rejects the plan or
+    [n < 1]. *)
 
 val n : t -> int
 (** Elements present ([cardinal] for Growable). *)

@@ -12,20 +12,23 @@
     meaningful:
 
     - [Random_id] linking (the paper's randomized algorithm) runs over
-      the [Flat], [Padded] and [Boxed] layouts;
+      the [Flat], [Padded] and [Growable] layouts ([Growable] is the
+      [MakeSet] layout, {!Growable});
     - [By_rank] linking runs over the [Packed] single-word layout;
     - [By_size] linking names the remaining cell of the Alistarh et al.
       grid but has no concurrent implementation here yet — always
-      invalid, with a saying-so error;
-    - the [Boxed] layout has no memory-order knob ([Atomic.t] is always
-      sequentially consistent), so only [Seq_cst] is accepted for it.
+      invalid, with a saying-so error.
+
+    The plan is the one value that names a backend: {!Dsu_driver.create}
+    builds the layout the plan names.
 
     The spec syntax, shared by [bench --plan] and [dsu_workload --plan],
     is five colon-separated fields:
 
     {v linking:compaction:memory-order:backoff:layout
        e.g.  rand:two-try:relaxed-reads:on:flat
-             rank:halving:acquire:off:packed v} *)
+             rank:halving:acquire:off:packed
+             rand:two-try:relaxed-reads:on:growable v} *)
 
 type linking = Random_id | By_rank | By_size
 
@@ -42,20 +45,18 @@ let linking_of_string = function
   | "size" -> Some By_size
   | _ -> None
 
-type layout = Flat | Padded | Boxed | Packed
-
-let all_layouts = [ Flat; Padded; Boxed; Packed ]
+type layout = Flat | Padded | Growable | Packed
 
 let layout_to_string = function
   | Flat -> "flat"
   | Padded -> "flat-padded"
-  | Boxed -> "boxed"
+  | Growable -> "growable"
   | Packed -> "packed"
 
 let layout_of_string = function
   | "flat" -> Some Flat
   | "flat-padded" | "padded" -> Some Padded
-  | "boxed" -> Some Boxed
+  | "growable" -> Some Growable
   | "packed" -> Some Packed
   | _ -> None
 
@@ -103,26 +104,15 @@ let validate p =
        ROADMAP.md); use rand or rank"
   | Random_id, Packed ->
     Error "the packed layout links by rank; use rank:...:packed"
-  | By_rank, (Flat | Padded | Boxed) ->
+  | By_rank, (Flat | Padded | Growable) ->
     Error "rank linking requires the packed layout (rank:...:packed)"
-  | (Random_id | By_rank), _ ->
-    if p.layout = Boxed && p.memory_order <> Memory_order.Seq_cst then
-      Error
-        "the boxed layout has no memory-order knob (Atomic.t is always \
-         seq-cst); spell it rand:...:seq-cst:...:boxed"
-    else Ok ()
+  | (Random_id | By_rank), _ -> Ok ()
 
 let is_valid p = Result.is_ok (validate p)
 
-(* [p] moved onto [layout]: the linking rule that layout implements, and
-   seq-cst on the boxed layout, which has no memory-order knob. *)
+(* [p] moved onto [layout], with the linking rule that layout implements. *)
 let on_layout layout p =
-  {
-    p with
-    layout;
-    linking = (if layout = Packed then By_rank else Random_id);
-    memory_order = (if layout = Boxed then Memory_order.Seq_cst else p.memory_order);
-  }
+  { p with layout; linking = (if layout = Packed then By_rank else Random_id) }
 
 let of_string s =
   match String.split_on_char ':' s with
@@ -154,9 +144,10 @@ let of_string s =
          s (to_string default))
 
 (* The registry: every valid point of the grid, in deterministic order.
-   [Padded] is omitted from the enumeration — it is the false-sharing
-   ablation twin of [Flat], not an independent contender — but remains a
-   valid spec for explicit [--plan] requests. *)
+   [Padded] and [Growable] are omitted from the enumeration — the
+   false-sharing ablation twin of [Flat] and the [MakeSet] layout, not
+   independent contenders — but remain valid specs for explicit [--plan]
+   requests. *)
 let registry =
   let orders = Memory_order.all in
   let backoffs = [ true; false ] in
@@ -178,7 +169,7 @@ let registry =
           Find_policy.all)
       layouts
   in
-  points Random_id [ Flat; Boxed ] @ points By_rank [ Packed ]
+  points Random_id [ Flat ] @ points By_rank [ Packed ]
 
 (* The short list the fast calibration sweep measures: the default plan,
    its one-axis neighbours that historically matter (compaction rule,

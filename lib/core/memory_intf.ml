@@ -6,8 +6,7 @@
     has to change together with a parent pointer (Section 3).
 
     Instances: {!Native_memory} over {!Repro_util.Flat_atomic_array} (one
-    unboxed word per node) for real OCaml 5 domains; {!Boxed_memory} over
-    an [int Atomic.t array], the layout A/B baseline;
+    unboxed word per node) for real OCaml 5 domains;
     [Growable_unbounded]'s internal [Memory] over chunked, growable
     storage; and {!Dsu_sim.Memory} over the APRAM simulator's effect-based
     shared memory for exact step counting.  {!Packed_dsu.View} turns any of them

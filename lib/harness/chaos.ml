@@ -73,7 +73,7 @@ let scenario_ok s = s.failures = [] && List.for_all (fun c -> c.passed) s.checks
 let hop_budget n = 16. *. ((log (float_of_int n) /. log 2.) +. 2.)
 
 (* The plan a (layout, policy) scenario runs under: the config's memory
-   order, moved onto the layout (the boxed layout is always seq-cst). *)
+   order, moved onto the layout. *)
 let dsu_plan ~config ~layout ~policy =
   Dsu.Plan.on_layout layout
     { Dsu.Plan.default with compaction = policy; memory_order = config.memory_order }
@@ -801,7 +801,7 @@ let pp_recovery_report ppf pairs =
 (* ---------- durable drill: crash mid-snapshot and mid-group-commit ---------- *)
 
 type durable = {
-  d_kind : Rsnap.kind;
+  d_layout : Scalability.layout;
   d_policy : Policy.t;
   d_snapshots : (string * Dfuzzy.capture) list;  (* oldest first *)
   d_snap_crash : Site.t option;
@@ -845,7 +845,7 @@ let temp_dir () =
   Unix.mkdir base 0o700;
   base
 
-let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
+let run_durable_scenario ?(config = default_config) ?dir ~layout ~policy () =
   validate_config config;
   let { n; ops_per_domain = m; domains; seed; _ } = config in
   let dir = match dir with Some d -> d | None -> temp_dir () in
@@ -860,10 +860,8 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
       ~on_committer_start:(fun () -> Fi.enroll ~slot:(domains + 1))
       wal_path
   in
-  let plan =
-    Driver.plan_for kind (dsu_plan ~config ~layout:Dsu.Plan.Flat ~policy)
-  in
-  let d = Driver.create ~plan ~kind ~seed ~on_link:(Dwal.append wal) n in
+  let plan = dsu_plan ~config ~layout ~policy in
+  let d = Driver.create ~plan ~seed ~on_link:(Dwal.append wal) n in
   let epoch = Dwal.epoch wal in
   let r = fresh_run config in
   let mutators_done = Atomic.make false in
@@ -924,12 +922,12 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
     ]
   in
   (* Per-capture checks.  Reconciliation must be a no-op for the layouts
-     whose fuzzy scan is provably a forest cut (flat/boxed/growable: one
+     whose fuzzy scan is provably a forest cut (flat/growable: one
      acquire load per node, ancestors are monotone).  Packed scans can
      legitimately catch a racing promotion as a cross-node order
      violation, so there the bar is only that the repaired cut refines
      both the raw scan and the final partition. *)
-  let repair_exempt = kind = Rsnap.Packed in
+  let repair_exempt = layout = Scalability.Packed in
   let cap_checks =
     let dirty =
       List.find_opt (fun (_, c) -> c.Dfuzzy.fixes <> []) caps
@@ -1094,7 +1092,7 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
         resume_seconds )
   in
   {
-    d_kind = kind;
+    d_layout = layout;
     d_policy = policy;
     d_snapshots = caps;
     d_snap_crash = !snap_crash;
@@ -1111,25 +1109,23 @@ let run_durable_scenario ?(config = default_config) ?dir ~kind ~policy () =
     d_resume_seconds = resume_seconds;
   }
 
-let all_kinds = [ Rsnap.Flat; Rsnap.Boxed; Rsnap.Growable; Rsnap.Packed ]
-
-let run_durable_all ?(config = default_config) ?(kinds = all_kinds) ?progress () =
+let run_durable_all ?(config = default_config) ?progress () =
   let emit d = match progress with None -> () | Some f -> f d in
   List.concat_map
-    (fun kind ->
+    (fun layout ->
       List.map
         (fun policy ->
-          let d = run_durable_scenario ~config ~kind ~policy () in
+          let d = run_durable_scenario ~config ~layout ~policy () in
           emit d;
           d)
         config.policies)
-    kinds
+    config.layouts
 
 let durable_to_json (d : durable) =
   let t = d.d_fault_totals in
   J.Obj
     [
-      ("kind", J.String (Rsnap.kind_to_string d.d_kind));
+      ("layout", J.String (Scalability.layout_to_string d.d_layout));
       ("policy", J.String (Policy.to_string d.d_policy));
       ("seconds", J.Float d.d_seconds);
       ("resume_seconds", J.Float d.d_resume_seconds);
@@ -1202,7 +1198,7 @@ let durable_report_to_json ?(config = default_config) ds =
 
 let pp_durable ppf (d : durable) =
   Format.fprintf ppf "@[<v>%s/%s durable: %s in %.2fs (+%.2fs resume)@,"
-    (Rsnap.kind_to_string d.d_kind)
+    (Scalability.layout_to_string d.d_layout)
     (Policy.to_string d.d_policy)
     (if durable_ok d then "OK" else "FAILED")
     d.d_seconds d.d_resume_seconds;

@@ -53,9 +53,8 @@ type config = {
   policies : Dsu.Find_policy.t list;
   layouts : Scalability.layout list;
   memory_order : Dsu.Memory_order.t;
-      (** parent-load ordering mode for every scenario's structure
-          ([Flat]/[Padded] layouts; [Boxed] is always seq-cst), so the
-          chaos audit can be pointed at the tuned or the fenced path *)
+      (** parent-load ordering mode for every scenario's structure, so
+          the chaos audit can be pointed at the tuned or the fenced path *)
   validate : bool;  (** run the post-quiescence audit (default) *)
 }
 
@@ -207,7 +206,7 @@ val pp_recovery_report : Format.formatter -> (scenario * recovery) list -> unit
     workload, re-audited against the sequential oracle. *)
 
 type durable = {
-  d_kind : Repro_recover.Snapshot.kind;
+  d_layout : Scalability.layout;
   d_policy : Dsu.Find_policy.t;
   d_snapshots : (string * Repro_durable.Fuzzy.capture) list;
       (** snapshots written before the crash, oldest first *)
@@ -228,27 +227,20 @@ val durable_ok : durable -> bool
 val run_durable_scenario :
   ?config:config ->
   ?dir:string ->
-  kind:Repro_recover.Snapshot.kind ->
+  layout:Scalability.layout ->
   policy:Dsu.Find_policy.t ->
   unit ->
   durable
-(** One durable drill over the given snapshot kind.  [dir] (default: a
-    fresh temp directory) receives the WAL and the snapshot files and is
-    left in place for inspection.  Arms the global injection switch for
-    the duration, like {!run_scenario}.  [config]'s [crash_domains] and
+(** One durable drill over the given layout.  [dir] (default: a fresh
+    temp directory) receives the WAL and the snapshot files and is left
+    in place for inspection.  Arms the global injection switch for the
+    duration, like {!run_scenario}.  [config]'s [crash_domains] and
     [layouts] are ignored — the drill crashes the durability machinery,
-    not the mutators, and runs over snapshot kinds. *)
-
-val all_kinds : Repro_recover.Snapshot.kind list
-(** All four snapshot kinds, the default drill coverage. *)
+    not the mutators. *)
 
 val run_durable_all :
-  ?config:config ->
-  ?kinds:Repro_recover.Snapshot.kind list ->
-  ?progress:(durable -> unit) ->
-  unit ->
-  durable list
-(** The [kinds × policies] cross product; [progress] after each. *)
+  ?config:config -> ?progress:(durable -> unit) -> unit -> durable list
+(** The [layouts × policies] cross product; [progress] after each. *)
 
 val durable_to_json : durable -> Repro_obs.Json.t
 

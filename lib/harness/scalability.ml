@@ -6,9 +6,8 @@ module J = Repro_obs.Json
 
 (* The layout constructors are re-exported from {!Dsu.Plan} so a plan's
    layout field and a sweep point's layout are the same value. *)
-type layout = Dsu.Plan.layout = Flat | Padded | Boxed | Packed
+type layout = Dsu.Plan.layout = Flat | Padded | Growable | Packed
 
-let all_layouts = Dsu.Plan.all_layouts
 let layout_to_string = Dsu.Plan.layout_to_string
 let layout_of_string = Dsu.Plan.layout_of_string
 
@@ -57,7 +56,7 @@ let default_config =
     seed = 21;
     domain_counts = [ 1; 2; 4; 8 ];
     policies = [ Policy.Two_try_splitting; Policy.One_try_splitting ];
-    layouts = [ Flat; Boxed ];
+    layouts = [ Flat ];
     memory_orders = [ Order.default ];
     backoffs = [ true ];
     dists = [ Uniform ];
@@ -128,12 +127,7 @@ let run_point ?(config = default_config) ?(memory_order = Order.default)
         Dsu.Native.create ~padded:true ~policy ~backoff ~memory_order ~seed n
       in
       time_run ~domains ~run:(fun k -> Workload.Op.run_native_array d ops.(k))
-    | Boxed ->
-      (* The boxed layout has no memory-order knob ([Atomic.t] is always
-         seq-cst); the point still records the requested mode so ablation
-         grids stay rectangular. *)
-      let d = Dsu.Boxed.create ~policy ~backoff ~seed n in
-      time_run ~domains ~run:(fun k -> Workload.Op.run_boxed_array d ops.(k))
+    | Growable -> invalid_arg "Scalability.run_point: growable is not a sweep layout"
     | Packed ->
       (* Linking by rank over the bit-packed single-word layout; [seed]
          is irrelevant (no random priorities). *)

@@ -8,8 +8,8 @@
     - the find policy,
     - the memory layout: [Flat] (the contiguous
       {!Repro_util.Flat_atomic_array} parent array), [Padded] (one parent
-      word per cache line — false-sharing ablation) and [Boxed] (the
-      pre-flat [int Atomic.t array] layout, via {!Dsu.Boxed}),
+      word per cache line — false-sharing ablation) and [Packed] (linking
+      by rank over one packed word),
     - the parent-load {!Dsu.Memory_order} mode and the link-CAS backoff
       switch (the memory-order × backoff ablation axis), and
     - the key distribution: [Uniform], or [Skewed] (80% of endpoints drawn
@@ -23,12 +23,12 @@
     docs/PERFORMANCE.md for the schema and how to read the numbers on
     machines with few cores. *)
 
-type layout = Dsu.Plan.layout = Flat | Padded | Boxed | Packed
+type layout = Dsu.Plan.layout = Flat | Padded | Growable | Packed
 (** [Packed] is the bit-packed linking-by-rank layout
     ({!Dsu.Packed.Native}); the constructors are shared with
-    {!Dsu.Plan.layout} so plan points and sweep points interoperate. *)
+    {!Dsu.Plan.layout} so plan points and sweep points interoperate.
+    [Growable] (the [MakeSet] layout) is not swept. *)
 
-val all_layouts : layout list
 val layout_to_string : layout -> string
 val layout_of_string : string -> layout option
 
@@ -46,8 +46,6 @@ type point = {
   layout : layout;
   policy : Dsu.Find_policy.t;
   memory_order : Dsu.Memory_order.t;
-      (** recorded even for [Boxed], which has no order knob (always
-          seq-cst) — keeps ablation grids rectangular *)
   backoff : bool;
   dist : dist;
   domains : int;
@@ -77,7 +75,7 @@ type config = {
 
 val default_config : config
 (** n = 2^16, 400k ops, 30% unites, domains 1/2/4/8, two-try and one-try
-    policies, flat vs boxed layouts, the default (relaxed-reads) order
+    policies, the flat layout, the default (relaxed-reads) order
     with backoff on, uniform keys. *)
 
 val run_point :
@@ -93,13 +91,15 @@ val run_point :
 (** One timed run.  Operation streams are generated outside the timed
     section; timing covers domain spawn to join.  [memory_order] defaults
     to {!Dsu.Memory_order.default}, [backoff] to [true], [dist] to
-    [Uniform]. *)
+    [Uniform].
+    @raise Invalid_argument on [domains < 1] or the [Growable] layout. *)
 
 val run_plan_point :
   ?config:config -> ?dist:dist -> plan:Dsu.Plan.t -> domains:int -> unit -> point
 (** {!run_point} driven by a {!Dsu.Plan} point: compaction, memory order,
     backoff and layout come from the plan (the linking rule is implied by
-    the layout).  @raise Invalid_argument on an invalid plan. *)
+    the layout).  @raise Invalid_argument on an invalid or growable
+    plan. *)
 
 val sweep : ?config:config -> ?progress:(point -> unit) -> unit -> point list
 (** The full cross product (layouts × policies × memory_orders × backoffs

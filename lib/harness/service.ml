@@ -44,7 +44,6 @@ type config = {
   batch : int;
   admission : Svc.admission;
   plan : Dsu.Plan.t;
-  kind : Snapshot.kind;
   op_deadline_ms : float;  (* 0 = no per-op deadline *)
   durable : bool;  (* attach a WAL (group commit on the drain path) *)
 }
@@ -63,7 +62,6 @@ let default_config =
     batch = 64;
     admission = Svc.Reject;
     plan = Dsu.Plan.default;
-    kind = Snapshot.Flat;
     op_deadline_ms = 0.0;
     durable = false;
   }
@@ -160,7 +158,7 @@ let run_point ~config ~rate () =
   let wal =
     Option.map (fun d -> Wal.create_writer (Filename.concat d "wal.log")) dir
   in
-  let svc = Svc.create ?wal ~kind:config.kind (service_config config) in
+  let svc = Svc.create ?wal (service_config config) in
   let worker k =
     let offsets =
       Latency.arrivals ~shape:config.shape ~rate ~ops:config.ops
@@ -329,8 +327,9 @@ let check name passed detail = { c_name = name; c_passed = passed; c_detail = de
    [workers]) crashes on its 12th group commit at [Wal_commit_mid],
    deterministically tearing the final record of that batch.  Both
    crashes land with acked traffic before, between, and after them. *)
-let drill ~config ~kind () =
-  let config = { config with plan = Dsu.Driver.plan_for kind config.plan } in
+let drill ~config ~layout () =
+  let config = { config with plan = Dsu.Plan.on_layout layout config.plan } in
+  let kind = Dsu.Driver.kind_of_layout layout in
   let workers = Stdlib.max 2 config.workers in
   let dir = temp_dir () in
   let wal_path = Filename.concat dir "wal.log" in
@@ -361,7 +360,7 @@ let drill ~config ~kind () =
     }
   in
   let svc =
-    Svc.create ~wal ~on_worker_start:(fun k -> Fi.enroll ~slot:k) ~kind scfg
+    Svc.create ~wal ~on_worker_start:(fun k -> Fi.enroll ~slot:k) scfg
   in
   let rng = Rng.create (config.seed + 17) in
   let pending : (int, Svc.op) Hashtbl.t = Hashtbl.create 1024 in
@@ -540,8 +539,8 @@ let drill ~config ~kind () =
 
 let drill_all ~config () =
   List.map
-    (fun kind -> drill ~config ~kind ())
-    [ Snapshot.Flat; Snapshot.Boxed; Snapshot.Growable; Snapshot.Packed ]
+    (fun layout -> drill ~config ~layout ())
+    Dsu.Plan.[ Flat; Growable; Packed ]
 
 (* -------------------------------------------------------------- JSON *)
 
@@ -622,7 +621,10 @@ let to_json config ~points ~drills =
       ("batch", J.Int config.batch);
       ("admission", J.String (Svc.admission_to_string config.admission));
       ("plan", J.String (Dsu.Plan.to_string config.plan));
-      ("kind", J.String (Snapshot.kind_to_string config.kind));
+      ( "kind",
+        J.String
+          (Snapshot.kind_to_string
+             (Dsu.Driver.kind_of_layout config.plan.Dsu.Plan.layout)) );
       ("durable", J.Bool config.durable);
       ("points", J.List (List.map point_json points));
       ( "knee_rate",

@@ -34,9 +34,7 @@ type config = {
   queue_capacity : int;
   batch : int;
   admission : Repro_service.Service.admission;
-  plan : Dsu.Plan.t;
-  kind : Repro_recover.Snapshot.kind;
-      (** must agree with [plan] ({!Dsu.Driver.check_kind}) *)
+  plan : Dsu.Plan.t;  (** names the backend, layout included *)
   op_deadline_ms : float;  (** 0 = no per-op deadline *)
   durable : bool;  (** attach a WAL (group commit on the drain path) *)
 }
@@ -97,14 +95,14 @@ type drill = {
   d_passed : bool;
 }
 
-val drill : config:config -> kind:Repro_recover.Snapshot.kind -> unit -> drill
-(** The crash-recovery drill for one backend kind (uses [config]'s plan
-    moved onto the kind's layout by {!Dsu.Driver.plan_for}, at least 2
-    workers, block admission, and its own scratch directory — removed
-    before returning). *)
+val drill : config:config -> layout:Dsu.Plan.layout -> unit -> drill
+(** The crash-recovery drill on one layout (uses [config]'s plan moved
+    onto [layout] by {!Dsu.Plan.on_layout}, at least 2 workers, block
+    admission, and its own scratch directory — removed before
+    returning). *)
 
 val drill_all : config:config -> unit -> drill list
-(** {!drill} over all four kinds: flat, boxed, growable, packed. *)
+(** {!drill} over one layout of each kind: flat, growable, packed. *)
 
 val to_json : config -> points:point list -> drills:drill list -> Repro_obs.Json.t
 (** The [dsu-service/v1] document (either list may be empty). *)

@@ -1,6 +1,6 @@
 module J = Repro_obs.Json
 
-type kind = Dsu.Driver.kind = Flat | Boxed | Growable | Packed
+type kind = Dsu.Driver.kind = Flat | Growable | Packed
 
 type t = {
   kind : kind;
@@ -19,7 +19,6 @@ let kind_to_string = Dsu.Driver.kind_to_string
 
 let kind_of_string = function
   | "flat" -> Some Flat
-  | "boxed" -> Some Boxed
   | "growable" -> Some Growable
   | "packed" -> Some Packed
   | _ -> None
@@ -39,16 +38,18 @@ let ok t = Repro_fault.Forest_check.ok (check t)
 
 let crc32 = Repro_util.Crc32.string
 
-let kind_byte = function Flat -> 0 | Boxed -> 1 | Growable -> 2 | Packed -> 4
+let kind_byte = function Flat -> 0 | Growable -> 2 | Packed -> 4
 
-(* Byte 3 (JSON "rank") is the retired two-array rank layout; its ranks
-   and forest obey the same [(rank, index)] order, so it restores as
-   packed. *)
+(* Bytes no current layout writes.  Byte 1 (JSON "boxed") is the retired
+   [int Atomic.t array] layout, whose [(parents, ids)] are a flat
+   snapshot's, so it restores as flat; byte 3 (JSON "rank") is the retired
+   two-array rank layout, whose ranks and forest obey the same
+   [(rank, index)] order, so it restores as packed. *)
+let legacy_boxed_byte = 1
 let legacy_rank_byte = 3
 
 let kind_of_byte = function
-  | 0 -> Some Flat
-  | 1 -> Some Boxed
+  | 0 | 1 -> Some Flat
   | 2 -> Some Growable
   | 3 | 4 -> Some Packed
   | _ -> None
@@ -205,6 +206,7 @@ let of_json json =
   let* k = field "kind" (J.member "kind" json) in
   let* kind, byte =
     match k with
+    | J.String "boxed" -> Ok (Flat, Some legacy_boxed_byte)
     | J.String "rank" -> Ok (Packed, Some legacy_rank_byte)
     | J.String v -> (
       match kind_of_string v with

@@ -2,7 +2,7 @@
 
     A snapshot is the raw state any of the layouts can be rebuilt from:
     the parent array plus the per-node linking order ([prios] — the id
-    permutation for {!Dsu.Native}/{!Dsu.Boxed}, the 62-bit random priorities
+    permutation for {!Dsu.Native}, the 62-bit random priorities
     for {!Dsu.Growable}, the ranks for {!Dsu.Packed.Native}, extracted from
     the packed words).  All the orders
     share the algorithm's [less]: priority first, node index on ties — so
@@ -31,15 +31,17 @@
     - JSON: schema ["dsu-snapshot/v2"] with the checksum as a field.
 
     Both decoders also read the previous version (["DSUSNAP1"] /
-    ["dsu-snapshot/v1"], no epoch field) as [epoch = 0], and the retired
-    two-array rank layout's snapshots (kind byte 3, JSON kind ["rank"], in
-    either version) as {!Packed}: the same ranks and forest under the same
+    ["dsu-snapshot/v1"], no epoch field) as [epoch = 0], and two retired
+    layouts' snapshots, in either version: the boxed layout's (kind byte 1,
+    JSON kind ["boxed"]) as {!Flat}, the same [(parents, ids)] under the
+    same id linking, and the two-array rank layout's (kind byte 3, JSON
+    kind ["rank"]) as {!Packed}, the same ranks and forest under the same
     [(rank, index)] order, re-packed and checked on restore.
 
     Decoders return [result]s — a malformed or checksum-failing file is an
     ordinary error, never an exception. *)
 
-type kind = Dsu.Driver.kind = Flat | Boxed | Growable | Packed
+type kind = Dsu.Driver.kind = Flat | Growable | Packed
 (** The layout a snapshot restores into; [Flat] covers padded. *)
 
 type t = {
@@ -57,6 +59,8 @@ val with_epoch : t -> int -> t
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
+(** The kinds this module writes; the legacy names ["boxed"] and
+    ["rank"] are read by the decoders only. *)
 
 (** {1 Capture} — quiescent only; see the layout's [parents_snapshot] doc. *)
 

@@ -416,7 +416,7 @@ let validate_config cfg =
   if cfg.snapshot_interval <= 0. then
     invalid_arg "Service.create: snapshot_interval must be positive"
 
-let create ?backend ?wal ?on_worker_start ?kind cfg =
+let create ?backend ?wal ?on_worker_start cfg =
   validate_config cfg;
   let backend =
     match backend with
@@ -425,7 +425,7 @@ let create ?backend ?wal ?on_worker_start ?kind cfg =
       let on_link =
         Option.map (fun w -> fun ~child ~parent -> Wal.append w ~child ~parent) wal
       in
-      Dsu.Driver.create ~plan:cfg.plan ?kind ~seed:cfg.seed ?on_link cfg.n
+      Dsu.Driver.create ~plan:cfg.plan ~seed:cfg.seed ?on_link cfg.n
   in
   (* worst-case responses outstanding per lane: every admitted op of every
      worker (queued + one in-process batch) could route to one lane *)

@@ -93,7 +93,7 @@ type config = {
   queue_capacity : int;  (** per-worker ingestion bound *)
   batch : int;  (** max ops drained per lock acquisition *)
   admission : admission;
-  plan : Dsu.Plan.t;  (** compaction/order/backoff knobs for the backend *)
+  plan : Dsu.Plan.t;  (** the backend: layout, compaction, order, backoff *)
   seed : int;
   snapshot_dir : string option;
   snapshot_interval : float;  (** seconds between fuzzy checkpoints *)
@@ -107,20 +107,18 @@ val create :
   ?backend:Dsu.Driver.t ->
   ?wal:Repro_durable.Wal.writer ->
   ?on_worker_start:(int -> unit) ->
-  ?kind:Dsu.Driver.kind ->
   config ->
   t
-(** Build the backend ({!Dsu.Driver.create} under the config's plan and
-    [kind], which defaults to the plan's layout; WAL [on_link] attached
-    when [wal] is given), write the initial snapshot if configured, and
+(** Build the backend ({!Dsu.Driver.create} under the config's plan,
+    whose layout picks the kind; WAL [on_link] attached when [wal] is
+    given), write the initial snapshot if configured, and
     spawn the worker and snapshotter domains.  [backend] overrides
     construction — pass a recovered backend (with its own [on_link]
     re-attached via {!Repro_durable.Recovery.recover_files}) to resume
     serving after a crash.  The WAL writer remains owned by the caller and is {e not}
     closed by {!stop}.  [on_worker_start k] runs first on worker domain
     [k] — the chaos drill uses it to enroll workers for fault injection.
-    @raise Invalid_argument on nonsensical knobs, or a [kind] the plan
-    cannot build ({!Dsu.Driver.check_kind}). *)
+    @raise Invalid_argument on nonsensical knobs or an invalid plan. *)
 
 val submit :
   t -> ?intended_ns:int -> ?deadline_ns:int -> session:int -> op -> admit

@@ -1,8 +1,7 @@
 (** A flat array of atomically accessed integers.
 
-    Unlike {!Atomic_array}, which wraps [int Atomic.t array] (one separately
-    boxed heap block per cell, so every access pays a double indirection),
-    this stores all cells contiguously in a single [int array] and performs
+    Unlike an [int Atomic.t array] (one separately boxed heap block per
+    cell, so every access pays a double indirection), this stores all cells contiguously in a single [int array] and performs
     sequentially consistent loads, stores and compare-and-swaps through C
     stubs built on the [__atomic] builtins.  This matches the paper's machine
     model — node [i]'s parent is word [i] of one shared array, and every

@@ -119,14 +119,6 @@ let run_packed_array d ops =
     | Find x -> ignore (Dsu.Packed.Native.find d x)
   done
 
-let run_boxed_array d ops =
-  for i = 0 to Array.length ops - 1 do
-    match Array.unsafe_get ops i with
-    | Unite (x, y) -> Dsu.Boxed.unite d x y
-    | Same_set (x, y) -> ignore (Dsu.Boxed.same_set d x y)
-    | Find x -> ignore (Dsu.Boxed.find d x)
-  done
-
 let run_seq_array d ops =
   for i = 0 to Array.length ops - 1 do
     match Array.unsafe_get ops i with

@@ -46,12 +46,10 @@ val run_packed_array : Dsu.Packed.Native.t -> t array -> unit
 (** Drives the bit-packed linking-by-rank layout ({!Dsu.Packed.Native})
     for the plan-space sweeps. *)
 
-val run_boxed_array : Dsu.Boxed.t -> t array -> unit
 val run_seq_array : Sequential.Seq_dsu.t -> t array -> unit
 val run_quick_find_array : Sequential.Quick_find.t -> t array -> unit
 (** Array-based hot loops: contiguous iteration, no list-cell chasing in
-    benchmark inner loops.  [run_boxed_array] drives the boxed-layout
-    comparator ({!Dsu.Boxed}) for memory-layout A/B runs. *)
+    benchmark inner loops. *)
 
 val to_sim_ops : Dsu.Sim.t -> t list -> (unit -> unit) list
 (** Closures for {!Apram.Sim.run_ops}, each recording itself in the

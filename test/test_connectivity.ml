@@ -315,15 +315,9 @@ let pipeline_tests =
         let packed =
           { Dsu.Plan.default with linking = Dsu.Plan.By_rank; layout = Dsu.Plan.Packed }
         in
-        let boxed =
-          {
-            Dsu.Plan.default with
-            layout = Dsu.Plan.Boxed;
-            memory_order = Dsu.Memory_order.Seq_cst;
-          }
-        in
+        let growable = { Dsu.Plan.default with layout = Dsu.Plan.Growable } in
         check_stream "packed plan" ~plan:packed s;
-        check_stream "boxed plan" ~plan:boxed s);
+        check_stream "growable plan" ~plan:growable s);
     case "sampling skips edges but keeps answers" (fun () ->
         (* A dense-ish ER graph has a giant component, so k-out sampling
            must actually skip a decent share of finish-phase edges. *)
@@ -529,11 +523,7 @@ let driver_tests =
           [
             Dsu.Plan.default;
             { Dsu.Plan.default with layout = Dsu.Plan.Padded };
-            {
-              Dsu.Plan.default with
-              layout = Dsu.Plan.Boxed;
-              memory_order = Dsu.Memory_order.Seq_cst;
-            };
+            { Dsu.Plan.default with layout = Dsu.Plan.Growable };
             {
               Dsu.Plan.default with
               linking = Dsu.Plan.By_rank;
@@ -563,11 +553,7 @@ let driver_tests =
               batched)
           [
             Dsu.Plan.default;
-            {
-              Dsu.Plan.default with
-              layout = Dsu.Plan.Boxed;
-              memory_order = Dsu.Memory_order.Seq_cst;
-            };
+            { Dsu.Plan.default with layout = Dsu.Plan.Growable };
             {
               Dsu.Plan.default with
               linking = Dsu.Plan.By_rank;

@@ -1,10 +1,11 @@
 (* Conformance of the one backend type, Dsu.Driver, over every layout it
-   builds: the same table of checks runs on flat, padded, boxed, growable
-   and packed — per-op answers against a sequential oracle, batch kernels
+   builds: the same table of checks runs on flat, padded, growable and
+   packed — per-op answers against a sequential oracle, batch kernels
    against per-op calls, a quiescent snapshot -> restore round trip, and a
-   quiescent fuzzy capture against the quiescent snapshot.  Growable runs
-   twice: as Driver.create builds it (capacity = n) and with spare
-   capacity, where the snapshot's n (the cardinal) and capacity differ. *)
+   quiescent fuzzy capture against the quiescent snapshot.  Every entry is
+   built from its plan alone.  Growable runs twice: as Driver.create
+   builds it (capacity = n) and with spare capacity, where the snapshot's
+   n (the cardinal) and capacity differ. *)
 
 module Driver = Dsu.Driver
 module Snap = Repro_recover.Snapshot
@@ -26,7 +27,12 @@ type layout = {
 }
 
 let fresh name plan kind =
-  { name; plan; kind; capacity = n; make = (fun () -> Driver.create ~plan ~kind ~seed:9 n) }
+  { name; plan; kind; capacity = n; make = (fun () -> Driver.create ~plan ~seed:9 n) }
+
+let growable_plan = Dsu.Plan.on_layout Dsu.Plan.Growable Dsu.Plan.default
+
+let plan_of spec =
+  match Dsu.Plan.of_string spec with Ok p -> p | Error e -> failwith e
 
 (* n make_sets into a growable of twice that capacity. *)
 let spare_growable =
@@ -37,17 +43,22 @@ let spare_growable =
     done;
     Driver.Growable g
   in
-  { name = "growable, spare capacity"; plan = Dsu.Plan.default;
+  { name = "growable, spare capacity"; plan = growable_plan;
     kind = Snap.Growable; capacity = 2 * n; make }
 
 let layouts =
   [
     fresh "flat" Dsu.Plan.default Snap.Flat;
     fresh "padded" { Dsu.Plan.default with layout = Dsu.Plan.Padded } Snap.Flat;
-    fresh "boxed" (Driver.plan_for Snap.Boxed Dsu.Plan.default) Snap.Boxed;
-    fresh "growable" Dsu.Plan.default Snap.Growable;
+    fresh "growable" growable_plan Snap.Growable;
     spare_growable;
-    fresh "packed" (Driver.plan_for Snap.Packed Dsu.Plan.default) Snap.Packed;
+    fresh "packed" (Dsu.Plan.on_layout Dsu.Plan.Packed Dsu.Plan.default) Snap.Packed;
+    (* The same layouts on the seq-cst memory order with full compression,
+       no backoff: other loads and another find loop in the kernels. *)
+    fresh "flat, seq-cst compression" (plan_of "rand:compression:seq-cst:off:flat")
+      Snap.Flat;
+    fresh "packed, seq-cst compression"
+      (plan_of "rank:compression:seq-cst:off:packed") Snap.Packed;
   ]
 
 let pairs ~seed count =
@@ -139,37 +150,23 @@ let conformance { name; plan; kind; capacity; make } =
 
 let kind_checks =
   [
-    case "a kind the plan cannot build is rejected, naming both" (fun () ->
-        match Driver.check_kind Snap.Packed Dsu.Plan.default with
-        | Ok () -> Alcotest.fail "packed accepted a flat plan"
+    case "a growable plan builds Growable" (fun () ->
+        let d = Driver.create ~plan:growable_plan 8 in
+        check Alcotest.bool "kind" true (Driver.kind d = Snap.Growable);
+        check Alcotest.int "universe created up front" 8 (Driver.n d));
+    case "a growable plan round-trips through its spec" (fun () ->
+        let spec = "rand:two-try:relaxed-reads:on:growable" in
+        match Dsu.Plan.of_string spec with
+        | Error e -> Alcotest.fail e
+        | Ok p ->
+          check Alcotest.bool "layout" true (p.Dsu.Plan.layout = Dsu.Plan.Growable);
+          check Alcotest.string "to_string" spec (Dsu.Plan.to_string p));
+    case "a boxed plan is rejected as an unknown layout" (fun () ->
+        match Dsu.Plan.of_string "rand:two-try:seq-cst:on:boxed" with
+        | Ok _ -> Alcotest.fail "boxed accepted"
         | Error e ->
-          let has s =
-            let ls = String.length s in
-            let rec go i =
-              i + ls <= String.length e && (String.sub e i ls = s || go (i + 1))
-            in
-            go 0
-          in
-          check Alcotest.bool "names the kind" true (has "packed");
-          check Alcotest.bool "names the plan" true
-            (has (Dsu.Plan.to_string Dsu.Plan.default));
-          Alcotest.check_raises "create raises"
-            (Invalid_argument ("Dsu_driver.create: " ^ e))
-            (fun () -> ignore (Driver.create ~kind:Snap.Packed ~plan:Dsu.Plan.default 8)));
-    case "growable runs on the flat plan only" (fun () ->
-        check Alcotest.bool "flat" true
-          (Driver.check_kind Snap.Growable Dsu.Plan.default = Ok ());
-        check Alcotest.bool "padded" false
-          (Result.is_ok
-             (Driver.check_kind Snap.Growable
-                { Dsu.Plan.default with layout = Dsu.Plan.Padded })));
-    case "the kind defaults to the plan's layout" (fun () ->
-        List.iter
-          (fun { plan; kind; _ } ->
-            if kind <> Snap.Growable then
-              check Alcotest.bool "kind" true
-                (Driver.kind (Driver.create ~plan 4) = kind))
-          layouts);
+          check Alcotest.string "error"
+            "bad plan layout \"boxed\" in \"rand:two-try:seq-cst:on:boxed\"" e);
   ]
 
 let () =

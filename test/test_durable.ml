@@ -404,12 +404,13 @@ let race_n = 64
 let race_ops = 300
 let race_domains = 2
 
-let test_fuzzy kind () =
+let test_fuzzy layout () =
   (* Packed scans may race a rank promotion, so fixes are allowed there. *)
-  let strict = kind <> Snap.Packed in
-  check_fuzzy_refines ~name:(Snap.kind_to_string kind) ~seeds ~strict
+  let strict = layout <> Dsu.Plan.Packed in
+  let plan = Dsu.Plan.on_layout layout Dsu.Plan.default in
+  check_fuzzy_refines ~name:(Dsu.Plan.layout_to_string layout) ~seeds ~strict
     (fun seed ->
-      let d = Dsu.Driver.create ~kind ~seed race_n in
+      let d = Dsu.Driver.create ~plan ~seed race_n in
       let cap =
         run_racing ~seed ~n:race_n ~ops:race_ops ~domains:race_domains
           ~unite:(Dsu.Driver.unite d)
@@ -471,9 +472,9 @@ let drill_config =
     stall_prob = 0.0;
   }
 
-let test_durable_drill kind () =
+let test_durable_drill layout () =
   let d =
-    Chaos.run_durable_scenario ~config:drill_config ~kind
+    Chaos.run_durable_scenario ~config:drill_config ~layout
       ~policy:Policy.Two_try_splitting ()
   in
   if not (Chaos.durable_ok d) then
@@ -514,10 +515,10 @@ let () =
         ] );
       ( "fuzzy-refines",
         [
-          case "flat x100 races" (test_fuzzy Snap.Flat);
-          case "boxed x100 races" (test_fuzzy Snap.Boxed);
-          case "growable x100 races" (test_fuzzy Snap.Growable);
-          case "packed x100 races" (test_fuzzy Snap.Packed);
+          case "flat x100 races" (test_fuzzy Dsu.Plan.Flat);
+          case "padded x100 races" (test_fuzzy Dsu.Plan.Padded);
+          case "growable x100 races" (test_fuzzy Dsu.Plan.Growable);
+          case "packed x100 races" (test_fuzzy Dsu.Plan.Packed);
         ] );
       ( "snapshot",
         [
@@ -526,7 +527,9 @@ let () =
         ] );
       ( "drill",
         [
-          case "flat" (test_durable_drill Snap.Flat);
-          case "packed" (test_durable_drill Snap.Packed);
+          case "flat" (test_durable_drill Dsu.Plan.Flat);
+          case "padded" (test_durable_drill Dsu.Plan.Padded);
+          case "growable" (test_durable_drill Dsu.Plan.Growable);
+          case "packed" (test_durable_drill Dsu.Plan.Packed);
         ] );
     ]

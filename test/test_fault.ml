@@ -234,9 +234,9 @@ let armed_site_tests =
 
 module Driver = Dsu.Driver
 
-let tuned_create kind ?(n = 256) ~seed () =
+let tuned_create layout ?(n = 256) ~seed () =
   let plan =
-    Driver.plan_for kind
+    Dsu.Plan.on_layout layout
       {
         Dsu.Plan.default with
         Dsu.Plan.memory_order = Dsu.Memory_order.Relaxed_reads;
@@ -259,8 +259,8 @@ let forest_ok d =
 let tuned_site_cases =
   [
     ( "tuned path still counts Find_hop hits",
-      fun kind ->
-        let d = tuned_create kind ~seed:31 () in
+      fun layout ->
+        let d = tuned_create layout ~seed:31 () in
         with_plan
           { Inject.seed = 30; rules_for = (fun _ -> []) }
           (fun () ->
@@ -273,8 +273,8 @@ let tuned_site_cases =
               ((Inject.totals ()).Inject.hits > 0);
             check Alcotest.bool "hops recorded" true (Inject.my_hops () > 0)) );
     ( "split CAS sites still crash the tuned find",
-      fun kind ->
-        let d = tuned_create kind ~seed:33 () in
+      fun layout ->
+        let d = tuned_create layout ~seed:33 () in
         (* Build depth while disarmed so the crash plan only sees finds. *)
         random_unites d ~seed:9 ~count:400;
         with_plan
@@ -298,8 +298,8 @@ let tuned_site_cases =
         done;
         forest_ok d );
     ( "Link_cas_pre still crashes inside unite_batch",
-      fun kind ->
-        let d = tuned_create kind ~seed:35 () in
+      fun layout ->
+        let d = tuned_create layout ~seed:35 () in
         let xs = Array.init 128 (fun i -> i) in
         let ys = Array.init 128 (fun i -> i + 128) in
         with_plan
@@ -319,8 +319,8 @@ let tuned_site_cases =
         done;
         forest_ok d );
     ( "same_set_batch traversals still count Find_hop",
-      fun kind ->
-        let d = tuned_create kind ~seed:37 () in
+      fun layout ->
+        let d = tuned_create layout ~seed:37 () in
         random_unites d ~seed:11 ~count:300;
         let xs = Array.init 128 (fun i -> i) in
         let ys = Array.init 128 (fun i -> 255 - i) in
@@ -334,14 +334,14 @@ let tuned_site_cases =
 
 let tuned_site_tests =
   List.concat_map
-    (fun kind ->
+    (fun layout ->
       List.map
         (fun (name, f) ->
           case
-            (Printf.sprintf "%s: %s" (Driver.kind_to_string kind) name)
-            (fun () -> f kind))
+            (Printf.sprintf "%s: %s" (Dsu.Plan.layout_to_string layout) name)
+            (fun () -> f layout))
         tuned_site_cases)
-    [ Driver.Flat; Driver.Packed ]
+    [ Dsu.Plan.Flat; Dsu.Plan.Packed ]
 
 (* --------------------------------------------------------- Forest_check *)
 
@@ -461,10 +461,17 @@ let chaos_tests =
           (fun c -> check Alcotest.int "all ops done" 2_000 c)
           s.Chaos.completed;
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
-    case "boxed layout passes the same audit" (fun () ->
+    case "growable layout passes the same audit" (fun () ->
         let config = { chaos_config with Chaos.ops_per_domain = 2_000; domains = 4; crash_domains = 1; crash_after = 300 } in
         let s =
-          Chaos.run_scenario ~config ~layout:Harness.Scalability.Boxed
+          Chaos.run_scenario ~config ~layout:Harness.Scalability.Growable
+            ~policy:Dsu.Find_policy.Two_try_splitting ()
+        in
+        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
+    case "padded layout passes the same audit" (fun () ->
+        let config = { chaos_config with Chaos.ops_per_domain = 2_000; domains = 4; crash_domains = 1; crash_after = 300 } in
+        let s =
+          Chaos.run_scenario ~config ~layout:Harness.Scalability.Padded
             ~policy:Dsu.Find_policy.Two_try_splitting ()
         in
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));

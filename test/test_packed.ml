@@ -246,10 +246,10 @@ let plan_tests =
           (rejected "rand:two-try:relaxed-reads:on:packed");
         check Alcotest.bool "rank linking off packed" true
           (rejected "rank:two-try:relaxed-reads:on:flat");
-        check Alcotest.bool "boxed with an order knob" true
-          (rejected "rand:two-try:relaxed-reads:on:boxed");
-        check Alcotest.bool "boxed spelled seq-cst is fine" false
-          (rejected "rand:two-try:seq-cst:on:boxed"));
+        check Alcotest.bool "rank linking on growable" true
+          (rejected "rank:two-try:relaxed-reads:on:growable");
+        check Alcotest.bool "random linking on growable is fine" false
+          (rejected "rand:two-try:relaxed-reads:on:growable"));
     case "malformed specs name the bad field" (fun () ->
         let err s =
           match Plan.of_string s with
@@ -263,19 +263,19 @@ let plan_tests =
         check Alcotest.bool "bad backoff" true
           (String.length (err "rand:two-try:relaxed-reads:maybe:flat") > 0));
     case "every valid plan runs through the scalability harness" (fun () ->
-        (* one cheap point per plan family: flat default, boxed, packed *)
+        (* one cheap point per plan family: flat default, padded, packed *)
+        let config =
+          {
+            Harness.Scalability.default_config with
+            Harness.Scalability.n = 128;
+            total_ops = 1_000;
+          }
+        in
         List.iter
           (fun spec ->
             match Plan.of_string spec with
             | Error e -> Alcotest.fail e
             | Ok plan ->
-              let config =
-                {
-                  Harness.Scalability.default_config with
-                  Harness.Scalability.n = 128;
-                  total_ops = 1_000;
-                }
-              in
               let p =
                 Harness.Scalability.run_plan_point ~config ~plan ~domains:1 ()
               in
@@ -284,9 +284,17 @@ let plan_tests =
           [
             "rand:two-try:relaxed-reads:on:flat";
             "rand:halving:seq-cst:off:flat-padded";
-            "rand:compression:seq-cst:on:boxed";
+            "rand:compression:seq-cst:on:flat";
             "rank:one-try:acquire:on:packed";
-          ]);
+          ];
+        (* The growable layout is valid for the driver but not swept. *)
+        Alcotest.check_raises "growable is rejected"
+          (Invalid_argument "Scalability.run_point: growable is not a sweep layout")
+          (fun () ->
+            ignore
+              (Harness.Scalability.run_plan_point ~config
+                 ~plan:{ Plan.default with layout = Plan.Growable }
+                 ~domains:1 ())));
   ]
 
 let () =

@@ -57,8 +57,8 @@ let variant_cases =
 (* The flat memory layout under real parallelism: oracle-agreement stress on
    the cache-line-padded mode across every find policy (the default
    unpadded mode is what every other case in this file already exercises,
-   since Native is flat now), plus the boxed A/B comparator and a raw
-   CAS-contention hammer on Flat_atomic_array itself. *)
+   since Native is flat now), plus a raw CAS-contention hammer on
+   Flat_atomic_array itself. *)
 let flat_layout_cases =
   let padded_cases =
     List.map
@@ -86,45 +86,6 @@ let flat_layout_cases =
   in
   padded_cases
   @ [
-      case "boxed comparator agrees with oracle under 4 domains" (fun () ->
-          let n = 300 in
-          let d = Dsu.Boxed.create ~seed:7 n in
-          let worker k () =
-            List.iter (fun (x, y) -> Dsu.Boxed.unite d x y)
-              (domain_unites ~k ~n ~per_domain:1500)
-          in
-          let handles = List.init 4 (fun k -> Domain.spawn (worker k)) in
-          List.iter Domain.join handles;
-          let q = Quick_find.create n in
-          for k = 0 to 3 do
-            List.iter (fun (x, y) -> Quick_find.unite q x y)
-              (domain_unites ~k ~n ~per_domain:1500)
-          done;
-          check Alcotest.int "count_sets" (Quick_find.count_sets q)
-            (Dsu.Boxed.count_sets d);
-          for x = 0 to 59 do
-            for y = 0 to 59 do
-              check Alcotest.bool "pair" (Quick_find.same_set q x y)
-                (Dsu.Boxed.same_set d x y)
-            done
-          done;
-          check Alcotest.int "invariants" 0
-            (List.length (Dsu.Boxed.invariant_violations d)));
-      case "flat vs boxed reach the same partition" (fun () ->
-          let n = 400 in
-          let ops = domain_unites ~k:9 ~n ~per_domain:1200 in
-          let f = Native.create ~seed:5 n in
-          let b = Dsu.Boxed.create ~seed:5 n in
-          List.iter (fun (x, y) -> Native.unite f x y) ops;
-          List.iter (fun (x, y) -> Dsu.Boxed.unite b x y) ops;
-          check Alcotest.int "count_sets" (Native.count_sets f)
-            (Dsu.Boxed.count_sets b);
-          for x = 0 to 79 do
-            for y = 0 to 79 do
-              check Alcotest.bool "pair" (Native.same_set f x y)
-                (Dsu.Boxed.same_set b x y)
-            done
-          done);
       case "cas hammer: every increment lands exactly once" (fun () ->
           let module F = Repro_util.Flat_atomic_array in
           List.iter

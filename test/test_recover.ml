@@ -25,10 +25,14 @@ let native_snap () =
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Native.unite d);
   Snap.of_driver (Dsu.Driver.Flat d)
 
-let boxed_snap () =
-  let d = Dsu.Boxed.create ~seed:5 128 in
-  rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Boxed.unite d);
-  Snap.of_driver (Dsu.Driver.Boxed d)
+let padded_snap () =
+  let d =
+    Dsu.Driver.create
+      ~plan:{ Dsu.Plan.default with layout = Dsu.Plan.Padded }
+      ~seed:5 128
+  in
+  rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Driver.unite d);
+  Snap.of_driver d
 
 let growable_snap () =
   let d = Dsu.Growable.create ~seed:5 ~capacity:256 () in
@@ -45,7 +49,7 @@ let packed_snap () =
 
 let all_layouts =
   [
-    ("flat", native_snap); ("boxed", boxed_snap); ("growable", growable_snap);
+    ("flat", native_snap); ("padded", padded_snap); ("growable", growable_snap);
     ("packed", packed_snap);
   ]
 
@@ -90,7 +94,9 @@ let codec_tests =
             (fun k ->
               check Alcotest.bool "round-trip" true
                 (Snap.kind_of_string (Snap.kind_to_string k) = Some k))
-            [ Snap.Flat; Snap.Boxed; Snap.Growable; Snap.Packed ]);
+            [ Snap.Flat; Snap.Growable; Snap.Packed ];
+          check Alcotest.bool "boxed is no longer a writable kind" true
+            (Snap.kind_of_string "boxed" = None));
       case "corrupted byte fails the checksum" (fun () ->
           let s = Snap.to_binary_string (native_snap ()) in
           let b = Bytes.of_string s in
@@ -374,6 +380,23 @@ let recovery_tests =
         let forest = find_check "forest" r.Chaos.recovery_checks in
         check Alcotest.string "resumed forest" "" forest.Chaos.detail;
         check Alcotest.bool "recovery ok" true (Chaos.recovery_ok r));
+  ]
+  @ List.map
+      (fun layout ->
+        case
+          (Dsu.Plan.layout_to_string layout
+          ^ ": crash -> snapshot -> repair -> resume passes the audit")
+          (fun () ->
+            let s, r =
+              Chaos.run_recovery_scenario ~config:recovery_config ~layout
+                ~policy:Dsu.Find_policy.Two_try_splitting ()
+            in
+            check Alcotest.bool "phase-1 scenario ok" true (Chaos.scenario_ok s);
+            check Alcotest.int "both crashed slots resumed" 2
+              (List.length r.Chaos.resumed_slots);
+            check Alcotest.bool "recovery ok" true (Chaos.recovery_ok r)))
+      [ Dsu.Plan.Padded; Dsu.Plan.Growable ]
+  @ [
     case "crash-free recovery drill also passes (nothing to resume)"
       (fun () ->
         let config =
@@ -425,46 +448,58 @@ let recovery_tests =
         | _ -> Alcotest.fail "scenarios missing");
   ]
 
-(* ---------------------------------------------------- legacy rank files *)
+(* ------------------------------------------------------- legacy files *)
 
-(* Snapshots of the retired two-array rank layout (kind byte 3 / JSON
-   "rank"), captured from a forest built by 4 racing domains over 48
-   nodes, in both codecs and both versions.  rank-partition.txt holds the
+(* Snapshots of two retired layouts, each captured from a forest built by
+   4 racing domains over 48 nodes: the two-array rank layout (kind byte 3
+   / JSON "rank", both codecs and both versions), which restores as
+   packed, and the boxed [int Atomic.t array] layout (kind byte 1 / JSON
+   "boxed", v2), which restores as flat.  <layout>-partition.txt holds the
    captured partition as each node's smallest set member. *)
-let legacy_partition () =
-  In_channel.with_open_text "data/rank-partition.txt" In_channel.input_all
+let legacy_partition layout =
+  In_channel.with_open_text
+    (Printf.sprintf "data/%s-partition.txt" layout)
+    In_channel.input_all
   |> String.trim |> String.split_on_char ' ' |> List.map int_of_string
   |> Array.of_list
 
+let legacy_case ~layout ~restores_as file =
+  case
+    (Printf.sprintf "legacy %s snapshot %s restores as %s" layout file
+       restores_as)
+    (fun () ->
+      let snap =
+        match Snap.read_file (Filename.concat "data" file) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: %s" file e
+      in
+      check Alcotest.string "decoded kind" restores_as
+        (Snap.kind_to_string snap.Snap.kind);
+      check Alcotest.bool "passes check" true (Snap.ok snap);
+      let d = Restore.restore snap in
+      check Alcotest.string "restored kind" restores_as
+        (Snap.kind_to_string (Dsu.Driver.kind d));
+      let labels = legacy_partition layout in
+      check Alcotest.int "universe" (Array.length labels) (Dsu.Driver.n d);
+      Array.iteri
+        (fun i l ->
+          for j = 0 to Array.length labels - 1 do
+            check Alcotest.bool
+              (Printf.sprintf "same_set %d %d" i j)
+              (l = labels.(j))
+              (Dsu.Driver.same_set d i j)
+          done)
+        labels;
+      check Alcotest.bool "re-snapshot passes check" true
+        (Snap.ok (Snap.of_driver d)))
+
 let legacy_tests =
   List.map
-    (fun file ->
-      case ("legacy rank snapshot " ^ file ^ " restores as packed") (fun () ->
-          let snap =
-            match Snap.read_file (Filename.concat "data" file) with
-            | Ok s -> s
-            | Error e -> Alcotest.failf "%s: %s" file e
-          in
-          check Alcotest.string "decoded kind" "packed"
-            (Snap.kind_to_string snap.Snap.kind);
-          check Alcotest.bool "passes check" true (Snap.ok snap);
-          let d = Restore.restore snap in
-          check Alcotest.string "restored kind" "packed"
-            (Snap.kind_to_string (Dsu.Driver.kind d));
-          let labels = legacy_partition () in
-          check Alcotest.int "universe" (Array.length labels) (Dsu.Driver.n d);
-          Array.iteri
-            (fun i l ->
-              for j = 0 to Array.length labels - 1 do
-                check Alcotest.bool
-                  (Printf.sprintf "same_set %d %d" i j)
-                  (l = labels.(j))
-                  (Dsu.Driver.same_set d i j)
-              done)
-            labels;
-          check Alcotest.bool "re-snapshot passes check" true
-            (Snap.ok (Snap.of_driver d))))
+    (legacy_case ~layout:"rank" ~restores_as:"packed")
     [ "rank-v2.bin"; "rank-v2.json"; "rank-v1.bin"; "rank-v1.json" ]
+  @ List.map
+      (legacy_case ~layout:"boxed" ~restores_as:"flat")
+      [ "boxed-v2.bin"; "boxed-v2.json" ]
 
 let () =
   Alcotest.run "recover"

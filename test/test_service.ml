@@ -275,8 +275,7 @@ let test_queue_stress_yields mode () =
 
 (* --------------------------------------------- service vs sequential *)
 
-let kinds =
-  Repro_recover.Snapshot.[ Flat; Boxed; Growable; Packed ]
+let layouts = Dsu.Plan.[ Flat; Growable; Packed ]
 
 (* Sequential union-find oracle over [0, n). *)
 let oracle n =
@@ -315,8 +314,8 @@ let agrees e v =
 let test_service_sequential_oracle () =
   let n = 256 in
   List.iter
-    (fun kind ->
-      let name = Repro_recover.Snapshot.kind_to_string kind in
+    (fun layout ->
+      let name = Dsu.Plan.layout_to_string layout in
       let o = oracle n in
       let cfg =
         {
@@ -327,10 +326,10 @@ let test_service_sequential_oracle () =
           queue_capacity = 64;
           batch = 16;
           admission = Svc.Block 0.2;
-          plan = Dsu.Driver.plan_for kind Dsu.Plan.default;
+          plan = Dsu.Plan.on_layout layout Dsu.Plan.default;
         }
       in
-      let svc = Svc.create ~kind cfg in
+      let svc = Svc.create cfg in
       let rng = Rng.create 3 in
       let expected = Hashtbl.create 512 in
       let answered = ref 0 in
@@ -369,7 +368,7 @@ let test_service_sequential_oracle () =
       check Alcotest.int
         (name ^ ": every accepted op answered")
         (Hashtbl.length expected) !answered)
-    kinds
+    layouts
 
 (* One drained batch mixing expired and live ops.  The worker is held at
    start until every op is queued, so a single dequeue takes them all;
@@ -571,7 +570,7 @@ let test_drill_flat () =
       batch = 8;
     }
   in
-  let d = Hsvc.drill ~config ~kind:Repro_recover.Snapshot.Flat () in
+  let d = Hsvc.drill ~config ~layout:Dsu.Plan.Flat () in
   List.iter
     (fun (c : Hsvc.check) ->
       check Alcotest.bool

@@ -7,7 +7,6 @@ module Rank = Repro_util.Rank
 module Stats = Repro_util.Stats
 module Histogram = Repro_util.Histogram
 module Table = Repro_util.Table
-module Atomic_array = Repro_util.Atomic_array
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -436,36 +435,6 @@ let table_tests =
             ignore (Table.create_aligned ~headers:[ "a" ] ~aligns:[])));
   ]
 
-(* --------------------------------------------------------- Atomic_array *)
-
-let atomic_array_tests =
-  [
-    case "make initializes via f" (fun () ->
-        let a = Atomic_array.make 5 (fun i -> i * i) in
-        check Alcotest.int "len" 5 (Atomic_array.length a);
-        for i = 0 to 4 do
-          check Alcotest.int (string_of_int i) (i * i) (Atomic_array.get a i)
-        done);
-    case "set then get" (fun () ->
-        let a = Atomic_array.make 3 (fun _ -> 0) in
-        Atomic_array.set a 1 42;
-        check Alcotest.int "get" 42 (Atomic_array.get a 1);
-        check Alcotest.int "neighbours untouched" 0 (Atomic_array.get a 0));
-    case "cas succeeds on expected value" (fun () ->
-        let a = Atomic_array.make 1 (fun _ -> 7) in
-        check Alcotest.bool "cas ok" true (Atomic_array.cas a 0 7 9);
-        check Alcotest.int "value" 9 (Atomic_array.get a 0));
-    case "cas fails on stale expected value" (fun () ->
-        let a = Atomic_array.make 1 (fun _ -> 7) in
-        check Alcotest.bool "cas fails" false (Atomic_array.cas a 0 8 9);
-        check Alcotest.int "unchanged" 7 (Atomic_array.get a 0));
-    case "snapshot copies" (fun () ->
-        let a = Atomic_array.make 3 (fun i -> i) in
-        let s = Atomic_array.snapshot a in
-        Atomic_array.set a 0 99;
-        check Alcotest.int "snapshot stale" 0 s.(0));
-  ]
-
 (* ---------------------------------------------------- Flat_atomic_array *)
 
 let flat_atomic_array_tests =
@@ -735,7 +704,6 @@ let () =
       ("stats", stats_tests);
       ("histogram", histogram_tests);
       ("table", table_tests);
-      ("atomic_array", atomic_array_tests);
       ("flat_atomic_array", flat_atomic_array_tests);
       ("ascii_plot", ascii_plot_tests);
     ]
