@@ -2151,6 +2151,11 @@ let run_connectivity gens samplings finishes modes domains_list scale
       a.Connectivity.a_n a.Connectivity.a_ops a.Connectivity.a_unions
       a.Connectivity.a_queries a.Connectivity.a_domains
       (a.Connectivity.a_ops_per_sec /. 1e6));
+  (match Connectivity.check_components points with
+  | Ok () -> ()
+  | Error e ->
+    Printf.eprintf "connectivity: FAIL — %s\n%!" e;
+    exit 1);
   let* () =
     match baseline with
     | None -> Ok ()

@@ -642,10 +642,21 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
   let cache_mask = cache_size - 1
   let prefetch_dist = 8
 
-  let check_batch t op xs ys =
-    let len = Array.length xs in
-    if Array.length ys <> len then
-      invalid_arg (Printf.sprintf "Dsu.%s: endpoint arrays differ in length" op);
+  let check_batch ?len t op xs ys =
+    let len =
+      match len with
+      | None ->
+        let len = Array.length xs in
+        if Array.length ys <> len then
+          invalid_arg
+            (Printf.sprintf "Dsu.%s: endpoint arrays differ in length" op);
+        len
+      | Some len ->
+        if len < 0 || len > Array.length xs || len > Array.length ys then
+          invalid_arg
+            (Printf.sprintf "Dsu.%s: len outside the endpoint arrays" op);
+        len
+    in
     for k = 0 to len - 1 do
       check_node t (Array.unsafe_get xs k);
       check_node t (Array.unsafe_get ys k)
@@ -661,8 +672,8 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
     Array.unsafe_set keys slot x;
     Array.unsafe_set anc slot a
 
-  let unite_batch t xs ys =
-    let len = check_batch t "unite_batch" xs ys in
+  let unite_batch ?len t xs ys =
+    let len = check_batch ?len t "unite_batch" xs ys in
     let keys = Array.make cache_size (-1) and anc = Array.make cache_size 0 in
     for k = 0 to len - 1 do
       if k + prefetch_dist < len then begin

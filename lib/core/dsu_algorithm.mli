@@ -85,15 +85,17 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) : sig
   val unite : t -> int -> int -> unit
   (** Algorithm 3, or 7 when [early]. *)
 
-  val unite_batch : t -> int array -> int array -> unit
+  val unite_batch : ?len:int -> t -> int array -> int array -> unit
   (** [unite_batch t xs ys] unites [xs.(k), ys.(k)] for every [k], in
-      order, through a bulk kernel with a per-call direct-mapped root
+      order (only [k < len] when [len] is given, so a caller can reuse
+      longer buffers), through a bulk kernel with a per-call direct-mapped root
       cache (a previously observed ancestor stays an ancestor, so finds
       restart from it) and parent-cell prefetching a fixed distance
       ahead.  Equivalent to [Array.iter2 (unite t)] — linearizable per
       element, not atomic as a whole — but measurably faster on large
       batches.  Uses the plain (non-early) rounds regardless of [early].
-      @raise Invalid_argument on length mismatch or out-of-range nodes. *)
+      @raise Invalid_argument on length mismatch (or [len] outside
+      either array) or out-of-range nodes. *)
 
   val same_set_batch : t -> int array -> int array -> bool array
   (** [same_set_batch t xs ys] answers [same_set t xs.(k) ys.(k)] for

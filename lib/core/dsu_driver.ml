@@ -79,13 +79,24 @@ let same_length what xs ys =
   if Array.length xs <> Array.length ys then
     invalid_arg ("Dsu_driver." ^ what ^ ": length mismatch")
 
-let unite_batch t xs ys =
+let unite_batch ?len t xs ys =
   match t with
-  | Flat d -> Dsu_native.unite_batch d xs ys
+  | Flat d -> Dsu_native.unite_batch ?len d xs ys
   | Growable d ->
-    same_length "unite_batch" xs ys;
-    Array.iteri (fun k x -> Growable.unite d x ys.(k)) xs
-  | Packed d -> Packed_dsu.Native.unite_batch d xs ys
+    let len =
+      match len with
+      | None ->
+        same_length "unite_batch" xs ys;
+        Array.length xs
+      | Some len ->
+        if len < 0 || len > Array.length xs || len > Array.length ys then
+          invalid_arg "Dsu_driver.unite_batch: len outside the arrays";
+        len
+    in
+    for k = 0 to len - 1 do
+      Growable.unite d xs.(k) ys.(k)
+    done
+  | Packed d -> Packed_dsu.Native.unite_batch ?len d xs ys
 
 let same_set_batch t xs ys =
   match t with

@@ -57,11 +57,14 @@ val find : t -> int -> int
 val same_set : t -> int -> int -> bool
 val unite : t -> int -> int -> unit
 
-val unite_batch : t -> int array -> int array -> unit
+val unite_batch : ?len:int -> t -> int array -> int array -> unit
 val same_set_batch : t -> int array -> int array -> bool array
 val find_batch : t -> int array -> int array
 (** The layouts' bulk kernels; Growable runs the per-op loop.
-    @raise Invalid_argument on length mismatch or out-of-range nodes. *)
+    [unite_batch ~len] unites only the first [len] pairs, so a caller
+    can compact survivors into longer buffers.
+    @raise Invalid_argument on length mismatch (or [len] outside either
+    array) or out-of-range nodes. *)
 
 val count_sets : t -> int
 (** Quiescent only. *)

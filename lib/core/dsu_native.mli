@@ -64,13 +64,15 @@ val find : t -> int -> int
     at the operation's linearization point; roots change as unions occur, so
     treat it as a same-set witness, not a stable canonical name. *)
 
-val unite_batch : t -> int array -> int array -> unit
-(** [unite_batch t xs ys] unites [xs.(k), ys.(k)] for every [k] through the
-    bulk kernel: per-call direct-mapped root cache plus parent-cell
-    prefetching a fixed distance ahead.  Equivalent to a per-element
+val unite_batch : ?len:int -> t -> int array -> int array -> unit
+(** [unite_batch t xs ys] unites [xs.(k), ys.(k)] for every [k] (only
+    [k < len] when [len] is given) through the bulk kernel: per-call
+    direct-mapped root cache plus parent-cell prefetching a fixed
+    distance ahead.  Equivalent to a per-element
     [unite] loop (linearizable per element, not atomic as a whole) but
     measurably faster on large batches; see docs/PERFORMANCE.md.
-    @raise Invalid_argument on length mismatch or out-of-range nodes. *)
+    @raise Invalid_argument on length mismatch (or [len] outside either
+    array) or out-of-range nodes. *)
 
 val same_set_batch : t -> int array -> int array -> bool array
 (** [same_set_batch t xs ys].(k) = [same_set t xs.(k) ys.(k)], through the

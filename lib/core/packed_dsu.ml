@@ -211,13 +211,13 @@ module Native = struct
     if Atomic.get Dsu_obs.armed then Dsu_obs.record_find_op ();
     A.find t x
 
-  let unite_batch t xs ys =
+  let unite_batch ?len t xs ys =
     if Atomic.get Dsu_obs.armed then begin
       let t0 = Dsu_obs.now_ns () in
-      A.unite_batch t xs ys;
+      A.unite_batch ?len t xs ys;
       Dsu_obs.record_unite_latency t0
     end
-    else A.unite_batch t xs ys
+    else A.unite_batch ?len t xs ys
 
   let same_set_batch t xs ys =
     if Atomic.get Dsu_obs.armed then begin

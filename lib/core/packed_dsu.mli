@@ -82,7 +82,7 @@ module Native : sig
   val find : t -> int -> int
   val same_set : t -> int -> int -> bool
   val unite : t -> int -> int -> unit
-  val unite_batch : t -> int array -> int array -> unit
+  val unite_batch : ?len:int -> t -> int array -> int array -> unit
   val same_set_batch : t -> int array -> int array -> bool array
   val find_batch : t -> int array -> int array
   val parent_of : t -> int -> int

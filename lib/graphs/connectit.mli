@@ -72,7 +72,8 @@ val sampling_to_string : sampling -> string
 
 val sampling_of_string : string -> sampling option
 (** ["none"], ["k-out:<k>"] (bare ["k-out"] = 2), ["bfs-hubs:<h>"]
-    (bare = 64). *)
+    (bare = 64).  [None] for anything else, including [k] outside
+    [\[1, 255\]] (the budget is one byte per vertex) and [h < 1]. *)
 
 val finish_to_string : finish -> string
 val finish_of_string : string -> finish option
@@ -88,8 +89,10 @@ type stream_report = {
   edges_skipped : int;  (** finish-phase edges skipped intra-giant *)
   sample_unites : int;
   det_rounds : int;  (** deterministic rounds (0 in [Racy] mode) *)
-  sample_ns : int;  (** sampling + giant-snapshot wall time *)
-  finish_ns : int;
+  sample_ns : int;
+      (** sampling + giant-snapshot wall time, up to the giant being
+          known *)
+  finish_ns : int;  (** up to the barrier after the last finish unite *)
   label_ns : int;  (** final parallel label pass *)
   total_ns : int;
 }
@@ -104,16 +107,18 @@ val run_stream :
   ?block_chunks:int ->
   Edge_stream.t ->
   stream_report
-(** One pass of the streaming pipeline.  Memory is bounded by the DSU
-    state ([O(n)]) plus per-domain chunk buffers — the stream's edge
-    list is never materialized.  Defaults: 4 domains, [K_out 2]
-    sampling, [Bulk] finish, [Racy] mode, plan {!Dsu.Plan.default};
-    [block_chunks] (default 8) is the deterministic engine's block size.
-    @raise Invalid_argument if {!Dsu.Plan.validate} rejects [plan]. *)
-
-(**/**)
-
-val in_domains : domains:int -> (int -> int -> unit) -> unit
-(** Internal: run [f k domains] on [domains] domains (rethrows the
-    first worker exception after joining all).  Shared with the harness
-    sweeps. *)
+(** One pass of the streaming pipeline.  Memory is
+    [O(n + domains * chunk_size)]: the DSU state and one shared label
+    array, plus one chunk buffer per domain, reused by every phase of
+    the pass — the stream's edge list is never materialized.  In [Racy]
+    mode one team of domains runs all phases; the sampled chunks still
+    in the domains' buffers are finished from memory, so a [K_out] pass
+    generates [chunks + window - min domains window] chunks ([window],
+    the sampled prefix, covers about two edges per vertex), or more
+    when a domain got no sampled chunk.  Defaults: 4 domains,
+    [K_out 2] sampling, [Bulk] finish, [Racy] mode, plan
+    {!Dsu.Plan.default}; [block_chunks] (default 8) is the deterministic
+    engine's block size.
+    @raise Invalid_argument if {!Dsu.Plan.validate} rejects [plan], or
+    if [sampling] is [K_out k] with [k] outside [\[1, 255\]] or
+    [Bfs_hubs h] with [h < 1] (the message names the value). *)

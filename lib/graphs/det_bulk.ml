@@ -42,7 +42,10 @@ module Faa = Repro_util.Flat_atomic_array
    block, and the min-reductions erase the difference.  Memory is
    [2 * n] words of shared state plus one block of edges
    ([block_chunks * chunk_size] pairs) spread across the domains —
-   the full edge list is never materialized. *)
+   the full edge list is never materialized.
+
+   The whole pass is one {!Team}: its domains are spawned once, and
+   every barrier above is the team's sense-reversing barrier. *)
 
 type report = {
   n : int;
@@ -51,27 +54,6 @@ type report = {
   rounds : int;
   components : int;
 }
-
-(* Sense-reversing barrier.  Bounded cpu_relax spinning, then short
-   sleeps: on single-core CI hosts a pure spin waits out whole scheduler
-   timeslices (see the service-layer drain loop, which made the same
-   tradeoff). *)
-type barrier = { count : int Atomic.t; sense : bool Atomic.t; total : int }
-
-let barrier_make total = { count = Atomic.make 0; sense = Atomic.make false; total }
-
-let barrier_wait b ~local_sense =
-  if Atomic.fetch_and_add b.count 1 = b.total - 1 then begin
-    Atomic.set b.count 0;
-    Atomic.set b.sense local_sense
-  end
-  else begin
-    let spins = ref 0 in
-    while Atomic.get b.sense <> local_sense do
-      incr spins;
-      if !spins < 4096 then Domain.cpu_relax () else Unix.sleepf 0.0002
-    done
-  end
 
 (* One domain's slice of the current block, compacted across rounds,
    and the propose slots it owns this round. *)
@@ -100,7 +82,6 @@ let run ?(domains = 4) ?(block_chunks = 8)
   let propose = Faa.make n (fun _ -> sentinel) in
   (* [progress.(r land 1)]: some edge of round [r] still joins two roots. *)
   let progress = [| Atomic.make false; Atomic.make false |] in
-  let barrier = barrier_make domains in
   let rounds_total = ref 0 in
   (* Per-domain slice capacity: chunks j mod domains = d of a block. *)
   let slice_cap =
@@ -113,12 +94,7 @@ let run ?(domains = 4) ?(block_chunks = 8)
     done;
     !r
   in
-  let body d =
-    let local_sense = ref true in
-    let bar () =
-      barrier_wait barrier ~local_sense:!local_sense;
-      local_sense := not !local_sense
-    in
+  let body d bar =
     let sl =
       {
         src = Array.make slice_cap 0;
@@ -214,18 +190,7 @@ let run ?(domains = 4) ?(block_chunks = 8)
       bar ()
     done
   in
-  if domains = 1 then body 0
-  else begin
-    let ds = Array.init domains (fun d -> Domain.spawn (fun () -> body d)) in
-    let failure = ref None in
-    Array.iter
-      (fun h ->
-        match Domain.join h with
-        | () -> ()
-        | exception e -> if !failure = None then failure := Some e)
-      ds;
-    match !failure with Some e -> raise e | None -> ()
-  end;
+  Team.phased ~domains (fun d _ -> body d);
   let components = ref 0 in
   for v = 0 to n - 1 do
     if parent.(v) = v then incr components

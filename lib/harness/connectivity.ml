@@ -181,7 +181,7 @@ let anderson_woll_baseline ~config ~gen ~domains =
   let chunks = Edge_stream.chunk_count stream in
   let next = Atomic.make 0 in
   let t0 = Clock.now_ns () in
-  Connectit.in_domains ~domains (fun _ _ ->
+  Graphs.Team.run ~domains (fun _ _ ->
       let buf = Edge_stream.make_chunk stream in
       let rec loop () =
         let idx = Atomic.fetch_and_add next 1 in
@@ -277,7 +277,7 @@ let run_adversarial ?(config = default_config) ~domains () =
     ops;
   let d = Dsu.Driver.create ~plan:config.plan ~seed:config.seed n in
   let t0 = Clock.now_ns () in
-  Connectit.in_domains ~domains (fun k total_d ->
+  Graphs.Team.run ~domains (fun k total_d ->
       let i = ref k in
       while !i < total do
         (match ops.(!i) with
@@ -460,3 +460,31 @@ let guard_finish ?(min_ratio = 0.9) points =
                  (fun (g, s, r) -> Printf.sprintf "%s/%s=%.2fx" g s r)
                  pairs)))
   end
+
+(* ---------------------------------------------------------- agreement *)
+
+let check_components points =
+  let describe p =
+    Printf.sprintf "%s/%s/%s d=%d: %d" p.mode p.sampling p.finish p.domains
+      p.components
+  in
+  let gens = List.sort_uniq compare (List.map (fun p -> p.gen) points) in
+  let disagreements =
+    List.filter_map
+      (fun gen ->
+        match List.filter (fun p -> p.gen = gen) points with
+        | [] -> None
+        | first :: _ as mine ->
+          if List.for_all (fun p -> p.components = first.components) mine
+          then None
+          else
+            Some
+              (Printf.sprintf "%s (%s)" gen
+                 (String.concat ", " (List.map describe mine))))
+      gens
+  in
+  if disagreements = [] then Ok ()
+  else
+    Error
+      ("components disagree within a gen: "
+      ^ String.concat "; " disagreements)

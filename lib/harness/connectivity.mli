@@ -114,3 +114,9 @@ val guard_finish :
     point must reach [min_ratio] (default 0.9) × its per-op twin's
     finish-phase edges/sec.  [Ok (worst, pairs)] or a saying-why
     [Error]. *)
+
+val check_components : point list -> (unit, string) result
+(** Every point of one gen ran the same stream, so all of them — racy
+    or det, at any domain count, sampling and finish — must report the
+    same [components].  [Error] names each disagreeing gen with every
+    one of its points and their counts. *)

@@ -287,20 +287,86 @@ let pipeline_tests =
           (fun s -> check_stream (Edge_stream.kind_name s) s)
           (small_streams ()));
     case "sampling x finish grid matches oracle" (fun () ->
-        let s =
-          Edge_stream.rmat ~chunk_size:256 ~seed:11 ~scale:9 ~edge_factor:4 ()
-        in
+        (* Sample windows of 4 chunks and of 1 chunk: with the second,
+           every team of 2 or more has members that hold no chunk when
+           the finish starts. *)
         List.iter
-          (fun sampling ->
+          (fun (window, s) ->
             List.iter
-              (fun finish ->
-                check_stream
-                  (Printf.sprintf "%s/%s"
-                     (Connectit.sampling_to_string sampling)
-                     (Connectit.finish_to_string finish))
-                  ~sampling ~finish s)
-              [ Connectit.Per_op; Connectit.Bulk ])
-          [ Connectit.No_sampling; Connectit.K_out 2; Connectit.Bfs_hubs 8 ]);
+              (fun domains ->
+                List.iter
+                  (fun sampling ->
+                    List.iter
+                      (fun finish ->
+                        check_stream
+                          (Printf.sprintf "window %d, %s/%s, %d domain(s)"
+                             window
+                             (Connectit.sampling_to_string sampling)
+                             (Connectit.finish_to_string finish)
+                             domains)
+                          ~domains ~sampling ~finish s)
+                      [ Connectit.Per_op; Connectit.Bulk ])
+                  [
+                    Connectit.No_sampling; Connectit.K_out 2;
+                    Connectit.Bfs_hubs 8;
+                  ])
+              [ 1; 2; 3; 4 ])
+          [
+            ( 4,
+              Edge_stream.rmat ~chunk_size:256 ~seed:11 ~scale:9 ~edge_factor:4
+                () );
+            ( 1,
+              Edge_stream.rmat ~chunk_size:256 ~seed:5 ~scale:7 ~edge_factor:8
+                () );
+          ]);
+    case "racy reports pinned at one domain (golden)" (fun () ->
+        (* One domain makes the racy pipeline deterministic: seeded ids,
+           one schedule.  The sample windows are 1, 2 and 5 chunks (two
+           edges per vertex, 256-edge chunks).  Each chunk must be
+           finished exactly once, whether from the buffer that sampled
+           it or generated again, so a chunk finished twice or never
+           moves [edges_skipped]. *)
+        List.iter
+          (fun (name, s, chunks, components, pins) ->
+            check Alcotest.int (name ^ ": chunks") chunks
+              (Edge_stream.chunk_count s);
+            List.iter
+              (fun (sampling, skipped, unites) ->
+                List.iter
+                  (fun finish ->
+                    let what =
+                      Printf.sprintf "%s %s/%s" name
+                        (Connectit.sampling_to_string sampling)
+                        (Connectit.finish_to_string finish)
+                    in
+                    let r = Connectit.run_stream ~domains:1 ~sampling ~finish s in
+                    check Alcotest.int (what ^ ": edges_skipped") skipped
+                      r.Connectit.edges_skipped;
+                    check Alcotest.int (what ^ ": sample_unites") unites
+                      r.Connectit.sample_unites;
+                    check Alcotest.int (what ^ ": components") components
+                      r.Connectit.components)
+                  [ Connectit.Per_op; Connectit.Bulk ])
+              pins)
+          [
+            ( "rmat, window 1",
+              Edge_stream.rmat ~chunk_size:256 ~seed:5 ~scale:7 ~edge_factor:8
+                (),
+              4, 18,
+              [ (Connectit.K_out 2, 900, 108); (Connectit.Bfs_hubs 8, 795, 185) ]
+            );
+            ( "erdos-renyi, window 2",
+              Edge_stream.erdos_renyi ~chunk_size:256 ~seed:7 ~n:256 ~m:2048 (),
+              8, 1,
+              [ (Connectit.K_out 2, 1932, 371); (Connectit.Bfs_hubs 8, 114, 58) ]
+            );
+            ( "power-law, window 5",
+              Edge_stream.power_law ~chunk_size:256 ~seed:9 ~n:600 ~m:3000 (),
+              12, 5,
+              [
+                (Connectit.K_out 2, 16, 87); (Connectit.Bfs_hubs 8, 2716, 1146);
+              ] );
+          ]);
     case "deterministic mode matches oracle" (fun () ->
         List.iter
           (fun s ->
@@ -337,7 +403,27 @@ let pipeline_tests =
               (Some (Connectit.sampling_to_string v))
               (Option.map Connectit.sampling_to_string
                  (Connectit.sampling_of_string (Connectit.sampling_to_string v))))
-          [ Connectit.No_sampling; Connectit.K_out 3; Connectit.Bfs_hubs 5 ];
+          [
+            Connectit.No_sampling; Connectit.K_out 1; Connectit.K_out 3;
+            Connectit.K_out 255; Connectit.Bfs_hubs 1; Connectit.Bfs_hubs 5;
+          ];
+        List.iter
+          (fun bad ->
+            check Alcotest.bool ("rejects " ^ bad) true
+              (Connectit.sampling_of_string bad = None))
+          [ "k-out:0"; "k-out:-3"; "k-out:256"; "k-out:300"; "bfs-hubs:0";
+            "bfs-hubs:-1"; "k-out:x"; "hubs" ];
+        let s = Edge_stream.erdos_renyi ~chunk_size:256 ~seed:1 ~n:50 ~m:100 () in
+        List.iter
+          (fun (sampling, name) ->
+            Alcotest.check_raises ("run_stream " ^ name)
+              (Invalid_argument
+                 ("Connectit.run_stream: invalid sampling " ^ name))
+              (fun () -> ignore (Connectit.run_stream ~sampling s)))
+          [
+            (Connectit.K_out 0, "k-out:0"); (Connectit.K_out 256, "k-out:256");
+            (Connectit.Bfs_hubs 0, "bfs-hubs:0");
+          ];
         check Alcotest.bool "finish" true
           (Connectit.finish_of_string "bulk" = Some Connectit.Bulk);
         check Alcotest.bool "mode" true
@@ -573,6 +659,33 @@ let driver_tests =
         Array.iter
           (fun a -> if not a then Alcotest.fail "united pair not same_set")
           answers);
+    case "unite_batch ~len unites only the prefix on every layout" (fun () ->
+        (* Pairs past [len] are stale buffer contents: they must not be
+           united, on any layout. *)
+        let xs = [| 0; 2; 4; 6 |] and ys = [| 1; 3; 5; 7 |] in
+        List.iter
+          (fun plan ->
+            let what = Dsu.Plan.to_string plan in
+            let d = Dsu.Driver.create ~plan ~seed:9 8 in
+            Dsu.Driver.unite_batch ~len:2 d xs ys;
+            check Alcotest.int (what ^ ": sets") 6 (Dsu.Driver.count_sets d);
+            check Alcotest.bool (what ^ ": prefix united") true
+              (Dsu.Driver.same_set d 2 3);
+            check Alcotest.bool (what ^ ": tail untouched") false
+              (Dsu.Driver.same_set d 4 5);
+            expect_invalid (what ^ ": len past the arrays") (fun () ->
+                Dsu.Driver.unite_batch ~len:5 d xs ys);
+            expect_invalid (what ^ ": negative len") (fun () ->
+                Dsu.Driver.unite_batch ~len:(-1) d xs ys))
+          [
+            Dsu.Plan.default;
+            { Dsu.Plan.default with layout = Dsu.Plan.Growable };
+            {
+              Dsu.Plan.default with
+              linking = Dsu.Plan.By_rank;
+              layout = Dsu.Plan.Packed;
+            };
+          ]);
   ]
 
 (* ---------------------------------------------------------- adversarial *)
@@ -693,6 +806,36 @@ let harness_tests =
           check Alcotest.int "no regressions vs self" 0
             (List.length r.Harness.Perfdiff.regressions)
         | Error e -> Alcotest.failf "perfdiff: %s" e);
+    case "check_components flags a disagreeing gen" (fun () ->
+        let point ~gen ~domains ~components =
+          { (synthetic_point ~finish:"bulk" ~rate:1.0) with
+            Connectivity.gen; domains; components }
+        in
+        let agree =
+          [
+            point ~gen:"rmat" ~domains:1 ~components:3;
+            point ~gen:"rmat" ~domains:2 ~components:3;
+            point ~gen:"er" ~domains:1 ~components:1;
+          ]
+        in
+        check Alcotest.bool "agreeing sweep" true
+          (Connectivity.check_components agree = Ok ());
+        match
+          Connectivity.check_components
+            (point ~gen:"er" ~domains:4 ~components:2 :: agree)
+        with
+        | Ok () -> Alcotest.fail "a 2-vs-1 disagreement passed"
+        | Error e ->
+          let has sub =
+            let n = String.length sub and m = String.length e in
+            let rec go i = i + n <= m && (String.sub e i n = sub || go (i + 1)) in
+            go 0
+          in
+          List.iter
+            (fun sub ->
+              if not (has sub) then Alcotest.failf "%S lacks %S" e sub)
+            [ "er ("; "d=4: 2"; "d=1: 1" ];
+          if has "rmat" then Alcotest.failf "%S names the agreeing gen" e);
     case "gen string round trip" (fun () ->
         List.iter
           (fun g ->
