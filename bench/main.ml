@@ -524,7 +524,7 @@ let parallel_ops = ref 400_000
 let max_domains = ref 8
 let unite_percent = ref 30
 let parallel_policies = ref [ Policy.Two_try_splitting; Policy.One_try_splitting ]
-let parallel_layouts = ref [ Harness.Scalability.Flat ]
+let parallel_layouts = ref [ Dsu.Plan.Flat ]
 let parallel_orders = ref [ Dsu.Memory_order.default ]
 let parallel_backoffs = ref [ true ]
 let parallel_dists = ref [ Harness.Scalability.Uniform ]
@@ -568,8 +568,8 @@ let set_layouts s =
   let layouts =
     String.split_on_char ',' s
     |> List.map (fun l ->
-           match Harness.Scalability.layout_of_string (String.trim l) with
-           | Some Harness.Scalability.Growable | None ->
+           match Dsu.Plan.layout_of_string (String.trim l) with
+           | Some Dsu.Plan.Growable | None ->
              raise (Arg.Bad (Printf.sprintf "unknown or unswept layout %S" l))
            | Some l -> l)
   in
@@ -791,7 +791,7 @@ let run_guard_tuned config pct =
       else
         let p =
           Harness.Scalability.run_point ~config ~memory_order:order
-            ~layout:Harness.Scalability.Flat ~policy:Policy.Two_try_splitting
+            ~layout:Dsu.Plan.Flat ~policy:Policy.Two_try_splitting
             ~domains:1 ()
         in
         go (max best p.Harness.Scalability.mops_per_sec) (k - 1)
@@ -935,7 +935,7 @@ let run_parallel_sweep () =
     Harness.Scalability.sweep ~config
       ~progress:(fun p ->
         Printf.printf "%-12s %-10s %-13s %-3s %-7s d=%d  %8.3f Mops/s\n%!"
-          (Harness.Scalability.layout_to_string p.Harness.Scalability.layout)
+          (Dsu.Plan.layout_to_string p.Harness.Scalability.layout)
           (Policy.to_string p.Harness.Scalability.policy)
           (Dsu.Memory_order.to_string p.Harness.Scalability.memory_order)
           (if p.Harness.Scalability.backoff then "on" else "off")

@@ -9,18 +9,17 @@
      dsu_workload sim --procs 8 --sched cas-adversary -n 4096
      dsu_workload sim --procs 8 --sched crash:0,1:400
      dsu_workload lincheck --trials 200 --procs 3
-     dsu_workload chaos --domains 8 --crash-domains 2 --validate
-     dsu_workload chaos --crash-domains 2 --recover --snapshot-out crash
+     dsu_workload chaos --domains 8 --crash-domains 2
+     dsu_workload chaos --depth snapshot --snapshot-out crash
      dsu_workload snapshot -n 4096 --ops 20000 --snapshot-out dsu.snap
      dsu_workload restore --resume-from dsu.snap --repair --validate
      dsu_workload native --impl jt --wal ops.wal
      dsu_workload snapshot --fuzzy --snapshot-out fuzzy.snap
      dsu_workload restore --resume-from fuzzy.snap --wal ops.wal --validate
-     dsu_workload chaos --durable --layout packed
+     dsu_workload chaos --depth wal --depth service --layout packed
      dsu_workload wal --file ops.wal --dump --check
      dsu_workload durability --max-overhead 15
-     dsu_workload serve --arrival-rate 20000 --workers 2 --admission reject
-     dsu_workload serve --wal --chaos --json drills.json *)
+     dsu_workload serve --arrival-rate 20000 --workers 2 --admission reject *)
 
 open Cmdliner
 
@@ -985,12 +984,12 @@ module Chaos = Harness.Chaos
 
 let layout_conv =
   let parse s =
-    match Harness.Scalability.layout_of_string s with
+    match Dsu.Plan.layout_of_string s with
     | Some l -> Ok l
     | None -> Error (`Msg (Printf.sprintf "unknown layout %S" s))
   in
   let print ppf l =
-    Format.pp_print_string ppf (Harness.Scalability.layout_to_string l)
+    Format.pp_print_string ppf (Dsu.Plan.layout_to_string l)
   in
   Arg.conv (parse, print)
 
@@ -1012,20 +1011,32 @@ let memory_order_arg =
            relaxed-reads (default), acquire or seq-cst.  Lets the chaos \
            audit A/B the tuned path against the fully fenced baseline.")
 
+let chaos_n_arg =
+  Arg.(
+    value & opt int Chaos.default_config.Chaos.n
+    & info [ "n"; "elements" ] ~docv:"N" ~doc:"Number of elements.")
+
 let chaos_ops_arg =
   Arg.(
-    value & opt int 20_000
+    value & opt int Chaos.default_config.Chaos.ops_per_domain
     & info [ "ops" ] ~docv:"M" ~doc:"Operations per domain.")
+
+let chaos_domains_arg =
+  Arg.(
+    value & opt int Chaos.default_config.Chaos.domains
+    & info [ "domains" ] ~docv:"D" ~doc:"Mutator domains, or service workers.")
 
 let crash_domains_arg =
   Arg.(
     value & opt int 2
     & info [ "crash-domains" ] ~docv:"K"
-        ~doc:"Crash-stop the first $(docv) domains mid-operation.")
+        ~doc:
+          "Crash-stop the first $(docv) domains mid-operation (mutators, or \
+           service workers at depth service; none at depth wal).")
 
 let crash_after_arg =
   Arg.(
-    value & opt int 5000
+    value & opt int Chaos.default_config.Chaos.crash_after
     & info [ "crash-after" ] ~docv:"H"
         ~doc:"Base fault-site-hit countdown before a victim crashes.")
 
@@ -1046,19 +1057,6 @@ let fault_seed_arg =
     & info [ "fault-seed" ] ~docv:"SEED"
         ~doc:"Seed for the fault-injection plan (independent of --seed).")
 
-let validate_arg =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "validate" ]
-              ~doc:"Run the post-quiescence audit (the default)." );
-          ( false,
-            info [ "no-validate" ]
-              ~doc:"Skip the audit; only run the fault scenario." );
-        ])
-
 let layouts_arg =
   Arg.(
     value
@@ -1075,36 +1073,37 @@ let policies_arg =
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:
           "Find policy to test (repeatable; default two-try). One scenario \
-           runs per layout/policy pair.")
+           runs per layout/depth/policy triple.")
 
 let json_out_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the dsu-chaos/v1 report to $(docv) (\"-\" = stdout).")
+        ~doc:"Write the JSON report to $(docv) (\"-\" = stdout).")
 
-let recover_arg =
-  Arg.(
-    value & flag
-    & info [ "recover" ]
-        ~doc:
-          "After each crash scenario, snapshot the structure, run \
-           repair-on-restart, restore, resume the crashed domains' streams \
-           and re-audit (the full recovery drill).")
+let depth_conv =
+  let parse s =
+    match Chaos.depth_of_string s with
+    | Some d -> Ok d
+    | None -> Error (`Msg (Printf.sprintf "unknown depth %S" s))
+  in
+  Arg.conv (parse, fun ppf d -> Format.pp_print_string ppf (Chaos.depth_to_string d))
 
-let durable_arg =
+let depths_arg =
   Arg.(
-    value & flag
-    & info [ "durable" ]
+    value
+    & opt_all depth_conv []
+    & info [ "depth" ] ~docv:"DEPTH"
         ~doc:
-          "Run the durable drill instead: mutators log every link to a \
-           group-committed WAL while a snapshotter takes fuzzy epoch \
-           snapshots; crashes are injected into the snapshot scan and \
-           mid-group-commit, then recovery (newest snapshot + WAL tail \
-           replay) must restore a structure that absorbs a full re-run and \
-           passes the audit.  Runs over $(b,--layout), like the other \
-           drills.")
+          "How much of the stack the crash takes down (repeatable; default \
+           dsu): $(b,dsu) crashes mutator domains in memory; $(b,snapshot) \
+           adds snapshot, repair, restore and resume; $(b,wal) runs the \
+           mutators over a group-committed WAL and fuzzy snapshots and \
+           crashes the committer (torn tail) and the snapshotter instead, \
+           recovering from the newest snapshot plus the log; $(b,service) \
+           crashes service workers and the committer, recovers, resumes \
+           serving and measures RTO.")
 
 let chaos_snapshot_out_arg =
   Arg.(
@@ -1112,17 +1111,15 @@ let chaos_snapshot_out_arg =
     & opt (some string) None
     & info [ "snapshot-out" ] ~docv:"PREFIX"
         ~doc:
-          "With $(b,--recover): archive each scenario's crash-time snapshot \
-           as $(docv)-<layout>-<policy>.snap.")
+          "Keep each scenario's files (crash snapshot, WAL, fuzzy \
+           snapshots) in the directory $(docv)-<layout>-<policy>-<depth> \
+           instead of removing its scratch directory.")
+
+let drill_failed_exit = 3
 
 let run_chaos n ops domains crash_domains crash_after stall_prob stall_len
-    unite_frac seed fault_seed policies layouts memory_order validate recover
-    durable snapshot_out json_out metrics_out =
-  let* () =
-    check_arg
-      (not (durable && recover))
-      "--durable and --recover are separate drills; pick one"
-  in
+    unite_frac seed fault_seed policies layouts depths memory_order snapshot_out
+    json_out metrics_out =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (domains >= 1) "--domains must be >= 1" in
@@ -1143,6 +1140,7 @@ let run_chaos n ops domains crash_domains crash_after stall_prob stall_len
       "--unite-frac must be in [0, 1]"
   in
   if metrics_out <> None then Repro_obs.Metrics.set_enabled true;
+  let default xs d = if xs = [] then [ d ] else xs in
   let config =
     {
       Chaos.n;
@@ -1155,104 +1153,49 @@ let run_chaos n ops domains crash_domains crash_after stall_prob stall_len
       unite_percent = int_of_float (unite_frac *. 100.);
       seed;
       fault_seed;
-      policies = (if policies = [] then [ Policy.Two_try_splitting ] else policies);
-      layouts = (if layouts = [] then [ Harness.Scalability.Flat ] else layouts);
+      policies = default policies Policy.Two_try_splitting;
+      layouts = default layouts Dsu.Plan.Flat;
+      depths = default depths Chaos.Dsu;
       memory_order;
-      validate;
     }
   in
-  if durable then begin
-    let ds =
-      Chaos.run_durable_all ~config
-        ~progress:(fun d -> Format.printf "%a@." Chaos.pp_durable d)
-        ()
-    in
-    (match json_out with
-    | None -> ()
-    | Some out ->
-      with_out out (fun oc ->
-          output_string oc
-            (Repro_obs.Json.to_string (Chaos.durable_report_to_json ~config ds));
-          output_char oc '\n'));
-    (match metrics_out with None -> () | Some out -> write_metrics out None);
-    let ok = List.for_all Chaos.durable_ok ds in
-    Printf.printf "chaos: %d durable drill(s), %s\n" (List.length ds)
-      (if ok then "all checks passed" else "CHECKS FAILED");
-    if not ok then exit 1;
-    Ok ()
-  end
-  else if not recover then begin
-    let scenarios =
-      Chaos.run_all ~config
-        ~progress:(fun s -> Format.printf "%a@." Chaos.pp_scenario s)
-        ()
-    in
-    (match json_out with
-    | None -> ()
-    | Some out ->
-      with_out out (fun oc ->
-          output_string oc (Repro_obs.Json.to_string (Chaos.to_json ~config scenarios));
-          output_char oc '\n'));
-    (match metrics_out with None -> () | Some out -> write_metrics out None);
-    let ok = List.for_all Chaos.scenario_ok scenarios in
-    Printf.printf "chaos: %d scenario(s), %s\n" (List.length scenarios)
-      (if ok then "all checks passed" else "CHECKS FAILED");
-    if not ok then exit 1;
-    Ok ()
-  end
-  else begin
-    let results =
-      Chaos.run_recovery_all ~config
-        ~progress:(fun (s, r) ->
-          Format.printf "%a@.%a@." Chaos.pp_scenario s Chaos.pp_recovery r)
-        ()
-    in
-    (match snapshot_out with
-    | None -> ()
-    | Some prefix ->
-      List.iter
-        (fun ((s : Chaos.scenario), (r : Chaos.recovery)) ->
-          let path =
-            Printf.sprintf "%s-%s-%s.snap" prefix
-              (Harness.Scalability.layout_to_string s.Chaos.layout)
-              (Policy.to_string s.Chaos.policy)
-          in
-          Rsnap.write_file path r.Chaos.crash_snapshot;
-          Printf.printf "snapshot: -> %s\n" path)
-        results);
-    (match json_out with
-    | None -> ()
-    | Some out ->
-      with_out out (fun oc ->
-          output_string oc
-            (Repro_obs.Json.to_string (Chaos.recovery_report_to_json ~config results));
-          output_char oc '\n'));
-    (match metrics_out with None -> () | Some out -> write_metrics out None);
-    let ok =
-      List.for_all
-        (fun (s, r) -> Chaos.scenario_ok s && Chaos.recovery_ok r)
-        results
-    in
-    Printf.printf "chaos: %d scenario(s) with recovery, %s\n"
-      (List.length results)
-      (if ok then "all checks passed" else "CHECKS FAILED");
-    if not ok then exit 1;
-    Ok ()
-  end
+  let scenarios =
+    Chaos.run_all ~config ?keep:snapshot_out
+      ~progress:(Format.printf "%a@." Chaos.pp_scenario)
+      ()
+  in
+  (match json_out with
+  | None -> ()
+  | Some out ->
+    with_out out (fun oc ->
+        output_string oc (Repro_obs.Json.to_string (Chaos.to_json ~config scenarios));
+        output_char oc '\n'));
+  (match metrics_out with None -> () | Some out -> write_metrics out None);
+  let ok = List.for_all Chaos.scenario_ok scenarios in
+  Printf.printf "chaos: %d scenario(s), %s\n" (List.length scenarios)
+    (if ok then "all checks passed" else "CHECKS FAILED");
+  if not ok then exit drill_failed_exit;
+  Ok ()
 
 let chaos_cmd =
   let doc =
-    "Crash/stall chaos harness: inject faults into concurrent domains, then \
-     audit the survivors and the structure against a sequential oracle."
+    "The crash drill: inject crashes at the chosen depths of the stack, \
+     recover, and audit that the recovered partition contains every acked \
+     unite and nothing no submitted unite explains (emits dsu-drill/v1)."
   in
-  Cmd.v (Cmd.info "chaos" ~doc)
+  let exits =
+    Cmd.Exit.info drill_failed_exit ~doc:"when a drill check fails."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "chaos" ~doc ~exits)
     Term.(
       term_result
-        (const run_chaos $ n_arg $ chaos_ops_arg $ domains_arg $ crash_domains_arg
-        $ crash_after_arg $ stall_prob_arg $ stall_len_arg $ unite_frac_arg
-        $ seed_arg $ fault_seed_arg $ policies_arg $ layouts_arg
-        $ memory_order_arg $ validate_arg $ recover_arg $ durable_arg
-        $ chaos_snapshot_out_arg $ json_out_arg $ metrics_out_arg))
+        (const run_chaos $ chaos_n_arg $ chaos_ops_arg $ chaos_domains_arg
+        $ crash_domains_arg $ crash_after_arg $ stall_prob_arg $ stall_len_arg
+        $ unite_frac_arg
+        $ seed_arg $ fault_seed_arg $ policies_arg $ layouts_arg $ depths_arg
+        $ memory_order_arg $ chaos_snapshot_out_arg $ json_out_arg
+        $ metrics_out_arg))
 
 (* --------------------------------------------------------- latency mode *)
 
@@ -1775,21 +1718,9 @@ let serve_deadline_arg =
            arrival is answered Timed_out without touching the structure \
            (0 = none).")
 
-let serve_chaos_arg =
-  Arg.(
-    value & flag
-    & info [ "chaos" ]
-        ~doc:
-          "Run the crash-recovery drill over all three backend kinds instead \
-           of the sweep: crash a worker mid-drain and the WAL committer \
-           mid-commit, recover from the newest fuzzy snapshot + WAL tail, \
-           resume serving, and measure RPO (acked-but-lost unites; must be \
-           0) and RTO (time to the first post-recovery ack).  Exits 3 if \
-           any drill check fails.")
-
 let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
-    batch admission plan autotune_cache durable deadline_ms chaos
-    json_out baseline threshold =
+    batch admission plan autotune_cache durable deadline_ms json_out baseline
+    threshold =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (gens >= 1) "--gens must be >= 1" in
@@ -1848,11 +1779,8 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
       durable;
     }
   in
-  let points, drills =
-    if chaos then ([], Hservice.drill_all ~config ())
-    else (Hservice.sweep ~config ~rates (), [])
-  in
-  let doc = Hservice.to_json config ~points ~drills in
+  let points = Hservice.sweep ~config ~rates () in
+  let doc = Hservice.to_json config ~points in
   (* Artifact before table, same SIGPIPE discipline as [latency]. *)
   (match json_out with
   | None -> ()
@@ -1860,8 +1788,7 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
     with_out out (fun oc ->
         output_string oc (Repro_obs.Json.to_string doc);
         output_char oc '\n'));
-  if chaos then List.iter (Format.printf "%a" Hservice.pp_drill) drills
-  else Format.printf "%a" Hservice.pp_table points;
+  Format.printf "%a" Hservice.pp_table points;
   let* () =
     match baseline with
     | None -> Ok ()
@@ -1876,23 +1803,13 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
         Format.printf "%a" Perfdiff.pp rep;
         Ok ())
   in
-  let failed = List.filter (fun d -> not d.Hservice.d_passed) drills in
-  if failed <> [] then begin
-    Printf.printf "DRILL FAILED: %s\n"
-      (String.concat ", "
-         (List.map
-            (fun d -> Rsnap.kind_to_string d.Hservice.d_kind)
-            failed));
-    exit 3
-  end;
   Ok ()
 
 let serve_cmd =
   let doc =
     "Connectivity-as-a-service: a multi-domain DSU server with bounded \
-     ingestion queues and explicit backpressure, driven open-loop; \
-     $(b,--chaos) runs the crash-recovery drill and measures RPO/RTO \
-     (emits dsu-service/v1)."
+     ingestion queues and explicit backpressure, driven open-loop \
+     (emits dsu-service/v1); its crash drill is $(b,chaos --depth service)."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
@@ -1901,7 +1818,7 @@ let serve_cmd =
         $ serve_find_frac_arg $ seed_arg $ serve_gens_arg $ arrival_rates_arg
         $ shape_arg $ serve_workers_arg $ serve_qcap_arg $ serve_batch_arg
         $ serve_admission_arg $ plan_arg $ autotune_cache_arg
-        $ serve_wal_arg $ serve_deadline_arg $ serve_chaos_arg $ json_out_arg
+        $ serve_wal_arg $ serve_deadline_arg $ json_out_arg
         $ baseline_arg $ diff_threshold_arg))
 
 (* ---------------------------------------------------- connectivity mode *)

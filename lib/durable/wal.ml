@@ -119,6 +119,8 @@ type writer = {
   force : bool Atomic.t;
   appended : int Atomic.t;
   committed : int Atomic.t;
+  rounds : int Atomic.t;  (* committer rounds started *)
+  durable_round : int Atomic.t;  (* every record drained up to this round is fsynced *)
   commits : int Atomic.t;
   crashed : (Site.t * int) option Atomic.t;
   failed : exn option Atomic.t;
@@ -198,6 +200,7 @@ let run_committer w =
     last := now
   in
   let rec loop () =
+    let round = Atomic.fetch_and_add w.rounds 1 + 1 in
     drain ();
     let now = Unix.gettimeofday () in
     let committing =
@@ -208,6 +211,7 @@ let run_committer w =
     in
     if committing then commit_pending now
     else if !n_pending = 0 && Atomic.get w.force then Atomic.set w.force false;
+    if !n_pending = 0 then Atomic.set w.durable_round round;
     if Atomic.get w.stop then begin
       (* Final drain: appends racing the stop flag may still be in the
          shards; anything arriving after this is lost (documented). *)
@@ -251,6 +255,8 @@ let create_writer ?(shards = 8) ?(flush_records = 64) ?(flush_interval = 0.002)
       force = Atomic.make false;
       appended = Atomic.make 0;
       committed = Atomic.make 0;
+      rounds = Atomic.make 0;
+      durable_round = Atomic.make 0;
       commits = Atomic.make 0;
       crashed = Atomic.make None;
       failed = Atomic.make None;
@@ -297,12 +303,16 @@ let failed w = Atomic.get w.failed
    loop must give up as soon as either death latch is set. *)
 let dead w = Atomic.get w.crashed <> None || Atomic.get w.failed <> None
 
+(* The caller's records were staged before [flush] read [rounds], so the
+   next round's drain takes them.  A record count is no such proof: the
+   shards drain one by one, so a round can commit later appends from
+   other domains and reach the count while missing the caller's own. *)
 let flush w =
-  let target = Atomic.get w.appended in
+  let target = Atomic.get w.rounds + 1 in
   Atomic.set w.force true;
   let rec wait () =
     if dead w then ()
-    else if Atomic.get w.committed >= target then ()
+    else if Atomic.get w.durable_round >= target then ()
     else begin
       (* Sleep-poll: the committer needs the CPU more than this waiter. *)
       Unix.sleepf 0.00005;

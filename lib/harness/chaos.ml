@@ -1,6 +1,7 @@
 module Policy = Dsu.Find_policy
 module Rng = Repro_util.Rng
 module J = Repro_obs.Json
+module Clock = Repro_obs.Clock
 module Op = Workload.Op
 module Site = Repro_fault.Site
 module Fi = Repro_fault.Inject
@@ -10,10 +11,22 @@ module Rsnap = Repro_recover.Snapshot
 module Rrepair = Repro_recover.Repair
 module Rrestore = Repro_recover.Restore
 module Driver = Dsu.Driver
-module Depoch = Repro_durable.Epoch
 module Dwal = Repro_durable.Wal
 module Dfuzzy = Repro_durable.Fuzzy
 module Drecovery = Repro_durable.Recovery
+module Svc = Repro_service.Service
+
+type depth = Dsu | Snapshot | Wal | Service
+
+let all_depths = [ Dsu; Snapshot; Wal; Service ]
+
+let depth_to_string = function
+  | Dsu -> "dsu"
+  | Snapshot -> "snapshot"
+  | Wal -> "wal"
+  | Service -> "service"
+
+let depth_of_string s = List.find_opt (fun d -> depth_to_string d = s) all_depths
 
 type config = {
   n : int;
@@ -27,64 +40,153 @@ type config = {
   seed : int;
   fault_seed : int;
   policies : Policy.t list;
-  layouts : Scalability.layout list;
+  layouts : Dsu.Plan.layout list;
+  depths : depth list;
   memory_order : Dsu.Memory_order.t;
-      (* the parent-load ordering mode every scenario's structure uses;
-         kept in the config (not the scenario cross product) so one chaos
-         run A/Bs a single mode and the report says which *)
-  validate : bool;
 }
 
 let default_config =
   {
-    n = 4096;
-    ops_per_domain = 20_000;
+    n = 16384;
+    ops_per_domain = 2_000;
     domains = 8;
     crash_domains = 2;
-    crash_after = 5_000;
+    crash_after = 2_000;
     stall_prob = 0.01;
     stall_len = 64;
     unite_percent = 40;
     seed = 11;
     fault_seed = 7;
     policies = [ Policy.Two_try_splitting ];
-    layouts = [ Scalability.Flat ];
+    layouts = [ Dsu.Plan.Flat ];
+    depths = [ Dsu ];
     memory_order = Dsu.Memory_order.default;
-    validate = true;
   }
 
-type check = { check_name : string; passed : bool; detail : string }
+type check = { name : string; ok : bool; detail : string }
 
-type scenario = {
-  layout : Scalability.layout;
-  policy : Policy.t;
-  crashed : (int * Site.t) list;
-  completed : int array;
-  failures : (int * string) list;
-  hops : int array;
-  fault_totals : Fi.totals;
-  forest : Fc.report option;
-  checks : check list;
-  seconds : float;
+(* A check from its first counterexample, if any. *)
+let verdict name = function
+  | None -> { name; ok = true; detail = "" }
+  | Some detail -> { name; ok = false; detail }
+
+let recovery_check r = verdict "recovery" (match r with Error e -> Some e | Ok _ -> None)
+
+(* ---------- the audit ---------- *)
+
+type forest = { parents : int array; prio : int -> int; find : int -> int }
+
+(* [prio] is read live: packed ranks move as roots are promoted. *)
+let forest_of_driver d =
+  { parents = Driver.parents_snapshot d; prio = Driver.prio d; find = Driver.find d }
+
+type answers = {
+  unites : (int * int * int) list;
+  queries : (int * int * int * bool) list;
 }
 
-let scenario_ok s = s.failures = [] && List.for_all (fun c -> c.passed) s.checks
+type evidence = {
+  acked : (int * int) list;
+  submitted : (int * int) list;
+  answers : answers option;
+  hops : (int * int) list;
+}
 
-let hop_budget n = 16. *. ((log (float_of_int n) /. log 2.) +. 2.)
+let hop_budget n = 2. *. Float.log2 (float_of_int n)
 
-(* The plan a (layout, policy) scenario runs under: the config's memory
-   order, moved onto the layout. *)
-let dsu_plan ~config ~layout ~policy =
-  Dsu.Plan.on_layout layout
-    { Dsu.Plan.default with compaction = policy; memory_order = config.memory_order }
+let closure n pairs =
+  let s = Seq.create n in
+  List.iter (fun (x, y) -> Seq.unite s x y) pairs;
+  s
 
-let gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain =
-  Array.init domains (fun k ->
-      let rng = Rng.create (seed + (1000 * k)) in
-      Array.init ops_per_domain (fun _ ->
-          let x = Rng.int rng n and y = Rng.int rng n in
-          if Rng.int rng 100 < unite_percent then Op.Unite (x, y)
-          else Op.Same_set (x, y)))
+let audit ?(stage = "") ev f =
+  let n = Array.length f.parents in
+  let verdict name = verdict (if stage = "" then name else stage ^ ":" ^ name) in
+  let report = Fc.check ~prio:f.prio f.parents in
+  if not (Fc.ok report) then
+    (* Everything below chases parent chains. *)
+    [ verdict "forest" (Some (Format.asprintf "%a" Fc.pp report)) ]
+  else begin
+    let parents = f.parents in
+    let rec root i = if parents.(i) = i then i else root parents.(i) in
+    let roots = Array.init n root in
+    let forest =
+      verdict "forest"
+        (List.find_map
+           (fun i ->
+             let r = f.find i in
+             if r = roots.(i) then None
+             else Some (Printf.sprintf "find %d = %d, but its chain ends at %d" i r roots.(i)))
+           (List.init n Fun.id))
+    in
+    let lower =
+      verdict "lower"
+        (if ev.acked = [] then Some "nothing was acked, so the lower side proves nothing"
+         else
+           List.find_map
+             (fun (x, y) ->
+               if roots.(x) = roots.(y) then None
+               else Some (Printf.sprintf "acked unite (%d, %d) is not connected" x y))
+             ev.acked)
+    in
+    let upper =
+      let s = closure n ev.submitted in
+      verdict "upper"
+        (List.find_map
+           (fun i ->
+             let p = parents.(i) in
+             if p = i || Seq.same_set s i p then None
+             else
+               Some (Printf.sprintf "edge %d -> %d joins nodes no submitted unite connects" i p))
+           (List.init n Fun.id))
+    in
+    (* A true answer must hold in the final partition.  A false answer is
+       wrong if unites that completed before the query started had joined
+       its arguments: replay completed unites in stop-stamp order into an
+       oracle and test each false answer at its start stamp. *)
+    let answers a =
+      let oracle = Seq.create n in
+      let pending = ref (List.sort (fun (s, _, _) (t, _, _) -> Int.compare s t) a.unites) in
+      verdict "answers"
+        (List.find_map
+           (fun (start, x, y, answer) ->
+             if answer then
+               if roots.(x) = roots.(y) then None
+               else Some (Printf.sprintf "same_set (%d, %d) answered true, but they end apart" x y)
+             else begin
+               let rec catch_up () =
+                 match !pending with
+                 | (stop, ux, uy) :: rest when stop < start ->
+                   Seq.unite oracle ux uy;
+                   pending := rest;
+                   catch_up ()
+                 | _ -> ()
+               in
+               catch_up ();
+               if not (Seq.same_set oracle x y) then None
+               else
+                 Some
+                   (Printf.sprintf
+                      "same_set (%d, %d) answered false after completed unites had joined them" x y)
+             end)
+           (List.sort (fun (s, _, _, _) (t, _, _, _) -> Int.compare s t) a.queries))
+    in
+    let hops () =
+      let budget = hop_budget n in
+      verdict "hops"
+        (List.find_map
+           (fun (h, ops) ->
+             let mean = float_of_int h /. float_of_int ops in
+             if ops = 0 || mean <= budget then None
+             else Some (Printf.sprintf "a worker averaged %.1f own hops/op (budget %.1f)" mean budget))
+           ev.hops)
+    in
+    [ forest; lower; upper ]
+    @ Option.to_list (Option.map answers ev.answers)
+    @ if ev.hops = [] then [] else [ hops () ]
+  end
+
+(* ---------- mutator runs ---------- *)
 
 (* One run's per-slot state — op streams, logical-clock stamps, answers,
    progress and fate — kept in one value so a recovery can resume it. *)
@@ -93,31 +195,99 @@ type run = {
   clock : int Atomic.t;
   starts : int array array;
   stops : int array array;
-  results : int array array;
+  results : bool array array;
   cur : int array;  (* the op each slot is on; [m] once finished *)
   crash_site : Site.t option array;
   failed : string option array;
-  own_hops : int array;
 }
 
-let fresh_run config =
-  let { n; ops_per_domain = m; domains; unite_percent; seed; _ } = config in
-  let per_op () = Array.init domains (fun _ -> Array.make m (-1)) in
+let fresh_run { n; ops_per_domain = m; domains; unite_percent; seed; _ } =
+  let per_op v = Array.init domains (fun _ -> Array.make m v) in
   {
-    ops = gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain:m;
+    ops =
+      Array.init domains (fun k ->
+          let rng = Rng.create (seed + (1000 * k)) in
+          Array.init m (fun _ ->
+              let x = Rng.int rng n and y = Rng.int rng n in
+              if Rng.int rng 100 < unite_percent then Op.Unite (x, y) else Op.Same_set (x, y)));
     clock = Atomic.make 0;
-    starts = per_op ();
-    stops = per_op ();
-    results = per_op ();
+    starts = per_op (-1);
+    stops = per_op (-1);
+    results = per_op false;
     cur = Array.make domains 0;
     crash_site = Array.make domains None;
     failed = Array.make domains None;
-    own_hops = Array.make domains 0;
   }
 
-(* Crash countdowns are staggered per slot so victims fall at different
-   depths of the run; every slot shares the stall/yield noise. *)
-let noise_of config =
+(* (slot, own Find_hop count, ops completed) for each slot one call ran. *)
+type stage = { stage : string; slots : (int * int * int) list }
+
+(* Run [slots]' streams from their current op to the end (re-running the op
+   a crashed slot died inside is safe: unite is idempotent, queries are
+   read-only).  Each call counts only its own hops and ops. *)
+let run_workers ~d r slots =
+  let m = Array.length r.ops.(0) in
+  let worker k () =
+    Fi.enroll ~slot:k;
+    let first = r.cur.(k) in
+    (try
+       for j = first to m - 1 do
+         r.cur.(k) <- j;
+         r.starts.(k).(j) <- Atomic.fetch_and_add r.clock 1;
+         (match r.ops.(k).(j) with
+          | Op.Unite (x, y) -> Driver.unite d x y
+          | Op.Same_set (x, y) -> r.results.(k).(j) <- Driver.same_set d x y
+          | Op.Find x -> ignore (Driver.find d x));
+         r.stops.(k).(j) <- Atomic.fetch_and_add r.clock 1
+       done;
+       r.cur.(k) <- m
+     with
+    | Fi.Crashed (site, _) -> r.crash_site.(k) <- Some site
+    | e -> r.failed.(k) <- Some (Printexc.to_string e));
+    (k, Fi.my_hops (), r.cur.(k) - first)
+  in
+  List.map Domain.join (List.map (fun k -> Domain.spawn (worker k)) slots)
+
+(* The unites of [r] that started ([~completed:false]) or completed. *)
+let unites_of ~completed r =
+  let acc = ref [] in
+  Array.iteri
+    (fun k row ->
+      Array.iteri
+        (fun j op ->
+          match op with
+          | Op.Unite (x, y) when (if completed then r.stops else r.starts).(k).(j) >= 0 ->
+            acc := (x, y) :: !acc
+          | _ -> ())
+        row)
+    r.ops;
+  !acc
+
+let answers_of r =
+  let unites = ref [] and queries = ref [] in
+  Array.iteri
+    (fun k row ->
+      Array.iteri
+        (fun j op ->
+          if r.stops.(k).(j) >= 0 then
+            match op with
+            | Op.Unite (x, y) -> unites := (r.stops.(k).(j), x, y) :: !unites
+            | Op.Same_set (x, y) ->
+              queries := (r.starts.(k).(j), x, y, r.results.(k).(j)) :: !queries
+            | Op.Find _ -> ())
+        row)
+    r.ops;
+  { unites = !unites; queries = !queries }
+
+(* Hop evidence: the (hops, ops) of every slot [st] ran to the end of [r]. *)
+let finished_hops r st =
+  List.filter_map
+    (fun (k, h, ops) -> if r.cur.(k) = Array.length r.ops.(k) then Some (h, ops) else None)
+    st.slots
+
+(* ---------- fault plans ---------- *)
+
+let noise config =
   if config.stall_prob > 0. then
     [
       Fi.rule ~prob:config.stall_prob (Fi.Stall config.stall_len);
@@ -125,219 +295,84 @@ let noise_of config =
     ]
   else []
 
-let plan_of config =
-  let noise = noise_of config in
+(* Slots below [victims] carry [victim k]; every worker slot carries the
+   stall/yield noise; slots from [config.domains] on are the durability
+   machinery's and get [extra slot]. *)
+let fault_plan config ~victims ~victim ~extra =
+  let noise = noise config in
   let rules_for slot =
-    if slot < config.crash_domains then
-      Fi.rule ~after:(config.crash_after * (slot + 1)) Fi.Crash :: noise
-    else noise
+    if slot < victims then victim slot :: noise
+    else if slot < config.domains then noise
+    else extra slot
   in
   { Fi.seed = config.fault_seed; rules_for }
 
-(* ---------- the audit ---------- *)
+let noise_only config =
+  { Fi.seed = config.fault_seed + 1; rules_for = (fun _ -> noise config) }
 
-let mk check_name passed detail = { check_name; passed; detail }
+(* ---------- shared recovery checks ---------- *)
 
-(* Root of every node by memoized parent chasing.  Only called after the
-   forest check passed, so the chains are acyclic. *)
-let roots_of parents =
-  let n = Array.length parents in
-  let memo = Array.make n (-1) in
-  let rec go i =
-    if memo.(i) >= 0 then memo.(i)
-    else if parents.(i) = i then (
-      memo.(i) <- i;
-      i)
-    else begin
-      let r = go parents.(i) in
-      memo.(i) <- r;
-      r
-    end
+let edges_of ~n parents =
+  List.filter_map
+    (fun i ->
+      let p = parents.(i) in
+      if p <> i && p >= 0 && p < n then Some (i, p) else None)
+    (List.init n Fun.id)
+
+(* The durable depths' recovery: the log's torn tail, every surviving
+   snapshot's epoch cut (each valid record below a snapshot's epoch is
+   already connected in it), then newest snapshot + tail replay.  Returns
+   the valid records — the acknowledged links — with the checks. *)
+let recover_durable ~plan ?on_link ~snapshots ~wal_path () =
+  let tail = Dwal.read_file wal_path in
+  let records = match tail with Ok t -> Array.to_list t.Dwal.records | Error _ -> [] in
+  let torn =
+    verdict "torn-tail"
+      (match tail with
+       | Error e -> Some e
+       | Ok { Dwal.truncated_at = None; _ } -> Some "the commit crash left no torn tail"
+       | Ok _ -> None)
   in
-  Array.init n go
-
-(* First pair of nodes equivalent under [a] but split by [b], if any —
-   i.e. whether the [a]-partition refines the [b]-partition. *)
-let refines a b =
-  let tbl = Hashtbl.create 97 in
-  let bad = ref None in
-  Array.iteri
-    (fun i ra ->
-      if !bad = None then
-        match Hashtbl.find_opt tbl ra with
-        | None -> Hashtbl.add tbl ra (i, b.(i))
-        | Some (j, rb) -> if rb <> b.(i) then bad := Some (j, i))
-    a;
-  !bad
-
-(* Completed ops of one slot, in issue order, as (start, stop, op). *)
-let completed_ops ~starts ~stops ~ops k =
-  let acc = ref [] in
-  let m = Array.length ops.(k) in
-  for j = m - 1 downto 0 do
-    if stops.(k).(j) >= 0 then acc := (starts.(k).(j), stops.(k).(j), ops.(k).(j)) :: !acc
-  done;
-  !acc
-
-let audit ~config ~d { ops; starts; stops; results; cur; _ } ~interrupted =
-  let n = config.n in
-  let parents = Driver.parents_snapshot d in
-  (* [prio] is read live: packed ranks move as roots are promoted. *)
-  let forest = Fc.check ~prio:(Driver.prio d) parents in
-  let forest_check =
-    mk "forest" (Fc.ok forest)
-      (if Fc.ok forest then "" else Format.asprintf "%a" Fc.pp forest)
+  let cut =
+    verdict "epoch-cut"
+      (List.find_map
+         (fun path ->
+           match Rsnap.read_file path with
+           | Error e -> Some (path ^ ": " ^ e)
+           | Ok s ->
+             let part = closure s.Rsnap.n (edges_of ~n:s.Rsnap.n s.Rsnap.parents) in
+             List.find_map
+               (fun { Dwal.epoch; x; y; _ } ->
+                 if epoch >= s.Rsnap.epoch || x >= s.Rsnap.n || y >= s.Rsnap.n
+                    || Seq.same_set part x y
+                 then None
+                 else
+                   Some
+                     (Printf.sprintf "%s: record (%d, %d) of epoch %d is not in the cut of epoch %d"
+                        path x y epoch s.Rsnap.epoch))
+               records)
+         snapshots)
   in
-  if not (Fc.ok forest) then
-    (* Everything below chases parent chains or trusts the partition; a
-       structurally broken forest would send those checks spinning. *)
-    ( Some forest,
-      [
-        forest_check;
-        mk "find-idempotent" false "skipped: forest invalid";
-        mk "completed-unites" false "skipped: forest invalid";
-        mk "sameset-true" false "skipped: forest invalid";
-        mk "sameset-false" false "skipped: forest invalid";
-        mk "partition-sandwich" false "skipped: forest invalid";
-        mk "survivors-complete" false "skipped: forest invalid";
-        mk "survivor-hops" false "skipped: forest invalid";
-      ] )
-  else begin
-    let snap_roots = roots_of parents in
-    let all_completed = List.concat (List.init config.domains (completed_ops ~starts ~stops ~ops)) in
-    (* find agrees with the snapshot (same classes both ways) and is stable
-       when repeated — note find may compact, so this runs on the live
-       structure after the snapshot was taken. *)
-    let find_check =
-      let find_roots = Array.init n (Driver.find d) in
-      let unstable = ref None in
-      for i = 0 to n - 1 do
-        if !unstable = None && Driver.find d i <> find_roots.(i) then unstable := Some i
-      done;
-      match (refines snap_roots find_roots, refines find_roots snap_roots, !unstable) with
-      | None, None, None -> mk "find-idempotent" true ""
-      | Some (i, j), _, _ | _, Some (i, j), _ ->
-        mk "find-idempotent" false
-          (Printf.sprintf "find and snapshot disagree on nodes %d and %d" i j)
-      | _, _, Some i ->
-        mk "find-idempotent" false
-          (Printf.sprintf "find %d changed its answer at quiescence" i)
-    in
-    let unites_check =
-      let bad =
-        List.find_opt
-          (function
-            | _, _, Op.Unite (x, y) -> snap_roots.(x) <> snap_roots.(y)
-            | _ -> false)
-          all_completed
-      in
-      match bad with
-      | None -> mk "completed-unites" true ""
-      | Some (_, _, Op.Unite (x, y)) ->
-        mk "completed-unites" false
-          (Printf.sprintf "completed unite (%d, %d) not connected in final forest" x y)
-      | Some _ -> assert false
-    in
-    let true_check =
-      let bad = ref None in
-      Array.iteri
-        (fun k row ->
-          Array.iteri
-            (fun j r ->
-              if !bad = None && r = 1 then
-                match ops.(k).(j) with
-                | Op.Same_set (x, y) when snap_roots.(x) <> snap_roots.(y) ->
-                  bad := Some (x, y)
-                | _ -> ())
-            row)
-        results;
-      match !bad with
-      | None -> mk "sameset-true" true ""
-      | Some (x, y) ->
-        mk "sameset-true" false
-          (Printf.sprintf "same_set (%d, %d) answered true but they end up apart" x y)
-    in
-    (* A false answer is wrong if unites that fully completed before the
-       query was even issued had already connected its arguments: replay
-       completed unites in stop-stamp order into a sequential oracle and
-       test each false query at its start stamp. *)
-    let false_check =
-      let unites =
-        List.filter_map
-          (function
-            | _, stop, Op.Unite (x, y) -> Some (stop, x, y)
-            | _ -> None)
-          all_completed
-        |> List.sort compare
-      in
-      let queries = ref [] in
-      Array.iteri
-        (fun k row ->
-          Array.iteri
-            (fun j r ->
-              if r = 0 then
-                match ops.(k).(j) with
-                | Op.Same_set (x, y) -> queries := (starts.(k).(j), x, y) :: !queries
-                | _ -> ())
-            row)
-        results;
-      let queries = List.sort compare !queries in
-      let oracle = Seq.create n in
-      let pending = ref unites in
-      let bad = ref None in
-      List.iter
-        (fun (s, x, y) ->
-          let continue = ref true in
-          while !continue do
-            match !pending with
-            | (t, ux, uy) :: rest when t < s ->
-              Seq.unite oracle ux uy;
-              pending := rest
-            | _ -> continue := false
-          done;
-          if !bad = None && Seq.same_set oracle x y then bad := Some (x, y))
-        queries;
-      match !bad with
-      | None -> mk "sameset-false" true ""
-      | Some (x, y) ->
-        mk "sameset-false" false
-          (Printf.sprintf
-             "same_set (%d, %d) answered false after unites completed before it started had joined them"
-             x y)
-    in
-    (* Upper bound: every edge of the final forest must be justified by a
-       completed unite or by the single in-flight unite of an interrupted
-       worker.  (Compaction only rewires within a class, so an interrupted
-       find can never add connectivity.)  The lower bound — completed
-       unites are connected — is the completed-unites check above. *)
-    let sandwich_check =
-      let p1 = Seq.create n in
-      List.iter
-        (function _, _, Op.Unite (x, y) -> Seq.unite p1 x y | _ -> ())
-        all_completed;
-      List.iter
-        (fun k ->
-          let j = cur.(k) in
-          if j < config.ops_per_domain then
-            match ops.(k).(j) with Op.Unite (x, y) -> Seq.unite p1 x y | _ -> ())
-        interrupted;
-      let bad = ref None in
-      for i = 0 to n - 1 do
-        if !bad = None && parents.(i) <> i && not (Seq.same_set p1 i parents.(i))
-        then bad := Some i
-      done;
-      match !bad with
-      | None -> mk "partition-sandwich" true ""
-      | Some i ->
-        mk "partition-sandwich" false
-          (Printf.sprintf
-             "edge %d -> %d is not justified by any completed or in-flight unite" i
-             parents.(i))
-    in
-    (Some forest, [ forest_check; find_check; unites_check; true_check; false_check; sandwich_check ])
-  end
+  let recovered = Drecovery.recover_files ~plan ?on_link ~snapshots ~wal:wal_path () in
+  let links = List.map (fun { Dwal.x; y; _ } -> (x, y)) records in
+  (links, [ torn; cut; recovery_check recovered ], recovered)
 
-(* ---------- the run ---------- *)
+(* ---------- the scenario engine ---------- *)
+
+type scenario = {
+  layout : Dsu.Plan.layout;
+  policy : Policy.t;
+  depth : depth;
+  crashed : (int * Site.t) list;
+  stages : stage list;
+  recovery : Drecovery.stats option;
+  rto_ns : int option;
+  faults : Fi.totals;
+  checks : check list;
+  seconds : float;
+}
+
+let scenario_ok s = List.for_all (fun c -> c.ok) s.checks
 
 let validate_config c =
   if c.n < 2 then invalid_arg "Chaos: n must be >= 2";
@@ -348,313 +383,442 @@ let validate_config c =
   if c.stall_prob < 0. || c.stall_prob > 1. then
     invalid_arg "Chaos: stall_prob must be in [0, 1]"
 
-(* Run the given slots' op streams from their current [cur] position to the
-   end.  Used for the initial run (every slot from 0) and for the
-   post-restore resume (crashed slots from the op they died inside —
-   re-running it is safe: [unite] is idempotent, queries are read-only). *)
-let run_workers ~m ~d r slots =
-  let { ops; clock; starts; stops; results; cur; crash_site; failed; own_hops } = r in
-  let worker k () =
-    Fi.enroll ~slot:k;
-    (try
-       for j = cur.(k) to m - 1 do
-         cur.(k) <- j;
-         starts.(k).(j) <- Atomic.fetch_and_add clock 1;
-         (match ops.(k).(j) with
-          | Op.Unite (x, y) ->
-            Driver.unite d x y;
-            results.(k).(j) <- 2
-          | Op.Same_set (x, y) ->
-            results.(k).(j) <- (if Driver.same_set d x y then 1 else 0)
-          | Op.Find x ->
-            ignore (Driver.find d x);
-            results.(k).(j) <- 3);
-         stops.(k).(j) <- Atomic.fetch_and_add clock 1
-       done;
-       cur.(k) <- m
-     with
-    | Fi.Crashed (site, _) -> crash_site.(k) <- Some site
-    | e -> failed.(k) <- Some (Printexc.to_string e));
-    own_hops.(k) <- own_hops.(k) + Fi.my_hops ()
-  in
-  let handles = List.map (fun k -> Domain.spawn (worker k)) slots in
-  List.iter Domain.join handles
+let crash_fired ~crashed ~victims ~failed extra =
+  verdict "crash-fired"
+    (match failed with
+     | (k, e) :: _ -> Some (Printf.sprintf "slot %d failed: %s" k e)
+     | [] -> (
+       match List.find_opt (fun (k, _) -> k >= victims) crashed with
+       | Some (k, site) ->
+         Some (Printf.sprintf "slot %d crashed at %s without a crash rule" k (Site.to_string site))
+       | None ->
+         if victims > 0 && crashed = [] then Some "no planned crash fired" else extra))
 
-let completed_counts ~domains ~stops =
-  Array.init domains (fun k ->
-      let c = ref 0 in
-      Array.iter (fun s -> if s >= 0 then incr c) stops.(k);
-      !c)
-
-(* The per-op audit plus the run-level checks (crash plan respected,
-   survivors finished, survivor hop budget). *)
-let full_audit ~config ~d r ~completed ~crashed =
-  let { crash_site; failed; own_hops = hops; _ } = r in
+(* Depths [Dsu], [Snapshot] and [Wal]: mutator domains run their streams
+   with the crash plan armed (at [Wal] with a group-committed log and a
+   fuzzy snapshotter whose crashes are planned too), the structure is
+   recovered as the depth says, audited, resumed and audited again. *)
+let mutator_drill ~config ~plan ~depth ~dir =
+  let { n; domains; seed; _ } = config in
   let m = config.ops_per_domain in
-  let interrupted =
-    List.filter
-      (fun k -> crash_site.(k) <> None || failed.(k) <> None)
-      (List.init config.domains Fun.id)
-  in
-  let forest, checks = audit ~config ~d r ~interrupted in
-  let plan_check =
-    (* Only planned victims may crash; whether every planned victim's
-       countdown was reached depends on the workload length, so unfired
-       victims are not a failure. *)
-    match List.find_opt (fun (k, _) -> k >= config.crash_domains) crashed with
-    | None -> mk "crash-plan" true ""
-    | Some (k, site) ->
-      mk "crash-plan" false
-        (Printf.sprintf "slot %d crashed at %s without a crash rule" k
-           (Site.to_string site))
-  in
-  let survivors =
-    List.filter
-      (fun k -> crash_site.(k) = None && failed.(k) = None)
-      (List.init config.domains Fun.id)
-  in
-  let complete_check =
-    match List.find_opt (fun k -> completed.(k) < m) survivors with
-    | None -> mk "survivors-complete" true ""
-    | Some k ->
-      mk "survivors-complete" false
-        (Printf.sprintf "survivor %d completed only %d of %d ops" k completed.(k) m)
-  in
-  let hop_check =
-    let budget = hop_budget config.n in
-    let over =
-      List.find_opt
-        (fun k ->
-          completed.(k) > 0 && float_of_int hops.(k) /. float_of_int completed.(k) > budget)
-        survivors
-    in
-    match over with
-    | None -> mk "survivor-hops" true ""
-    | Some k ->
-      mk "survivor-hops" false
-        (Printf.sprintf "survivor %d averaged %.1f own hops/op (budget %.1f)" k
-           (float_of_int hops.(k) /. float_of_int completed.(k))
-           budget)
-  in
-  (forest, checks @ [ plan_check; complete_check; hop_check ])
-
-(* Phase 1 of the mutator drills: every slot's stream against a fresh
-   structure with the crash plan armed, then the audit. *)
-let run_phase1 ~config ~layout ~policy =
-  validate_config config;
-  let domains = config.domains in
-  let r = fresh_run config in
-  let d =
-    Driver.create ~plan:(dsu_plan ~config ~layout ~policy) ~seed:config.seed
-      config.n
-  in
-  Fi.arm (plan_of config);
-  let t0 = Repro_obs.Clock.now_ns () in
-  run_workers ~m:config.ops_per_domain ~d r (List.init domains Fun.id);
-  let seconds = float_of_int (Repro_obs.Clock.now_ns () - t0) /. 1e9 in
-  Fi.disarm ();
-  let fault_totals = Fi.totals () in
-  let crashed =
-    List.filter_map
-      (fun k -> Option.map (fun site -> (k, site)) r.crash_site.(k))
-      (List.init domains Fun.id)
-  in
-  let failures =
-    List.filter_map
-      (fun k -> Option.map (fun msg -> (k, msg)) r.failed.(k))
-      (List.init domains Fun.id)
-  in
-  let completed = completed_counts ~domains ~stops:r.stops in
-  let forest, checks =
-    if not config.validate then (None, [])
-    else full_audit ~config ~d r ~completed ~crashed
-  in
-  ( {
-      layout;
-      policy;
-      crashed;
-      completed;
-      failures;
-      hops = r.own_hops;
-      fault_totals;
-      forest;
-      checks;
-      seconds;
-    },
-    d,
-    r )
-
-let run_scenario ?(config = default_config) ~layout ~policy () =
-  let s, _, _ = run_phase1 ~config ~layout ~policy in
-  s
-
-(* ---------- crash -> snapshot -> repair -> resume ---------- *)
-
-type recovery = {
-  crash_snapshot : Rsnap.t;
-  snapshot_crc : int;
-  fixes : Rrepair.fix list;
-  resumed_slots : int list;
-  resumed_ops : int;
-  resumed_forest : Fc.report option;
-  recovery_checks : check list;
-  resume_seconds : float;
-  phase1_counters : (string * int) list;
-  resume_counters : (string * int) list;
-}
-
-let recovery_ok r = List.for_all (fun c -> c.passed) r.recovery_checks
-
-let counter_samples snap =
-  List.filter_map
-    (fun { Repro_obs.Metrics.name; value; _ } ->
-      match value with Repro_obs.Metrics.Counter_v v -> Some (name, v) | _ -> None)
-    snap
-
-(* Counters that moved since [before] — the resumed run's own contribution,
-   so a report over the resumed phase does not re-count pre-crash ops. *)
-let delta_counters ~before ~after =
-  List.filter_map
-    (fun (name, v) ->
-      let b = Option.value ~default:0 (List.assoc_opt name before) in
-      if v - b <> 0 then Some (name, v - b) else None)
-    after
-
-let run_recovery_scenario ?(config = default_config) ~layout ~policy () =
-  let phase1, d, r = run_phase1 ~config ~layout ~policy in
-  let { ops_per_domain = m; domains; _ } = config in
-  let { cur; crash_site; failed; stops; _ } = r in
-  (* Crash-time bookkeeping: metrics accumulated so far belong to phase 1;
-     the resumed run reports only its delta. *)
-  let phase1_counters = counter_samples (Repro_obs.Metrics.snapshot ()) in
-  (* Snapshot the crashed structure and prove the codec round-trips it. *)
-  let snap = Rsnap.of_driver d in
-  let codec_check =
-    match
-      ( Rsnap.of_binary_string (Rsnap.to_binary_string snap),
-        Rsnap.of_json_string (Rsnap.to_json_string snap) )
-    with
-    | Ok b, Ok j when Rsnap.equal b snap && Rsnap.equal j snap ->
-      mk "codec-roundtrip" true ""
-    | Error e, _ | _, Error e -> mk "codec-roundtrip" false e
-    | _ -> mk "codec-roundtrip" false "decoded snapshot differs from the original"
-  in
-  (* Repair must be a no-op — Theorem 3.4 means a crash never corrupts the
-     forest — and must provably refine the crash-time partition. *)
-  let repaired, fixes = Rrepair.repair snap in
-  let repair_check =
-    mk "repair-clean" (fixes = [])
-      (if fixes = [] then ""
-       else
-         Printf.sprintf "crash-time snapshot needed %d fixes, e.g. %s" (List.length fixes)
-           (Format.asprintf "%a" Rrepair.pp_fix (List.hd fixes)))
-  in
-  let refines_check =
-    mk "repair-refines"
-      (Rrepair.refines ~fine:repaired ~coarse:snap)
-      "repaired partition does not refine the crash-time partition"
-  in
-  (* Restore into a fresh structure and resume the crashed slots' streams
-     from the op they died inside; stall/yield noise stays armed, crashes
-     do not re-fire. *)
-  let d2 = Rrestore.restore ~plan:(dsu_plan ~config ~layout ~policy) repaired in
-  let resumed_slots =
-    List.filter
-      (fun k -> crash_site.(k) <> None || failed.(k) <> None)
-      (List.init domains Fun.id)
-  in
-  List.iter
-    (fun k ->
-      crash_site.(k) <- None;
-      failed.(k) <- None)
-    resumed_slots;
-  let resumed_ops = List.fold_left (fun acc k -> acc + (m - cur.(k))) 0 resumed_slots in
-  Fi.arm { Fi.seed = config.fault_seed + 1; rules_for = (fun _ -> noise_of config) };
-  let t1 = Repro_obs.Clock.now_ns () in
-  run_workers ~m ~d:d2 r resumed_slots;
-  let resume_seconds = float_of_int (Repro_obs.Clock.now_ns () - t1) /. 1e9 in
-  Fi.disarm ();
-  let resume_counters =
-    delta_counters ~before:phase1_counters
-      ~after:(counter_samples (Repro_obs.Metrics.snapshot ()))
-  in
-  let completed = completed_counts ~domains ~stops in
-  let resumed_forest, resume_checks =
-    if not config.validate then (None, [])
+  let all = List.init domains Fun.id in
+  let wal_path = Filename.concat dir "wal.log" in
+  (* At [Wal] the durability machinery crashes, not the mutators: their
+     links must fill the four group commits the committer's crash needs. *)
+  let victims = if depth = Wal then 0 else config.crash_domains in
+  (* Arm before creating the writer: arming drops stale enrollments, so
+     the committer enrolls itself from [on_committer_start]. *)
+  Fi.arm
+    (fault_plan config ~victims
+       ~victim:(fun k -> Fi.rule ~after:(config.crash_after * (k + 1)) Fi.Crash)
+       ~extra:(fun slot ->
+         (* The snapshotter dies halfway into its second scan; the
+            committer dies inside its fourth group commit. *)
+         if slot = domains then
+           Fi.rule ~sites:[ Site.Snapshot_read ] ~after:(n + (n / 2)) Fi.Crash :: noise config
+         else [ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after:3 Fi.Crash ]));
+  let wal =
+    if depth <> Wal then None
     else
-      full_audit ~config ~d:d2 r ~completed ~crashed:[]
+      Some
+        (Dwal.create_writer ~shards:(max 2 domains) ~flush_records:32 ~flush_interval:0.0005
+           ~on_committer_start:(fun () -> Fi.enroll ~slot:(domains + 1))
+           wal_path)
   in
-  let resumed_complete =
-    match List.find_opt (fun k -> completed.(k) < m) (List.init domains Fun.id) with
-    | None -> mk "resumed-complete" true ""
-    | Some k ->
-      mk "resumed-complete" false
-        (Printf.sprintf "slot %d finished only %d of %d ops after resume" k completed.(k)
-           m)
+  let d = Driver.create ~plan ~seed ?on_link:(Option.map Dwal.append wal) n in
+  let r = fresh_run config in
+  let mutators_done = Atomic.make false in
+  let caps = ref [] and snap_crash = ref None in
+  let snapshotter =
+    Option.map
+      (fun wal ->
+        Domain.spawn (fun () ->
+            Fi.enroll ~slot:domains;
+            try
+              (* [< 2] keeps the planned crash deterministic even when the
+                 mutators finish first. *)
+              while List.length !caps < 2 || not (Atomic.get mutators_done) do
+                let cap = Dfuzzy.of_driver ~epoch:(Dwal.epoch wal) d in
+                let path = Filename.concat dir (Printf.sprintf "snap-%03d.bin" (List.length !caps)) in
+                Rsnap.write_file path cap.Dfuzzy.snapshot;
+                caps := (path, cap) :: !caps
+              done
+            with Fi.Crashed (site, _) -> snap_crash := Some site))
+      wal
   in
-  let recovery =
+  let crash_stage = { stage = "crash"; slots = run_workers ~d r all } in
+  let crash_hops = finished_hops r crash_stage in
+  Atomic.set mutators_done true;
+  Option.iter Domain.join snapshotter;
+  Option.iter Dwal.close wal;
+  let commit_crash = Option.bind wal (fun w -> (Dwal.writer_stats w).Dwal.ws_crashed) in
+  Fi.disarm ();
+  let faults = Fi.totals () in
+  let crashed = List.filter_map (fun k -> Option.map (fun s -> (k, s)) r.crash_site.(k)) all in
+  let failed = List.filter_map (fun k -> Option.map (fun e -> (k, e)) r.failed.(k)) all in
+  let fired =
+    crash_fired ~crashed ~victims ~failed
+      (match (depth, !snap_crash, commit_crash) with
+       | Wal, Some Site.Snapshot_read, Some (Site.Wal_commit_mid, _) | (Dsu | Snapshot), _, _ -> None
+       | _, s, c ->
+         let site = Option.fold ~none:"never" ~some:Site.to_string in
+         Some
+           (Printf.sprintf "snapshotter crash: %s; committer crash: %s" (site s)
+              (site (Option.map fst c))))
+  in
+  let started = unites_of ~completed:false r in
+  let facts, acked, recovery, recovered =
+    match depth with
+    | Dsu | Service -> ([], unites_of ~completed:true r, None, Ok d)
+    | Snapshot ->
+      (* Through the disk: the file and the JSON codec must give back the
+         crash-time snapshot, and repair must be a no-op (Theorem 3.4: a
+         crash never corrupts the forest). *)
+      let snap = Rsnap.of_driver d in
+      let path = Filename.concat dir "crash.snap" in
+      Rsnap.write_file path snap;
+      let codec =
+        verdict "codec"
+          (match (Rsnap.read_file path, Rsnap.of_json_string (Rsnap.to_json_string snap)) with
+           | Ok b, Ok j when Rsnap.equal b snap && Rsnap.equal j snap -> None
+           | Error e, _ | _, Error e -> Some e
+           | _ -> Some "a decoded snapshot differs from the original")
+      in
+      let repaired, fixes = Rrepair.repair snap in
+      let clean =
+        verdict "repair-clean"
+          (match fixes with
+           | [] -> None
+           | fix :: _ ->
+             Some
+               (Format.asprintf "the crash-time snapshot needed %d fixes, e.g. %a"
+                  (List.length fixes) Rrepair.pp_fix fix))
+      in
+      let restored = Rrestore.restore_result ~plan repaired in
+      ([ codec; clean; recovery_check restored ], unites_of ~completed:true r, None, restored)
+    | Wal ->
+      (* Reconciliation is a no-op for the id-order layouts; packed scans
+         may race a rank promotion, so there it is exempt. *)
+      let clean =
+        verdict "repair-clean"
+          (if plan.Dsu.Plan.layout = Dsu.Plan.Packed then None
+           else
+             List.find_map
+               (fun (p, c) ->
+                 if c.Dfuzzy.fixes = [] then None
+                 else Some (Printf.sprintf "%s needed %d reconciliation fixes" p (List.length c.Dfuzzy.fixes)))
+               !caps)
+      in
+      let links, checks, recovered =
+        recover_durable ~plan ~snapshots:(List.rev_map fst !caps) ~wal_path ()
+      in
+      (clean :: checks, links, Option.map snd (Result.to_option recovered), Result.map fst recovered)
+  in
+  let checks, stages =
+    match recovered with
+    | Error _ -> (facts, [ crash_stage ])
+    | Ok d2 ->
+      let recovered_audit =
+        if depth = Dsu then []
+        else
+          audit ~stage:"recovered"
+            { acked; submitted = started; answers = None; hops = [] }
+            (forest_of_driver d2)
+      in
+      (* Resume: [Snapshot] re-runs each stopped slot from the op it died
+         inside; [Wal] re-runs every stream on the recovered structure,
+         whose lost tail it restores. *)
+      let r2, resumed =
+        match depth with
+        | Dsu | Service -> (r, [])
+        | Snapshot | Wal ->
+          let r2 = if depth = Wal then fresh_run config else r in
+          let slots = List.filter (fun k -> r2.cur.(k) < m) all in
+          List.iter (fun k -> r2.crash_site.(k) <- None; r2.failed.(k) <- None) slots;
+          Fi.arm (noise_only config);
+          let resume = { stage = "resume"; slots = run_workers ~d:d2 r2 slots } in
+          Fi.disarm ();
+          (r2, [ resume ])
+      in
+      let final =
+        audit
+          {
+            acked = (if depth = Wal then acked else []) @ unites_of ~completed:true r2;
+            submitted = (if depth = Wal then started else []) @ unites_of ~completed:false r2;
+            answers = Some (answers_of r2);
+            hops = crash_hops @ List.concat_map (finished_hops r2) resumed;
+          }
+          (forest_of_driver d2)
+      in
+      let complete =
+        verdict "complete"
+          (List.find_map
+             (fun k ->
+               if r2.cur.(k) = m || (depth = Dsu && r.crash_site.(k) <> None) then None
+               else Some (Printf.sprintf "slot %d stopped at op %d of %d" k r2.cur.(k) m))
+             all)
+      in
+      (facts @ recovered_audit @ final @ [ complete ], crash_stage :: resumed)
+  in
+  {
+    layout = plan.Dsu.Plan.layout;
+    policy = plan.Dsu.Plan.compaction;
+    depth;
+    crashed;
+    stages;
+    recovery;
+    rto_ns = None;
+    faults;
+    checks = fired :: checks;
+    seconds = 0.;
+  }
+
+(* Drive [svc] with the config's unite/same_set mix, round-robin over the
+   live sessions, until [stop ()]; returns the enqueued and the acked
+   unites and the completion time of the first [Done]. *)
+let drive svc ~config ~rng ~sessions ~stop =
+  let pending = Hashtbl.create 1024 in
+  let enqueued = ref [] and acked = ref [] and first_done = ref 0 and next = ref 0 in
+  let drain () =
+    for s = 0 to sessions - 1 do
+      List.iter
+        (fun (resp : Svc.response) ->
+          (match resp.Svc.r_outcome with
+           | Svc.Done _ ->
+             if !first_done = 0 then first_done := resp.Svc.r_completed_ns;
+             (match Hashtbl.find_opt pending resp.Svc.r_id with
+              | Some (x, y) -> acked := (x, y) :: !acked
+              | None -> ())
+           | _ -> ());
+          Hashtbl.remove pending resp.Svc.r_id)
+        (Svc.poll svc ~session:s)
+    done
+  in
+  while not (stop !first_done) do
+    (* Route around dead workers: their ops would only wait out the
+       admission deadline and die unacknowledged. *)
+    let dead = List.map fst (Svc.health svc).Svc.h_dead_workers in
+    let rec pick k =
+      let s = (!next + k) mod sessions in
+      if k < sessions && List.mem s dead then pick (k + 1) else s
+    in
+    let session = pick 0 in
+    incr next;
+    let x = Rng.int rng config.n and y = Rng.int rng config.n in
+    let unite = Rng.int rng 100 < config.unite_percent in
+    (match Svc.submit svc ~session (if unite then Svc.Unite (x, y) else Svc.Same_set (x, y)) with
+     | Svc.Enqueued id when unite ->
+       Hashtbl.replace pending id (x, y);
+       enqueued := (x, y) :: !enqueued
+     | _ -> ());
+    drain ()
+  done;
+  (* Collect the answers still in flight on the surviving paths. *)
+  let settle = Clock.now_ns () + 20_000_000 in
+  while Hashtbl.length pending > 0 && Clock.now_ns () < settle do
+    drain ();
+    Unix.sleepf 0.0005
+  done;
+  (!enqueued, !acked, !first_done)
+
+(* Depth [Service]: workers below the victim count crash between drains
+   ([Queue_deq_cas]) and the committer inside its twelfth group commit,
+   with acked traffic on both sides; then recovery from the newest fuzzy
+   checkpoint on disk when the log died plus the log tail, audit, a
+   resumed service on the recovered backend, RTO from the first detected
+   crash to its first ack, and the audit again. *)
+let service_drill ~config ~plan ~dir =
+  let workers = config.domains in
+  let victims = min config.crash_domains (workers - 1) in
+  let wal_path = Filename.concat dir "wal.log" in
+  Fi.arm
+    (fault_plan config ~victims
+       ~victim:(fun k -> Fi.rule ~sites:[ Site.Queue_deq_cas ] ~after:(4 + k) Fi.Crash)
+       ~extra:(fun _ -> [ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after:11 Fi.Crash ]));
+  let wal =
+    Dwal.create_writer ~flush_records:32 ~flush_interval:0.0005
+      ~on_committer_start:(fun () -> Fi.enroll ~slot:workers)
+      wal_path
+  in
+  let scfg =
     {
-      crash_snapshot = snap;
-      snapshot_crc = Rsnap.checksum snap;
-      fixes;
-      resumed_slots;
-      resumed_ops;
-      resumed_forest;
-      recovery_checks =
-        codec_check :: repair_check :: refines_check :: resumed_complete :: resume_checks;
-      resume_seconds;
-      phase1_counters;
-      resume_counters;
+      Svc.n = config.n;
+      workers;
+      clients = workers;
+      queue_capacity = 256;
+      batch = 64;
+      admission = Svc.Block 0.05;
+      plan;
+      seed = config.seed;
+      snapshot_dir = Some dir;
+      snapshot_interval = 0.005;
     }
   in
-  (phase1, recovery)
+  let svc = Svc.create ~wal ~on_worker_start:(fun k -> Fi.enroll ~slot:k) scfg in
+  let rng = Rng.create (config.seed + 17) in
+  let t_crash = ref 0 and on_disk = ref None in
+  let deadline = Clock.now_ns () + 10_000_000_000 in
+  let all_crashed _ =
+    let h = Svc.health svc in
+    let dead = List.length h.Svc.h_dead_workers in
+    if (dead > 0 || h.Svc.h_committer_dead) && !t_crash = 0 then t_crash := Clock.now_ns ();
+    (* Recovery sees the checkpoints on disk when the log died; later ones
+       would cover the whole committed log and leave no tail to replay. *)
+    if h.Svc.h_committer_dead && !on_disk = None then on_disk := Some (Svc.snapshot_files svc);
+    (dead >= victims && h.Svc.h_committer_dead) || Clock.now_ns () > deadline
+  in
+  let enqueued, acked, _ = drive svc ~config ~rng ~sessions:workers ~stop:all_crashed in
+  let health = Svc.health svc in
+  Svc.stop svc;
+  (* The committer is dead: close must neither hang nor double-join. *)
+  Dwal.close wal;
+  Fi.disarm ();
+  let faults = Fi.totals () in
+  let crashed = List.map (fun (k, (site, _)) -> (k, site)) health.Svc.h_dead_workers in
+  let fired =
+    crash_fired ~crashed ~victims ~failed:[]
+      (if health.Svc.h_committer_dead then None else Some "the committer never crashed")
+  in
+  let wal2 = Dwal.create_writer (Filename.concat dir "wal-resume.log") in
+  Fun.protect
+    ~finally:(fun () -> Dwal.close wal2)
+    (fun () ->
+      let _, facts, recovered =
+        recover_durable ~plan ~on_link:(Dwal.append wal2)
+          ~snapshots:(Option.value !on_disk ~default:(Svc.snapshot_files svc))
+          ~wal_path ()
+      in
+      let checks, recovery, rto_ns =
+        match recovered with
+        | Error _ -> (facts, None, None)
+        | Ok (restored, stats) ->
+          let recovered_audit =
+            audit ~stage:"recovered"
+              { acked; submitted = enqueued; answers = None; hops = [] }
+              (forest_of_driver restored)
+          in
+          let svc2 = Svc.create ~backend:restored ~wal:wal2 { scfg with Svc.snapshot_dir = None } in
+          let deadline = Clock.now_ns () + 5_000_000_000 in
+          let enqueued2, acked2, first_done =
+            drive svc2 ~config ~rng ~sessions:workers ~stop:(fun first_done ->
+                first_done > 0 || Clock.now_ns () > deadline)
+          in
+          Svc.stop svc2;
+          let rto = if first_done > 0 && !t_crash > 0 then first_done - !t_crash else 0 in
+          let final =
+            audit
+              { acked = acked @ acked2; submitted = enqueued @ enqueued2; answers = None; hops = [] }
+              (forest_of_driver (Svc.backend svc2))
+          in
+          ( facts @ recovered_audit @ final
+            @ [ verdict "rto" (if rto > 0 then None else Some "no ack after recovery") ],
+            Some stats,
+            Some rto )
+      in
+      {
+        layout = plan.Dsu.Plan.layout;
+        policy = plan.Dsu.Plan.compaction;
+        depth = Service;
+        crashed;
+        stages = [];
+        recovery;
+        rto_ns;
+        faults;
+        checks = fired :: checks;
+        seconds = 0.;
+      })
 
-let run_all ?(config = default_config) ?progress () =
-  let emit s = match progress with None -> () | Some f -> f s in
+let rec rmrf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rmrf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f dir] in a scratch directory: [keep] names one left in place for
+   inspection (emptied first); otherwise a fresh temp directory, removed on
+   every exit path. *)
+let with_scratch ?keep f =
+  match keep with
+  | Some dir ->
+    if Sys.file_exists dir then rmrf dir;
+    Sys.mkdir dir 0o755;
+    f dir
+  | None ->
+    let dir = Filename.temp_dir "dsu-drill" "" in
+    Fun.protect ~finally:(fun () -> rmrf dir) (fun () -> f dir)
+
+let label ~layout ~policy ~depth =
+  String.concat "-"
+    [ Dsu.Plan.layout_to_string layout; Policy.to_string policy; depth_to_string depth ]
+
+let run ?(config = default_config) ?keep ~layout ~policy ~depth () =
+  validate_config config;
+  let plan =
+    Dsu.Plan.on_layout layout
+      { Dsu.Plan.default with compaction = policy; memory_order = config.memory_order }
+  in
+  let t0 = Clock.now_ns () in
+  let body dir =
+    Fun.protect ~finally:Fi.disarm (fun () ->
+        match depth with
+        | Service -> service_drill ~config ~plan ~dir
+        | Dsu | Snapshot | Wal -> mutator_drill ~config ~plan ~depth ~dir)
+  in
+  let s =
+    if depth = Dsu then body ""
+    else
+      with_scratch
+        ?keep:(Option.map (fun p -> p ^ "-" ^ label ~layout ~policy ~depth) keep)
+        body
+  in
+  { s with seconds = float_of_int (Clock.now_ns () - t0) /. 1e9 }
+
+let run_all ?(config = default_config) ?keep ?(progress = ignore) () =
   List.concat_map
     (fun layout ->
-      List.map
-        (fun policy ->
-          let s = run_scenario ~config ~layout ~policy () in
-          emit s;
-          s)
-        config.policies)
-    config.layouts
-
-let run_recovery_all ?(config = default_config) ?progress () =
-  let emit p = match progress with None -> () | Some f -> f p in
-  List.concat_map
-    (fun layout ->
-      List.map
-        (fun policy ->
-          let p = run_recovery_scenario ~config ~layout ~policy () in
-          emit p;
-          p)
-        config.policies)
+      List.concat_map
+        (fun depth ->
+          List.map
+            (fun policy ->
+              let s = run ~config ?keep ~layout ~policy ~depth () in
+              progress s;
+              s)
+            config.policies)
+        config.depths)
     config.layouts
 
 (* ---------- reporting ---------- *)
 
-let scenario_to_json (s : scenario) =
-  let t = s.fault_totals in
+let scenario_to_json s =
+  let t = s.faults in
+  let opt f = Option.fold ~none:J.Null ~some:f in
   J.Obj
     [
-      ("layout", J.String (Scalability.layout_to_string s.layout));
+      ("layout", J.String (Dsu.Plan.layout_to_string s.layout));
       ("policy", J.String (Policy.to_string s.policy));
+      ("depth", J.String (depth_to_string s.depth));
       ("seconds", J.Float s.seconds);
       ( "crashed",
         J.List
           (List.map
-             (fun (k, site) ->
-               J.Obj [ ("slot", J.Int k); ("site", J.String (Site.to_string site)) ])
+             (fun (k, site) -> J.Obj [ ("slot", J.Int k); ("site", J.String (Site.to_string site)) ])
              s.crashed) );
-      ( "failures",
+      ( "stages",
         J.List
           (List.map
-             (fun (k, msg) -> J.Obj [ ("slot", J.Int k); ("error", J.String msg) ])
-             s.failures) );
-      ("completed", J.List (Array.to_list (Array.map (fun c -> J.Int c) s.completed)));
-      ("hops", J.List (Array.to_list (Array.map (fun h -> J.Int h) s.hops)));
+             (fun st ->
+               J.Obj
+                 [
+                   ("stage", J.String st.stage);
+                   ( "slots",
+                     J.List
+                       (List.map
+                          (fun (k, h, ops) ->
+                            J.Obj [ ("slot", J.Int k); ("ops", J.Int ops); ("hops", J.Int h) ])
+                          st.slots) );
+                 ])
+             s.stages) );
       ( "faults",
         J.Obj
           [
@@ -663,569 +827,50 @@ let scenario_to_json (s : scenario) =
             ("stalls", J.Int t.Fi.stalls);
             ("crashes", J.Int t.Fi.crashes);
           ] );
-      ("forest", (match s.forest with None -> J.Null | Some r -> Fc.to_json r));
+      ("recovery", opt Drecovery.stats_to_json s.recovery);
+      ("rto_ns", opt (fun v -> J.Int v) s.rto_ns);
       ( "checks",
         J.List
           (List.map
              (fun c ->
-               J.Obj
-                 [
-                   ("name", J.String c.check_name);
-                   ("ok", J.Bool c.passed);
-                   ("detail", J.String c.detail);
-                 ])
+               J.Obj [ ("name", J.String c.name); ("ok", J.Bool c.ok); ("detail", J.String c.detail) ])
              s.checks) );
       ("ok", J.Bool (scenario_ok s));
     ]
 
-let config_fields (config : config) =
-  [
-    ("schema", J.String "dsu-chaos/v1");
-    ("n", J.Int config.n);
-    ("ops_per_domain", J.Int config.ops_per_domain);
-    ("domains", J.Int config.domains);
-    ("crash_domains", J.Int config.crash_domains);
-    ("crash_after", J.Int config.crash_after);
-    ("stall_prob", J.Float config.stall_prob);
-    ("stall_len", J.Int config.stall_len);
-    ("unite_percent", J.Int config.unite_percent);
-    ("seed", J.Int config.seed);
-    ("fault_seed", J.Int config.fault_seed);
-    ("memory_order", J.String (Dsu.Memory_order.to_string config.memory_order));
-    ("validate", J.Bool config.validate);
-  ]
-
 let to_json ?(config = default_config) scenarios =
   J.Obj
-    (config_fields config
-    @ [
-        ("scenarios", J.List (List.map scenario_to_json scenarios));
-        ("ok", J.Bool (List.for_all scenario_ok scenarios));
-      ])
-
-let counters_to_json counters =
-  J.Obj (List.map (fun (name, v) -> (name, J.Int v)) counters)
-
-let recovery_to_json (r : recovery) =
-  J.Obj
     [
-      ("snapshot_crc", J.String (Printf.sprintf "%08x" r.snapshot_crc));
-      ("fixes", Rrepair.fixes_to_json r.fixes);
-      ("resumed_slots", J.List (List.map (fun k -> J.Int k) r.resumed_slots));
-      ("resumed_ops", J.Int r.resumed_ops);
-      ("resume_seconds", J.Float r.resume_seconds);
-      ( "resumed_forest",
-        match r.resumed_forest with None -> J.Null | Some rep -> Fc.to_json rep );
-      ( "checks",
-        J.List
-          (List.map
-             (fun c ->
-               J.Obj
-                 [
-                   ("name", J.String c.check_name);
-                   ("ok", J.Bool c.passed);
-                   ("detail", J.String c.detail);
-                 ])
-             r.recovery_checks) );
-      ("phase1_counters", counters_to_json r.phase1_counters);
-      ("resume_counters", counters_to_json r.resume_counters);
-      ("ok", J.Bool (recovery_ok r));
+      ("schema", J.String "dsu-drill/v1");
+      ("n", J.Int config.n);
+      ("ops_per_domain", J.Int config.ops_per_domain);
+      ("domains", J.Int config.domains);
+      ("crash_domains", J.Int config.crash_domains);
+      ("crash_after", J.Int config.crash_after);
+      ("stall_prob", J.Float config.stall_prob);
+      ("stall_len", J.Int config.stall_len);
+      ("unite_percent", J.Int config.unite_percent);
+      ("seed", J.Int config.seed);
+      ("fault_seed", J.Int config.fault_seed);
+      ("memory_order", J.String (Dsu.Memory_order.to_string config.memory_order));
+      ("scenarios", J.List (List.map scenario_to_json scenarios));
+      ("ok", J.Bool (List.for_all scenario_ok scenarios));
     ]
 
-let recovery_report_to_json ?(config = default_config) pairs =
-  let scenario_with_recovery (s, r) =
-    match scenario_to_json s with
-    | J.Obj fields -> J.Obj (fields @ [ ("recovery", recovery_to_json r) ])
-    | other -> other
-  in
-  J.Obj
-    (config_fields config
-    @ [
-        ("scenarios", J.List (List.map scenario_with_recovery pairs));
-        ( "ok",
-          J.Bool (List.for_all (fun (s, r) -> scenario_ok s && recovery_ok r) pairs) );
-      ])
-
-let pp_scenario ppf (s : scenario) =
-  let t = s.fault_totals in
-  Format.fprintf ppf "@[<v>%s/%s: %s in %.2fs@,"
-    (Scalability.layout_to_string s.layout)
-    (Policy.to_string s.policy)
+let pp_scenario ppf s =
+  let t = s.faults in
+  Format.fprintf ppf "@[<v>%s: %s in %.2fs@,"
+    (label ~layout:s.layout ~policy:s.policy ~depth:s.depth)
     (if scenario_ok s then "OK" else "FAILED")
     s.seconds;
-  Format.fprintf ppf "  faults: %d site hits, %d yields, %d stalls, %d crashes@,"
-    t.Fi.hits t.Fi.yields t.Fi.stalls t.Fi.crashes;
+  Format.fprintf ppf "  faults: %d site hits, %d yields, %d stalls, %d crashes@," t.Fi.hits
+    t.Fi.yields t.Fi.stalls t.Fi.crashes;
   List.iter
-    (fun (k, site) ->
-      Format.fprintf ppf "  crashed: slot %d at %s after %d ops@," k
-        (Site.to_string site) s.completed.(k))
+    (fun (k, site) -> Format.fprintf ppf "  crashed: slot %d at %s@," k (Site.to_string site))
     s.crashed;
+  Option.iter (Format.fprintf ppf "  %a@," Drecovery.pp_stats) s.recovery;
+  Option.iter (fun v -> Format.fprintf ppf "  RTO %.3f ms@," (float_of_int v /. 1e6)) s.rto_ns;
   List.iter
-    (fun (k, msg) -> Format.fprintf ppf "  worker %d failed: %s@," k msg)
-    s.failures;
-  List.iter
-    (fun c ->
-      if not c.passed then
-        Format.fprintf ppf "  check %s FAILED: %s@," c.check_name c.detail)
+    (fun c -> if not c.ok then Format.fprintf ppf "  check %s FAILED: %s@," c.name c.detail)
     s.checks;
-  (match s.forest with
-  | Some r when Fc.ok r ->
-    Format.fprintf ppf "  forest: %d nodes, %d roots, max depth %d@," r.Fc.nodes
-      r.Fc.roots r.Fc.max_depth
-  | _ -> ());
   Format.fprintf ppf "@]"
-
-let pp ppf scenarios =
-  List.iter (fun s -> Format.fprintf ppf "%a@." pp_scenario s) scenarios
-
-let pp_recovery ppf (r : recovery) =
-  Format.fprintf ppf "@[<v>recovery: %s (snapshot crc %08x)@,"
-    (if recovery_ok r then "OK" else "FAILED")
-    r.snapshot_crc;
-  Format.fprintf ppf "  resumed %d op(s) across %d slot(s) in %.2fs@," r.resumed_ops
-    (List.length r.resumed_slots) r.resume_seconds;
-  if r.fixes <> [] then
-    Format.fprintf ppf "  repair applied %d fix(es)@," (List.length r.fixes);
-  List.iter
-    (fun c ->
-      if not c.passed then
-        Format.fprintf ppf "  check %s FAILED: %s@," c.check_name c.detail)
-    r.recovery_checks;
-  Format.fprintf ppf "@]"
-
-let pp_recovery_report ppf pairs =
-  List.iter
-    (fun (s, r) -> Format.fprintf ppf "%a@.%a@." pp_scenario s pp_recovery r)
-    pairs
-
-(* ---------- durable drill: crash mid-snapshot and mid-group-commit ---------- *)
-
-type durable = {
-  d_layout : Scalability.layout;
-  d_policy : Policy.t;
-  d_snapshots : (string * Dfuzzy.capture) list;  (* oldest first *)
-  d_snap_crash : Site.t option;
-  d_commit_crash : (Site.t * int) option;
-  d_wal_stats : Dwal.writer_stats;
-  d_tail_records : int;
-  d_truncated_at : int option;
-  d_recovery : Drecovery.stats option;
-  d_fault_totals : Fi.totals;
-  d_checks : check list;
-  d_seconds : float;
-  d_resume_seconds : float;
-}
-
-let durable_ok d = List.for_all (fun c -> c.passed) d.d_checks
-
-(* Mutator slots get the usual stall/yield noise; the snapshotter (slot
-   [domains]) crashes mid-way through its second fuzzy scan (the first
-   scan spends [n] Snapshot_read hits, so hit [n + n/2 + 1] is halfway
-   into the second), and the committer (slot [domains + 1]) crashes on
-   its fourth group commit, mid-record, leaving a torn tail.  Both are
-   hit-count rules, so the drill is deterministic regardless of timing. *)
-let durable_plan config =
-  let noise = noise_of config in
-  let snap_slot = config.domains and commit_slot = config.domains + 1 in
-  let rules_for slot =
-    if slot = snap_slot then
-      Fi.rule ~sites:[ Site.Snapshot_read ]
-        ~after:(config.n + (config.n / 2))
-        Fi.Crash
-      :: noise
-    else if slot = commit_slot then
-      [ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after:3 Fi.Crash ]
-    else noise
-  in
-  { Fi.seed = config.fault_seed; rules_for }
-
-let temp_dir () =
-  let base = Filename.temp_file "dsu-durable" "" in
-  Sys.remove base;
-  Unix.mkdir base 0o700;
-  base
-
-let run_durable_scenario ?(config = default_config) ?dir ~layout ~policy () =
-  validate_config config;
-  let { n; ops_per_domain = m; domains; seed; _ } = config in
-  let dir = match dir with Some d -> d | None -> temp_dir () in
-  let wal_path = Filename.concat dir "wal.log" in
-  (* Arm before creating the writer: arming opens a fresh inject epoch and
-     drops stale enrollments, so the committer domain enrolls itself via
-     [on_committer_start], which runs after this arm. *)
-  Fi.arm (durable_plan config);
-  let wal =
-    Dwal.create_writer ~shards:(max 2 domains) ~flush_records:32
-      ~flush_interval:0.0005
-      ~on_committer_start:(fun () -> Fi.enroll ~slot:(domains + 1))
-      wal_path
-  in
-  let plan = dsu_plan ~config ~layout ~policy in
-  let d = Driver.create ~plan ~seed ~on_link:(Dwal.append wal) n in
-  let epoch = Dwal.epoch wal in
-  let r = fresh_run config in
-  let mutators_done = Atomic.make false in
-  let snaps = ref [] and snap_crash = ref None and snap_count = ref 0 in
-  let snapshotter =
-    Domain.spawn (fun () ->
-        Fi.enroll ~slot:domains;
-        try
-          (* Keep scanning until the second scan's crash fires; the
-             [< 2] clause keeps the drill deterministic even when the
-             mutators drain before the snapshotter gets going. *)
-          while !snap_count < 2 || not (Atomic.get mutators_done) do
-            let cap = Dfuzzy.of_driver ~epoch d in
-            incr snap_count;
-            let path =
-              Filename.concat dir (Printf.sprintf "snap-%03d.bin" !snap_count)
-            in
-            Rsnap.write_file path cap.Dfuzzy.snapshot;
-            snaps := (path, cap) :: !snaps
-          done
-        with Fi.Crashed (site, _) -> snap_crash := Some site)
-  in
-  let t0 = Repro_obs.Clock.now_ns () in
-  run_workers ~m ~d r (List.init domains Fun.id);
-  Atomic.set mutators_done true;
-  Domain.join snapshotter;
-  Dwal.close wal;
-  let seconds = float_of_int (Repro_obs.Clock.now_ns () - t0) /. 1e9 in
-  Fi.disarm ();
-  let fault_totals = Fi.totals () in
-  let wal_stats = Dwal.writer_stats wal in
-  let caps = List.rev !snaps in
-  let completed = completed_counts ~domains ~stops:r.stops in
-  let final = Rsnap.of_driver d in
-  let final_roots = roots_of final.Rsnap.parents in
-  (* Phase-1 audit: the mutators never crash in this drill, so the whole
-     workload must have survived the WAL hook and the concurrent scans. *)
-  let _, phase1_checks = full_audit ~config ~d r ~completed ~crashed:[] in
-  let crash_checks =
-    [
-      mk "fuzzy-crash"
-        (!snap_crash = Some Site.Snapshot_read)
-        (match !snap_crash with
-        | Some Site.Snapshot_read -> ""
-        | Some s -> "snapshotter crashed at " ^ Site.to_string s
-        | None -> "snapshotter never crashed");
-      mk "commit-crash"
-        (match wal_stats.Dwal.ws_crashed with
-        | Some (Site.Wal_commit_mid, _) -> true
-        | _ -> false)
-        (match wal_stats.Dwal.ws_crashed with
-        | Some (Site.Wal_commit_mid, _) -> ""
-        | Some (s, _) -> "committer crashed at " ^ Site.to_string s
-        | None -> "committer never crashed");
-      mk "snapshots-taken"
-        (caps <> [])
-        (if caps = [] then "no fuzzy snapshot completed before the crash" else "");
-    ]
-  in
-  (* Per-capture checks.  Reconciliation must be a no-op for the layouts
-     whose fuzzy scan is provably a forest cut (flat/growable: one
-     acquire load per node, ancestors are monotone).  Packed scans can
-     legitimately catch a racing promotion as a cross-node order
-     violation, so there the bar is only that the repaired cut refines
-     both the raw scan and the final partition. *)
-  let repair_exempt = layout = Scalability.Packed in
-  let cap_checks =
-    let dirty =
-      List.find_opt (fun (_, c) -> c.Dfuzzy.fixes <> []) caps
-    in
-    let repair_clean =
-      if repair_exempt then
-        mk "fuzzy-repair-clean" true "packed scans may race a promotion; exempt"
-      else
-        match dirty with
-        | None -> mk "fuzzy-repair-clean" true ""
-        | Some (p, c) ->
-          mk "fuzzy-repair-clean" false
-            (Printf.sprintf "%s needed %d reconciliation fixes" p
-               (List.length c.Dfuzzy.fixes))
-    in
-    let refines_raw =
-      match
-        List.find_opt
-          (fun (_, c) ->
-            not (Rrepair.refines ~fine:c.Dfuzzy.snapshot ~coarse:c.Dfuzzy.raw))
-          caps
-      with
-      | None -> mk "fuzzy-refines-raw" true ""
-      | Some (p, _) ->
-        mk "fuzzy-refines-raw" false
-          (p ^ ": reconciled cut does not refine the raw scan")
-    in
-    let refines_final =
-      match
-        List.find_opt
-          (fun (_, c) ->
-            not (Rrepair.refines ~fine:c.Dfuzzy.snapshot ~coarse:final))
-          caps
-      with
-      | None -> mk "fuzzy-refines-final" true ""
-      | Some (p, _) ->
-        mk "fuzzy-refines-final" false
-          (p ^ ": fuzzy cut does not refine the final partition")
-    in
-    [ repair_clean; refines_raw; refines_final ]
-  in
-  let tail =
-    match Dwal.read_file wal_path with Ok t -> Some t | Error _ -> None
-  in
-  let wal_checks =
-    match tail with
-    | None -> [ mk "wal-truncated" false "WAL unreadable" ]
-    | Some t ->
-      let torn =
-        mk "wal-truncated"
-          (t.Dwal.truncated_at <> None)
-          (if t.Dwal.truncated_at = None then
-             "commit crash left no torn tail"
-           else "")
-      in
-      (* The epoch cut: every valid record with a strictly smaller epoch
-         than a capture's stamp was linked before that capture's scan
-         started, so the cut must already connect it. *)
-      let bad = ref None in
-      List.iter
-        (fun (p, c) ->
-          let sn = c.Dfuzzy.snapshot in
-          if sn.Rsnap.epoch > 0 && !bad = None then begin
-            let roots = roots_of sn.Rsnap.parents in
-            Array.iter
-              (fun (r : Dwal.record) ->
-                if
-                  !bad = None
-                  && r.Dwal.epoch < sn.Rsnap.epoch
-                  && r.Dwal.x >= 0
-                  && r.Dwal.x < Array.length roots
-                  && r.Dwal.y >= 0
-                  && r.Dwal.y < Array.length roots
-                  && roots.(r.Dwal.x) <> roots.(r.Dwal.y)
-                then bad := Some (p, r))
-              t.Dwal.records
-          end)
-        caps;
-      let cut =
-        match !bad with
-        | None -> mk "epoch-cut" true ""
-        | Some (p, r) ->
-          mk "epoch-cut" false
-            (Printf.sprintf
-               "%s: record (%d, %d) of epoch %d not connected in the cut" p
-               r.Dwal.x r.Dwal.y r.Dwal.epoch)
-      in
-      [ torn; cut ]
-  in
-  (* Recovery: newest valid snapshot + WAL tail replay, then resume the
-     whole workload on the restored structure and re-audit it against the
-     sequential oracle. *)
-  let recovery =
-    Drecovery.recover_files ~plan ~snapshots:(List.map fst caps)
-      ~wal:wal_path ()
-  in
-  let recovery_stats, recovery_checks, resume_seconds =
-    match recovery with
-    | Error e -> (None, [ mk "recovery" false e ], 0.)
-    | Ok (d2, rstats) ->
-      let contains_log =
-        match tail with
-        | None -> mk "recovered-contains-log" false "WAL unreadable"
-        | Some t -> (
-          let nr = Driver.n d2 in
-          let bad = ref None in
-          Array.iter
-            (fun (rc : Dwal.record) ->
-              if
-                !bad = None
-                && rc.Dwal.x >= 0
-                && rc.Dwal.x < nr
-                && rc.Dwal.y >= 0
-                && rc.Dwal.y < nr
-                && not (Driver.same_set d2 rc.Dwal.x rc.Dwal.y)
-              then bad := Some rc)
-            t.Dwal.records;
-          match !bad with
-          | None -> mk "recovered-contains-log" true ""
-          | Some rc ->
-            mk "recovered-contains-log" false
-              (Printf.sprintf
-                 "acknowledged record (%d, %d) not connected after recovery"
-                 rc.Dwal.x rc.Dwal.y))
-      in
-      let recovered_refines =
-        match refines (roots_of (Driver.parents_snapshot d2)) final_roots with
-        | None -> mk "recovered-refines-final" true ""
-        | Some (i, j) ->
-          mk "recovered-refines-final" false
-            (Printf.sprintf
-               "recovered state joins %d and %d, the final partition does not"
-               i j)
-      in
-      (* Resume: replay every mutator stream from scratch on the restored
-         structure.  Re-running completed unites is idempotent, and the
-         full audit's partition sandwich stays sound because the re-run's
-         completed unites connect everything recovery restored. *)
-      let r2 = fresh_run config in
-      Fi.arm { Fi.seed = config.fault_seed + 1; rules_for = (fun _ -> noise_of config) };
-      let t1 = Repro_obs.Clock.now_ns () in
-      run_workers ~m ~d:d2 r2 (List.init domains Fun.id);
-      let resume_seconds = float_of_int (Repro_obs.Clock.now_ns () - t1) /. 1e9 in
-      Fi.disarm ();
-      let completed = completed_counts ~domains ~stops:r2.stops in
-      let _, resume_checks =
-        full_audit ~config ~d:d2 r2 ~completed ~crashed:[]
-      in
-      let resumed_complete =
-        match
-          List.find_opt (fun k -> completed.(k) < m) (List.init domains Fun.id)
-        with
-        | None -> mk "resumed-complete" true ""
-        | Some k ->
-          mk "resumed-complete" false
-            (Printf.sprintf "slot %d finished only %d of %d ops after recovery"
-               k completed.(k) m)
-      in
-      ( Some rstats,
-        mk "recovery" true "" :: contains_log :: recovered_refines
-        :: resumed_complete :: resume_checks,
-        resume_seconds )
-  in
-  {
-    d_layout = layout;
-    d_policy = policy;
-    d_snapshots = caps;
-    d_snap_crash = !snap_crash;
-    d_commit_crash = wal_stats.Dwal.ws_crashed;
-    d_wal_stats = wal_stats;
-    d_tail_records =
-      (match tail with None -> 0 | Some t -> Array.length t.Dwal.records);
-    d_truncated_at =
-      (match tail with None -> None | Some t -> t.Dwal.truncated_at);
-    d_recovery = recovery_stats;
-    d_fault_totals = fault_totals;
-    d_checks = phase1_checks @ crash_checks @ cap_checks @ wal_checks @ recovery_checks;
-    d_seconds = seconds;
-    d_resume_seconds = resume_seconds;
-  }
-
-let run_durable_all ?(config = default_config) ?progress () =
-  let emit d = match progress with None -> () | Some f -> f d in
-  List.concat_map
-    (fun layout ->
-      List.map
-        (fun policy ->
-          let d = run_durable_scenario ~config ~layout ~policy () in
-          emit d;
-          d)
-        config.policies)
-    config.layouts
-
-let durable_to_json (d : durable) =
-  let t = d.d_fault_totals in
-  J.Obj
-    [
-      ("layout", J.String (Scalability.layout_to_string d.d_layout));
-      ("policy", J.String (Policy.to_string d.d_policy));
-      ("seconds", J.Float d.d_seconds);
-      ("resume_seconds", J.Float d.d_resume_seconds);
-      ( "snapshots",
-        J.List
-          (List.map
-             (fun (p, c) ->
-               J.Obj
-                 [
-                   ("path", J.String p);
-                   ("epoch", J.Int c.Dfuzzy.snapshot.Rsnap.epoch);
-                   ("n", J.Int c.Dfuzzy.snapshot.Rsnap.n);
-                   ("fixes", J.Int (List.length c.Dfuzzy.fixes));
-                   ("scan_ns", J.Int c.Dfuzzy.scan_ns);
-                   ("repair_ns", J.Int c.Dfuzzy.repair_ns);
-                 ])
-             d.d_snapshots) );
-      ( "snap_crash",
-        match d.d_snap_crash with
-        | None -> J.Null
-        | Some s -> J.String (Site.to_string s) );
-      ( "commit_crash",
-        match d.d_commit_crash with
-        | None -> J.Null
-        | Some (s, _) -> J.String (Site.to_string s) );
-      ( "wal",
-        J.Obj
-          [
-            ("appended", J.Int d.d_wal_stats.Dwal.ws_appended);
-            ("committed", J.Int d.d_wal_stats.Dwal.ws_committed);
-            ("commits", J.Int d.d_wal_stats.Dwal.ws_commits);
-            ("tail_records", J.Int d.d_tail_records);
-            ( "truncated_at",
-              match d.d_truncated_at with None -> J.Null | Some o -> J.Int o );
-          ] );
-      ( "recovery",
-        match d.d_recovery with
-        | None -> J.Null
-        | Some s -> Drecovery.stats_to_json s );
-      ( "faults",
-        J.Obj
-          [
-            ("site_hits", J.Int t.Fi.hits);
-            ("yields", J.Int t.Fi.yields);
-            ("stalls", J.Int t.Fi.stalls);
-            ("crashes", J.Int t.Fi.crashes);
-          ] );
-      ( "checks",
-        J.List
-          (List.map
-             (fun c ->
-               J.Obj
-                 [
-                   ("name", J.String c.check_name);
-                   ("ok", J.Bool c.passed);
-                   ("detail", J.String c.detail);
-                 ])
-             d.d_checks) );
-      ("ok", J.Bool (durable_ok d));
-    ]
-
-let durable_report_to_json ?(config = default_config) ds =
-  J.Obj
-    (("schema", J.String "dsu-chaos-durable/v1")
-     :: List.tl (config_fields config)
-    @ [
-        ("scenarios", J.List (List.map durable_to_json ds));
-        ("ok", J.Bool (List.for_all durable_ok ds));
-      ])
-
-let pp_durable ppf (d : durable) =
-  Format.fprintf ppf "@[<v>%s/%s durable: %s in %.2fs (+%.2fs resume)@,"
-    (Scalability.layout_to_string d.d_layout)
-    (Policy.to_string d.d_policy)
-    (if durable_ok d then "OK" else "FAILED")
-    d.d_seconds d.d_resume_seconds;
-  Format.fprintf ppf
-    "  wal: %d appended, %d committed in %d commits%s@,"
-    d.d_wal_stats.Dwal.ws_appended d.d_wal_stats.Dwal.ws_committed
-    d.d_wal_stats.Dwal.ws_commits
-    (match d.d_truncated_at with
-    | None -> ""
-    | Some o -> Printf.sprintf ", torn tail at byte %d" o);
-  Format.fprintf ppf "  snapshots: %d written%s%s@,"
-    (List.length d.d_snapshots)
-    (match d.d_snap_crash with
-    | None -> ""
-    | Some s -> ", snapshotter crashed at " ^ Site.to_string s)
-    (match d.d_commit_crash with
-    | None -> ""
-    | Some (s, _) -> ", committer crashed at " ^ Site.to_string s);
-  (match d.d_recovery with
-  | None -> ()
-  | Some s -> Format.fprintf ppf "  %a@," Drecovery.pp_stats s);
-  List.iter
-    (fun c ->
-      if not c.passed then
-        Format.fprintf ppf "  check %s FAILED: %s@," c.check_name c.detail)
-    d.d_checks;
-  Format.fprintf ppf "@]"
-
-let pp_durable_report ppf ds =
-  List.iter (fun d -> Format.fprintf ppf "%a@." pp_durable d) ds

@@ -1,253 +1,170 @@
-(** The chaos harness: drive the native concurrent DSU under injected
-    faults — crash-stopped domains, stall storms, adversarial yields — and
-    then prove the structure and the surviving domains' answers are still
-    correct.
+(** The crash drill: one scenario engine and one audit for every depth of
+    the stack.
 
-    Each {b scenario} runs one (layout, policy) pair: [domains] OCaml
-    domains execute pre-generated random [Unite]/[SameSet] streams against
-    one shared structure while a {!Repro_fault.Inject} plan is armed.  The
-    first [crash_domains] slots carry a crash-stop rule (they abandon an
-    operation mid-flight, wherever the countdown lands them — possibly
-    between the two reads of splitting or on either side of a CAS); every
-    slot carries probabilistic stall and yield rules.  Survivors must
-    finish their full streams unassisted — that is Theorem 3.4's
-    wait-freedom claim under the strongest adversary it tolerates.
+    Every drill asks one question of the structure a crash leaves behind
+    (Lemma 3.1: a recovered forest may only refine the closure of what was
+    submitted):
 
-    At quiescence the harness disarms injection and audits the run:
+    {v closure(acked) ⊆ recovered ⊆ closure(submitted) v}
 
-    - {b forest}: {!Repro_fault.Forest_check} on the parent snapshot
-      (range, priority order, acyclicity);
-    - {b find-idempotence}: [find] agrees with the snapshot's root chains
-      and is stable when repeated;
-    - {b completed-unites} / {b sameset-true}: every completed [Unite] and
-      every [SameSet] that answered [true] is connected in the final
-      partition;
-    - {b sameset-false}: a timestamp sweep against a sequential oracle —
-      no [SameSet] answered [false] after unites that fully completed
-      before it started had already connected its arguments;
-    - {b partition-sandwich}: the final partition is refined below by the
-      completed unites and above by completed plus crashed-in-flight
-      unites (compaction never changes the partition, so an interrupted
-      [find] cannot widen it);
-    - {b survivors}: every non-crashed domain completed every operation,
-      within a mean own-hops-per-op budget of [16 * (log2 n + 2)]
-      (own traversal work, counted at the [Find_hop] site).
+    A {b scenario} is one (layout, policy, depth) triple.  The depth says
+    how much of the stack the crash takes down and how the structure is
+    recovered:
 
-    Results are reported per scenario as named pass/fail {!check}s, a
-    human summary ({!pp}) and the machine-readable ["dsu-chaos/v1"] JSON
-    ({!to_json}); fault counters also land in the {!Repro_obs.Metrics}
-    default registry.  CLI entry point: [dsu_workload --chaos]; see
+    - {b [Dsu]} — [domains] domains run random [Unite]/[SameSet] streams
+      against one structure; the first [crash_domains] slots crash-stop
+      after staggered site-hit countdowns, every slot carries stall/yield
+      noise.  The survivors' structure is the recovered one (Theorem 3.4:
+      survivors finish unassisted).
+    - {b [Snapshot]} — the same crash, then snapshot to disk, read back,
+      repair (must be a no-op), restore, and resume each stopped slot from
+      the op it died inside.
+    - {b [Wal]} — the mutators (none of which crash here) log every link
+      to a group-committed write-ahead log while a snapshotter takes fuzzy
+      epoch snapshots; the snapshotter crashes halfway into its second
+      scan ([Snapshot_read]) and the committer inside its fourth group
+      commit ([Wal_commit_mid], leaving a torn tail).  Recovery is the newest snapshot plus the log
+      tail; every stream then re-runs on the recovered structure.
+    - {b [Service]} — a {!Repro_service.Service} with [domains] workers,
+      a WAL and fuzzy checkpoints; workers below [crash_domains] (at most
+      [domains - 1]) crash between drains ([Queue_deq_cas]) and the
+      committer inside its twelfth group commit.  Recovery is the newest
+      checkpoint on disk when the log died plus the log tail; then a
+      second service resumes on the recovered backend, and RTO is its
+      first ack minus the first detected crash.
+
+    One {!audit} serves every depth: forest validity (range, id/rank order
+    read live, acyclicity) with [find] agreeing with the parent chains; the
+    lower side ([acked] unites connected); the upper side (every parent
+    edge inside the closure of [submitted]); the stamped [same_set]
+    answers, where the depth stamps them; and the hop bound, where it
+    counts hops.  Depths above [Dsu] audit the recovered structure before
+    resuming (checks prefixed ["recovered:"]) and the resumed structure
+    after.  What is acked depends on the depth: completed unites in memory,
+    the valid log records at [Wal], [Done] responses at [Service].
+
+    Depth-specific facts are extra named checks: [crash-fired] (the planned
+    crashes fired and nothing else stopped a worker); [codec],
+    [repair-clean] and [recovery] ([Snapshot]); [repair-clean],
+    [torn-tail], [epoch-cut] and [recovery] ([Wal], and all but the first
+    at [Service]); [complete] (every stream finished; at [Dsu] every
+    survivor's) and [rto] ([Service]: an ack came after recovery).  The
+    report is ["dsu-drill/v1"]; CLI: [dsu_workload chaos --depth ...]; see
     docs/ROBUSTNESS.md. *)
+
+type depth = Dsu | Snapshot | Wal | Service
+
+val depth_to_string : depth -> string
+val depth_of_string : string -> depth option
 
 type config = {
   n : int;  (** number of nodes *)
   ops_per_domain : int;
-  domains : int;
-  crash_domains : int;  (** slots [0 .. crash_domains-1] get a crash rule *)
-  crash_after : int;  (** base site-hit countdown before a crash fires *)
+  domains : int;  (** mutator domains, or service workers *)
+  crash_domains : int;
+      (** slots [0 .. crash_domains-1] get a crash rule (none at [Wal]) *)
+  crash_after : int;  (** base site-hit countdown before a mutator crashes *)
   stall_prob : float;  (** per-site-hit stall probability, every slot *)
   stall_len : int;  (** stall length in [cpu_relax] iterations *)
   unite_percent : int;  (** percentage of [Unite] ops, rest [SameSet] *)
   seed : int;  (** workload + structure seed *)
   fault_seed : int;  (** injection-plan seed ({!Repro_fault.Inject.plan}) *)
   policies : Dsu.Find_policy.t list;
-  layouts : Scalability.layout list;
+  layouts : Dsu.Plan.layout list;
+  depths : depth list;
   memory_order : Dsu.Memory_order.t;
-      (** parent-load ordering mode for every scenario's structure, so
-          the chaos audit can be pointed at the tuned or the fenced path *)
-  validate : bool;  (** run the post-quiescence audit (default) *)
+      (** parent-load ordering mode for every scenario's structure *)
 }
 
 val default_config : config
-(** n = 4096, 20k ops per domain, 8 domains with 2 crashing, 1% stalls of
-    64 relax-iterations, 40% unites, two-try splitting on the flat
-    layout under the default (relaxed-reads) memory order, validation
-    on. *)
+(** n = 16384, 2000 ops per domain, 8 domains with 2 crashing after 2000
+    and 4000 site hits, 1% stalls of 64 relax-iterations, 40% unites,
+    two-try splitting on the flat layout at depth [Dsu] under the default
+    memory order.  About 6400 unites over 16384 nodes keep the closure of
+    the submitted unites in many small classes, so the upper side can see
+    a phantom merge. *)
 
 type check = {
-  check_name : string;
-  passed : bool;
+  name : string;
+  ok : bool;
   detail : string;  (** empty when passed; first counterexample when not *)
 }
 
+(** {2 The audit} *)
+
+type forest = {
+  parents : int array;  (** quiescent parent array *)
+  prio : int -> int;  (** linking order, read live *)
+  find : int -> int;
+}
+
+type answers = {
+  unites : (int * int * int) list;  (** [(stop stamp, x, y)] of completed unites *)
+  queries : (int * int * int * bool) list;
+      (** [(start stamp, x, y, answer)] of completed [same_set]s *)
+}
+
+type evidence = {
+  acked : (int * int) list;  (** unites the structure must contain *)
+  submitted : (int * int) list;  (** every unite that may have taken effect *)
+  answers : answers option;  (** where the depth stamps its queries *)
+  hops : (int * int) list;  (** [(own hops, ops)] of each worker run that finished *)
+}
+
+val audit : ?stage:string -> evidence -> forest -> check list
+(** [forest], [lower] (fails on an empty [acked]), [upper], [answers]
+    when given, and [hops] (a mean of at most [2 * log2 n] own hops per
+    op, E1's bound) when [hops <> []], each name prefixed by
+    [stage ^ ":"] when [stage] is given.  An invalid forest yields only
+    the failed [forest] check: the rest would chase its parent chains.
+    Pure apart from calling [find]; terminates on any parent array. *)
+
+(** {2 The engine} *)
+
+type stage = {
+  stage : string;  (** ["crash"] or ["resume"] *)
+  slots : (int * int * int) list;  (** [(slot, own hops, ops completed)] in this stage only *)
+}
+
 type scenario = {
-  layout : Scalability.layout;
+  layout : Dsu.Plan.layout;
   policy : Dsu.Find_policy.t;
+  depth : depth;
   crashed : (int * Repro_fault.Site.t) list;
-      (** slots whose crash rule fired, with the site it fired at *)
-  completed : int array;  (** operations completed, per slot *)
-  failures : (int * string) list;
-      (** unexpected worker exceptions (never {!Repro_fault.Inject.Crashed}) *)
-  hops : int array;  (** own [Find_hop] count, per slot *)
-  fault_totals : Repro_fault.Inject.totals;
-  forest : Repro_fault.Forest_check.report option;  (** when validating *)
-  checks : check list;  (** empty when [validate = false] *)
+      (** mutator or worker slots whose crash rule fired, with the site *)
+  stages : stage list;  (** the mutator runs; [[]] at [Service] *)
+  recovery : Repro_durable.Recovery.stats option;  (** [Wal], [Service] *)
+  rto_ns : int option;  (** [Service] *)
+  faults : Repro_fault.Inject.totals;  (** of the crash stage *)
+  checks : check list;
   seconds : float;
 }
 
 val scenario_ok : scenario -> bool
-(** No unexpected worker exceptions and every check passed. *)
+(** Every check passed. *)
 
-val run_scenario :
+val run :
   ?config:config ->
-  layout:Scalability.layout ->
+  ?keep:string ->
+  layout:Dsu.Plan.layout ->
   policy:Dsu.Find_policy.t ->
+  depth:depth ->
   unit ->
   scenario
-(** One armed run plus its audit.  Arms the global injection switch for
-    the duration — do not run concurrently with other DSU work.
-    @raise Invalid_argument on nonsensical config ([domains < 1],
-    [crash_domains] outside [0..domains], [n < 2]). *)
+(** One scenario.  Depths above [Dsu] work in a scratch directory that is
+    removed on every exit path, unless [keep] is given: then the files
+    (crash snapshot, WAL, fuzzy snapshots) stay in
+    [keep ^ "-<layout>-<policy>-<depth>"].  Arms the global injection
+    switch for the duration — do not run concurrently with other DSU work.
+    @raise Invalid_argument on a nonsensical config ([n < 2],
+    [domains < 1], [crash_domains] outside [0..domains]). *)
 
-val run_all : ?config:config -> ?progress:(scenario -> unit) -> unit -> scenario list
-(** The [layouts × policies] cross product; [progress] after each. *)
+val run_all :
+  ?config:config -> ?keep:string -> ?progress:(scenario -> unit) -> unit -> scenario list
+(** The [layouts × depths × policies] cross product; [progress] after each. *)
 
-(** {2 Crash → snapshot → repair → resume}
-
-    {!run_recovery_scenario} is the full recovery drill: run phase 1 exactly
-    like {!run_scenario} (crashes armed), then at quiescence
-
-    + snapshot the crashed structure ({!Repro_recover.Snapshot}) and prove
-      both codecs round-trip it ([codec-roundtrip]);
-    + run {!Repro_recover.Repair} over it — Theorem 3.4 means a crash never
-      corrupts the forest, so the repair must apply {e zero} fixes
-      ([repair-clean]) and the repaired partition must refine the
-      crash-time one ([repair-refines]);
-    + restore into a fresh structure and resume each crashed slot's stream
-      from the operation it died inside (re-running it is safe — [unite] is
-      idempotent, queries read-only), stall/yield noise still armed;
-    + re-run the full audit on the resumed structure and require every slot
-      to have completed every operation ([resumed-complete]).
-
-    Metrics are snapshotted between the phases: [phase1_counters] is the
-    crash-time registry state and [resume_counters] only the delta the
-    resumed run added, so a report over the resumed phase never
-    double-counts pre-crash operations. *)
-
-type recovery = {
-  crash_snapshot : Repro_recover.Snapshot.t;
-      (** the crash-time snapshot itself, for archiving *)
-  snapshot_crc : int;  (** CRC-32 of the crash-time snapshot *)
-  fixes : Repro_recover.Repair.fix list;  (** must be empty *)
-  resumed_slots : int list;
-  resumed_ops : int;  (** operations re-run or newly run in phase 2 *)
-  resumed_forest : Repro_fault.Forest_check.report option;
-  recovery_checks : check list;
-  resume_seconds : float;
-  phase1_counters : (string * int) list;  (** metrics registry at crash time *)
-  resume_counters : (string * int) list;  (** what the resume alone added *)
-}
-
-val recovery_ok : recovery -> bool
-
-val run_recovery_scenario :
-  ?config:config ->
-  layout:Scalability.layout ->
-  policy:Dsu.Find_policy.t ->
-  unit ->
-  scenario * recovery
-(** The phase-1 scenario (with its ordinary audit) plus the recovery
-    record.  Arms the global injection switch for the duration, like
-    {!run_scenario}. *)
-
-val run_recovery_all :
-  ?config:config ->
-  ?progress:(scenario * recovery -> unit) ->
-  unit ->
-  (scenario * recovery) list
-
-val hop_budget : int -> float
-(** [16 * (log2 n + 2)] — the mean own-hops-per-op ceiling asserted for
-    survivors. *)
-
-val scenario_to_json : scenario -> Repro_obs.Json.t
 val to_json : ?config:config -> scenario list -> Repro_obs.Json.t
-(** The ["dsu-chaos/v1"] document: config echo plus one object per
-    scenario. *)
-
-val recovery_to_json : recovery -> Repro_obs.Json.t
-
-val recovery_report_to_json :
-  ?config:config -> (scenario * recovery) list -> Repro_obs.Json.t
-(** The ["dsu-chaos/v1"] document with a ["recovery"] object inside each
-    scenario. *)
+(** The ["dsu-drill/v1"] document: config echo, one object per scenario
+    with its own ["ok"], and an overall ["ok"]. *)
 
 val pp_scenario : Format.formatter -> scenario -> unit
-val pp : Format.formatter -> scenario list -> unit
-val pp_recovery : Format.formatter -> recovery -> unit
-val pp_recovery_report : Format.formatter -> (scenario * recovery) list -> unit
-
-(** {2 Durable drill: crash mid-fuzzy-snapshot and mid-group-commit}
-
-    {!run_durable_scenario} is the hardest drill: mutators drive the
-    structure (noise armed, no mutator crashes) while a write-ahead log
-    ({!Repro_durable.Wal}) records every link and a snapshotter domain
-    takes fuzzy epoch snapshots ({!Repro_durable.Fuzzy}) concurrently.
-    Two extra fault slots crash the durability machinery itself:
-
-    - the {b snapshotter} (slot [domains]) crashes halfway through its
-      second fuzzy scan ([Snapshot_read] hit-count rule — the first scan
-      completes and is written, the second dies mid-scan);
-    - the {b committer} (slot [domains + 1]) crashes on its fourth group
-      commit, between the two halves of a record write
-      ([Wal_commit_mid]), leaving a physically torn WAL tail.
-
-    At quiescence the drill audits phase 1 like {!run_scenario}, then
-    checks the durability story end to end: the crashes fired where
-    planned; at least one fuzzy snapshot survived; reconciliation was a
-    no-op for the single-pointer layouts (packed scans may race a
-    promotion, so there only refinement is asserted); each reconciled cut
-    refines both its raw scan and the final partition; the WAL tail is
-    torn and truncates cleanly; every valid record below a capture's
-    epoch is already connected in that cut (the epoch-cut guarantee);
-    recovery (newest snapshot + tail replay, {!Repro_durable.Recovery})
-    succeeds, contains every acknowledged record, and refines the final
-    partition; and the restored structure absorbs a full re-run of the
-    workload, re-audited against the sequential oracle. *)
-
-type durable = {
-  d_layout : Scalability.layout;
-  d_policy : Dsu.Find_policy.t;
-  d_snapshots : (string * Repro_durable.Fuzzy.capture) list;
-      (** snapshots written before the crash, oldest first *)
-  d_snap_crash : Repro_fault.Site.t option;
-  d_commit_crash : (Repro_fault.Site.t * int) option;
-  d_wal_stats : Repro_durable.Wal.writer_stats;
-  d_tail_records : int;  (** valid records decoded from the WAL file *)
-  d_truncated_at : int option;  (** torn-tail byte offset, if torn *)
-  d_recovery : Repro_durable.Recovery.stats option;
-  d_fault_totals : Repro_fault.Inject.totals;
-  d_checks : check list;
-  d_seconds : float;
-  d_resume_seconds : float;
-}
-
-val durable_ok : durable -> bool
-
-val run_durable_scenario :
-  ?config:config ->
-  ?dir:string ->
-  layout:Scalability.layout ->
-  policy:Dsu.Find_policy.t ->
-  unit ->
-  durable
-(** One durable drill over the given layout.  [dir] (default: a fresh
-    temp directory) receives the WAL and the snapshot files and is left
-    in place for inspection.  Arms the global injection switch for the
-    duration, like {!run_scenario}.  [config]'s [crash_domains] and
-    [layouts] are ignored — the drill crashes the durability machinery,
-    not the mutators. *)
-
-val run_durable_all :
-  ?config:config -> ?progress:(durable -> unit) -> unit -> durable list
-(** The [layouts × policies] cross product; [progress] after each. *)
-
-val durable_to_json : durable -> Repro_obs.Json.t
-
-val durable_report_to_json :
-  ?config:config -> durable list -> Repro_obs.Json.t
-(** The ["dsu-chaos-durable/v1"] document: config echo plus one object
-    per drill. *)
-
-val pp_durable : Format.formatter -> durable -> unit
-val pp_durable_report : Format.formatter -> durable list -> unit

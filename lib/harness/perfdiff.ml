@@ -127,9 +127,10 @@ let latency_entries doc =
          ps)
   | _ -> None
 
-(* dsu-service/v1 carries both sweep points (throughput up-is-good, tail
-   latency down-is-good) and crash drills (RTO down-is-good; RPO is a
-   correctness gate, not a perf metric, so it is not diffed). *)
+(* Serving: dsu-service/v1 sweep points (throughput up-is-good, tail
+   latency down-is-good) and the dsu-drill/v1 scenarios that measured an
+   RTO (down-is-good; RPO is a correctness gate, not a perf metric, so it
+   is not diffed). *)
 let service_entries doc =
   let points =
     match mem "points" doc with
@@ -165,13 +166,15 @@ let service_entries doc =
     | _ -> None
   in
   let drills =
-    match mem "drills" doc with
+    match mem "scenarios" doc with
     | Some (J.List ds) ->
       Some
         (List.filter_map
            (fun d ->
+             let field f = Option.value ~default:"?" (str_field f d) in
              let key =
-               "drill " ^ Option.value ~default:"?" (str_field "kind" d)
+               "drill "
+               ^ String.concat "/" (List.map field [ "layout"; "policy"; "depth" ])
              in
              let* v = num_field "rto_ns" d in
              Some
@@ -315,8 +318,10 @@ let classify doc =
   | Some (J.String s) when String.length s >= 11
                            && String.sub s 0 11 = "dsu-latency" ->
     Some (s, latency_entries)
-  | Some (J.String s) when String.length s >= 11
-                           && String.sub s 0 11 = "dsu-service" ->
+  | Some (J.String s) when (String.length s >= 11
+                            && String.sub s 0 11 = "dsu-service")
+                           || (String.length s >= 9
+                               && String.sub s 0 9 = "dsu-drill") ->
     Some (s, service_entries)
   | Some (J.String s) when String.length s >= 14
                            && String.sub s 0 14 = "dsu-durability" ->
@@ -337,8 +342,8 @@ let extract doc =
   | None ->
     Error
       "unrecognized perf document (expected bechamel results, \
-       dsu-scalability/*, dsu-latency/*, dsu-service/*, dsu-durability/*, \
-       dsu-connectivity/* or dsu-autotune/*)"
+       dsu-scalability/*, dsu-latency/*, dsu-service/*, dsu-drill/*, \
+       dsu-durability/*, dsu-connectivity/* or dsu-autotune/*)"
   | Some (kind, f) -> (
     match f doc with
     | Some entries -> Ok (kind, entries)

@@ -2,8 +2,9 @@
 
     Compares two documents of the same kind — bechamel [bench --out]
     results, [dsu-scalability/*] sweeps, [dsu-latency/*] sweeps,
-    [dsu-service/*] serving reports (sweep points and crash-drill RTO;
-    RPO is a correctness gate, not a diffed metric), [dsu-durability/*]
+    [dsu-service/*] serving sweeps, [dsu-drill/*] crash drills (the RTO
+    of each scenario that measured one; RPO is a correctness gate, not a
+    diffed metric), [dsu-durability/*]
     reports, or [dsu-autotune/*] reports (auto-detected) — and flags
     per-configuration metric deltas beyond a noise threshold, respecting
     each metric's better-direction ([ns_per_run], latency quantiles,

@@ -4,13 +4,6 @@ module Rng = Repro_util.Rng
 module Table = Repro_util.Table
 module J = Repro_obs.Json
 
-(* The layout constructors are re-exported from {!Dsu.Plan} so a plan's
-   layout field and a sweep point's layout are the same value. *)
-type layout = Dsu.Plan.layout = Flat | Padded | Growable | Packed
-
-let layout_to_string = Dsu.Plan.layout_to_string
-let layout_of_string = Dsu.Plan.layout_of_string
-
 type dist = Uniform | Skewed
 
 let all_dists = [ Uniform; Skewed ]
@@ -22,7 +15,7 @@ let dist_of_string = function
   | _ -> None
 
 type point = {
-  layout : layout;
+  layout : Dsu.Plan.layout;
   policy : Policy.t;
   memory_order : Order.t;
   backoff : bool;
@@ -42,7 +35,7 @@ type config = {
   seed : int;
   domain_counts : int list;
   policies : Policy.t list;
-  layouts : layout list;
+  layouts : Dsu.Plan.layout list;
   memory_orders : Order.t list;
   backoffs : bool list;
   dists : dist list;
@@ -56,7 +49,7 @@ let default_config =
     seed = 21;
     domain_counts = [ 1; 2; 4; 8 ];
     policies = [ Policy.Two_try_splitting; Policy.One_try_splitting ];
-    layouts = [ Flat ];
+    layouts = [ Dsu.Plan.Flat ];
     memory_orders = [ Order.default ];
     backoffs = [ true ];
     dists = [ Uniform ];
@@ -119,7 +112,7 @@ let run_point ?(config = default_config) ?(memory_order = Order.default)
   let ops = gen_ops ~dist ~n ~unite_percent ~seed ~domains ~ops_per_domain () in
   let seconds, failures =
     match layout with
-    | Flat ->
+    | Dsu.Plan.Flat ->
       let d = Dsu.Native.create ~policy ~backoff ~memory_order ~seed n in
       time_run ~domains ~run:(fun k -> Workload.Op.run_native_array d ops.(k))
     | Padded ->
@@ -189,7 +182,7 @@ let sweep ?(config = default_config) ?progress () =
 let point_to_json (p : point) =
   J.Obj
     [
-      ("layout", J.String (layout_to_string p.layout));
+      ("layout", J.String (Dsu.Plan.layout_to_string p.layout));
       ("policy", J.String (Policy.to_string p.policy));
       ("memory_order", J.String (Order.to_string p.memory_order));
       ("backoff", J.Bool p.backoff);
@@ -241,7 +234,7 @@ let pp_table ppf points =
       in
       Table.add_row table
         [
-          layout_to_string p.layout;
+          Dsu.Plan.layout_to_string p.layout;
           Policy.to_string p.policy;
           Order.to_string p.memory_order;
           (if p.backoff then "on" else "off");
@@ -258,7 +251,7 @@ let pp_table ppf points =
       List.iter
         (fun (k, msg) ->
           Format.fprintf ppf "@.worker failure: %s/%s/%s domain %d: %s"
-            (layout_to_string p.layout) (Policy.to_string p.policy)
+            (Dsu.Plan.layout_to_string p.layout) (Policy.to_string p.policy)
             (Order.to_string p.memory_order) k msg)
         p.failures)
     points

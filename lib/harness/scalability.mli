@@ -6,10 +6,10 @@
 
     - the domain count (default [1; 2; 4; 8]),
     - the find policy,
-    - the memory layout: [Flat] (the contiguous
+    - the memory layout ({!Dsu.Plan.layout}): [Flat] (the contiguous
       {!Repro_util.Flat_atomic_array} parent array), [Padded] (one parent
       word per cache line — false-sharing ablation) and [Packed] (linking
-      by rank over one packed word),
+      by rank over one packed word); [Growable] is not swept,
     - the parent-load {!Dsu.Memory_order} mode and the link-CAS backoff
       switch (the memory-order × backoff ablation axis), and
     - the key distribution: [Uniform], or [Skewed] (80% of endpoints drawn
@@ -23,15 +23,6 @@
     docs/PERFORMANCE.md for the schema and how to read the numbers on
     machines with few cores. *)
 
-type layout = Dsu.Plan.layout = Flat | Padded | Growable | Packed
-(** [Packed] is the bit-packed linking-by-rank layout
-    ({!Dsu.Packed.Native}); the constructors are shared with
-    {!Dsu.Plan.layout} so plan points and sweep points interoperate.
-    [Growable] (the [MakeSet] layout) is not swept. *)
-
-val layout_to_string : layout -> string
-val layout_of_string : string -> layout option
-
 type dist = Uniform | Skewed
 
 val all_dists : dist list
@@ -43,7 +34,7 @@ val hot_range : int -> int
     ([max 16 (n/256)]). *)
 
 type point = {
-  layout : layout;
+  layout : Dsu.Plan.layout;
   policy : Dsu.Find_policy.t;
   memory_order : Dsu.Memory_order.t;
   backoff : bool;
@@ -67,7 +58,7 @@ type config = {
   seed : int;
   domain_counts : int list;
   policies : Dsu.Find_policy.t list;
-  layouts : layout list;
+  layouts : Dsu.Plan.layout list;
   memory_orders : Dsu.Memory_order.t list;
   backoffs : bool list;
   dists : dist list;
@@ -83,7 +74,7 @@ val run_point :
   ?memory_order:Dsu.Memory_order.t ->
   ?backoff:bool ->
   ?dist:dist ->
-  layout:layout ->
+  layout:Dsu.Plan.layout ->
   policy:Dsu.Find_policy.t ->
   domains:int ->
   unit ->

@@ -4,7 +4,8 @@
    snapshot's epoch cut, fuzzy snapshots taken against racing mutators
    always refine the final partition (100 seeded races per layout), the
    epoch-stamped snapshot codec round-trips, crash-atomic write_file
-   leaves no droppings, and the full durable chaos drill passes. *)
+   leaves no droppings, and the crash drill's WAL depth passes on every
+   layout without leaving its scratch directory behind. *)
 
 module Crc32 = Repro_util.Crc32
 module Epoch = Repro_durable.Epoch
@@ -94,6 +95,38 @@ let test_group_commit_stats () =
   check Alcotest.int "committed = appended after close" 64 s.Wal.ws_committed;
   check Alcotest.bool "chunked into >= 4 commits of <= 16" true
     (s.Wal.ws_commits >= 4)
+
+(* [flush] must cover the caller's own records, not just as many records
+   as were appended: 4 domains append and flush concurrently, and each
+   record must be in the file when its appender's flush returns. *)
+let test_flush_covers_own_records () =
+  let path = temp_wal () in
+  let w = Wal.create_writer ~shards:4 ~flush_records:8 ~flush_interval:0.0005 path in
+  let missing = Atomic.make None in
+  let worker k () =
+    for i = 0 to 99 do
+      for j = 0 to 3 do
+        Wal.append w ~child:k ~parent:((4 * i) + j)
+      done;
+      Wal.flush w;
+      let on_disk = (tail_of path).Wal.records in
+      for j = 0 to 3 do
+        if
+          Atomic.get missing = None
+          && not
+               (Array.exists
+                  (fun (r : Wal.record) -> r.Wal.x = k && r.Wal.y = (4 * i) + j)
+                  on_disk)
+        then Atomic.set missing (Some (k, (4 * i) + j))
+      done
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun k -> Domain.spawn (worker k)));
+  Wal.close w;
+  Sys.remove path;
+  match Atomic.get missing with
+  | None -> ()
+  | Some (k, i) -> Alcotest.failf "flush returned before record (%d, %d) was on disk" k i
 
 (* ------------------------------------------------------------- shutdown *)
 
@@ -472,17 +505,37 @@ let drill_config =
     stall_prob = 0.0;
   }
 
-let test_durable_drill layout () =
-  let d =
-    Chaos.run_durable_scenario ~config:drill_config ~layout
-      ~policy:Policy.Two_try_splitting ()
-  in
-  if not (Chaos.durable_ok d) then
-    Alcotest.failf "durable drill failed:@.%a" Chaos.pp_durable d;
-  check Alcotest.bool "snapshotter crashed" true (d.Chaos.d_snap_crash <> None);
-  check Alcotest.bool "committer crashed" true (d.Chaos.d_commit_crash <> None);
-  check Alcotest.bool "wal tail torn" true (d.Chaos.d_truncated_at <> None);
-  check Alcotest.bool "recovery ran" true (d.Chaos.d_recovery <> None)
+let run_drill ?(config = drill_config) layout depth =
+  Chaos.run ~config ~layout ~policy:Policy.Two_try_splitting ~depth ()
+
+let passed name (s : Chaos.scenario) =
+  List.exists (fun c -> c.Chaos.name = name && c.Chaos.ok) s.Chaos.checks
+
+let test_wal_drill layout () =
+  let s = run_drill layout Chaos.Wal in
+  if not (Chaos.scenario_ok s) then
+    Alcotest.failf "wal drill failed:@.%a" Chaos.pp_scenario s;
+  check Alcotest.bool "snapshotter and committer crashed" true (passed "crash-fired" s);
+  check Alcotest.bool "wal tail torn" true (passed "torn-tail" s);
+  check Alcotest.bool "recovery ran" true (s.Chaos.recovery <> None);
+  check Alcotest.bool "recovered state audited from both sides" true
+    (passed "recovered:lower" s && passed "recovered:upper" s)
+
+(* Both durable depths work in a scratch directory under the temp dir;
+   nothing may be left behind. *)
+let test_scratch_removed () =
+  let saved = Filename.get_temp_dir_name () in
+  let tmp = Filename.temp_dir "test-durable-scratch" "" in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect
+    ~finally:(fun () -> Filename.set_temp_dir_name saved)
+    (fun () ->
+      List.iter
+        (fun depth -> ignore (run_drill Dsu.Plan.Flat depth : Chaos.scenario))
+        [ Chaos.Wal; Chaos.Service ]);
+  let left = Sys.readdir tmp in
+  Sys.rmdir tmp;
+  check Alcotest.(array string) "scratch directories removed" [||] left
 
 let () =
   Alcotest.run "durable"
@@ -495,6 +548,7 @@ let () =
           case "record roundtrip" test_record_roundtrip;
           case "writer roundtrip" test_writer_roundtrip;
           case "group commit stats" test_group_commit_stats;
+          case "flush covers the caller's own records" test_flush_covers_own_records;
         ] );
       ( "wal-shutdown",
         [
@@ -527,9 +581,10 @@ let () =
         ] );
       ( "drill",
         [
-          case "flat" (test_durable_drill Dsu.Plan.Flat);
-          case "padded" (test_durable_drill Dsu.Plan.Padded);
-          case "growable" (test_durable_drill Dsu.Plan.Growable);
-          case "packed" (test_durable_drill Dsu.Plan.Packed);
+          case "flat" (test_wal_drill Dsu.Plan.Flat);
+          case "padded" (test_wal_drill Dsu.Plan.Padded);
+          case "growable" (test_wal_drill Dsu.Plan.Growable);
+          case "packed" (test_wal_drill Dsu.Plan.Packed);
+          case "scratch directories removed" test_scratch_removed;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the fault-injection subsystem: site labels, the injection
    engine's arming/enrollment/rule semantics, the forest validator
-   (including a deliberately seeded cycle), and the chaos harness's
-   2-of-8 domain-crash demo scenario. *)
+   (including a deliberately seeded cycle), the crash drill's in-memory
+   depth (the 2-of-8 domain-crash demo) and its audit as a pure function. *)
 
 module Site = Repro_fault.Site
 module Inject = Repro_fault.Inject
@@ -431,60 +431,42 @@ let chaos_config =
     stall_len = 16;
   }
 
+let run_dsu ?(config = chaos_config) ?(policy = Dsu.Find_policy.Two_try_splitting) layout =
+  Chaos.run ~config ~layout ~policy ~depth:Chaos.Dsu ()
+
 let chaos_tests =
   [
     case "2-of-8 crash demo: survivors finish, audit passes" (fun () ->
-        let s =
-          Chaos.run_scenario ~config:chaos_config ~layout:Harness.Scalability.Flat
-            ~policy:Dsu.Find_policy.Two_try_splitting ()
-        in
+        let s = run_dsu Dsu.Plan.Flat in
         check Alcotest.int "both victims crashed" 2 (List.length s.Chaos.crashed);
         List.iter
           (fun (slot, _) -> check Alcotest.bool "victim slot" true (slot < 2))
           s.Chaos.crashed;
-        check Alcotest.bool "no unexpected failures" true (s.Chaos.failures = []);
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s);
-        check Alcotest.bool "checks ran" true (List.length s.Chaos.checks >= 8);
-        check Alcotest.bool "forest reported" true (s.Chaos.forest <> None);
+        check
+          Alcotest.(list string)
+          "the audit and the depth's facts ran"
+          [ "crash-fired"; "forest"; "lower"; "upper"; "answers"; "hops"; "complete" ]
+          (List.map (fun c -> c.Chaos.name) s.Chaos.checks);
         check Alcotest.bool "crashes counted" true
-          (s.Chaos.fault_totals.Inject.crashes >= 2));
+          (s.Chaos.faults.Inject.crashes >= 2));
     case "crash-free scenario completes everything" (fun () ->
         let config =
           { chaos_config with Chaos.crash_domains = 0; domains = 4; ops_per_domain = 2_000 }
         in
-        let s =
-          Chaos.run_scenario ~config ~layout:Harness.Scalability.Flat
-            ~policy:Dsu.Find_policy.One_try_splitting ()
-        in
+        let s = run_dsu ~config ~policy:Dsu.Find_policy.One_try_splitting Dsu.Plan.Flat in
         check Alcotest.bool "nobody crashed" true (s.Chaos.crashed = []);
-        Array.iter
-          (fun c -> check Alcotest.int "all ops done" 2_000 c)
-          s.Chaos.completed;
+        List.iter
+          (fun st ->
+            List.iter (fun (_, _, ops) -> check Alcotest.int "all ops done" 2_000 ops) st.Chaos.slots)
+          s.Chaos.stages;
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
     case "growable layout passes the same audit" (fun () ->
         let config = { chaos_config with Chaos.ops_per_domain = 2_000; domains = 4; crash_domains = 1; crash_after = 300 } in
-        let s =
-          Chaos.run_scenario ~config ~layout:Harness.Scalability.Growable
-            ~policy:Dsu.Find_policy.Two_try_splitting ()
-        in
-        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
+        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok (run_dsu ~config Dsu.Plan.Growable)));
     case "padded layout passes the same audit" (fun () ->
         let config = { chaos_config with Chaos.ops_per_domain = 2_000; domains = 4; crash_domains = 1; crash_after = 300 } in
-        let s =
-          Chaos.run_scenario ~config ~layout:Harness.Scalability.Padded
-            ~policy:Dsu.Find_policy.Two_try_splitting ()
-        in
-        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
-    case "validate:false skips the audit" (fun () ->
-        let config =
-          { chaos_config with Chaos.validate = false; domains = 2; crash_domains = 0; ops_per_domain = 500 }
-        in
-        let s =
-          Chaos.run_scenario ~config ~layout:Harness.Scalability.Flat
-            ~policy:Dsu.Find_policy.Two_try_splitting ()
-        in
-        check Alcotest.bool "no checks" true (s.Chaos.checks = []);
-        check Alcotest.bool "no forest" true (s.Chaos.forest = None));
+        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok (run_dsu ~config Dsu.Plan.Padded)));
     case "chaos json is well-formed and self-consistent" (fun () ->
         let config =
           { chaos_config with Chaos.domains = 4; crash_domains = 1; ops_per_domain = 1_500; crash_after = 200 }
@@ -494,7 +476,7 @@ let chaos_tests =
         let reparsed = Repro_obs.Json.parse_exn (Repro_obs.Json.to_string json) in
         (match Repro_obs.Json.member "schema" reparsed with
         | Some (Repro_obs.Json.String s) ->
-          check Alcotest.string "schema" "dsu-chaos/v1" s
+          check Alcotest.string "schema" "dsu-drill/v1" s
         | _ -> Alcotest.fail "missing schema");
         match Repro_obs.Json.member "ok" reparsed with
         | Some (Repro_obs.Json.Bool ok) ->
@@ -503,9 +485,7 @@ let chaos_tests =
     case "invalid configs rejected" (fun () ->
         let bad config =
           try
-            ignore
-              (Chaos.run_scenario ~config ~layout:Harness.Scalability.Flat
-                 ~policy:Dsu.Find_policy.Two_try_splitting ());
+            ignore (run_dsu ~config Dsu.Plan.Flat);
             false
           with Invalid_argument _ -> true
         in
@@ -517,6 +497,52 @@ let chaos_tests =
           (bad { chaos_config with Chaos.stall_prob = 1.5 }));
   ]
 
+(* ------------------------------------------------------------ the audit *)
+
+(* The audit as a pure function over hand-built forests.  Six nodes:
+   {0, 1, 2} linked below 2 and {3, 4} below 4; 5 alone.  The identity
+   priority order makes every edge order-increasing. *)
+let audit_forest parents =
+  let rec find i = if parents.(i) = i then i else find parents.(i) in
+  { Chaos.parents; prio = Fun.id; find }
+
+let good = [| 2; 2; 2; 4; 4; 5 |]
+
+let evidence ?(acked = [ (0, 1); (3, 4) ]) ?(submitted = [ (0, 1); (1, 2); (3, 4) ]) () =
+  { Chaos.acked; submitted; answers = None; hops = [] }
+
+let failed_checks checks =
+  List.filter_map (fun c -> if c.Chaos.ok then None else Some c.Chaos.name) checks
+
+let audit_tests =
+  [
+    case "a consistent forest passes every side" (fun () ->
+        check
+          Alcotest.(list string)
+          "no failures" []
+          (failed_checks (Chaos.audit (evidence ()) (audit_forest good))));
+    case "a lost acked unite fails the lower side" (fun () ->
+        (* 3 -> 4 missing: the recovered partition splits an acked pair. *)
+        check
+          Alcotest.(list string)
+          "lower fails" [ "lower" ]
+          (failed_checks (Chaos.audit (evidence ()) (audit_forest [| 2; 2; 2; 3; 4; 5 |]))));
+    case "one phantom merge fails the upper side" (fun () ->
+        (* 4 -> 5: no submitted unite ever touched 5. *)
+        check
+          Alcotest.(list string)
+          "upper fails" [ "upper" ]
+          (failed_checks (Chaos.audit (evidence ()) (audit_forest [| 2; 2; 2; 4; 5; 5 |]))));
+    case "a cyclic parent array fails the forest check without hanging" (fun () ->
+        let cyclic = { Chaos.parents = [| 1; 2; 0; 4; 4; 5 |]; prio = Fun.id; find = Fun.id } in
+        check
+          Alcotest.(list string)
+          "only the forest check, failed" [ "forest" ]
+          (failed_checks (Chaos.audit (evidence ()) cyclic));
+        check Alcotest.int "nothing else ran" 1
+          (List.length (Chaos.audit (evidence ()) cyclic)));
+  ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -526,4 +552,5 @@ let () =
       ("tuned_sites", tuned_site_tests);
       ("forest_check", forest_tests);
       ("chaos", chaos_tests);
+      ("audit", audit_tests);
     ]

@@ -406,17 +406,13 @@ let perfdiff_tests =
             check Alcotest.string "key is the offered rate" "rate=1000"
               row.Perfdiff.key)
           r.Perfdiff.regressions);
-    case "service documents diff throughput, tails and drill RTO" (fun () ->
-        let doc achieved p99 rto =
+    case "service documents diff throughput and tails" (fun () ->
+        let doc achieved p99 =
           Printf.sprintf
-            {|{"schema":"dsu-service/v1","points":[{"offered_rate":1000.0,"achieved_rate":%f,"latency":{"p99_ns":%d,"p999_ns":%d}}],"drills":[{"kind":"flat","rpo_lost":0,"rto_ns":%d}]}|}
-            achieved p99 (2 * p99) rto
+            {|{"schema":"dsu-service/v1","points":[{"offered_rate":1000.0,"achieved_rate":%f,"latency":{"p99_ns":%d,"p999_ns":%d}}]}|}
+            achieved p99 (2 * p99)
         in
-        let r =
-          diff_ok ~base:(doc 990.0 100 1_000_000)
-            ~current:(doc 500.0 300 5_000_000)
-            ()
-        in
+        let r = diff_ok ~base:(doc 990.0 100) ~current:(doc 500.0 300) () in
         check Alcotest.string "kind" "dsu-service/v1" r.Perfdiff.kind;
         let keyed =
           List.map
@@ -426,20 +422,33 @@ let perfdiff_tests =
         in
         check
           (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
-          "throughput, both tails and RTO all regressed"
+          "throughput and both tails regressed"
           [
-            ("drill flat", "rto_ns");
             ("serve rate=1000", "achieved_rate");
             ("serve rate=1000", "latency_p999_ns");
             ("serve rate=1000", "latency_p99_ns");
           ]
           keyed;
-        let faster =
-          diff_ok ~base:(doc 500.0 300 5_000_000)
-            ~current:(doc 990.0 100 1_000_000)
-            ()
+        let faster = diff_ok ~base:(doc 500.0 300) ~current:(doc 990.0 100) () in
+        check Alcotest.int "all improvements the other way" 3
+          (List.length faster.Perfdiff.improvements));
+    case "drill documents diff the RTO of the scenarios that measured one"
+      (fun () ->
+        let doc rto =
+          Printf.sprintf
+            {|{"schema":"dsu-drill/v1","scenarios":[{"layout":"flat","policy":"two-try","depth":"service","rto_ns":%d},{"layout":"flat","policy":"two-try","depth":"dsu","rto_ns":null}]}|}
+            rto
         in
-        check Alcotest.int "all improvements the other way" 4
+        let r = diff_ok ~base:(doc 1_000_000) ~current:(doc 5_000_000) () in
+        check Alcotest.string "kind" "dsu-drill/v1" r.Perfdiff.kind;
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+          "one RTO row, regressed"
+          [ ("drill flat/two-try/service", "rto_ns") ]
+          (List.map (fun row -> (row.Perfdiff.key, row.Perfdiff.metric)) r.Perfdiff.rows);
+        check Alcotest.int "regressed" 1 (List.length r.Perfdiff.regressions);
+        let faster = diff_ok ~base:(doc 5_000_000) ~current:(doc 1_000_000) () in
+        check Alcotest.int "improved the other way" 1
           (List.length faster.Perfdiff.improvements));
     case "disjoint keys land in only_base / only_current" (fun () ->
         let base = bechamel_doc [ ("old", 1.0); ("shared", 2.0) ] in

@@ -1,8 +1,8 @@
 (* Tests for the crash-recovery subsystem: the snapshot codecs round-trip
    all four layouts, corrupted and truncated files are rejected as errors,
    repair-on-restart fixes seeded storage corruption while provably only
-   splitting sets, and a crashed multi-domain run snapshots, restores and
-   resumes to a clean full audit. *)
+   splitting sets, and the crash drill's snapshot depth: a crashed
+   multi-domain run snapshots, restores and resumes to a clean audit. *)
 
 module Snap = Repro_recover.Snapshot
 module Repair = Repro_recover.Repair
@@ -325,61 +325,85 @@ let recovery_config =
     stall_len = 16;
   }
 
-let find_check name checks =
-  match List.find_opt (fun c -> c.Chaos.check_name = name) checks with
+(* The early crash of the packed regression: resumed unites promote ranks
+   past their restore-time values. *)
+let early_config =
+  {
+    Chaos.default_config with
+    Chaos.n = 512;
+    ops_per_domain = 500;
+    domains = 2;
+    crash_after = 200;
+    seed = 1;
+  }
+
+let run_snapshot ?(config = recovery_config) ?keep
+    ?(policy = Dsu.Find_policy.Two_try_splitting) layout =
+  Chaos.run ~config ?keep ~layout ~policy ~depth:Chaos.Snapshot ()
+
+let find_check name (s : Chaos.scenario) =
+  match List.find_opt (fun c -> c.Chaos.name = name) s.Chaos.checks with
   | Some c -> c
   | None -> Alcotest.failf "check %s not reported" name
+
+let stage name (s : Chaos.scenario) =
+  match List.find_opt (fun st -> st.Chaos.stage = name) s.Chaos.stages with
+  | Some st -> st
+  | None -> Alcotest.failf "stage %s not reported" name
 
 let recovery_tests =
   [
     case "4-domain crash -> snapshot -> repair -> resume passes the audit"
       (fun () ->
-        let s, r =
-          Chaos.run_recovery_scenario ~config:recovery_config
-            ~layout:Harness.Scalability.Flat
-            ~policy:Dsu.Find_policy.Two_try_splitting ()
-        in
-        check Alcotest.bool "phase-1 scenario ok" true (Chaos.scenario_ok s);
-        check Alcotest.bool "recovery ok" true (Chaos.recovery_ok r);
-        check Alcotest.int "no repair fixes (Theorem 3.4)" 0
-          (List.length r.Chaos.fixes);
+        let keep = Filename.concat (Filename.get_temp_dir_name ()) "dsu-test-keep" in
+        let s = run_snapshot ~keep Dsu.Plan.Flat in
+        let dir = keep ^ "-flat-two-try-snapshot" in
+        let crash_snap = Snap.read_file (Filename.concat dir "crash.snap") in
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir;
+        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s);
         check Alcotest.int "both crashed slots resumed" 2
-          (List.length r.Chaos.resumed_slots);
+          (List.length (stage "resume" s).Chaos.slots);
         check Alcotest.bool "resumed some operations" true
-          (r.Chaos.resumed_ops > 0);
+          (List.exists (fun (_, _, ops) -> ops > 0) (stage "resume" s).Chaos.slots);
         List.iter
           (fun name ->
-            let c = find_check name r.Chaos.recovery_checks in
-            check Alcotest.bool name true c.Chaos.passed)
-          [ "codec-roundtrip"; "repair-clean"; "repair-refines"; "resumed-complete" ];
-        (* The resumed audit re-runs the oracle sweep: the sameset-false
-           check against the sequential oracle must be among the passes. *)
-        let oracle = find_check "sameset-false" r.Chaos.recovery_checks in
-        check Alcotest.bool "oracle sweep passed" true oracle.Chaos.passed;
-        check Alcotest.bool "crash snapshot itself validates" true
-          (Snap.ok r.Chaos.crash_snapshot));
+            let c = find_check name s in
+            check Alcotest.bool name true c.Chaos.ok)
+          [
+            "codec"; "repair-clean"; "recovery"; "recovered:lower"; "recovered:upper";
+            "complete";
+          ];
+        (* The resumed audit re-runs the oracle sweep over both stages. *)
+        check Alcotest.bool "oracle sweep passed" true (find_check "answers" s).Chaos.ok;
+        match crash_snap with
+        | Ok snap -> check Alcotest.bool "kept crash snapshot validates" true (Snap.ok snap)
+        | Error e -> Alcotest.failf "kept crash snapshot unreadable: %s" e);
     case "packed early crash: the resumed audit reads ranks live" (fun () ->
-        (* Resumed unites promote ranks past their restore-time values; an
-           audit that froze them reported false order violations here. *)
-        let config =
-          {
-            Chaos.default_config with
-            Chaos.n = 512;
-            ops_per_domain = 500;
-            domains = 2;
-            crash_after = 200;
-            seed = 1;
-          }
-        in
-        let s, r =
-          Chaos.run_recovery_scenario ~config ~layout:Harness.Scalability.Packed
-            ~policy:Dsu.Find_policy.Two_try_splitting ()
-        in
-        check Alcotest.bool "phase-1 scenario ok" true (Chaos.scenario_ok s);
-        check Alcotest.bool "a slot crashed" true (r.Chaos.resumed_slots <> []);
-        let forest = find_check "forest" r.Chaos.recovery_checks in
-        check Alcotest.string "resumed forest" "" forest.Chaos.detail;
-        check Alcotest.bool "recovery ok" true (Chaos.recovery_ok r));
+        (* An audit that froze ranks at restore time reported false order
+           violations here. *)
+        let s = run_snapshot ~config:early_config Dsu.Plan.Packed in
+        check Alcotest.bool "a slot crashed" true (s.Chaos.crashed <> []);
+        check Alcotest.string "resumed forest" "" (find_check "forest" s).Chaos.detail;
+        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
+    case "each stage reports its own hops and ops" (fun () ->
+        (* Every site hit, hops included, counts toward a victim's crash
+           countdown, so its crash-stage hops cannot exceed the countdown;
+           the resumed run's hops belong to the resume stage alone. *)
+        let s = run_snapshot ~config:early_config Dsu.Plan.Flat in
+        let crash = stage "crash" s and resume = stage "resume" s in
+        check Alcotest.int "both slots crashed" 2 (List.length s.Chaos.crashed);
+        List.iter
+          (fun (k, hops, ops) ->
+            let countdown = early_config.Chaos.crash_after * (k + 1) in
+            if hops > countdown + 1 then
+              Alcotest.failf "slot %d: %d crash-stage hops, countdown %d" k hops countdown;
+            let _, _, resumed =
+              List.find (fun (k', _, _) -> k' = k) resume.Chaos.slots
+            in
+            check Alcotest.int "stages split the stream" early_config.Chaos.ops_per_domain
+              (ops + resumed))
+          crash.Chaos.slots);
   ]
   @ List.map
       (fun layout ->
@@ -387,14 +411,10 @@ let recovery_tests =
           (Dsu.Plan.layout_to_string layout
           ^ ": crash -> snapshot -> repair -> resume passes the audit")
           (fun () ->
-            let s, r =
-              Chaos.run_recovery_scenario ~config:recovery_config ~layout
-                ~policy:Dsu.Find_policy.Two_try_splitting ()
-            in
-            check Alcotest.bool "phase-1 scenario ok" true (Chaos.scenario_ok s);
+            let s = run_snapshot layout in
             check Alcotest.int "both crashed slots resumed" 2
-              (List.length r.Chaos.resumed_slots);
-            check Alcotest.bool "recovery ok" true (Chaos.recovery_ok r)))
+              (List.length (stage "resume" s).Chaos.slots);
+            check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s)))
       [ Dsu.Plan.Padded; Dsu.Plan.Growable ]
   @ [
     case "crash-free recovery drill also passes (nothing to resume)"
@@ -402,50 +422,30 @@ let recovery_tests =
         let config =
           { recovery_config with Chaos.crash_domains = 0; ops_per_domain = 1_000 }
         in
-        let s, r =
-          Chaos.run_recovery_scenario ~config ~layout:Harness.Scalability.Flat
-            ~policy:Dsu.Find_policy.One_try_splitting ()
-        in
+        let s = run_snapshot ~config ~policy:Dsu.Find_policy.One_try_splitting Dsu.Plan.Flat in
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s);
-        check Alcotest.bool "recovery ok" true (Chaos.recovery_ok r);
-        check Alcotest.bool "no slots resumed" true (r.Chaos.resumed_slots = []));
-    case "resume counters exclude phase-1 operations" (fun () ->
-        Repro_obs.Metrics.set_enabled true;
-        Fun.protect
-          ~finally:(fun () -> Repro_obs.Metrics.set_enabled false)
-          (fun () ->
-            let _, r =
-              Chaos.run_recovery_scenario ~config:recovery_config
-                ~layout:Harness.Scalability.Flat
-                ~policy:Dsu.Find_policy.Two_try_splitting ()
-            in
-            let total name samples =
-              match List.assoc_opt name samples with Some v -> v | None -> 0
-            in
-            let p1 = total "dsu_ops_total" r.Chaos.phase1_counters in
-            let resumed = total "dsu_ops_total" r.Chaos.resume_counters in
-            check Alcotest.bool "phase 1 counted" true (p1 > 0);
-            (* The resume-only delta covers the resumed streams, not the
-               whole run: it must be well short of phase 1 + resume. *)
-            check Alcotest.bool "no double counting" true (resumed < p1)));
+        check Alcotest.bool "no slots resumed" true ((stage "resume" s).Chaos.slots = []));
     case "recovery json carries the drill's evidence" (fun () ->
-        let results = Chaos.run_recovery_all ~config:recovery_config () in
-        let json = Chaos.recovery_report_to_json ~config:recovery_config results in
+        let config = { recovery_config with Chaos.depths = [ Chaos.Snapshot ] } in
+        let json = Chaos.to_json ~config (Chaos.run_all ~config ()) in
         let reparsed = Repro_obs.Json.parse_exn (Repro_obs.Json.to_string json) in
-        (match Repro_obs.Json.member "schema" reparsed with
-        | Some (Repro_obs.Json.String s) ->
-          check Alcotest.string "schema" "dsu-chaos/v1" s
-        | _ -> Alcotest.fail "missing schema");
-        match Repro_obs.Json.member "scenarios" reparsed with
-        | Some (Repro_obs.Json.List (first :: _)) -> (
-          match Repro_obs.Json.member "recovery" first with
-          | Some rec_json -> (
-            match Repro_obs.Json.member "ok" rec_json with
-            | Some (Repro_obs.Json.Bool ok) ->
-              check Alcotest.bool "recovery ok in json" true ok
-            | _ -> Alcotest.fail "recovery.ok missing")
-          | None -> Alcotest.fail "recovery object missing")
-        | _ -> Alcotest.fail "scenarios missing");
+        let field name j =
+          match Repro_obs.Json.member name j with
+          | Some v -> v
+          | None -> Alcotest.failf "%s missing" name
+        in
+        check Alcotest.bool "schema" true
+          (field "schema" reparsed = Repro_obs.Json.String "dsu-drill/v1");
+        match field "scenarios" reparsed with
+        | Repro_obs.Json.List [ first ] ->
+          check Alcotest.bool "depth" true
+            (field "depth" first = Repro_obs.Json.String "snapshot");
+          check Alcotest.bool "scenario ok in json" true
+            (field "ok" first = Repro_obs.Json.Bool true);
+          (match field "stages" first with
+          | Repro_obs.Json.List stages -> check Alcotest.int "two stages" 2 (List.length stages)
+          | _ -> Alcotest.fail "stages is not a list")
+        | _ -> Alcotest.fail "expected one scenario");
   ]
 
 (* ------------------------------------------------------- legacy files *)

@@ -1,10 +1,11 @@
 (* Tests for the serving layer: the bounded MPMC queue (sequential oracle,
    multi-domain stress, fault-injection histories), the service's
-   backpressure accounting, and a miniature crash-recovery drill. *)
+   backpressure accounting, and the crash drill's service depth. *)
 
 module Q = Repro_service.Bounded_queue
 module Svc = Repro_service.Service
 module Hsvc = Harness.Service
+module Chaos = Harness.Chaos
 module Fi = Repro_fault.Inject
 module Site = Repro_fault.Site
 module Rng = Repro_util.Rng
@@ -561,25 +562,21 @@ let test_deadline_expiry () =
 (* ------------------------------------------------------- mini drill *)
 
 let test_drill_flat () =
-  let config =
-    {
-      Hsvc.default_config with
-      Hsvc.n = 1 lsl 10;
-      workers = 2;
-      queue_capacity = 64;
-      batch = 8;
-    }
+  let config = { Chaos.default_config with Chaos.n = 1 lsl 10; domains = 2 } in
+  let s =
+    Chaos.run ~config ~layout:Dsu.Plan.Flat ~policy:Dsu.Find_policy.Two_try_splitting
+      ~depth:Chaos.Service ()
   in
-  let d = Hsvc.drill ~config ~layout:Dsu.Plan.Flat () in
   List.iter
-    (fun (c : Hsvc.check) ->
-      check Alcotest.bool
-        (Printf.sprintf "drill check %s: %s" c.Hsvc.c_name c.Hsvc.c_detail)
-        true c.Hsvc.c_passed)
-    d.Hsvc.d_checks;
-  check Alcotest.int "RPO is zero" 0 d.Hsvc.d_rpo_lost;
-  check Alcotest.bool "RTO measured" true (d.Hsvc.d_rto_ns > 0);
-  check Alcotest.bool "passed" true d.Hsvc.d_passed
+    (fun (c : Chaos.check) ->
+      check Alcotest.bool (Printf.sprintf "drill check %s: %s" c.Chaos.name c.Chaos.detail) true
+        c.Chaos.ok)
+    s.Chaos.checks;
+  check Alcotest.bool "RPO is zero" true
+    (List.exists (fun c -> c.Chaos.name = "recovered:lower" && c.Chaos.ok) s.Chaos.checks);
+  check Alcotest.bool "RTO measured" true
+    (match s.Chaos.rto_ns with Some r -> r > 0 | None -> false);
+  check Alcotest.bool "passed" true (Chaos.scenario_ok s)
 
 let () =
   Alcotest.run "service"
