@@ -50,18 +50,19 @@
     - [Wal_commit_post] — after the batch is written and fsynced; crashing
       here loses nothing (the batch is durable).
 
-    Serving sites, arming the bounded MPMC ingestion/completion queues of
-    {!Repro_service.Bounded_queue}:
+    Serving sites, arming the service's ingestion rings
+    ({!Repro_service.Ingest_ring}) and completion lanes
+    ({!Repro_service.Bounded_queue}):
 
-    - [Queue_enq_cas] — at the top of an enqueue attempt, before the
-      lock-free size probe and before any lock is taken; a crash here
-      abandons the submission with no queue state disturbed (the queue's
-      mutexes are never held across a site, so injected crash-stop cannot
-      leak a lock).
-    - [Queue_deq_cas] — at the top of a dequeue / batch-drain attempt,
-      same discipline; a worker crashed here dies between drains, the
-      "crash a worker domain mid-drain" scenario of the serving chaos
-      drill.
+    - [Queue_enq_cas] — immediately before an ingestion push's CAS on the
+      ring's [tail] (a push to a full ring hits nothing), and before a
+      completion push takes its lock.  A crash here abandons the push
+      with no ticket claimed and no lock held.
+    - [Queue_deq_cas] — immediately before a drain's CAS on the ring's
+      [head] (an empty ring hits nothing), and after a completion poll's
+      lock-free size probe, before its lock.  A worker crashed here dies
+      between drains holding no slot: the "crash a worker domain
+      mid-drain" scenario of the serving chaos drill.
 
     Attribution-only labels, used by the contention profiler to key
     CAS-outcome counts ([Dsu.Contention]) and never offered to the

@@ -1,5 +1,6 @@
 (* Bounded MPMC ring queue: a hybrid of the classic two-lock queue and a
-   lock-free size probe.
+   lock-free size probe.  It carries the service's completion lanes; the
+   ingestion lanes are the lock-free Ingest_ring.
 
    The Michael-Scott two-lock queue serializes producers on one mutex and
    consumers on another, so producers never contend with consumers.  The
@@ -12,10 +13,9 @@
      decrement of dequeue.  The batch operations write or take k slots
      and then publish them with a single [fetch_and_add size (+/-k)]: the
      k elements linearize together at that one update, in ring order.
-   - The full/empty fast paths ([try_enqueue] on a full queue, [dequeue]
-     on an empty one) are a single atomic load — no lock is touched, so a
-     producer hammering a full queue (the backpressure case this queue
-     exists for) cannot slow the consumers down, and vice versa.
+   - The empty fast path ([is_empty], and [dequeue_batch] on an empty
+     queue) is a single atomic load — no lock is touched, so a client
+     polling an empty lane cannot slow the worker pushing to it.
    - Under the enqueue lock, [size] can only decrease concurrently
      (consumers), so a capacity re-check that passes stays valid until
      the publish; symmetrically under the dequeue lock [size] can only
@@ -30,8 +30,6 @@
 
 module Site = Repro_fault.Site
 module Fi = Repro_fault.Inject
-module Backoff = Repro_util.Backoff
-module Clock = Repro_obs.Clock
 
 type 'a t = {
   slots : 'a option array;
@@ -75,32 +73,6 @@ let[@inline] take t =
   t.slots.(t.head) <- None;
   t.head <- (if t.head + 1 = t.cap then 0 else t.head + 1);
   match v with Some v -> v | None -> assert false
-
-(* The sites are hit after the occupancy probe and before the lock: a
-   fast-fail on a full/empty queue is not an injection point (nothing was
-   going to happen), an attempt that will take the lock is — and an
-   injected crash there still leaves both mutexes free. *)
-let try_enqueue t v =
-  if Atomic.get t.size >= t.cap then false
-  else begin
-    hit Site.Queue_enq_cas;
-    Mutex.lock t.enq_mu;
-    let ok = Atomic.get t.size < t.cap in
-    if ok then begin
-      put t v;
-      Atomic.incr t.size
-    end;
-    Mutex.unlock t.enq_mu;
-    ok
-  end
-
-let enqueue_until t ~deadline_ns v =
-  let rec go spins =
-    if try_enqueue t v then true
-    else if Clock.now_ns () >= deadline_ns then false
-    else go (Backoff.once spins)
-  in
-  go Backoff.initial
 
 let shed_enqueue t v =
   hit Site.Queue_enq_cas;
@@ -162,23 +134,6 @@ let shed_enqueue_batch t a ~pos ~len =
     ignore (Atomic.fetch_and_add t.size k);
     Mutex.unlock t.enq_mu;
     skip + evicted
-  end
-
-let dequeue_opt t =
-  if Atomic.get t.size = 0 then None
-  else begin
-    hit Site.Queue_deq_cas;
-    Mutex.lock t.deq_mu;
-    let r =
-      if Atomic.get t.size = 0 then None
-      else begin
-        let v = take t in
-        Atomic.decr t.size;
-        Some v
-      end
-    in
-    Mutex.unlock t.deq_mu;
-    r
   end
 
 let dequeue_batch t ~max =

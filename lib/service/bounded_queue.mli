@@ -1,21 +1,17 @@
-(** Bounded MPMC queue with explicit backpressure: the ingestion and
-    completion lanes of {!Service}.
+(** Bounded MPMC queue with explicit displacement: the completion lanes
+    of {!Service} (its ingestion lanes are {!Ingest_ring}).
 
     A hybrid of the Michael-Scott two-lock queue (producers serialize on
     one mutex, consumers on another, so the two sides never contend) and
     a lock-free occupancy probe: a single atomic [size] counter,
     incremented after publish under the enqueue lock and decremented
-    after take under the dequeue lock, makes the full/empty fast paths a
-    single atomic load.  A producer spinning against a full queue — the
-    backpressure case — never touches a lock and therefore never slows
-    the consumers draining it.
+    after take under the dequeue lock, makes the empty fast path a single
+    atomic load: a consumer polling an empty queue never touches a lock.
 
-    Admission is always explicit: {!try_enqueue} fails fast when full,
-    {!enqueue_until} bounds the wait by a deadline, and {!shed_enqueue}
-    always admits but hands back the displaced oldest element so the
-    caller can answer its submitter — nothing is ever dropped silently.
-    {!shed_enqueue_batch} is the same policy for a run of elements under
-    one lock acquisition, counting what it displaced.
+    {!shed_enqueue} always admits but hands back the displaced oldest
+    element, so nothing is ever dropped silently; {!shed_enqueue_batch}
+    is the same policy for a run of elements under one lock acquisition,
+    counting what it displaced.
 
     With {!Repro_fault.Inject} armed, every operation hits
     {!Repro_fault.Site.Queue_enq_cas} / {!Repro_fault.Site.Queue_deq_cas}
@@ -34,18 +30,10 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val try_enqueue : 'a t -> 'a -> bool
-(** [false] iff the queue was full — the reject admission policy. *)
-
-val enqueue_until : 'a t -> deadline_ns:int -> 'a -> bool
-(** Retry {!try_enqueue} under {!Repro_util.Backoff} until it succeeds or
-    {!Repro_obs.Clock.now_ns} passes [deadline_ns] — the block-with-
-    deadline admission policy.  [false] iff the deadline expired. *)
-
 val shed_enqueue : 'a t -> 'a -> 'a option
 (** Always admits.  Returns [Some oldest] when the queue was full and the
-    oldest element was displaced to make room — the shed-oldest admission
-    policy; the caller owes the displaced element a response. *)
+    oldest element was displaced to make room; the caller owes the
+    displaced element whatever it was owed. *)
 
 val shed_enqueue_batch : 'a t -> 'a array -> pos:int -> len:int -> int
 (** [shed_enqueue_batch q a ~pos ~len] admits [a.(pos) .. a.(pos+len-1)]
@@ -58,9 +46,7 @@ val shed_enqueue_batch : 'a t -> 'a array -> pos:int -> len:int -> int
     response must size the queue so that this returns 0.  [len = 0] is a
     no-op.  @raise Invalid_argument if the range is outside [a]. *)
 
-val dequeue_opt : 'a t -> 'a option
-
 val dequeue_batch : 'a t -> max:int -> 'a list
 (** Up to [max] elements, FIFO order, taken under one lock acquisition
-    and published with one occupancy update — the worker drain path.
+    and published with one occupancy update — a client's poll.
     @raise Invalid_argument if [max < 1]. *)

@@ -1,21 +1,25 @@
 (* The connectivity server: bounded ingestion, batched drain, durable ack.
 
-   Client sessions submit ops into per-worker bounded ingestion queues
-   under an explicit admission policy; worker domains drain batches and
-   apply them op by op, in FIFO order, through the backend's per-op calls;
-   when a WAL is attached, a group commit is forced BEFORE any op in the
-   batch is acknowledged, so an acked unite is always on disk — that
-   ordering is the whole RPO=0 argument, and the serving chaos drill
-   measures it.  A drained batch costs a constant number of locks,
-   atomics and clock reads: one dequeue, one clock read for deadlines,
-   one after the durability barrier to stamp every response, one
-   counter bump per outcome kind and one completion-lane push.
+   Client sessions submit ops into per-worker ingestion rings under an
+   explicit admission policy.  A submit that finds room writes the
+   request's ints into one ring slot: one CAS and one release store, no
+   lock and no allocation but the [Enqueued] answer.  Worker domains take batches into a
+   reusable buffer and apply them op by op, in FIFO order, through the
+   backend's per-op calls; when a WAL is attached, a group commit is
+   forced BEFORE any op in the batch is acknowledged, so an acked unite is
+   always on disk — that ordering is the whole RPO=0 argument, and the
+   serving chaos drill measures it.  A drained batch costs a constant
+   number of CASes, locks and clock reads: one [head] CAS, one clock read
+   for deadlines, one after the durability barrier to stamp every
+   response, one counter bump per outcome kind and one completion-lane
+   lock per run of responses bound for the same lane.
 
    Every admitted op gets exactly one response (Done, Shed, Timed_out or
    Failed) unless the worker holding it crashes, in which case it is lost
    {e unacknowledged} — the failure mode the contract permits. *)
 
 module Queue = Bounded_queue
+module Ring = Ingest_ring
 module Site = Repro_fault.Site
 module Fi = Repro_fault.Inject
 module Backoff = Repro_util.Backoff
@@ -65,13 +69,15 @@ type outcome =
   | Timed_out
   | Failed of string
 
-type request = {
-  id : int;
-  session : int;
-  op : op;
-  intended_ns : int;
-  deadline_ns : int;  (* 0 = none *)
-}
+(* An op as the ring's [kind; x; y] fields. *)
+let kind_of = function Unite _ -> 0 | Same_set _ -> 1 | Find _ -> 2
+let x_of = function Unite (x, _) | Same_set (x, _) | Find x -> x
+let y_of = function Unite (_, y) | Same_set (_, y) -> y | Find _ -> 0
+
+let op_of ~kind ~x ~y =
+  match kind with 0 -> Unite (x, y) | 1 -> Same_set (x, y) | _ -> Find x
+
+let entry_op b i = op_of ~kind:(Ring.kind b i) ~x:(Ring.x b i) ~y:(Ring.y b i)
 
 type response = {
   r_id : int;
@@ -115,16 +121,14 @@ type t = {
   cfg : config;
   backend : Dsu.Driver.t;
   wal : Wal.writer option;
-  queues : request Queue.t array;
+  rings : Ring.t array;
   completions : response Queue.t array;
   stopping : bool Atomic.t;
   mutable worker_handles : unit Domain.t list;
   mutable snapshotter : unit Domain.t option;
   worker_crash : (Site.t * int) option Atomic.t array;
   unhealthy : bool Atomic.t;  (* a worker refused to ack: wal dead *)
-  next_id : int Atomic.t;
-  submitted : int Atomic.t;
-  accepted : int Atomic.t;
+  next_id : int Atomic.t;  (* one per submit that was not [Stopped] *)
   rejected_full : int Atomic.t;
   rejected_deadline : int Atomic.t;
   rejected_stopped : int Atomic.t;
@@ -148,12 +152,9 @@ type t = {
 let backend t = t.backend
 let kind t = Dsu.Driver.kind t.backend
 
-let note_max cell v =
-  let rec go () =
-    let cur = Atomic.get cell in
-    if v > cur && not (Atomic.compare_and_set cell cur v) then go ()
-  in
-  go ()
+let rec note_max cell v =
+  let cur = Atomic.get cell in
+  if v > cur && not (Atomic.compare_and_set cell cur v) then note_max cell v
 
 let committer_dead t =
   match t.wal with
@@ -191,7 +192,9 @@ let healthy t =
    counter makes any sizing violation loud. *)
 let lane_of t session = t.completions.(session mod Array.length t.completions)
 
-let respond t (r : request) outcome =
+(* Answer entry [i] of batch [b] alone: the shed, dead-committer and
+   shutdown paths. *)
+let respond t b i outcome =
   (match outcome with
   | Done _ ->
     Atomic.incr t.acked;
@@ -203,17 +206,18 @@ let respond t (r : request) outcome =
     Atomic.incr t.timed_out;
     Metrics.incr t.m_timed_out
   | Failed _ -> Atomic.incr t.failed);
+  let session = Ring.session b i in
   let rsp =
     {
-      r_id = r.id;
-      r_session = r.session;
-      r_op = r.op;
+      r_id = Ring.id b i;
+      r_session = session;
+      r_op = entry_op b i;
       r_outcome = outcome;
-      r_intended_ns = r.intended_ns;
+      r_intended_ns = Ring.intended_ns b i;
       r_completed_ns = Clock.now_ns ();
     }
   in
-  match Queue.shed_enqueue (lane_of t r.session) rsp with
+  match Queue.shed_enqueue (lane_of t session) rsp with
   | None -> ()
   | Some _ -> Atomic.incr t.displaced
 
@@ -246,7 +250,7 @@ let done_false = Done (V_bool false)
 let failed_wal = Failed "wal-committer-dead"
 
 (* A worker's reusable per-batch buffers, [batch] entries each. *)
-type scratch = { outs : outcome array; rsps : response array }
+type scratch = { reqs : Ring.batch; outs : outcome array; rsps : response array }
 
 let scratch t =
   let blank =
@@ -259,35 +263,40 @@ let scratch t =
       r_completed_ns = 0;
     }
   in
-  { outs = Array.make t.cfg.batch Shed; rsps = Array.make t.cfg.batch blank }
+  {
+    reqs = Ring.batch t.cfg.batch;
+    outs = Array.make t.cfg.batch Shed;
+    rsps = Array.make t.cfg.batch blank;
+  }
 
-let apply_op backend = function
-  | Unite (x, y) ->
+(* Apply one op given as the ring's fields ([kind_of] encoding). *)
+let apply backend ~kind ~x ~y =
+  match kind with
+  | 0 ->
     Dsu.Driver.unite backend x y;
     done_unit
-  | Same_set (x, y) -> if Dsu.Driver.same_set backend x y then done_true else done_false
-  | Find x -> Done (V_int (Dsu.Driver.find backend x))
+  | 1 -> if Dsu.Driver.same_set backend x y then done_true else done_false
+  | _ -> Done (V_int (Dsu.Driver.find backend x))
 
-let process_batch t sc reqs =
+(* Answer the first [n] entries of [sc.reqs]. *)
+let process_batch t sc n =
   Atomic.incr t.batches;
+  let b = sc.reqs in
   let now = Clock.now_ns () in
   (* Apply in FIFO order.  Ops that missed their deadline while queued
      time out without touching the structure — the client already gave
      up on them. *)
-  let n = ref 0 and expired = ref 0 in
-  List.iter
-    (fun r ->
-      let o =
-        if r.deadline_ns > 0 && now > r.deadline_ns then begin
-          incr expired;
-          Timed_out
-        end
-        else apply_op t.backend r.op
-      in
-      sc.outs.(!n) <- o;
-      incr n)
-    reqs;
-  let n = !n and expired = !expired in
+  let expired = ref 0 in
+  for i = 0 to n - 1 do
+    let deadline = Ring.deadline_ns b i in
+    sc.outs.(i) <-
+      (if deadline > 0 && now > deadline then begin
+         incr expired;
+         Timed_out
+       end
+       else apply t.backend ~kind:(Ring.kind b i) ~x:(Ring.x b i) ~y:(Ring.y b i))
+  done;
+  let expired = !expired in
   note_max t.max_batch n;
   (* The durability barrier: force the group commit and only ack if the
      committer is still alive to have performed it.  An ack therefore
@@ -312,58 +321,66 @@ let process_batch t sc reqs =
     else ignore (Atomic.fetch_and_add t.failed live);
   if not durable then Atomic.set t.unhealthy true;
   let completed = Clock.now_ns () in
-  List.iteri
-    (fun i r ->
-      let o = sc.outs.(i) in
-      sc.rsps.(i) <-
-        {
-          r_id = r.id;
-          r_session = r.session;
-          r_op = r.op;
-          r_outcome =
-            (match o with Done _ when not durable -> failed_wal | _ -> o);
-          r_intended_ns = r.intended_ns;
-          r_completed_ns = completed;
-        })
-    reqs;
+  for i = 0 to n - 1 do
+    let o = sc.outs.(i) in
+    sc.rsps.(i) <-
+      {
+        r_id = Ring.id b i;
+        r_session = Ring.session b i;
+        r_op = entry_op b i;
+        r_outcome = (match o with Done _ when not durable -> failed_wal | _ -> o);
+        r_intended_ns = Ring.intended_ns b i;
+        r_completed_ns = completed;
+      }
+  done;
   push_completions t sc.rsps n;
   durable
 
+(* Take what is left in [ring] through [b] and answer it [outcome], one
+   request per take and so one [Queue_deq_cas] site hit per request: these
+   paths are cold, and the serving crash drill counts those hits to crash
+   a worker while it fails its backlog. *)
+let rec answer_rest t ring b outcome =
+  if Ring.take ring b ~max:1 = 1 then begin
+    respond t b 0 outcome;
+    answer_rest t ring b outcome
+  end
+
+(* An idle worker checks its ring [idle_checks] times, 1, 2, 4, ... pauses
+   apart (63 pauses in all), then sleeps 200 us between checks: it must
+   not steal the mutators' CPU (same reasoning as the WAL committer), and
+   spacing the checks keeps it from pulling the producer's cache line
+   back after every pause. *)
+let idle_checks = 6
+
 let worker_loop t k =
-  let q = t.queues.(k) in
+  let ring = t.rings.(k) in
   let sc = scratch t in
   let idle = ref 0 in
   try
     let continue = ref true in
     while !continue do
-      match Queue.dequeue_batch q ~max:t.cfg.batch with
-      | [] ->
+      let n = Ring.take ring sc.reqs ~max:t.cfg.batch in
+      if n = 0 then begin
         if Atomic.get t.stopping then continue := false
-        else begin
-          incr idle;
-          (* brief spin, then sleep: an idle worker must not steal the
-             mutators' CPU (same reasoning as the WAL committer) *)
-          if !idle < 64 then Domain.cpu_relax ()
-          else begin
-            Atomic.incr t.idle_sleeps;
-            Unix.sleepf 0.0002
-          end
+        else if !idle < idle_checks then begin
+          Backoff.spin (1 lsl !idle);
+          incr idle
         end
-      | reqs ->
+        else begin
+          Atomic.incr t.idle_sleeps;
+          Unix.sleepf 0.0002
+        end
+      end
+      else begin
         idle := 0;
-        if not (process_batch t sc reqs) then begin
+        if not (process_batch t sc n) then begin
           (* No durable acks are possible any more: fail the backlog so
              nothing rots unanswered, then leave. *)
-          let rec drain () =
-            match Queue.dequeue_opt q with
-            | None -> ()
-            | Some r ->
-              respond t r failed_wal;
-              drain ()
-          in
-          drain ();
+          answer_rest t ring sc.reqs failed_wal;
           continue := false
         end
+      end
     done
   with Fi.Crashed (site, slot) ->
     (* Crash-stop: the partially-processed batch dies with the worker,
@@ -435,7 +452,7 @@ let create ?backend ?wal ?on_worker_start cfg =
       cfg;
       backend;
       wal;
-      queues = Array.init cfg.workers (fun _ -> Queue.create cfg.queue_capacity);
+      rings = Array.init cfg.workers (fun _ -> Ring.create cfg.queue_capacity);
       completions = Array.init cfg.clients (fun _ -> Queue.create lane_cap);
       stopping = Atomic.make false;
       worker_handles = [];
@@ -443,8 +460,6 @@ let create ?backend ?wal ?on_worker_start cfg =
       worker_crash = Array.init cfg.workers (fun _ -> Atomic.make None);
       unhealthy = Atomic.make false;
       next_id = Atomic.make 0;
-      submitted = Atomic.make 0;
-      accepted = Atomic.make 0;
       rejected_full = Atomic.make 0;
       rejected_deadline = Atomic.make 0;
       rejected_stopped = Atomic.make 0;
@@ -496,6 +511,10 @@ let check_session fn session =
   if session < 0 then
     invalid_arg (Printf.sprintf "Service.%s: session %d is negative" fn session)
 
+let push ring ~id ~session ~intended_ns ~deadline_ns op =
+  Ring.try_push ring ~id ~session ~kind:(kind_of op) ~x:(x_of op) ~y:(y_of op)
+    ~intended_ns ~deadline_ns
+
 let submit t ?intended_ns ?(deadline_ns = 0) ~session op =
   check_session "submit" session;
   (match op with
@@ -503,7 +522,6 @@ let submit t ?intended_ns ?(deadline_ns = 0) ~session op =
     check_element t x;
     check_element t y
   | Find x -> check_element t x);
-  Atomic.incr t.submitted;
   if Atomic.get t.stopping then begin
     Atomic.incr t.rejected_stopped;
     Metrics.incr t.m_rejected;
@@ -514,38 +532,36 @@ let submit t ?intended_ns ?(deadline_ns = 0) ~session op =
     let intended_ns =
       match intended_ns with Some ns -> ns | None -> Clock.now_ns ()
     in
-    let req = { id; session; op; intended_ns; deadline_ns } in
     let qi = session mod t.cfg.workers in
-    let q = t.queues.(qi) in
-    let depth = Queue.length q in
+    let ring = t.rings.(qi) in
+    let depth = Ring.length ring in
     note_max t.max_depth depth;
     Metrics.set t.m_depth.(qi) depth;
     match t.cfg.admission with
     | Reject ->
-      if Queue.try_enqueue q req then begin
-        Atomic.incr t.accepted;
-        Enqueued id
-      end
+      if push ring ~id ~session ~intended_ns ~deadline_ns op then Enqueued id
       else begin
         Atomic.incr t.rejected_full;
         Metrics.incr t.m_rejected;
         Rejected Queue_full
       end
-    | Shed_oldest -> (
-      match Queue.shed_enqueue q req with
-      | None ->
-        Atomic.incr t.accepted;
-        Enqueued id
-      | Some victim ->
-        Atomic.incr t.accepted;
-        respond t victim Shed;
-        Enqueued id)
+    | Shed_oldest ->
+      (* Full: take the oldest request through the same [head] CAS the
+         worker drains with, answer it [Shed], and push again. *)
+      if not (push ring ~id ~session ~intended_ns ~deadline_ns op) then begin
+        let victim = Ring.batch 1 in
+        while not (push ring ~id ~session ~intended_ns ~deadline_ns op) do
+          if Ring.take ring victim ~max:1 = 1 then respond t victim 0 Shed
+          else Domain.cpu_relax ()
+        done
+      end;
+      Enqueued id
     | Block timeout_s ->
-      let deadline = Clock.now_ns () + int_of_float (timeout_s *. 1e9) in
-      if Queue.enqueue_until q ~deadline_ns:deadline req then begin
-        Atomic.incr t.accepted;
-        Enqueued id
-      end
+      let until_ns = Clock.now_ns () + int_of_float (timeout_s *. 1e9) in
+      if
+        Ring.push_until ring ~until_ns ~id ~session ~kind:(kind_of op)
+          ~x:(x_of op) ~y:(y_of op) ~intended_ns ~deadline_ns
+      then Enqueued id
       else begin
         Atomic.incr t.rejected_deadline;
         Metrics.incr t.m_rejected;
@@ -555,6 +571,7 @@ let submit t ?intended_ns ?(deadline_ns = 0) ~session op =
 
 let poll ?(max = max_int) t ~session =
   check_session "poll" session;
+  if max < 1 then invalid_arg "Service.poll: max must be >= 1";
   let lane = lane_of t session in
   if Queue.is_empty lane then [] else Queue.dequeue_batch lane ~max
 
@@ -569,19 +586,10 @@ let stop t =
   | Some d ->
     Domain.join d;
     t.snapshotter <- None);
-  (* Sweep the queues of crashed workers (and any enqueue that raced the
+  (* Sweep the rings of crashed workers (and any push that raced the
      drain-then-exit): every admitted op still gets its response. *)
-  Array.iter
-    (fun q ->
-      let rec go () =
-        match Queue.dequeue_opt q with
-        | None -> ()
-        | Some r ->
-          respond t r (Failed "shutdown");
-          go ()
-      in
-      go ())
-    t.queues;
+  let b = Ring.batch 1 in
+  Array.iter (fun ring -> answer_rest t ring b (Failed "shutdown")) t.rings;
   match t.wal with None -> () | Some w -> Wal.flush w
 
 (* ----------------------------------------------------------------- stats *)
@@ -604,13 +612,20 @@ type stats = {
   s_snapshots : int;
 }
 
+(* Every submit that gets past validation either takes an id or is
+   rejected [Stopped], and every id is either admitted or rejected full or
+   at its admission deadline; the two admission totals follow. *)
 let stats t =
+  let ids = Atomic.get t.next_id in
+  let rejected_full = Atomic.get t.rejected_full in
+  let rejected_deadline = Atomic.get t.rejected_deadline in
+  let rejected_stopped = Atomic.get t.rejected_stopped in
   {
-    s_submitted = Atomic.get t.submitted;
-    s_accepted = Atomic.get t.accepted;
-    s_rejected_full = Atomic.get t.rejected_full;
-    s_rejected_deadline = Atomic.get t.rejected_deadline;
-    s_rejected_stopped = Atomic.get t.rejected_stopped;
+    s_submitted = ids + rejected_stopped;
+    s_accepted = ids - rejected_full - rejected_deadline;
+    s_rejected_full = rejected_full;
+    s_rejected_deadline = rejected_deadline;
+    s_rejected_stopped = rejected_stopped;
     s_shed = Atomic.get t.shed;
     s_timed_out = Atomic.get t.timed_out;
     s_acked = Atomic.get t.acked;

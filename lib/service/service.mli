@@ -5,10 +5,13 @@
     {2 Request path}
 
     A client session {!submit}s an op; admission is governed by the
-    configured {!admission} policy over that session's per-worker bounded
-    {!Bounded_queue}:
+    configured {!admission} policy over that session's per-worker
+    lock-free {!Ingest_ring} of [queue_capacity] slots.  A submit that
+    finds room writes the request's fields into one slot and allocates
+    only its [Enqueued] answer; the request linearizes when the slot is
+    published, and each worker applies its ring's requests in that order.
 
-    - [Reject] — fail fast with [Rejected Queue_full] when the queue is
+    - [Reject] — fail fast with [Rejected Queue_full] when the ring is
       at capacity (the caller sees backpressure immediately);
     - [Shed_oldest] — always admit, displacing the oldest queued op when
       full; the victim receives a [Shed] response (displacement is never
@@ -17,13 +20,14 @@
       admitted or the admission deadline [t] expires
       ([Rejected Admission_deadline]).
 
-    Worker domains drain FIFO batches and apply each op in FIFO order
-    through the backend's per-op calls ({!Dsu.Driver.unite}, [same_set],
-    [find]) on every layout.  An op carrying a [deadline_ns]
-    that expired while queued is answered [Timed_out] without touching
-    the structure.  A batch's responses are stamped with one clock read
+    Worker domains drain FIFO batches into a reusable buffer and apply
+    each op in FIFO order through the backend's per-op calls
+    ({!Dsu.Driver.unite}, [same_set], [find]) on every layout.  An op
+    carrying a [deadline_ns] that expired while queued is answered
+    [Timed_out] without touching the structure.  A batch's responses are stamped with one clock read
     taken after the durability barrier and pushed to their completion
-    lane under one lock acquisition.
+    lane under one lock acquisition per run of responses bound for the
+    same lane.
 
     {2 Ack/durability contract}
 
@@ -88,10 +92,10 @@ type admit = Enqueued of int | Rejected of reject_reason
 
 type config = {
   n : int;  (** universe size *)
-  workers : int;  (** drain domains (= ingestion queues) *)
+  workers : int;  (** drain domains (= ingestion rings) *)
   clients : int;  (** completion lanes; sessions hash onto them *)
   queue_capacity : int;  (** per-worker ingestion bound *)
-  batch : int;  (** max ops drained per lock acquisition *)
+  batch : int;  (** max ops drained per [head] CAS *)
   admission : admission;
   plan : Dsu.Plan.t;  (** the backend: layout, compaction, order, backoff *)
   seed : int;
@@ -132,7 +136,8 @@ val poll : ?max:int -> t -> session:int -> response list
 (** Drain (up to [max]) responses from the session's completion lane.
     Lanes are shared by sessions congruent mod [clients]; give each
     polling domain its own lane.
-    @raise Invalid_argument if [session < 0]. *)
+    @raise Invalid_argument if [session < 0] or [max < 1], whether or not
+    the lane holds anything. *)
 
 val stop : t -> unit
 (** Graceful shutdown: workers drain their queues and exit, the
@@ -157,6 +162,8 @@ val snapshot_files : t -> string list
 
 type stats = {
   s_submitted : int;
+      (** submits that passed validation: [s_accepted] plus the three
+          rejection counts *)
   s_accepted : int;
   s_rejected_full : int;
   s_rejected_deadline : int;
@@ -169,7 +176,7 @@ type stats = {
       (** completion-lane displacements: always 0 (lanes are sized for the
           worst-case in-flight population); nonzero means a sizing bug *)
   s_idle_sleeps : int;
-      (** times a worker found its queue empty past its spin budget and
+      (** times a worker found its ring empty past its spin budget and
           slept (200 us) — nonzero means the workers outran the clients *)
   s_batches : int;
   s_max_batch : int;
@@ -178,3 +185,9 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Counters read one by one while the service runs, so they are exact
+    only at quiescence (no submit in flight, e.g. after {!stop}); then
+    [s_submitted = s_accepted + s_rejected_full + s_rejected_deadline +
+    s_rejected_stopped].  [s_submitted] and [s_accepted] are derived from
+    the ids handed out and the rejection counts, not counted per
+    submit. *)

@@ -64,6 +64,11 @@ let unsafe_get t i = atomic_get t.data (i lsl t.shift)
    valid parent is still an ancestor, and every write is re-validated by
    CAS). *)
 let unsafe_load t i = Array.unsafe_get t.data (i lsl t.shift)
+
+(* The store twin of [unsafe_load]: one inline [mov], no C call, no fence.
+   A reader sees it only through a later release store that it acquires
+   (the ingestion ring publishes a slot's fields this way). *)
+let unsafe_store t i v = Array.unsafe_set t.data (i lsl t.shift) v
 let unsafe_set t i v = atomic_set t.data (i lsl t.shift) v
 let unsafe_cas t i expected desired = atomic_cas t.data (i lsl t.shift) expected desired
 let unsafe_fetch_add t i delta = atomic_fetch_add t.data (i lsl t.shift) delta

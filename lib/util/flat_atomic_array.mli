@@ -93,6 +93,13 @@ val unsafe_load : t -> int -> int
     Prefer {!get}/{!unsafe_get} unless the load is on a measured hot
     path. *)
 
+val unsafe_store : t -> int -> int -> unit
+(** Unchecked {e plain} store, the twin of {!unsafe_load}: a single inline
+    memory write, no C call and no fence.  Memory-safe (immediates need no
+    GC barrier), but another domain may see it late, or out of order with
+    the writer's other plain stores; publish it with a later
+    {!set_release} / {!unsafe_set_release} that the reader acquires. *)
+
 val unsafe_get : t -> int -> int
 val unsafe_set : t -> int -> int -> unit
 val unsafe_cas : t -> int -> int -> int -> bool

@@ -1,8 +1,10 @@
-(* Tests for the serving layer: the bounded MPMC queue (sequential oracle,
-   multi-domain stress, fault-injection histories), the service's
-   backpressure accounting, and the crash drill's service depth. *)
+(* Tests for the serving layer: the lock-free ingestion ring (sequential
+   oracle, wrap-around, multi-domain stress, injected faults), the
+   completion lanes' bounded queue, the service's admission accounting and
+   allocation, and the crash drill's service depth. *)
 
 module Q = Repro_service.Bounded_queue
+module R = Repro_service.Ingest_ring
 module Svc = Repro_service.Service
 module Hsvc = Harness.Service
 module Chaos = Harness.Chaos
@@ -15,65 +17,291 @@ let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 
-(* ------------------------------------------------- sequential oracle *)
+(* ------------------------------------------------------ ingestion ring *)
 
-(* Random interleaving of enqueue/dequeue attempts against a stdlib Queue
-   bounded by hand: every accept/reject decision and every dequeued value
+(* Every field of a pushed request is a different function of its value
+   [v], so a take can tell a torn or crossed slot from an intact one. *)
+let ring_push r v =
+  R.try_push r ~id:v ~session:(3 * v) ~kind:(v land 3) ~x:(v + 1) ~y:(-v)
+    ~intended_ns:(7 * v) ~deadline_ns:(v lxor 0x5a5a)
+
+let intact b i =
+  let v = R.id b i in
+  R.session b i = 3 * v
+  && R.kind b i = v land 3
+  && R.x b i = v + 1
+  && R.y b i = -v
+  && R.intended_ns b i = 7 * v
+  && R.deadline_ns b i = v lxor 0x5a5a
+
+(* The values taken by one [take], oldest first; [-1] marks a slot whose
+   fields do not belong together. *)
+let ring_take r b ~max =
+  List.init (R.take r b ~max) (fun i -> if intact b i then R.id b i else -1)
+
+(* Random interleaving of push and take attempts against a stdlib Queue
+   bounded by hand: every accept/reject decision and every taken value
    must match FIFO order and the capacity bound exactly. *)
-let test_queue_oracle () =
+let test_ring_oracle () =
   let rng = Rng.create 11 in
   let cap = 1 + Rng.int rng 8 in
-  let q = Q.create cap in
+  let r = R.create cap in
+  let b = R.batch 1 in
   let oracle = Queue.create () in
   for i = 0 to 4_999 do
     if Rng.int rng 100 < 55 then begin
-      let accepted = Q.try_enqueue q i in
+      let accepted = ring_push r i in
       let should = Queue.length oracle < cap in
       check Alcotest.bool "admission matches capacity" should accepted;
       if accepted then Queue.push i oracle
     end
     else
-      match Q.dequeue_opt q with
-      | Some v -> check Alcotest.int "FIFO order" (Queue.pop oracle) v
-      | None ->
-        check Alcotest.bool "empty agrees" true (Queue.is_empty oracle)
+      match ring_take r b ~max:1 with
+      | [ v ] -> check Alcotest.int "FIFO order" (Queue.pop oracle) v
+      | _ -> check Alcotest.bool "empty agrees" true (Queue.is_empty oracle)
   done;
-  check Alcotest.int "final length" (Queue.length oracle) (Q.length q)
+  check Alcotest.int "final length" (Queue.length oracle) (R.length r)
 
-let test_queue_batch_oracle () =
+let test_ring_batch_oracle () =
   let rng = Rng.create 12 in
-  let q = Q.create 16 in
+  let r = R.create 16 in
+  let b = R.batch 5 in
   let oracle = Queue.create () in
   for i = 0 to 1_999 do
     if Rng.int rng 100 < 60 then begin
-      if Q.try_enqueue q i then Queue.push i oracle
+      if ring_push r i then Queue.push i oracle
     end
     else begin
       let max = 1 + Rng.int rng 5 in
-      let got = Q.dequeue_batch q ~max in
+      let got = ring_take r b ~max in
       check Alcotest.bool "batch bounded" true (List.length got <= max);
-      List.iter
-        (fun v -> check Alcotest.int "batch FIFO" (Queue.pop oracle) v)
-        got
+      check Alcotest.bool "takes all it can" true
+        (List.length got = Stdlib.min max (Queue.length oracle));
+      List.iter (fun v -> check Alcotest.int "batch FIFO" (Queue.pop oracle) v) got
     end
-  done
-
-let test_queue_shed () =
-  let q = Q.create 3 in
-  for i = 0 to 2 do
-    check Alcotest.bool "fills" true (Q.try_enqueue q i)
   done;
-  check Alcotest.bool "full rejects" false (Q.try_enqueue q 99);
-  (* shed admits by displacing the oldest, never silently *)
-  check Alcotest.(option int) "displaces oldest" (Some 0) (Q.shed_enqueue q 3);
-  check Alcotest.(option int) "no displacement with room"
-    None
-    (match Q.dequeue_opt q with
-    | Some 1 -> Q.shed_enqueue q 4
-    | _ -> Alcotest.fail "expected head 1");
-  check Alcotest.int "capacity held" 3 (Q.length q);
-  let drained = Q.dequeue_batch q ~max:10 in
-  check Alcotest.(list int) "FIFO after shed" [ 2; 3; 4 ] drained
+  Alcotest.check_raises "max above the batch size"
+    (Invalid_argument "Ingest_ring.take: max must be in [1, batch size]")
+    (fun () -> ignore (R.take r b ~max:6))
+
+(* Shed-oldest on the ring, as [Service.submit] does it: a push to a full
+   ring fails, the oldest request is taken through the drain's own [head]
+   CAS, and the retried push lands behind the survivors. *)
+let test_ring_shed () =
+  let r = R.create 3 in
+  let b = R.batch 3 in
+  for i = 0 to 2 do
+    check Alcotest.bool "fills" true (ring_push r i)
+  done;
+  check Alcotest.bool "full rejects" false (ring_push r 99);
+  check Alcotest.(list int) "takes the oldest" [ 0 ] (ring_take r b ~max:1);
+  check Alcotest.bool "admits after the take" true (ring_push r 3);
+  check Alcotest.(list int) "next oldest" [ 1 ] (ring_take r b ~max:1);
+  check Alcotest.bool "room: admits" true (ring_push r 4);
+  check Alcotest.int "capacity held" 3 (R.length r);
+  check Alcotest.(list int) "FIFO after shed" [ 2; 3; 4 ] (ring_take r b ~max:3)
+
+let test_ring_deadline () =
+  let r = R.create 1 in
+  let push_until ~until_ns v =
+    R.push_until r ~until_ns ~id:v ~session:(3 * v) ~kind:(v land 3) ~x:(v + 1)
+      ~y:(-v) ~intended_ns:(7 * v) ~deadline_ns:(v lxor 0x5a5a)
+  in
+  check Alcotest.bool "admits" true (ring_push r 0);
+  let t0 = Clock.now_ns () in
+  check Alcotest.bool "full ring times out" false
+    (push_until ~until_ns:(t0 + 2_000_000) 1);
+  check Alcotest.bool "waited for the deadline" true
+    (Clock.now_ns () - t0 >= 2_000_000);
+  ignore (ring_take r (R.batch 1) ~max:1);
+  check Alcotest.bool "admits after room" true
+    (push_until ~until_ns:(Clock.now_ns () + 1_000_000) 1)
+
+(* Capacity 7 is not a power of two, so [p mod capacity] wraps at a
+   different point of every machine-word boundary; runs of every length
+   from 1 to the capacity cross the wrap over at least 100 laps. *)
+let test_ring_wrap () =
+  let cap = 7 in
+  let r = R.create cap in
+  let b = R.batch cap in
+  let rng = Rng.create 14 in
+  let oracle = Queue.create () in
+  let pushed = ref 0 in
+  while !pushed < 100 * cap do
+    for _ = 1 to 1 + Rng.int rng cap do
+      if ring_push r !pushed then begin
+        Queue.push !pushed oracle;
+        incr pushed
+      end
+      else check Alcotest.int "only a full ring refuses" cap (Queue.length oracle)
+    done;
+    let max = 1 + Rng.int rng cap in
+    let got = ring_take r b ~max in
+    check Alcotest.int "run length" (Stdlib.min max (Queue.length oracle))
+      (List.length got);
+    List.iter (fun v -> check Alcotest.int "FIFO across the wrap" (Queue.pop oracle) v) got
+  done;
+  check Alcotest.(list int) "drained in order"
+    (List.of_seq (Queue.to_seq oracle))
+    (ring_take r b ~max:cap)
+
+(* Checks shared by the multi-domain runs.  [streams] are what each
+   consumer took, in its order; value [v] came from producer
+   [v mod producers], which pushed its values in increasing order.  Every
+   admitted value is taken exactly once, and within one consumer's stream
+   each producer's values appear in increasing order (the queues are MPMC,
+   so cross-producer order is unconstrained, and two consumers can
+   interleave one producer's values). *)
+let check_streams ~producers ~total streams =
+  let all = List.concat streams in
+  check Alcotest.int "no loss" total (List.length all);
+  check Alcotest.(list int) "no duplicates" (List.init total Fun.id)
+    (List.sort compare all);
+  List.iter
+    (fun stream ->
+      let last = Array.make producers (-1) in
+      List.iter
+        (fun v ->
+          let p = v mod producers in
+          check Alcotest.bool "per-producer FIFO" true (v > last.(p));
+          last.(p) <- v)
+        stream)
+    streams
+
+(* On a single-core box spinning domains starve each other for whole
+   scheduler quanta; sleep yields the OS thread instead. *)
+let yield () = Unix.sleepf 0.00002
+
+(* 2 producers x 2 consumers over a small ring: no op lost, none
+   duplicated or torn, per-producer FIFO, and the length never exceeds
+   capacity.  With [enroll] the domains take part in fault injection as
+   slots 0-3. *)
+let run_ring_stress ?(enroll = false) ~cap ~per_producer () =
+  let producers = 2 and consumers = 2 in
+  let r = R.create cap in
+  let total = producers * per_producer in
+  let taken = Atomic.make 0 and over_cap = Atomic.make 0 in
+  let produce p () =
+    if enroll then Fi.enroll ~slot:p;
+    for i = 0 to per_producer - 1 do
+      while not (ring_push r ((i * producers) + p)) do
+        yield ()
+      done
+    done
+  in
+  let consume c () =
+    if enroll then Fi.enroll ~slot:(producers + c);
+    let b = R.batch 4 in
+    let mine = ref [] in
+    while Atomic.get taken < total do
+      if R.length r > cap then Atomic.incr over_cap;
+      match ring_take r b ~max:(1 + (c * 3)) with
+      | [] -> yield ()
+      | vs ->
+        ignore (Atomic.fetch_and_add taken (List.length vs));
+        mine := List.rev_append vs !mine
+    done;
+    List.rev !mine
+  in
+  let ps = List.init producers (fun p -> Domain.spawn (produce p)) in
+  let cs = List.init consumers (fun c -> Domain.spawn (consume c)) in
+  List.iter Domain.join ps;
+  let streams = List.map Domain.join cs in
+  check Alcotest.int "length within capacity" 0 (Atomic.get over_cap);
+  check_streams ~producers ~total streams
+
+let test_ring_stress () = run_ring_stress ~cap:8 ~per_producer:5_000 ()
+
+(* Same stress with adversarial yields and stalls injected at the ring's
+   fault sites, which sit right before its two CASes. *)
+let test_ring_stress_yields () =
+  Fi.arm
+    {
+      Fi.seed = 5;
+      rules_for =
+        (fun _ ->
+          [
+            Fi.rule
+              ~sites:[ Site.Queue_enq_cas; Site.Queue_deq_cas ]
+              ~prob:0.2 Fi.Yield;
+            Fi.rule
+              ~sites:[ Site.Queue_enq_cas; Site.Queue_deq_cas ]
+              ~prob:0.02 (Fi.Stall 64);
+          ]);
+    };
+  Fun.protect ~finally:Fi.disarm
+    (run_ring_stress ~enroll:true ~cap:4 ~per_producer:2_000)
+
+(* 4 producers that wait for room, a worker draining batches of up to 8
+   (slowly, so the ring fills), and a displacer that sheds the oldest
+   request whenever it finds the ring full, as shed-oldest admission
+   does.  Every admitted value is answered exactly once, by the worker or
+   the displacer, each in per-producer FIFO order. *)
+let test_ring_shed_stress () =
+  let producers = 4 and per_producer = 2_000 and cap = 8 in
+  let r = R.create cap in
+  let total = producers * per_producer in
+  let taken = Atomic.make 0 in
+  let produce p () =
+    for i = 0 to per_producer - 1 do
+      while not (ring_push r ((i * producers) + p)) do
+        yield ()
+      done
+    done
+  in
+  let consumer ~max ~ready () =
+    let b = R.batch max in
+    let mine = ref [] in
+    while Atomic.get taken < total do
+      match if ready () then ring_take r b ~max else [] with
+      | [] -> yield ()
+      | vs ->
+        ignore (Atomic.fetch_and_add taken (List.length vs));
+        mine := List.rev_append vs !mine;
+        if max > 1 then yield ()
+    done;
+    List.rev !mine
+  in
+  let ps = List.init producers (fun p -> Domain.spawn (produce p)) in
+  let worker = Domain.spawn (consumer ~max:8 ~ready:(fun () -> true)) in
+  let displacer = Domain.spawn (consumer ~max:1 ~ready:(fun () -> R.length r = cap)) in
+  List.iter Domain.join ps;
+  let drained = Domain.join worker and shed = Domain.join displacer in
+  check Alcotest.bool "the displacer shed some" true (shed <> []);
+  check_streams ~producers ~total [ drained; shed ]
+
+(* A crash injected at either fault site leaves no ticket claimed and no
+   slot held: the ring keeps working, and what was admitted is taken
+   exactly once, in order. *)
+let test_ring_crash () =
+  let with_crash site ~after f =
+    Fi.arm
+      { Fi.seed = 1; rules_for = (fun _ -> [ Fi.rule ~sites:[ site ] ~after Fi.Crash ]) };
+    Fi.enroll ~slot:0;
+    Fun.protect ~finally:Fi.disarm (fun () ->
+        match f () with
+        | () -> Alcotest.fail "the crash did not fire"
+        | exception Fi.Crashed (s, 0) when s = site -> ())
+  in
+  let r = R.create 5 in
+  let b = R.batch 5 in
+  with_crash Site.Queue_enq_cas ~after:2 (fun () ->
+      for v = 0 to 4 do
+        check Alcotest.bool "admitted" true (ring_push r v)
+      done);
+  check Alcotest.int "two admitted before the crash" 2 (R.length r);
+  for v = 2 to 4 do
+    check Alcotest.bool "pushes after the crash" true (ring_push r v)
+  done;
+  with_crash Site.Queue_deq_cas ~after:1 (fun () ->
+      check Alcotest.(list int) "first take" [ 0; 1 ] (ring_take r b ~max:2);
+      ignore (ring_take r b ~max:2));
+  check Alcotest.int "nothing taken by the crashed take" 3 (R.length r);
+  check Alcotest.(list int) "the rest, in order" [ 2; 3; 4 ] (ring_take r b ~max:5);
+  check Alcotest.bool "the ring takes pushes again" true (ring_push r 5);
+  check Alcotest.(list int) "and drains them" [ 5 ] (ring_take r b ~max:5)
+
+(* ----------------------------------------- completion lanes' queue *)
 
 (* The batch push against [len] successive single shed_enqueues on a
    stdlib Queue: same final contents, and the returned count is exactly
@@ -134,42 +362,17 @@ let test_queue_shed_batch_oracle () =
     (List.of_seq (Queue.to_seq oracle))
     (Q.dequeue_batch q ~max:(cap + 1))
 
-let test_queue_deadline () =
-  let q = Q.create 1 in
-  check Alcotest.bool "admits" true (Q.try_enqueue q 0);
-  let t0 = Clock.now_ns () in
-  let ok = Q.enqueue_until q ~deadline_ns:(t0 + 2_000_000) 1 in
-  check Alcotest.bool "full queue times out" false ok;
-  check Alcotest.bool "waited for the deadline" true
-    (Clock.now_ns () - t0 >= 2_000_000);
-  ignore (Q.dequeue_opt q);
-  check Alcotest.bool "admits after room"
-    true
-    (Q.enqueue_until q ~deadline_ns:(Clock.now_ns () + 1_000_000) 1)
 
-(* -------------------------------------------------- 4-domain stress *)
-
-(* How producers put and consumers take:
-   - [Single]: try_enqueue / dequeue_opt, one element per lock;
-   - [Batch]: shed_enqueue_batch runs of 1-5 (at most [cap]) /
-     dequeue_batch of up to 4, each published with one occupancy
-     update.  Producers first claim room from a credit pool of [cap]
-     slots that consumers refill after a take, so a push can never
-     shed: "no loss" then means nothing was displaced either. *)
-type mode = Single | Batch
-
-(* 2 producers x 2 consumers over a small ring: no op lost, none
-   duplicated, each producer's values consumed in its own order
-   (per-producer FIFO — the queue is MPMC so cross-producer order is
-   unconstrained), and the published length never exceeds capacity.
-   With [enroll] the domains take part in fault injection as slots
-   0-3. *)
-let run_queue_stress ?(enroll = false) ~mode ~cap ~per_producer () =
+(* 2 producers x 2 consumers over a small completion-lane queue.
+   Producers push runs of 1-5 (at most [cap]) with [shed_enqueue_batch]
+   and consumers [dequeue_batch] up to 4, each published with one
+   occupancy update.  Producers first claim room from a credit pool of
+   [cap] slots that consumers refill after a take, so a push can never
+   shed: "no loss" then means nothing was displaced either.  With
+   [enroll] the domains take part in fault injection as slots 0-3. *)
+let run_queue_stress ?(enroll = false) ~cap ~per_producer () =
   let producers = 2 and consumers = 2 in
   let q = Q.create cap in
-  (* on a single-core box spinning domains starve each other for whole
-     scheduler quanta; sleep yields the OS thread instead *)
-  let yield () = Unix.sleepf 0.00002 in
   let credits = Atomic.make cap in
   let rec claim k =
     let c = Atomic.get credits in
@@ -184,39 +387,25 @@ let run_queue_stress ?(enroll = false) ~mode ~cap ~per_producer () =
     if enroll then Fi.enroll ~slot:p;
     (* tag values with the producer id in the low bit *)
     let value i = (i * producers) + p in
-    match mode with
-    | Single ->
-      for i = 0 to per_producer - 1 do
-        while not (Q.try_enqueue q (value i)) do
-          yield ()
-        done
-      done
-    | Batch ->
-      let i = ref 0 in
-      while !i < per_producer do
-        let len = min (per_producer - !i) (min cap (1 + (!i mod 5))) in
-        let run = Array.init len (fun j -> value (!i + j)) in
-        claim len;
-        let d = Q.shed_enqueue_batch q run ~pos:0 ~len in
-        ignore (Atomic.fetch_and_add displaced d);
-        i := !i + len
-      done
+    let i = ref 0 in
+    while !i < per_producer do
+      let len = min (per_producer - !i) (min cap (1 + (!i mod 5))) in
+      let run = Array.init len (fun j -> value (!i + j)) in
+      claim len;
+      let d = Q.shed_enqueue_batch q run ~pos:0 ~len in
+      ignore (Atomic.fetch_and_add displaced d);
+      i := !i + len
+    done
   in
   let total = producers * per_producer in
   let taken = Atomic.make 0 in
   let consume c () =
     if enroll then Fi.enroll ~slot:(producers + c);
     let mine = ref [] in
-    let continue_ = ref true in
-    while !continue_ do
+    while Atomic.get taken < total do
       if Q.length q > cap then Atomic.incr over_cap;
-      let got =
-        match mode with
-        | Single -> Option.to_list (Q.dequeue_opt q)
-        | Batch -> Q.dequeue_batch q ~max:4
-      in
-      match got with
-      | [] -> if Atomic.get taken >= total then continue_ := false else yield ()
+      match Q.dequeue_batch q ~max:4 with
+      | [] -> yield ()
       | vs ->
         let k = List.length vs in
         ignore (Atomic.fetch_and_add taken k);
@@ -228,35 +417,17 @@ let run_queue_stress ?(enroll = false) ~mode ~cap ~per_producer () =
   let ps = List.init producers (fun p -> Domain.spawn (produce p)) in
   let cs = List.init consumers (fun c -> Domain.spawn (consume c)) in
   List.iter Domain.join ps;
-  let batches = List.map Domain.join cs in
-  let all = List.concat batches in
+  let streams = List.map Domain.join cs in
   check Alcotest.int "nothing displaced" 0 (Atomic.get displaced);
   check Alcotest.int "length within capacity" 0 (Atomic.get over_cap);
-  check Alcotest.int "no loss" total (List.length all);
-  let sorted = List.sort compare all in
-  check Alcotest.bool "no duplicates" true
-    (List.for_all2 (fun a b -> a = b) sorted (List.init total Fun.id));
-  (* per-producer FIFO: within each consumer's stream, each producer's
-     values appear in increasing order; merge-check across consumers via
-     a per-producer high-water mark is not valid (two consumers can
-     interleave), but within one consumer order must hold *)
-  List.iter
-    (fun stream ->
-      let last = Array.make producers (-1) in
-      List.iter
-        (fun v ->
-          let p = v mod producers in
-          check Alcotest.bool "per-producer FIFO" true (v > last.(p));
-          last.(p) <- v)
-        stream)
-    batches
+  check_streams ~producers ~total streams
 
-let test_queue_stress mode () = run_queue_stress ~mode ~cap:8 ~per_producer:5_000 ()
+let test_queue_stress () = run_queue_stress ~cap:8 ~per_producer:5_000 ()
 
 (* Same stress with adversarial yields injected at the queue's fault
    sites on every enrolled domain — a lincheck-style schedule perturbation
    at exactly the published linearization-sensitive points. *)
-let test_queue_stress_yields mode () =
+let test_queue_stress_yields () =
   Fi.arm
     {
       Fi.seed = 5;
@@ -272,7 +443,7 @@ let test_queue_stress_yields mode () =
           ]);
     };
   Fun.protect ~finally:Fi.disarm
-    (run_queue_stress ~enroll:true ~mode ~cap:4 ~per_producer:2_000)
+    (run_queue_stress ~enroll:true ~cap:4 ~per_producer:2_000)
 
 (* --------------------------------------------- service vs sequential *)
 
@@ -497,6 +668,158 @@ let test_service_negative_session () =
   | Svc.Rejected _ -> Alcotest.fail "rejected");
   Svc.stop svc
 
+(* A worker held at start until [release] is called: nothing is taken
+   from its ring before that. *)
+let held_service cfg =
+  let go = Atomic.make false in
+  let svc =
+    Svc.create
+      ~on_worker_start:(fun _ ->
+        while not (Atomic.get go) do
+          Unix.sleepf 0.0001
+        done)
+      cfg
+  in
+  (svc, fun () -> Atomic.set go true)
+
+(* Poll session 0 until [n] responses arrived or 2 s passed. *)
+let collect svc n =
+  let got = ref [] in
+  let give_up = Clock.now_ns () + 2_000_000_000 in
+  while List.length !got < n && Clock.now_ns () < give_up do
+    got := !got @ Svc.poll svc ~session:0;
+    if List.length !got < n then Unix.sleepf 0.0002
+  done;
+  !got
+
+(* [max] is checked before the lane is looked at, with a message that
+   names the service, on an empty lane and on one holding a response.
+   The held worker drains both ops in one batch, whose responses reach
+   the lane in one push: once the first is polled, the second is there. *)
+let test_service_poll_max () =
+  let svc, release =
+    held_service { Svc.default_config with Svc.n = 8; workers = 1; clients = 1 }
+  in
+  let refused what =
+    Alcotest.check_raises what (Invalid_argument "Service.poll: max must be >= 1")
+      (fun () -> ignore (Svc.poll svc ~max:0 ~session:0))
+  in
+  refused "empty lane";
+  for _ = 1 to 2 do
+    match Svc.submit svc ~session:0 (Svc.Unite (1, 2)) with
+    | Svc.Enqueued _ -> ()
+    | Svc.Rejected _ -> Alcotest.fail "rejected"
+  done;
+  release ();
+  let give_up = Clock.now_ns () + 2_000_000_000 in
+  while Svc.poll svc ~max:1 ~session:0 = [] && Clock.now_ns () < give_up do
+    Unix.sleepf 0.0002
+  done;
+  refused "non-empty lane";
+  check Alcotest.int "the response is still there" 1
+    (List.length (Svc.poll svc ~max:1 ~session:0));
+  Svc.stop svc
+
+(* With the worker held, a ring of capacity 250 (not a power of two)
+   admits exactly 250 requests and refuses the rest; once released, the
+   worker answers every admitted one. *)
+let test_service_exact_capacity () =
+  let cap = 250 in
+  let svc, release =
+    held_service
+      { Svc.default_config with Svc.n = 64; workers = 1; clients = 1; queue_capacity = cap }
+  in
+  let admitted = ref 0 in
+  for i = 0 to cap + 49 do
+    match Svc.submit svc ~session:0 (Svc.Find (i mod 64)) with
+    | Svc.Enqueued id ->
+      check Alcotest.int "ids in submission order" i id;
+      incr admitted
+    | Svc.Rejected Svc.Queue_full -> ()
+    | Svc.Rejected _ -> Alcotest.fail "unexpected rejection"
+  done;
+  check Alcotest.int "exactly the capacity admitted" cap !admitted;
+  release ();
+  let got = collect svc cap in
+  Svc.stop svc;
+  check Alcotest.int "every admitted op answered" cap (List.length got);
+  let st = Svc.stats svc in
+  check Alcotest.int "full rejections" 50 st.Svc.s_rejected_full;
+  check Alcotest.int "max depth is the capacity" cap st.Svc.s_max_depth
+
+(* At quiescence the derived admission totals add up under every policy:
+   10 submits against a held worker's 4-slot ring, then one after stop. *)
+let test_service_admission_totals () =
+  List.iter
+    (fun (admission, accepted, full, deadline) ->
+      let what = Svc.admission_to_string admission in
+      let svc, release =
+        held_service
+          {
+            Svc.default_config with
+            Svc.n = 64;
+            workers = 1;
+            clients = 1;
+            queue_capacity = 4;
+            batch = 4;
+            admission;
+          }
+      in
+      for i = 0 to 9 do
+        ignore (Svc.submit svc ~session:0 (Svc.Unite (i, i + 1)))
+      done;
+      release ();
+      ignore (collect svc accepted);
+      Svc.stop svc;
+      (match Svc.submit svc ~session:0 (Svc.Find 0) with
+      | Svc.Rejected Svc.Stopped -> ()
+      | _ -> Alcotest.fail (what ^ ": submit after stop was not refused"));
+      let st = Svc.stats svc in
+      check Alcotest.int (what ^ ": submitted") 11 st.Svc.s_submitted;
+      check Alcotest.int (what ^ ": accepted") accepted st.Svc.s_accepted;
+      check Alcotest.int (what ^ ": rejected full") full st.Svc.s_rejected_full;
+      check Alcotest.int (what ^ ": rejected at deadline") deadline
+        st.Svc.s_rejected_deadline;
+      check Alcotest.int (what ^ ": rejected stopped") 1 st.Svc.s_rejected_stopped;
+      check Alcotest.int (what ^ ": the totals add up") st.Svc.s_submitted
+        (st.Svc.s_accepted + st.Svc.s_rejected_full + st.Svc.s_rejected_deadline
+       + st.Svc.s_rejected_stopped))
+    [ (Svc.Reject, 4, 6, 0); (Svc.Shed_oldest, 10, 0, 0); (Svc.Block 0.001, 4, 0, 6) ]
+
+(* ----------------------------------------------------------- allocation *)
+
+(* A Reject-path submit allocates only its [Enqueued] answer (2 words) on
+   the submitting domain: the request travels as ints in a ring slot.
+   Measured over 10k admitted submits while the worker is held. *)
+let test_submit_alloc () =
+  let count = 10_000 in
+  let svc, release =
+    held_service
+      {
+        Svc.default_config with
+        Svc.n = 64;
+        workers = 1;
+        clients = 1;
+        queue_capacity = count;
+        admission = Svc.Reject;
+      }
+  in
+  let ops = Array.init count (fun i -> Svc.Unite (i mod 64, (i * 7) mod 64)) in
+  let admitted = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to count - 1 do
+    match Svc.submit svc ~session:0 (Array.unsafe_get ops i) with
+    | Svc.Enqueued _ -> incr admitted
+    | Svc.Rejected _ -> ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int count in
+  release ();
+  ignore (collect svc count);
+  Svc.stop svc;
+  check Alcotest.int "all admitted" count !admitted;
+  if words > 2.0 then
+    Alcotest.failf "submit allocates %.2f minor words (at most 2 allowed)" words
+
 (* --------------------------------------------- backpressure accounting *)
 
 (* Drive the open-loop harness at a rate far past saturation with a tiny
@@ -581,18 +904,25 @@ let test_drill_flat () =
 let () =
   Alcotest.run "service"
     [
+      ( "ingest-ring",
+        [
+          case "sequential oracle" test_ring_oracle;
+          case "batch oracle" test_ring_batch_oracle;
+          case "shed displaces oldest" test_ring_shed;
+          case "enqueue deadline" test_ring_deadline;
+          case "wrap-around at capacity 7" test_ring_wrap;
+          case "injected crash leaves the ring usable" test_ring_crash;
+          slow "4-domain stress" test_ring_stress;
+          slow "4-domain stress with yields" test_ring_stress_yields;
+          slow "4 producers, a worker and a shed-oldest displacer"
+            test_ring_shed_stress;
+        ] );
       ( "bounded-queue",
         [
-          case "sequential oracle" test_queue_oracle;
-          case "batch oracle" test_queue_batch_oracle;
-          case "shed displaces oldest" test_queue_shed;
-          case "enqueue deadline" test_queue_deadline;
           case "batch push oracle" test_queue_shed_batch_oracle;
-          slow "4-domain stress" (test_queue_stress Single);
-          slow "4-domain stress with yields" (test_queue_stress_yields Single);
-          slow "4-domain stress, batch push and drain" (test_queue_stress Batch);
+          slow "4-domain stress, batch push and drain" test_queue_stress;
           slow "4-domain stress with yields, batch push and drain"
-            (test_queue_stress_yields Batch);
+            test_queue_stress_yields;
         ] );
       ( "service",
         [
@@ -601,7 +931,11 @@ let () =
           case "element bounds" test_service_element_bounds;
           case "negative session" test_service_negative_session;
           case "mixed expired and live batch" test_service_mixed_deadline_batch;
+          case "poll checks max on any lane" test_service_poll_max;
+          case "exactly queue_capacity admitted" test_service_exact_capacity;
+          case "admission totals add up" test_service_admission_totals;
         ] );
+      ("alloc", [ case "a reject-path submit allocates only its answer" test_submit_alloc ]);
       ( "backpressure",
         [
           slow "reject at 2x saturation" test_backpressure_reject;
