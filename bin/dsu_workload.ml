@@ -19,7 +19,9 @@
      dsu_workload chaos --depth wal --depth service --layout packed
      dsu_workload wal --file ops.wal --dump --check
      dsu_workload durability --max-overhead 15
-     dsu_workload serve --arrival-rate 20000 --workers 2 --admission reject *)
+     dsu_workload serve --arrival-rate 20000 --workers 2 --admission reject
+     dsu_workload scalability --max-domains 4 --plan auto --json sweep.json
+     dsu_workload perfdiff --baseline old.json --current sweep.json *)
 
 open Cmdliner
 
@@ -184,10 +186,19 @@ let with_out file f =
     let oc =
       try open_out path
       with Sys_error msg ->
-        Printf.eprintf "dsu_workload: cannot write telemetry output: %s\n%!" msg;
+        Printf.eprintf "dsu_workload: cannot write output: %s\n%!" msg;
         exit 1
     in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+
+(* Write a JSON document to [out] ("-" = stdout), if one was asked for. *)
+let write_json out doc =
+  Option.iter
+    (fun out ->
+      with_out out (fun oc ->
+          output_string oc (Repro_obs.Json.to_string doc);
+          output_char oc '\n'))
+    out
 
 (* The metrics file is the registry dump plus one trailing object carrying
    the flat [Dsu.Stats] counters (when the implementation collects them),
@@ -318,7 +329,8 @@ let plan_arg =
            rank:halving:relaxed-reads:on:packed), or $(b,auto) = pick the \
            fastest plan for this workload profile via the autotuner (cached \
            by profile fingerprint; see $(b,--autotune-cache)).  Overrides \
-           $(b,--impl) and $(b,--policy).")
+           $(b,--impl) and $(b,--policy) in $(b,native); pins the \
+           $(b,scalability) sweep to the plan's point.")
 
 (* The default plan under a --policy compaction rule. *)
 let plan_of_policy policy = { Dsu.Plan.default with compaction = policy }
@@ -329,6 +341,32 @@ let autotune_cache_arg =
     & opt string Harness.Autotune.default_cache_dir
     & info [ "autotune-cache" ] ~docv:"DIR"
         ~doc:"Cache directory for $(b,--plan auto) results.")
+
+(* The one --plan resolver.  A spec passes through; auto asks the
+   autotuner for the fastest plan on [profile] (cached by fingerprint),
+   says which plan it chose and whether that was measured or cached, and
+   writes the dsu-autotune/v1 report to [autotune_out].  The tuner's
+   result comes back with the plan so a caller can reuse its
+   measurements; [verbose] prints each calibration point. *)
+let resolve_plan ?(verbose = false) ?autotune_out ~autotune_cache ~profile =
+  function
+  | None -> None
+  | Some (`Plan p) -> Some (p, None)
+  | Some `Auto ->
+    let progress m =
+      if verbose then
+        Printf.printf "autotune: %-45s %8.3f Mops/s\n%!"
+          (Dsu.Plan.to_string m.Harness.Autotune.plan)
+          m.Harness.Autotune.mops_per_sec
+    in
+    let r, source =
+      Harness.Autotune.auto ~cache_dir:autotune_cache ~progress ~profile ()
+    in
+    Printf.printf "plan: %s (auto, %s)\n%!"
+      (Dsu.Plan.to_string r.Harness.Autotune.winner)
+      (match source with `Cached -> "cached" | `Measured -> "measured");
+    write_json autotune_out (Harness.Autotune.to_json r);
+    Some (r.Harness.Autotune.winner, Some r)
 
 let domains_arg =
   Arg.(
@@ -343,6 +381,15 @@ let domains_arg =
 let check_arg cond msg = if cond then Ok () else Error (`Msg msg)
 
 let ( let* ) = Result.bind
+
+(* Exit statuses: 0 = ok, 124 = bad flag (Cmdliner), and this one for
+   every failed check or gate — drill audits, guards, lincheck
+   violations, a torn WAL under --check, perfdiff regressions. *)
+let check_failed_exit = 3
+
+let check_exits =
+  Cmd.Exit.info check_failed_exit ~doc:"when a check or gate fails."
+  :: Cmd.Exit.defaults
 
 let contention_out_arg =
   Arg.(
@@ -411,12 +458,9 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
   (* Resolve --plan before arming telemetry: the auto calibration sweep
      runs its own timed workloads and must not pollute this run's
      metrics. *)
-  let* plan =
-    match plan with
-    | None -> Ok None
-    | Some (`Plan p) -> Ok (Some p)
-    | Some `Auto ->
-      let profile =
+  let plan =
+    resolve_plan ~autotune_cache plan
+      ~profile:
         {
           Harness.Autotune.n;
           domains;
@@ -425,14 +469,7 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
           total_ops = ops;
           seed;
         }
-      in
-      let r, source =
-        Harness.Autotune.auto ~cache_dir:autotune_cache ~profile ()
-      in
-      Printf.printf "plan:          %s (auto, %s)\n"
-        (Dsu.Plan.to_string r.Harness.Autotune.winner)
-        (match source with `Cached -> "cached" | `Measured -> "measured");
-      Ok (Some r.Harness.Autotune.winner)
+    |> Option.map fst
   in
   arm_telemetry ~metrics_out ~trace_out ~progress;
   if contention_out <> None then begin
@@ -690,7 +727,7 @@ let run_lincheck n procs ops_per_proc trials seed sched_kind =
       "%d histories had crashed processes: %d pending ops linearized, %d vanished\n"
       !crash_histories !linearized !vanished;
   Printf.printf "%d histories checked, %d violations\n" total !failures;
-  if !failures > 0 then exit 1;
+  if !failures > 0 then exit check_failed_exit;
   Ok ()
 
 let lincheck_cmd =
@@ -698,7 +735,7 @@ let lincheck_cmd =
   let n_small =
     Arg.(value & opt int 5 & info [ "n"; "elements" ] ~docv:"N" ~doc:"Elements (keep small).")
   in
-  Cmd.v (Cmd.info "lincheck" ~doc)
+  Cmd.v (Cmd.info "lincheck" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_lincheck $ n_small $ procs_arg $ ops_per_proc_arg
@@ -1115,8 +1152,6 @@ let chaos_snapshot_out_arg =
            snapshots) in the directory $(docv)-<layout>-<policy>-<depth> \
            instead of removing its scratch directory.")
 
-let drill_failed_exit = 3
-
 let run_chaos n ops domains crash_domains crash_after stall_prob stall_len
     unite_frac seed fault_seed policies layouts depths memory_order snapshot_out
     json_out metrics_out =
@@ -1164,17 +1199,12 @@ let run_chaos n ops domains crash_domains crash_after stall_prob stall_len
       ~progress:(Format.printf "%a@." Chaos.pp_scenario)
       ()
   in
-  (match json_out with
-  | None -> ()
-  | Some out ->
-    with_out out (fun oc ->
-        output_string oc (Repro_obs.Json.to_string (Chaos.to_json ~config scenarios));
-        output_char oc '\n'));
+  write_json json_out (Chaos.to_json ~config scenarios);
   (match metrics_out with None -> () | Some out -> write_metrics out None);
   let ok = List.for_all Chaos.scenario_ok scenarios in
   Printf.printf "chaos: %d scenario(s), %s\n" (List.length scenarios)
     (if ok then "all checks passed" else "CHECKS FAILED");
-  if not ok then exit drill_failed_exit;
+  if not ok then exit check_failed_exit;
   Ok ()
 
 let chaos_cmd =
@@ -1183,11 +1213,7 @@ let chaos_cmd =
      recover, and audit that the recovered partition contains every acked \
      unite and nothing no submitted unite explains (emits dsu-drill/v1)."
   in
-  let exits =
-    Cmd.Exit.info drill_failed_exit ~doc:"when a drill check fails."
-    :: Cmd.Exit.defaults
-  in
-  Cmd.v (Cmd.info "chaos" ~doc ~exits)
+  Cmd.v (Cmd.info "chaos" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_chaos $ chaos_n_arg $ chaos_ops_arg $ chaos_domains_arg
@@ -1200,7 +1226,6 @@ let chaos_cmd =
 (* --------------------------------------------------------- latency mode *)
 
 module Latency = Harness.Latency
-module Perfdiff = Harness.Perfdiff
 
 let arrival_rates_arg =
   Arg.(
@@ -1244,24 +1269,8 @@ let latency_out_arg =
           "Write the dsu-latency/v1 JSON document to $(docv) (\"-\" = \
            stdout).")
 
-let baseline_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:
-          "Diff this run against a previous dsu-latency/v1 document and \
-           print regressions/improvements beyond the noise threshold.")
-
-let diff_threshold_arg =
-  Arg.(
-    value
-    & opt float 10.0
-    & info [ "diff-threshold" ] ~docv:"PCT"
-        ~doc:"Relative delta (percent) below which a change is noise.")
-
 let run_latency n ops unite_frac seed domains rates shape reservoir
-    latency_out baseline threshold =
+    latency_out =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (domains >= 1) "--domains must be >= 1" in
@@ -1292,25 +1301,9 @@ let run_latency n ops unite_frac seed domains rates shape reservoir
   (* Write the artifact before printing: a consumer that truncates stdout
      (e.g. [| head -1]) closes the pipe and SIGPIPEs the process mid-table,
      which must not cost the JSON document. *)
-  (match latency_out with
-  | None -> ()
-  | Some out ->
-    with_out out (fun oc ->
-        output_string oc (Repro_obs.Json.to_string doc);
-        output_char oc '\n'));
+  write_json latency_out doc;
   Format.printf "%a" Latency.pp_table points;
-  match baseline with
-  | None -> Ok ()
-  | Some file ->
-    let* base = read_file file in
-    (match
-       Perfdiff.diff_strings ~threshold_pct:threshold ~base
-         ~current:(Repro_obs.Json.to_string doc) ()
-     with
-    | Error e -> Error (`Msg e)
-    | Ok rep ->
-      Format.printf "%a" Perfdiff.pp rep;
-      Ok ())
+  Ok ()
 
 let latency_cmd =
   let doc =
@@ -1323,9 +1316,18 @@ let latency_cmd =
       term_result
         (const run_latency $ n_arg $ ops_arg $ unite_frac_arg $ seed_arg
         $ domains_arg $ arrival_rates_arg $ shape_arg $ reservoir_arg
-        $ latency_out_arg $ baseline_arg $ diff_threshold_arg))
+        $ latency_out_arg))
 
 (* -------------------------------------------------------- perfdiff mode *)
+
+module Perfdiff = Harness.Perfdiff
+
+let diff_threshold_arg =
+  Arg.(
+    value
+    & opt float 10.0
+    & info [ "diff-threshold" ] ~docv:"PCT"
+        ~doc:"Relative delta (percent) below which a change is noise.")
 
 let pd_baseline_arg =
   Arg.(
@@ -1338,13 +1340,6 @@ let pd_current_arg =
     required
     & opt (some string) None
     & info [ "current" ] ~docv:"FILE" ~doc:"Current perf JSON document.")
-
-let pd_json_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the dsu-perfdiff/v1 report to $(docv) (\"-\" = stdout).")
 
 let pd_fail_arg =
   Arg.(
@@ -1359,25 +1354,22 @@ let run_perfdiff baseline current threshold json_out fail_on_regression =
   | Error e -> Error (`Msg e)
   | Ok rep ->
     Format.printf "%a" Perfdiff.pp rep;
-    (match json_out with
-    | None -> ()
-    | Some out ->
-      with_out out (fun oc ->
-          output_string oc (Repro_obs.Json.to_string (Perfdiff.to_json rep));
-          output_char oc '\n'));
-    if fail_on_regression && rep.Perfdiff.regressions <> [] then exit 3;
+    write_json json_out (Perfdiff.to_json rep);
+    if fail_on_regression && rep.Perfdiff.regressions <> [] then
+      exit check_failed_exit;
     Ok ()
 
 let perfdiff_cmd =
   let doc =
-    "Diff two bench/scalability/latency JSON documents and flag metric \
-     deltas beyond a noise threshold (kind auto-detected)."
+    "Diff two perf JSON documents of one kind (bechamel, or any dsu-*/v* \
+     document a subcommand writes) and flag metric deltas beyond a noise \
+     threshold (kind auto-detected; emits dsu-perfdiff/v1)."
   in
-  Cmd.v (Cmd.info "perfdiff" ~doc)
+  Cmd.v (Cmd.info "perfdiff" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_perfdiff $ pd_baseline_arg $ pd_current_arg
-        $ diff_threshold_arg $ pd_json_out_arg $ pd_fail_arg))
+        $ diff_threshold_arg $ json_out_arg $ pd_fail_arg))
 
 (* ------------------------------------------------------------- wal mode *)
 
@@ -1427,31 +1419,26 @@ let run_wal file dump do_truncate check json_out =
   (match dropped_bytes with
   | None | Some 0 -> ()
   | Some b -> Printf.printf "truncated: dropped %d torn byte(s)\n" b);
-  (match json_out with
-  | None -> ()
-  | Some out ->
-    let fields =
-      [
-        ("schema", J.String "dsu-wal/v1");
-        ("file", J.String file);
-        ("records", J.Int (Array.length records));
-        ("total_bytes", J.Int tail.Dwal.total_bytes);
-        ( "truncated_at",
-          match tail.Dwal.truncated_at with
-          | None -> J.Null
-          | Some off -> J.Int off );
-      ]
-      @ (if Array.length records = 0 then []
-         else [ ("epoch_min", J.Int epoch_min); ("epoch_max", J.Int epoch_max) ])
-      @
-      match dropped_bytes with
-      | None -> []
-      | Some b -> [ ("dropped_bytes", J.Int b) ]
-    in
-    with_out out (fun oc ->
-        output_string oc (J.to_string (J.Obj fields));
-        output_char oc '\n'));
-  if check && torn_before <> None && dropped_bytes = None then exit 1;
+  write_json json_out
+    (J.Obj
+       ([
+          ("schema", J.String "dsu-wal/v1");
+          ("file", J.String file);
+          ("records", J.Int (Array.length records));
+          ("total_bytes", J.Int tail.Dwal.total_bytes);
+          ( "truncated_at",
+            match tail.Dwal.truncated_at with
+            | None -> J.Null
+            | Some off -> J.Int off );
+        ]
+       @ (if Array.length records = 0 then []
+          else [ ("epoch_min", J.Int epoch_min); ("epoch_max", J.Int epoch_max) ])
+       @
+       match dropped_bytes with
+       | None -> []
+       | Some b -> [ ("dropped_bytes", J.Int b) ]));
+  if check && torn_before <> None && dropped_bytes = None then
+    exit check_failed_exit;
   Ok ()
 
 let wal_cmd =
@@ -1483,10 +1470,10 @@ let wal_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Exit with status 1 if the tail is torn (and $(b,--truncate) \
+            "Exit with status 3 if the tail is torn (and $(b,--truncate) \
              was not given).")
   in
-  Cmd.v (Cmd.info "wal" ~doc)
+  Cmd.v (Cmd.info "wal" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_wal $ file $ dump $ truncate $ check $ json_out_arg))
@@ -1552,8 +1539,7 @@ let max_overhead_arg =
            $(docv) percent (the CI durability guard).")
 
 let run_durability n ops domains unite_frac seed repeats snapshots
-    flush_records flush_interval policy json_out baseline threshold
-    max_overhead =
+    flush_records flush_interval policy json_out max_overhead =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (domains >= 1) "--domains must be >= 1" in
@@ -1585,35 +1571,14 @@ let run_durability n ops domains unite_frac seed repeats snapshots
   let r = Durability.run ~config () in
   let doc = Durability.to_json r in
   (* Artifact before table, same SIGPIPE discipline as [latency]. *)
-  (match json_out with
-  | None -> ()
-  | Some out ->
-    with_out out (fun oc ->
-        output_string oc (Repro_obs.Json.to_string doc);
-        output_char oc '\n'));
+  write_json json_out doc;
   Format.printf "%a@." Durability.pp r;
-  let* () =
-    match baseline with
-    | None -> Ok ()
-    | Some file ->
-      let* base = read_file file in
-      (match
-         Perfdiff.diff_strings ~threshold_pct:threshold ~base
-           ~current:(Repro_obs.Json.to_string doc) ()
-       with
-      | Error e -> Error (`Msg e)
-      | Ok rep ->
-        Format.printf "%a" Perfdiff.pp rep;
-        Ok ())
-  in
   (match max_overhead with
-  | None -> ()
-  | Some pct ->
-    if r.Durability.overhead_pct > pct then begin
-      Printf.printf "GUARD FAILED: wal overhead %.1f%% exceeds the %.1f%% bound\n"
-        r.Durability.overhead_pct pct;
-      exit 3
-    end);
+  | Some pct when r.Durability.overhead_pct > pct ->
+    Printf.eprintf "GUARD FAILED: wal overhead %.1f%% exceeds the %.1f%% bound\n%!"
+      r.Durability.overhead_pct pct;
+    exit check_failed_exit
+  | _ -> ());
   Ok ()
 
 let durability_cmd =
@@ -1621,14 +1586,13 @@ let durability_cmd =
     "Measure what durability charges the hot path: WAL throughput overhead \
      and fuzzy vs quiescent snapshot pause (emits dsu-durability/v1)."
   in
-  Cmd.v (Cmd.info "durability" ~doc)
+  Cmd.v (Cmd.info "durability" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_durability $ dur_n_arg $ dur_ops_arg $ dur_domains_arg
         $ dur_unite_frac_arg $ dur_seed_arg $ dur_repeats_arg
         $ dur_snapshots_arg $ dur_flush_records_arg $ dur_flush_interval_arg
-        $ policy_arg $ json_out_arg $ baseline_arg $ diff_threshold_arg
-        $ max_overhead_arg))
+        $ policy_arg $ json_out_arg $ max_overhead_arg))
 
 (* ----------------------------------------------------------- serve mode *)
 
@@ -1719,8 +1683,7 @@ let serve_deadline_arg =
            (0 = none).")
 
 let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
-    batch admission plan autotune_cache durable deadline_ms json_out baseline
-    threshold =
+    batch admission plan autotune_cache durable deadline_ms json_out =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (gens >= 1) "--gens must be >= 1" in
@@ -1738,28 +1701,21 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
       (List.for_all (fun r -> r > 0.) rates)
       "--arrival-rate must be positive"
   in
-  let* plan =
-    match plan with
-    | None -> Ok Dsu.Plan.default
-    | Some (`Plan p) -> Ok p
-    | Some `Auto ->
-      let profile =
-        {
-          Harness.Autotune.n;
-          domains = workers;
-          unite_percent = int_of_float (unite_frac *. 100.);
-          dist = Harness.Scalability.Uniform;
-          total_ops = gens * ops;
-          seed;
-        }
-      in
-      let r, source =
-        Harness.Autotune.auto ~cache_dir:autotune_cache ~profile ()
-      in
-      Printf.printf "plan:          %s (auto, %s)\n"
-        (Dsu.Plan.to_string r.Harness.Autotune.winner)
-        (match source with `Cached -> "cached" | `Measured -> "measured");
-      Ok r.Harness.Autotune.winner
+  let plan =
+    match
+      resolve_plan ~autotune_cache plan
+        ~profile:
+          {
+            Harness.Autotune.n;
+            domains = workers;
+            unite_percent = int_of_float (unite_frac *. 100.);
+            dist = Harness.Scalability.Uniform;
+            total_ops = gens * ops;
+            seed;
+          }
+    with
+    | Some (p, _) -> p
+    | None -> Dsu.Plan.default
   in
   let config =
     {
@@ -1782,27 +1738,8 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
   let points = Hservice.sweep ~config ~rates () in
   let doc = Hservice.to_json config ~points in
   (* Artifact before table, same SIGPIPE discipline as [latency]. *)
-  (match json_out with
-  | None -> ()
-  | Some out ->
-    with_out out (fun oc ->
-        output_string oc (Repro_obs.Json.to_string doc);
-        output_char oc '\n'));
+  write_json json_out doc;
   Format.printf "%a" Hservice.pp_table points;
-  let* () =
-    match baseline with
-    | None -> Ok ()
-    | Some file ->
-      let* base = read_file file in
-      (match
-         Perfdiff.diff_strings ~threshold_pct:threshold ~base
-           ~current:(Repro_obs.Json.to_string doc) ()
-       with
-      | Error e -> Error (`Msg e)
-      | Ok rep ->
-        Format.printf "%a" Perfdiff.pp rep;
-        Ok ())
-  in
   Ok ()
 
 let serve_cmd =
@@ -1818,8 +1755,7 @@ let serve_cmd =
         $ serve_find_frac_arg $ seed_arg $ serve_gens_arg $ arrival_rates_arg
         $ shape_arg $ serve_workers_arg $ serve_qcap_arg $ serve_batch_arg
         $ serve_admission_arg $ plan_arg $ autotune_cache_arg
-        $ serve_wal_arg $ serve_deadline_arg $ json_out_arg
-        $ baseline_arg $ diff_threshold_arg))
+        $ serve_wal_arg $ serve_deadline_arg $ json_out_arg))
 
 (* ---------------------------------------------------- connectivity mode *)
 
@@ -1963,12 +1899,11 @@ let conn_guard_finish_arg =
         ~doc:
           "CI gate: at the highest racy domain count, every bulk finish \
            must reach $(docv) x its per-op twin's finish-phase edges/sec; \
-           exit 1 otherwise.")
+           exit 3 otherwise.")
 
 let run_connectivity gens samplings finishes modes domains_list scale
     edge_factor chunk seed simple plan autotune_cache block_chunks
-    no_baselines adversarial_n check_det guard_finish json_out baseline
-    threshold =
+    no_baselines adversarial_n check_det guard_finish json_out =
   let* () = check_arg (scale >= 1 && scale <= 40) "--scale must be in [1, 40]" in
   let* () = check_arg (edge_factor >= 1) "--edge-factor must be >= 1" in
   let* () = check_arg (chunk >= 1) "--chunk must be >= 1" in
@@ -1984,28 +1919,21 @@ let run_connectivity gens samplings finishes modes domains_list scale
     if domains_list = [] then defaults.Connectivity.domains_list
     else domains_list
   in
-  let* plan =
-    match plan with
-    | None -> Ok Dsu.Plan.default
-    | Some (`Plan p) -> Ok p
-    | Some `Auto ->
-      let profile =
-        {
-          Harness.Autotune.n = 1 lsl scale;
-          domains = List.fold_left max 1 domains_list;
-          unite_percent = 100;
-          dist = Harness.Scalability.Uniform;
-          total_ops = edge_factor * (1 lsl scale);
-          seed;
-        }
-      in
-      let r, source =
-        Harness.Autotune.auto ~cache_dir:autotune_cache ~profile ()
-      in
-      Printf.printf "plan:     %s (auto, %s)\n%!"
-        (Dsu.Plan.to_string r.Harness.Autotune.winner)
-        (match source with `Cached -> "cached" | `Measured -> "measured");
-      Ok r.Harness.Autotune.winner
+  let plan =
+    match
+      resolve_plan ~autotune_cache plan
+        ~profile:
+          {
+            Harness.Autotune.n = 1 lsl scale;
+            domains = List.fold_left max 1 domains_list;
+            unite_percent = 100;
+            dist = Harness.Scalability.Uniform;
+            total_ops = edge_factor * (1 lsl scale);
+            seed;
+          }
+    with
+    | Some (p, _) -> p
+    | None -> Dsu.Plan.default
   in
   let config =
     {
@@ -2050,12 +1978,7 @@ let run_connectivity gens samplings finishes modes domains_list scale
   in
   let doc = Connectivity.to_json ~config ?adversarial ~baselines:baselines_pts points in
   (* Artifact before table, same SIGPIPE discipline as [latency]. *)
-  (match json_out with
-  | None -> ()
-  | Some out ->
-    with_out out (fun oc ->
-        output_string oc (Repro_obs.Json.to_string doc);
-        output_char oc '\n'));
+  write_json json_out doc;
   Format.printf "%a@." Connectivity.pp_table points;
   if baselines_pts <> [] then
     Format.printf "%a@." Connectivity.pp_baselines baselines_pts;
@@ -2072,21 +1995,7 @@ let run_connectivity gens samplings finishes modes domains_list scale
   | Ok () -> ()
   | Error e ->
     Printf.eprintf "connectivity: FAIL — %s\n%!" e;
-    exit 1);
-  let* () =
-    match baseline with
-    | None -> Ok ()
-    | Some file ->
-      let* base = read_file file in
-      (match
-         Perfdiff.diff_strings ~threshold_pct:threshold ~base
-           ~current:(Repro_obs.Json.to_string doc) ()
-       with
-      | Error e -> Error (`Msg e)
-      | Ok rep ->
-        Format.printf "%a" Perfdiff.pp rep;
-        Ok ())
-  in
+    exit check_failed_exit);
   if check_det then begin
     let stream =
       Connectivity.make_stream config
@@ -2109,7 +2018,7 @@ let run_connectivity gens samplings finishes modes domains_list scale
     if not outcome.Lincheck.Determinism.ok then begin
       List.iter (Printf.printf "  %s\n")
         outcome.Lincheck.Determinism.failures;
-      exit 3
+      exit check_failed_exit
     end
   end;
   (match guard_finish with
@@ -2123,7 +2032,7 @@ let run_connectivity gens samplings finishes modes domains_list scale
         worst (List.length pairs) min_ratio
     | Error e ->
       Printf.eprintf "guard-finish: FAIL — %s\n%!" e;
-      exit 1));
+      exit check_failed_exit));
   Ok ()
 
 let connectivity_cmd =
@@ -2133,7 +2042,7 @@ let connectivity_cmd =
      deterministic engines, edges/sec per phase vs the Anderson-Woll and \
      Boruvka baselines (emits dsu-connectivity/v1)."
   in
-  Cmd.v (Cmd.info "connectivity" ~doc)
+  Cmd.v (Cmd.info "connectivity" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_connectivity $ conn_gens_arg $ conn_samplings_arg
@@ -2141,8 +2050,269 @@ let connectivity_cmd =
         $ conn_scale_arg $ conn_edge_factor_arg $ conn_chunk_arg $ seed_arg
         $ conn_simple_arg $ plan_arg $ autotune_cache_arg
         $ conn_block_chunks_arg $ conn_no_baselines_arg $ conn_adversarial_arg
-        $ conn_check_det_arg $ conn_guard_finish_arg $ json_out_arg
-        $ baseline_arg $ diff_threshold_arg))
+        $ conn_check_det_arg $ conn_guard_finish_arg $ json_out_arg))
+
+(* ----------------------------------------------------- scalability mode *)
+
+module Scalability = Harness.Scalability
+
+let dist_conv =
+  let parse s =
+    match Scalability.dist_of_string s with
+    | Some d -> Ok d
+    | None -> Error (`Msg (Printf.sprintf "unknown distribution %S" s))
+  in
+  let print ppf d = Format.pp_print_string ppf (Scalability.dist_to_string d) in
+  Arg.conv (parse, print)
+
+let backoff_conv =
+  let parse = function
+    | "on" | "true" | "1" -> Ok true
+    | "off" | "false" | "0" -> Ok false
+    | s -> Error (`Msg (Printf.sprintf "unknown backoff switch %S" s))
+  in
+  let print ppf b = Format.pp_print_string ppf (if b then "on" else "off") in
+  Arg.conv (parse, print)
+
+let scal_defaults = Scalability.default_config
+
+let scal_n_arg =
+  Arg.(
+    value & opt int scal_defaults.Scalability.n
+    & info [ "n"; "elements" ] ~docv:"N" ~doc:"Nodes in the shared DSU.")
+
+let scal_ops_arg =
+  Arg.(
+    value & opt int scal_defaults.Scalability.total_ops
+    & info [ "ops" ] ~docv:"M"
+        ~doc:"Operations per sweep point, split evenly across the domains.")
+
+let max_domains_arg =
+  Arg.(
+    value & opt int 8
+    & info [ "max-domains" ] ~docv:"D"
+        ~doc:"Sweep the domain counts 1, 2, 4, ... up to $(docv).")
+
+let unite_percent_arg =
+  Arg.(
+    value & opt int scal_defaults.Scalability.unite_percent
+    & info [ "unite-percent" ] ~docv:"P"
+        ~doc:"Percentage of Unite operations (the rest are SameSet).")
+
+(* One comma-separated sweep axis, e.g. --policies two-try,one-try. *)
+let axis_arg elt default name ~docv ~doc =
+  Arg.(value & opt (list elt) default & info [ name ] ~docv ~doc)
+
+let scal_policies_arg =
+  axis_arg policy_conv scal_defaults.Scalability.policies "policies"
+    ~docv:"P1,P2" ~doc:"Find policies to sweep (default two-try,one-try)."
+
+let scal_layouts_arg =
+  axis_arg layout_conv scal_defaults.Scalability.layouts "layouts"
+    ~docv:"L1,L2"
+    ~doc:"Memory layouts to sweep: flat, flat-padded, packed (default flat)."
+
+let scal_orders_arg =
+  axis_arg memory_order_conv scal_defaults.Scalability.memory_orders
+    "memory-orders" ~docv:"O1,O2"
+    ~doc:
+      "Parent-load memory orders to sweep: seq-cst, acquire, relaxed-reads \
+       (default relaxed-reads)."
+
+let scal_backoffs_arg =
+  axis_arg backoff_conv scal_defaults.Scalability.backoffs "backoffs"
+    ~docv:"B1,B2" ~doc:"Link-CAS backoff switches to sweep: on, off (default on)."
+
+let scal_dists_arg =
+  axis_arg dist_conv scal_defaults.Scalability.dists "dists" ~docv:"D1,D2"
+    ~doc:"Endpoint distributions to sweep: uniform, skewed (default uniform)."
+
+let autotune_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "autotune-out" ] ~docv:"FILE"
+        ~doc:
+          "With $(b,--plan auto), write the dsu-autotune/v1 report to \
+           $(docv).")
+
+let guard_tuned_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "guard-tuned" ] ~docv:"PCT"
+        ~doc:
+          "After the sweep, exit 3 if the tuned path is more than $(docv) \
+           percent slower than its baseline: with $(b,--plan), the plan vs \
+           the default plan; without, the single-domain smoke pair (flat, \
+           two-try), the default memory order vs seq-cst.")
+
+(* The --guard-tuned gate: [tuned] may lose at most [pct] percent of
+   [base]'s throughput — the threshold perfdiff applies to a
+   higher-is-better metric. *)
+let guard_tuned ~pct ~base:(base_name, base) ~tuned:(tuned_name, tuned) =
+  let loss = if base = 0. then 0. else (base -. tuned) /. base *. 100. in
+  Printf.printf
+    "\nguard-tuned: %s %.3f Mops/s, %s %.3f Mops/s (loss %.1f%%, budget \
+     %.1f%%)\n%!"
+    base_name base tuned_name tuned loss pct;
+  if loss > pct then begin
+    Printf.eprintf
+      "guard-tuned: FAIL — %s is %.1f%% slower than %s (budget %.1f%%)\n%!"
+      tuned_name loss base_name pct;
+    exit check_failed_exit
+  end
+
+(* Best of three single-domain runs: single-domain runs on shared CI hosts
+   are noisy, and the guard exists to catch a systematic regression (a
+   misplaced fence, an accidental strong CAS in the hot loop), not
+   scheduling jitter. *)
+let best_of_3 run =
+  let a = run () in
+  let b = run () in
+  Float.max a (Float.max b (run ()))
+
+let run_scalability n ops max_domains unite_percent policies layouts orders
+    backoffs dists plan autotune_cache autotune_out guard json_out =
+  let* () = check_arg (n >= 1) "--elements must be >= 1" in
+  let* () = check_arg (ops >= 1) "--ops must be >= 1" in
+  let* () = check_arg (max_domains >= 1) "--max-domains must be >= 1" in
+  let* () =
+    check_arg
+      (unite_percent >= 0 && unite_percent <= 100)
+      "--unite-percent must be in [0, 100]"
+  in
+  let* () =
+    check_arg
+      (policies <> [] && layouts <> [] && orders <> [] && backoffs <> []
+     && dists <> [])
+      "a sweep axis is empty"
+  in
+  let growable = Dsu.Plan.Growable in
+  let* () =
+    check_arg
+      ((not (List.mem growable layouts))
+      &&
+      match plan with
+      | Some (`Plan p) -> p.Dsu.Plan.layout <> growable
+      | _ -> true)
+      "growable is not a sweep layout"
+  in
+  let rec counts d = if d > max_domains then [] else d :: counts (2 * d) in
+  let domain_counts = counts 1 in
+  (* The autotuner profile mirrors the sweep at its largest domain count;
+     the seed is fixed so the cache fingerprint is stable across runs of
+     the same shape. *)
+  let tuned =
+    resolve_plan ~verbose:true ?autotune_out ~autotune_cache plan
+      ~profile:
+        {
+          Harness.Autotune.n;
+          domains = List.fold_left max 1 domain_counts;
+          unite_percent;
+          dist = List.hd dists;
+          total_ops = ops;
+          seed = 21;
+        }
+  in
+  let config =
+    {
+      scal_defaults with
+      n;
+      total_ops = ops;
+      unite_percent;
+      domain_counts;
+      policies;
+      layouts;
+      memory_orders = orders;
+      backoffs;
+      dists;
+    }
+  in
+  (* A plan pins the sweep to its point; only domains and dists still
+     sweep. *)
+  let config =
+    match tuned with
+    | None -> config
+    | Some (p, _) ->
+      {
+        config with
+        layouts = [ p.Dsu.Plan.layout ];
+        policies = [ p.Dsu.Plan.compaction ];
+        memory_orders = [ p.Dsu.Plan.memory_order ];
+        backoffs = [ p.Dsu.Plan.backoff ];
+      }
+  in
+  let points =
+    Scalability.sweep ~config
+      ~progress:(fun p ->
+        Printf.printf "%-12s %-10s %-13s %-3s %-7s d=%d  %8.3f Mops/s\n%!"
+          (Dsu.Plan.layout_to_string p.Scalability.layout)
+          (Policy.to_string p.Scalability.policy)
+          (Dsu.Memory_order.to_string p.Scalability.memory_order)
+          (if p.Scalability.backoff then "on" else "off")
+          (Scalability.dist_to_string p.Scalability.dist)
+          p.Scalability.domains p.Scalability.mops_per_sec)
+      ()
+  in
+  write_json json_out (Scalability.to_json ~config points);
+  Format.printf "@.%a%!" Scalability.pp_table points;
+  (match (guard, tuned) with
+  | None, _ -> ()
+  | Some pct, None ->
+    let best memory_order =
+      best_of_3 (fun () ->
+          (Scalability.run_point ~config ~memory_order ~layout:Dsu.Plan.Flat
+             ~policy:Policy.Two_try_splitting ~domains:1 ())
+            .Scalability.mops_per_sec)
+    in
+    let seqcst = best Dsu.Memory_order.Seq_cst in
+    let default = best Dsu.Memory_order.default in
+    guard_tuned ~pct ~base:("seq-cst", seqcst)
+      ~tuned:(Dsu.Memory_order.to_string Dsu.Memory_order.default, default)
+  | Some pct, Some (plan, auto) ->
+    let tuned_mops, default_mops =
+      match auto with
+      | Some r ->
+        (* --plan auto: the calibration already measured both sides. *)
+        let default =
+          List.find_opt
+            (fun m -> Dsu.Plan.equal m.Harness.Autotune.plan Dsu.Plan.default)
+            r.Harness.Autotune.measurements
+        in
+        ( r.Harness.Autotune.winner_mops,
+          match default with
+          | Some m -> m.Harness.Autotune.mops_per_sec
+          | None -> r.Harness.Autotune.winner_mops )
+      | None ->
+        let best plan =
+          best_of_3 (fun () ->
+              (Scalability.run_plan_point ~config ~plan ~domains:1 ())
+                .Scalability.mops_per_sec)
+        in
+        let tuned = best plan in
+        (tuned, best Dsu.Plan.default)
+    in
+    guard_tuned ~pct
+      ~base:("default plan " ^ Dsu.Plan.to_string Dsu.Plan.default, default_mops)
+      ~tuned:("tuned plan " ^ Dsu.Plan.to_string plan, tuned_mops));
+  Ok ()
+
+let scalability_cmd =
+  let doc =
+    "Domain-parallel scalability sweep (experiment E13): one shared DSU \
+     under 1, 2, 4, ... domains across find policies, memory layouts, \
+     memory orders, backoff and key distributions (emits \
+     dsu-scalability/v2)."
+  in
+  Cmd.v (Cmd.info "scalability" ~doc ~exits:check_exits)
+    Term.(
+      term_result
+        (const run_scalability $ scal_n_arg $ scal_ops_arg $ max_domains_arg
+        $ unite_percent_arg $ scal_policies_arg $ scal_layouts_arg
+        $ scal_orders_arg $ scal_backoffs_arg $ scal_dists_arg $ plan_arg
+        $ autotune_cache_arg $ autotune_out_arg $ guard_tuned_arg
+        $ json_out_arg))
 
 let main =
   let doc = "Workload driver for the concurrent disjoint-set-union library" in
@@ -2159,6 +2329,7 @@ let main =
       latency_cmd;
       serve_cmd;
       connectivity_cmd;
+      scalability_cmd;
       perfdiff_cmd;
     ]
 

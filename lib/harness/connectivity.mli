@@ -3,7 +3,7 @@
     — sampling × finish × mode × domains — against the Borůvka and
     Anderson–Woll baselines, plus a Pătrașcu–Thorup adversarial
     incremental-connectivity point.  Surfaced by [dsu_workload
-    connectivity] and [bench --connectivity]; diffed by {!Perfdiff}. *)
+    connectivity]; diffed by {!Perfdiff}. *)
 
 type gen = Rmat | Er | Power_law
 

@@ -4,17 +4,16 @@
     results, [dsu-scalability/*] sweeps, [dsu-latency/*] sweeps,
     [dsu-service/*] serving sweeps, [dsu-drill/*] crash drills (the RTO
     of each scenario that measured one; RPO is a correctness gate, not a
-    diffed metric), [dsu-durability/*]
-    reports, or [dsu-autotune/*] reports (auto-detected) — and flags
+    diffed metric), [dsu-durability/*] reports, [dsu-connectivity/*]
+    sweeps, or [dsu-autotune/*] reports (auto-detected) — and flags
     per-configuration metric deltas beyond a noise threshold, respecting
     each metric's better-direction ([ns_per_run], latency quantiles,
     [pause_ns] and [rto_ns] lower-better, [mops_per_sec] and
     [achieved_rate] higher-better).  For autotune
     documents the per-plan throughputs diff as ordinary rows and a changed
     winning plan is reported in {!report.warnings} — a warning, not a
-    structural error.  Consumed by [bench --baseline]/[--guard-tuned] and
-    the [dsu_workload perfdiff] / [latency --baseline] CLIs; the CI
-    perf-history artifact is {!to_json}'s [dsu-perfdiff/v1] document. *)
+    structural error.  Consumed by the [dsu_workload perfdiff] CLI; the
+    CI perf-history artifact is {!to_json}'s [dsu-perfdiff/v1] document. *)
 
 type direction = Lower_better | Higher_better
 

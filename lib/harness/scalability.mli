@@ -19,7 +19,7 @@
     The JSON emitted by {!to_json} (schema ["dsu-scalability/v2"]; v1
     lacked the [memory_order]/[backoff]/[dist] point fields) is the
     machine-readable product consumed by the perf-trajectory tooling;
-    [bench/main.exe --parallel] is the CLI entry point.  See
+    [dsu_workload scalability] is the CLI entry point.  See
     docs/PERFORMANCE.md for the schema and how to read the numbers on
     machines with few cores. *)
 
