@@ -227,27 +227,18 @@ let bench_steensgaard =
   in
   Test.make ~name:"apps/steensgaard"
     (Staged.stage (fun () ->
-         ignore (Analysis.Steensgaard.analyze ~capacity:16_384 program)))
+         ignore (Analysis.Steensgaard.analyze program)))
 
-(* MakeSet extension. *)
+(* MakeSet extension: a fresh universe grown across chunk boundaries,
+   each new element united with the first. *)
 let bench_growable =
   Test.make ~name:"growable/make_set+unite"
     (Staged.stage (fun () ->
-         let g = Dsu.Growable.create ~capacity:4096 ~seed:37 () in
+         let g = Dsu.Growable.create ~seed:37 () in
          let first = Dsu.Growable.make_set g in
-         for _ = 2 to 4096 do
+         for _ = 2 to 4 * Dsu.Growable.chunk_size do
            let e = Dsu.Growable.make_set g in
            Dsu.Growable.unite g first e
-         done))
-
-let bench_growable_unbounded =
-  Test.make ~name:"growable/unbounded"
-    (Staged.stage (fun () ->
-         let g = Dsu.Growable_unbounded.create ~chunk_size:256 ~seed:39 () in
-         let first = Dsu.Growable_unbounded.make_set g in
-         for _ = 2 to 4096 do
-           let e = Dsu.Growable_unbounded.make_set g in
-           Dsu.Growable_unbounded.unite g first e
          done))
 
 (* Micro: single operations on a prepared structure, with a padded-layout
@@ -469,7 +460,6 @@ let all_tests () =
     bench_dominators;
     bench_steensgaard;
     bench_growable;
-    bench_growable_unbounded;
     bench_single_find;
     bench_single_find_padded;
     bench_single_find_seqcst;

@@ -78,7 +78,7 @@ let () =
         let r = f () in
         (r, Unix.gettimeofday () -. t0)
       in
-      let steens, st = time (fun () -> S.analyze ~capacity:(4 * size) program) in
+      let steens, st = time (fun () -> S.analyze program) in
       let anders, at = time (fun () -> A.analyze program) in
       let extra = ref 0 in
       let vars = A.variables anders in

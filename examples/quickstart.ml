@@ -44,27 +44,19 @@ let () =
   Dsu.Native.unite fancy 3 9;
   assert (Dsu.Native.same_set fancy 9 3);
 
-  (* The MakeSet extension: create elements on the fly. *)
-  let g = Dsu.Growable.create ~capacity:1024 () in
+  (* The MakeSet extension: create elements on the fly, with no capacity
+     bound (the universe grows chunk by chunk; see Section 3 of the paper
+     on wait-free vs lock-free in the unbounded setting). *)
+  let g = Dsu.Growable.create () in
   let a = Dsu.Growable.make_set g in
   let b = Dsu.Growable.make_set g in
   Dsu.Growable.unite g a b;
   assert (Dsu.Growable.same_set g a b);
-  Printf.printf "growable: %d elements, %d set(s)\n" (Dsu.Growable.cardinal g)
-    (Dsu.Growable.count_sets g);
-
-  (* ... or with no capacity bound at all (lock-free set operations over a
-     chunked store; see Section 3 of the paper on wait-free vs lock-free
-     in the unbounded setting). *)
-  let u = Dsu.Growable_unbounded.create ~chunk_size:256 () in
-  let first = Dsu.Growable_unbounded.make_set u in
   for _ = 1 to 10_000 do
-    let e = Dsu.Growable_unbounded.make_set u in
-    Dsu.Growable_unbounded.unite u first e
+    Dsu.Growable.unite g a (Dsu.Growable.make_set g)
   done;
-  Printf.printf "unbounded: %d elements in %d set(s)\n"
-    (Dsu.Growable_unbounded.cardinal u)
-    (Dsu.Growable_unbounded.count_sets u);
+  Printf.printf "growable: %d elements in %d set(s)\n" (Dsu.Growable.cardinal g)
+    (Dsu.Growable.count_sets g);
 
   (* Instrumentation: operation counters for work accounting. *)
   let counted = Dsu.Native.create ~collect_stats:true ~seed:1 1000 in

@@ -18,9 +18,9 @@ type t = {
           {e current} representative of the class *)
 }
 
-let create ?(capacity = 4096) () =
+let create () =
   {
-    cells = Dsu.Growable.create ~capacity ();
+    cells = Dsu.Growable.create ();
     var_cell = Hashtbl.create 64;
     pts = Hashtbl.create 64;
   }
@@ -77,8 +77,8 @@ let process t = function
     let px = pointee t (cell_of_var t x) in
     join t (pointee t px) (pointee t (cell_of_var t y))
 
-let analyze ?capacity stmts =
-  let t = create ?capacity () in
+let analyze stmts =
+  let t = create () in
   List.iter (process t) stmts;
   t
 

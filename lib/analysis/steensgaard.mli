@@ -32,14 +32,14 @@ val pp_stmt : Format.formatter -> stmt -> unit
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the number of abstract locations (variables + fresh
-    pointee cells); default 4096. *)
+val create : unit -> t
+(** An empty analysis; abstract locations (variables and fresh pointee
+    cells) are created as statements mention them, with no bound. *)
 
 val process : t -> stmt -> unit
 (** Apply one statement's unifications.  Idempotent. *)
 
-val analyze : ?capacity:int -> stmt list -> t
+val analyze : stmt list -> t
 (** Fresh analysis over a whole program. *)
 
 val may_alias : t -> string -> string -> bool
@@ -59,4 +59,4 @@ val variables : t -> string list
 (** All variables mentioned so far, sorted. *)
 
 val cells_used : t -> int
-(** Abstract locations allocated (for capacity sizing). *)
+(** Abstract locations allocated. *)

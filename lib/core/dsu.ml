@@ -5,7 +5,8 @@
     Entry points:
 
     - {!Native} — the user-facing DSU over OCaml 5 domains.
-    - {!Growable} — the [MakeSet] extension (elements created on the fly).
+    - {!Growable} — the [MakeSet] extension (elements created on the fly,
+      no capacity bound).
     - {!Packed} — Section 7's linking by rank over one packed word.
     - {!Driver} — any of those layouts as one value, chosen by a {!Plan}.
     - {!Sim} — the same algorithm instrumented to run inside the APRAM
@@ -36,10 +37,6 @@ module Native = Dsu_native
 
 module Sim = Dsu_sim
 module Growable = Growable
-
-module Growable_unbounded = Growable_unbounded
-(** The capacity-free [MakeSet] variant: the universe grows without bound
-    (Section 3 remark); set operations stay lock-free. *)
 
 module Packed = Packed_dsu
 (** The concurrent linking-by-rank variant of Section 7, which needs no

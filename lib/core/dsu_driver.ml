@@ -37,7 +37,7 @@ let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false)
   | Dsu_plan.Growable ->
     let d =
       Growable.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
-        ~seed ~capacity:n ()
+        ~seed ()
     in
     (* The universe exists up front: make_set is not WAL-logged, so a
        recovered universe is the snapshot's. *)
@@ -54,8 +54,6 @@ let n = function
   | Flat d -> Dsu_native.n d
   | Growable d -> Growable.cardinal d
   | Packed d -> Packed_dsu.Native.n d
-
-let capacity = function Growable d -> Growable.capacity d | t -> n t
 
 let find t x =
   match t with

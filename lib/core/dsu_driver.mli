@@ -50,9 +50,6 @@ val create :
 val n : t -> int
 (** Elements present ([cardinal] for Growable). *)
 
-val capacity : t -> int
-(** Slots allocated; [n] except for Growable. *)
-
 val find : t -> int -> int
 val same_set : t -> int -> int -> bool
 val unite : t -> int -> int -> unit

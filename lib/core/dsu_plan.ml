@@ -14,35 +14,32 @@
     - [Random_id] linking (the paper's randomized algorithm) runs over
       the [Flat], [Padded] and [Growable] layouts ([Growable] is the
       [MakeSet] layout, {!Growable});
-    - [By_rank] linking runs over the [Packed] single-word layout;
-    - [By_size] linking names the remaining cell of the Alistarh et al.
-      grid but has no concurrent implementation here yet — always
-      invalid, with a saying-so error.
+    - [By_rank] linking runs over the [Packed] single-word layout.
+
+    Linking by size, the remaining cell of the Alistarh et al. grid, has
+    no concurrent implementation here, so the grammar has no spelling
+    for it.
 
     The plan is the one value that names a backend: {!Dsu_driver.create}
     builds the layout the plan names.
 
-    The spec syntax, shared by [bench --plan] and [dsu_workload --plan],
-    is five colon-separated fields:
+    The spec syntax, parsed by the [--plan] flag of the [dsu_workload]
+    subcommands, is five colon-separated fields:
 
     {v linking:compaction:memory-order:backoff:layout
        e.g.  rand:two-try:relaxed-reads:on:flat
              rank:halving:acquire:off:packed
              rand:two-try:relaxed-reads:on:growable v} *)
 
-type linking = Random_id | By_rank | By_size
+type linking = Random_id | By_rank
 
-let all_linkings = [ Random_id; By_rank; By_size ]
+let all_linkings = [ Random_id; By_rank ]
 
-let linking_to_string = function
-  | Random_id -> "rand"
-  | By_rank -> "rank"
-  | By_size -> "size"
+let linking_to_string = function Random_id -> "rand" | By_rank -> "rank"
 
 let linking_of_string = function
   | "rand" | "random" -> Some Random_id
   | "rank" -> Some By_rank
-  | "size" -> Some By_size
   | _ -> None
 
 type layout = Flat | Padded | Growable | Packed
@@ -98,15 +95,11 @@ let pp ppf p = Format.pp_print_string ppf (to_string p)
 
 let validate p =
   match (p.linking, p.layout) with
-  | By_size, _ ->
-    Error
-      "by-size linking has no concurrent implementation here yet (see \
-       ROADMAP.md); use rand or rank"
   | Random_id, Packed ->
     Error "the packed layout links by rank; use rank:...:packed"
   | By_rank, (Flat | Padded | Growable) ->
     Error "rank linking requires the packed layout (rank:...:packed)"
-  | (Random_id | By_rank), _ -> Ok ()
+  | Random_id, (Flat | Padded | Growable) | By_rank, Packed -> Ok ()
 
 let is_valid p = Result.is_ok (validate p)
 

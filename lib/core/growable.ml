@@ -1,16 +1,164 @@
-module Flat_atomic_array = Repro_util.Flat_atomic_array
-module Rng = Repro_util.Rng
+module A = Repro_util.Flat_atomic_array
 module Fi = Repro_fault.Inject
 
-module Algo =
-  Dsu_algorithm.Make (Native_memory) (Dsu_algorithm.By_id (Native_memory))
+let chunk_bits = 12
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+(* Element [i] lives in chunk [i lsr chunk_bits], a flat array of
+   [2 * chunk_size] words holding its parent and its priority side by
+   side, so a link's priority reads hit the cache line of the root's
+   parent word that [find] just loaded.  (Parents and priorities in two
+   halves of the chunk kept [find]'s footprint dense but measured about
+   4% slower on [unite] at n = 2^20; see docs/PERFORMANCE.md.) *)
+let[@inline] parent_word i = (i land chunk_mask) lsl 1
+let[@inline] prio_word i = ((i land chunk_mask) lsl 1) lor 1
+
+(* The chunk directory: an immutable array of chunks, republished by one
+   CAS on [dir] whenever it grows.  A chunk is fully initialised (parents
+   self, priorities 0) before the CAS publishes it, so a reader that loads
+   a directory sees its chunks' contents.  Every published directory
+   extends the previous one, so an older one is a prefix of the current. *)
+module Memory = struct
+  type t = {
+    dir : A.t array Atomic.t;
+    mutable seen : A.t array;
+        (** a directory once loaded from [dir], so a prefix of the current
+            one; the cell accessors index it to save the [Atomic]'s hop
+            and refresh it only when it is too short.  A racing refresh may
+            store an older directory, which costs only a later refresh. *)
+    order : Memory_order.t;
+  }
+
+  let new_chunk c =
+    A.make (2 * chunk_size) (fun w ->
+        if w land 1 = 0 then (c lsl chunk_bits) lor (w lsr 1) else 0)
+
+  (* Cells covered by the published directory. *)
+  let[@inline] cells t = Array.length (Atomic.get t.dir) lsl chunk_bits
+
+  (* [A.t] is abstract, so indexing an [A.t array] directly compiles to
+     the generic array access (a float check and a boxing path); a chunk
+     is a boxed record, so read the directory as an array of pointers. *)
+  let[@inline] chunk_at (dir : A.t array) c : A.t =
+    Obj.magic (Array.unsafe_get (Obj.magic dir : string array) c)
+
+  (* Only an index covered by a published chunk ever reaches the cell
+     accessors: the entry check rejects the rest, and a link stores only
+     checked nodes or their ancestors.  A directory load can still trail
+     the parent load that produced the index on weakly ordered hardware,
+     so [refresh] re-loads until the publication shows.  Each accessor
+     calls it only when [seen] falls short and then retries by a tail
+     call, which keeps its fast path free of spills. *)
+  let rec refresh t i =
+    let dir = Atomic.get t.dir in
+    if i lsr chunk_bits < Array.length dir then t.seen <- dir
+    else begin
+      Domain.cpu_relax ();
+      refresh t i
+    end
+
+  (* Whether a published chunk covers cell [i]; [seen] answers most
+     calls without the [Atomic]'s hop. *)
+  let[@inline] covers t i =
+    let c = i lsr chunk_bits in
+    c < Array.length t.seen || c < Array.length (Atomic.get t.dir)
+
+  (* Parent reads per mode, as in {!Native_memory}. *)
+  let rec read t i =
+    let seen = t.seen in
+    let c = i lsr chunk_bits in
+    if c < Array.length seen then
+      let ch = chunk_at seen c in
+      match t.order with
+      | Memory_order.Relaxed_reads -> A.unsafe_load ch (parent_word i)
+      | Memory_order.Acquire -> A.unsafe_get_acquire ch (parent_word i)
+      | Memory_order.Seq_cst -> A.unsafe_get ch (parent_word i)
+    else begin
+      refresh t i;
+      read t i
+    end
+
+  let rec cas t i expected desired =
+    let seen = t.seen in
+    let c = i lsr chunk_bits in
+    if c < Array.length seen then
+      A.unsafe_cas (chunk_at seen c) (parent_word i) expected desired
+    else begin
+      refresh t i;
+      cas t i expected desired
+    end
+
+  let rec cas_weak t i expected desired =
+    let seen = t.seen in
+    let c = i lsr chunk_bits in
+    if c < Array.length seen then
+      let ch = chunk_at seen c in
+      match t.order with
+      | Memory_order.Seq_cst -> A.unsafe_cas ch (parent_word i) expected desired
+      | Memory_order.Acquire | Memory_order.Relaxed_reads ->
+        A.unsafe_cas_weak ch (parent_word i) expected desired
+    else begin
+      refresh t i;
+      cas_weak t i expected desired
+    end
+
+  (* Batch kernels prefetch ahead of validation: an index outside the
+     directory (negative ones included, via [lsr]) is ignored. *)
+  let prefetch t i =
+    let seen = t.seen in
+    let c = i lsr chunk_bits in
+    if c < Array.length seen then A.unsafe_prefetch (chunk_at seen c) (parent_word i)
+
+  (* Acquire: pairs with the release store of [set_prio]. *)
+  let rec prio t i =
+    let seen = t.seen in
+    let c = i lsr chunk_bits in
+    if c < Array.length seen then A.unsafe_get_acquire (chunk_at seen c) (prio_word i)
+    else begin
+      refresh t i;
+      prio t i
+    end
+
+  (* Only after [ensure t i], whose directory load covered [i]: a later
+     load by the same domain covers it too. *)
+  let set_prio t i p =
+    A.unsafe_set_release (chunk_at (Atomic.get t.dir) (i lsr chunk_bits)) (prio_word i) p
+
+  (* Publish chunks until cell [i] is covered.  Lock-free: a failed CAS
+     means another grower published a chunk, and the loop re-reads.  A
+     crash at [Chunk_publish_pre] loses only the unpublished chunk; one at
+     [Chunk_publish_post] leaves the chunk live. *)
+  let rec ensure t i =
+    let dir = Atomic.get t.dir in
+    let c = Array.length dir in
+    if i lsr chunk_bits >= c then begin
+      let fresh = Array.append dir [| new_chunk c |] in
+      if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Chunk_publish_pre;
+      if Atomic.compare_and_set t.dir dir fresh && Atomic.get Fi.armed then
+        Fi.hit Repro_fault.Site.Chunk_publish_post;
+      ensure t i
+    end
+
+  (* A directory whose first [k] cells hold [parent i] / [prio i]. *)
+  let of_cells ?(order = Memory_order.default) k ~parent ~prio =
+    let chunks =
+      Array.init ((k + chunk_mask) lsr chunk_bits) (fun c ->
+          let ch = new_chunk c in
+          for i = c lsl chunk_bits to Int.min k ((c + 1) lsl chunk_bits) - 1 do
+            A.unsafe_store ch (parent_word i) (parent i);
+            A.unsafe_store ch (prio_word i) (prio i)
+          done;
+          ch)
+    in
+    { dir = Atomic.make chunks; seen = chunks; order }
+end
+
+module Algo = Dsu_algorithm.Make (Memory) (Dsu_algorithm.By_id (Memory))
 
 type t = {
-  capacity : int;
-  next : int Atomic.t;
-  prios : Flat_atomic_array.t;
-      (** atomic so priorities published by [make_set] are visible to every
-          domain without further synchronization *)
+  mem : Memory.t;
+  next : int Atomic.t;  (** slots claimed by [make_set] *)
   rng_state : int Atomic.t;  (** per-allocation counter, hashed to a priority *)
   algo : Algo.t;
 }
@@ -23,46 +171,50 @@ let mix64 z =
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_int (Int64.shift_right_logical z 2)
 
-let create ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
-    ?on_link ?(seed = 0x9e3779b9) ~capacity () =
-  if capacity < 1 then invalid_arg "Growable.create: capacity must be >= 1";
-  let prios = Flat_atomic_array.make capacity (fun _ -> 0) in
-  let mem = Native_memory.make ?order:memory_order capacity (fun i -> i) in
+(* Element [i]'s priority is [mix64 (seed + i * prio_step)]. *)
+let prio_step = 0x632be59bd9b4e019
+
+let build ?policy ?early ?backoff ?(collect_stats = false) ?on_link
+    ?(seed = 0x9e3779b9) mem k =
   let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
   let algo =
-    (* Acquire is enough for priority reads: a slot's priority is published
-       (release) by [make_set] before the slot index escapes to any other
-       domain, so an acquire load of the cell synchronises with that
-       publication; priority 0 is only observable for a slot whose
-       [make_set] crashed mid-publish, which the tie-breaking order
-       tolerates. *)
-    Algo.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n:capacity
-      ~prio:(fun i -> Flat_atomic_array.get_acquire prios i)
-      ()
+    (* The universe has no bound, so the functor's own range check gets
+       the largest one; the real entry check is [check] below. *)
+    Algo.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n:max_int
+      ~prio:(fun i -> Memory.prio mem i) ()
   in
-  { capacity; next = Atomic.make 0; prios; rng_state = Atomic.make seed; algo }
+  (* The counter starts where [k] make_sets would have left it, so the
+     elements a restored universe grows draw fresh priorities, not those
+     of elements [0], [1], ... *)
+  { mem; next = Atomic.make k; rng_state = Atomic.make (seed + (k * prio_step)); algo }
+
+let create ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link ?seed
+    () =
+  build ?policy ?early ?backoff ?collect_stats ?on_link ?seed
+    (Memory.of_cells ?order:memory_order 0 ~parent:Fun.id ~prio:Fun.id)
+    0
 
 let make_set t =
   let slot = Atomic.fetch_and_add t.next 1 in
-  if slot >= t.capacity then begin
-    (* Undo is unnecessary: the counter may run past capacity harmlessly. *)
-    failwith "Growable.make_set: capacity exhausted"
-  end;
-  let r = Atomic.fetch_and_add t.rng_state 0x632be59bd9b4e019 in
-  (* Crash-stop here leaves the claimed slot with the default priority 0,
-     which the tie-breaking order tolerates (Lemma 3.1 never needs
-     distinct priorities). *)
+  Memory.ensure t.mem slot;
+  let r = Atomic.fetch_and_add t.rng_state prio_step in
+  (* The slot's storage exists: a crash here leaves a live element with
+     the default priority 0, which the tie-breaking order tolerates
+     (Lemma 3.1 never needs distinct priorities). *)
   if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Make_set_publish;
-  (* Release publication: pairs with the acquire priority loads in the
-     linking order (see [create]); no full fence needed. *)
-  Flat_atomic_array.set_release t.prios slot (mix64 r);
+  (* Release publication: pairs with the acquire priority loads of the
+     linking order before the slot index escapes to any other domain. *)
+  Memory.set_prio t.mem slot (mix64 r);
   slot
 
-let cardinal t = min (Atomic.get t.next) t.capacity
-let capacity t = t.capacity
+(* Claimed slots that a published chunk covers: a slot claimed by a
+   grower that died before publishing its chunk is not part of it until
+   a later [make_set] publishes that chunk. *)
+let cardinal t = Int.min (Atomic.get t.next) (Memory.cells t.mem)
 
-let check t x =
-  if x < 0 || x >= cardinal t then invalid_arg "Growable: element was not created"
+let[@inline] check t x =
+  if x < 0 || x >= Atomic.get t.next || not (Memory.covers t.mem x) then
+    invalid_arg "Growable: element was not created"
 
 let same_set t x y =
   check t x;
@@ -80,7 +232,7 @@ let find t x =
 
 let priority t x =
   check t x;
-  Flat_atomic_array.get_acquire t.prios x
+  Memory.prio t.mem x
 
 let stats t =
   match Algo.stats t.algo with None -> Dsu_stats.zero | Some s -> Dsu_stats.snapshot s
@@ -88,19 +240,14 @@ let stats t =
 let count_sets t =
   let c = ref 0 in
   for i = 0 to cardinal t - 1 do
-    if Algo.parent_of t.algo i = i then incr c
+    if Memory.read t.mem i = i then incr c
   done;
   !c
 
 (* ---- snapshot / restore (quiescent persistence; see Repro_recover) ---- *)
 
-let parents_snapshot t =
-  let k = cardinal t in
-  Array.init k (fun i -> Algo.parent_of t.algo i)
-
-let priorities_snapshot t =
-  let k = cardinal t in
-  Array.init k (fun i -> Flat_atomic_array.get t.prios i)
+let parents_snapshot t = Array.init (cardinal t) (Memory.read t.mem)
+let priorities_snapshot t = Array.init (cardinal t) (Memory.prio t.mem)
 
 (* Fuzzy (non-quiescent) scan; see {!Dsu_native.snapshot_fuzzy}.  The
    cardinal is latched first, so concurrent [make_set]s past it are simply
@@ -111,40 +258,27 @@ let snapshot_fuzzy t =
   let parents =
     Array.init k (fun i ->
         if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Snapshot_read;
-        Algo.parent_of t.algo i)
+        Memory.read t.mem i)
   in
-  let prios = Array.init k (fun i -> Flat_atomic_array.get_acquire t.prios i) in
+  let prios = Array.init k (Memory.prio t.mem) in
   (* A parent installed by a racing link may point above the latched
      cardinal; clamp such nodes to roots — dropping the edge only makes the
      cut finer, which still refines the final partition. *)
   Array.iteri (fun i p -> if p >= k then parents.(i) <- i) parents;
   (parents, prios)
 
-let of_snapshot ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
-    ?on_link ?(seed = 0x9e3779b9) ?capacity ~parents ~prios () =
+let of_snapshot ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link
+    ?seed ~parents ~prios () =
   let k = Array.length parents in
   if Array.length prios <> k then
     invalid_arg "Growable.of_snapshot: parents/prios length mismatch";
-  let capacity = match capacity with None -> max 1 k | Some c -> c in
-  if capacity < max 1 k then
-    invalid_arg "Growable.of_snapshot: capacity below element count";
   Array.iteri
     (fun i p ->
       if p < 0 || p >= k then invalid_arg "Growable.of_snapshot: parent out of range";
       if p <> i && not (prios.(i) < prios.(p) || (prios.(i) = prios.(p) && i < p))
       then invalid_arg "Growable.of_snapshot: parents violate the linking order")
     parents;
-  let prios_arr =
-    Flat_atomic_array.make capacity (fun i -> if i < k then prios.(i) else 0)
-  in
-  let mem =
-    Native_memory.make ?order:memory_order capacity (fun i ->
-        if i < k then parents.(i) else i)
-  in
-  let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
-  let algo =
-    Algo.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n:capacity
-      ~prio:(fun i -> Flat_atomic_array.get_acquire prios_arr i)
-      ()
-  in
-  { capacity; next = Atomic.make k; prios = prios_arr; rng_state = Atomic.make seed; algo }
+  build ?policy ?early ?backoff ?collect_stats ?on_link ?seed
+    (Memory.of_cells ?order:memory_order k ~parent:(Array.get parents)
+       ~prio:(Array.get prios))
+    k

@@ -7,8 +7,8 @@
 
     Instances: {!Native_memory} over {!Repro_util.Flat_atomic_array} (one
     unboxed word per node) for real OCaml 5 domains;
-    [Growable_unbounded]'s internal [Memory] over chunked, growable
-    storage; and {!Dsu_sim.Memory} over the APRAM simulator's effect-based
+    {!Growable.Memory}, a directory of flat chunks that grows by one CAS;
+    and {!Dsu_sim.Memory} over the APRAM simulator's effect-based
     shared memory for exact step counting.  {!Packed_dsu.View} turns any of them
     holding packed [(root flag, rank, parent)] words into a parent array:
     its [read] returns the parent field, so the same algorithm loops run

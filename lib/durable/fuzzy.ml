@@ -20,7 +20,7 @@ let of_driver ?epoch d =
     {
       Snapshot.kind = Dsu.Driver.kind d;
       n;
-      capacity = max (Dsu.Driver.capacity d) n;
+      capacity = n;
       epoch = e;
       parents;
       prios;

@@ -22,15 +22,16 @@
     Sites outside {!Dsu_algorithm}, arming the [MakeSet] extensions and the
     linking-by-rank variant:
 
-    - [Make_set_publish] — inside {!Dsu.Growable.make_set} /
-      {!Dsu.Growable_unbounded.make_set}, after the slot is claimed and its
-      storage exists but before the random priority is published; a crash
-      here leaves a live element with the default priority [0], which the
-      tie-breaking order tolerates.
+    - [Make_set_publish] — inside {!Dsu.Growable.make_set}, after the
+      slot is claimed and its chunk is published but before the random
+      priority is; a crash here leaves a live element with the default
+      priority [0], which the tie-breaking order tolerates.
     - [Chunk_publish_pre] / [Chunk_publish_post] — either side of the
-      directory republication in {!Dsu.Growable_unbounded.Chunked.ensure};
-      a process crashed between them dies holding the growth lock released
-      only by its [Fun.protect], exercising the spin-bound slow path.
+      directory CAS that publishes a new chunk in {!Dsu.Growable}.  A
+      crash before it loses only the unpublished chunk: the claimed slot
+      lies past the published directory, so the entry check rejects it
+      until a later [make_set] publishes the chunk.  A crash after it
+      leaves the chunk live.
     - [Rank_read] — after a packed [(rank, parent)] word read that feeds a
       linking decision in {!Dsu.Packed}; a process stalled here holds a
       stale rank, exercising the re-validation [Cas].

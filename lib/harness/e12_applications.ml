@@ -110,7 +110,7 @@ let run ppf =
         | 2 -> Analysis.Steensgaard.Load (x, y)
         | _ -> Analysis.Steensgaard.Store (x, y))
   in
-  let steens = Analysis.Steensgaard.analyze ~capacity:20_000 program in
+  let steens = Analysis.Steensgaard.analyze program in
   let anders = Analysis.Andersen.analyze program in
   let unsound = ref 0 in
   let vars = Analysis.Andersen.variables anders in

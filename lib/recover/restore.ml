@@ -10,7 +10,7 @@ let restore ?(plan = Dsu.Plan.default) ?(collect_stats = false) ?on_link
   | Snapshot.Growable ->
     Growable
       (Dsu.Growable.of_snapshot ~policy ~backoff ~memory_order ~collect_stats
-         ?on_link ~capacity:s.capacity ~parents:s.parents ~prios:s.prios ())
+         ?on_link ~parents:s.parents ~prios:s.prios ())
   | Snapshot.Packed ->
     Packed
       (Dsu.Packed.Native.of_snapshot ~policy ~backoff ~memory_order

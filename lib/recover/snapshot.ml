@@ -27,7 +27,7 @@ let of_driver d =
   {
     kind = Dsu.Driver.kind d;
     n = Dsu.Driver.n d;
-    capacity = Dsu.Driver.capacity d;
+    capacity = Dsu.Driver.n d;
     epoch = 0;
     parents = Dsu.Driver.parents_snapshot d;
     prios = Dsu.Driver.prios_snapshot d;

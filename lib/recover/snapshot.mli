@@ -47,7 +47,10 @@ type kind = Dsu.Driver.kind = Flat | Growable | Packed
 type t = {
   kind : kind;
   n : int;  (** elements present ([cardinal] for Growable) *)
-  capacity : int;  (** slots to preallocate on restore; [n] except for Growable *)
+  capacity : int;
+      (** written as [n]; older writers stored a growable's preallocated
+          slots here.  Kept because both checksums cover it; decoders
+          check [capacity >= n] and restore ignores it. *)
   epoch : int;  (** WAL epoch the cut is consistent with; 0 = quiescent *)
   parents : int array;  (** length [n]; roots are self-parented *)
   prios : int array;  (** length [n]; ids / priorities / ranks, per [kind] *)

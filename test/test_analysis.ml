@@ -103,6 +103,24 @@ let steensgaard_tests =
         check Alcotest.bool "allocated" true (S.cells_used t >= 2));
   ]
 
+(* Soundness direction: wherever Andersen says two of [vars] alias,
+   Steensgaard must too. *)
+let at_least_as_precise ~stmts a s vars =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          if A.may_alias a x y then
+            check Alcotest.bool
+              (Format.asprintf "%s ~ %s in [%a]" x y
+                 (Format.pp_print_list
+                    ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
+                    S.pp_stmt)
+                 stmts)
+              true (S.may_alias s x y))
+        vars)
+    vars
+
 let andersen_tests =
   [
     case "address-of gives a singleton" (fun () ->
@@ -156,22 +174,37 @@ let andersen_tests =
                 | _ -> S.Store (x, y))
           in
           let a = A.analyze stmts in
-          let s = S.analyze stmts in
-          List.iter
-            (fun x ->
-              List.iter
-                (fun y ->
-                  if A.may_alias a x y then
-                    check Alcotest.bool
-                      (Format.asprintf "%s ~ %s in [%a]" x y
-                         (Format.pp_print_list ~pp_sep:(fun f () ->
-                              Format.pp_print_string f "; ")
-                            S.pp_stmt)
-                         stmts)
-                      true (S.may_alias s x y))
-                (A.variables a))
-            (A.variables a)
+          at_least_as_precise ~stmts a (S.analyze stmts) (A.variables a)
         done);
+    case "steensgaard grows past 4096 locations, andersen still as precise"
+      (fun () ->
+        (* 3,000 statements over distinct variables: 3,000 copies, each
+           creating cells for both sides and their pointees, plus an
+           address-of for every third right-hand side so some classes
+           alias. *)
+        let copies =
+          List.init 3000 (fun i ->
+              S.Copy (Printf.sprintf "a%d" i, Printf.sprintf "b%d" i))
+        in
+        let addrs =
+          List.init 1000 (fun i ->
+              S.Address_of (Printf.sprintf "b%d" (3 * i), Printf.sprintf "t%d" (i mod 40)))
+        in
+        let stmts = copies @ addrs in
+        let s = S.analyze stmts in
+        check Alcotest.bool "more than 4096 locations" true (S.cells_used s > 4096);
+        check Alcotest.bool "a0 ~ a120" true (S.may_alias s "a0" "a120");
+        let a = A.analyze stmts in
+        (* Every a/b pair among the first 300 statements plus the targets. *)
+        let sample =
+          List.concat
+            [
+              List.init 300 (Printf.sprintf "a%d");
+              List.init 300 (Printf.sprintf "b%d");
+              List.init 40 (Printf.sprintf "t%d");
+            ]
+        in
+        at_least_as_precise ~stmts:[] a s sample);
   ]
 
 let () =

@@ -3,9 +3,9 @@
    packed — per-op answers against a sequential oracle, batch kernels
    against per-op calls, a quiescent snapshot -> restore round trip, and a
    quiescent fuzzy capture against the quiescent snapshot.  Every entry is
-   built from its plan alone.  Growable runs twice: as Driver.create
-   builds it (capacity = n) and with spare capacity, where the snapshot's
-   n (the cardinal) and capacity differ. *)
+   built from its plan alone.  Growable runs twice: within its first
+   chunk, and over more than one chunk, so every check also crosses a
+   chunk boundary. *)
 
 module Driver = Dsu.Driver
 module Snap = Repro_recover.Snapshot
@@ -16,42 +16,30 @@ module Rng = Repro_util.Rng
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
-let n = 200
 
 type layout = {
   name : string;
   plan : Dsu.Plan.t;
   kind : Snap.kind;
-  capacity : int;
+  n : int;
   make : unit -> Driver.t;
 }
 
-let fresh name plan kind =
-  { name; plan; kind; capacity = n; make = (fun () -> Driver.create ~plan ~seed:9 n) }
+let fresh ?(n = 200) name plan kind =
+  { name; plan; kind; n; make = (fun () -> Driver.create ~plan ~seed:9 n) }
 
 let growable_plan = Dsu.Plan.on_layout Dsu.Plan.Growable Dsu.Plan.default
 
 let plan_of spec =
   match Dsu.Plan.of_string spec with Ok p -> p | Error e -> failwith e
 
-(* n make_sets into a growable of twice that capacity. *)
-let spare_growable =
-  let make () =
-    let g = Dsu.Growable.create ~seed:9 ~capacity:(2 * n) () in
-    for _ = 1 to n do
-      ignore (Dsu.Growable.make_set g : int)
-    done;
-    Driver.Growable g
-  in
-  { name = "growable, spare capacity"; plan = growable_plan;
-    kind = Snap.Growable; capacity = 2 * n; make }
-
 let layouts =
   [
     fresh "flat" Dsu.Plan.default Snap.Flat;
     fresh "padded" { Dsu.Plan.default with layout = Dsu.Plan.Padded } Snap.Flat;
     fresh "growable" growable_plan Snap.Growable;
-    spare_growable;
+    fresh ~n:(Dsu.Growable.chunk_size + 200) "growable, more than one chunk"
+      growable_plan Snap.Growable;
     fresh "packed" (Dsu.Plan.on_layout Dsu.Plan.Packed Dsu.Plan.default) Snap.Packed;
     (* The same layouts on the seq-cst memory order with full compression,
        no backoff: other loads and another find loop in the kernels. *)
@@ -61,13 +49,13 @@ let layouts =
       (plan_of "rank:compression:seq-cst:off:packed") Snap.Packed;
   ]
 
-let pairs ~seed count =
+let pairs ~n ~seed count =
   let rng = Rng.create seed in
   let xs = Array.init count (fun _ -> Rng.int rng n) in
   (xs, Array.init count (fun _ -> Rng.int rng n))
 
 (* Same partition over every pair (i, i+1..i+7) plus every node vs 0. *)
-let same_partition name same_a same_b =
+let same_partition ~n name same_a same_b =
   for x = 0 to n - 1 do
     for y = x to min (n - 1) (x + 7) do
       check Alcotest.bool (Printf.sprintf "%s: %d~%d" name x y) (same_a x y)
@@ -77,7 +65,8 @@ let same_partition name same_a same_b =
       (same_b 0 x)
   done
 
-let conformance { name; plan; kind; capacity; make } =
+let conformance { name; plan; kind; n; make } =
+  let pairs = pairs ~n and same_partition = same_partition ~n in
   let populated () =
     let d = make () in
     let xs, ys = pairs ~seed:4 (n / 2) in
@@ -89,7 +78,6 @@ let conformance { name; plan; kind; capacity; make } =
         let d = make () in
         check Alcotest.bool "kind" true (Driver.kind d = kind);
         check Alcotest.int "n" n (Driver.n d);
-        check Alcotest.int "capacity" capacity (Driver.capacity d);
         check Alcotest.int "singletons" n (Driver.count_sets d));
     case (name ^ ": random ops match the sequential oracle") (fun () ->
         let d = make () and q = Quick_find.create n in
@@ -128,11 +116,10 @@ let conformance { name; plan; kind; capacity; make } =
         let snap = Snap.of_driver d in
         check Alcotest.bool "snapshot passes check" true (Snap.ok snap);
         check Alcotest.int "snapshot n" n snap.Snap.n;
-        check Alcotest.int "snapshot capacity" capacity snap.Snap.capacity;
+        check Alcotest.int "snapshot capacity is n" n snap.Snap.capacity;
         let r = Restore.restore ~plan snap in
         check Alcotest.bool "restored kind" true (Driver.kind r = kind);
         check Alcotest.int "restored n" n (Driver.n r);
-        check Alcotest.int "restored capacity" capacity (Driver.capacity r);
         check Alcotest.bool "re-snapshot equal" true
           (Snap.equal snap (Snap.of_driver r));
         same_partition "restored" (Driver.same_set d) (Driver.same_set r);
@@ -147,6 +134,47 @@ let conformance { name; plan; kind; capacity; make } =
         check Alcotest.bool "reconciled equals snapshot" true
           (Snap.equal cap.Fuzzy.snapshot (Snap.of_driver d)));
   ]
+
+(* A growable universe of more than one chunk, taken through both
+   snapshot codecs and restored, keeps growing: make_set continues at n
+   across the next chunk boundary and the new elements join old sets. *)
+let regrowth_checks =
+  let cs = Dsu.Growable.chunk_size in
+  let n = cs + 100 in
+  let codecs =
+    [
+      ("binary", fun s -> Snap.of_binary_string (Snap.to_binary_string s));
+      ("json", fun s -> Snap.of_json_string (Snap.to_json_string s));
+    ]
+  in
+  List.map
+    (fun (codec, round_trip) ->
+      case ("growable over " ^ codec ^ " keeps growing after restore") (fun () ->
+          let d = Driver.create ~plan:growable_plan ~seed:9 n in
+          for x = 1 to n - 1 do
+            Driver.unite d (x - 1) x
+          done;
+          let snap =
+            match round_trip (Snap.of_driver d) with
+            | Ok s -> s
+            | Error e -> Alcotest.fail e
+          in
+          match Restore.restore ~plan:growable_plan snap with
+          | Driver.Growable g ->
+            check Alcotest.int "restored cardinal" n (Dsu.Growable.cardinal g);
+            let grown = (2 * cs) + 10 - n in
+            for k = 0 to grown - 1 do
+              let e = Dsu.Growable.make_set g in
+              check Alcotest.int "next slot" (n + k) e;
+              Dsu.Growable.unite g (e - 1) e
+            done;
+            check Alcotest.int "grown cardinal" ((2 * cs) + 10)
+              (Dsu.Growable.cardinal g);
+            check Alcotest.int "one set" 1 (Dsu.Growable.count_sets g);
+            check Alcotest.bool "new joins old" true
+              (Dsu.Growable.same_set g 0 ((2 * cs) + 9))
+          | _ -> Alcotest.fail "restored a non-growable"))
+    codecs
 
 let kind_checks =
   [
@@ -173,5 +201,6 @@ let () =
   Alcotest.run "driver"
     [
       ("conformance", List.concat_map conformance layouts);
+      ("regrowth", regrowth_checks);
       ("kind", kind_checks);
     ]

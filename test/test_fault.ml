@@ -159,7 +159,7 @@ let armed_site_tests =
   [
     case "growable make_set crashes at Make_set_publish, slot stays usable"
       (fun () ->
-        let d = Dsu.Growable.create ~capacity:8 () in
+        let d = Dsu.Growable.create () in
         let a = Dsu.Growable.make_set d in
         with_plan
           (crash_at [ Site.Make_set_publish ])
@@ -178,27 +178,31 @@ let armed_site_tests =
           (Dsu.Growable.same_set d a b);
         Dsu.Growable.unite d a b;
         check Alcotest.bool "united" true (Dsu.Growable.same_set d a b));
-    case "unbounded make_set crashes at a chunk-publish site" (fun () ->
-        let d = Dsu.Growable_unbounded.create ~chunk_size:2 () in
-        ignore (Dsu.Growable_unbounded.make_set d : int);
-        ignore (Dsu.Growable_unbounded.make_set d : int);
+    case "growable make_set crashes at a chunk-publish site" (fun () ->
+        let d = Dsu.Growable.create () in
+        for _ = 1 to Dsu.Growable.chunk_size do
+          ignore (Dsu.Growable.make_set d : int)
+        done;
         with_plan
           (crash_at [ Site.Chunk_publish_pre; Site.Chunk_publish_post ])
           (fun () ->
             Inject.enroll ~slot:0;
-            (* The third make_set must grow a new chunk and hit a publish
-               site on the way. *)
+            (* The first chunk is full: the next make_set must grow a new
+               chunk and hit a publish site on the way. *)
             try
-              ignore (Dsu.Growable_unbounded.make_set d : int);
+              ignore (Dsu.Growable.make_set d : int);
               Alcotest.fail "expected Crashed"
             with Inject.Crashed (site, _) ->
               check Alcotest.bool "publish site" true
                 (site = Site.Chunk_publish_pre || site = Site.Chunk_publish_post));
         (* Growth still works after the abandoned publish. *)
-        let x = Dsu.Growable_unbounded.make_set d in
-        let y = Dsu.Growable_unbounded.make_set d in
-        Dsu.Growable_unbounded.unite d x y;
-        check Alcotest.bool "united" true (Dsu.Growable_unbounded.same_set d x y));
+        let x = Dsu.Growable.make_set d in
+        let y = Dsu.Growable.make_set d in
+        Dsu.Growable.unite d x y;
+        check Alcotest.bool "united" true (Dsu.Growable.same_set d x y);
+        Dsu.Growable.unite d 0 x;
+        check Alcotest.bool "united across the chunk boundary" true
+          (Dsu.Growable.same_set d y 0));
     case "ranked unite crashes at Rank_read, forest stays valid" (fun () ->
         let d = Dsu.Packed.Native.create 32 in
         with_plan

@@ -262,6 +262,15 @@ let plan_tests =
           (String.length (err "rand:sideways:relaxed-reads:on:flat") > 0);
         check Alcotest.bool "bad backoff" true
           (String.length (err "rand:two-try:relaxed-reads:maybe:flat") > 0));
+    case "a by-size spec is a bad linking rule" (fun () ->
+        (* Union by size has no plan value, so [size] fails to parse rather
+           than parsing to a plan that [validate] rejects. *)
+        check
+          Alcotest.(result reject string)
+          "size"
+          (Error
+             "bad plan linking rule \"size\" in \"size:two-try:relaxed-reads:on:flat\"")
+          (Result.map ignore (Plan.of_string "size:two-try:relaxed-reads:on:flat")));
     case "every valid plan runs through the scalability harness" (fun () ->
         (* one cheap point per plan family: flat default, padded, packed *)
         let config =

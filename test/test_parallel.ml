@@ -185,7 +185,7 @@ let mixed_cases =
         check Alcotest.int "links" 1 s.Dsu.Stats.links;
         check Alcotest.bool "0~1" true (Native.same_set d 0 1));
     case "growable parallel unite after parallel make_set" (fun () ->
-        let g = Dsu.Growable.create ~capacity:800 ~seed:17 () in
+        let g = Dsu.Growable.create ~seed:17 () in
         let worker _k () =
           let mine = Array.init 200 (fun _ -> Dsu.Growable.make_set g) in
           Array.iteri (fun i e -> if i > 0 then Dsu.Growable.unite g mine.(0) e) mine;

@@ -195,7 +195,7 @@ let binomial_single_set =
 let growable_matches_fixed =
   prop "growable behaves like fixed-size DSU" ~count:100 (gen_ops 16) print_ops
     (fun ops ->
-      let g = Dsu.Growable.create ~capacity:16 ~seed:5 () in
+      let g = Dsu.Growable.create ~seed:5 () in
       for _ = 1 to 16 do
         ignore (Dsu.Growable.make_set g)
       done;

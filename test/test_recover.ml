@@ -35,7 +35,7 @@ let padded_snap () =
   Snap.of_driver d
 
 let growable_snap () =
-  let d = Dsu.Growable.create ~seed:5 ~capacity:256 () in
+  let d = Dsu.Growable.create ~seed:5 () in
   for _ = 1 to 100 do
     ignore (Dsu.Growable.make_set d : int)
   done;
