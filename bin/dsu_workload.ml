@@ -384,7 +384,8 @@ let ( let* ) = Result.bind
 
 (* Exit statuses: 0 = ok, 124 = bad flag (Cmdliner), and this one for
    every failed check or gate — drill audits, guards, lincheck
-   violations, a torn WAL under --check, perfdiff regressions. *)
+   violations, a torn WAL under --check, perfdiff regressions, a serve
+   point that failed its accounting or depth check. *)
 let check_failed_exit = 3
 
 let check_exits =
@@ -1740,6 +1741,12 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
   (* Artifact before table, same SIGPIPE discipline as [latency]. *)
   write_json json_out doc;
   Format.printf "%a" Hservice.pp_table points;
+  if
+    not
+      (List.for_all
+         (fun (p : Hservice.point) -> p.accounted_ok && p.depth_bound_ok)
+         points)
+  then exit check_failed_exit;
   Ok ()
 
 let serve_cmd =
@@ -1748,7 +1755,7 @@ let serve_cmd =
      ingestion queues and explicit backpressure, driven open-loop \
      (emits dsu-service/v1); its crash drill is $(b,chaos --depth service)."
   in
-  Cmd.v (Cmd.info "serve" ~doc)
+  Cmd.v (Cmd.info "serve" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_serve $ n_arg $ ops_arg $ unite_frac_arg

@@ -21,8 +21,8 @@ let run ~domains f =
 
 (* Sense-reversing barrier.  Bounded cpu_relax spinning, then short
    sleeps: on single-core CI hosts a pure spin waits out whole scheduler
-   timeslices (see the service-layer drain loop, which made the same
-   tradeoff). *)
+   timeslices, and a pass crosses a barrier only once per phase, so the
+   sleep's wake-up delay is paid rarely. *)
 type barrier = { count : int Atomic.t; sense : bool Atomic.t; total : int }
 
 let barrier total = { count = Atomic.make 0; sense = Atomic.make false; total }

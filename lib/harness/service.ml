@@ -99,7 +99,7 @@ type point = {
   latency : Hdr.snapshot;  (* completion − intended arrival *)
   max_depth : int;  (* deepest ingestion queue seen at submit *)
   depth_bound_ok : bool;  (* max_depth ≤ queue_capacity *)
-  idle_sleeps : int;  (* worker idle sleeps: the workers ran out of work *)
+  parks : int;  (* worker parks: the workers ran out of work *)
   accounted_ok : bool;
       (* accepted = acked+shed+timed_out+failed+lost, no phantom or
          duplicate responses, no completion-lane displacement *)
@@ -251,7 +251,7 @@ let run_point ~config ~rate () =
     latency;
     max_depth = st.Svc.s_max_depth;
     depth_bound_ok = st.Svc.s_max_depth <= config.queue_capacity;
-    idle_sleeps = st.Svc.s_idle_sleeps;
+    parks = st.Svc.s_parks;
     accounted_ok =
       phantom = 0
       && accepted = acked + shed + timed_out + failed + lost
@@ -304,7 +304,7 @@ let point_json p =
       ("achieved_rate", J.Float p.achieved_rate);
       ("max_depth", J.Int p.max_depth);
       ("depth_bound_ok", J.Bool p.depth_bound_ok);
-      ("idle_sleeps", J.Int p.idle_sleeps);
+      ("parks", J.Int p.parks);
       ("accounted_ok", J.Bool p.accounted_ok);
       ("saturated", J.Bool p.saturated);
       ("latency", J.Obj (hdr_fields p.latency));

@@ -45,9 +45,9 @@ type point = {
   latency : Repro_obs.Hdr.snapshot;  (** completion − intended arrival *)
   max_depth : int;  (** deepest ingestion queue observed at submit *)
   depth_bound_ok : bool;  (** [max_depth <= queue_capacity] *)
-  idle_sleeps : int;
-      (** worker idle sleeps ({!Repro_service.Service.stats}
-          [s_idle_sleeps]): how often the drain workers ran out of work *)
+  parks : int;
+      (** worker parks ({!Repro_service.Service.stats} [s_parks]): how
+          often the drain workers ran out of work *)
   accounted_ok : bool;
       (** [accepted = acked + shed + timed_out + failed + lost], no
           phantom/duplicate responses, no completion-lane displacement —

@@ -30,7 +30,31 @@
 
    The fault sites are hit immediately before the [tail] / [head] CAS: an
    injected crash leaves no ticket claimed and no slot held, so the ring
-   stays usable for every other domain. *)
+   stays usable for every other domain.
+
+   Parking.  A consumer that ran out of work may block in [park] until a
+   push publishes into the ring.  The ring's third control word,
+   [parked], is the consumer's mark, and the wake-up is a Dekker-style
+   pairing in which each side writes its own word, then reads the
+   other's, all four accesses seq-cst:
+
+   - the consumer stores [parked = 1], then reads [head] and [tail], and
+     only waits if no ticket is claimed past [head];
+   - a producer claims its ticket with the CAS on [tail], reads [parked]
+     right after it, and, if it read 1, wakes the consumer once it has
+     published the request.
+
+   The CAS is a full barrier, so the push needs no extra fence.  In the
+   single total order of seq-cst accesses, either the producer's CAS
+   comes before the consumer's read of [tail] (the consumer sees the
+   claimed ticket and does not wait; the request is published moments
+   later), or the consumer's store of [parked] comes before the
+   producer's read of it (the producer wakes the consumer).  The wait
+   and the wake take [mu], and the consumer only waits while [parked] is
+   still 1 under it, so a wake that lands between its re-check and its
+   [Condition.wait] is not lost either.  [wake] clears the mark
+   unconditionally, which is how a shutdown releases a parked
+   consumer. *)
 
 module Faa = Repro_util.Flat_atomic_array
 module Site = Repro_fault.Site
@@ -49,11 +73,19 @@ let f_y = 5
 let f_intended = 6
 let f_deadline = 7
 
-(* [ctl] is padded, so the two indices sit on separate cache lines. *)
+(* [ctl] is padded, so the two indices and the parked mark sit on
+   separate cache lines. *)
 let head_ix = 0
 let tail_ix = 1
+let parked_ix = 2
 
-type t = { cells : Faa.t; cap : int; ctl : Faa.t }
+type t = {
+  cells : Faa.t;
+  cap : int;
+  ctl : Faa.t;
+  mu : Mutex.t;  (* guards the consumer's wait on [cond] *)
+  cond : Condition.t;
+}
 
 let create cap =
   if cap < 1 then invalid_arg "Ingest_ring.create: capacity must be >= 1";
@@ -61,7 +93,9 @@ let create cap =
     cells =
       Faa.make (cap * stride) (fun i -> if i mod stride = 0 then 2 * (i / stride) else 0);
     cap;
-    ctl = Faa.make ~padded:true 2 (fun _ -> 0);
+    ctl = Faa.make ~padded:true 3 (fun _ -> 0);
+    mu = Mutex.create ();
+    cond = Condition.create ();
   }
 
 let length t =
@@ -73,6 +107,32 @@ let length t =
 
 let[@inline] hit site = if Atomic.get Fi.armed then Fi.hit site
 
+(* Lock and unlock by hand: [Mutex.protect] would allocate a closure on
+   every wake. *)
+let wake t =
+  Mutex.lock t.mu;
+  Faa.unsafe_set t.ctl parked_ix 0;
+  Condition.signal t.cond;
+  Mutex.unlock t.mu
+
+(* Whether a ticket is claimed past [head]: the consumer's re-check.
+   [head] is read first, so a concurrent take can only make this answer
+   [true] spuriously. *)
+let claimed t =
+  let h = Faa.unsafe_get t.ctl head_ix in
+  Faa.unsafe_get t.ctl tail_ix > h
+
+let park t ~stop =
+  Faa.unsafe_set t.ctl parked_ix 1;
+  if not (claimed t || Atomic.get stop) then begin
+    Mutex.lock t.mu;
+    while Faa.unsafe_get t.ctl parked_ix = 1 && not (Atomic.get stop) do
+      Condition.wait t.cond t.mu
+    done;
+    Mutex.unlock t.mu
+  end;
+  Faa.unsafe_set t.ctl parked_ix 0
+
 let rec try_push t ~id ~session ~kind ~x ~y ~intended_ns ~deadline_ns =
   let p = Faa.unsafe_get t.ctl tail_ix in
   let base = p mod t.cap * stride in
@@ -80,6 +140,7 @@ let rec try_push t ~id ~session ~kind ~x ~y ~intended_ns ~deadline_ns =
   if seq = 2 * p then begin
     hit Site.Queue_enq_cas;
     if Faa.unsafe_cas t.ctl tail_ix p (p + 1) then begin
+      let parked = Faa.unsafe_get t.ctl parked_ix = 1 in
       Faa.unsafe_store t.cells (base + f_id) id;
       Faa.unsafe_store t.cells (base + f_session) session;
       Faa.unsafe_store t.cells (base + f_kind) kind;
@@ -88,6 +149,7 @@ let rec try_push t ~id ~session ~kind ~x ~y ~intended_ns ~deadline_ns =
       Faa.unsafe_store t.cells (base + f_intended) intended_ns;
       Faa.unsafe_store t.cells (base + f_deadline) deadline_ns;
       Faa.unsafe_set_release t.cells base ((2 * p) + 1);
+      if parked then wake t;
       true
     end
     else try_push t ~id ~session ~kind ~x ~y ~intended_ns ~deadline_ns

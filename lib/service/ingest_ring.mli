@@ -27,7 +27,11 @@
     and a take hits {!Repro_fault.Site.Queue_deq_cas} immediately before
     each [head] CAS (a push to a full ring and a take from an empty one
     hit nothing).  An injected crash therefore leaves no ticket claimed
-    and no slot held. *)
+    and no slot held.
+
+    A consumer with nothing to take can {!park} until a push publishes a
+    request or {!wake} is called; no wake-up is lost (the ordering
+    argument is in ingest_ring.ml). *)
 
 type t
 
@@ -48,8 +52,9 @@ val try_push :
   intended_ns:int ->
   deadline_ns:int ->
   bool
-(** [false] iff the ring was full: the reject admission policy.  Allocates
-    nothing. *)
+(** [false] iff the ring was full: the reject admission policy.  A push
+    that publishes into the ring of a parked consumer wakes it.
+    Allocates nothing. *)
 
 val push_until :
   t ->
@@ -65,6 +70,19 @@ val push_until :
 (** Retry {!try_push} under {!Repro_util.Backoff} until it succeeds or
     {!Repro_obs.Clock.now_ns} reaches [until_ns]: the block-with-deadline
     admission policy.  [false] iff the deadline passed. *)
+
+val park : t -> stop:bool Atomic.t -> unit
+(** [park ring ~stop] blocks the calling consumer until a push publishes
+    a request or {!wake} is called.  It returns at once if a ticket is
+    already claimed past [head] (its request is published moments later)
+    or [stop] is already set; a [stop] set later is seen after a
+    {!wake}.  It may return early, so the caller takes and, finding
+    nothing, decides again.  At most one domain parks on a ring at a
+    time. *)
+
+val wake : t -> unit
+(** Release the consumer parked on the ring, if any: a shutdown sets its
+    [stop] flag, then wakes every ring. *)
 
 type batch
 (** A consumer's reusable buffer of requests taken from the ring. *)

@@ -136,7 +136,7 @@ type t = {
   timed_out : int Atomic.t;
   acked : int Atomic.t;
   failed : int Atomic.t;
-  idle_sleeps : int Atomic.t;
+  parks : int Atomic.t;
   displaced : int Atomic.t;  (* completion-lane displacement: 0 by sizing *)
   batches : int Atomic.t;
   max_batch : int Atomic.t;
@@ -346,30 +346,42 @@ let rec answer_rest t ring b outcome =
     answer_rest t ring b outcome
   end
 
-(* An idle worker checks its ring [idle_checks] times, 1, 2, 4, ... pauses
-   apart (63 pauses in all), then sleeps 200 us between checks: it must
-   not steal the mutators' CPU (same reasoning as the WAL committer), and
-   spacing the checks keeps it from pulling the producer's cache line
-   back after every pause. *)
-let idle_checks = 6
+(* An idle worker spins, then parks.  It checks its ring 1, 2, 4, ...
+   32 pauses apart (63 pauses in all), then every 32 pauses until it has
+   found the ring empty for [spin_budget_ns], then parks until a submit
+   publishes into its ring or [stop] wakes it ([Ring.park]).  Spacing the
+   checks keeps the worker from pulling the producer's cache line back
+   after every pause.  A wake-up costs the submit a futex call and the
+   worker a reschedule, so the budget covers the short gaps of a client
+   that keeps the worker fed, and only a longer gap frees the core.
+   On a 2-core host (docs/PERFORMANCE.md, "Parking the drain worker"),
+   budgets of 20, 50 and 150 us read alike on the [serve] benchmark, and
+   parking at once moved the open-loop 400k req/s point's p50 from 2-3 us
+   to 6-123 us. *)
+let spin_checks = 6
+let spin_budget_ns = 50_000
 
 let worker_loop t k =
   let ring = t.rings.(k) in
   let sc = scratch t in
-  let idle = ref 0 in
+  let idle = ref 0 and idle_since = ref 0 in
   try
     let continue = ref true in
     while !continue do
       let n = Ring.take ring sc.reqs ~max:t.cfg.batch in
       if n = 0 then begin
         if Atomic.get t.stopping then continue := false
-        else if !idle < idle_checks then begin
+        else if !idle < spin_checks then begin
+          if !idle = 0 then idle_since := Clock.now_ns ();
           Backoff.spin (1 lsl !idle);
           incr idle
         end
+        else if Clock.now_ns () - !idle_since < spin_budget_ns then
+          Backoff.spin (1 lsl (spin_checks - 1))
         else begin
-          Atomic.incr t.idle_sleeps;
-          Unix.sleepf 0.0002
+          Atomic.incr t.parks;
+          Ring.park ring ~stop:t.stopping;
+          idle := 0
         end
       end
       else begin
@@ -467,7 +479,7 @@ let create ?backend ?wal ?on_worker_start cfg =
       timed_out = Atomic.make 0;
       acked = Atomic.make 0;
       failed = Atomic.make 0;
-      idle_sleeps = Atomic.make 0;
+      parks = Atomic.make 0;
       displaced = Atomic.make 0;
       batches = Atomic.make 0;
       max_batch = Atomic.make 0;
@@ -579,6 +591,7 @@ let poll ?(max = max_int) t ~session =
 
 let stop t =
   Atomic.set t.stopping true;
+  Array.iter Ring.wake t.rings;
   List.iter Domain.join t.worker_handles;
   t.worker_handles <- [];
   (match t.snapshotter with
@@ -605,7 +618,7 @@ type stats = {
   s_acked : int;
   s_failed : int;
   s_displaced : int;
-  s_idle_sleeps : int;
+  s_parks : int;
   s_batches : int;
   s_max_batch : int;
   s_max_depth : int;
@@ -631,7 +644,7 @@ let stats t =
     s_acked = Atomic.get t.acked;
     s_failed = Atomic.get t.failed;
     s_displaced = Atomic.get t.displaced;
-    s_idle_sleeps = Atomic.get t.idle_sleeps;
+    s_parks = Atomic.get t.parks;
     s_batches = Atomic.get t.batches;
     s_max_batch = Atomic.get t.max_batch;
     s_max_depth = Atomic.get t.max_depth;

@@ -20,6 +20,9 @@
       admitted or the admission deadline [t] expires
       ([Rejected Admission_deadline]).
 
+    A worker that finds its ring empty spins for a bounded budget, then
+    parks until a submit publishes into its ring, or {!stop} wakes it.
+
     Worker domains drain FIFO batches into a reusable buffer and apply
     each op in FIFO order through the backend's per-op calls
     ({!Dsu.Driver.unite}, [same_set], [find]) on every layout.  An op
@@ -175,9 +178,10 @@ type stats = {
   s_displaced : int;
       (** completion-lane displacements: always 0 (lanes are sized for the
           worst-case in-flight population); nonzero means a sizing bug *)
-  s_idle_sleeps : int;
-      (** times a worker found its ring empty past its spin budget and
-          slept (200 us) — nonzero means the workers outran the clients *)
+  s_parks : int;
+      (** times a worker found its ring empty past its spin budget (about
+          50 us) and parked until a submit woke it — nonzero means the
+          workers outran the clients *)
   s_batches : int;
   s_max_batch : int;
   s_max_depth : int;  (** max ingestion depth seen at submit *)

@@ -786,6 +786,94 @@ let test_service_admission_totals () =
        + st.Svc.s_rejected_stopped))
     [ (Svc.Reject, 4, 6, 0); (Svc.Shed_oldest, 10, 0, 0); (Svc.Block 0.001, 4, 0, 6) ]
 
+(* ------------------------------------------------------------- parking *)
+
+(* Parking must lose no wake-up, and a test of that must not hang when
+   one is lost: every wait below gives up after 5 s and fails. *)
+let give_up_after_5s what cond =
+  let give_up = Clock.now_ns () + 5_000_000_000 in
+  while not (cond ()) do
+    if Clock.now_ns () > give_up then Alcotest.failf "%s: gave up after 5 s" what;
+    Domain.cpu_relax ()
+  done
+
+(* Wait until [s_parks] rises past [since] — the worker parked after the
+   request of the last round was answered — and return it. *)
+let wait_for_park svc ~since =
+  let parks = ref since in
+  give_up_after_5s "the worker never parked" (fun () ->
+      parks := (Svc.stats svc).Svc.s_parks;
+      !parks > since);
+  !parks
+
+(* Poll session 0 until the response to [id] arrives. *)
+let answer_of svc id =
+  let got = ref None in
+  give_up_after_5s
+    (Printf.sprintf "no answer to request %d (lost wake-up?)" id)
+    (fun () ->
+      List.iter
+        (fun (r : Svc.response) -> if r.Svc.r_id = id then got := Some r.Svc.r_outcome)
+        (Svc.poll svc ~session:0);
+      !got <> None);
+  Option.get !got
+
+(* 1,000 rounds of: let the worker park, submit one op, get its answer.
+   Each submit lands on a worker that is parked or parking, which is
+   where a lost wake-up would strand it. *)
+let test_no_lost_wakeup admission () =
+  let svc =
+    Svc.create
+      { Svc.default_config with Svc.n = 64; workers = 1; clients = 1; admission }
+  in
+  let parks = ref 0 in
+  for i = 1 to 1_000 do
+    parks := wait_for_park svc ~since:!parks;
+    match Svc.submit svc ~session:0 (Svc.Same_set (i mod 64, 0)) with
+    | Svc.Enqueued id -> (
+      match answer_of svc id with
+      | Svc.Done _ -> ()
+      | _ -> Alcotest.failf "request %d was not answered Done" id)
+    | Svc.Rejected _ -> Alcotest.fail "rejected"
+  done;
+  Svc.stop svc
+
+(* 10,000 rounds of: get the answer, wait a random 45-55 us, submit the
+   next op.  The worker spins for about 50 us before it parks, so some
+   submits land between its last empty check and its wait: the window in
+   which a park without its re-check of [tail], or a submit that reads
+   the parked mark before its [tail] CAS, loses a wake-up: the first
+   mutation failed this case in 2 runs of 2, the second in 1 of 2. *)
+let test_racing_park () =
+  let svc = Svc.create { Svc.default_config with Svc.n = 64; workers = 1; clients = 1 } in
+  let rng = Rng.create 7 in
+  for i = 1 to 10_000 do
+    let at = Clock.now_ns () + 45_000 + Rng.int rng 10_000 in
+    while Clock.now_ns () < at do
+      Domain.cpu_relax ()
+    done;
+    match Svc.submit svc ~session:0 (Svc.Find (i mod 64)) with
+    | Svc.Enqueued id -> ignore (answer_of svc id)
+    | Svc.Rejected _ -> Alcotest.fail "rejected"
+  done;
+  Svc.stop svc
+
+(* [stop] wakes every parked worker: with both workers parked it
+   returns, run on its own domain so a lost wake-up fails the test
+   instead of hanging it. *)
+let test_stop_wakes_parked () =
+  let svc = Svc.create { Svc.default_config with Svc.n = 64; workers = 2; clients = 2 } in
+  give_up_after_5s "the workers never parked" (fun () ->
+      (Svc.stats svc).Svc.s_parks >= 2);
+  let settle = Clock.now_ns () + 1_000_000 in
+  while Clock.now_ns () < settle do
+    Domain.cpu_relax ()
+  done;
+  let stopped = Atomic.make false in
+  let d = Domain.spawn (fun () -> Svc.stop svc; Atomic.set stopped true) in
+  give_up_after_5s "stop did not return" (fun () -> Atomic.get stopped);
+  Domain.join d
+
 (* ----------------------------------------------------------- allocation *)
 
 (* A Reject-path submit allocates only its [Enqueued] answer (2 words) on
@@ -819,6 +907,36 @@ let test_submit_alloc () =
   check Alcotest.int "all admitted" count !admitted;
   if words > 2.0 then
     Alcotest.failf "submit allocates %.2f minor words (at most 2 allowed)" words
+
+(* An accepted submit that wakes a parked worker allocates no more than
+   its [Enqueued] answer either: the wake locks, signals and unlocks by
+   hand.  Each submit is measured alone, once the worker has parked and
+   had 100 us to block. *)
+let test_wake_alloc () =
+  let rounds = 200 in
+  let svc =
+    Svc.create { Svc.default_config with Svc.n = 64; workers = 1; clients = 1 }
+  in
+  let words = ref 0. and parks = ref 0 in
+  for i = 1 to rounds do
+    parks := wait_for_park svc ~since:!parks;
+    let settle = Clock.now_ns () + 100_000 in
+    while Clock.now_ns () < settle do
+      Domain.cpu_relax ()
+    done;
+    let op = Svc.Unite (i mod 64, 0) in
+    let before = Gc.minor_words () in
+    let admit = Svc.submit svc ~session:0 op in
+    words := !words +. (Gc.minor_words () -. before);
+    match admit with
+    | Svc.Enqueued id -> ignore (answer_of svc id)
+    | Svc.Rejected _ -> Alcotest.fail "rejected"
+  done;
+  Svc.stop svc;
+  let words = !words /. float_of_int rounds in
+  if words > 2.0 then
+    Alcotest.failf "a waking submit allocates %.2f minor words (at most 2 allowed)"
+      words
 
 (* --------------------------------------------- backpressure accounting *)
 
@@ -935,7 +1053,20 @@ let () =
           case "exactly queue_capacity admitted" test_service_exact_capacity;
           case "admission totals add up" test_service_admission_totals;
         ] );
-      ("alloc", [ case "a reject-path submit allocates only its answer" test_submit_alloc ]);
+      ( "parking",
+        [
+          case "no lost wake-up, reject" (test_no_lost_wakeup Svc.Reject);
+          case "no lost wake-up, shed-oldest" (test_no_lost_wakeup Svc.Shed_oldest);
+          case "no lost wake-up, block" (test_no_lost_wakeup (Svc.Block 0.5));
+          case "submits racing the park" test_racing_park;
+          case "stop wakes two parked workers" test_stop_wakes_parked;
+        ] );
+      ( "alloc",
+        [
+          case "a reject-path submit allocates only its answer" test_submit_alloc;
+          case "a submit that wakes a parked worker allocates only its answer"
+            test_wake_alloc;
+        ] );
       ( "backpressure",
         [
           slow "reject at 2x saturation" test_backpressure_reject;
