@@ -414,23 +414,8 @@ let wal_arg =
            $(docv) (jt, jt-early, packed or $(b,--plan) only — the \
            baselines carry no link notification).")
 
-let wal_flush_records_arg =
-  Arg.(
-    value
-    & opt int 256
-    & info [ "wal-flush-records" ] ~docv:"K"
-        ~doc:"Group-commit batch bound: commit once $(docv) records are staged.")
-
-let wal_flush_interval_arg =
-  Arg.(
-    value
-    & opt float 0.002
-    & info [ "wal-flush-interval" ] ~docv:"SECONDS"
-        ~doc:"Group-commit window: commit staged records at least this often.")
-
 let run_native impl policy plan autotune_cache n ops unite_frac seed domains
-    wal wal_flush_records wal_flush_interval metrics_out trace_out
-    contention_out progress =
+    wal metrics_out trace_out contention_out progress =
   let* () = check_arg (domains >= 1) "--domains must be >= 1" in
   let* () = check_arg (n >= 1) "--elements must be >= 1" in
   let* () =
@@ -449,12 +434,6 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
       || match impl with Jt | Jt_early | Packed -> true | Aw | Lock | Seq -> false)
       "--wal needs an implementation with link notifications (jt, jt-early, \
        packed or --plan)"
-  in
-  let* () =
-    check_arg (wal_flush_records >= 1) "--wal-flush-records must be >= 1"
-  in
-  let* () =
-    check_arg (wal_flush_interval > 0.) "--wal-flush-interval must be positive"
   in
   (* Resolve --plan before arming telemetry: the auto calibration sweep
      runs its own timed workloads and must not pollute this run's
@@ -480,8 +459,8 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
   let wal_writer =
     Option.map
       (fun path ->
-        Dwal.create_writer ~flush_records:wal_flush_records
-          ~flush_interval:wal_flush_interval path)
+        Dwal.create_writer ~flush_records:Harness.Durability.flush_records
+          ~flush_interval:Harness.Durability.flush_interval path)
       wal
   in
   let on_link = Option.map Dwal.append wal_writer in
@@ -599,8 +578,7 @@ let native_cmd =
       term_result
         (const run_native $ impl_arg $ policy_arg $ plan_arg
         $ autotune_cache_arg $ n_arg $ ops_arg $ unite_frac_arg $ seed_arg
-        $ domains_arg $ wal_arg $ wal_flush_records_arg
-        $ wal_flush_interval_arg $ metrics_out_arg $ trace_out_arg
+        $ domains_arg $ wal_arg $ metrics_out_arg $ trace_out_arg
         $ contention_out_arg $ progress_arg))
 
 (* ------------------------------------------------------------- sim mode *)
@@ -1224,101 +1202,6 @@ let chaos_cmd =
         $ memory_order_arg $ chaos_snapshot_out_arg $ json_out_arg
         $ metrics_out_arg))
 
-(* --------------------------------------------------------- latency mode *)
-
-module Latency = Harness.Latency
-
-let arrival_rates_arg =
-  Arg.(
-    value
-    & opt_all float [ 20_000.0 ]
-    & info [ "arrival-rate" ] ~docv:"RATE"
-        ~doc:
-          "Offered arrival rate per load-generator domain, operations per \
-           second.  Repeatable; each occurrence adds one point to the \
-           sweep.")
-
-let shape_conv =
-  let parse s =
-    match Latency.shape_of_string s with
-    | Some sh -> Ok sh
-    | None -> Error (`Msg (Printf.sprintf "unknown arrival shape %S" s))
-  in
-  let print ppf sh = Format.pp_print_string ppf (Latency.shape_to_string sh) in
-  Arg.conv (parse, print)
-
-let shape_arg =
-  Arg.(
-    value
-    & opt shape_conv Latency.Poisson
-    & info [ "shape" ] ~docv:"SHAPE"
-        ~doc:"Arrival schedule: fixed, poisson, bursty or bursty:K.")
-
-let reservoir_arg =
-  Arg.(
-    value
-    & opt int 512
-    & info [ "reservoir" ] ~docv:"K"
-        ~doc:"Exact open-loop latency samples kept per sweep point.")
-
-let latency_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "latency-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the dsu-latency/v1 JSON document to $(docv) (\"-\" = \
-           stdout).")
-
-let run_latency n ops unite_frac seed domains rates shape reservoir
-    latency_out =
-  let* () = check_arg (n >= 2) "--elements must be >= 2" in
-  let* () = check_arg (ops >= 1) "--ops must be >= 1" in
-  let* () = check_arg (domains >= 1) "--domains must be >= 1" in
-  let* () = check_arg (reservoir >= 1) "--reservoir must be >= 1" in
-  let* () =
-    check_arg
-      (unite_frac >= 0. && unite_frac <= 1.)
-      "--unite-frac must be in [0, 1]"
-  in
-  let* () =
-    check_arg
-      (List.for_all (fun r -> r > 0.) rates)
-      "--arrival-rate must be positive"
-  in
-  let config =
-    {
-      Latency.n;
-      unite_percent = int_of_float (unite_frac *. 100.);
-      seed;
-      domains;
-      ops;
-      shape;
-      reservoir;
-    }
-  in
-  let points = Latency.sweep ~config ~rates () in
-  let doc = Latency.to_json config points in
-  (* Write the artifact before printing: a consumer that truncates stdout
-     (e.g. [| head -1]) closes the pipe and SIGPIPEs the process mid-table,
-     which must not cost the JSON document. *)
-  write_json latency_out doc;
-  Format.printf "%a" Latency.pp_table points;
-  Ok ()
-
-let latency_cmd =
-  let doc =
-    "Coordinated-omission-free open-loop latency sweep: deterministic \
-     arrival schedules, intended-start-time accounting, p50/p99/p999 per \
-     offered rate, saturation knee."
-  in
-  Cmd.v (Cmd.info "latency" ~doc)
-    Term.(
-      term_result
-        (const run_latency $ n_arg $ ops_arg $ unite_frac_arg $ seed_arg
-        $ domains_arg $ arrival_rates_arg $ shape_arg $ reservoir_arg
-        $ latency_out_arg))
-
 (* -------------------------------------------------------- perfdiff mode *)
 
 module Perfdiff = Harness.Perfdiff
@@ -1518,18 +1401,6 @@ let dur_snapshots_arg =
     & info [ "snapshots" ] ~docv:"K"
         ~doc:"Fuzzy captures taken during the fuzzy phase.")
 
-let dur_flush_records_arg =
-  Arg.(
-    value & opt int 256
-    & info [ "flush-records" ] ~docv:"K"
-        ~doc:"Group-commit batch bound for the wal=on phase.")
-
-let dur_flush_interval_arg =
-  Arg.(
-    value & opt float 0.002
-    & info [ "flush-interval" ] ~docv:"SECONDS"
-        ~doc:"Group-commit window for the wal=on phase.")
-
 let max_overhead_arg =
   Arg.(
     value
@@ -1539,17 +1410,13 @@ let max_overhead_arg =
           "Exit with status 3 if the WAL throughput overhead exceeds \
            $(docv) percent (the CI durability guard).")
 
-let run_durability n ops domains unite_frac seed repeats snapshots
-    flush_records flush_interval policy json_out max_overhead =
+let run_durability n ops domains unite_frac seed repeats snapshots policy
+    json_out max_overhead =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (domains >= 1) "--domains must be >= 1" in
   let* () = check_arg (repeats >= 1) "--repeats must be >= 1" in
   let* () = check_arg (snapshots >= 1) "--snapshots must be >= 1" in
-  let* () = check_arg (flush_records >= 1) "--flush-records must be >= 1" in
-  let* () =
-    check_arg (flush_interval > 0.) "--flush-interval must be positive"
-  in
   let* () =
     check_arg
       (unite_frac >= 0. && unite_frac <= 1.)
@@ -1564,14 +1431,12 @@ let run_durability n ops domains unite_frac seed repeats snapshots
       seed;
       repeats;
       snapshots;
-      flush_records;
-      flush_interval;
       policy;
     }
   in
   let r = Durability.run ~config () in
   let doc = Durability.to_json r in
-  (* Artifact before table, same SIGPIPE discipline as [latency]. *)
+  (* Artifact before table, same SIGPIPE discipline as [serve]. *)
   write_json json_out doc;
   Format.printf "%a@." Durability.pp r;
   (match max_overhead with
@@ -1592,13 +1457,38 @@ let durability_cmd =
       term_result
         (const run_durability $ dur_n_arg $ dur_ops_arg $ dur_domains_arg
         $ dur_unite_frac_arg $ dur_seed_arg $ dur_repeats_arg
-        $ dur_snapshots_arg $ dur_flush_records_arg $ dur_flush_interval_arg
-        $ policy_arg $ json_out_arg $ max_overhead_arg))
+        $ dur_snapshots_arg $ policy_arg $ json_out_arg $ max_overhead_arg))
 
 (* ----------------------------------------------------------- serve mode *)
 
-module Hservice = Harness.Service
+module Load = Harness.Load
 module Service = Repro_service.Service
+
+let arrival_rates_arg =
+  Arg.(
+    value
+    & opt_all float [ 20_000.0 ]
+    & info [ "arrival-rate" ] ~docv:"RATE"
+        ~doc:
+          "Offered arrival rate per load-generator domain, operations per \
+           second.  Repeatable; each occurrence adds one point to the \
+           sweep.")
+
+let shape_conv =
+  let parse s =
+    match Load.shape_of_string s with
+    | Some sh -> Ok sh
+    | None -> Error (`Msg (Printf.sprintf "unknown arrival shape %S" s))
+  in
+  let print ppf sh = Format.pp_print_string ppf (Load.shape_to_string sh) in
+  Arg.conv (parse, print)
+
+let shape_arg =
+  Arg.(
+    value
+    & opt shape_conv Load.Poisson
+    & info [ "shape" ] ~docv:"SHAPE"
+        ~doc:"Arrival schedule: fixed, poisson, bursty or bursty:K.")
 
 let serve_gens_arg =
   Arg.(
@@ -1614,7 +1504,11 @@ let serve_workers_arg =
     value
     & opt int 2
     & info [ "workers" ] ~docv:"W"
-        ~doc:"Server worker domains (= bounded ingestion queues).")
+        ~doc:
+          "Server worker domains (= bounded ingestion queues).  0 drives \
+           the DSU directly: each generator runs its operation on its own \
+           domain, with no service in between, so the queue, batch, \
+           admission and deadline options do not apply.")
 
 let serve_qcap_arg =
   Arg.(
@@ -1671,7 +1565,8 @@ let serve_wal_arg =
     & info [ "wal" ]
         ~doc:
           "Attach a write-ahead log: workers force the group commit before \
-           acknowledging any op, so every Done ack is durable.")
+           acknowledging any op, so every Done ack is durable.  Needs the \
+           service ($(b,--workers) >= 1).")
 
 let serve_deadline_arg =
   Arg.(
@@ -1688,7 +1583,12 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (gens >= 1) "--gens must be >= 1" in
-  let* () = check_arg (workers >= 1) "--workers must be >= 1" in
+  let* () = check_arg (workers >= 0) "--workers must be >= 0" in
+  let* () =
+    check_arg
+      (not (durable && workers = 0))
+      "--wal needs the service (--workers >= 1)"
+  in
   let* () = check_arg (qcap >= 1) "--queue-capacity must be >= 1" in
   let* () = check_arg (batch >= 1) "--batch must be >= 1" in
   let* () = check_arg (deadline_ms >= 0.) "--deadline-ms must be >= 0" in
@@ -1708,7 +1608,7 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
         ~profile:
           {
             Harness.Autotune.n;
-            domains = workers;
+            domains = (if workers = 0 then gens else workers);
             unite_percent = int_of_float (unite_frac *. 100.);
             dist = Harness.Scalability.Uniform;
             total_ops = gens * ops;
@@ -1720,7 +1620,7 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
   in
   let config =
     {
-      Hservice.n;
+      Load.n;
       unite_percent = int_of_float (unite_frac *. 100.);
       find_percent = int_of_float (find_frac *. 100.);
       seed;
@@ -1736,24 +1636,28 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
       durable;
     }
   in
-  let points = Hservice.sweep ~config ~rates () in
-  let doc = Hservice.to_json config ~points in
-  (* Artifact before table, same SIGPIPE discipline as [latency]. *)
-  write_json json_out doc;
-  Format.printf "%a" Hservice.pp_table points;
+  let points = Load.sweep ~config ~rates () in
+  (* Write the artifact before printing: a consumer that truncates stdout
+     (e.g. [| head -1]) closes the pipe and SIGPIPEs the process mid-table,
+     which must not cost the JSON document. *)
+  write_json json_out (Load.to_json config points);
+  Format.printf "%a" (Load.pp_table config) points;
   if
     not
       (List.for_all
-         (fun (p : Hservice.point) -> p.accounted_ok && p.depth_bound_ok)
+         (fun (p : Load.point) -> p.accounted_ok && p.depth_bound_ok)
          points)
   then exit check_failed_exit;
   Ok ()
 
 let serve_cmd =
   let doc =
-    "Connectivity-as-a-service: a multi-domain DSU server with bounded \
-     ingestion queues and explicit backpressure, driven open-loop \
-     (emits dsu-service/v1); its crash drill is $(b,chaos --depth service)."
+    "Open-loop load sweep (emits dsu-load/v1): deterministic arrival \
+     schedules, intended-start accounting, p50/p99/p999 per offered rate, \
+     saturation knee.  The target is connectivity-as-a-service, a \
+     multi-domain DSU server with bounded ingestion queues and explicit \
+     backpressure, or with $(b,--workers 0) the bare DSU.  The serving \
+     crash drill is $(b,chaos --depth service)."
   in
   Cmd.v (Cmd.info "serve" ~doc ~exits:check_exits)
     Term.(
@@ -1984,7 +1888,7 @@ let run_connectivity gens samplings finishes modes domains_list scale
            ())
   in
   let doc = Connectivity.to_json ~config ?adversarial ~baselines:baselines_pts points in
-  (* Artifact before table, same SIGPIPE discipline as [latency]. *)
+  (* Artifact before table, same SIGPIPE discipline as [serve]. *)
   write_json json_out doc;
   Format.printf "%a@." Connectivity.pp_table points;
   if baselines_pts <> [] then
@@ -2333,7 +2237,6 @@ let main =
       restore_cmd;
       wal_cmd;
       durability_cmd;
-      latency_cmd;
       serve_cmd;
       connectivity_cmd;
       scalability_cmd;

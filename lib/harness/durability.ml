@@ -30,8 +30,6 @@ type config = {
   seed : int;
   repeats : int;
   snapshots : int;  (** fuzzy captures taken during the fuzzy phase *)
-  flush_records : int;
-  flush_interval : float;
   policy : Policy.t;
 }
 
@@ -44,10 +42,11 @@ let default_config =
     seed = 11;
     repeats = 3;
     snapshots = 8;
-    flush_records = 256;
-    flush_interval = 0.002;
     policy = Policy.Two_try_splitting;
   }
+
+let flush_records = 256
+let flush_interval = 0.002
 
 type result = {
   config : config;
@@ -148,8 +147,7 @@ let run ?(config = default_config) () =
     best c (fun () ->
         let path = Filename.temp_file "dsu-durability" ".wal" in
         let wal =
-          Dwal.create_writer ~flush_records:c.flush_records
-            ~flush_interval:c.flush_interval path
+          Dwal.create_writer ~flush_records ~flush_interval path
         in
         let ns, _, () =
           timed_run c ~on_link:(Some (Dwal.append wal)) ~during:(fun _ -> ())
@@ -189,8 +187,8 @@ let to_json (r : result) =
       ("seed", J.Int c.seed);
       ("repeats", J.Int c.repeats);
       ("snapshots", J.Int c.snapshots);
-      ("flush_records", J.Int c.flush_records);
-      ("flush_interval", J.Float c.flush_interval);
+      ("flush_records", J.Int flush_records);
+      ("flush_interval", J.Float flush_interval);
       ("policy", J.String (Policy.to_string c.policy));
       ( "points",
         J.List

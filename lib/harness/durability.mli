@@ -26,14 +26,17 @@ type config = {
   seed : int;
   repeats : int;  (** best-of repeats per phase *)
   snapshots : int;  (** fuzzy captures during the fuzzy phase *)
-  flush_records : int;  (** group-commit batch bound *)
-  flush_interval : float;  (** group-commit window, seconds *)
   policy : Dsu.Find_policy.t;
 }
 
 val default_config : config
 (** 64k nodes, 4 domains x 200k ops at 60% unite, best of 3, 8 fuzzy
-    captures, 256-record / 2ms group commits. *)
+    captures. *)
+
+val flush_records : int
+val flush_interval : float
+(** The group commit of the wal=on phase and of [dsu_workload native
+    --wal]: a batch closes at 256 records or after 2 ms. *)
 
 type result = {
   config : config;

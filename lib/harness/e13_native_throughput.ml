@@ -1,11 +1,11 @@
 (** E13 — native context numbers (not a paper claim): wall-clock throughput
     of the OCaml 5 domains implementation, against the global-lock baseline.
 
-    NOTE on this machine: with a single physical core, extra domains add
-    scheduling overhead instead of parallel speedup; the interesting columns
-    are the single-domain throughput and the lock-free vs lock comparison
-    under oversubscription.  The paper's speedup claims are about total
-    work, which experiments E4–E8 measure exactly in the simulator. *)
+    Domains beyond the host's cores add scheduling overhead instead of
+    parallel speedup, so there the interesting columns are the
+    single-domain throughput and the lock-free vs lock comparison under
+    oversubscription.  The paper's speedup claims are about total work,
+    which experiments E4–E8 measure exactly in the simulator. *)
 
 module Table = Repro_util.Table
 
@@ -67,9 +67,10 @@ let run ppf =
     [ 1; 2; 4 ];
   Table.pp ppf table;
   Format.fprintf ppf
-    "@.caveat: this host has 1 physical core, so domains>1 measures \
-     oversubscribed concurrency, not parallelism; see the simulator \
-     experiments for the paper's work-based speedup claims.@."
+    "@.caveat: this host runs %d domains in parallel; beyond that the sweep \
+     measures oversubscribed concurrency, not parallelism.  See the \
+     simulator experiments for the paper's work-based speedup claims.@."
+    (Domain.recommended_domain_count ())
 
 let experiment =
   Experiment.make ~id:"e13" ~title:"native throughput (OCaml 5 domains)"

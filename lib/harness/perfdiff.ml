@@ -1,8 +1,9 @@
 (* Perf-regression differ over the repo's benchmark JSON documents.
 
    Auto-detects the document kind (bechamel [bench --out], dsu-scalability,
-   dsu-latency, dsu-autotune), extracts keyed scalar metrics with a
-   better-direction, and flags relative deltas beyond a noise threshold.
+   dsu-load, dsu-drill, dsu-durability, dsu-connectivity, dsu-autotune),
+   extracts keyed scalar metrics with a better-direction, and flags
+   relative deltas beyond a noise threshold.
    Structural problems (unparseable JSON, unrecognized schema, mismatched
    kinds) are [Error]s so CLI callers can map them onto their usage-error
    exit; a changed autotune winner is only a [warnings] line — two valid
@@ -93,7 +94,15 @@ let scalability_entries doc =
          ps)
   | _ -> None
 
-let latency_entries doc =
+(* dsu-load/v1 sweep points: throughput up-is-good, tail latency
+   down-is-good, keyed by offered rate — [serve rate=…] on the Service
+   target, [rate=…] on the Direct one. *)
+let load_entries doc =
+  let prefix =
+    match str_field "target" doc with
+    | Some "service" -> "serve rate="
+    | _ -> "rate="
+  in
   let* points = mem "points" doc in
   match points with
   | J.List ps ->
@@ -102,8 +111,8 @@ let latency_entries doc =
          (fun p ->
            let key =
              match num_field "offered_rate" p with
-             | Some r -> Printf.sprintf "rate=%.0f" r
-             | None -> "rate=?"
+             | Some r -> Printf.sprintf "%s%.0f" prefix r
+             | None -> prefix ^ "?"
            in
            let lat name =
              let* l = mem "latency" p in
@@ -127,67 +136,26 @@ let latency_entries doc =
          ps)
   | _ -> None
 
-(* Serving: dsu-service/v1 sweep points (throughput up-is-good, tail
-   latency down-is-good) and the dsu-drill/v1 scenarios that measured an
-   RTO (down-is-good; RPO is a correctness gate, not a perf metric, so it
-   is not diffed). *)
-let service_entries doc =
-  let points =
-    match mem "points" doc with
-    | Some (J.List ps) ->
-      Some
-        (List.concat_map
-           (fun p ->
-             let key =
-               match num_field "offered_rate" p with
-               | Some r -> Printf.sprintf "serve rate=%.0f" r
-               | None -> "serve rate=?"
-             in
-             let lat name =
-               let* l = mem "latency" p in
-               num_field name l
-             in
-             List.filter_map Fun.id
-               [
-                 (let* v = num_field "achieved_rate" p in
-                  Some
-                    { e_key = key; e_metric = "achieved_rate";
-                      e_dir = Higher_better; e_value = v });
-                 (let* v = lat "p99_ns" in
-                  Some
-                    { e_key = key; e_metric = "latency_p99_ns";
-                      e_dir = Lower_better; e_value = v });
-                 (let* v = lat "p999_ns" in
-                  Some
-                    { e_key = key; e_metric = "latency_p999_ns";
-                      e_dir = Lower_better; e_value = v });
-               ])
-           ps)
-    | _ -> None
-  in
-  let drills =
-    match mem "scenarios" doc with
-    | Some (J.List ds) ->
-      Some
-        (List.filter_map
-           (fun d ->
-             let field f = Option.value ~default:"?" (str_field f d) in
-             let key =
-               "drill "
-               ^ String.concat "/" (List.map field [ "layout"; "policy"; "depth" ])
-             in
-             let* v = num_field "rto_ns" d in
-             Some
-               { e_key = key; e_metric = "rto_ns"; e_dir = Lower_better;
-                 e_value = v })
-           ds)
-    | _ -> None
-  in
-  match (points, drills) with
-  | None, None -> None
-  | _ ->
+(* dsu-drill/v1: the scenarios that measured an RTO (down-is-good; RPO
+   is a correctness gate, not a perf metric, so it is not diffed). *)
+let drill_entries doc =
+  let* scenarios = mem "scenarios" doc in
+  match scenarios with
+  | J.List ds ->
     Some
-      (Option.value ~default:[] points @ Option.value ~default:[] drills)
+      (List.filter_map
+         (fun d ->
+           let field f = Option.value ~default:"?" (str_field f d) in
+           let key =
+             "drill "
+             ^ String.concat "/" (List.map field [ "layout"; "policy"; "depth" ])
+           in
+           let* v = num_field "rto_ns" d in
+           Some
+             { e_key = key; e_metric = "rto_ns"; e_dir = Lower_better;
+               e_value = v })
+         ds)
+  | _ -> None
 
 let durability_entries doc =
   let* points = mem "points" doc in
@@ -315,14 +283,12 @@ let classify doc =
   | Some (J.String s) when String.length s >= 15
                            && String.sub s 0 15 = "dsu-scalability" ->
     Some (s, scalability_entries)
-  | Some (J.String s) when String.length s >= 11
-                           && String.sub s 0 11 = "dsu-latency" ->
-    Some (s, latency_entries)
-  | Some (J.String s) when (String.length s >= 11
-                            && String.sub s 0 11 = "dsu-service")
-                           || (String.length s >= 9
-                               && String.sub s 0 9 = "dsu-drill") ->
-    Some (s, service_entries)
+  | Some (J.String s) when String.length s >= 8
+                           && String.sub s 0 8 = "dsu-load" ->
+    Some (s, load_entries)
+  | Some (J.String s) when String.length s >= 9
+                           && String.sub s 0 9 = "dsu-drill" ->
+    Some (s, drill_entries)
   | Some (J.String s) when String.length s >= 14
                            && String.sub s 0 14 = "dsu-durability" ->
     Some (s, durability_entries)
@@ -342,8 +308,8 @@ let extract doc =
   | None ->
     Error
       "unrecognized perf document (expected bechamel results, \
-       dsu-scalability/*, dsu-latency/*, dsu-service/*, dsu-drill/*, \
-       dsu-durability/*, dsu-connectivity/* or dsu-autotune/*)"
+       dsu-scalability/*, dsu-load/*, dsu-drill/*, dsu-durability/*, \
+       dsu-connectivity/* or dsu-autotune/*)"
   | Some (kind, f) -> (
     match f doc with
     | Some entries -> Ok (kind, entries)

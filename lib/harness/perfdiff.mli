@@ -1,8 +1,8 @@
 (** Perf-regression differ over the repo's benchmark JSON documents.
 
     Compares two documents of the same kind — bechamel [bench --out]
-    results, [dsu-scalability/*] sweeps, [dsu-latency/*] sweeps,
-    [dsu-service/*] serving sweeps, [dsu-drill/*] crash drills (the RTO
+    results, [dsu-scalability/*] sweeps, [dsu-load/*] open-loop sweeps
+    (Direct or Service target), [dsu-drill/*] crash drills (the RTO
     of each scenario that measured one; RPO is a correctness gate, not a
     diffed metric), [dsu-durability/*] reports, [dsu-connectivity/*]
     sweeps, or [dsu-autotune/*] reports (auto-detected) — and flags

@@ -13,7 +13,7 @@
     identical), and lazily materialized so an unarmed program allocates
     nothing.  [create ~sharded:false] gives a single-slot recorder for
     single-writer use (one per load-generator domain in
-    [Harness.Latency]), 16× cheaper in memory. *)
+    [Harness.Load]), 16× cheaper in memory. *)
 
 type t
 

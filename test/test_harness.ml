@@ -135,9 +135,9 @@ let registry_tests =
         | None -> Alcotest.fail "e1 missing");
   ]
 
-(* ------------------------------------------------------------- latency *)
+(* ------------------------------------------------ load, Direct target *)
 
-module Latency = Harness.Latency
+module Load = Harness.Load
 module Perfdiff = Harness.Perfdiff
 module Json = Repro_obs.Json
 
@@ -147,79 +147,71 @@ let json_num = function
   | Some (Json.Float f) -> Some f
   | _ -> None
 
+(* The Direct target: generators run their ops on the DSU themselves. *)
+let direct ?(n = 256) ~ops shape =
+  { Load.default_config with n; generators = 1; ops; shape; workers = 0 }
+
 let latency_tests =
   [
     case "shape strings round-trip" (fun () ->
         List.iter
           (fun (s, shape) ->
-            check Alcotest.bool s true (Latency.shape_of_string s = Some shape);
-            check Alcotest.string "to_string" s
-              (Latency.shape_to_string shape))
+            check Alcotest.bool s true (Load.shape_of_string s = Some shape);
+            check Alcotest.string "to_string" s (Load.shape_to_string shape))
           [
-            ("fixed", Latency.Fixed);
-            ("poisson", Latency.Poisson);
-            ("bursty:4", Latency.Bursty 4);
+            ("fixed", Load.Fixed);
+            ("poisson", Load.Poisson);
+            ("bursty:4", Load.Bursty 4);
           ];
         check Alcotest.bool "bare bursty defaults" true
-          (Latency.shape_of_string "bursty" = Some (Latency.Bursty 16));
+          (Load.shape_of_string "bursty" = Some (Load.Bursty 16));
         check Alcotest.bool "zero burst rejected" true
-          (Latency.shape_of_string "bursty:0" = None);
+          (Load.shape_of_string "bursty:0" = None);
         check Alcotest.bool "junk rejected" true
-          (Latency.shape_of_string "open-loop" = None));
+          (Load.shape_of_string "open-loop" = None));
     case "run_point validates its arguments" (fun () ->
-        let config = Latency.default_config in
-        check Alcotest.bool "rate 0 rejected" true
-          (try
-             ignore (Latency.run_point ~config ~rate:0.0 ());
-             false
-           with Invalid_argument _ -> true);
-        check Alcotest.bool "0 domains rejected" true
-          (try
-             ignore
-               (Latency.run_point ~config:{ config with domains = 0 }
-                  ~rate:1000.0 ());
-             false
-           with Invalid_argument _ -> true));
-    case "a modest fixed-rate point completes and keeps its books" (fun () ->
-        let config =
-          {
-            Latency.default_config with
-            n = 256;
-            domains = 1;
-            ops = 400;
-            shape = Latency.Fixed;
-            reservoir = 64;
-          }
+        let config = direct ~ops:100 Load.Fixed in
+        let rejects name config rate =
+          check Alcotest.bool name true
+            (try
+               ignore (Load.run_point ~config ~rate ());
+               false
+             with Invalid_argument _ -> true)
         in
-        let p = Latency.run_point ~config ~rate:20_000.0 () in
-        check Alcotest.int "every op completed" p.Latency.target_ops
-          p.Latency.completed_ops;
-        check Alcotest.int "latency count" 400 p.Latency.latency.Repro_obs.Hdr.count;
-        check Alcotest.int "service count" 400 p.Latency.service.Repro_obs.Hdr.count;
-        check Alcotest.bool "duration positive" true (p.Latency.duration_s > 0.);
-        check Alcotest.int "reservoir capped" 64
-          (Array.length p.Latency.samples);
-        let sorted = Array.copy p.Latency.samples in
+        rejects "rate 0 rejected" config 0.0;
+        rejects "0 generators rejected" { config with generators = 0 } 1000.0;
+        rejects "negative workers rejected" { config with workers = -1 } 1000.0;
+        rejects "a WAL needs the service" { config with durable = true } 1000.0;
+        rejects "op mix over 100% rejected"
+          { config with unite_percent = 95; find_percent = 10 }
+          1000.0);
+    case "a modest fixed-rate point completes and keeps its books" (fun () ->
+        let config = direct ~ops:600 Load.Fixed in
+        let p = Load.run_point ~config ~rate:20_000.0 () in
+        check Alcotest.int "every op completed" p.Load.target_ops p.Load.acked;
+        check Alcotest.int "direct: accepted = submitted" p.Load.submitted
+          p.Load.accepted;
+        check Alcotest.int "direct: acked = submitted" p.Load.submitted
+          p.Load.acked;
+        check Alcotest.bool "direct points are accounted" true
+          p.Load.accounted_ok;
+        check Alcotest.int "latency count" 600 p.Load.latency.Repro_obs.Hdr.count;
+        check Alcotest.int "service count" 600 p.Load.service.Repro_obs.Hdr.count;
+        check Alcotest.bool "duration positive" true (p.Load.duration_s > 0.);
+        check Alcotest.int "reservoir capped" Load.reservoir
+          (Array.length p.Load.samples);
+        let sorted = Array.copy p.Load.samples in
         Array.sort compare sorted;
-        check Alcotest.(array int) "samples sorted" sorted p.Latency.samples;
+        check Alcotest.(array int) "samples sorted" sorted p.Load.samples;
         (* Open-loop latency includes the wait for the slot, so it
            dominates pure service time everywhere. *)
         check Alcotest.bool "latency p99 >= service p99" true
-          (Repro_obs.Hdr.quantile p.Latency.latency 0.99
-          >= Repro_obs.Hdr.quantile p.Latency.service 0.99));
+          (Repro_obs.Hdr.quantile p.Load.latency 0.99
+          >= Repro_obs.Hdr.quantile p.Load.service 0.99));
     case "bursty arrivals run to completion" (fun () ->
-        let config =
-          {
-            Latency.default_config with
-            n = 128;
-            domains = 1;
-            ops = 200;
-            shape = Latency.Bursty 8;
-            reservoir = 32;
-          }
-        in
-        let p = Latency.run_point ~config ~rate:50_000.0 () in
-        check Alcotest.int "completed" 200 p.Latency.completed_ops);
+        let config = direct ~n:128 ~ops:200 (Load.Bursty 8) in
+        let p = Load.run_point ~config ~rate:50_000.0 () in
+        check Alcotest.int "completed" 200 p.Load.acked);
     case "open-loop accounting exposes the stall closed-loop hides"
       (fun () ->
         (* One generator at 50k ops/s; the server freezes for 20ms mid-run.
@@ -229,20 +221,11 @@ let latency_tests =
            stays flat except for the one stalled call.  This asymmetry IS
            coordinated omission. *)
         let stall_ns = 20_000_000 in
-        let config =
-          {
-            Latency.default_config with
-            n = 1024;
-            domains = 1;
-            ops = 3_000;
-            shape = Latency.Fixed;
-            reservoir = 128;
-          }
-        in
-        let stall ~domain:_ ~index = if index = 1_500 then stall_ns else 0 in
-        let p = Latency.run_point ~stall ~config ~rate:50_000.0 () in
-        let lat_p999 = Repro_obs.Hdr.quantile p.Latency.latency 0.999 in
-        let srv_p999 = Repro_obs.Hdr.quantile p.Latency.service 0.999 in
+        let config = direct ~n:1024 ~ops:3_000 Load.Fixed in
+        let stall ~generator:_ ~index = if index = 1_500 then stall_ns else 0 in
+        let p = Load.run_point ~stall ~config ~rate:50_000.0 () in
+        let lat_p999 = Repro_obs.Hdr.quantile p.Load.latency 0.999 in
+        let srv_p999 = Repro_obs.Hdr.quantile p.Load.service 0.999 in
         check Alcotest.bool
           (Printf.sprintf "open-loop p999 (%d ns) sees the stall" lat_p999)
           true
@@ -253,58 +236,50 @@ let latency_tests =
           true
           (lat_p999 > 5 * srv_p999);
         check Alcotest.bool "the stalled call itself is the service max" true
-          (p.Latency.service.Repro_obs.Hdr.max >= stall_ns);
+          (p.Load.service.Repro_obs.Hdr.max >= stall_ns);
         check Alcotest.bool "scheduling lag recorded" true
-          (p.Latency.max_lag_ns >= stall_ns / 4));
+          (p.Load.max_lag_ns >= stall_ns / 4));
     case "sweep locates the saturation knee" (fun () ->
-        let config =
-          {
-            Latency.default_config with
-            n = 256;
-            domains = 1;
-            ops = 400;
-            shape = Latency.Fixed;
-            reservoir = 32;
-          }
-        in
+        let config = direct ~ops:400 Load.Fixed in
         (* 20k/s is trivially sustainable; 50M/s is beyond any single
            domain (the op itself costs more than 20ns). *)
-        let points =
-          Latency.sweep ~config ~rates:[ 20_000.0; 50_000_000.0 ] ()
-        in
+        let points = Load.sweep ~config ~rates:[ 20_000.0; 50_000_000.0 ] () in
         (match points with
         | [ easy; impossible ] ->
-          check Alcotest.bool "low rate keeps up" false easy.Latency.saturated;
+          check Alcotest.bool "low rate keeps up" false easy.Load.saturated;
           check Alcotest.bool "high rate saturates" true
-            impossible.Latency.saturated
+            impossible.Load.saturated
         | _ -> Alcotest.fail "expected two points");
         check Alcotest.bool "knee is the sustainable rate" true
-          (Latency.knee points = Some 20_000.0);
+          (Load.knee points = Some 20_000.0);
         check Alcotest.bool "all saturated means no knee" true
-          (Latency.knee
-             (List.filter (fun p -> p.Latency.saturated) points)
-          = None);
-        (* The dsu-latency/v1 document round-trips through the parser. *)
-        let j =
-          Json.parse_exn (Json.to_string (Latency.to_json config points))
-        in
+          (Load.knee (List.filter (fun p -> p.Load.saturated) points) = None);
+        (* The dsu-load/v1 document round-trips through the parser. *)
+        let j = Json.parse_exn (Json.to_string (Load.to_json config points)) in
         check Alcotest.bool "schema" true
-          (Json.member "schema" j = Some (Json.String "dsu-latency/v1"));
+          (Json.member "schema" j = Some (Json.String "dsu-load/v1"));
+        check Alcotest.bool "target recorded" true
+          (Json.member "target" j = Some (Json.String "direct"));
         (match Json.member "points" j with
         | Some (Json.List [ p1; _ ]) ->
-          (match Json.member "latency" p1 with
-          | Some lat ->
-            List.iter
-              (fun key ->
-                check Alcotest.bool (key ^ " present") true
-                  (Json.member key lat <> None))
-              [ "count"; "mean_ns"; "min_ns"; "p50_ns"; "p99_ns"; "p999_ns";
-                "max_ns" ]
-          | None -> Alcotest.fail "latency object missing");
+          List.iter
+            (fun hist ->
+              match Json.member hist p1 with
+              | Some h ->
+                List.iter
+                  (fun key ->
+                    check Alcotest.bool (hist ^ "." ^ key ^ " present") true
+                      (Json.member key h <> None))
+                  [ "count"; "mean_ns"; "min_ns"; "p50_ns"; "p99_ns";
+                    "p999_ns"; "max_ns" ]
+              | None -> Alcotest.fail (hist ^ " object missing"))
+            [ "latency"; "service" ];
           check Alcotest.bool "exact samples exported" true
             (match Json.member "samples_ns" p1 with
             | Some (Json.List l) -> List.length l > 0
-            | _ -> false)
+            | _ -> false);
+          check Alcotest.bool "no admission fields on a direct point" true
+            (Json.member "accounted_ok" p1 = None)
         | _ -> Alcotest.fail "expected two JSON points");
         check (Alcotest.option (Alcotest.float 1e-9)) "knee exported"
           (Some 20_000.0)
@@ -322,7 +297,7 @@ let bechamel_doc entries =
           entries))
 
 let latency_doc points =
-  Printf.sprintf {|{"schema":"dsu-latency/v1","points":[%s]}|}
+  Printf.sprintf {|{"schema":"dsu-load/v1","target":"direct","points":[%s]}|}
     (String.concat ","
        (List.map
           (fun (rate, achieved, p99, p999) ->
@@ -409,11 +384,11 @@ let perfdiff_tests =
     case "service documents diff throughput and tails" (fun () ->
         let doc achieved p99 =
           Printf.sprintf
-            {|{"schema":"dsu-service/v1","points":[{"offered_rate":1000.0,"achieved_rate":%f,"latency":{"p99_ns":%d,"p999_ns":%d}}]}|}
+            {|{"schema":"dsu-load/v1","target":"service","points":[{"offered_rate":1000.0,"achieved_rate":%f,"latency":{"p99_ns":%d,"p999_ns":%d}}]}|}
             achieved p99 (2 * p99)
         in
         let r = diff_ok ~base:(doc 990.0 100) ~current:(doc 500.0 300) () in
-        check Alcotest.string "kind" "dsu-service/v1" r.Perfdiff.kind;
+        check Alcotest.string "kind" "dsu-load/v1" r.Perfdiff.kind;
         let keyed =
           List.map
             (fun row -> (row.Perfdiff.key, row.Perfdiff.metric))
@@ -431,7 +406,18 @@ let perfdiff_tests =
           keyed;
         let faster = diff_ok ~base:(doc 500.0 300) ~current:(doc 990.0 100) () in
         check Alcotest.int "all improvements the other way" 3
-          (List.length faster.Perfdiff.improvements));
+          (List.length faster.Perfdiff.improvements);
+        (* The target keys the rows, so a Direct point never diffs
+           against a Service point at the same rate. *)
+        let cross =
+          diff_ok ~base:(doc 990.0 100)
+            ~current:(latency_doc [ (1000.0, 990.0, 100, 200) ])
+            ()
+        in
+        check Alcotest.int "no shared rows across targets" 0
+          (List.length cross.Perfdiff.rows);
+        check Alcotest.int "every row unmatched" 3
+          (List.length cross.Perfdiff.only_base));
     case "drill documents diff the RTO of the scenarios that measured one"
       (fun () ->
         let doc rto =
@@ -649,7 +635,7 @@ let autotune_tests =
             (List.length r.Autotune.measurements)
             (List.length r'.Autotune.measurements));
     case "decoder rejects wrong schema and junk" (fun () ->
-        (match Autotune.of_json_string {|{"schema":"dsu-latency/v1"}|} with
+        (match Autotune.of_json_string {|{"schema":"dsu-load/v1"}|} with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted a wrong schema");
         match Autotune.of_json_string "{ nope" with

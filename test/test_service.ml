@@ -6,7 +6,7 @@
 module Q = Repro_service.Bounded_queue
 module R = Repro_service.Ingest_ring
 module Svc = Repro_service.Service
-module Hsvc = Harness.Service
+module Load = Harness.Load
 module Chaos = Harness.Chaos
 module Fi = Repro_fault.Inject
 module Site = Repro_fault.Site
@@ -947,34 +947,36 @@ let test_wake_alloc () =
 let run_backpressure admission =
   let config =
     {
-      Hsvc.default_config with
-      Hsvc.n = 1 lsl 10;
+      Load.default_config with
+      Load.n = 1 lsl 10;
       generators = 2;
       ops = 2_000;
       workers = 2;
       queue_capacity = 32;
       batch = 8;
       admission;
-      shape = Harness.Latency.Fixed;
+      shape = Load.Fixed;
     }
   in
-  let p = Hsvc.run_point ~config ~rate:400_000.0 () in
-  check Alcotest.bool "depth bounded by capacity" true p.Hsvc.depth_bound_ok;
-  check Alcotest.bool "all accepted ops accounted" true p.Hsvc.accounted_ok;
-  check Alcotest.int "nothing lost" 0 p.Hsvc.lost;
-  check Alcotest.int "everything submitted" (2 * 2_000) p.Hsvc.submitted;
+  let p = Load.run_point ~config ~rate:400_000.0 () in
+  check Alcotest.bool "depth bounded by capacity" true p.Load.depth_bound_ok;
+  check Alcotest.bool "all accepted ops accounted" true p.Load.accounted_ok;
+  check Alcotest.int "nothing lost" 0 p.Load.lost;
+  check Alcotest.int "everything submitted" (2 * 2_000) p.Load.submitted;
+  check Alcotest.int "one service sample per ack" p.Load.acked
+    p.Load.service.Repro_obs.Hdr.count;
   p
 
 let test_backpressure_reject () =
   let p = run_backpressure Svc.Reject in
   check Alcotest.bool "reject surfaces backpressure" true
-    (p.Hsvc.rejected > 0 || not p.Hsvc.saturated)
+    (p.Load.rejected > 0 || not p.Load.saturated)
 
 let test_backpressure_shed () =
   let p = run_backpressure Svc.Shed_oldest in
-  check Alcotest.int "shed admission never rejects" 0 p.Hsvc.rejected;
+  check Alcotest.int "shed admission never rejects" 0 p.Load.rejected;
   check Alcotest.bool "displacement is answered, not silent" true
-    (p.Hsvc.shed > 0 || not p.Hsvc.saturated)
+    (p.Load.shed > 0 || not p.Load.saturated)
 
 let test_deadline_expiry () =
   (* saturate a tiny queue with a 0.1 ms per-op deadline: some queued ops
@@ -984,8 +986,8 @@ let test_deadline_expiry () =
      (the deterministic expiry case is "mixed expired and live batch") *)
   let config =
     {
-      Hsvc.default_config with
-      Hsvc.n = 1 lsl 10;
+      Load.default_config with
+      Load.n = 1 lsl 10;
       generators = 2;
       ops = 1_500;
       workers = 1;
@@ -993,12 +995,45 @@ let test_deadline_expiry () =
       batch = 4;
       admission = Svc.Block 0.05;
       op_deadline_ms = 0.1;
-      shape = Harness.Latency.Bursty 64;
+      shape = Load.Bursty 64;
     }
   in
-  let p = Hsvc.run_point ~config ~rate:500_000.0 () in
-  check Alcotest.bool "accounted" true p.Hsvc.accounted_ok;
-  check Alcotest.bool "deadlines fired" true (p.Hsvc.timed_out > 0)
+  let p = Load.run_point ~config ~rate:500_000.0 () in
+  check Alcotest.bool "accounted" true p.Load.accounted_ok;
+  check Alcotest.bool "deadlines fired" true (p.Load.timed_out > 0)
+
+(* One small point on a WAL-backed service: a worker forces the group
+   commit before every ack, and the point's temp WAL is gone afterwards.
+   The temp directory is private to the test, so "gone" means empty. *)
+let test_durable_point () =
+  let saved = Filename.get_temp_dir_name () in
+  let tmp = Filename.temp_dir "test-service-durable" "" in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) (Sys.readdir tmp);
+      Sys.rmdir tmp)
+  @@ fun () ->
+  let config =
+    {
+      Load.default_config with
+      Load.n = 1 lsl 10;
+      generators = 1;
+      ops = 400;
+      workers = 1;
+      shape = Load.Fixed;
+      durable = true;
+    }
+  in
+  let p = Load.run_point ~config ~rate:5_000.0 () in
+  check Alcotest.bool "accounted" true p.Load.accounted_ok;
+  check Alcotest.int "nothing failed" 0 p.Load.failed;
+  check Alcotest.int "nothing lost" 0 p.Load.lost;
+  check Alcotest.bool "durable acks arrived" true (p.Load.acked > 0);
+  check
+    Alcotest.(array string)
+    "the temp WAL was removed" [||] (Sys.readdir tmp)
 
 (* ------------------------------------------------------- mini drill *)
 
@@ -1072,6 +1107,7 @@ let () =
           slow "reject at 2x saturation" test_backpressure_reject;
           slow "shed-oldest at 2x saturation" test_backpressure_shed;
           slow "per-op deadlines expire" test_deadline_expiry;
+          slow "a durable point acks through the WAL" test_durable_point;
         ] );
       ("drill", [ slow "flat crash-recovery drill" test_drill_flat ]);
     ]
