@@ -51,17 +51,16 @@
     - [Wal_commit_post] — after the batch is written and fsynced; crashing
       here loses nothing (the batch is durable).
 
-    Serving sites, arming the service's ingestion rings
-    ({!Repro_service.Ingest_ring}) and completion lanes
-    ({!Repro_service.Bounded_queue}):
+    Serving sites, arming the service's ingestion rings and completion
+    lanes (both {!Repro_service.Slot_ring}):
 
-    - [Queue_enq_cas] — immediately before an ingestion push's CAS on the
-      ring's [tail] (a push to a full ring hits nothing), and before a
-      completion push takes its lock.  A crash here abandons the push
-      with no ticket claimed and no lock held.
-    - [Queue_deq_cas] — immediately before a drain's CAS on the ring's
-      [head] (an empty ring hits nothing), and after a completion poll's
-      lock-free size probe, before its lock.  A worker crashed here dies
+    - [Queue_enq_cas] — immediately before a claim's CAS on a ring's
+      [tail]: once per admitted request, and once per run of answers a
+      worker pushes to one completion lane (a claim on a full ring hits
+      nothing).  A crash here abandons the push with no ticket claimed.
+    - [Queue_deq_cas] — immediately before a take's CAS on a ring's
+      [head]: a worker's drain, a shed-oldest displacement, a client's
+      poll (an empty ring hits nothing).  A worker crashed here dies
       between drains holding no slot: the "crash a worker domain
       mid-drain" scenario of the serving chaos drill.
 

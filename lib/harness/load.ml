@@ -228,8 +228,9 @@ let direct d =
   { issue; finish = (fun _ ~session:_ -> ()) }
 
 let served ~config svc =
-  (* per-session table of admitted ids -> actual submit time; each
-     session's table is touched only by its own generator domain *)
+  (* per-session table of admitted ids -> (intended, actual) submit
+     times; each session's table is touched only by its own generator
+     domain *)
   let pending = Array.init config.generators (fun _ -> Hashtbl.create 1024) in
   let drain g ~session =
     let pending = pending.(session) in
@@ -237,12 +238,10 @@ let served ~config svc =
       (fun (r : Svc.response) ->
         match Hashtbl.find_opt pending r.Svc.r_id with
         | None -> g.g_phantom <- g.g_phantom + 1
-        | Some actual -> (
+        | Some (intended, actual) -> (
           Hashtbl.remove pending r.Svc.r_id;
           match r.Svc.r_outcome with
-          | Svc.Done _ ->
-            ack g ~intended:r.Svc.r_intended_ns ~actual
-              ~fin:r.Svc.r_completed_ns
+          | Svc.Done _ -> ack g ~intended ~actual ~fin:r.Svc.r_completed_ns
           | Svc.Shed -> g.g_shed <- g.g_shed + 1
           | Svc.Timed_out -> g.g_timed_out <- g.g_timed_out + 1
           | Svc.Failed _ -> g.g_failed <- g.g_failed + 1))
@@ -254,10 +253,10 @@ let served ~config svc =
         intended + int_of_float (config.op_deadline_ms *. 1e6)
       else 0
     in
-    (match Svc.submit svc ~intended_ns:intended ~deadline_ns ~session op with
+    (match Svc.submit svc ~deadline_ns ~session op with
     | Svc.Enqueued id ->
       g.g_accepted <- g.g_accepted + 1;
-      Hashtbl.replace pending.(session) id actual
+      Hashtbl.replace pending.(session) id (intended, actual)
     | Svc.Rejected _ -> g.g_rejected <- g.g_rejected + 1);
     drain g ~session
   in

@@ -9,17 +9,22 @@
    forced BEFORE any op in the batch is acknowledged, so an acked unite is
    always on disk — that ordering is the whole RPO=0 argument, and the
    serving chaos drill measures it.  A drained batch costs a constant
-   number of CASes, locks and clock reads: one [head] CAS, one clock read
-   for deadlines, one after the durability barrier to stamp every
-   response, one counter bump per outcome kind and one completion-lane
-   lock per run of responses bound for the same lane.
+   number of CASes and clock reads: one [head] CAS, one clock read for
+   deadlines, one after the durability barrier to stamp every answer, one
+   counter bump per outcome kind and one completion-lane [tail] CAS per
+   run of answers bound for the same lane.
+
+   Answers travel back as ints too: each completion lane is a [Slot_ring]
+   of [answer_width] ints per slot, [id; code; completed_ns], where the
+   code packs the outcome and a find's root.  The worker allocates
+   nothing per request; [poll] builds the [response] records on the
+   polling domain's own heap.
 
    Every admitted op gets exactly one response (Done, Shed, Timed_out or
    Failed) unless the worker holding it crashes, in which case it is lost
    {e unacknowledged} — the failure mode the contract permits. *)
 
-module Queue = Bounded_queue
-module Ring = Ingest_ring
+module Ring = Slot_ring
 module Site = Repro_fault.Site
 module Fi = Repro_fault.Inject
 module Backoff = Repro_util.Backoff
@@ -69,24 +74,56 @@ type outcome =
   | Timed_out
   | Failed of string
 
-(* An op as the ring's [kind; x; y] fields. *)
+(* A request as an ingestion slot's fields, and an answer as a completion
+   slot's. *)
+let request_width = 6
+let f_id = 0
+let f_session = 1
+let f_kind = 2
+let f_x = 3
+let f_y = 4
+let f_deadline = 5
+
+let answer_width = 3
+let a_id = 0
+let a_code = 1
+let a_completed = 2
+
+(* An op as the request's [kind; x; y] fields. *)
 let kind_of = function Unite _ -> 0 | Same_set _ -> 1 | Find _ -> 2
 let x_of = function Unite (x, _) | Same_set (x, _) | Find x -> x
 let y_of = function Unite (_, y) | Same_set (_, y) -> y | Find _ -> 0
 
-let op_of ~kind ~x ~y =
-  match kind with 0 -> Unite (x, y) | 1 -> Same_set (x, y) | _ -> Find x
+(* An outcome as an answer's [code]: the kind in the low 3 bits, a find's
+   root above them.  The codes below [c_shed] are the [Done] ones. *)
+let c_unit = 0
+let c_true = 1
+let c_false = 2
+let c_root = 3
+let c_shed = 4
+let c_timed_out = 5
+let c_failed_wal = 6
+let c_failed_shutdown = 7
 
-let entry_op b i = op_of ~kind:(Ring.kind b i) ~x:(Ring.x b i) ~y:(Ring.y b i)
+(* Outcomes shared by every response that carries them. *)
+let done_unit = Done V_unit
+let done_true = Done (V_bool true)
+let done_false = Done (V_bool false)
+let failed_wal = Failed "wal-committer-dead"
+let failed_shutdown = Failed "shutdown"
 
-type response = {
-  r_id : int;
-  r_session : int;
-  r_op : op;
-  r_outcome : outcome;
-  r_intended_ns : int;
-  r_completed_ns : int;
-}
+let outcome_of code =
+  match code land 7 with
+  | 0 -> done_unit
+  | 1 -> done_true
+  | 2 -> done_false
+  | 3 -> Done (V_int (code lsr 3))
+  | 4 -> Shed
+  | 5 -> Timed_out
+  | 6 -> failed_wal
+  | _ -> failed_shutdown
+
+type response = { r_id : int; r_outcome : outcome; r_completed_ns : int }
 
 type admit = Enqueued of int | Rejected of reject_reason
 
@@ -122,7 +159,7 @@ type t = {
   backend : Dsu.Driver.t;
   wal : Wal.writer option;
   rings : Ring.t array;
-  completions : response Queue.t array;
+  completions : Ring.t array;  (* per-client lanes of answers *)
   stopping : bool Atomic.t;
   mutable worker_handles : unit Domain.t list;
   mutable snapshotter : unit Domain.t option;
@@ -186,97 +223,98 @@ let healthy t =
 (* ------------------------------------------------------------ responses *)
 
 (* Completion lanes are sized in [create] for the worst-case in-flight
-   population, so the shed paths below are unreachable in a correctly-sized
-   service; they exist (instead of a blocking push) so a worker can never
-   be wedged by a client that stopped polling, and the [displaced]
-   counter makes any sizing violation loud. *)
+   population, so a full lane is unreachable in a correctly-sized
+   service.  A worker that finds one full displaces the lane's oldest
+   answers instead of waiting, so it can never be wedged by a client that
+   stopped polling, and the [displaced] counter makes any sizing
+   violation loud. *)
 let lane_of t session = t.completions.(session mod Array.length t.completions)
 
-(* Answer entry [i] of batch [b] alone: the shed, dead-committer and
-   shutdown paths. *)
-let respond t b i outcome =
-  (match outcome with
-  | Done _ ->
-    Atomic.incr t.acked;
-    Metrics.incr t.m_acked
-  | Shed ->
+(* Claim [len] slots on [ring]; while it has no room, take its oldest
+   entry into [victim] and hand [victim] to [displace].  Shed-oldest
+   admission and a full completion lane are both this loop; callers try
+   [Ring.claim] first, so the closure is only built once a ring is
+   full. *)
+let rec claim_displacing ring ~len victim displace =
+  let s = Ring.claim ring ~len in
+  if s >= 0 then s
+  else begin
+    if Ring.take ring victim ~max:1 = 1 then displace victim
+    else Domain.cpu_relax ();
+    claim_displacing ring ~len victim displace
+  end
+
+let claim_answers t lane ~len =
+  let s = Ring.claim lane ~len in
+  if s >= 0 then s
+  else
+    claim_displacing lane ~len (Ring.batch ~width:answer_width 1) (fun _ ->
+        Atomic.incr t.displaced)
+
+let answer lane s ~id ~code ~completed =
+  Ring.set lane s a_id id;
+  Ring.set lane s a_code code;
+  Ring.set lane s a_completed completed;
+  Ring.publish lane s
+
+(* Answer the request in entry 0 of [b] alone, [Shed] or [Failed]: the
+   shed, dead-committer and shutdown paths. *)
+let respond t b code =
+  if code = c_shed then begin
     Atomic.incr t.shed;
     Metrics.incr t.m_shed
-  | Timed_out ->
-    Atomic.incr t.timed_out;
-    Metrics.incr t.m_timed_out
-  | Failed _ -> Atomic.incr t.failed);
-  let session = Ring.session b i in
-  let rsp =
-    {
-      r_id = Ring.id b i;
-      r_session = session;
-      r_op = entry_op b i;
-      r_outcome = outcome;
-      r_intended_ns = Ring.intended_ns b i;
-      r_completed_ns = Clock.now_ns ();
-    }
-  in
-  match Queue.shed_enqueue (lane_of t session) rsp with
-  | None -> ()
-  | Some _ -> Atomic.incr t.displaced
-
-(* Push [rsps.(0 .. n-1)] in order, one lock acquisition per run of
-   responses bound for the same lane — one per batch when the batch's
-   sessions share a lane, which is the common case. *)
-let push_completions t rsps n =
-  let lanes = Array.length t.completions in
-  let pos = ref 0 in
-  while !pos < n do
-    let lane = rsps.(!pos).r_session mod lanes in
-    let stop = ref (!pos + 1) in
-    while !stop < n && rsps.(!stop).r_session mod lanes = lane do
-      incr stop
-    done;
-    let d =
-      Queue.shed_enqueue_batch t.completions.(lane) rsps ~pos:!pos
-        ~len:(!stop - !pos)
-    in
-    if d > 0 then ignore (Atomic.fetch_and_add t.displaced d);
-    pos := !stop
-  done
+  end
+  else Atomic.incr t.failed;
+  let lane = lane_of t (Ring.get b 0 f_session) in
+  answer lane (claim_answers t lane ~len:1) ~id:(Ring.get b 0 f_id) ~code
+    ~completed:(Clock.now_ns ())
 
 (* ---------------------------------------------------------- application *)
 
-(* Outcomes shared by every response that carries them. *)
-let done_unit = Done V_unit
-let done_true = Done (V_bool true)
-let done_false = Done (V_bool false)
-let failed_wal = Failed "wal-committer-dead"
-
-(* A worker's reusable per-batch buffers, [batch] entries each. *)
-type scratch = { reqs : Ring.batch; outs : outcome array; rsps : response array }
+(* A worker's reusable per-batch buffers, [batch] entries each: the
+   requests taken and their answers' codes. *)
+type scratch = { reqs : Ring.batch; codes : int array }
 
 let scratch t =
-  let blank =
-    {
-      r_id = -1;
-      r_session = 0;
-      r_op = Find 0;
-      r_outcome = Shed;
-      r_intended_ns = 0;
-      r_completed_ns = 0;
-    }
-  in
   {
-    reqs = Ring.batch t.cfg.batch;
-    outs = Array.make t.cfg.batch Shed;
-    rsps = Array.make t.cfg.batch blank;
+    reqs = Ring.batch ~width:request_width t.cfg.batch;
+    codes = Array.make t.cfg.batch c_unit;
   }
 
-(* Apply one op given as the ring's fields ([kind_of] encoding). *)
+(* Apply one op given as the request's fields ([kind_of] encoding) and
+   return its answer's code. *)
 let apply backend ~kind ~x ~y =
   match kind with
   | 0 ->
     Dsu.Driver.unite backend x y;
-    done_unit
-  | 1 -> if Dsu.Driver.same_set backend x y then done_true else done_false
-  | _ -> Done (V_int (Dsu.Driver.find backend x))
+    c_unit
+  | 1 -> if Dsu.Driver.same_set backend x y then c_true else c_false
+  | _ -> c_root lor (Dsu.Driver.find backend x lsl 3)
+
+(* Push the answers of [sc.reqs.(0 .. n-1)] in order, one [tail] CAS per
+   run of answers bound for the same lane: one per batch when the batch's
+   sessions share a lane, which is the common case.  Without durability a
+   [Done] code becomes [c_failed_wal]. *)
+let push_answers t sc n ~durable ~completed =
+  let b = sc.reqs and lanes = Array.length t.completions in
+  let pos = ref 0 in
+  while !pos < n do
+    let first = !pos in
+    let l = Ring.get b first f_session mod lanes in
+    let stop = ref (first + 1) in
+    while !stop < n && Ring.get b !stop f_session mod lanes = l do
+      incr stop
+    done;
+    let lane = t.completions.(l) in
+    let s = ref (claim_answers t lane ~len:(!stop - first)) in
+    for i = first to !stop - 1 do
+      let code = sc.codes.(i) in
+      let code = if durable || code land 7 >= c_shed then code else c_failed_wal in
+      answer lane !s ~id:(Ring.get b i f_id) ~code ~completed;
+      s := Ring.next_slot lane !s
+    done;
+    pos := !stop
+  done
 
 (* Answer the first [n] entries of [sc.reqs]. *)
 let process_batch t sc n =
@@ -288,13 +326,15 @@ let process_batch t sc n =
      up on them. *)
   let expired = ref 0 in
   for i = 0 to n - 1 do
-    let deadline = Ring.deadline_ns b i in
-    sc.outs.(i) <-
+    let deadline = Ring.get b i f_deadline in
+    sc.codes.(i) <-
       (if deadline > 0 && now > deadline then begin
          incr expired;
-         Timed_out
+         c_timed_out
        end
-       else apply t.backend ~kind:(Ring.kind b i) ~x:(Ring.x b i) ~y:(Ring.y b i))
+       else
+         apply t.backend ~kind:(Ring.get b i f_kind) ~x:(Ring.get b i f_x)
+           ~y:(Ring.get b i f_y))
   done;
   let expired = !expired in
   note_max t.max_batch n;
@@ -320,30 +360,17 @@ let process_batch t sc n =
     end
     else ignore (Atomic.fetch_and_add t.failed live);
   if not durable then Atomic.set t.unhealthy true;
-  let completed = Clock.now_ns () in
-  for i = 0 to n - 1 do
-    let o = sc.outs.(i) in
-    sc.rsps.(i) <-
-      {
-        r_id = Ring.id b i;
-        r_session = Ring.session b i;
-        r_op = entry_op b i;
-        r_outcome = (match o with Done _ when not durable -> failed_wal | _ -> o);
-        r_intended_ns = Ring.intended_ns b i;
-        r_completed_ns = completed;
-      }
-  done;
-  push_completions t sc.rsps n;
+  push_answers t sc n ~durable ~completed:(Clock.now_ns ());
   durable
 
-(* Take what is left in [ring] through [b] and answer it [outcome], one
+(* Take what is left in [ring] through [b] and answer it [code], one
    request per take and so one [Queue_deq_cas] site hit per request: these
    paths are cold, and the serving crash drill counts those hits to crash
    a worker while it fails its backlog. *)
-let rec answer_rest t ring b outcome =
+let rec answer_rest t ring b code =
   if Ring.take ring b ~max:1 = 1 then begin
-    respond t b 0 outcome;
-    answer_rest t ring b outcome
+    respond t b code;
+    answer_rest t ring b code
   end
 
 (* An idle worker spins, then parks.  It checks its ring 1, 2, 4, ...
@@ -389,7 +416,7 @@ let worker_loop t k =
         if not (process_batch t sc n) then begin
           (* No durable acks are possible any more: fail the backlog so
              nothing rots unanswered, then leave. *)
-          answer_rest t ring sc.reqs failed_wal;
+          answer_rest t ring sc.reqs c_failed_wal;
           continue := false
         end
       end
@@ -464,8 +491,11 @@ let create ?backend ?wal ?on_worker_start cfg =
       cfg;
       backend;
       wal;
-      rings = Array.init cfg.workers (fun _ -> Ring.create cfg.queue_capacity);
-      completions = Array.init cfg.clients (fun _ -> Queue.create lane_cap);
+      rings =
+        Array.init cfg.workers (fun _ ->
+            Ring.create ~width:request_width cfg.queue_capacity);
+      completions =
+        Array.init cfg.clients (fun _ -> Ring.create ~width:answer_width lane_cap);
       stopping = Atomic.make false;
       worker_handles = [];
       snapshotter = None;
@@ -523,11 +553,17 @@ let check_session fn session =
   if session < 0 then
     invalid_arg (Printf.sprintf "Service.%s: session %d is negative" fn session)
 
-let push ring ~id ~session ~intended_ns ~deadline_ns op =
-  Ring.try_push ring ~id ~session ~kind:(kind_of op) ~x:(x_of op) ~y:(y_of op)
-    ~intended_ns ~deadline_ns
+(* Write [op] into claimed slot [s] of [ring] and publish it. *)
+let write_request ring s ~id ~session ~deadline_ns op =
+  Ring.set ring s f_id id;
+  Ring.set ring s f_session session;
+  Ring.set ring s f_kind (kind_of op);
+  Ring.set ring s f_x (x_of op);
+  Ring.set ring s f_y (y_of op);
+  Ring.set ring s f_deadline deadline_ns;
+  Ring.publish ring s
 
-let submit t ?intended_ns ?(deadline_ns = 0) ~session op =
+let submit t ?intended_ns:_ ?(deadline_ns = 0) ~session op =
   check_session "submit" session;
   (match op with
   | Unite (x, y) | Same_set (x, y) ->
@@ -541,51 +577,68 @@ let submit t ?intended_ns ?(deadline_ns = 0) ~session op =
   end
   else begin
     let id = Atomic.fetch_and_add t.next_id 1 in
-    let intended_ns =
-      match intended_ns with Some ns -> ns | None -> Clock.now_ns ()
-    in
     let qi = session mod t.cfg.workers in
     let ring = t.rings.(qi) in
     let depth = Ring.length ring in
     note_max t.max_depth depth;
     Metrics.set t.m_depth.(qi) depth;
-    match t.cfg.admission with
-    | Reject ->
-      if push ring ~id ~session ~intended_ns ~deadline_ns op then Enqueued id
-      else begin
-        Atomic.incr t.rejected_full;
-        Metrics.incr t.m_rejected;
-        Rejected Queue_full
-      end
-    | Shed_oldest ->
-      (* Full: take the oldest request through the same [head] CAS the
-         worker drains with, answer it [Shed], and push again. *)
-      if not (push ring ~id ~session ~intended_ns ~deadline_ns op) then begin
-        let victim = Ring.batch 1 in
-        while not (push ring ~id ~session ~intended_ns ~deadline_ns op) do
-          if Ring.take ring victim ~max:1 = 1 then respond t victim 0 Shed
-          else Domain.cpu_relax ()
-        done
-      end;
+    let s =
+      match t.cfg.admission with
+      | Reject -> Ring.claim ring ~len:1
+      | Shed_oldest ->
+        (* Full: take the oldest request through the same [head] CAS the
+           worker drains with and answer it [Shed]. *)
+        let s = Ring.claim ring ~len:1 in
+        if s >= 0 then s
+        else
+          claim_displacing ring ~len:1 (Ring.batch ~width:request_width 1)
+            (fun victim -> respond t victim c_shed)
+      | Block timeout_s ->
+        Ring.claim_until ring ~len:1
+          ~until_ns:(Clock.now_ns () + int_of_float (timeout_s *. 1e9))
+    in
+    if s >= 0 then begin
+      write_request ring s ~id ~session ~deadline_ns op;
       Enqueued id
-    | Block timeout_s ->
-      let until_ns = Clock.now_ns () + int_of_float (timeout_s *. 1e9) in
-      if
-        Ring.push_until ring ~until_ns ~id ~session ~kind:(kind_of op)
-          ~x:(x_of op) ~y:(y_of op) ~intended_ns ~deadline_ns
-      then Enqueued id
-      else begin
+    end
+    else begin
+      Metrics.incr t.m_rejected;
+      match t.cfg.admission with
+      | Block _ ->
         Atomic.incr t.rejected_deadline;
-        Metrics.incr t.m_rejected;
         Rejected Admission_deadline
-      end
+      | Reject | Shed_oldest ->
+        Atomic.incr t.rejected_full;
+        Rejected Queue_full
+    end
   end
+
+(* Each polling domain's buffer, grown to the largest take asked of it. *)
+let poll_buffer =
+  Domain.DLS.new_key (fun () -> ref (Ring.batch ~width:answer_width 1))
+
+(* The responses to entries [0 .. i] of [b], consed onto [acc] from the
+   last back, so the list comes out in FIFO order. *)
+let rec responses b i acc =
+  if i < 0 then acc
+  else
+    responses b (i - 1)
+      ({
+         r_id = Ring.get b i a_id;
+         r_outcome = outcome_of (Ring.get b i a_code);
+         r_completed_ns = Ring.get b i a_completed;
+       }
+      :: acc)
 
 let poll ?(max = max_int) t ~session =
   check_session "poll" session;
   if max < 1 then invalid_arg "Service.poll: max must be >= 1";
   let lane = lane_of t session in
-  if Queue.is_empty lane then [] else Queue.dequeue_batch lane ~max
+  let max = if max < Ring.capacity lane then max else Ring.capacity lane in
+  let buf = Domain.DLS.get poll_buffer in
+  if Ring.batch_size !buf < max then buf := Ring.batch ~width:answer_width max;
+  let b = !buf in
+  responses b (Ring.take lane b ~max - 1) []
 
 (* ------------------------------------------------------------------ stop *)
 
@@ -601,8 +654,8 @@ let stop t =
     t.snapshotter <- None);
   (* Sweep the rings of crashed workers (and any push that raced the
      drain-then-exit): every admitted op still gets its response. *)
-  let b = Ring.batch 1 in
-  Array.iter (fun ring -> answer_rest t ring b (Failed "shutdown")) t.rings;
+  let b = Ring.batch ~width:request_width 1 in
+  Array.iter (fun ring -> answer_rest t ring b c_failed_shutdown) t.rings;
   match t.wal with None -> () | Some w -> Wal.flush w
 
 (* ----------------------------------------------------------------- stats *)

@@ -6,7 +6,7 @@
 
     A client session {!submit}s an op; admission is governed by the
     configured {!admission} policy over that session's per-worker
-    lock-free {!Ingest_ring} of [queue_capacity] slots.  A submit that
+    lock-free {!Slot_ring} of [queue_capacity] slots.  A submit that
     finds room writes the request's fields into one slot and allocates
     only its [Enqueued] answer; the request linearizes when the slot is
     published, and each worker applies its ring's requests in that order.
@@ -27,10 +27,19 @@
     each op in FIFO order through the backend's per-op calls
     ({!Dsu.Driver.unite}, [same_set], [find]) on every layout.  An op
     carrying a [deadline_ns] that expired while queued is answered
-    [Timed_out] without touching the structure.  A batch's responses are stamped with one clock read
-    taken after the durability barrier and pushed to their completion
-    lane under one lock acquisition per run of responses bound for the
-    same lane.
+    [Timed_out] without touching the structure.  A batch's answers are
+    stamped with one clock read taken after the durability barrier and
+    pushed to their completion lanes, one [tail] CAS per run of answers
+    bound for the same lane.
+
+    {2 Response path}
+
+    Each completion lane is a {!Slot_ring} of three ints per answer:
+    the id, a code for the outcome (with a find's root) and the
+    completion time, so the worker allocates nothing per request.
+    {!poll} takes the lane's ready answers with one [head] CAS into a
+    buffer owned by the polling domain and builds the {!response}
+    records there.
 
     {2 Ack/durability contract}
 
@@ -81,13 +90,13 @@ type outcome =
   | Failed of string  (** not applied durably; safe to resubmit *)
 
 type response = {
-  r_id : int;
-  r_session : int;
-  r_op : op;
+  r_id : int;  (** the id {!submit} answered [Enqueued] with *)
   r_outcome : outcome;
-  r_intended_ns : int;
-  r_completed_ns : int;
+  r_completed_ns : int;  (** {!Repro_obs.Clock.now_ns} once the op was answered *)
 }
+(** The caller keeps what it submitted (the op, its session, its intended
+    start) next to the id; a response carries only what the service
+    adds. *)
 
 type admit = Enqueued of int | Rejected of reject_reason
 (** [Enqueued id]: admitted; a response for [id] will arrive on the
@@ -129,14 +138,17 @@ val create :
 
 val submit :
   t -> ?intended_ns:int -> ?deadline_ns:int -> session:int -> op -> admit
-(** [intended_ns] (default: now) is echoed in the response for open-loop
-    latency accounting; [deadline_ns] (default: none) expires the op if
-    still queued past that clock value.  Routing: session mod workers.
+(** [deadline_ns] (default: none) expires the op if still queued past
+    that clock value.  [intended_ns] is ignored: a response does not carry
+    it, so an open-loop caller keeps its intended start next to the id.
+    Routing: session mod workers.
     @raise Invalid_argument if [session < 0] or an element is outside
     [\[0, n)]; nothing is counted or admitted then. *)
 
 val poll : ?max:int -> t -> session:int -> response list
-(** Drain (up to [max]) responses from the session's completion lane.
+(** Drain (up to [max]) responses from the session's completion lane,
+    oldest first, with one [head] CAS: 7 minor words per answer (the
+    record and its list cell), 4 more for a find's [Done (V_int _)].
     Lanes are shared by sessions congruent mod [clients]; give each
     polling domain its own lane.
     @raise Invalid_argument if [session < 0] or [max < 1], whether or not
@@ -176,8 +188,10 @@ type stats = {
   s_acked : int;
   s_failed : int;
   s_displaced : int;
-      (** completion-lane displacements: always 0 (lanes are sized for the
-          worst-case in-flight population); nonzero means a sizing bug *)
+      (** answers displaced from a full completion lane, oldest first:
+          always 0 while every client polls (lanes are sized for the
+          worst-case in-flight population); nonzero means a client
+          stopped polling or a sizing bug *)
   s_parks : int;
       (** times a worker found its ring empty past its spin budget (about
           50 us) and parked until a submit woke it — nonzero means the

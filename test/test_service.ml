@@ -1,10 +1,10 @@
-(* Tests for the serving layer: the lock-free ingestion ring (sequential
-   oracle, wrap-around, multi-domain stress, injected faults), the
-   completion lanes' bounded queue, the service's admission accounting and
+(* Tests for the serving layer: the lock-free slot ring as the ingestion
+   lanes use it (sequential oracle, wrap-around, multi-domain stress,
+   injected faults) and as the completion lanes use it (run pushes,
+   displacement, stress, faults), the service's admission accounting and
    allocation, and the crash drill's service depth. *)
 
-module Q = Repro_service.Bounded_queue
-module R = Repro_service.Ingest_ring
+module R = Repro_service.Slot_ring
 module Svc = Repro_service.Service
 module Load = Harness.Load
 module Chaos = Harness.Chaos
@@ -19,25 +19,41 @@ let slow name f = Alcotest.test_case name `Slow f
 
 (* ------------------------------------------------------ ingestion ring *)
 
-(* Every field of a pushed request is a different function of its value
-   [v], so a take can tell a torn or crossed slot from an intact one. *)
-let ring_push r v =
-  R.try_push r ~id:v ~session:(3 * v) ~kind:(v land 3) ~x:(v + 1) ~y:(-v)
-    ~intended_ns:(7 * v) ~deadline_ns:(v lxor 0x5a5a)
+(* The widths of a request slot and of an answer slot in the service. *)
+let request_width = 6
+let answer_width = 3
 
-let intact b i =
-  let v = R.id b i in
-  R.session b i = 3 * v
-  && R.kind b i = v land 3
-  && R.x b i = v + 1
-  && R.y b i = -v
-  && R.intended_ns b i = 7 * v
-  && R.deadline_ns b i = v lxor 0x5a5a
+(* Every field of an entry is a different function of its value [v], so a
+   take can tell a torn or crossed slot from an intact one. *)
+let field v f = (8 * v) + f
+
+let write r ~width s v =
+  for f = 0 to width - 1 do
+    R.set r s f (field v f)
+  done;
+  R.publish r s
+
+(* One request pushed as [Service.submit] pushes it. *)
+let ring_push r v =
+  let s = R.claim r ~len:1 in
+  s >= 0
+  && begin
+    write r ~width:request_width s v;
+    true
+  end
 
 (* The values taken by one [take], oldest first; [-1] marks a slot whose
    fields do not belong together. *)
-let ring_take r b ~max =
-  List.init (R.take r b ~max) (fun i -> if intact b i then R.id b i else -1)
+let take_values ~width r b ~max =
+  List.init (R.take r b ~max) (fun i ->
+      let v = R.get b i 0 / 8 in
+      if List.for_all (fun f -> R.get b i f = field v f) (List.init width Fun.id)
+      then v
+      else -1)
+
+let ring_take = take_values ~width:request_width
+let request_batch = R.batch ~width:request_width
+let request_ring = R.create ~width:request_width
 
 (* Random interleaving of push and take attempts against a stdlib Queue
    bounded by hand: every accept/reject decision and every taken value
@@ -45,8 +61,8 @@ let ring_take r b ~max =
 let test_ring_oracle () =
   let rng = Rng.create 11 in
   let cap = 1 + Rng.int rng 8 in
-  let r = R.create cap in
-  let b = R.batch 1 in
+  let r = request_ring cap in
+  let b = request_batch 1 in
   let oracle = Queue.create () in
   for i = 0 to 4_999 do
     if Rng.int rng 100 < 55 then begin
@@ -64,8 +80,8 @@ let test_ring_oracle () =
 
 let test_ring_batch_oracle () =
   let rng = Rng.create 12 in
-  let r = R.create 16 in
-  let b = R.batch 5 in
+  let r = request_ring 16 in
+  let b = request_batch 5 in
   let oracle = Queue.create () in
   for i = 0 to 1_999 do
     if Rng.int rng 100 < 60 then begin
@@ -81,15 +97,15 @@ let test_ring_batch_oracle () =
     end
   done;
   Alcotest.check_raises "max above the batch size"
-    (Invalid_argument "Ingest_ring.take: max must be in [1, batch size]")
+    (Invalid_argument "Slot_ring.take: max must be in [1, batch size]")
     (fun () -> ignore (R.take r b ~max:6))
 
 (* Shed-oldest on the ring, as [Service.submit] does it: a push to a full
    ring fails, the oldest request is taken through the drain's own [head]
    CAS, and the retried push lands behind the survivors. *)
 let test_ring_shed () =
-  let r = R.create 3 in
-  let b = R.batch 3 in
+  let r = request_ring 3 in
+  let b = request_batch 3 in
   for i = 0 to 2 do
     check Alcotest.bool "fills" true (ring_push r i)
   done;
@@ -102,10 +118,14 @@ let test_ring_shed () =
   check Alcotest.(list int) "FIFO after shed" [ 2; 3; 4 ] (ring_take r b ~max:3)
 
 let test_ring_deadline () =
-  let r = R.create 1 in
+  let r = request_ring 1 in
   let push_until ~until_ns v =
-    R.push_until r ~until_ns ~id:v ~session:(3 * v) ~kind:(v land 3) ~x:(v + 1)
-      ~y:(-v) ~intended_ns:(7 * v) ~deadline_ns:(v lxor 0x5a5a)
+    let s = R.claim_until r ~len:1 ~until_ns in
+    s >= 0
+    && begin
+      write r ~width:request_width s v;
+      true
+    end
   in
   check Alcotest.bool "admits" true (ring_push r 0);
   let t0 = Clock.now_ns () in
@@ -113,7 +133,7 @@ let test_ring_deadline () =
     (push_until ~until_ns:(t0 + 2_000_000) 1);
   check Alcotest.bool "waited for the deadline" true
     (Clock.now_ns () - t0 >= 2_000_000);
-  ignore (ring_take r (R.batch 1) ~max:1);
+  ignore (ring_take r (request_batch 1) ~max:1);
   check Alcotest.bool "admits after room" true
     (push_until ~until_ns:(Clock.now_ns () + 1_000_000) 1)
 
@@ -122,8 +142,8 @@ let test_ring_deadline () =
    from 1 to the capacity cross the wrap over at least 100 laps. *)
 let test_ring_wrap () =
   let cap = 7 in
-  let r = R.create cap in
-  let b = R.batch cap in
+  let r = request_ring cap in
+  let b = request_batch cap in
   let rng = Rng.create 14 in
   let oracle = Queue.create () in
   let pushed = ref 0 in
@@ -178,7 +198,7 @@ let yield () = Unix.sleepf 0.00002
    slots 0-3. *)
 let run_ring_stress ?(enroll = false) ~cap ~per_producer () =
   let producers = 2 and consumers = 2 in
-  let r = R.create cap in
+  let r = request_ring cap in
   let total = producers * per_producer in
   let taken = Atomic.make 0 and over_cap = Atomic.make 0 in
   let produce p () =
@@ -191,7 +211,7 @@ let run_ring_stress ?(enroll = false) ~cap ~per_producer () =
   in
   let consume c () =
     if enroll then Fi.enroll ~slot:(producers + c);
-    let b = R.batch 4 in
+    let b = request_batch 4 in
     let mine = ref [] in
     while Atomic.get taken < total do
       if R.length r > cap then Atomic.incr over_cap;
@@ -239,7 +259,7 @@ let test_ring_stress_yields () =
    the displacer, each in per-producer FIFO order. *)
 let test_ring_shed_stress () =
   let producers = 4 and per_producer = 2_000 and cap = 8 in
-  let r = R.create cap in
+  let r = request_ring cap in
   let total = producers * per_producer in
   let taken = Atomic.make 0 in
   let produce p () =
@@ -250,7 +270,7 @@ let test_ring_shed_stress () =
     done
   in
   let consumer ~max ~ready () =
-    let b = R.batch max in
+    let b = request_batch max in
     let mine = ref [] in
     while Atomic.get taken < total do
       match if ready () then ring_take r b ~max else [] with
@@ -273,18 +293,18 @@ let test_ring_shed_stress () =
 (* A crash injected at either fault site leaves no ticket claimed and no
    slot held: the ring keeps working, and what was admitted is taken
    exactly once, in order. *)
+let with_crash site ~after f =
+  Fi.arm
+    { Fi.seed = 1; rules_for = (fun _ -> [ Fi.rule ~sites:[ site ] ~after Fi.Crash ]) };
+  Fi.enroll ~slot:0;
+  Fun.protect ~finally:Fi.disarm (fun () ->
+      match f () with
+      | () -> Alcotest.fail "the crash did not fire"
+      | exception Fi.Crashed (s, 0) when s = site -> ())
+
 let test_ring_crash () =
-  let with_crash site ~after f =
-    Fi.arm
-      { Fi.seed = 1; rules_for = (fun _ -> [ Fi.rule ~sites:[ site ] ~after Fi.Crash ]) };
-    Fi.enroll ~slot:0;
-    Fun.protect ~finally:Fi.disarm (fun () ->
-        match f () with
-        | () -> Alcotest.fail "the crash did not fire"
-        | exception Fi.Crashed (s, 0) when s = site -> ())
-  in
-  let r = R.create 5 in
-  let b = R.batch 5 in
+  let r = request_ring 5 in
+  let b = request_batch 5 in
   with_crash Site.Queue_enq_cas ~after:2 (fun () ->
       for v = 0 to 4 do
         check Alcotest.bool "admitted" true (ring_push r v)
@@ -301,115 +321,161 @@ let test_ring_crash () =
   check Alcotest.bool "the ring takes pushes again" true (ring_push r 5);
   check Alcotest.(list int) "and drains them" [ 5 ] (ring_take r b ~max:5)
 
-(* ----------------------------------------- completion lanes' queue *)
+(* ----------------------------------------------------- completion lanes *)
 
-(* The batch push against [len] successive single shed_enqueues on a
-   stdlib Queue: same final contents, and the returned count is exactly
-   what was displaced.  The three named cases pin room, exactly-full and
-   overflow; the random walk mixes them with batched dequeues. *)
-let test_queue_shed_batch_oracle () =
-  let q = Q.create 4 in
-  let push a = Q.shed_enqueue_batch q a ~pos:0 ~len:(Array.length a) in
-  check Alcotest.int "room: nothing displaced" 0 (push [| 0; 1 |]);
-  check Alcotest.int "exactly full: nothing displaced" 0 (push [| 2; 3 |]);
-  check Alcotest.int "full length" 4 (Q.length q);
-  check Alcotest.int "overflow sheds the oldest" 2 (push [| 4; 5 |]);
-  check Alcotest.(list int) "newest survive, FIFO" [ 2; 3; 4; 5 ]
-    (Q.dequeue_batch q ~max:10);
-  check Alcotest.int "run longer than capacity" 3
-    (push [| 10; 11; 12; 13; 14; 15; 16 |]);
-  check Alcotest.(list int) "its last capacity elements" [ 13; 14; 15; 16 ]
-    (Q.dequeue_batch q ~max:10);
-  check Alcotest.int "pos/len sub-range" 0
-    (Q.shed_enqueue_batch q [| 20; 21; 22; 23 |] ~pos:1 ~len:2);
-  check Alcotest.int "empty run is a no-op" 0
-    (Q.shed_enqueue_batch q [| 99 |] ~pos:1 ~len:0);
-  check Alcotest.(list int) "sub-range pushed" [ 21; 22 ] (Q.dequeue_batch q ~max:10);
-  Alcotest.check_raises "range outside the array"
-    (Invalid_argument "Bounded_queue.shed_enqueue_batch: range outside the array")
-    (fun () -> ignore (Q.shed_enqueue_batch q [| 1; 2 |] ~pos:1 ~len:2));
-  let rng = Rng.create 13 in
-  let cap = 1 + Rng.int rng 8 in
-  let q = Q.create cap in
+let answer_batch = R.batch ~width:answer_width
+let answer_ring = R.create ~width:answer_width
+let lane_take = take_values ~width:answer_width
+
+(* Push the run [vs] as a worker pushes a batch's answers to one lane: one
+   claim for the whole run, displacing the lane's oldest answers while it
+   has no room for it.  Returns how many it displaced. *)
+let push_run r vs =
+  let len = List.length vs in
+  let displaced = ref 0 in
+  let rec claim () =
+    let p = R.claim r ~len in
+    if p >= 0 then p
+    else begin
+      if R.take r (answer_batch 1) ~max:1 = 1 then incr displaced;
+      claim ()
+    end
+  in
+  let s = ref (claim ()) in
+  List.iter
+    (fun v ->
+      write r ~width:answer_width !s v;
+      s := R.next_slot r !s)
+    vs;
+  !displaced
+
+(* Run pushes against [len] successive single pushes onto a stdlib Queue
+   that drops its oldest element when full: same contents, and exactly
+   the displaced count.  The named cases pin room, exactly-full, a refused
+   claim and overflow; the random walk at capacity 7 (not a power of two)
+   mixes runs of every length with takes over at least 200 laps. *)
+let test_lane_run_oracle () =
+  let r = answer_ring 4 in
+  let b = answer_batch 4 in
+  check Alcotest.int "room: nothing displaced" 0 (push_run r [ 0; 1 ]);
+  check Alcotest.int "exactly full: nothing displaced" 0 (push_run r [ 2; 3 ]);
+  check Alcotest.int "a full lane refuses a claim" (-1) (R.claim r ~len:1);
+  check Alcotest.int "overflow displaces the oldest" 2 (push_run r [ 4; 5 ]);
+  check Alcotest.(list int) "newest survive, FIFO" [ 2; 3; 4; 5 ] (lane_take r b ~max:4);
+  Alcotest.check_raises "a run longer than the capacity"
+    (Invalid_argument "Slot_ring.claim: len must be in [1, capacity]") (fun () ->
+      ignore (R.claim r ~len:5));
+  let cap = 7 in
+  let r = answer_ring cap in
+  let b = answer_batch cap in
+  let rng = Rng.create 15 in
   let oracle = Queue.create () in
   let next = ref 0 in
-  for _ = 0 to 2_999 do
+  while !next < 200 * cap do
     if Rng.int rng 100 < 55 then begin
-      let len = Rng.int rng (2 * cap + 1) in
-      let a = Array.init len (fun i -> !next + i) in
-      next := !next + len;
+      let vs = List.init (1 + Rng.int rng cap) (fun i -> !next + i) in
+      next := !next + List.length vs;
       let shed = ref 0 in
-      Array.iter
+      List.iter
         (fun v ->
           if Queue.length oracle = cap then begin
             ignore (Queue.pop oracle);
             incr shed
           end;
           Queue.push v oracle)
-        a;
-      check Alcotest.int "displaced count" !shed
-        (Q.shed_enqueue_batch q a ~pos:0 ~len);
-      check Alcotest.int "length after push" (Queue.length oracle) (Q.length q)
+        vs;
+      check Alcotest.int "displaced count" !shed (push_run r vs);
+      check Alcotest.int "length after the run" (Queue.length oracle) (R.length r)
     end
     else begin
-      let max = 1 + Rng.int rng 5 in
-      List.iter
-        (fun v -> check Alcotest.int "FIFO after batch push" (Queue.pop oracle) v)
-        (Q.dequeue_batch q ~max)
+      let max = 1 + Rng.int rng cap in
+      let got = lane_take r b ~max in
+      check Alcotest.int "takes all it can"
+        (Stdlib.min max (Queue.length oracle))
+        (List.length got);
+      List.iter (fun v -> check Alcotest.int "FIFO across the wrap" (Queue.pop oracle) v) got
     end
   done;
   check Alcotest.(list int) "final contents"
     (List.of_seq (Queue.to_seq oracle))
-    (Q.dequeue_batch q ~max:(cap + 1))
+    (lane_take r b ~max:cap)
 
-
-(* 2 producers x 2 consumers over a small completion-lane queue.
-   Producers push runs of 1-5 (at most [cap]) with [shed_enqueue_batch]
-   and consumers [dequeue_batch] up to 4, each published with one
-   occupancy update.  Producers first claim room from a credit pool of
-   [cap] slots that consumers refill after a take, so a push can never
-   shed: "no loss" then means nothing was displaced either.  With
-   [enroll] the domains take part in fault injection as slots 0-3. *)
-let run_queue_stress ?(enroll = false) ~cap ~per_producer () =
-  let producers = 2 and consumers = 2 in
-  let q = Q.create cap in
-  let credits = Atomic.make cap in
-  let rec claim k =
-    let c = Atomic.get credits in
-    if c >= k && Atomic.compare_and_set credits c (c - k) then ()
-    else begin
-      yield ();
-      claim k
-    end
+(* A client that never polls: the worker's answers fill the lane (1 worker
+   x (4 queued + a batch of 4) + 8 = 16 slots), then displace its oldest.
+   The lane keeps the newest 16, in order, and [s_displaced] counts the
+   rest. *)
+let test_lane_displacement () =
+  let total = 40 in
+  let svc =
+    Svc.create
+      {
+        Svc.default_config with
+        Svc.n = 64;
+        workers = 1;
+        clients = 1;
+        queue_capacity = 4;
+        batch = 4;
+        admission = Svc.Block 1.0;
+      }
   in
-  let displaced = Atomic.make 0 and over_cap = Atomic.make 0 in
+  for i = 0 to total - 1 do
+    match Svc.submit svc ~session:0 (Svc.Unite (i mod 64, 0)) with
+    | Svc.Enqueued id -> check Alcotest.int "ids in order" i id
+    | Svc.Rejected _ -> Alcotest.fail "rejected"
+  done;
+  let give_up = Clock.now_ns () + 2_000_000_000 in
+  while (Svc.stats svc).Svc.s_displaced < total - 16 && Clock.now_ns () < give_up do
+    Unix.sleepf 0.0002
+  done;
+  let got = ref [] in
+  while List.length !got < 16 && Clock.now_ns () < give_up do
+    got := !got @ Svc.poll svc ~session:0
+  done;
+  Svc.stop svc;
+  check Alcotest.(list int) "the newest answers, in order"
+    (List.init 16 (fun i -> total - 16 + i))
+    (List.map (fun (r : Svc.response) -> r.Svc.r_id) !got);
+  check Alcotest.int "displaced" (total - 16) (Svc.stats svc).Svc.s_displaced;
+  check Alcotest.int "all acked" total (Svc.stats svc).Svc.s_acked
+
+(* 2 pushers of runs x 2 pollers over a small lane.  Pushers claim runs of
+   1-5 answers (at most [cap]) with one [tail] CAS each and wait while the
+   lane has no room, so nothing is displaced; pollers take up to 1 and 4.
+   No answer lost, duplicated or torn, per-pusher FIFO, and the length
+   never exceeds capacity.  With [enroll] the domains take part in fault
+   injection as slots 0-3. *)
+let run_lane_stress ?(enroll = false) ~cap ~per_producer () =
+  let producers = 2 and consumers = 2 in
+  let r = answer_ring cap in
+  let total = producers * per_producer in
+  let taken = Atomic.make 0 and over_cap = Atomic.make 0 in
   let produce p () =
     if enroll then Fi.enroll ~slot:p;
-    (* tag values with the producer id in the low bit *)
-    let value i = (i * producers) + p in
     let i = ref 0 in
     while !i < per_producer do
-      let len = min (per_producer - !i) (min cap (1 + (!i mod 5))) in
-      let run = Array.init len (fun j -> value (!i + j)) in
-      claim len;
-      let d = Q.shed_enqueue_batch q run ~pos:0 ~len in
-      ignore (Atomic.fetch_and_add displaced d);
+      let len = Stdlib.min (per_producer - !i) (Stdlib.min cap (1 + (!i mod 5))) in
+      let first = ref (R.claim r ~len) in
+      while !first < 0 do
+        yield ();
+        first := R.claim r ~len
+      done;
+      for j = 0 to len - 1 do
+        write r ~width:answer_width !first (((!i + j) * producers) + p);
+        first := R.next_slot r !first
+      done;
       i := !i + len
     done
   in
-  let total = producers * per_producer in
-  let taken = Atomic.make 0 in
   let consume c () =
     if enroll then Fi.enroll ~slot:(producers + c);
+    let b = answer_batch 4 in
     let mine = ref [] in
     while Atomic.get taken < total do
-      if Q.length q > cap then Atomic.incr over_cap;
-      match Q.dequeue_batch q ~max:4 with
+      if R.length r > cap then Atomic.incr over_cap;
+      match lane_take r b ~max:(1 + (c * 3)) with
       | [] -> yield ()
       | vs ->
-        let k = List.length vs in
-        ignore (Atomic.fetch_and_add taken k);
-        ignore (Atomic.fetch_and_add credits k);
+        ignore (Atomic.fetch_and_add taken (List.length vs));
         mine := List.rev_append vs !mine
     done;
     List.rev !mine
@@ -418,16 +484,14 @@ let run_queue_stress ?(enroll = false) ~cap ~per_producer () =
   let cs = List.init consumers (fun c -> Domain.spawn (consume c)) in
   List.iter Domain.join ps;
   let streams = List.map Domain.join cs in
-  check Alcotest.int "nothing displaced" 0 (Atomic.get displaced);
   check Alcotest.int "length within capacity" 0 (Atomic.get over_cap);
   check_streams ~producers ~total streams
 
-let test_queue_stress () = run_queue_stress ~cap:8 ~per_producer:5_000 ()
+let test_lane_stress () = run_lane_stress ~cap:8 ~per_producer:5_000 ()
 
-(* Same stress with adversarial yields injected at the queue's fault
-   sites on every enrolled domain — a lincheck-style schedule perturbation
-   at exactly the published linearization-sensitive points. *)
-let test_queue_stress_yields () =
+(* Same stress with adversarial yields and stalls injected at the lane's
+   fault sites, right before its run claim's and its take's CAS. *)
+let test_lane_stress_yields () =
   Fi.arm
     {
       Fi.seed = 5;
@@ -443,7 +507,26 @@ let test_queue_stress_yields () =
           ]);
     };
   Fun.protect ~finally:Fi.disarm
-    (run_queue_stress ~enroll:true ~cap:4 ~per_producer:2_000)
+    (run_lane_stress ~enroll:true ~cap:5 ~per_producer:2_000)
+
+(* A crash injected before a run claim's CAS or a poll's take leaves no
+   ticket claimed and no slot held: the lane keeps working, and every run
+   pushed is taken exactly once, in order. *)
+let test_lane_crash () =
+  let r = answer_ring 6 in
+  let b = answer_batch 6 in
+  with_crash Site.Queue_enq_cas ~after:1 (fun () ->
+      ignore (push_run r [ 0; 1 ]);
+      ignore (push_run r [ 2; 3; 4 ]));
+  check Alcotest.int "one run pushed before the crash" 2 (R.length r);
+  check Alcotest.int "the run pushes after the crash" 0 (push_run r [ 2; 3; 4 ]);
+  with_crash Site.Queue_deq_cas ~after:1 (fun () ->
+      check Alcotest.(list int) "first take" [ 0; 1 ] (lane_take r b ~max:2);
+      ignore (lane_take r b ~max:2));
+  check Alcotest.int "nothing taken by the crashed take" 3 (R.length r);
+  check Alcotest.(list int) "the rest, in order" [ 2; 3; 4 ] (lane_take r b ~max:6);
+  check Alcotest.int "the lane takes runs again" 0 (push_run r [ 5; 6; 7; 8; 9; 10 ]);
+  check Alcotest.(list int) "and drains them" [ 5; 6; 7; 8; 9; 10 ] (lane_take r b ~max:6)
 
 (* --------------------------------------------- service vs sequential *)
 
@@ -582,7 +665,7 @@ let test_service_mixed_deadline_batch () =
       match Svc.submit svc ~deadline_ns ~session:0 op with
       | Svc.Enqueued id ->
         let e = if deadline_ns = 1 then None else Some (expect_op n o op) in
-        Hashtbl.replace expected id e
+        Hashtbl.replace expected id (op, e)
       | Svc.Rejected _ -> Alcotest.fail "rejected")
     ops;
   Atomic.set go true;
@@ -599,8 +682,9 @@ let test_service_mixed_deadline_batch () =
     (List.map (fun (r : Svc.response) -> r.Svc.r_id) !got);
   List.iter
     (fun (r : Svc.response) ->
-      let what = Svc.op_to_string r.Svc.r_op in
-      match (Hashtbl.find expected r.Svc.r_id, r.Svc.r_outcome) with
+      let op, e = Hashtbl.find expected r.Svc.r_id in
+      let what = Svc.op_to_string op in
+      match (e, r.Svc.r_outcome) with
       | None, Svc.Timed_out -> ()
       | Some e, Svc.Done v -> check Alcotest.bool (what ^ " agrees") true (agrees e v)
       | None, _ -> Alcotest.fail (what ^ ": expired op not Timed_out")
@@ -623,16 +707,18 @@ let test_service_find_is_root () =
   (match Svc.submit svc ~session:0 (Svc.Unite (1, 2)) with
   | Svc.Enqueued _ -> ()
   | Svc.Rejected _ -> Alcotest.fail "rejected");
-  (match Svc.submit svc ~session:0 (Svc.Find 1) with
-  | Svc.Enqueued _ -> ()
-  | Svc.Rejected _ -> Alcotest.fail "rejected");
+  let find_id =
+    match Svc.submit svc ~session:0 (Svc.Find 1) with
+    | Svc.Enqueued id -> id
+    | Svc.Rejected _ -> Alcotest.fail "rejected"
+  in
   let root = ref (-1) in
   let give_up = Clock.now_ns () + 2_000_000_000 in
   while !root < 0 && Clock.now_ns () < give_up do
     List.iter
       (fun (r : Svc.response) ->
-        match (r.Svc.r_op, r.Svc.r_outcome) with
-        | Svc.Find _, Svc.Done (Svc.V_int v) -> root := v
+        match r.Svc.r_outcome with
+        | Svc.Done (Svc.V_int v) when r.Svc.r_id = find_id -> root := v
         | _ -> ())
       (Svc.poll svc ~session:0);
     Unix.sleepf 0.0002
@@ -938,12 +1024,124 @@ let test_wake_alloc () =
     Alcotest.failf "a waking submit allocates %.2f minor words (at most 2 allowed)"
       words
 
+(* The 40/10/50 unite/find/same_set mix of [Harness.Load] over [0, 64). *)
+let mixed_ops count =
+  let rng = Rng.create 9 in
+  Array.init count (fun _ ->
+      let x = Rng.int rng 64 and y = Rng.int rng 64 in
+      match Rng.int rng 10 with
+      | k when k < 4 -> Svc.Unite (x, y)
+      | 4 -> Svc.Find x
+      | _ -> Svc.Same_set (x, y))
+
+(* Submit [ops] to a held one-worker service, release the worker and poll
+   every answer; [on_poll] runs around the polling loop.  Returns what
+   the worker domain allocated over its whole life, read at its exit. *)
+let serve_held ?(on_poll = fun f -> f ()) ops =
+  let count = Array.length ops in
+  let go = Atomic.make false and worker_words = Atomic.make nan in
+  let svc =
+    Svc.create
+      ~on_worker_start:(fun _ ->
+        let start = Gc.minor_words () in
+        Domain.at_exit (fun () ->
+            Atomic.set worker_words (Gc.minor_words () -. start));
+        while not (Atomic.get go) do
+          Unix.sleepf 0.0001
+        done)
+      {
+        Svc.default_config with
+        Svc.n = 64;
+        workers = 1;
+        clients = 1;
+        queue_capacity = count;
+        admission = Svc.Reject;
+      }
+  in
+  Array.iter
+    (fun op ->
+      match Svc.submit svc ~session:0 op with
+      | Svc.Enqueued _ -> ()
+      | Svc.Rejected _ -> Alcotest.fail "rejected")
+    ops;
+  ignore (Svc.poll svc ~session:0);
+  Atomic.set go true;
+  let got = ref 0 in
+  let give_up = Clock.now_ns () + 5_000_000_000 in
+  on_poll (fun () ->
+      while !got < count && Clock.now_ns () < give_up do
+        got := !got + List.length (Svc.poll svc ~session:0)
+      done);
+  Svc.stop svc;
+  check Alcotest.int "every op answered" count !got;
+  Atomic.get worker_words
+
+(* The drain worker allocates nothing per request beyond what the DSU
+   kernel itself allocates: requests and answers cross as ints, and the
+   outcome is a code.  The kernel's share is measured by replaying the
+   same ops, in the same order, on a replica built with the service's
+   plan and seed; what the worker allocates at start (its batch buffers)
+   is spread over 20k requests of the serve mix. *)
+let test_worker_alloc () =
+  let count = 20_000 in
+  let ops = mixed_ops count in
+  let worker = serve_held ops in
+  let cfg = Svc.default_config in
+  let replica = Dsu.Driver.create ~plan:cfg.Svc.plan ~seed:cfg.Svc.seed 64 in
+  let before = Gc.minor_words () in
+  Array.iter
+    (function
+      | Svc.Unite (x, y) -> Dsu.Driver.unite replica x y
+      | Svc.Same_set (x, y) -> ignore (Dsu.Driver.same_set replica x y : bool)
+      | Svc.Find x -> ignore (Dsu.Driver.find replica x : int))
+    ops;
+  let kernel = Gc.minor_words () -. before in
+  let words = (worker -. kernel) /. float_of_int count in
+  if not (words < 0.05) then
+    Alcotest.failf
+      "the worker allocates %.3f minor words per request on top of the DSU \
+       kernel's %.2f (0 allowed)"
+      words
+      (kernel /. float_of_int count)
+
+(* [poll] allocates only what it returns: a record and a list cell (7
+   words) per unite or same_set answer, and the [Done (V_int _)] (4 more)
+   per find answer; a poll of an empty lane allocates nothing. *)
+let test_poll_alloc () =
+  let count = 10_000 in
+  let per_answer ops =
+    let words = ref 0. in
+    ignore
+      (serve_held
+         ~on_poll:(fun f ->
+           let before = Gc.minor_words () in
+           f ();
+           words := Gc.minor_words () -. before)
+         ops);
+    !words /. float_of_int count
+  in
+  let pairs =
+    per_answer
+      (Array.init count (fun i ->
+           if i land 1 = 0 then Svc.Unite (i mod 64, 0) else Svc.Same_set (i mod 64, 1)))
+  in
+  if pairs > 7.0 then
+    Alcotest.failf "poll allocates %.2f minor words per unite/same_set answer (7 allowed)"
+      pairs;
+  let finds = per_answer (Array.init count (fun i -> Svc.Find (i mod 64))) in
+  if finds > 11.0 then
+    Alcotest.failf "poll allocates %.2f minor words per find answer (11 allowed)" finds
+
 (* --------------------------------------------- backpressure accounting *)
 
 (* Drive the open-loop harness at a rate far past saturation with a tiny
    queue: depth stays bounded by capacity, and every accepted op is
    accounted (acked + shed + timed_out + failed + lost = accepted, no
-   silent drops). *)
+   silent drops).  The service is durable, so each drained batch waits
+   for a group commit and 800k/s offered is many times what it can ack:
+   without the WAL the drain keeps up with two generators, and a point
+   then saturates only when the generators fall behind their own
+   schedule on a loaded host, which no admission policy can answer. *)
 let run_backpressure admission =
   let config =
     {
@@ -956,6 +1154,7 @@ let run_backpressure admission =
       batch = 8;
       admission;
       shape = Load.Fixed;
+      durable = true;
     }
   in
   let p = Load.run_point ~config ~rate:400_000.0 () in
@@ -1070,12 +1269,14 @@ let () =
           slow "4 producers, a worker and a shed-oldest displacer"
             test_ring_shed_stress;
         ] );
-      ( "bounded-queue",
+      ( "completion-lane",
         [
-          case "batch push oracle" test_queue_shed_batch_oracle;
-          slow "4-domain stress, batch push and drain" test_queue_stress;
-          slow "4-domain stress with yields, batch push and drain"
-            test_queue_stress_yields;
+          case "run-push oracle, wrap-around at capacity 7" test_lane_run_oracle;
+          case "an unpolled lane displaces its oldest answers" test_lane_displacement;
+          case "injected crash leaves the lane usable" test_lane_crash;
+          slow "4-domain stress, run pushes and polls" test_lane_stress;
+          slow "4-domain stress with yields, run pushes and polls"
+            test_lane_stress_yields;
         ] );
       ( "service",
         [
@@ -1101,6 +1302,8 @@ let () =
           case "a reject-path submit allocates only its answer" test_submit_alloc;
           case "a submit that wakes a parked worker allocates only its answer"
             test_wake_alloc;
+          case "the drain worker allocates nothing beyond the kernel" test_worker_alloc;
+          case "poll allocates only the answers it returns" test_poll_alloc;
         ] );
       ( "backpressure",
         [
