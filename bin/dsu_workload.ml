@@ -1079,8 +1079,8 @@ let layouts_arg =
     & opt_all layout_conv []
     & info [ "layout" ] ~docv:"LAYOUT"
         ~doc:
-          "Memory layout to test: flat, flat-padded, growable or packed \
-           (repeatable; default flat).")
+          "Memory layout to test: flat, flat-padded or packed (repeatable; \
+           default flat).")
 
 let policies_arg =
   Arg.(
@@ -2098,16 +2098,6 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
       (policies <> [] && layouts <> [] && orders <> [] && backoffs <> []
      && dists <> [])
       "a sweep axis is empty"
-  in
-  let growable = Dsu.Plan.Growable in
-  let* () =
-    check_arg
-      ((not (List.mem growable layouts))
-      &&
-      match plan with
-      | Some (`Plan p) -> p.Dsu.Plan.layout <> growable
-      | _ -> true)
-      "growable is not a sweep layout"
   in
   let rec counts d = if d > max_domains then [] else d :: counts (2 * d) in
   let domain_counts = counts 1 in

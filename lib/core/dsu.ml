@@ -6,9 +6,9 @@
 
     - {!Native} — the user-facing DSU over OCaml 5 domains.
     - {!Growable} — the [MakeSet] extension (elements created on the fly,
-      no capacity bound).
+      no capacity bound), called directly: it is not a {!Driver} layout.
     - {!Packed} — Section 7's linking by rank over one packed word.
-    - {!Driver} — any of those layouts as one value, chosen by a {!Plan}.
+    - {!Driver} — {!Native} or {!Packed} as one value, chosen by a {!Plan}.
     - {!Sim} — the same algorithm instrumented to run inside the APRAM
       simulator ({!Apram.Sim}) for exact work measurements.
     - {!Find_policy} — selects among the paper's three [Find] variants.
@@ -51,6 +51,5 @@ module Plan = Dsu_plan
     by [Harness.Autotune] and the [--plan] CLI spec syntax. *)
 
 module Driver = Dsu_driver
-(** The one backend type: a variant over the flat, growable and packed
-    layouts, built from the {!Plan} that names it or restored from a
-    snapshot. *)
+(** The one backend type: a variant over the flat and packed layouts,
+    built from the {!Plan} that names it or restored from a snapshot. *)

@@ -1,26 +1,20 @@
 (** A DSU backend as one value; see the interface.  The two layout
     dispatches are {!create} here and [Repro_recover.Restore.restore]. *)
 
-type kind = Flat | Growable | Packed
+type kind = Flat | Packed
 
-type t =
-  | Flat of Dsu_native.t
-  | Growable of Growable.t
-  | Packed of Packed_dsu.Native.t
+type t = Flat of Dsu_native.t | Packed of Packed_dsu.Native.t
 
 let kind : t -> kind = function
   | Flat _ -> Flat
-  | Growable _ -> Growable
   | Packed _ -> Packed
 
 let kind_to_string : kind -> string = function
   | Flat -> "flat"
-  | Growable -> "growable"
   | Packed -> "packed"
 
 let kind_of_layout : Dsu_plan.layout -> kind = function
   | Dsu_plan.Flat | Dsu_plan.Padded -> Flat
-  | Dsu_plan.Growable -> Growable
   | Dsu_plan.Packed -> Packed
 
 let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false)
@@ -34,17 +28,6 @@ let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false)
     Flat
       (Dsu_native.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
          ~seed ~padded:(layout = Dsu_plan.Padded) n)
-  | Dsu_plan.Growable ->
-    let d =
-      Growable.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
-        ~seed ()
-    in
-    (* The universe exists up front: make_set is not WAL-logged, so a
-       recovered universe is the snapshot's. *)
-    for _ = 1 to n do
-      ignore (Growable.make_set d)
-    done;
-    Growable d
   | Dsu_plan.Packed ->
     Packed
       (Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats
@@ -52,91 +35,59 @@ let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false)
 
 let n = function
   | Flat d -> Dsu_native.n d
-  | Growable d -> Growable.cardinal d
   | Packed d -> Packed_dsu.Native.n d
 
 let find t x =
   match t with
   | Flat d -> Dsu_native.find d x
-  | Growable d -> Growable.find d x
   | Packed d -> Packed_dsu.Native.find d x
 
 let same_set t x y =
   match t with
   | Flat d -> Dsu_native.same_set d x y
-  | Growable d -> Growable.same_set d x y
   | Packed d -> Packed_dsu.Native.same_set d x y
 
 let unite t x y =
   match t with
   | Flat d -> Dsu_native.unite d x y
-  | Growable d -> Growable.unite d x y
   | Packed d -> Packed_dsu.Native.unite d x y
-
-let same_length what xs ys =
-  if Array.length xs <> Array.length ys then
-    invalid_arg ("Dsu_driver." ^ what ^ ": length mismatch")
 
 let unite_batch ?len t xs ys =
   match t with
   | Flat d -> Dsu_native.unite_batch ?len d xs ys
-  | Growable d ->
-    let len =
-      match len with
-      | None ->
-        same_length "unite_batch" xs ys;
-        Array.length xs
-      | Some len ->
-        if len < 0 || len > Array.length xs || len > Array.length ys then
-          invalid_arg "Dsu_driver.unite_batch: len outside the arrays";
-        len
-    in
-    for k = 0 to len - 1 do
-      Growable.unite d xs.(k) ys.(k)
-    done
   | Packed d -> Packed_dsu.Native.unite_batch ?len d xs ys
 
 let same_set_batch t xs ys =
   match t with
   | Flat d -> Dsu_native.same_set_batch d xs ys
-  | Growable d ->
-    same_length "same_set_batch" xs ys;
-    Array.mapi (fun k x -> Growable.same_set d x ys.(k)) xs
   | Packed d -> Packed_dsu.Native.same_set_batch d xs ys
 
 let find_batch t xs =
   match t with
   | Flat d -> Dsu_native.find_batch d xs
-  | Growable d -> Array.map (Growable.find d) xs
   | Packed d -> Packed_dsu.Native.find_batch d xs
 
 let count_sets = function
   | Flat d -> Dsu_native.count_sets d
-  | Growable d -> Growable.count_sets d
   | Packed d -> Packed_dsu.Native.count_sets d
 
 let parents_snapshot = function
   | Flat d -> Dsu_native.parents_snapshot d
-  | Growable d -> Growable.parents_snapshot d
   | Packed d -> Packed_dsu.Native.parents_snapshot d
 
 let prio t x =
   match t with
   | Flat d -> Dsu_native.id d x
-  | Growable d -> Growable.priority d x
   | Packed d -> Packed_dsu.Native.rank_of d x
 
 let prios_snapshot = function
   | Flat d -> Dsu_native.ids_snapshot d
-  | Growable d -> Growable.priorities_snapshot d
   | Packed d -> Packed_dsu.Native.ranks_snapshot d
 
 let snapshot_fuzzy = function
   | Flat d -> Dsu_native.snapshot_fuzzy d
-  | Growable d -> Growable.snapshot_fuzzy d
   | Packed d -> Packed_dsu.Native.snapshot_fuzzy d
 
 let stats = function
   | Flat d -> Dsu_native.stats d
-  | Growable d -> Growable.stats d
   | Packed d -> Packed_dsu.Native.stats d

@@ -1,6 +1,9 @@
-(** A DSU backend as one value: a variant over the three kinds of layout
-    (flat, also padded; growable; packed).  A {!Dsu_plan.t} is the only
-    selector: {!create} builds whatever layout the plan names.
+(** A DSU backend as one value: a variant over the two kinds of layout
+    (flat, also padded; packed).  A {!Dsu_plan.t} is the only selector:
+    {!create} builds whatever layout the plan names.
+
+    {!Growable}, the [MakeSet] extension, is not a kind: nothing behind
+    this interface creates elements, so its callers use it directly.
 
     Everything above the layout modules — the connectivity pipeline, the
     service, the chaos and recovery drills, snapshots and fuzzy captures —
@@ -18,13 +21,9 @@
 
 type kind =
   | Flat  (** {!Dsu_native}, also the padded layout *)
-  | Growable  (** {!Growable}, universe pre-created by {!create} *)
   | Packed  (** {!Packed_dsu.Native}, linking by rank *)
 
-type t =
-  | Flat of Dsu_native.t
-  | Growable of Growable.t
-  | Packed of Packed_dsu.Native.t
+type t = Flat of Dsu_native.t | Packed of Packed_dsu.Native.t
 
 val kind : t -> kind
 val kind_to_string : kind -> string
@@ -40,15 +39,13 @@ val create :
   int ->
   t
 (** [create n] builds the structure the plan names ([plan] defaults to
-    {!Dsu_plan.default}): its layout picks the kind, and a [Growable]
-    plan creates its [n] elements up front.  [seed] feeds the random
+    {!Dsu_plan.default}): its layout picks the kind.  [seed] feeds the random
     priorities of the id-linking layouts (ignored by [Packed]); [on_link]
     hooks every successful link CAS.
     @raise Invalid_argument if {!Dsu_plan.validate} rejects the plan or
     [n < 1]. *)
 
 val n : t -> int
-(** Elements present ([cardinal] for Growable). *)
 
 val find : t -> int -> int
 val same_set : t -> int -> int -> bool
@@ -57,7 +54,7 @@ val unite : t -> int -> int -> unit
 val unite_batch : ?len:int -> t -> int array -> int array -> unit
 val same_set_batch : t -> int array -> int array -> bool array
 val find_batch : t -> int array -> int array
-(** The layouts' bulk kernels; Growable runs the per-op loop.
+(** The layouts' bulk kernels.
     [unite_batch ~len] unites only the first [len] pairs, so a caller
     can compact survivors into longer buffers.
     @raise Invalid_argument on length mismatch (or [len] outside either

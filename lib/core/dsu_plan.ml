@@ -12,8 +12,7 @@
     meaningful:
 
     - [Random_id] linking (the paper's randomized algorithm) runs over
-      the [Flat], [Padded] and [Growable] layouts ([Growable] is the
-      [MakeSet] layout, {!Growable});
+      the [Flat] and [Padded] layouts;
     - [By_rank] linking runs over the [Packed] single-word layout.
 
     Linking by size, the remaining cell of the Alistarh et al. grid, has
@@ -28,8 +27,7 @@
 
     {v linking:compaction:memory-order:backoff:layout
        e.g.  rand:two-try:relaxed-reads:on:flat
-             rank:halving:acquire:off:packed
-             rand:two-try:relaxed-reads:on:growable v} *)
+             rank:halving:acquire:off:packed v} *)
 
 type linking = Random_id | By_rank
 
@@ -42,18 +40,16 @@ let linking_of_string = function
   | "rank" -> Some By_rank
   | _ -> None
 
-type layout = Flat | Padded | Growable | Packed
+type layout = Flat | Padded | Packed
 
 let layout_to_string = function
   | Flat -> "flat"
   | Padded -> "flat-padded"
-  | Growable -> "growable"
   | Packed -> "packed"
 
 let layout_of_string = function
   | "flat" -> Some Flat
   | "flat-padded" | "padded" -> Some Padded
-  | "growable" -> Some Growable
   | "packed" -> Some Packed
   | _ -> None
 
@@ -97,9 +93,9 @@ let validate p =
   match (p.linking, p.layout) with
   | Random_id, Packed ->
     Error "the packed layout links by rank; use rank:...:packed"
-  | By_rank, (Flat | Padded | Growable) ->
+  | By_rank, (Flat | Padded) ->
     Error "rank linking requires the packed layout (rank:...:packed)"
-  | Random_id, (Flat | Padded | Growable) | By_rank, Packed -> Ok ()
+  | Random_id, (Flat | Padded) | By_rank, Packed -> Ok ()
 
 let is_valid p = Result.is_ok (validate p)
 
@@ -137,10 +133,9 @@ let of_string s =
          s (to_string default))
 
 (* The registry: every valid point of the grid, in deterministic order.
-   [Padded] and [Growable] are omitted from the enumeration — the
-   false-sharing ablation twin of [Flat] and the [MakeSet] layout, not
-   independent contenders — but remain valid specs for explicit [--plan]
-   requests. *)
+   [Padded] is omitted from the enumeration — the false-sharing ablation
+   twin of [Flat], not an independent contender — but remains a valid
+   spec for explicit [--plan] requests. *)
 let registry =
   let orders = Memory_order.all in
   let backoffs = [ true; false ] in

@@ -140,18 +140,8 @@ module Memory = struct
       ensure t i
     end
 
-  (* A directory whose first [k] cells hold [parent i] / [prio i]. *)
-  let of_cells ?(order = Memory_order.default) k ~parent ~prio =
-    let chunks =
-      Array.init ((k + chunk_mask) lsr chunk_bits) (fun c ->
-          let ch = new_chunk c in
-          for i = c lsl chunk_bits to Int.min k ((c + 1) lsl chunk_bits) - 1 do
-            A.unsafe_store ch (parent_word i) (parent i);
-            A.unsafe_store ch (prio_word i) (prio i)
-          done;
-          ch)
-    in
-    { dir = Atomic.make chunks; seen = chunks; order }
+  (* An empty directory: the first [make_set] publishes chunk 0. *)
+  let create order = { dir = Atomic.make [||]; seen = [||]; order }
 end
 
 module Algo = Dsu_algorithm.Make (Memory) (Dsu_algorithm.By_id (Memory))
@@ -174,8 +164,9 @@ let mix64 z =
 (* Element [i]'s priority is [mix64 (seed + i * prio_step)]. *)
 let prio_step = 0x632be59bd9b4e019
 
-let build ?policy ?early ?backoff ?(collect_stats = false) ?on_link
-    ?(seed = 0x9e3779b9) mem k =
+let create ?policy ?early ?backoff ?(memory_order = Memory_order.default)
+    ?(collect_stats = false) ?on_link ?(seed = 0x9e3779b9) () =
+  let mem = Memory.create memory_order in
   let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
   let algo =
     (* The universe has no bound, so the functor's own range check gets
@@ -183,16 +174,7 @@ let build ?policy ?early ?backoff ?(collect_stats = false) ?on_link
     Algo.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n:max_int
       ~prio:(fun i -> Memory.prio mem i) ()
   in
-  (* The counter starts where [k] make_sets would have left it, so the
-     elements a restored universe grows draw fresh priorities, not those
-     of elements [0], [1], ... *)
-  { mem; next = Atomic.make k; rng_state = Atomic.make (seed + (k * prio_step)); algo }
-
-let create ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link ?seed
-    () =
-  build ?policy ?early ?backoff ?collect_stats ?on_link ?seed
-    (Memory.of_cells ?order:memory_order 0 ~parent:Fun.id ~prio:Fun.id)
-    0
+  { mem; next = Atomic.make 0; rng_state = Atomic.make seed; algo }
 
 let make_set t =
   let slot = Atomic.fetch_and_add t.next 1 in
@@ -243,42 +225,3 @@ let count_sets t =
     if Memory.read t.mem i = i then incr c
   done;
   !c
-
-(* ---- snapshot / restore (quiescent persistence; see Repro_recover) ---- *)
-
-let parents_snapshot t = Array.init (cardinal t) (Memory.read t.mem)
-let priorities_snapshot t = Array.init (cardinal t) (Memory.prio t.mem)
-
-(* Fuzzy (non-quiescent) scan; see {!Dsu_native.snapshot_fuzzy}.  The
-   cardinal is latched first, so concurrent [make_set]s past it are simply
-   not part of the cut; a slot below the latched cardinal has its priority
-   release-published before the slot escaped, so the acquire loads see it. *)
-let snapshot_fuzzy t =
-  let k = cardinal t in
-  let parents =
-    Array.init k (fun i ->
-        if Atomic.get Fi.armed then Fi.hit Repro_fault.Site.Snapshot_read;
-        Memory.read t.mem i)
-  in
-  let prios = Array.init k (Memory.prio t.mem) in
-  (* A parent installed by a racing link may point above the latched
-     cardinal; clamp such nodes to roots — dropping the edge only makes the
-     cut finer, which still refines the final partition. *)
-  Array.iteri (fun i p -> if p >= k then parents.(i) <- i) parents;
-  (parents, prios)
-
-let of_snapshot ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link
-    ?seed ~parents ~prios () =
-  let k = Array.length parents in
-  if Array.length prios <> k then
-    invalid_arg "Growable.of_snapshot: parents/prios length mismatch";
-  Array.iteri
-    (fun i p ->
-      if p < 0 || p >= k then invalid_arg "Growable.of_snapshot: parent out of range";
-      if p <> i && not (prios.(i) < prios.(p) || (prios.(i) = prios.(p) && i < p))
-      then invalid_arg "Growable.of_snapshot: parents violate the linking order")
-    parents;
-  build ?policy ?early ?backoff ?collect_stats ?on_link ?seed
-    (Memory.of_cells ?order:memory_order k ~parent:(Array.get parents)
-       ~prio:(Array.get prios))
-    k

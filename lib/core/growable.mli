@@ -23,7 +23,13 @@
     wait-free here.
 
     Nodes must not be passed to [same_set]/[unite]/[find] before [make_set]
-    returns them. *)
+    returns them.
+
+    This is not a {!Dsu_driver} layout: the Driver's callers (service, WAL
+    recovery, crash drill, connectivity) work over a fixed universe and
+    never call [make_set], so the structure is used directly
+    ([Analysis.Steensgaard], experiment E12) and has no snapshot
+    or restore. *)
 
 val chunk_size : int
 (** Elements per chunk, a power of two. *)
@@ -69,34 +75,3 @@ val priority : t -> int -> int
 val stats : t -> Dsu_stats.snapshot
 val count_sets : t -> int
 (** Quiescent only. *)
-
-val parents_snapshot : t -> int array
-(** Parents of the created elements ([0 .. cardinal - 1]).  Quiescent only. *)
-
-val priorities_snapshot : t -> int array
-(** Priorities of the created elements.  Quiescent only. *)
-
-val snapshot_fuzzy : t -> int array * int array
-(** Fuzzy (non-quiescent) [(parents, priorities)] scan over the cardinal
-    latched at entry, with {!Repro_fault.Site.Snapshot_read} hits per
-    parent cell; parents pointing past the latched cardinal (a racing
-    [make_set] + link) are clamped to roots.  See
-    {!Dsu_native.snapshot_fuzzy}. *)
-
-val of_snapshot :
-  ?policy:Find_policy.t ->
-  ?early:bool ->
-  ?backoff:bool ->
-  ?memory_order:Memory_order.t ->
-  ?collect_stats:bool ->
-  ?on_link:(child:int -> parent:int -> unit) ->
-  ?seed:int ->
-  parents:int array ->
-  prios:int array ->
-  unit ->
-  t
-(** A fresh structure whose first [Array.length parents] elements are
-    already created with the given parents and priorities; further
-    [make_set]s continue from there.
-    @raise Invalid_argument on length mismatch, out-of-range parents, or
-    parents violating the [(priority, index)] linking order. *)

@@ -12,7 +12,7 @@
     reconciliation pass below removes it.
 
     Every capture runs {!Repro_recover.Repair.repair} on the scanned cut
-    (reconciliation).  For flat/growable the fix list is empty by
+    (reconciliation).  For flat the fix list is empty by
     the argument above — a non-empty list there would falsify Lemma 3.1
     and the chaos drill checks exactly that.  For packed a few fixes are
     legitimate; each fix only splits sets, so the repaired cut still

@@ -22,10 +22,9 @@ let replay r ~from_epoch (records : Wal.record array) =
     (fun (rc : Wal.record) ->
       if rc.Wal.epoch < from_epoch then incr skipped
       else if rc.x < 0 || rc.x >= n || rc.y < 0 || rc.y >= n then
-        (* A record for an element the snapshot predates (Growable: a
-           make_set raced past the latched cardinal).  The element's
-           links will be re-made by the resumed workload; dropping the
-           record is the only sound choice for a fixed universe. *)
+        (* A record naming a node outside the restored universe: the
+           log is input, so a damaged or foreign record is dropped and
+           counted, never applied. *)
         incr oor
       else begin
         Dsu.Driver.unite r rc.x rc.y;

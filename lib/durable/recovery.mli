@@ -11,8 +11,8 @@
     + rebuild the live structure ({!Repro_recover.Restore});
     + replay the WAL's valid prefix from the snapshot's epoch on,
       dropping records below it (already in the cut) and records whose
-      endpoints exceed the restored universe (Growable races past the
-      latched cardinal).  The torn tail past the first bad CRC was never
+      endpoints fall outside the restored universe (counted, never
+      applied).  The torn tail past the first bad CRC was never
       acknowledged as committed, so dropping it only loses the group
       commit in flight — the documented RPO.
 

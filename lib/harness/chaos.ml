@@ -573,12 +573,18 @@ let mutator_drill ~config ~plan ~depth ~dir =
     seconds = 0.;
   }
 
+(* The unites [drive] submits while a victim session is live. *)
+let victim_unites = 8
+
 (* Drive [svc] with the config's unite/same_set mix, round-robin over the
    live sessions, until [stop ()]; returns the enqueued and the acked
-   unites and the completion time of the first [Done]. *)
-let drive svc ~config ~rng ~sessions ~stop =
+   unites and the completion time of the first [Done].  While one of
+   sessions [0 .. victims - 1] is live, only those get traffic, and at
+   most [victim_unites] of it is unites. *)
+let drive ?(victims = 0) svc ~config ~rng ~sessions ~stop =
   let pending = Hashtbl.create 1024 in
   let enqueued = ref [] and acked = ref [] and first_done = ref 0 and next = ref 0 in
+  let unites_to_victims = ref 0 in
   let drain () =
     for s = 0 to sessions - 1 do
       List.iter
@@ -598,14 +604,18 @@ let drive svc ~config ~rng ~sessions ~stop =
     (* Route around dead workers: their ops would only wait out the
        admission deadline and die unacknowledged. *)
     let dead = List.map fst (Svc.health svc).Svc.h_dead_workers in
+    let victim_live = List.exists (fun k -> not (List.mem k dead)) (List.init victims Fun.id) in
+    let span = if victim_live then victims else sessions in
     let rec pick k =
-      let s = (!next + k) mod sessions in
-      if k < sessions && List.mem s dead then pick (k + 1) else s
+      let s = (!next + k) mod span in
+      if k < span && List.mem s dead then pick (k + 1) else s
     in
     let session = pick 0 in
     incr next;
     let x = Rng.int rng config.n and y = Rng.int rng config.n in
     let unite = Rng.int rng 100 < config.unite_percent in
+    let unite = unite && not (victim_live && !unites_to_victims >= victim_unites) in
+    if unite && victim_live then incr unites_to_victims;
     (match Svc.submit svc ~session (if unite then Svc.Unite (x, y) else Svc.Same_set (x, y)) with
      | Svc.Enqueued id when unite ->
        Hashtbl.replace pending id (x, y);
@@ -622,11 +632,23 @@ let drive svc ~config ~rng ~sessions ~stop =
   (!enqueued, !acked, !first_done)
 
 (* Depth [Service]: workers below the victim count crash between drains
-   ([Queue_deq_cas]) and the committer inside its twelfth group commit,
-   with acked traffic on both sides; then recovery from the newest fuzzy
+   ([Queue_deq_cas]) and then the committer inside a group commit, with
+   acked traffic on both sides; then recovery from the newest fuzzy
    checkpoint on disk when the log died plus the log tail, audit, a
-   resumed service on the recovered backend, RTO from the first detected
-   crash to its first ack, and the audit again. *)
+   resumed service on the recovered backend, RTO from the committer's
+   crash (no durable ack is possible after it) to the resumed service's
+   first ack, and the audit again.
+
+   The victims must crash first: a worker that finds the committer dead
+   fails its backlog and leaves its loop, so it might never reach its
+   crash hit.  The order holds by construction, not by timing.  Until
+   every victim is dead, [drive] sends traffic only to victims, with at
+   most [victim_unites] unites.  Only a link appends a WAL record and
+   every group commit carries at least one record, so that phase causes
+   at most [victim_unites] commits, and the committer crashes inside its
+   twelfth commit past that bound.  (Counting batches instead does not
+   bound commits: the committer also commits on its timer, so one batch
+   of 64 links can be cut into more than the two [flush_records] chunks.) *)
 let service_drill ~config ~plan ~dir =
   let workers = config.domains in
   let victims = min config.crash_domains (workers - 1) in
@@ -634,7 +656,8 @@ let service_drill ~config ~plan ~dir =
   Fi.arm
     (fault_plan config ~victims
        ~victim:(fun k -> Fi.rule ~sites:[ Site.Queue_deq_cas ] ~after:(4 + k) Fi.Crash)
-       ~extra:(fun _ -> [ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after:11 Fi.Crash ]));
+       ~extra:(fun _ ->
+         [ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after:(victim_unites + 11) Fi.Crash ]));
   let wal =
     Dwal.create_writer ~flush_records:32 ~flush_interval:0.0005
       ~on_committer_start:(fun () -> Fi.enroll ~slot:workers)
@@ -661,13 +684,13 @@ let service_drill ~config ~plan ~dir =
   let all_crashed _ =
     let h = Svc.health svc in
     let dead = List.length h.Svc.h_dead_workers in
-    if (dead > 0 || h.Svc.h_committer_dead) && !t_crash = 0 then t_crash := Clock.now_ns ();
+    if h.Svc.h_committer_dead && !t_crash = 0 then t_crash := Clock.now_ns ();
     (* Recovery sees the checkpoints on disk when the log died; later ones
        would cover the whole committed log and leave no tail to replay. *)
     if h.Svc.h_committer_dead && !on_disk = None then on_disk := Some (Svc.snapshot_files svc);
     (dead >= victims && h.Svc.h_committer_dead) || Clock.now_ns () > deadline
   in
-  let enqueued, acked, _ = drive svc ~config ~rng ~sessions:workers ~stop:all_crashed in
+  let enqueued, acked, _ = drive ~victims svc ~config ~rng ~sessions:workers ~stop:all_crashed in
   let health = Svc.health svc in
   Svc.stop svc;
   (* The committer is dead: close must neither hang nor double-join. *)

@@ -27,11 +27,13 @@
       tail; every stream then re-runs on the recovered structure.
     - {b [Service]} — a {!Repro_service.Service} with [domains] workers,
       a WAL and fuzzy checkpoints; workers below [crash_domains] (at most
-      [domains - 1]) crash between drains ([Queue_deq_cas]) and the
-      committer inside its twelfth group commit.  Recovery is the newest
+      [domains - 1]) crash between drains ([Queue_deq_cas]), then the
+      committer inside a group commit at least twelve commits later.
+      Until every victim is dead only victims get traffic, with a few
+      unites, so the victims always crash first.  Recovery is the newest
       checkpoint on disk when the log died plus the log tail; then a
       second service resumes on the recovered backend, and RTO is its
-      first ack minus the first detected crash.
+      first ack minus the committer's crash.
 
     One {!audit} serves every depth: forest validity (range, id/rank order
     read live, acyclicity) with [find] agreeing with the parent chains; the

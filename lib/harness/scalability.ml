@@ -120,7 +120,6 @@ let run_point ?(config = default_config) ?(memory_order = Order.default)
         Dsu.Native.create ~padded:true ~policy ~backoff ~memory_order ~seed n
       in
       time_run ~domains ~run:(fun k -> Workload.Op.run_native_array d ops.(k))
-    | Growable -> invalid_arg "Scalability.run_point: growable is not a sweep layout"
     | Packed ->
       (* Linking by rank over the bit-packed single-word layout; [seed]
          is irrelevant (no random priorities). *)

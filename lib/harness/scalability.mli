@@ -9,7 +9,7 @@
     - the memory layout ({!Dsu.Plan.layout}): [Flat] (the contiguous
       {!Repro_util.Flat_atomic_array} parent array), [Padded] (one parent
       word per cache line — false-sharing ablation) and [Packed] (linking
-      by rank over one packed word); [Growable] is not swept,
+      by rank over one packed word),
     - the parent-load {!Dsu.Memory_order} mode and the link-CAS backoff
       switch (the memory-order × backoff ablation axis), and
     - the key distribution: [Uniform], or [Skewed] (80% of endpoints drawn
@@ -83,14 +83,13 @@ val run_point :
     section; timing covers domain spawn to join.  [memory_order] defaults
     to {!Dsu.Memory_order.default}, [backoff] to [true], [dist] to
     [Uniform].
-    @raise Invalid_argument on [domains < 1] or the [Growable] layout. *)
+    @raise Invalid_argument on [domains < 1]. *)
 
 val run_plan_point :
   ?config:config -> ?dist:dist -> plan:Dsu.Plan.t -> domains:int -> unit -> point
 (** {!run_point} driven by a {!Dsu.Plan} point: compaction, memory order,
     backoff and layout come from the plan (the linking rule is implied by
-    the layout).  @raise Invalid_argument on an invalid or growable
-    plan. *)
+    the layout).  @raise Invalid_argument on an invalid plan. *)
 
 val sweep : ?config:config -> ?progress:(point -> unit) -> unit -> point list
 (** The full cross product (layouts × policies × memory_orders × backoffs

@@ -7,10 +7,6 @@ let restore ?(plan = Dsu.Plan.default) ?(collect_stats = false) ?on_link
       (Dsu.Native.of_snapshot ~policy ~backoff ~memory_order ~collect_stats
          ~padded:(layout = Dsu.Plan.Padded) ?on_link ~parents:s.parents
          ~ids:s.prios ())
-  | Snapshot.Growable ->
-    Growable
-      (Dsu.Growable.of_snapshot ~policy ~backoff ~memory_order ~collect_stats
-         ?on_link ~parents:s.parents ~prios:s.prios ())
   | Snapshot.Packed ->
     Packed
       (Dsu.Packed.Native.of_snapshot ~policy ~backoff ~memory_order

@@ -1,6 +1,6 @@
 module J = Repro_obs.Json
 
-type kind = Dsu.Driver.kind = Flat | Growable | Packed
+type kind = Dsu.Driver.kind = Flat | Packed
 
 type t = {
   kind : kind;
@@ -19,7 +19,6 @@ let kind_to_string = Dsu.Driver.kind_to_string
 
 let kind_of_string = function
   | "flat" -> Some Flat
-  | "growable" -> Some Growable
   | "packed" -> Some Packed
   | _ -> None
 
@@ -38,21 +37,37 @@ let ok t = Repro_fault.Forest_check.ok (check t)
 
 let crc32 = Repro_util.Crc32.string
 
-let kind_byte = function Flat -> 0 | Growable -> 2 | Packed -> 4
+let kind_byte = function Flat -> 0 | Packed -> 4
 
 (* Bytes no current layout writes.  Byte 1 (JSON "boxed") is the retired
    [int Atomic.t array] layout, whose [(parents, ids)] are a flat
-   snapshot's, so it restores as flat; byte 3 (JSON "rank") is the retired
-   two-array rank layout, whose ranks and forest obey the same
-   [(rank, index)] order, so it restores as packed. *)
+   snapshot's, so it restores as flat; byte 2 (JSON "growable") is the
+   retired growable backend, whose forest obeys the [(priority, index)]
+   order, so it restores as flat once [ids_of_priorities] re-ranks its
+   priorities; byte 3 (JSON "rank") is the retired two-array rank layout,
+   whose ranks and forest obey the same [(rank, index)] order, so it
+   restores as packed. *)
 let legacy_boxed_byte = 1
+let legacy_growable_byte = 2
 let legacy_rank_byte = 3
 
 let kind_of_byte = function
-  | 0 | 1 -> Some Flat
-  | 2 -> Some Growable
+  | 0 | 1 | 2 -> Some Flat
   | 3 | 4 -> Some Packed
   | _ -> None
+
+(* A growable snapshot's priorities are 62-bit draws that may tie; flat
+   restores from an id permutation.  Each node's id is its place in the
+   [(priority, index)] order — the tie rule the algorithm links by — so
+   every parent still points up the order and [check] and the flat
+   restore accept exactly the forests they accepted before.  Applied
+   after the checksum, which covers the stored priorities. *)
+let ids_of_priorities prios =
+  let order = Array.init (Array.length prios) Fun.id in
+  Array.stable_sort (fun i j -> Int.compare prios.(i) prios.(j)) order;
+  let ids = Array.make (Array.length prios) 0 in
+  Array.iteri (fun id i -> ids.(i) <- id) order;
+  ids
 
 (* The canonical body both codecs checksum: kind byte, then epoch (v2
    only), n, capacity and the two arrays as 8-byte little-endian words.
@@ -105,10 +120,11 @@ let parse_body ~v2 s =
   let header = if v2 then 25 else 17 in
   let len = String.length s in
   let* () = if len >= header then Ok () else Error "snapshot body truncated" in
+  let byte = Char.code s.[0] in
   let* kind =
-    match kind_of_byte (Char.code s.[0]) with
+    match kind_of_byte byte with
     | Some k -> Ok k
-    | None -> Error (Printf.sprintf "unknown snapshot kind byte %d" (Char.code s.[0]))
+    | None -> Error (Printf.sprintf "unknown snapshot kind byte %d" byte)
   in
   let* epoch = if v2 then int_of_word (String.get_int64_le s 1) else Ok 0 in
   let base = if v2 then 9 else 1 in
@@ -135,6 +151,7 @@ let parse_body ~v2 s =
   in
   let* parents = read_array header in
   let* prios = read_array (header + (8 * n)) in
+  let prios = if byte = legacy_growable_byte then ids_of_priorities prios else prios in
   Ok { kind; n; capacity; epoch; parents; prios }
 
 let of_binary_string s =
@@ -207,6 +224,7 @@ let of_json json =
   let* kind, byte =
     match k with
     | J.String "boxed" -> Ok (Flat, Some legacy_boxed_byte)
+    | J.String "growable" -> Ok (Flat, Some legacy_growable_byte)
     | J.String "rank" -> Ok (Packed, Some legacy_rank_byte)
     | J.String v -> (
       match kind_of_string v with
@@ -230,7 +248,9 @@ let of_json json =
   let* stored = int_field "checksum" in
   (* v1 files checksummed the v1 body (no epoch). *)
   let computed = crc32 (body ~v2 ?byte t) in
-  if stored = computed then Ok t
+  if stored = computed then
+    if byte = Some legacy_growable_byte then Ok { t with prios = ids_of_priorities prios }
+    else Ok t
   else Error (Printf.sprintf "checksum mismatch: stored %08x, computed %08x" stored computed)
 
 let to_json_string t = J.to_string (to_json t)

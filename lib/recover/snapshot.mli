@@ -2,11 +2,10 @@
 
     A snapshot is the raw state any of the layouts can be rebuilt from:
     the parent array plus the per-node linking order ([prios] — the id
-    permutation for {!Dsu.Native}, the 62-bit random priorities
-    for {!Dsu.Growable}, the ranks for {!Dsu.Packed.Native}, extracted from
-    the packed words).  All the orders
-    share the algorithm's [less]: priority first, node index on ties — so
-    one {!check} validates any kind against Lemma 3.1.
+    permutation for {!Dsu.Native}, the ranks for {!Dsu.Packed.Native},
+    extracted from the packed words).  Both orders share the algorithm's
+    [less]: priority first, node index on ties — so one {!check}
+    validates either kind against Lemma 3.1.
 
     Snapshots are taken at quiescence — either deliberately (checkpoint) or
     after a crash has killed some domains and the survivors have drained
@@ -31,29 +30,35 @@
     - JSON: schema ["dsu-snapshot/v2"] with the checksum as a field.
 
     Both decoders also read the previous version (["DSUSNAP1"] /
-    ["dsu-snapshot/v1"], no epoch field) as [epoch = 0], and two retired
-    layouts' snapshots, in either version: the boxed layout's (kind byte 1,
-    JSON kind ["boxed"]) as {!Flat}, the same [(parents, ids)] under the
-    same id linking, and the two-array rank layout's (kind byte 3, JSON
-    kind ["rank"]) as {!Packed}, the same ranks and forest under the same
-    [(rank, index)] order, re-packed and checked on restore.
+    ["dsu-snapshot/v1"], no epoch field) as [epoch = 0], and three retired
+    layouts' snapshots, in either version:
+    - the boxed layout's (kind byte 1, JSON kind ["boxed"]) as {!Flat}, the
+      same [(parents, ids)] under the same id linking;
+    - the growable backend's (kind byte 2, JSON kind ["growable"]) as
+      {!Flat}: the same parents, with the 62-bit priorities (which may tie)
+      re-ranked into the ids of their [(priority, index)] order, so a
+      forest valid under the old order is valid under the ids.  The
+      checksum is verified over the stored priorities, before re-ranking;
+    - the two-array rank layout's (kind byte 3, JSON kind ["rank"]) as
+      {!Packed}, the same ranks and forest under the same [(rank, index)]
+      order, re-packed and checked on restore.
 
     Decoders return [result]s — a malformed or checksum-failing file is an
     ordinary error, never an exception. *)
 
-type kind = Dsu.Driver.kind = Flat | Growable | Packed
+type kind = Dsu.Driver.kind = Flat | Packed
 (** The layout a snapshot restores into; [Flat] covers padded. *)
 
 type t = {
   kind : kind;
-  n : int;  (** elements present ([cardinal] for Growable) *)
+  n : int;  (** elements present *)
   capacity : int;
-      (** written as [n]; older writers stored a growable's preallocated
-          slots here.  Kept because both checksums cover it; decoders
+      (** written as [n]; older writers stored a growable universe's
+          preallocated slots here.  Kept because both checksums cover it; decoders
           check [capacity >= n] and restore ignores it. *)
   epoch : int;  (** WAL epoch the cut is consistent with; 0 = quiescent *)
   parents : int array;  (** length [n]; roots are self-parented *)
-  prios : int array;  (** length [n]; ids / priorities / ranks, per [kind] *)
+  prios : int array;  (** length [n]; ids or ranks, per [kind] *)
 }
 
 val with_epoch : t -> int -> t
@@ -62,14 +67,14 @@ val with_epoch : t -> int -> t
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
-(** The kinds this module writes; the legacy names ["boxed"] and
-    ["rank"] are read by the decoders only. *)
+(** The kinds this module writes; the legacy names ["boxed"],
+    ["growable"] and ["rank"] are read by the decoders only. *)
 
 (** {1 Capture} — quiescent only; see the layout's [parents_snapshot] doc. *)
 
 val of_driver : Dsu.Driver.t -> t
-(** [prios] is {!Dsu.Driver.prios_snapshot}: ids, priorities, or the
-    ranks unpacked from the packed words, which restore re-packs. *)
+(** [prios] is {!Dsu.Driver.prios_snapshot}: ids, or the ranks unpacked
+    from the packed words, which restore re-packs. *)
 
 (** {1 Validation} *)
 

@@ -381,9 +381,7 @@ let pipeline_tests =
         let packed =
           { Dsu.Plan.default with linking = Dsu.Plan.By_rank; layout = Dsu.Plan.Packed }
         in
-        let growable = { Dsu.Plan.default with layout = Dsu.Plan.Growable } in
-        check_stream "packed plan" ~plan:packed s;
-        check_stream "growable plan" ~plan:growable s);
+        check_stream "packed plan" ~plan:packed s);
     case "sampling skips edges but keeps answers" (fun () ->
         (* A dense-ish ER graph has a giant component, so k-out sampling
            must actually skip a decent share of finish-phase edges. *)
@@ -609,7 +607,6 @@ let driver_tests =
           [
             Dsu.Plan.default;
             { Dsu.Plan.default with layout = Dsu.Plan.Padded };
-            { Dsu.Plan.default with layout = Dsu.Plan.Growable };
             {
               Dsu.Plan.default with
               linking = Dsu.Plan.By_rank;
@@ -639,7 +636,6 @@ let driver_tests =
               batched)
           [
             Dsu.Plan.default;
-            { Dsu.Plan.default with layout = Dsu.Plan.Growable };
             {
               Dsu.Plan.default with
               linking = Dsu.Plan.By_rank;
@@ -679,7 +675,6 @@ let driver_tests =
                 Dsu.Driver.unite_batch ~len:(-1) d xs ys))
           [
             Dsu.Plan.default;
-            { Dsu.Plan.default with layout = Dsu.Plan.Growable };
             {
               Dsu.Plan.default with
               linking = Dsu.Plan.By_rank;

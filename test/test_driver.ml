@@ -1,11 +1,9 @@
 (* Conformance of the one backend type, Dsu.Driver, over every layout it
-   builds: the same table of checks runs on flat, padded, growable and
-   packed — per-op answers against a sequential oracle, batch kernels
-   against per-op calls, a quiescent snapshot -> restore round trip, and a
+   builds: the same table of checks runs on flat, padded and packed —
+   per-op answers against a sequential oracle, batch kernels against
+   per-op calls, a quiescent snapshot -> restore round trip, and a
    quiescent fuzzy capture against the quiescent snapshot.  Every entry is
-   built from its plan alone.  Growable runs twice: within its first
-   chunk, and over more than one chunk, so every check also crosses a
-   chunk boundary. *)
+   built from its plan alone. *)
 
 module Driver = Dsu.Driver
 module Snap = Repro_recover.Snapshot
@@ -28,8 +26,6 @@ type layout = {
 let fresh ?(n = 200) name plan kind =
   { name; plan; kind; n; make = (fun () -> Driver.create ~plan ~seed:9 n) }
 
-let growable_plan = Dsu.Plan.on_layout Dsu.Plan.Growable Dsu.Plan.default
-
 let plan_of spec =
   match Dsu.Plan.of_string spec with Ok p -> p | Error e -> failwith e
 
@@ -37,9 +33,6 @@ let layouts =
   [
     fresh "flat" Dsu.Plan.default Snap.Flat;
     fresh "padded" { Dsu.Plan.default with layout = Dsu.Plan.Padded } Snap.Flat;
-    fresh "growable" growable_plan Snap.Growable;
-    fresh ~n:(Dsu.Growable.chunk_size + 200) "growable, more than one chunk"
-      growable_plan Snap.Growable;
     fresh "packed" (Dsu.Plan.on_layout Dsu.Plan.Packed Dsu.Plan.default) Snap.Packed;
     (* The same layouts on the seq-cst memory order with full compression,
        no backoff: other loads and another find loop in the kernels. *)
@@ -135,72 +128,25 @@ let conformance { name; plan; kind; n; make } =
           (Snap.equal cap.Fuzzy.snapshot (Snap.of_driver d)));
   ]
 
-(* A growable universe of more than one chunk, taken through both
-   snapshot codecs and restored, keeps growing: make_set continues at n
-   across the next chunk boundary and the new elements join old sets. *)
-let regrowth_checks =
-  let cs = Dsu.Growable.chunk_size in
-  let n = cs + 100 in
-  let codecs =
-    [
-      ("binary", fun s -> Snap.of_binary_string (Snap.to_binary_string s));
-      ("json", fun s -> Snap.of_json_string (Snap.to_json_string s));
-    ]
-  in
-  List.map
-    (fun (codec, round_trip) ->
-      case ("growable over " ^ codec ^ " keeps growing after restore") (fun () ->
-          let d = Driver.create ~plan:growable_plan ~seed:9 n in
-          for x = 1 to n - 1 do
-            Driver.unite d (x - 1) x
-          done;
-          let snap =
-            match round_trip (Snap.of_driver d) with
-            | Ok s -> s
-            | Error e -> Alcotest.fail e
-          in
-          match Restore.restore ~plan:growable_plan snap with
-          | Driver.Growable g ->
-            check Alcotest.int "restored cardinal" n (Dsu.Growable.cardinal g);
-            let grown = (2 * cs) + 10 - n in
-            for k = 0 to grown - 1 do
-              let e = Dsu.Growable.make_set g in
-              check Alcotest.int "next slot" (n + k) e;
-              Dsu.Growable.unite g (e - 1) e
-            done;
-            check Alcotest.int "grown cardinal" ((2 * cs) + 10)
-              (Dsu.Growable.cardinal g);
-            check Alcotest.int "one set" 1 (Dsu.Growable.count_sets g);
-            check Alcotest.bool "new joins old" true
-              (Dsu.Growable.same_set g 0 ((2 * cs) + 9))
-          | _ -> Alcotest.fail "restored a non-growable"))
-    codecs
-
 let kind_checks =
-  [
-    case "a growable plan builds Growable" (fun () ->
-        let d = Driver.create ~plan:growable_plan 8 in
-        check Alcotest.bool "kind" true (Driver.kind d = Snap.Growable);
-        check Alcotest.int "universe created up front" 8 (Driver.n d));
-    case "a growable plan round-trips through its spec" (fun () ->
-        let spec = "rand:two-try:relaxed-reads:on:growable" in
-        match Dsu.Plan.of_string spec with
-        | Error e -> Alcotest.fail e
-        | Ok p ->
-          check Alcotest.bool "layout" true (p.Dsu.Plan.layout = Dsu.Plan.Growable);
-          check Alcotest.string "to_string" spec (Dsu.Plan.to_string p));
-    case "a boxed plan is rejected as an unknown layout" (fun () ->
-        match Dsu.Plan.of_string "rand:two-try:seq-cst:on:boxed" with
-        | Ok _ -> Alcotest.fail "boxed accepted"
-        | Error e ->
-          check Alcotest.string "error"
-            "bad plan layout \"boxed\" in \"rand:two-try:seq-cst:on:boxed\"" e);
-  ]
+  List.map
+    (fun (layout, spec, expected) ->
+      case ("a " ^ layout ^ " plan is rejected as an unknown layout") (fun () ->
+          match Dsu.Plan.of_string spec with
+          | Ok _ -> Alcotest.fail (layout ^ " accepted")
+          | Error e -> check Alcotest.string "error" expected e))
+    [
+      ( "boxed",
+        "rand:two-try:seq-cst:on:boxed",
+        "bad plan layout \"boxed\" in \"rand:two-try:seq-cst:on:boxed\"" );
+      ( "growable",
+        "rand:two-try:relaxed-reads:on:growable",
+        "bad plan layout \"growable\" in \"rand:two-try:relaxed-reads:on:growable\"" );
+    ]
 
 let () =
   Alcotest.run "driver"
     [
       ("conformance", List.concat_map conformance layouts);
-      ("regrowth", regrowth_checks);
       ("kind", kind_checks);
     ]

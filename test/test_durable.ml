@@ -571,7 +571,6 @@ let () =
         [
           case "flat x100 races" (test_fuzzy Dsu.Plan.Flat);
           case "padded x100 races" (test_fuzzy Dsu.Plan.Padded);
-          case "growable x100 races" (test_fuzzy Dsu.Plan.Growable);
           case "packed x100 races" (test_fuzzy Dsu.Plan.Packed);
         ] );
       ( "snapshot",
@@ -583,7 +582,6 @@ let () =
         [
           case "flat" (test_wal_drill Dsu.Plan.Flat);
           case "padded" (test_wal_drill Dsu.Plan.Padded);
-          case "growable" (test_wal_drill Dsu.Plan.Growable);
           case "packed" (test_wal_drill Dsu.Plan.Packed);
           case "scratch directories removed" test_scratch_removed;
         ] );

@@ -465,9 +465,6 @@ let chaos_tests =
             List.iter (fun (_, _, ops) -> check Alcotest.int "all ops done" 2_000 ops) st.Chaos.slots)
           s.Chaos.stages;
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
-    case "growable layout passes the same audit" (fun () ->
-        let config = { chaos_config with Chaos.ops_per_domain = 2_000; domains = 4; crash_domains = 1; crash_after = 300 } in
-        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok (run_dsu ~config Dsu.Plan.Growable)));
     case "padded layout passes the same audit" (fun () ->
         let config = { chaos_config with Chaos.ops_per_domain = 2_000; domains = 4; crash_domains = 1; crash_after = 300 } in
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok (run_dsu ~config Dsu.Plan.Padded)));

@@ -66,21 +66,6 @@ let tests =
         done;
         check Alcotest.int "count" (Sequential.Quick_find.count_sets q)
           (Growable.count_sets g));
-    case "a restored universe draws fresh priorities" (fun () ->
-        let g = Growable.create () in
-        for _ = 1 to 3 do
-          ignore (Growable.make_set g)
-        done;
-        let prios = Growable.priorities_snapshot g in
-        let r =
-          Growable.of_snapshot ~parents:(Growable.parents_snapshot g) ~prios ()
-        in
-        let e = Growable.make_set r in
-        check Alcotest.bool "fresh priority" false
-          (Array.mem (Growable.priority r e) prios);
-        (* The same stream the original would have continued with. *)
-        check Alcotest.int "continues the stream" (Growable.priority r e)
-          (Growable.priority g (Growable.make_set g)));
     case "find returns member of own set" (fun () ->
         let g = Growable.create ~seed:11 () in
         let a = Growable.make_set g and b = Growable.make_set g in
@@ -92,22 +77,6 @@ let tests =
         let a = Growable.make_set g and b = Growable.make_set g in
         Growable.unite g a b;
         check Alcotest.int "links" 1 (Growable.stats g).Dsu.Stats.links);
-    case "of_snapshot validates its input" (fun () ->
-        let rejects what parents prios =
-          match Growable.of_snapshot ~parents ~prios () with
-          | _ -> Alcotest.fail (what ^ " accepted")
-          | exception Invalid_argument _ -> ()
-        in
-        rejects "length mismatch" [| 0; 1 |] [| 5 |];
-        rejects "parent out of range" [| 0; 2 |] [| 5; 6 |];
-        rejects "negative parent" [| -1; 1 |] [| 5; 6 |];
-        (* Element 1 may point only at a node of higher (priority, index). *)
-        rejects "linking order" [| 0; 0 |] [| 5; 6 |];
-        let g = Growable.of_snapshot ~parents:[| 1; 1 |] ~prios:[| 5; 6 |] () in
-        check Alcotest.int "cardinal" 2 (Growable.cardinal g);
-        check Alcotest.bool "restored link" true (Growable.same_set g 0 1);
-        let empty = Growable.of_snapshot ~parents:[||] ~prios:[||] () in
-        check Alcotest.int "empty grows from 0" 0 (Growable.make_set empty));
     case "parallel make_set allocates distinct slots" (fun () ->
         let g = Growable.create ~seed:13 () in
         let per_domain = 1000 in
@@ -285,8 +254,6 @@ let directory_tests =
         Alcotest.check_raises "claimed slot rejected"
           (Invalid_argument "Growable: element was not created") (fun () ->
             ignore (Growable.find g cs));
-        check Alcotest.int "snapshot stops at the directory" cs
-          (Array.length (Growable.parents_snapshot g));
         let next = Growable.make_set g in
         check Alcotest.int "next slot" (cs + 1) next;
         check Alcotest.int "both slots created" (cs + 2) (Growable.cardinal g);
@@ -302,16 +269,7 @@ let directory_tests =
         Alcotest.check_raises "same_set" uncreated (fun () ->
             ignore (Growable.same_set g 0 cs));
         Alcotest.check_raises "unite" uncreated (fun () -> Growable.unite g cs 0);
-        check Alcotest.int "count_sets" cs (Growable.count_sets g);
-        check Alcotest.int "priorities_snapshot" cs
-          (Array.length (Growable.priorities_snapshot g));
-        let parents, prios = Growable.snapshot_fuzzy g in
-        check Alcotest.(pair int int) "snapshot_fuzzy" (cs, cs)
-          (Array.length parents, Array.length prios);
-        (* The cut restores to a universe that grows from [cs] again. *)
-        let r = Growable.of_snapshot ~parents ~prios () in
-        check Alcotest.int "restored grows on" cs (Growable.make_set r);
-        check Alcotest.int "restored count" (cs + 1) (Growable.count_sets r));
+        check Alcotest.int "count_sets" cs (Growable.count_sets g));
   ]
 
 (* ------------------------------------------------- multi-domain vs oracle *)

@@ -246,9 +246,7 @@ let plan_tests =
           (rejected "rand:two-try:relaxed-reads:on:packed");
         check Alcotest.bool "rank linking off packed" true
           (rejected "rank:two-try:relaxed-reads:on:flat");
-        check Alcotest.bool "rank linking on growable" true
-          (rejected "rank:two-try:relaxed-reads:on:growable");
-        check Alcotest.bool "random linking on growable is fine" false
+        check Alcotest.bool "growable is not a plan layout" true
           (rejected "rand:two-try:relaxed-reads:on:growable"));
     case "malformed specs name the bad field" (fun () ->
         let err s =
@@ -295,15 +293,7 @@ let plan_tests =
             "rand:halving:seq-cst:off:flat-padded";
             "rand:compression:seq-cst:on:flat";
             "rank:one-try:acquire:on:packed";
-          ];
-        (* The growable layout is valid for the driver but not swept. *)
-        Alcotest.check_raises "growable is rejected"
-          (Invalid_argument "Scalability.run_point: growable is not a sweep layout")
-          (fun () ->
-            ignore
-              (Harness.Scalability.run_plan_point ~config
-                 ~plan:{ Plan.default with layout = Plan.Growable }
-                 ~domains:1 ())));
+          ]);
   ]
 
 let () =

@@ -34,24 +34,13 @@ let padded_snap () =
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Driver.unite d);
   Snap.of_driver d
 
-let growable_snap () =
-  let d = Dsu.Growable.create ~seed:5 () in
-  for _ = 1 to 100 do
-    ignore (Dsu.Growable.make_set d : int)
-  done;
-  rng_ops ~seed:11 ~n:100 ~ops:150 (Dsu.Growable.unite d);
-  Snap.of_driver (Dsu.Driver.Growable d)
-
 let packed_snap () =
   let d = Dsu.Packed.Native.create 128 in
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Packed.Native.unite d);
   Snap.of_driver (Dsu.Driver.Packed d)
 
 let all_layouts =
-  [
-    ("flat", native_snap); ("padded", padded_snap); ("growable", growable_snap);
-    ("packed", packed_snap);
-  ]
+  [ ("flat", native_snap); ("padded", padded_snap); ("packed", packed_snap) ]
 
 (* ---------------------------------------------------------------- codec *)
 
@@ -94,9 +83,11 @@ let codec_tests =
             (fun k ->
               check Alcotest.bool "round-trip" true
                 (Snap.kind_of_string (Snap.kind_to_string k) = Some k))
-            [ Snap.Flat; Snap.Growable; Snap.Packed ];
+            [ Snap.Flat; Snap.Packed ];
           check Alcotest.bool "boxed is no longer a writable kind" true
-            (Snap.kind_of_string "boxed" = None));
+            (Snap.kind_of_string "boxed" = None);
+          check Alcotest.bool "growable is no longer a writable kind" true
+            (Snap.kind_of_string "growable" = None));
       case "corrupted byte fails the checksum" (fun () ->
           let s = Snap.to_binary_string (native_snap ()) in
           let b = Bytes.of_string s in
@@ -415,7 +406,7 @@ let recovery_tests =
             check Alcotest.int "both crashed slots resumed" 2
               (List.length (stage "resume" s).Chaos.slots);
             check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s)))
-      [ Dsu.Plan.Padded; Dsu.Plan.Growable ]
+      [ Dsu.Plan.Padded ]
   @ [
     case "crash-free recovery drill also passes (nothing to resume)"
       (fun () ->
@@ -450,12 +441,17 @@ let recovery_tests =
 
 (* ------------------------------------------------------- legacy files *)
 
-(* Snapshots of two retired layouts, each captured from a forest built by
-   4 racing domains over 48 nodes: the two-array rank layout (kind byte 3
-   / JSON "rank", both codecs and both versions), which restores as
-   packed, and the boxed [int Atomic.t array] layout (kind byte 1 / JSON
-   "boxed", v2), which restores as flat.  <layout>-partition.txt holds the
-   captured partition as each node's smallest set member. *)
+(* Snapshots of three retired layouts, each captured from a forest built
+   by 4 racing domains over 48 nodes: the two-array rank layout (kind byte
+   3 / JSON "rank", both codecs and both versions), which restores as
+   packed; the boxed [int Atomic.t array] layout (kind byte 1 / JSON
+   "boxed", v2), which restores as flat; and the growable backend (kind
+   byte 2 / JSON "growable", v2), which restores as flat with its 62-bit
+   priorities re-ranked into ids.  growable-cap-v2.* comes from the
+   growable layout that preallocated its slots, so it records capacity 64
+   for n 48; the same unites give it growable-v2's partition.
+   <layout>-partition.txt holds the captured partition as each node's
+   smallest set member. *)
 let legacy_partition layout =
   In_channel.with_open_text
     (Printf.sprintf "data/%s-partition.txt" layout)
@@ -493,13 +489,53 @@ let legacy_case ~layout ~restores_as file =
       check Alcotest.bool "re-snapshot passes check" true
         (Snap.ok (Snap.of_driver d)))
 
+(* Growable priorities are 62-bit draws that may tie; the decoder ranks
+   them into ids by (priority, index).  A flat body with kind byte 2
+   patched in and the checksum recomputed stands in for such a file. *)
+let growable_ties_case =
+  case "legacy growable priorities that tie re-rank by index" (fun () ->
+      let flat =
+        {
+          Snap.kind = Snap.Flat;
+          n = 4;
+          capacity = 4;
+          epoch = 0;
+          parents = [| 2; 3; 2; 0 |];
+          prios = [| 7; 5; 7; 5 |];
+        }
+      in
+      let b = Bytes.of_string (Snap.to_binary_string flat) in
+      let len = Bytes.length b in
+      Bytes.set b 8 (Char.chr 2);
+      Bytes.set_int32_le b (len - 4)
+        (Int32.of_int (Repro_util.Crc32.string (Bytes.sub_string b 8 (len - 12))));
+      match Snap.of_binary_string (Bytes.to_string b) with
+      | Error e -> Alcotest.fail e
+      | Ok s ->
+        check Alcotest.string "decoded kind" "flat" (Snap.kind_to_string s.Snap.kind);
+        check Alcotest.(array int) "ids in (priority, index) order" [| 2; 0; 3; 1 |]
+          s.Snap.prios;
+        check Alcotest.bool "passes check" true (Snap.ok s);
+        let d = Restore.restore s in
+        check Alcotest.bool "restored forest" true
+          (Dsu.Driver.same_set d 1 2 && Dsu.Driver.count_sets d = 1))
+
 let legacy_tests =
-  List.map
+  growable_ties_case
+  :: List.map
     (legacy_case ~layout:"rank" ~restores_as:"packed")
     [ "rank-v2.bin"; "rank-v2.json"; "rank-v1.bin"; "rank-v1.json" ]
   @ List.map
       (legacy_case ~layout:"boxed" ~restores_as:"flat")
       [ "boxed-v2.bin"; "boxed-v2.json" ]
+  @ List.map
+      (legacy_case ~layout:"growable" ~restores_as:"flat")
+      [
+        "growable-v2.bin";
+        "growable-v2.json";
+        "growable-cap-v2.bin";
+        "growable-cap-v2.json";
+      ]
 
 let () =
   Alcotest.run "recover"

@@ -530,7 +530,7 @@ let test_lane_crash () =
 
 (* --------------------------------------------- service vs sequential *)
 
-let layouts = Dsu.Plan.[ Flat; Growable; Packed ]
+let layouts = Dsu.Plan.[ Flat; Packed ]
 
 (* Sequential union-find oracle over [0, n). *)
 let oracle n =
