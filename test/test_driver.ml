@@ -3,7 +3,7 @@
    per-op answers against a sequential oracle, batch kernels against
    per-op calls, a quiescent snapshot -> restore round trip, and a
    quiescent fuzzy capture against the quiescent snapshot.  Every entry is
-   built from its plan alone. *)
+   built from its plan alone, and the rows span every memory order. *)
 
 module Driver = Dsu.Driver
 module Snap = Repro_recover.Snapshot
@@ -40,6 +40,13 @@ let layouts =
       Snap.Flat;
     fresh "packed, seq-cst compression"
       (plan_of "rank:compression:seq-cst:off:packed") Snap.Packed;
+    fresh "padded, seq-cst compression"
+      (plan_of "rand:compression:seq-cst:off:flat-padded") Snap.Flat;
+    (* Halving and one-try splitting on the acquire order: two more find
+       loops and the middle load ordering. *)
+    fresh "flat, acquire halving" (plan_of "rand:halving:acquire:on:flat") Snap.Flat;
+    fresh "packed, acquire one-try" (plan_of "rank:one-try:acquire:on:packed")
+      Snap.Packed;
   ]
 
 let pairs ~n ~seed count =

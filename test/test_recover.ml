@@ -1,5 +1,5 @@
 (* Tests for the crash-recovery subsystem: the snapshot codecs round-trip
-   all four layouts, corrupted and truncated files are rejected as errors,
+   every layout, corrupted and truncated files are rejected as errors,
    repair-on-restart fixes seeded storage corruption while provably only
    splitting sets, and the crash drill's snapshot depth: a crashed
    multi-domain run snapshots, restores and resumes to a clean audit. *)
@@ -8,6 +8,7 @@ module Snap = Repro_recover.Snapshot
 module Repair = Repro_recover.Repair
 module Restore = Repro_recover.Restore
 module Chaos = Harness.Chaos
+module Json = Repro_obs.Json
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -489,40 +490,140 @@ let legacy_case ~layout ~restores_as file =
       check Alcotest.bool "re-snapshot passes check" true
         (Snap.ok (Snap.of_driver d)))
 
+(* [t]'s binary file relabelled as the growable backend's: kind byte 2
+   patched in and the checksum recomputed over the patched body.  A flat
+   record stands in for a growable file with the same arrays. *)
+let as_growable_binary t =
+  let b = Bytes.of_string (Snap.to_binary_string t) in
+  let len = Bytes.length b in
+  Bytes.set b 8 (Char.chr 2);
+  Bytes.set_int32_le b (len - 4)
+    (Int32.of_int (Repro_util.Crc32.string (Bytes.sub_string b 8 (len - 12))));
+  Bytes.to_string b
+
+(* The same relabelling in JSON: the checksum covers the body with the
+   original kind byte, which is the patched binary body. *)
+let as_growable_json t =
+  let s = as_growable_binary t in
+  let crc = Repro_util.Crc32.string (String.sub s 8 (String.length s - 12)) in
+  match Snap.to_json t with
+  | Json.Obj fields ->
+    Json.Obj
+      (List.map
+         (function
+           | "kind", _ -> ("kind", Json.String "growable")
+           | "checksum", _ -> ("checksum", Json.Int crc)
+           | f -> f)
+         fields)
+  | _ -> Alcotest.fail "snapshot JSON is not an object"
+
+let growable_codecs =
+  [
+    ("binary", fun t -> Snap.of_binary_string (as_growable_binary t));
+    ("json", fun t -> Snap.of_json (as_growable_json t));
+  ]
+
+let flat_record ?capacity parents prios =
+  let n = Array.length parents in
+  {
+    Snap.kind = Snap.Flat;
+    n;
+    capacity = Option.value capacity ~default:n;
+    epoch = 0;
+    parents;
+    prios;
+  }
+
 (* Growable priorities are 62-bit draws that may tie; the decoder ranks
-   them into ids by (priority, index).  A flat body with kind byte 2
-   patched in and the checksum recomputed stands in for such a file. *)
-let growable_ties_case =
-  case "legacy growable priorities that tie re-rank by index" (fun () ->
-      let flat =
-        {
-          Snap.kind = Snap.Flat;
-          n = 4;
-          capacity = 4;
-          epoch = 0;
-          parents = [| 2; 3; 2; 0 |];
-          prios = [| 7; 5; 7; 5 |];
-        }
+   them into ids by (priority, index). *)
+let growable_ties_cases =
+  List.map
+    (fun (codec, decode) ->
+      let name =
+        if codec = "binary" then "legacy growable priorities that tie re-rank by index"
+        else "legacy growable JSON priorities that tie re-rank by index"
       in
-      let b = Bytes.of_string (Snap.to_binary_string flat) in
-      let len = Bytes.length b in
-      Bytes.set b 8 (Char.chr 2);
-      Bytes.set_int32_le b (len - 4)
-        (Int32.of_int (Repro_util.Crc32.string (Bytes.sub_string b 8 (len - 12))));
-      match Snap.of_binary_string (Bytes.to_string b) with
-      | Error e -> Alcotest.fail e
-      | Ok s ->
-        check Alcotest.string "decoded kind" "flat" (Snap.kind_to_string s.Snap.kind);
-        check Alcotest.(array int) "ids in (priority, index) order" [| 2; 0; 3; 1 |]
-          s.Snap.prios;
-        check Alcotest.bool "passes check" true (Snap.ok s);
-        let d = Restore.restore s in
-        check Alcotest.bool "restored forest" true
-          (Dsu.Driver.same_set d 1 2 && Dsu.Driver.count_sets d = 1))
+      case name (fun () ->
+          match decode (flat_record [| 2; 3; 2; 0 |] [| 7; 5; 7; 5 |]) with
+          | Error e -> Alcotest.fail e
+          | Ok s ->
+            check Alcotest.string "decoded kind" "flat" (Snap.kind_to_string s.Snap.kind);
+            check Alcotest.(array int) "ids in (priority, index) order" [| 2; 0; 3; 1 |]
+              s.Snap.prios;
+            check Alcotest.bool "passes check" true (Snap.ok s);
+            let d = Restore.restore s in
+            check Alcotest.bool "restored forest" true
+              (Dsu.Driver.same_set d 1 2 && Dsu.Driver.count_sets d = 1)))
+    growable_codecs
+
+let growable_guard_cases =
+  [
+    case "a legacy growable file whose kind or priorities changed fails the checksum"
+      (fun () ->
+        let rejected what = function
+          | Ok _ -> Alcotest.failf "%s accepted" what
+          | Error e ->
+            check Alcotest.bool (what ^ " mentions checksum") true
+              (String.length e >= 8 && String.sub e 0 8 = "checksum")
+        in
+        let json =
+          match
+            Json.parse
+              (In_channel.with_open_text "data/growable-v2.json" In_channel.input_all)
+          with
+          | Ok j -> j
+          | Error e -> Alcotest.fail e
+        in
+        let edit key f =
+          match json with
+          | Json.Obj fields ->
+            Json.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+          | _ -> Alcotest.fail "fixture is not an object"
+        in
+        rejected "relabelled flat" (Snap.of_json (edit "kind" (fun _ -> Json.String "flat")));
+        rejected "relabelled boxed"
+          (Snap.of_json (edit "kind" (fun _ -> Json.String "boxed")));
+        rejected "changed priority"
+          (Snap.of_json
+             (edit "prios" (function
+               | Json.List (Json.Int p :: rest) -> Json.List (Json.Int (p + 1) :: rest)
+               | _ -> Alcotest.fail "prios is not an int list")));
+        let bin = In_channel.with_open_bin "data/growable-v2.bin" In_channel.input_all in
+        let flip off =
+          let b = Bytes.of_string bin in
+          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 1));
+          Snap.of_binary_string (Bytes.to_string b)
+        in
+        rejected "binary kind byte" (flip 8);
+        (* The first priority word follows the 25-byte header and n parents. *)
+        rejected "binary priority" (flip (8 + 25 + (8 * 48))));
+    case "a legacy growable file with capacity below n is rejected" (fun () ->
+        List.iter
+          (fun (codec, decode) ->
+            match decode (flat_record ~capacity:1 [| 0; 1 |] [| 3; 9 |]) with
+            | Ok _ -> Alcotest.failf "%s: capacity 1 for n 2 accepted" codec
+            | Error e -> check Alcotest.string codec "capacity below element count" e)
+          growable_codecs);
+    case "a legacy growable forest is checked in (priority, index) order" (fun () ->
+        List.iter
+          (fun (codec, decode) ->
+            List.iter
+              (fun (what, parents, prios, valid) ->
+                match decode (flat_record parents prios) with
+                | Error e -> Alcotest.failf "%s, %s: %s" codec what e
+                | Ok s -> check Alcotest.bool (codec ^ ", " ^ what) valid (Snap.ok s))
+              [
+                ("up the priorities", [| 1; 1 |], [| 3; 9 |], true);
+                ("down the priorities", [| 1; 1 |], [| 9; 3 |], false);
+                ("tie, up the index", [| 1; 1 |], [| 5; 5 |], true);
+                ("tie, down the index", [| 0; 0 |], [| 5; 5 |], false);
+              ])
+          growable_codecs);
+  ]
 
 let legacy_tests =
-  growable_ties_case
-  :: List.map
+  growable_ties_cases @ growable_guard_cases
+  @ List.map
     (legacy_case ~layout:"rank" ~restores_as:"packed")
     [ "rank-v2.bin"; "rank-v2.json"; "rank-v1.bin"; "rank-v1.json" ]
   @ List.map

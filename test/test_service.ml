@@ -1236,10 +1236,10 @@ let test_durable_point () =
 
 (* ------------------------------------------------------- mini drill *)
 
-let test_drill_flat () =
+let test_drill layout () =
   let config = { Chaos.default_config with Chaos.n = 1 lsl 10; domains = 2 } in
   let s =
-    Chaos.run ~config ~layout:Dsu.Plan.Flat ~policy:Dsu.Find_policy.Two_try_splitting
+    Chaos.run ~config ~layout ~policy:Dsu.Find_policy.Two_try_splitting
       ~depth:Chaos.Service ()
   in
   List.iter
@@ -1312,5 +1312,10 @@ let () =
           slow "per-op deadlines expire" test_deadline_expiry;
           slow "a durable point acks through the WAL" test_durable_point;
         ] );
-      ("drill", [ slow "flat crash-recovery drill" test_drill_flat ]);
+      ( "drill",
+        [
+          slow "flat crash-recovery drill" (test_drill Dsu.Plan.Flat);
+          slow "flat-padded crash-recovery drill" (test_drill Dsu.Plan.Padded);
+          slow "packed crash-recovery drill" (test_drill Dsu.Plan.Packed);
+        ] );
     ]
