@@ -33,20 +33,26 @@
 
 (* Telemetry (lib/obs) and fault injection (lib/fault).  A per-hop armed
    test would cost a load, a call and a branch on every parent-pointer
-   hop, which is measurable on the native fast path, so each find loop
-   exists twice: the plain body below, byte-identical to the untraced
-   algorithm, and an instrumented twin ([..._obs]) carrying both the
-   telemetry hooks and the labeled fault-injection sites (see
-   {!Repro_fault.Site}).  [find_root] picks a body with one atomic load
-   each of [Dsu_obs.armed] and [Repro_fault.Inject.armed] per traversal,
-   and the outer loops test them only at their (rare) retry/link/
-   early-step sites — never via a captured binding, which would be
-   captured into every per-operation loop closure and grow each
-   operation's allocation by a word; spelling out [Atomic.get
-   Dsu_obs.armed] compiles to a global access instead.  The hooks
-   themselves are individually gated too (telemetry by the registry
-   switch, fault sites by per-domain enrollment), so a stale pick is safe
-   either way. *)
+   hop, which is measurable on the native fast path.  So each find loop
+   and the early-termination step are written once, as an [[@inline]]
+   [..._gen ~obs] body whose telemetry hooks and labeled fault-injection
+   sites (see {!Repro_fault.Site}) all sit under [if obs then ...], and
+   are compiled twice: [find_two_try] is [find_two_try_gen ~obs:false],
+   [find_two_try_obs] is the same call with [~obs:true].  The compiler
+   inlines the body into each and folds the constant [obs], so the plain
+   specialisation carries no hook at all.  [find_root] picks one with one
+   atomic load each of [Dsu_obs.armed] and [Repro_fault.Inject.armed] per
+   traversal; the outer rounds test [Dsu_obs.armed] only at their (rare)
+   retry and link sites.  The hooks themselves are individually gated too
+   (telemetry by the registry switch, fault sites by per-domain
+   enrollment), so a stale pick is safe either way.
+
+   Every loop here, the rounds included, is a [while] loop over local
+   refs, not a local [let rec]: a recursive closure would be allocated on
+   every call, and the inliner does not specialise through one (the
+   [~obs:false] caller would jump to a generic body that tests [obs] on
+   every hop).  Local refs that no closure captures compile to registers,
+   so an operation allocates nothing but what compression records. *)
 
 module Fi = Repro_fault.Inject
 
@@ -141,123 +147,92 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
     let pu = t.prio u and pv = t.prio v in
     pu < pv || (pu = pv && u < v)
 
-  let bump t f = match t.stats with None -> () | Some s -> f s
+  let[@inline] bump t f = match t.stats with None -> () | Some s -> f s
+
+  let[@inline] bump_cas t f ~ok =
+    match t.stats with None -> () | Some s -> f s ~ok
 
   let record_link t ~child ~parent =
     match t.on_link with None -> () | Some f -> f ~child ~parent
 
-  (* Algorithm 1: Find without compaction. *)
-  let find_no_compaction t x =
-    let rec loop u =
-      bump t Dsu_stats.incr_find_iter;
-      let p = M.read t.mem u in
-      if p = u then u else loop p
-    in
-    loop x
+  (* The pieces every find step is made of, each with its counter and,
+     when [obs], its telemetry hook and fault sites. *)
 
-  let find_no_compaction_obs t x =
-    let rec loop u =
-      bump t Dsu_stats.incr_find_iter;
+  (* One visited node: counted, then the [Find_hop] fault site. *)
+  let[@inline] hop ~obs t =
+    bump t Dsu_stats.incr_find_iter;
+    if obs then begin
       Dsu_obs.on_find_iter ();
-      fault_hop ();
-      let p = M.read t.mem u in
-      if p = u then u else loop p
-    in
-    loop x
+      fault_hop ()
+    end
+
+  (* The second read of a splitting step, after the [Split_read_gap] site. *)
+  let[@inline] read_gap ~obs t v =
+    if obs then fault_gap ();
+    M.read t.mem v
+
+  (* A splitting (or compression) CAS of [u]'s parent from [v] to [w]. *)
+  let[@inline] split ~obs t u v w =
+    if obs then fault_split_pre ();
+    let ok = M.cas_weak t.mem u v w in
+    bump_cas t Dsu_stats.incr_compaction_cas ~ok;
+    if obs then begin
+      Dsu_obs.on_compaction_cas ~node:u ~ok;
+      fault_split_post ()
+    end
+
+  (* Algorithm 1: Find without compaction.  [root] stays [-1] until the
+     walk reaches a root, in this loop and the ones below. *)
+  let[@inline] find_no_compaction_gen ~obs t x =
+    let u = ref x and root = ref (-1) in
+    while !root < 0 do
+      hop ~obs t;
+      let p = M.read t.mem !u in
+      if p = !u then root := p else u := p
+    done;
+    !root
 
   (* Algorithm 4: Find with one-try splitting.  The splitting update is a
      {e weak} CAS: Algorithm 4 already tolerates a failed try (it advances
      regardless), so a spurious failure is indistinguishable from losing a
      race and the semantics are unchanged.  Same in every splitting CAS
      below. *)
-  let find_one_try t x =
-    let rec loop u =
-      bump t Dsu_stats.incr_find_iter;
-      let v = M.read t.mem u in
-      let w = M.read t.mem v in
-      if v = w then v
+  let[@inline] find_one_try_gen ~obs t x =
+    let u = ref x and root = ref (-1) in
+    while !root < 0 do
+      hop ~obs t;
+      let v = M.read t.mem !u in
+      let w = read_gap ~obs t v in
+      if v = w then root := v
       else begin
-        let ok = M.cas_weak t.mem u v w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
-        loop v
+        split ~obs t !u v w;
+        u := v
       end
-    in
-    loop x
-
-  let find_one_try_obs t x =
-    let rec loop u =
-      bump t Dsu_stats.incr_find_iter;
-      Dsu_obs.on_find_iter ();
-      fault_hop ();
-      let v = M.read t.mem u in
-      fault_gap ();
-      let w = M.read t.mem v in
-      if v = w then v
-      else begin
-        fault_split_pre ();
-        let ok = M.cas_weak t.mem u v w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
-        Dsu_obs.on_compaction_cas ~node:u ~ok;
-        fault_split_post ();
-        loop v
-      end
-    in
-    loop x
+    done;
+    !root
 
   (* Algorithm 5: Find with two-try splitting.  Each parent update is tried
      twice before the traversal advances; [u] advances to the second try's
      [v]. *)
-  let find_two_try t x =
-    let rec loop u =
-      bump t Dsu_stats.incr_find_iter;
-      let v = M.read t.mem u in
-      let w = M.read t.mem v in
-      if v = w then v
+  let[@inline] find_two_try_gen ~obs t x =
+    let u = ref x and root = ref (-1) in
+    while !root < 0 do
+      hop ~obs t;
+      let v = M.read t.mem !u in
+      let w = read_gap ~obs t v in
+      if v = w then root := v
       else begin
-        let ok = M.cas_weak t.mem u v w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
-        let v2 = M.read t.mem u in
-        let w2 = M.read t.mem v2 in
-        if v2 = w2 then v2
+        split ~obs t !u v w;
+        let v2 = M.read t.mem !u in
+        let w2 = read_gap ~obs t v2 in
+        if v2 = w2 then root := v2
         else begin
-          let ok2 = M.cas_weak t.mem u v2 w2 in
-          bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
-          loop v2
+          split ~obs t !u v2 w2;
+          u := v2
         end
       end
-    in
-    loop x
-
-  let find_two_try_obs t x =
-    let rec loop u =
-      bump t Dsu_stats.incr_find_iter;
-      Dsu_obs.on_find_iter ();
-      fault_hop ();
-      let v = M.read t.mem u in
-      fault_gap ();
-      let w = M.read t.mem v in
-      if v = w then v
-      else begin
-        fault_split_pre ();
-        let ok = M.cas_weak t.mem u v w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
-        Dsu_obs.on_compaction_cas ~node:u ~ok;
-        fault_split_post ();
-        let v2 = M.read t.mem u in
-        fault_gap ();
-        let w2 = M.read t.mem v2 in
-        if v2 = w2 then v2
-        else begin
-          fault_split_pre ();
-          let ok2 = M.cas_weak t.mem u v2 w2 in
-          bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
-          Dsu_obs.on_compaction_cas ~node:u ~ok:ok2;
-          fault_split_post ();
-          loop v2
-        end
-      end
-    in
-    loop x
+    done;
+    !root
 
   (* Concurrent path halving (van der Weide's rule): the same
      grandparent-swing CAS as one-try splitting, but the traversal advances
@@ -266,45 +241,22 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
      grandparent, an ancestor move, so Lemma 3.1's correctness argument is
      unchanged; like the splitting CASes it is weak (a spurious failure is
      just a skipped compaction). *)
-  let find_halving t x =
-    let rec loop u =
-      bump t Dsu_stats.incr_find_iter;
-      let v = M.read t.mem u in
-      if v = u then u
+  let[@inline] find_halving_gen ~obs t x =
+    let u = ref x and root = ref (-1) in
+    while !root < 0 do
+      hop ~obs t;
+      let v = M.read t.mem !u in
+      if v = !u then root := v
       else begin
-        let w = M.read t.mem v in
-        if v = w then v
+        let w = read_gap ~obs t v in
+        if v = w then root := v
         else begin
-          let ok = M.cas_weak t.mem u v w in
-          bump t (Dsu_stats.incr_compaction_cas ~ok);
-          loop w
+          split ~obs t !u v w;
+          u := w
         end
       end
-    in
-    loop x
-
-  let find_halving_obs t x =
-    let rec loop u =
-      bump t Dsu_stats.incr_find_iter;
-      Dsu_obs.on_find_iter ();
-      fault_hop ();
-      let v = M.read t.mem u in
-      if v = u then u
-      else begin
-        fault_gap ();
-        let w = M.read t.mem v in
-        if v = w then v
-        else begin
-          fault_split_pre ();
-          let ok = M.cas_weak t.mem u v w in
-          bump t (Dsu_stats.incr_compaction_cas ~ok);
-          Dsu_obs.on_compaction_cas ~node:u ~ok;
-          fault_split_post ();
-          loop w
-        end
-      end
-    in
-    loop x
+    done;
+    !root
 
   (* Concurrent two-pass compression (Section 6 conjecture).  Pass one walks
      to the current root recording each (node, observed parent) pair; pass
@@ -313,43 +265,42 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
      forest) of every recorded parent, every successful Cas replaces a
      parent by a proper ancestor, exactly the invariant Lemma 3.1 needs; a
      Cas that fails because another process moved the parent first is
-     simply skipped. *)
-  let find_compression t x =
-    let rec walk u acc =
-      bump t Dsu_stats.incr_find_iter;
-      let p = M.read t.mem u in
-      if p = u then (u, acc) else walk p ((u, p) :: acc)
-    in
-    let root, path = walk x [] in
-    List.iter
-      (fun (u, observed_parent) ->
-        if observed_parent <> root then begin
-          let ok = M.cas_weak t.mem u observed_parent root in
-          bump t (Dsu_stats.incr_compaction_cas ~ok)
-        end)
-      path;
+     simply skipped.  The recorded path is the only allocation of any
+     find. *)
+  let[@inline] find_compression_gen ~obs t x =
+    let u = ref x and root = ref (-1) and path = ref [] in
+    while !root < 0 do
+      hop ~obs t;
+      let p = M.read t.mem !u in
+      if p = !u then root := p
+      else begin
+        path := (!u, p) :: !path;
+        u := p
+      end
+    done;
+    let root = !root in
+    while
+      match !path with
+      | [] -> false
+      | (u, observed_parent) :: rest ->
+        if observed_parent <> root then split ~obs t u observed_parent root;
+        path := rest;
+        true
+    do
+      ()
+    done;
     root
 
-  let find_compression_obs t x =
-    let rec walk u acc =
-      bump t Dsu_stats.incr_find_iter;
-      Dsu_obs.on_find_iter ();
-      fault_hop ();
-      let p = M.read t.mem u in
-      if p = u then (u, acc) else walk p ((u, p) :: acc)
-    in
-    let root, path = walk x [] in
-    List.iter
-      (fun (u, observed_parent) ->
-        if observed_parent <> root then begin
-          fault_split_pre ();
-          let ok = M.cas_weak t.mem u observed_parent root in
-          bump t (Dsu_stats.incr_compaction_cas ~ok);
-          Dsu_obs.on_compaction_cas ~node:u ~ok;
-          fault_split_post ()
-        end)
-      path;
-    root
+  let find_no_compaction t x = find_no_compaction_gen ~obs:false t x
+  let find_no_compaction_obs t x = find_no_compaction_gen ~obs:true t x
+  let find_one_try t x = find_one_try_gen ~obs:false t x
+  let find_one_try_obs t x = find_one_try_gen ~obs:true t x
+  let find_two_try t x = find_two_try_gen ~obs:false t x
+  let find_two_try_obs t x = find_two_try_gen ~obs:true t x
+  let find_halving t x = find_halving_gen ~obs:false t x
+  let find_halving_obs t x = find_halving_gen ~obs:true t x
+  let find_compression t x = find_compression_gen ~obs:false t x
+  let find_compression_obs t x = find_compression_gen ~obs:true t x
 
   let find_root t x =
     bump t Dsu_stats.incr_find;
@@ -387,137 +338,84 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
      already read by the caller's root test, is reused rather than re-read —
      the printed pseudocode reads it twice; merging the reads only removes a
      redundant access (noted in EXPERIMENTS.md).  Returns the new [u]. *)
-  let early_step t u z =
-    bump t Dsu_stats.incr_find_iter;
+  let[@inline] early_step_gen ~obs t u z =
+    hop ~obs t;
     match t.policy with
     | Find_policy.No_compaction | Find_policy.Compression ->
       (* Full compression needs a complete find path, which the interleaved
          early-termination walk never has; its steps are plain hops. *)
       z
     | Find_policy.One_try_splitting ->
-      let w = M.read t.mem z in
-      if z <> w then begin
-        let ok = M.cas_weak t.mem u z w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok)
-      end;
+      let w = read_gap ~obs t z in
+      if z <> w then split ~obs t u z w;
       z
     | Find_policy.Halving ->
       (* Same CAS as one-try, but advance to the grandparent — still an
          ancestor of [u], so the early-termination invariant holds. *)
-      let w = M.read t.mem z in
+      let w = read_gap ~obs t z in
       if z <> w then begin
-        let ok = M.cas_weak t.mem u z w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        split ~obs t u z w;
         w
       end
       else z
     | Find_policy.Two_try_splitting ->
-      let w = M.read t.mem z in
+      let w = read_gap ~obs t z in
       if z <> w then begin
-        let ok = M.cas_weak t.mem u z w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
+        split ~obs t u z w;
         let z2 = M.read t.mem u in
-        let w2 = M.read t.mem z2 in
-        if z2 <> w2 then begin
-          let ok2 = M.cas_weak t.mem u z2 w2 in
-          bump t (Dsu_stats.incr_compaction_cas ~ok:ok2)
-        end;
+        let w2 = read_gap ~obs t z2 in
+        if z2 <> w2 then split ~obs t u z2 w2;
         z2
       end
       else z
 
-  let early_step_obs t u z =
-    bump t Dsu_stats.incr_find_iter;
-    Dsu_obs.on_find_iter ();
-    fault_hop ();
-    match t.policy with
-    | Find_policy.No_compaction | Find_policy.Compression -> z
-    | Find_policy.One_try_splitting ->
-      fault_gap ();
-      let w = M.read t.mem z in
-      if z <> w then begin
-        fault_split_pre ();
-        let ok = M.cas_weak t.mem u z w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
-        Dsu_obs.on_compaction_cas ~node:u ~ok;
-        fault_split_post ()
-      end;
-      z
-    | Find_policy.Halving ->
-      fault_gap ();
-      let w = M.read t.mem z in
-      if z <> w then begin
-        fault_split_pre ();
-        let ok = M.cas_weak t.mem u z w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
-        Dsu_obs.on_compaction_cas ~node:u ~ok;
-        fault_split_post ();
-        w
-      end
-      else z
-    | Find_policy.Two_try_splitting ->
-      fault_gap ();
-      let w = M.read t.mem z in
-      if z <> w then begin
-        fault_split_pre ();
-        let ok = M.cas_weak t.mem u z w in
-        bump t (Dsu_stats.incr_compaction_cas ~ok);
-        Dsu_obs.on_compaction_cas ~node:u ~ok;
-        fault_split_post ();
-        let z2 = M.read t.mem u in
-        fault_gap ();
-        let w2 = M.read t.mem z2 in
-        if z2 <> w2 then begin
-          fault_split_pre ();
-          let ok2 = M.cas_weak t.mem u z2 w2 in
-          bump t (Dsu_stats.incr_compaction_cas ~ok:ok2);
-          Dsu_obs.on_compaction_cas ~node:u ~ok:ok2;
-          fault_split_post ()
-        end;
-        z2
-      end
-      else z
+  let early_step t u z = early_step_gen ~obs:false t u z
+  let early_step_obs t u z = early_step_gen ~obs:true t u z
 
-  (* Algorithm 2: SameSet via two complete finds per round. *)
-  let same_set_plain t x y =
-    let rec loop u v ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-      end;
-      let u = find_root t u in
-      let v = find_root t v in
-      if u = v then true
-      else if M.read t.mem u = u then false
-      else loop u v ~first:false
-    in
-    loop x y ~first:true
+  (* The early rounds' one armed dispatch per step. *)
+  let early_step_any t u z =
+    if Atomic.get Dsu_obs.armed || Atomic.get Fi.armed then
+      early_step_obs t u z
+    else early_step t u z
+
+  (* Every extra iteration of a SameSet or Unite outer loop. *)
+  let[@inline] retry t =
+    bump t Dsu_stats.incr_outer_retry;
+    if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
+
+  (* Algorithm 2: SameSet via two complete finds per round, from [x] and
+     [y] or from any ancestors of them.  Returns the shared root when they
+     are in one set, and [lnot u] for the root [u] found from [x] when
+     they are not. *)
+  let same_set_rounds t x y =
+    let u = ref (find_root t x) in
+    let v = ref (find_root t y) in
+    while !u <> !v && M.read t.mem !u <> !u do
+      retry t;
+      u := find_root t !u;
+      v := find_root t !v
+    done;
+    if !u = !v then !u else lnot !u
 
   (* Algorithm 6: SameSet with early termination — always step from the
      smaller of the two current nodes; answer as soon as the smaller one is
      a root. *)
   let same_set_early t x y =
-    let rec loop u v ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
+    let u = ref x and v = ref y and go = ref true in
+    while !go && !u <> !v do
+      if less t !v !u then begin
+        let w = !u in
+        u := !v;
+        v := w
       end;
-      if u = v then true
+      let z = M.read t.mem !u in
+      if z = !u then go := false
       else begin
-        let u, v = if less t v u then (v, u) else (u, v) in
-        let z = M.read t.mem u in
-        if z = u then false
-        else begin
-          let u =
-            if Atomic.get Dsu_obs.armed || Atomic.get Fi.armed then
-              early_step_obs t u z
-            else early_step t u z
-          in
-          loop u v ~first:false
-        end
+        u := early_step_any t !u z;
+        retry t
       end
-    in
-    loop x y ~first:true
+    done;
+    !u = !v
 
   (* One link attempt between the distinct roots [u] and [v] just observed:
      the rule's CAS, then the counters, telemetry and the post-CAS fault
@@ -529,7 +427,7 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
     else begin
       let ok = c >= 0 in
       let child = if ok then c else lnot c in
-      bump t (Dsu_stats.incr_link_cas ~ok);
+      bump_cas t Dsu_stats.incr_link_cas ~ok;
       if Atomic.get Dsu_obs.armed then Dsu_obs.on_link_cas ~node:child ~ok;
       fault_link_post ();
       if ok then begin
@@ -542,8 +440,7 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
 
   (* Only a failed link CAS backs off: another domain just linked the same
      root, so an immediate retry mostly re-collides.  A stale observation
-     and an early step are progress.  The spin count is threaded as an
-     unboxed loop argument. *)
+     and an early step are progress. *)
   let[@inline] after_failed_link t code spins =
     if code <> stale && t.backoff then Backoff.once spins else spins
 
@@ -554,21 +451,22 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
      one set (the link target on success, the shared root when already
      joined), which the bulk kernels' root cache keeps. *)
   let unite_rounds t x y =
-    let rec loop u v spins ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-      end;
-      let u = find_root t u in
-      let v = find_root t v in
-      if u = v then u
+    let u = ref x and v = ref y and spins = ref Backoff.initial in
+    (* Negative until a round links the roots or finds them equal. *)
+    let p = ref (-1) in
+    while !p < 0 do
+      u := find_root t !u;
+      v := find_root t !v;
+      if !u = !v then p := !u
       else begin
-        let p = link t u v in
-        if p >= 0 then p
-        else loop u v (after_failed_link t p spins) ~first:false
+        p := link t !u !v;
+        if !p < 0 then begin
+          spins := after_failed_link t !p !spins;
+          retry t
+        end
       end
-    in
-    loop x y Backoff.initial ~first:true
+    done;
+    !p
 
   (* Algorithm 7: Unite with early termination.  The printed pseudocode uses
      an unconditional linking Cas as the root test; attempting the Cas only
@@ -577,36 +475,34 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
      rootness atomically, so correctness is unchanged).  The rule links [u]
      below [v], as [u] precedes [v] in the order. *)
   let unite_early t x y =
-    let rec loop u v spins ~first =
-      if not first then begin
-        bump t Dsu_stats.incr_outer_retry;
-        if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
+    let u = ref x and v = ref y and go = ref true in
+    let spins = ref Backoff.initial in
+    while !go && !u <> !v do
+      if less t !v !u then begin
+        let w = !u in
+        u := !v;
+        v := w
       end;
-      if u = v then ()
-      else begin
-        let u, v = if less t v u then (v, u) else (u, v) in
-        let z = M.read t.mem u in
-        if z = u then begin
-          let p = link t u v in
-          if p < 0 then loop u v (after_failed_link t p spins) ~first:false
-        end
+      let z = M.read t.mem !u in
+      if z = !u then begin
+        let p = link t !u !v in
+        if p >= 0 then go := false
         else begin
-          let u =
-            if Atomic.get Dsu_obs.armed || Atomic.get Fi.armed then
-              early_step_obs t u z
-            else early_step t u z
-          in
-          loop u v spins ~first:false
+          spins := after_failed_link t p !spins;
+          retry t
         end
       end
-    in
-    loop x y Backoff.initial ~first:true
+      else begin
+        u := early_step_any t !u z;
+        retry t
+      end
+    done
 
   let same_set t x y =
     check_node t x;
     check_node t y;
     bump t Dsu_stats.incr_same_set;
-    if t.early then same_set_early t x y else same_set_plain t x y
+    if t.early then same_set_early t x y else same_set_rounds t x y >= 0
 
   let unite t x y =
     check_node t x;
@@ -698,30 +594,19 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
       end;
       let x = Array.unsafe_get xs k and y = Array.unsafe_get ys k in
       bump t Dsu_stats.incr_same_set;
-      (* Algorithm 2's rounds, started from the cached ancestors. *)
-      let rec loop u v ~first =
-        if not first then begin
-          bump t Dsu_stats.incr_outer_retry;
-          if Atomic.get Dsu_obs.armed then Dsu_obs.on_outer_retry ()
-        end;
-        let u = find_root t u in
-        let v = find_root t v in
-        if u = v then begin
-          cache_store keys anc x u;
-          cache_store keys anc y u;
-          true
-        end
-        else if M.read t.mem u = u then begin
-          (* [u]/[v] are (ancestors of) the two distinct roots observed;
-             both remain ancestors of their endpoints forever. *)
-          cache_store keys anc x u;
-          cache_store keys anc y v;
-          false
-        end
-        else loop u v ~first:false
+      (* Algorithm 2's rounds, started from the cached ancestors.  The
+         roots found stay ancestors of their endpoints forever; the rounds
+         return [x]'s side only, so on a [false] answer [y] keeps its older
+         hint. *)
+      let r =
+        same_set_rounds t (cache_hint keys anc x) (cache_hint keys anc y)
       in
-      Array.unsafe_set out k
-        (loop (cache_hint keys anc x) (cache_hint keys anc y) ~first:true)
+      if r >= 0 then begin
+        cache_store keys anc x r;
+        cache_store keys anc y r
+      end
+      else cache_store keys anc x (lnot r);
+      Array.unsafe_set out k (r >= 0)
     done;
     out
 

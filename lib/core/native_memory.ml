@@ -6,8 +6,9 @@
     The memory carries its {!Memory_order.t} mode so one set of algorithm
     loops serves all modes: without flambda the functorised [M.read] is an
     indirect call per hop anyway, so the perfectly predicted mode branch
-    inside it is free next to the load it guards, and the instrumented
-    (fault/telemetry) twins automatically inherit the tuned accesses.
+    inside it is free next to the load it guards, and both
+    specialisations of each find body (plain and fault/telemetry-armed)
+    inherit the tuned accesses.
 
     The unchecked accessors are safe here: the algorithm validates node
     arguments at operation entry ([check_node]), and every parent value

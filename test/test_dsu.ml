@@ -898,31 +898,35 @@ let words_per_op ops f =
   done;
   (Gc.minor_words () -. before) /. float_of_int (Array.length ops)
 
-let alloc_tests =
-  let n = 1 lsl 16 in
+let alloc_n = 1 lsl 16
+
+let alloc_pairs, alloc_nodes =
   let rng = Rng.create 2016 in
-  let pairs = Array.init n (fun _ -> (Rng.int rng n, Rng.int rng n)) in
-  let nodes = Array.init n (fun _ -> Rng.int rng n) in
+  let node _ = Rng.int rng alloc_n in
+  let pairs = Array.init alloc_n (fun _ -> (node (), node ())) in
+  (pairs, Array.init alloc_n node)
+
+let parity_tests =
   List.map
     (fun policy ->
       case
         (Printf.sprintf "packed allocates like flat (%s)"
            (Policy.to_string policy))
         (fun () ->
-          let flat = Native.create ~policy ~seed:7 n in
-          let packed = Dsu.Packed.Native.create ~policy n in
+          let flat = Native.create ~policy ~seed:7 alloc_n in
+          let packed = Dsu.Packed.Native.create ~policy alloc_n in
           let flat_unite =
-            words_per_op pairs (fun (x, y) -> Native.unite flat x y)
+            words_per_op alloc_pairs (fun (x, y) -> Native.unite flat x y)
           in
           let packed_unite =
-            words_per_op pairs (fun (x, y) ->
+            words_per_op alloc_pairs (fun (x, y) ->
                 Dsu.Packed.Native.unite packed x y)
           in
           let flat_find =
-            words_per_op nodes (fun x -> ignore (Native.find flat x : int))
+            words_per_op alloc_nodes (fun x -> ignore (Native.find flat x : int))
           in
           let packed_find =
-            words_per_op nodes (fun x ->
+            words_per_op alloc_nodes (fun x ->
                 ignore (Dsu.Packed.Native.find packed x : int))
           in
           let within what f p =
@@ -933,6 +937,66 @@ let alloc_tests =
           within "unite" flat_unite packed_unite;
           within "find" flat_find packed_find))
     Policy.all
+
+(* The kernel's loops and rounds are closure-free, so an operation through
+   [Dsu.Driver] allocates nothing, on both layouts, under every policy but
+   compression: unites, then same_sets, then finds over the random pairs
+   and nodes above, each under [zero_words] per op.  Compression records
+   its find path as a list, the algorithm's own data; it is held to the
+   words it allocated when the loops were recursive closures (unite,
+   same_set, find: flat 60.33, 58.76, 23.02; packed 59.39, 58.77, 23.03). *)
+let zero_words = 0.01
+
+let driver_alloc_tests =
+  List.concat_map
+    (fun (layout, linking, compression_words) ->
+      List.map
+        (fun policy ->
+          let layout_name = Dsu.Plan.layout_to_string layout in
+          let compression = policy = Policy.Compression in
+          let name =
+            if compression then
+              Printf.sprintf "compression allocates no more than recorded (%s)"
+                layout_name
+            else
+              Printf.sprintf "driver ops allocate nothing (%s, %s)" layout_name
+                (Policy.to_string policy)
+          in
+          case name (fun () ->
+              let plan =
+                { Dsu.Plan.default with linking; layout; compaction = policy }
+              in
+              let d = Dsu.Driver.create ~plan ~seed:7 alloc_n in
+              let unite =
+                words_per_op alloc_pairs (fun (x, y) -> Dsu.Driver.unite d x y)
+              in
+              let same_set =
+                words_per_op alloc_pairs (fun (x, y) ->
+                    ignore (Dsu.Driver.same_set d x y : bool))
+              in
+              let find =
+                words_per_op alloc_nodes (fun x ->
+                    ignore (Dsu.Driver.find d x : int))
+              in
+              List.iter2
+                (fun (what, words) recorded ->
+                  if compression then begin
+                    if words > recorded then
+                      Alcotest.failf
+                        "%s allocates %.2f minor words/op (%.2f recorded)" what
+                        words recorded
+                  end
+                  else if not (words < zero_words) then
+                    Alcotest.failf "%s allocates %.2f minor words/op" what words)
+                [ ("unite", unite); ("same_set", same_set); ("find", find) ]
+                compression_words))
+        Policy.all)
+    [
+      (Dsu.Plan.Flat, Dsu.Plan.Random_id, [ 60.33; 58.76; 23.02 ]);
+      (Dsu.Plan.Packed, Dsu.Plan.By_rank, [ 59.39; 58.77; 23.03 ]);
+    ]
+
+let alloc_tests = parity_tests @ driver_alloc_tests
 
 let () =
   Alcotest.run "dsu"

@@ -229,21 +229,26 @@ let armed_site_tests =
 (* ---------------------------------------------------------- tuned path *)
 
 (* The memory-order-tuned hot path (relaxed/acquire loads, weak split
-   CAS, link backoff) reuses the instrumented twins, so every fault site
-   must keep firing when the structure is created with
-   [~memory_order:Relaxed_reads] — including inside the bulk kernels.
-   Both linking rules run the same twins, so each case runs on the flat
-   (by id) and the packed (by rank) layouts.  These are regression tests
-   against the tuning, or either rule, silently bypassing injection. *)
+   CAS, link backoff) runs the same find bodies as every other mode: each
+   policy's loop is written once, with its fault sites under [if obs],
+   and the armed specialisation keeps them.  So every fault site must
+   keep firing when the structure is created with
+   [~memory_order:Relaxed_reads], under every policy that reaches it —
+   [Find_hop] under all five, the split CAS sites under the four that
+   compact — and inside the bulk kernels.  Both linking rules run the
+   same bodies, so each case runs on the flat (by id) and the packed (by
+   rank) layouts.  These are regression tests against the tuning, a
+   policy or either rule silently bypassing injection. *)
 
 module Driver = Dsu.Driver
 
-let tuned_create layout ?(n = 256) ~seed () =
+let tuned_create layout policy ?(n = 256) ~seed () =
   let plan =
     Dsu.Plan.on_layout layout
       {
         Dsu.Plan.default with
         Dsu.Plan.memory_order = Dsu.Memory_order.Relaxed_reads;
+        compaction = policy;
       }
   in
   Driver.create ~plan ~seed n
@@ -263,8 +268,9 @@ let forest_ok d =
 let tuned_site_cases =
   [
     ( "tuned path still counts Find_hop hits",
-      fun layout ->
-        let d = tuned_create layout ~seed:31 () in
+      Dsu.Find_policy.all,
+      fun layout policy ->
+        let d = tuned_create layout policy ~seed:31 () in
         with_plan
           { Inject.seed = 30; rules_for = (fun _ -> []) }
           (fun () ->
@@ -277,8 +283,9 @@ let tuned_site_cases =
               ((Inject.totals ()).Inject.hits > 0);
             check Alcotest.bool "hops recorded" true (Inject.my_hops () > 0)) );
     ( "split CAS sites still crash the tuned find",
-      fun layout ->
-        let d = tuned_create layout ~seed:33 () in
+      List.filter (( <> ) Dsu.Find_policy.No_compaction) Dsu.Find_policy.all,
+      fun layout policy ->
+        let d = tuned_create layout policy ~seed:33 () in
         (* Build depth while disarmed so the crash plan only sees finds. *)
         random_unites d ~seed:9 ~count:400;
         with_plan
@@ -302,8 +309,9 @@ let tuned_site_cases =
         done;
         forest_ok d );
     ( "Link_cas_pre still crashes inside unite_batch",
-      fun layout ->
-        let d = tuned_create layout ~seed:35 () in
+      Dsu.Find_policy.all,
+      fun layout policy ->
+        let d = tuned_create layout policy ~seed:35 () in
         let xs = Array.init 128 (fun i -> i) in
         let ys = Array.init 128 (fun i -> i + 128) in
         with_plan
@@ -323,8 +331,9 @@ let tuned_site_cases =
         done;
         forest_ok d );
     ( "same_set_batch traversals still count Find_hop",
-      fun layout ->
-        let d = tuned_create layout ~seed:37 () in
+      Dsu.Find_policy.all,
+      fun layout policy ->
+        let d = tuned_create layout policy ~seed:37 () in
         random_unites d ~seed:11 ~count:300;
         let xs = Array.init 128 (fun i -> i) in
         let ys = Array.init 128 (fun i -> 255 - i) in
@@ -339,11 +348,17 @@ let tuned_site_cases =
 let tuned_site_tests =
   List.concat_map
     (fun layout ->
-      List.map
-        (fun (name, f) ->
-          case
-            (Printf.sprintf "%s: %s" (Dsu.Plan.layout_to_string layout) name)
-            (fun () -> f layout))
+      List.concat_map
+        (fun (name, policies, f) ->
+          List.map
+            (fun policy ->
+              case
+                (Printf.sprintf "%s %s: %s"
+                   (Dsu.Plan.layout_to_string layout)
+                   (Dsu.Find_policy.to_string policy)
+                   name)
+                (fun () -> f layout policy))
+            policies)
         tuned_site_cases)
     [ Dsu.Plan.Flat; Dsu.Plan.Packed ]
 

@@ -805,39 +805,115 @@ let contention_tests =
 
 (* ------------------------------------------- integration with the DSU *)
 
+(* One layout under test, seen through the calls the twin check needs. *)
+type twin = {
+  unite : int -> int -> unit;
+  same_set : int -> int -> bool;
+  find : int -> int;
+  stats : unit -> Dsu.Stats.snapshot;
+  parents : unit -> int array;
+}
+
+let flat_twin ~policy ~early n =
+  let d = Dsu.Native.create ~policy ~early ~collect_stats:true ~seed:11 n in
+  {
+    unite = Dsu.Native.unite d;
+    same_set = Dsu.Native.same_set d;
+    find = Dsu.Native.find d;
+    stats = (fun () -> Dsu.Native.stats d);
+    parents = (fun () -> Dsu.Native.parents_snapshot d);
+  }
+
+let packed_twin ~policy n =
+  let module P = Dsu.Packed.Native in
+  let d = P.create ~policy ~collect_stats:true n in
+  {
+    unite = P.unite d;
+    same_set = P.same_set d;
+    find = P.find d;
+    stats = (fun () -> P.stats d);
+    parents = (fun () -> P.parents_snapshot d);
+  }
+
+(* A seeded mix of unites, same_sets and finds, answered as ints. *)
+let run_twin (d : twin) ops =
+  Array.map
+    (fun (kind, x, y) ->
+      match kind with
+      | 0 -> d.unite x y; 0
+      | 1 -> Bool.to_int (d.same_set x y)
+      | _ -> d.find x)
+    ops
+
+(* Every find policy, with and without early termination (flat only:
+   the packed layout links by rank and offers no [~early]), on both
+   layouts.  The armed run's metrics must match its Dsu_stats, and a
+   disarmed twin fed the same ops must answer every op alike, count the
+   same steps and end with the same parent array: the two
+   specialisations of each find body are one algorithm. *)
+let armed_twin_cases =
+  let n = 512 and count = 4096 in
+  let rng = Repro_util.Rng.create 11 in
+  let ops =
+    Array.init count (fun _ ->
+        let x = Repro_util.Rng.int rng n and y = Repro_util.Rng.int rng n in
+        (Repro_util.Rng.int rng 3, x, y))
+  in
+  let configs =
+    List.concat_map
+      (fun policy ->
+        let p = Dsu.Find_policy.to_string policy in
+        [
+          ("flat " ^ p, fun () -> flat_twin ~policy ~early:false n);
+          ("flat early " ^ p, fun () -> flat_twin ~policy ~early:true n);
+          ("packed " ^ p, fun () -> packed_twin ~policy n);
+        ])
+      Dsu.Find_policy.all
+  in
+  List.map
+    (fun (name, make) ->
+      case ("native ops populate metrics that match Dsu_stats, " ^ name)
+        (fun () ->
+          let disarmed = make () in
+          let plain = run_twin disarmed ops in
+          with_metrics (fun () ->
+              Metrics.reset ();
+              let armed = make () in
+              let answers = run_twin armed ops in
+              let stats = armed.stats () in
+              let snap = Metrics.snapshot () in
+              let counter name =
+                match counter_value_of snap name with
+                | Some v -> v
+                | None -> Alcotest.fail (name ^ " not registered")
+              in
+              check Alcotest.int "link cas ok = links" stats.Dsu.Stats.links
+                (counter "dsu_link_cas_ok_total");
+              check Alcotest.int "link cas fail"
+                stats.Dsu.Stats.link_cas_failures
+                (counter "dsu_link_cas_fail_total");
+              check Alcotest.int "compaction cas"
+                stats.Dsu.Stats.compaction_cas
+                (counter "dsu_compaction_cas_ok_total"
+                + counter "dsu_compaction_cas_fail_total");
+              check Alcotest.int "compaction cas failures"
+                stats.Dsu.Stats.compaction_cas_failures
+                (counter "dsu_compaction_cas_fail_total");
+              check Alcotest.int "outer retries" stats.Dsu.Stats.outer_retries
+                (counter "dsu_outer_retries_total");
+              check Alcotest.int "finds" stats.Dsu.Stats.find_calls
+                (counter "dsu_find_total");
+              check Alcotest.int "ops" count (counter "dsu_ops_total");
+              check (Alcotest.array Alcotest.int) "answers" plain answers;
+              check Alcotest.bool "stats" true (disarmed.stats () = stats);
+              check (Alcotest.array Alcotest.int) "parents"
+                (disarmed.parents ()) (armed.parents ());
+              Metrics.reset ())))
+    configs
+
 let integration_tests =
-  [
-    case "native ops populate metrics that match Dsu_stats" (fun () ->
-        with_metrics (fun () ->
-            Metrics.reset ();
-            let n = 512 in
-            let d = Dsu.Native.create ~collect_stats:true ~seed:11 n in
-            for i = 0 to n - 2 do
-              Dsu.Native.unite d i (i + 1)
-            done;
-            for i = 0 to n - 1 do
-              ignore (Dsu.Native.same_set d i 0 : bool)
-            done;
-            let stats = Dsu.Native.stats d in
-            let snap = Metrics.snapshot () in
-            let counter name =
-              match counter_value_of snap name with
-              | Some v -> v
-              | None -> Alcotest.fail (name ^ " not registered")
-            in
-            check Alcotest.int "link cas ok = links" stats.Dsu.Stats.links
-              (counter "dsu_link_cas_ok_total");
-            check Alcotest.int "link cas fail"
-              stats.Dsu.Stats.link_cas_failures
-              (counter "dsu_link_cas_fail_total");
-            check Alcotest.int "compaction cas"
-              stats.Dsu.Stats.compaction_cas
-              (counter "dsu_compaction_cas_ok_total"
-              + counter "dsu_compaction_cas_fail_total");
-            check Alcotest.int "finds" stats.Dsu.Stats.find_calls
-              (counter "dsu_find_total");
-            check Alcotest.int "ops" (2 * n - 1) (counter "dsu_ops_total");
-            Metrics.reset ()));
+  armed_twin_cases
+  @ [
     case "run_sim attaches a registry snapshot" (fun () ->
         with_metrics (fun () ->
             Metrics.reset ();

@@ -1076,33 +1076,16 @@ let serve_held ?(on_poll = fun f -> f ()) ops =
   check Alcotest.int "every op answered" count !got;
   Atomic.get worker_words
 
-(* The drain worker allocates nothing per request beyond what the DSU
-   kernel itself allocates: requests and answers cross as ints, and the
-   outcome is a code.  The kernel's share is measured by replaying the
-   same ops, in the same order, on a replica built with the service's
-   plan and seed; what the worker allocates at start (its batch buffers)
-   is spread over 20k requests of the serve mix. *)
+(* The drain worker allocates nothing per request: requests and answers
+   cross as ints, the outcome is a code, and the DSU kernel allocates
+   nothing under the default plan.  What the worker allocates at start
+   (its batch buffers) is spread over 20k requests of the serve mix. *)
 let test_worker_alloc () =
   let count = 20_000 in
-  let ops = mixed_ops count in
-  let worker = serve_held ops in
-  let cfg = Svc.default_config in
-  let replica = Dsu.Driver.create ~plan:cfg.Svc.plan ~seed:cfg.Svc.seed 64 in
-  let before = Gc.minor_words () in
-  Array.iter
-    (function
-      | Svc.Unite (x, y) -> Dsu.Driver.unite replica x y
-      | Svc.Same_set (x, y) -> ignore (Dsu.Driver.same_set replica x y : bool)
-      | Svc.Find x -> ignore (Dsu.Driver.find replica x : int))
-    ops;
-  let kernel = Gc.minor_words () -. before in
-  let words = (worker -. kernel) /. float_of_int count in
+  let words = serve_held (mixed_ops count) /. float_of_int count in
   if not (words < 0.05) then
-    Alcotest.failf
-      "the worker allocates %.3f minor words per request on top of the DSU \
-       kernel's %.2f (0 allowed)"
+    Alcotest.failf "the worker allocates %.3f minor words per request (0 allowed)"
       words
-      (kernel /. float_of_int count)
 
 (* [poll] allocates only what it returns: a record and a list cell (7
    words) per unite or same_set answer, and the [Done (V_int _)] (4 more)
@@ -1302,7 +1285,7 @@ let () =
           case "a reject-path submit allocates only its answer" test_submit_alloc;
           case "a submit that wakes a parked worker allocates only its answer"
             test_wake_alloc;
-          case "the drain worker allocates nothing beyond the kernel" test_worker_alloc;
+          case "the drain worker allocates nothing per request" test_worker_alloc;
           case "poll allocates only the answers it returns" test_poll_alloc;
         ] );
       ( "backpressure",
