@@ -4,7 +4,7 @@
    command line.
 
    Examples:
-     dsu_workload native --impl jt --policy two-try -n 65536 --ops 262144
+     dsu_workload native --policy two-try -n 65536 --ops 262144
      dsu_workload native --impl lock --domains 4
      dsu_workload sim --procs 8 --sched cas-adversary -n 4096
      dsu_workload sim --procs 8 --sched crash:0,1:400
@@ -13,7 +13,7 @@
      dsu_workload chaos --depth snapshot --snapshot-out crash
      dsu_workload snapshot -n 4096 --ops 20000 --snapshot-out dsu.snap
      dsu_workload restore --resume-from dsu.snap --repair --validate
-     dsu_workload native --impl jt --wal ops.wal
+     dsu_workload native --wal ops.wal
      dsu_workload snapshot --fuzzy --snapshot-out fuzzy.snap
      dsu_workload restore --resume-from fuzzy.snap --wal ops.wal --validate
      dsu_workload chaos --depth wal --depth service --layout packed
@@ -266,40 +266,35 @@ let with_progress progress f =
 
 (* ---------------------------------------------------------- native mode *)
 
-type impl = Jt | Jt_early | Packed | Aw | Lock | Seq
+(* The baselines no plan axis names; without --impl, native runs the
+   Dsu.Driver the --plan names. *)
+type impl = Jt_early | Aw | Lock | Seq
 
+(* Exact names only: [Arg.enum] would take "jt" as a prefix of
+   "jt-early". *)
 let impl_conv =
-  let parse = function
-    | "jt" -> Ok Jt
-    | "jt-early" -> Ok Jt_early
-    | "packed" -> Ok Packed
-    | "aw" -> Ok Aw
-    | "lock" -> Ok Lock
-    | "seq" -> Ok Seq
-    | s -> Error (`Msg (Printf.sprintf "unknown implementation %S" s))
+  let impls = [ ("jt-early", Jt_early); ("aw", Aw); ("lock", Lock); ("seq", Seq) ] in
+  let parse s =
+    match List.assoc_opt s impls with
+    | Some i -> Ok i
+    | None ->
+      Error
+        (`Msg (Printf.sprintf "unknown implementation %S (want jt-early, aw, lock or seq)" s))
   in
-  let print ppf impl =
-    Format.pp_print_string ppf
-      (match impl with
-      | Jt -> "jt"
-      | Jt_early -> "jt-early"
-      | Packed -> "packed"
-      | Aw -> "aw"
-      | Lock -> "lock"
-      | Seq -> "seq")
+  let print ppf i =
+    Format.pp_print_string ppf (fst (List.find (fun (_, j) -> j = i) impls))
   in
   Arg.conv (parse, print)
 
 let impl_arg =
   Arg.(
     value
-    & opt impl_conv Jt
+    & opt (some impl_conv) None
     & info [ "impl" ] ~docv:"IMPL"
         ~doc:
-          "Implementation: jt (the paper's algorithm), jt-early (Section 6 \
-           variant), packed (Section 7 linking by rank over a single-word \
-           rank+parent layout), aw (Anderson-Woll), lock (global mutex), \
-           seq (sequential).")
+          "Run a baseline instead of the $(b,--plan) backend: jt-early \
+           (Section 6 variant), aw (Anderson-Woll), lock (global mutex), seq \
+           (sequential).")
 
 (* --plan: run under one point of the Dsu.Plan space, or let the autotuner
    choose.  A malformed spec is a Cmdliner conv error — proper usage
@@ -329,8 +324,8 @@ let plan_arg =
            rank:halving:relaxed-reads:on:packed), or $(b,auto) = pick the \
            fastest plan for this workload profile via the autotuner (cached \
            by profile fingerprint; see $(b,--autotune-cache)).  Overrides \
-           $(b,--impl) and $(b,--policy) in $(b,native); pins the \
-           $(b,scalability) sweep to the plan's point.")
+           $(b,--policy) in $(b,native); pins the $(b,scalability) sweep to \
+           the plan's point.")
 
 (* The default plan under a --policy compaction rule. *)
 let plan_of_policy policy = { Dsu.Plan.default with compaction = policy }
@@ -401,7 +396,7 @@ let contention_out_arg =
           "Enable per-site contention attribution and write the \
            dsu-contention/v1 report (CAS failures per Site label and per \
            node, hot-node heatmap) to $(docv) after the run (\"-\" = \
-           stdout).  Only the jt/jt-early implementations carry the \
+           stdout).  Only the plan backends and jt-early carry the \
            instrumented CAS sites.")
 
 let wal_arg =
@@ -411,13 +406,27 @@ let wal_arg =
     & info [ "wal" ] ~docv:"FILE"
         ~doc:
           "Append every link to a group-committed write-ahead log at \
-           $(docv) (jt, jt-early, packed or $(b,--plan) only — the \
-           baselines carry no link notification).")
+           $(docv) (plan backends and jt-early only — the other baselines \
+           carry no link notification).")
+
+(* The closed-loop buckets of native, snapshot and restore: the seeded mix
+   dealt round-robin over [domains]. *)
+let buckets ~n ~ops ~unite_frac ~seed ~domains =
+  Array.map Array.of_list
+    (Workload.Op.round_robin (workload ~n ~ops ~unite_frac ~seed) ~p:domains)
+
+(* A worker that raised fails the run, after every domain was joined. *)
+let check_workers (r : _ Harness.Closed_loop.result) =
+  List.iter
+    (fun (k, msg) -> Printf.eprintf "dsu_workload: domain %d failed: %s\n%!" k msg)
+    r.failures;
+  if r.failures <> [] then exit check_failed_exit
 
 let run_native impl policy plan autotune_cache n ops unite_frac seed domains
     wal metrics_out trace_out contention_out progress =
   let* () = check_arg (domains >= 1) "--domains must be >= 1" in
   let* () = check_arg (n >= 1) "--elements must be >= 1" in
+  let* () = check_arg (ops >= 0) "--ops must be >= 0" in
   let* () =
     check_arg
       (unite_frac >= 0. && unite_frac <= 1.)
@@ -425,15 +434,29 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
   in
   let* () =
     check_arg
-      (not (impl = Seq && domains > 1))
+      (not (impl = Some Seq && domains > 1))
       "--impl seq is single-threaded; use --domains 1"
   in
   let* () =
+    check_arg (impl = None || plan = None)
+      "--impl runs a baseline, --plan a plan backend; give one"
+  in
+  (* Only the plan backends and jt-early carry link notifications and
+     instrumented CAS sites. *)
+  let baseline =
+    match impl with Some (Aw | Lock | Seq) -> true | None | Some Jt_early -> false
+  in
+  let* () =
     check_arg
-      (wal = None || plan <> None
-      || match impl with Jt | Jt_early | Packed -> true | Aw | Lock | Seq -> false)
-      "--wal needs an implementation with link notifications (jt, jt-early, \
-       packed or --plan)"
+      (wal = None || not baseline)
+      "--wal needs an implementation with link notifications (a plan \
+       backend or jt-early)"
+  in
+  let* () =
+    check_arg
+      (contention_out = None || not baseline)
+      "--contention-out needs an implementation with instrumented CAS sites \
+       (a plan backend or jt-early)"
   in
   (* Resolve --plan before arming telemetry: the auto calibration sweep
      runs its own timed workloads and must not pollute this run's
@@ -464,88 +487,53 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
       wal
   in
   let on_link = Option.map Dwal.append wal_writer in
-  let root_fn = ref None in
-  let ops_list = workload ~n ~ops ~unite_frac ~seed in
-  let buckets = Workload.Op.round_robin ops_list ~p:domains in
-  let apply_ops ~unite ~same_set ~find bucket =
-    List.iter
-      (fun op ->
-        match op with
-        | Workload.Op.Unite (x, y) -> unite x y
-        | Workload.Op.Same_set (x, y) -> ignore (same_set x y : bool)
-        | Workload.Op.Find x -> ignore (find x : int))
-      bucket
-  in
-  let in_domains work =
-    with_progress progress (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let handles =
-          List.init domains (fun k -> Domain.spawn (fun () -> work buckets.(k)))
-        in
-        List.iter Domain.join handles;
-        Unix.gettimeofday () -. t0)
-  in
-  (* The plan-shaped implementations all run through the one backend
-     type; jt and packed are plans under the --policy compaction rule. *)
-  let on_driver plan =
-    let d = Dsu.Driver.create ~plan ~seed ~collect_stats:true ?on_link n in
-    let dt =
-      in_domains
-        (apply_ops ~unite:(Dsu.Driver.unite d) ~same_set:(Dsu.Driver.same_set d)
-           ~find:(Dsu.Driver.find d))
-    in
-    let parents = Dsu.Driver.parents_snapshot d in
-    root_fn := Some (fun i -> parents.(i) = i);
-    (dt, Dsu.Driver.count_sets d, Some (Dsu.Driver.stats d))
-  in
-  let elapsed, final_sets, stats =
-    match (plan, impl) with
-    | Some p, _ -> on_driver p
-    | None, Jt -> on_driver (plan_of_policy policy)
-    | None, Packed ->
-      on_driver (Dsu.Plan.on_layout Dsu.Plan.Packed (plan_of_policy policy))
-    | None, Jt_early ->
+  (* [apply] runs one bucket; [finish] reads the quiescent structure:
+     its set count, counters and root test. *)
+  let apply, finish =
+    match impl with
+    | None ->
+      let plan = Option.value plan ~default:(plan_of_policy policy) in
+      let d = Dsu.Driver.create ~plan ~seed ~collect_stats:true ?on_link n in
+      ( Workload.Op.run_driver_array d,
+        fun () ->
+          let parents = Dsu.Driver.parents_snapshot d in
+          ( Dsu.Driver.count_sets d,
+            Some (Dsu.Driver.stats d),
+            Some (fun i -> parents.(i) = i) ) )
+    | Some Jt_early ->
       let d =
         Dsu.Native.create ~policy ~early:true ~collect_stats:true ?on_link ~seed n
       in
-      let dt =
-        in_domains
-          (apply_ops ~unite:(Dsu.Native.unite d) ~same_set:(Dsu.Native.same_set d)
-             ~find:(Dsu.Native.find d))
-      in
-      root_fn := Some (Dsu.Native.is_root d);
-      (dt, Dsu.Native.count_sets d, Some (Dsu.Native.stats d))
-    | None, Aw ->
-      let d = Baselines.Anderson_woll.Native.create ~collect_stats:true n in
-      let dt =
-        in_domains
-          (apply_ops
-             ~unite:(Baselines.Anderson_woll.Native.unite d)
-             ~same_set:(Baselines.Anderson_woll.Native.same_set d)
-             ~find:(Baselines.Anderson_woll.Native.find d))
-      in
-      (dt, Baselines.Anderson_woll.Native.count_sets d,
-       Some (Baselines.Anderson_woll.Native.stats d))
-    | None, Lock ->
-      let d = Baselines.Locked_dsu.create ~seed n in
-      let dt =
-        in_domains
-          (apply_ops ~unite:(Baselines.Locked_dsu.unite d)
-             ~same_set:(Baselines.Locked_dsu.same_set d)
-             ~find:(Baselines.Locked_dsu.find d))
-      in
-      (dt, Baselines.Locked_dsu.count_sets d, None)
-    | None, Seq ->
+      ( Workload.Op.run_native_array d,
+        fun () ->
+          (Dsu.Native.count_sets d, Some (Dsu.Native.stats d), Some (Dsu.Native.is_root d)) )
+    | Some Aw ->
+      let module A = Baselines.Anderson_woll.Native in
+      let d = A.create ~collect_stats:true n in
+      ( Harness.Closed_loop.applier ~unite:(A.unite d) ~same_set:(A.same_set d)
+          ~find:(A.find d),
+        fun () -> (A.count_sets d, Some (A.stats d), None) )
+    | Some Lock ->
+      let module L = Baselines.Locked_dsu in
+      let d = L.create ~seed n in
+      ( Harness.Closed_loop.applier ~unite:(L.unite d) ~same_set:(L.same_set d)
+          ~find:(L.find d),
+        fun () -> (L.count_sets d, None, None) )
+    | Some Seq ->
       let d = Sequential.Seq_dsu.create ~seed n in
-      let t0 = Unix.gettimeofday () in
-      Workload.Op.run_seq d ops_list;
-      (Unix.gettimeofday () -. t0, Sequential.Seq_dsu.count_sets d, None)
+      (Workload.Op.run_seq_array d, fun () -> (Sequential.Seq_dsu.count_sets d, None, None))
   in
+  let r =
+    with_progress progress (fun () ->
+        Harness.Closed_loop.run ~apply
+          (buckets ~n ~ops ~unite_frac ~seed ~domains))
+  in
+  check_workers r;
+  let final_sets, stats, is_root = finish () in
   Printf.printf "elements:      %d\noperations:    %d (%.0f%% unions)\ndomains:       %d\n"
     n ops (unite_frac *. 100.) domains;
-  Printf.printf "elapsed:       %.4fs (%.2f Mops/s)\nfinal sets:    %d\n" elapsed
-    (float_of_int ops /. elapsed /. 1e6)
-    final_sets;
+  Printf.printf "elapsed:       %.4fs (%.2f Mops/s)\nfinal sets:    %d\n" r.seconds
+    (r.ops_per_sec /. 1e6) final_sets;
   (match wal_writer with
   | None -> ()
   | Some w ->
@@ -565,7 +553,7 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
     with_out out (fun oc ->
         output_string oc
           (Repro_obs.Json.to_string
-             (Dsu.Contention.to_json ?is_root:!root_fn
+             (Dsu.Contention.to_json ?is_root
                 ~heatmap_buckets:(Stdlib.min 32 n) ~n r));
         output_char oc '\n');
     Dsu.Contention.set_enabled false);
@@ -573,7 +561,7 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
 
 let native_cmd =
   let doc = "Run a workload natively (wall clock; optional domains)." in
-  Cmd.v (Cmd.info "native" ~doc)
+  Cmd.v (Cmd.info "native" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_native $ impl_arg $ policy_arg $ plan_arg
@@ -738,21 +726,6 @@ let write_snapshot_or_die ~format path snap =
     Ok ()
   with Sys_error msg -> Error (`Msg (Printf.sprintf "cannot write snapshot: %s" msg))
 
-let in_domains_apply ~domains ~unite ~same_set ~find buckets =
-  let apply bucket =
-    List.iter
-      (fun op ->
-        match op with
-        | Workload.Op.Unite (x, y) -> unite x y
-        | Workload.Op.Same_set (x, y) -> ignore (same_set x y : bool)
-        | Workload.Op.Find x -> ignore (find x : int))
-      bucket
-  in
-  let handles =
-    List.init domains (fun k -> Domain.spawn (fun () -> apply buckets.(k)))
-  in
-  List.iter Domain.join handles
-
 let run_snapshot policy n ops unite_frac seed domains snapshot_out format
     corrupt fuzzy =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
@@ -764,43 +737,23 @@ let run_snapshot policy n ops unite_frac seed domains snapshot_out format
       "--unite-frac must be in [0, 1]"
   in
   let d = Dsu.Driver.create ~plan:(plan_of_policy policy) ~seed n in
-  let buckets =
-    Workload.Op.round_robin (workload ~n ~ops ~unite_frac ~seed) ~p:domains
+  (* --fuzzy: the capture races the mutators, mid-flight.  The written
+     snapshot is the reconciled cut, not the final structure — its
+     partition refines the final one. *)
+  let r =
+    Harness.Closed_loop.run
+      ?during:(if fuzzy then Some (fun () -> Dfuzzy.of_driver d) else None)
+      ~apply:(Workload.Op.run_driver_array d)
+      (buckets ~n ~ops ~unite_frac ~seed ~domains)
   in
-  let fuzzy_cap =
-    if not fuzzy then begin
-      in_domains_apply ~domains ~unite:(Dsu.Driver.unite d)
-        ~same_set:(Dsu.Driver.same_set d) ~find:(Dsu.Driver.find d) buckets;
-      None
-    end
-    else begin
-      (* The capture races the mutators: spawn them, scan mid-flight,
-         join.  The written snapshot is the reconciled cut, not the final
-         structure — its partition refines the final one. *)
-      let handles =
-        List.init domains (fun k ->
-            Domain.spawn (fun () ->
-                List.iter
-                  (fun op ->
-                    match op with
-                    | Workload.Op.Unite (x, y) -> Dsu.Driver.unite d x y
-                    | Workload.Op.Same_set (x, y) ->
-                      ignore (Dsu.Driver.same_set d x y : bool)
-                    | Workload.Op.Find x -> ignore (Dsu.Driver.find d x : int))
-                  buckets.(k)))
-      in
-      let cap = Dfuzzy.of_driver d in
-      List.iter Domain.join handles;
-      Some cap
-    end
-  in
+  check_workers r;
   let sets = Dsu.Driver.count_sets d in
   let snap =
-    match fuzzy_cap with
+    match r.during with
     | None -> Rsnap.of_driver d
     | Some cap -> cap.Dfuzzy.snapshot
   in
-  (match fuzzy_cap with
+  (match r.during with
   | None -> ()
   | Some cap ->
     Printf.printf "fuzzy:    scanned mid-run in %d ns, %d reconciliation fix(es)\n"
@@ -848,7 +801,7 @@ let snapshot_cmd =
              capture, no stop-the-world) instead of at quiescence; the \
              written cut refines the final partition.")
   in
-  Cmd.v (Cmd.info "snapshot" ~doc)
+  Cmd.v (Cmd.info "snapshot" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_snapshot $ policy_arg $ n_arg $ ops_arg $ unite_frac_arg
@@ -918,12 +871,10 @@ let run_restore policy resume_from wal repair validate ops unite_frac seed
       Ok ()
   in
   if ops > 0 then begin
-    let buckets =
-      Workload.Op.round_robin (workload ~n:count ~ops ~unite_frac ~seed) ~p:domains
-    in
-    in_domains_apply ~domains ~unite:(Dsu.Driver.unite restored)
-      ~same_set:(Dsu.Driver.same_set restored) ~find:(Dsu.Driver.find restored)
-      buckets;
+    check_workers
+      (Harness.Closed_loop.run
+         ~apply:(Workload.Op.run_driver_array restored)
+         (buckets ~n:count ~ops ~unite_frac ~seed ~domains));
     Printf.printf "resumed:  %d ops on %d domain(s), %d sets\n" ops domains
       (Dsu.Driver.count_sets restored)
   end;
@@ -987,7 +938,7 @@ let restore_cmd =
       & info [ "snapshot-out" ] ~docv:"FILE"
           ~doc:"Write a fresh snapshot after resuming.")
   in
-  Cmd.v (Cmd.info "restore" ~doc)
+  Cmd.v (Cmd.info "restore" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_restore $ policy_arg $ resume_from $ wal $ repair $ validate
@@ -2163,8 +2114,9 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
   | Some pct, None ->
     let best memory_order =
       best_of_3 (fun () ->
-          (Scalability.run_point ~config ~memory_order ~layout:Dsu.Plan.Flat
-             ~policy:Policy.Two_try_splitting ~domains:1 ())
+          (Scalability.run_point ~config
+             ~plan:{ Dsu.Plan.default with memory_order }
+             ~domains:1 ())
             .Scalability.mops_per_sec)
     in
     let seqcst = best Dsu.Memory_order.Seq_cst in
@@ -2188,7 +2140,7 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
       | None ->
         let best plan =
           best_of_3 (fun () ->
-              (Scalability.run_plan_point ~config ~plan ~domains:1 ())
+              (Scalability.run_point ~config ~plan ~domains:1 ())
                 .Scalability.mops_per_sec)
         in
         let tuned = best plan in

@@ -67,7 +67,7 @@ let measure ?(repeats = 1) ~profile plan =
   let failures = ref 0 in
   for _ = 1 to max 1 repeats do
     let pt =
-      Scalability.run_plan_point ~config ~dist:profile.dist ~plan
+      Scalability.run_point ~config ~dist:profile.dist ~plan
         ~domains:profile.domains ()
     in
     failures := !failures + List.length pt.Scalability.failures;

@@ -1,7 +1,7 @@
 (** Plan-space autotuner.
 
     Sweeps a set of {!Dsu.Plan} points (default {!Dsu.Plan.candidates})
-    over one workload {!profile} with {!Scalability.run_plan_point}, ranks
+    over one workload {!profile} with {!Scalability.run_point}, ranks
     them by throughput, and reports the winner with its margins over the
     runner-up and over {!Dsu.Plan.default}.  Results serialize as the
     ["dsu-autotune/v1"] JSON document (consumed by {!Perfdiff}) and cache

@@ -204,12 +204,7 @@ type run = {
 let fresh_run { n; ops_per_domain = m; domains; unite_percent; seed; _ } =
   let per_op v = Array.init domains (fun _ -> Array.make m v) in
   {
-    ops =
-      Array.init domains (fun k ->
-          let rng = Rng.create (seed + (1000 * k)) in
-          Array.init m (fun _ ->
-              let x = Rng.int rng n and y = Rng.int rng n in
-              if Rng.int rng 100 < unite_percent then Op.Unite (x, y) else Op.Same_set (x, y)));
+    ops = Closed_loop.gen_ops ~n ~unite_percent ~seed ~domains ~ops_per_domain:m ();
     clock = Atomic.make 0;
     starts = per_op (-1);
     stops = per_op (-1);
@@ -224,7 +219,11 @@ type stage = { stage : string; slots : (int * int * int) list }
 
 (* Run [slots]' streams from their current op to the end (re-running the op
    a crashed slot died inside is safe: unite is idempotent, queries are
-   read-only).  Each call counts only its own hops and ops. *)
+   read-only).  Each call counts only its own hops and ops.  This is not
+   [Closed_loop.run]: each worker enrols its fault-injection slot and
+   stamps every op's start and stop on the shared logical clock for the
+   audit, and a crashed worker's progress ([r.cur]) is where the resume
+   stage picks up. *)
 let run_workers ~d r slots =
   let m = Array.length r.ops.(0) in
   let worker k () =

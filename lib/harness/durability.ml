@@ -15,7 +15,6 @@
      WAL — the overhead the 15% CI guard watches. *)
 
 module Policy = Dsu.Find_policy
-module Rng = Repro_util.Rng
 module J = Repro_obs.Json
 module Clock = Repro_obs.Clock
 module Rsnap = Repro_recover.Snapshot
@@ -68,96 +67,82 @@ let validate c =
   if c.repeats < 1 then invalid_arg "Durability: repeats must be >= 1";
   if c.snapshots < 1 then invalid_arg "Durability: snapshots must be >= 1"
 
-(* (x, y, is_unite) streams, same generator discipline as the chaos
-   harness so runs are reproducible from the seed alone. *)
-let gen_ops c =
-  Array.init c.domains (fun k ->
-      let rng = Rng.create (c.seed + (1000 * k)) in
-      Array.init c.ops_per_domain (fun _ ->
-          let x = Rng.int rng c.n and y = Rng.int rng c.n in
-          (x, y, Rng.int rng 100 < c.unite_percent)))
-
-(* One timed run of every stream against a fresh structure; returns the
-   wall nanoseconds and the structure (for the quiescent-snapshot timing
-   and so the WAL writer sees real link traffic). *)
-let timed_run c ~on_link ~during =
+(* One timed run of the buckets against a fresh structure, with [during d]
+   on the calling domain; returns the seconds, the structure (for the
+   quiescent-snapshot timing and so the WAL writer sees real link
+   traffic) and [during]'s value. *)
+let timed_run c ops ?on_link during =
   let d =
-    match on_link with
-    | None -> Dsu.Native.create ~policy:c.policy ~seed:c.seed c.n
-    | Some f -> Dsu.Native.create ~policy:c.policy ~seed:c.seed ~on_link:f c.n
+    Dsu.Driver.create
+      ~plan:{ Dsu.Plan.default with compaction = c.policy }
+      ~seed:c.seed ?on_link c.n
   in
-  let ops = gen_ops c in
-  let t0 = Clock.now_ns () in
-  let workers =
-    List.init c.domains (fun k ->
-        Domain.spawn (fun () ->
-            Array.iter
-              (fun (x, y, u) ->
-                if u then Dsu.Native.unite d x y
-                else ignore (Dsu.Native.same_set d x y))
-              ops.(k)))
+  let r =
+    Closed_loop.run
+      ~during:(fun () -> during d)
+      ~apply:(Workload.Op.run_driver_array d)
+      ops
   in
-  let aux = during d in
-  List.iter Domain.join workers;
-  let ns = Clock.now_ns () - t0 in
-  (ns, d, aux)
+  Closed_loop.raise_failures r;
+  (r.seconds, d, Option.get r.during)
 
 let best c f =
-  let rec go i (best_ns, best_aux) =
-    if i >= c.repeats then (best_ns, best_aux)
+  let rec go i (best_s, best_aux) =
+    if i >= c.repeats then (best_s, best_aux)
     else
-      let ns, aux = f () in
-      go (i + 1) (if ns < best_ns then (ns, aux) else (best_ns, best_aux))
+      let s, aux = f () in
+      go (i + 1) (if s < best_s then (s, aux) else (best_s, best_aux))
   in
-  let ns, aux = f () in
-  go 1 (ns, aux)
+  let s, aux = f () in
+  go 1 (s, aux)
 
-let mops c ns =
-  float_of_int (c.domains * c.ops_per_domain) /. (float_of_int ns /. 1e9) /. 1e6
+let mops c seconds = float_of_int (c.domains * c.ops_per_domain) /. seconds /. 1e6
 
 let run ?(config = default_config) () =
   let c = config in
   validate c;
+  let ops =
+    Closed_loop.gen_ops ~n:c.n ~unite_percent:c.unite_percent ~seed:c.seed
+      ~domains:c.domains ~ops_per_domain:c.ops_per_domain ()
+  in
   (* Phase 1: baseline, plus the quiescent scan at quiescence. *)
-  let off_ns, quiescent_pause_ns =
+  let off_s, quiescent_pause_ns =
     best c (fun () ->
-        let ns, d, () = timed_run c ~on_link:None ~during:(fun _ -> ()) in
+        let s, d, () = timed_run c ops ignore in
         let t0 = Clock.now_ns () in
-        ignore (Rsnap.of_driver (Dsu.Driver.Flat d) : Rsnap.t);
-        (ns, float_of_int (Clock.now_ns () - t0)))
+        ignore (Rsnap.of_driver d : Rsnap.t);
+        (s, float_of_int (Clock.now_ns () - t0)))
   in
   (* Phase 2: concurrent fuzzy captures.  The per-capture "pause" is the
      wall-time the mutators lost, not the scanner's own cost. *)
-  let fuzzy_ns, fuzzy_scan_ns =
+  let fuzzy_s, fuzzy_scan_ns =
     best c (fun () ->
-        let ns, _, scan_ns =
-          timed_run c ~on_link:None ~during:(fun d ->
+        let s, _, scan_ns =
+          timed_run c ops (fun d ->
               let scans = ref 0 in
               for _ = 1 to c.snapshots do
-                let cap = Dfuzzy.of_driver (Dsu.Driver.Flat d) in
+                let cap = Dfuzzy.of_driver d in
                 scans := !scans + cap.Dfuzzy.scan_ns
               done;
               float_of_int !scans /. float_of_int c.snapshots)
         in
-        (ns, scan_ns))
+        (s, scan_ns))
   in
   (* Phase 3: WAL on — every link enqueued, committer group-committing to
      a scratch file that is removed afterwards. *)
-  let on_ns, (wal_appended, wal_committed, wal_commits) =
+  let on_s, (wal_appended, wal_committed, wal_commits) =
     best c (fun () ->
         let path = Filename.temp_file "dsu-durability" ".wal" in
         let wal =
           Dwal.create_writer ~flush_records ~flush_interval path
         in
-        let ns, _, () =
-          timed_run c ~on_link:(Some (Dwal.append wal)) ~during:(fun _ -> ())
-        in
+        let secs, _, () = timed_run c ops ~on_link:(Dwal.append wal) ignore in
         Dwal.close wal;
         let s = Dwal.writer_stats wal in
         (try Sys.remove path with Sys_error _ -> ());
-        (ns, (s.Dwal.ws_appended, s.Dwal.ws_committed, s.Dwal.ws_commits)))
+        (secs, (s.Dwal.ws_appended, s.Dwal.ws_committed, s.Dwal.ws_commits)))
   in
-  let wal_off_mops = mops c off_ns and wal_on_mops = mops c on_ns in
+  let wal_off_mops = mops c off_s and wal_on_mops = mops c on_s in
   {
     config = c;
     wal_off_mops;
@@ -167,8 +152,7 @@ let run ?(config = default_config) () =
        else (wal_off_mops -. wal_on_mops) /. wal_off_mops *. 100.);
     quiescent_pause_ns;
     fuzzy_pause_ns =
-      Float.max 0.
-        (float_of_int (fuzzy_ns - off_ns) /. float_of_int c.snapshots);
+      Float.max 0. ((fuzzy_s -. off_s) *. 1e9 /. float_of_int c.snapshots);
     fuzzy_scan_ns;
     wal_appended;
     wal_committed;

@@ -9,42 +9,12 @@
 
 module Table = Repro_util.Table
 
-(* Monotonic: a wall-clock step mid-run must not distort throughput. *)
-let now () = float_of_int (Repro_obs.Clock.now_ns ()) /. 1e9
-
-let throughput_concurrent ~policy ~n ~ops_per_domain ~domains ~seed =
-  let d = Dsu.Native.create ~policy ~seed n in
-  let worker k () =
-    let rng = Repro_util.Rng.create (seed + (1000 * k)) in
-    for _ = 1 to ops_per_domain do
-      let x = Repro_util.Rng.int rng n in
-      let y = Repro_util.Rng.int rng n in
-      if Repro_util.Rng.int rng 10 < 3 then Dsu.Native.unite d x y
-      else ignore (Dsu.Native.same_set d x y)
-    done
-  in
-  let t0 = now () in
-  let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
-  List.iter Domain.join handles;
-  let dt = now () -. t0 in
-  float_of_int (ops_per_domain * domains) /. dt
-
-let throughput_locked ~n ~ops_per_domain ~domains ~seed =
-  let d = Baselines.Locked_dsu.create ~seed n in
-  let worker k () =
-    let rng = Repro_util.Rng.create (seed + (1000 * k)) in
-    for _ = 1 to ops_per_domain do
-      let x = Repro_util.Rng.int rng n in
-      let y = Repro_util.Rng.int rng n in
-      if Repro_util.Rng.int rng 10 < 3 then Baselines.Locked_dsu.unite d x y
-      else ignore (Baselines.Locked_dsu.same_set d x y)
-    done
-  in
-  let t0 = now () in
-  let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
-  List.iter Domain.join handles;
-  let dt = now () -. t0 in
-  float_of_int (ops_per_domain * domains) /. dt
+(* One closed-loop run over pre-generated buckets (generation is outside
+   the timed section), in ops/s. *)
+let throughput ops apply =
+  let r = Closed_loop.run ~apply ops in
+  Closed_loop.raise_failures r;
+  r.Closed_loop.ops_per_sec
 
 let run ppf =
   let n = 1 lsl 17 in
@@ -54,12 +24,21 @@ let run ppf =
   in
   List.iter
     (fun domains ->
-      let ops_per_domain = total_ops / domains in
-      let jt =
-        throughput_concurrent ~policy:Dsu.Find_policy.Two_try_splitting ~n
-          ~ops_per_domain ~domains ~seed:21
+      let ops =
+        Closed_loop.gen_ops ~n ~unite_percent:30 ~seed:21 ~domains
+          ~ops_per_domain:(total_ops / domains) ()
       in
-      let locked = throughput_locked ~n ~ops_per_domain ~domains ~seed:21 in
+      (* The default plan: flat, two-try, random priorities. *)
+      let jt =
+        throughput ops (Workload.Op.run_driver_array (Dsu.Driver.create ~seed:21 n))
+      in
+      let locked =
+        let d = Baselines.Locked_dsu.create ~seed:21 n in
+        throughput ops
+          (Closed_loop.applier ~unite:(Baselines.Locked_dsu.unite d)
+             ~same_set:(Baselines.Locked_dsu.same_set d)
+             ~find:(Baselines.Locked_dsu.find d))
+      in
       Table.add_row table
         [ Table.cell_int domains; "jt two-try"; Table.cell_float (jt /. 1e6); Table.cell_ratio (jt /. locked) ];
       Table.add_row table

@@ -1,8 +1,9 @@
 (** Domain-parallel throughput engine: the repo's scalability benchmark.
 
-    Runs one shared DSU under [D] concurrent domains (each executing a
-    pre-generated stream of random [Unite]/[SameSet] operations, the worker
-    pattern of experiment E13) and reports operations per second, sweeping
+    Runs one shared DSU under [D] concurrent domains through
+    {!Closed_loop.run} (each executing a pre-generated stream of random
+    [Unite]/[SameSet] operations) and reports operations per second,
+    sweeping
 
     - the domain count (default [1; 2; 4; 8]),
     - the find policy,
@@ -23,15 +24,11 @@
     docs/PERFORMANCE.md for the schema and how to read the numbers on
     machines with few cores. *)
 
-type dist = Uniform | Skewed
+type dist = Closed_loop.dist = Uniform | Skewed
 
 val all_dists : dist list
 val dist_to_string : dist -> string
 val dist_of_string : string -> dist option
-
-val hot_range : int -> int
-(** Size of the [Skewed] hot range for an [n]-node structure
-    ([max 16 (n/256)]). *)
 
 type point = {
   layout : Dsu.Plan.layout;
@@ -70,26 +67,12 @@ val default_config : config
     with backoff on, uniform keys. *)
 
 val run_point :
-  ?config:config ->
-  ?memory_order:Dsu.Memory_order.t ->
-  ?backoff:bool ->
-  ?dist:dist ->
-  layout:Dsu.Plan.layout ->
-  policy:Dsu.Find_policy.t ->
-  domains:int ->
-  unit ->
-  point
-(** One timed run.  Operation streams are generated outside the timed
-    section; timing covers domain spawn to join.  [memory_order] defaults
-    to {!Dsu.Memory_order.default}, [backoff] to [true], [dist] to
-    [Uniform].
-    @raise Invalid_argument on [domains < 1]. *)
-
-val run_plan_point :
   ?config:config -> ?dist:dist -> plan:Dsu.Plan.t -> domains:int -> unit -> point
-(** {!run_point} driven by a {!Dsu.Plan} point: compaction, memory order,
-    backoff and layout come from the plan (the linking rule is implied by
-    the layout).  @raise Invalid_argument on an invalid plan. *)
+(** One timed {!Closed_loop.run} of the {!Dsu.Driver} the plan names:
+    compaction, memory order, backoff and layout come from the plan.
+    Operation streams are generated outside the timed section; timing
+    covers domain spawn to join.  [dist] defaults to [Uniform].
+    @raise Invalid_argument on [domains < 1] or an invalid plan. *)
 
 val sweep : ?config:config -> ?progress:(point -> unit) -> unit -> point list
 (** The full cross product (layouts × policies × memory_orders × backoffs

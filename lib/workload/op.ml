@@ -119,6 +119,12 @@ let run_packed_array d ops =
     | Find x -> ignore (Dsu.Packed.Native.find d x)
   done
 
+(* One match per bucket, not per op: the layout's own loop runs the ops. *)
+let run_driver_array (d : Dsu.Driver.t) ops =
+  match d with
+  | Flat d -> run_native_array d ops
+  | Packed d -> run_packed_array d ops
+
 let run_seq_array d ops =
   for i = 0 to Array.length ops - 1 do
     match Array.unsafe_get ops i with

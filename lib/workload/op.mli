@@ -46,6 +46,10 @@ val run_packed_array : Dsu.Packed.Native.t -> t array -> unit
 (** Drives the bit-packed linking-by-rank layout ({!Dsu.Packed.Native})
     for the plan-space sweeps. *)
 
+val run_driver_array : Dsu.Driver.t -> t array -> unit
+(** Matches the {!Dsu.Driver.t} variant once, then runs the layout's own
+    loop ({!run_native_array} or {!run_packed_array}). *)
+
 val run_seq_array : Sequential.Seq_dsu.t -> t array -> unit
 val run_quick_find_array : Sequential.Quick_find.t -> t array -> unit
 (** Array-based hot loops: contiguous iteration, no list-cell chasing in

@@ -672,6 +672,67 @@ let autotune_tests =
               (Autotune.load_cached ~dir tiny_profile = None)));
   ]
 
+module Closed_loop = Harness.Closed_loop
+
+(* Poll [cond] for up to 5 s; a runner that serialized its workers and
+   [during] would otherwise hang the suite instead of failing it. *)
+let await cond =
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  cond ()
+
+let closed_loop_tests =
+  let bucket len = Array.make len (Workload.Op.Find 0) in
+  [
+    case "a raising worker fails its own slot; every domain is joined" (fun () ->
+        let finished = Atomic.make 0 in
+        let apply b =
+          if Array.length b = 1 then failwith "boom";
+          (* finish well after the failing worker, so a runner that
+             stopped joining at the failure would return too early *)
+          Unix.sleepf 0.05;
+          ignore (Atomic.fetch_and_add finished (Array.length b))
+        in
+        let r = Closed_loop.run ~apply [| bucket 2; bucket 1; bucket 3 |] in
+        check
+          Alcotest.(list (pair int string))
+          "failures" [ (1, "Failure(\"boom\")") ] r.Closed_loop.failures;
+        check Alcotest.int "others finished" 5 (Atomic.get finished));
+    case "~during runs while the workers run; its value is returned" (fun () ->
+        let started = Atomic.make 0 and released = Atomic.make false in
+        let apply _ =
+          Atomic.incr started;
+          if not (await (fun () -> Atomic.get released)) then
+            failwith "never released"
+        in
+        let r =
+          Closed_loop.run ~apply [| bucket 1; bucket 1 |] ~during:(fun () ->
+              let both = await (fun () -> Atomic.get started = 2) in
+              Atomic.set released true;
+              both)
+        in
+        check Alcotest.(option bool) "during saw both workers" (Some true)
+          r.Closed_loop.during;
+        check Alcotest.(list (pair int string)) "no failures" []
+          r.Closed_loop.failures);
+    case "ops/s counts every op of every bucket" (fun () ->
+        let gen =
+          Closed_loop.gen_ops ~n:64 ~unite_percent:30 ~seed:5 ~domains:2
+            ~ops_per_domain:100 ()
+        in
+        let applied = Atomic.make 0 in
+        let apply b = ignore (Atomic.fetch_and_add applied (Array.length b)) in
+        let r =
+          Closed_loop.run ~apply [| gen.(0); gen.(1); [||]; Array.sub gen.(0) 0 7 |]
+        in
+        check Alcotest.int "applied" 207 (Atomic.get applied);
+        check Alcotest.int "ops" 207 r.Closed_loop.ops;
+        check (Alcotest.float 1e-9) "ops/s" (207. /. r.Closed_loop.seconds)
+          r.Closed_loop.ops_per_sec);
+  ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -681,4 +742,5 @@ let () =
       ("latency", latency_tests);
       ("perfdiff", perfdiff_tests);
       ("autotune", autotune_tests);
+      ("closed_loop", closed_loop_tests);
     ]

@@ -284,7 +284,7 @@ let plan_tests =
             | Error e -> Alcotest.fail e
             | Ok plan ->
               let p =
-                Harness.Scalability.run_plan_point ~config ~plan ~domains:1 ()
+                Harness.Scalability.run_point ~config ~plan ~domains:1 ()
               in
               check Alcotest.bool (spec ^ " clean") true
                 (p.Harness.Scalability.failures = []))
