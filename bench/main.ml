@@ -9,13 +9,16 @@
      --out FILE           results as a JSON document
      --metrics-out FILE   enable telemetry during the runs and dump the
                           metrics registry as JSON lines
-     --filter SUBSTR      run only benchmarks whose name contains SUBSTR
-                          (repeatable; used by the CI bench-smoke job)
+     --filter SUBSTR      build and run only benchmarks whose name
+                          contains SUBSTR (repeatable; used by the CI
+                          bench-smoke job)
      --fast               reduced measurement quota, for smoke runs
 
-   keeping stdout parse-free for the perf-trajectory tooling.  Two --out
-   documents are compared with [dsu_workload perfdiff]; the sweeps
-   (scalability, durability, connectivity) are dsu_workload subcommands. *)
+   keeping stdout parse-free for the perf-trajectory tooling.  The --out
+   document carries a Perfdiff [metrics] list (each benchmark's
+   ns_per_run, lower-better), so two of them are compared with
+   [dsu_workload perfdiff]; the sweeps (scalability, durability,
+   connectivity) are dsu_workload subcommands. *)
 
 open Bechamel
 open Toolkit
@@ -39,207 +42,200 @@ let mixed_ops n m seed =
 
 let mixed_ops_arr n m seed = Array.of_list (mixed_ops n m seed)
 
+(* [bench name setup] is a benchmark whose inputs [setup ()] builds and
+   whose returned closure is the measured run.  [setup] runs only for the
+   benchmarks --filter selects, so a filtered run builds nothing else. *)
+let bench name setup = (name, fun () -> Test.make ~name (Staged.stage (setup ())))
+
+(* The E1/E13 mixed workload over a fresh [create ()] per run. *)
+let bench_native name create =
+  bench name (fun () ->
+      let ops = mixed_ops_arr n_medium n_medium 3 in
+      fun () -> Workload.Op.run_native_array (create ()) ops)
+
 (* E1/E13 family: native end-to-end workload per policy. *)
 let bench_native_policy policy =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make
-    ~name:(Printf.sprintf "native/%s" (Policy.to_string policy))
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~policy ~seed:7 n_medium in
-         Workload.Op.run_native_array d ops))
+  bench_native (Printf.sprintf "native/%s" (Policy.to_string policy)) (fun () ->
+      Dsu.Native.create ~policy ~seed:7 n_medium)
 
 (* Memory-layout A/B twin: the identical workload over the
    cache-line-padded flat array. *)
 let bench_native_padded =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"native/padded-two-try"
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~padded:true ~seed:7 n_medium in
-         Workload.Op.run_native_array d ops))
+  bench_native "native/padded-two-try" (fun () ->
+      Dsu.Native.create ~padded:true ~seed:7 n_medium)
 
 (* Memory-order A/B twin: the same end-to-end workload with every parent
    load fully fenced (seq-cst) — the fenced baseline the tuned default
    (relaxed-reads) is measured against.  Compare against native/two-try. *)
 let bench_native_seqcst =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"native/two-try-seqcst"
-    (Staged.stage (fun () ->
-         let d =
-           Dsu.Native.create ~memory_order:Dsu.Memory_order.Seq_cst ~seed:7
-             n_medium
-         in
-         Workload.Op.run_native_array d ops))
+  bench_native "native/two-try-seqcst" (fun () ->
+      Dsu.Native.create ~memory_order:Dsu.Memory_order.Seq_cst ~seed:7 n_medium)
 
 (* Backoff A/B twin: link-CAS backoff disabled.  Single-threaded the two
    should be indistinguishable (backoff only runs after a failed link CAS);
    the multi-domain difference is the job of the [dsu_workload
    scalability] sweep (--backoffs on,off). *)
 let bench_native_nobackoff =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"native/two-try-nobackoff"
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~backoff:false ~seed:7 n_medium in
-         Workload.Op.run_native_array d ops))
+  bench_native "native/two-try-nobackoff" (fun () ->
+      Dsu.Native.create ~backoff:false ~seed:7 n_medium)
 
 (* E10 family: early termination. *)
 let bench_native_early =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"native/two-try+early"
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~early:true ~seed:7 n_medium in
-         Workload.Op.run_native_array d ops))
+  bench_native "native/two-try+early" (fun () ->
+      Dsu.Native.create ~early:true ~seed:7 n_medium)
 
 (* E8 family: baselines on the same workload. *)
 let bench_aw =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"baseline/anderson-woll"
-    (Staged.stage (fun () ->
-         let d = Baselines.Anderson_woll.Native.create n_medium in
-         Array.iter
-           (fun op ->
-             match op with
-             | Workload.Op.Unite (x, y) -> Baselines.Anderson_woll.Native.unite d x y
-             | Workload.Op.Same_set (x, y) ->
-               ignore (Baselines.Anderson_woll.Native.same_set d x y)
-             | Workload.Op.Find x -> ignore (Baselines.Anderson_woll.Native.find d x))
-           ops))
+  bench "baseline/anderson-woll" (fun () ->
+      let ops = mixed_ops_arr n_medium n_medium 3 in
+      fun () ->
+        let d = Baselines.Anderson_woll.Native.create n_medium in
+        Array.iter
+          (fun op ->
+            match op with
+            | Workload.Op.Unite (x, y) -> Baselines.Anderson_woll.Native.unite d x y
+            | Workload.Op.Same_set (x, y) ->
+              ignore (Baselines.Anderson_woll.Native.same_set d x y)
+            | Workload.Op.Find x -> ignore (Baselines.Anderson_woll.Native.find d x))
+          ops)
 
 let bench_locked =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"baseline/global-lock"
-    (Staged.stage (fun () ->
-         let d = Baselines.Locked_dsu.create n_medium in
-         Array.iter
-           (fun op ->
-             match op with
-             | Workload.Op.Unite (x, y) -> Baselines.Locked_dsu.unite d x y
-             | Workload.Op.Same_set (x, y) ->
-               ignore (Baselines.Locked_dsu.same_set d x y)
-             | Workload.Op.Find x -> ignore (Baselines.Locked_dsu.find d x))
-           ops))
+  bench "baseline/global-lock" (fun () ->
+      let ops = mixed_ops_arr n_medium n_medium 3 in
+      fun () ->
+        let d = Baselines.Locked_dsu.create n_medium in
+        Array.iter
+          (fun op ->
+            match op with
+            | Workload.Op.Unite (x, y) -> Baselines.Locked_dsu.unite d x y
+            | Workload.Op.Same_set (x, y) ->
+              ignore (Baselines.Locked_dsu.same_set d x y)
+            | Workload.Op.Find x -> ignore (Baselines.Locked_dsu.find d x))
+          ops)
 
 (* E9 family: sequential variants. *)
 let bench_seq linking compaction =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make
-    ~name:
-      (Printf.sprintf "seq/%s-%s"
-         (Sequential.Seq_dsu.linking_to_string linking)
-         (Sequential.Seq_dsu.compaction_to_string compaction))
-    (Staged.stage (fun () ->
-         let d = Sequential.Seq_dsu.create ~linking ~compaction ~seed:5 n_medium in
-         Workload.Op.run_seq_array d ops))
+  bench
+    (Printf.sprintf "seq/%s-%s"
+       (Sequential.Seq_dsu.linking_to_string linking)
+       (Sequential.Seq_dsu.compaction_to_string compaction))
+    (fun () ->
+      let ops = mixed_ops_arr n_medium n_medium 3 in
+      fun () ->
+        let d = Sequential.Seq_dsu.create ~linking ~compaction ~seed:5 n_medium in
+        Workload.Op.run_seq_array d ops)
 
 (* E4/E5 family: one simulated execution (work measurement machinery). *)
 let bench_sim policy =
-  let ops = Workload.Op.round_robin (spanning_ops n_small 11) ~p:4 in
-  Test.make
-    ~name:(Printf.sprintf "sim/p4-%s" (Policy.to_string policy))
-    (Staged.stage (fun () ->
-         ignore (Harness.Measure.run_sim ~policy ~n:n_small ~seed:13 ~ops ())))
+  bench (Printf.sprintf "sim/p4-%s" (Policy.to_string policy)) (fun () ->
+      let ops = Workload.Op.round_robin (spanning_ops n_small 11) ~p:4 in
+      fun () -> ignore (Harness.Measure.run_sim ~policy ~n:n_small ~seed:13 ~ops ()))
 
 (* E6/E7 family: the adversarial binomial build. *)
 let bench_binomial =
-  let k = 1 lsl 10 in
-  let ops = Array.of_list (Workload.Binomial.schedule ~base:0 ~k) in
-  Test.make ~name:"workload/binomial-build"
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~seed:17 k in
-         Workload.Op.run_native_array d ops))
+  bench "workload/binomial-build" (fun () ->
+      let k = 1 lsl 10 in
+      let ops = Array.of_list (Workload.Binomial.schedule ~base:0 ~k) in
+      fun () ->
+        let d = Dsu.Native.create ~seed:17 k in
+        Workload.Op.run_native_array d ops)
 
 (* E11 family: linearizability checking cost. *)
 let bench_lincheck =
-  let history =
-    let ops =
-      Array.init 3 (fun pid ->
-          List.init 4 (fun i ->
-              if (pid + i) mod 2 = 0 then Workload.Op.Unite (pid, (pid + i) mod 6)
-              else Workload.Op.Same_set (i, pid * i mod 6)))
-    in
-    let r = Harness.Measure.run_sim ~n:6 ~seed:19 ~ops () in
-    r.Harness.Measure.history
-  in
-  Test.make ~name:"lincheck/12-op-history"
-    (Staged.stage (fun () -> ignore (Lincheck.Checker.check ~n:6 history)))
+  bench "lincheck/12-op-history" (fun () ->
+      let history =
+        let ops =
+          Array.init 3 (fun pid ->
+              List.init 4 (fun i ->
+                  if (pid + i) mod 2 = 0 then Workload.Op.Unite (pid, (pid + i) mod 6)
+                  else Workload.Op.Same_set (i, pid * i mod 6)))
+        in
+        let r = Harness.Measure.run_sim ~n:6 ~seed:19 ~ops () in
+        r.Harness.Measure.history
+      in
+      fun () -> ignore (Lincheck.Checker.check ~n:6 history))
 
 (* E12 family: the applications. *)
 let bench_components =
-  let g =
-    Graphs.Generators.erdos_renyi ~rng:(Rng.create 23) ~n:n_medium ~m:(2 * n_medium) ()
-  in
-  Test.make ~name:"apps/connected-components"
-    (Staged.stage (fun () -> ignore (Graphs.Components.sequential g)))
+  bench "apps/connected-components" (fun () ->
+      let g =
+        Graphs.Generators.erdos_renyi ~rng:(Rng.create 23) ~n:n_medium
+          ~m:(2 * n_medium) ()
+      in
+      fun () -> ignore (Graphs.Components.sequential g))
 
 let bench_kruskal =
-  let rng = Rng.create 29 in
-  let g = Graphs.Generators.erdos_renyi ~rng ~n:n_small ~m:(4 * n_small) () in
-  let w = Graphs.Graph.with_random_weights ~rng g in
-  Test.make ~name:"apps/kruskal-msf"
-    (Staged.stage (fun () -> ignore (Graphs.Kruskal.run_concurrent_dsu ~seed:3 w)))
+  bench "apps/kruskal-msf" (fun () ->
+      let rng = Rng.create 29 in
+      let g = Graphs.Generators.erdos_renyi ~rng ~n:n_small ~m:(4 * n_small) () in
+      let w = Graphs.Graph.with_random_weights ~rng g in
+      fun () -> ignore (Graphs.Kruskal.run_concurrent_dsu ~seed:3 w))
 
 let bench_percolation =
-  Test.make ~name:"apps/percolation-32x32"
-    (Staged.stage
-       (let counter = ref 0 in
-        fun () ->
-          incr counter;
-          ignore (Graphs.Percolation.simulate ~rng:(Rng.create !counter) 32)))
+  bench "apps/percolation-32x32" (fun () ->
+      let counter = ref 0 in
+      fun () ->
+        incr counter;
+        ignore (Graphs.Percolation.simulate ~rng:(Rng.create !counter) 32))
 
 let bench_scc =
-  let g =
-    Graphs.Generators.clustered_digraph ~rng:(Rng.create 31) ~clusters:32
-      ~cluster_size:16 ~extra:256
-  in
-  Test.make ~name:"apps/scc-condensation"
-    (Staged.stage (fun () -> ignore (Graphs.Scc.condense_with_dsu ~seed:5 g)))
+  bench "apps/scc-condensation" (fun () ->
+      let g =
+        Graphs.Generators.clustered_digraph ~rng:(Rng.create 31) ~clusters:32
+          ~cluster_size:16 ~extra:256
+      in
+      fun () -> ignore (Graphs.Scc.condense_with_dsu ~seed:5 g))
 
 (* New-application families (E12 extensions). *)
 let bench_boruvka =
-  let rng = Rng.create 63 in
-  let g = Graphs.Generators.erdos_renyi ~rng ~n:n_small ~m:(4 * n_small) () in
-  let w = Graphs.Graph.with_random_weights ~rng g in
-  Test.make ~name:"apps/boruvka-msf"
-    (Staged.stage (fun () -> ignore (Graphs.Boruvka.run w)))
+  bench "apps/boruvka-msf" (fun () ->
+      let rng = Rng.create 63 in
+      let g = Graphs.Generators.erdos_renyi ~rng ~n:n_small ~m:(4 * n_small) () in
+      let w = Graphs.Graph.with_random_weights ~rng g in
+      fun () -> ignore (Graphs.Boruvka.run w))
 
 let bench_lca =
-  let rng = Rng.create 67 in
-  let t = Graphs.Lca.random_tree ~rng ~n:n_small in
-  let queries = List.init 512 (fun _ -> (Rng.int rng n_small, Rng.int rng n_small)) in
-  Test.make ~name:"apps/offline-lca"
-    (Staged.stage (fun () -> ignore (Graphs.Lca.solve t queries)))
+  bench "apps/offline-lca" (fun () ->
+      let rng = Rng.create 67 in
+      let t = Graphs.Lca.random_tree ~rng ~n:n_small in
+      let queries =
+        List.init 512 (fun _ -> (Rng.int rng n_small, Rng.int rng n_small))
+      in
+      fun () -> ignore (Graphs.Lca.solve t queries))
 
 let bench_dominators =
-  let g = Graphs.Generators.random_digraph ~rng:(Rng.create 71) ~n:n_small ~m:(3 * n_small) in
-  Test.make ~name:"apps/dominators-lt"
-    (Staged.stage (fun () -> ignore (Graphs.Dominators.lengauer_tarjan g ~root:0)))
+  bench "apps/dominators-lt" (fun () ->
+      let g =
+        Graphs.Generators.random_digraph ~rng:(Rng.create 71) ~n:n_small
+          ~m:(3 * n_small)
+      in
+      fun () -> ignore (Graphs.Dominators.lengauer_tarjan g ~root:0))
 
 let bench_steensgaard =
-  let rng = Rng.create 73 in
-  let var i = Printf.sprintf "v%d" i in
-  let program =
-    List.init 2048 (fun _ ->
-        let x = var (Rng.int rng 128) and y = var (Rng.int rng 128) in
-        match Rng.int rng 4 with
-        | 0 -> Analysis.Steensgaard.Address_of (x, y)
-        | 1 -> Analysis.Steensgaard.Copy (x, y)
-        | 2 -> Analysis.Steensgaard.Load (x, y)
-        | _ -> Analysis.Steensgaard.Store (x, y))
-  in
-  Test.make ~name:"apps/steensgaard"
-    (Staged.stage (fun () ->
-         ignore (Analysis.Steensgaard.analyze program)))
+  bench "apps/steensgaard" (fun () ->
+      let rng = Rng.create 73 in
+      let var i = Printf.sprintf "v%d" i in
+      let program =
+        List.init 2048 (fun _ ->
+            let x = var (Rng.int rng 128) and y = var (Rng.int rng 128) in
+            match Rng.int rng 4 with
+            | 0 -> Analysis.Steensgaard.Address_of (x, y)
+            | 1 -> Analysis.Steensgaard.Copy (x, y)
+            | 2 -> Analysis.Steensgaard.Load (x, y)
+            | _ -> Analysis.Steensgaard.Store (x, y))
+      in
+      fun () -> ignore (Analysis.Steensgaard.analyze program))
 
 (* MakeSet extension: a fresh universe grown across chunk boundaries,
    each new element united with the first. *)
 let bench_growable =
-  Test.make ~name:"growable/make_set+unite"
-    (Staged.stage (fun () ->
-         let g = Dsu.Growable.create ~seed:37 () in
-         let first = Dsu.Growable.make_set g in
-         for _ = 2 to 4 * Dsu.Growable.chunk_size do
-           let e = Dsu.Growable.make_set g in
-           Dsu.Growable.unite g first e
-         done))
+  bench "growable/make_set+unite" (fun () () ->
+      let g = Dsu.Growable.create ~seed:37 () in
+      let first = Dsu.Growable.make_set g in
+      for _ = 2 to 4 * Dsu.Growable.chunk_size do
+        let e = Dsu.Growable.make_set g in
+        Dsu.Growable.unite g first e
+      done)
 
 (* Micro: single operations on a prepared structure, with a padded-layout
    twin for the false-sharing ablation.
@@ -271,54 +267,42 @@ let micro_indices seed =
   let rng = Rng.create seed in
   Array.init micro_batch (fun _ -> Rng.int rng n_medium)
 
+(* micro/find and its layout and memory-order twins: the same flattened
+   structure shape and index stream. *)
+let bench_micro_find name create =
+  bench name (fun () ->
+      let d = create () in
+      Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
+      flatten_native d;
+      let idx = micro_indices 47 in
+      fun () ->
+        for k = 0 to micro_batch - 1 do
+          ignore (Dsu.Native.find d (Array.unsafe_get idx k))
+        done)
+
 let bench_single_find =
-  let d = Dsu.Native.create ~seed:41 n_medium in
-  Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
-  flatten_native d;
-  let idx = micro_indices 47 in
-  Test.make ~name:"micro/find"
-    (Staged.stage (fun () ->
-         for k = 0 to micro_batch - 1 do
-           ignore (Dsu.Native.find d (Array.unsafe_get idx k))
-         done))
+  bench_micro_find "micro/find" (fun () -> Dsu.Native.create ~seed:41 n_medium)
 
 let bench_single_find_padded =
-  let d = Dsu.Native.create ~padded:true ~seed:41 n_medium in
-  Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
-  flatten_native d;
-  let idx = micro_indices 47 in
-  Test.make ~name:"micro/find-padded"
-    (Staged.stage (fun () ->
-         for k = 0 to micro_batch - 1 do
-           ignore (Dsu.Native.find d (Array.unsafe_get idx k))
-         done))
+  bench_micro_find "micro/find-padded" (fun () ->
+      Dsu.Native.create ~padded:true ~seed:41 n_medium)
 
 let bench_single_same_set =
-  let d = Dsu.Native.create ~seed:53 n_medium in
-  Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 59));
-  flatten_native d;
-  let xs = micro_indices 61 and ys = micro_indices 67 in
-  Test.make ~name:"micro/same_set"
-    (Staged.stage (fun () ->
-         for k = 0 to micro_batch - 1 do
-           ignore
-             (Dsu.Native.same_set d (Array.unsafe_get xs k) (Array.unsafe_get ys k))
-         done))
+  bench "micro/same_set" (fun () ->
+      let d = Dsu.Native.create ~seed:53 n_medium in
+      Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 59));
+      flatten_native d;
+      let xs = micro_indices 61 and ys = micro_indices 67 in
+      fun () ->
+        for k = 0 to micro_batch - 1 do
+          ignore
+            (Dsu.Native.same_set d (Array.unsafe_get xs k) (Array.unsafe_get ys k))
+        done)
 
-(* Memory-order micro twin of micro/find: identical flattened structure and
-   index stream, seq-cst parent loads. *)
+(* Memory-order micro twin of micro/find: seq-cst parent loads. *)
 let bench_single_find_seqcst =
-  let d =
-    Dsu.Native.create ~memory_order:Dsu.Memory_order.Seq_cst ~seed:41 n_medium
-  in
-  Workload.Op.run_native_array d (Array.of_list (spanning_ops n_medium 43));
-  flatten_native d;
-  let idx = micro_indices 47 in
-  Test.make ~name:"micro/find-seqcst"
-    (Staged.stage (fun () ->
-         for k = 0 to micro_batch - 1 do
-           ignore (Dsu.Native.find d (Array.unsafe_get idx k))
-         done))
+  bench_micro_find "micro/find-seqcst" (fun () ->
+      Dsu.Native.create ~memory_order:Dsu.Memory_order.Seq_cst ~seed:41 n_medium)
 
 (* Bulk suite: the batched kernels (unite_batch / same_set_batch, with
    their per-call root cache and endpoint prefetching) against the
@@ -343,97 +327,95 @@ let bulk_pairs count seed =
   (xs, ys)
 
 let bench_bulk_unite_batch =
-  let xs, ys = bulk_pairs bulk_unites 83 in
-  Test.make ~name:"bulk/unite-batch"
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~seed:7 n_bulk in
-         Dsu.Native.unite_batch d xs ys))
+  bench "bulk/unite-batch" (fun () ->
+      let xs, ys = bulk_pairs bulk_unites 83 in
+      fun () ->
+        let d = Dsu.Native.create ~seed:7 n_bulk in
+        Dsu.Native.unite_batch d xs ys)
 
 let bench_bulk_unite_per_op =
-  let xs, ys = bulk_pairs bulk_unites 83 in
-  Test.make ~name:"bulk/unite-per-op"
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~seed:7 n_bulk in
-         for k = 0 to bulk_unites - 1 do
-           Dsu.Native.unite d (Array.unsafe_get xs k) (Array.unsafe_get ys k)
-         done))
+  bench "bulk/unite-per-op" (fun () ->
+      let xs, ys = bulk_pairs bulk_unites 83 in
+      fun () ->
+        let d = Dsu.Native.create ~seed:7 n_bulk in
+        for k = 0 to bulk_unites - 1 do
+          Dsu.Native.unite d (Array.unsafe_get xs k) (Array.unsafe_get ys k)
+        done)
 
 (* The same_set twins query a prepared, flattened structure (like the
    micro benches), so the measured work is the query walk itself —
    two root checks at random far-apart addresses per query. *)
-let bench_bulk_same_set_batch =
+let flattened_bulk () =
   let d = Dsu.Native.create ~seed:53 n_bulk in
   Workload.Op.run_native_array d (Array.of_list (spanning_ops n_bulk 59));
   flatten_native d;
-  let xs, ys = bulk_pairs bulk_queries 91 in
-  Test.make ~name:"bulk/same_set-batch"
-    (Staged.stage (fun () -> ignore (Dsu.Native.same_set_batch d xs ys)))
+  d
+
+let bench_bulk_same_set_batch =
+  bench "bulk/same_set-batch" (fun () ->
+      let d = flattened_bulk () in
+      let xs, ys = bulk_pairs bulk_queries 91 in
+      fun () -> ignore (Dsu.Native.same_set_batch d xs ys))
 
 let bench_bulk_same_set_per_op =
-  let d = Dsu.Native.create ~seed:53 n_bulk in
-  Workload.Op.run_native_array d (Array.of_list (spanning_ops n_bulk 59));
-  flatten_native d;
-  let xs, ys = bulk_pairs bulk_queries 91 in
-  Test.make ~name:"bulk/same_set-per-op"
-    (Staged.stage (fun () ->
-         for k = 0 to bulk_queries - 1 do
-           ignore
-             (Dsu.Native.same_set d (Array.unsafe_get xs k) (Array.unsafe_get ys k))
-         done))
+  bench "bulk/same_set-per-op" (fun () ->
+      let d = flattened_bulk () in
+      let xs, ys = bulk_pairs bulk_queries 91 in
+      fun () ->
+        for k = 0 to bulk_queries - 1 do
+          ignore
+            (Dsu.Native.same_set d (Array.unsafe_get xs k) (Array.unsafe_get ys k))
+        done)
 
 (* End-to-end mixed stream through the batching op runner (maximal
    same-kind runs flushed through the bulk kernels) vs the plain array
    runner — what an application-level caller gains by batching. *)
 let bench_bulk_mixed_batched =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"bulk/mixed-batched"
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~seed:7 n_medium in
-         Workload.Op.run_native_array_batched d ops))
+  bench "bulk/mixed-batched" (fun () ->
+      let ops = mixed_ops_arr n_medium n_medium 3 in
+      fun () ->
+        let d = Dsu.Native.create ~seed:7 n_medium in
+        Workload.Op.run_native_array_batched d ops)
 
 let bench_bulk_mixed_per_op =
-  let ops = mixed_ops_arr n_medium n_medium 3 in
-  Test.make ~name:"bulk/mixed-per-op"
-    (Staged.stage (fun () ->
-         let d = Dsu.Native.create ~seed:7 n_medium in
-         Workload.Op.run_native_array d ops))
+  bench_native "bulk/mixed-per-op" (fun () -> Dsu.Native.create ~seed:7 n_medium)
 
 (* The bit-packed rank layout (Dsu.Packed) on n=2^20 endpoint streams —
    unite over a fresh structure, then find over a prepared flattened one;
    docs/PERFORMANCE.md quotes these numbers. *)
 let bench_packed_unite_pairs =
-  let xs, ys = bulk_pairs bulk_unites 83 in
-  Test.make ~name:"packedrank/unite-packed"
-    (Staged.stage (fun () ->
-         let d = Dsu.Packed.Native.create n_bulk in
-         for k = 0 to bulk_unites - 1 do
-           Dsu.Packed.Native.unite d (Array.unsafe_get xs k)
-             (Array.unsafe_get ys k)
-         done))
+  bench "packedrank/unite-packed" (fun () ->
+      let xs, ys = bulk_pairs bulk_unites 83 in
+      fun () ->
+        let d = Dsu.Packed.Native.create n_bulk in
+        for k = 0 to bulk_unites - 1 do
+          Dsu.Packed.Native.unite d (Array.unsafe_get xs k)
+            (Array.unsafe_get ys k)
+        done)
 
 let bulk_find_indices seed =
   let rng = Rng.create seed in
   Array.init bulk_queries (fun _ -> Rng.int rng n_bulk)
 
 let bench_packed_find =
-  let d = Dsu.Packed.Native.create n_bulk in
-  let xs, ys = bulk_pairs bulk_unites 83 in
-  for k = 0 to bulk_unites - 1 do
-    Dsu.Packed.Native.unite d xs.(k) ys.(k)
-  done;
-  for _ = 1 to 3 do
-    for i = 0 to n_bulk - 1 do
-      ignore (Dsu.Packed.Native.find d i)
-    done
-  done;
-  let idx = bulk_find_indices 97 in
-  Test.make ~name:"packedrank/find-packed"
-    (Staged.stage (fun () ->
-         for k = 0 to bulk_queries - 1 do
-           ignore (Dsu.Packed.Native.find d (Array.unsafe_get idx k))
-         done))
+  bench "packedrank/find-packed" (fun () ->
+      let d = Dsu.Packed.Native.create n_bulk in
+      let xs, ys = bulk_pairs bulk_unites 83 in
+      for k = 0 to bulk_unites - 1 do
+        Dsu.Packed.Native.unite d xs.(k) ys.(k)
+      done;
+      for _ = 1 to 3 do
+        for i = 0 to n_bulk - 1 do
+          ignore (Dsu.Packed.Native.find d i)
+        done
+      done;
+      let idx = bulk_find_indices 97 in
+      fun () ->
+        for k = 0 to bulk_queries - 1 do
+          ignore (Dsu.Packed.Native.find d (Array.unsafe_get idx k))
+        done)
 
-let all_tests () =
+let all_tests =
   [
     bench_native_policy Policy.No_compaction;
     bench_native_policy Policy.One_try_splitting;
@@ -517,7 +499,9 @@ let write_json file doc =
 
 let run_bechamel () =
   let tests =
-    List.filter (fun t -> matches_filters (Test.name t)) (all_tests ())
+    List.filter_map
+      (fun (name, make) -> if matches_filters name then Some (make ()) else None)
+      all_tests
   in
   if tests = [] then begin
     prerr_endline "no benchmark matches the given --filter";
@@ -569,6 +553,16 @@ let run_bechamel () =
                      ("r_square", J.Float r2);
                    ])
                estimates) );
+        Harness.Perfdiff.metrics_field
+          (List.map
+             (fun (name, estimate, _) ->
+               {
+                 Harness.Perfdiff.key = name;
+                 metric = "ns_per_run";
+                 dir = Lower_better;
+                 value = estimate;
+               })
+             estimates);
       ]
   in
   match !out_file with

@@ -1196,9 +1196,10 @@ let run_perfdiff baseline current threshold json_out fail_on_regression =
 
 let perfdiff_cmd =
   let doc =
-    "Diff two perf JSON documents of one kind (bechamel, or any dsu-*/v* \
-     document a subcommand writes) and flag metric deltas beyond a noise \
-     threshold (kind auto-detected; emits dsu-perfdiff/v1)."
+    "Diff the metrics lists of two perf JSON documents of one kind \
+     (bench/main.exe --out, or any dsu-*/v* document a subcommand writes) \
+     and flag metric deltas beyond a noise threshold (emits \
+     dsu-perfdiff/v1)."
   in
   Cmd.v (Cmd.info "perfdiff" ~doc ~exits:check_exits)
     Term.(

@@ -159,6 +159,16 @@ let to_json r =
       ("margin_over_runner_up_pct", J.Float r.margin_over_runner_up_pct);
       ("margin_over_default_pct", J.Float r.margin_over_default_pct);
       ("measurements", J.List (List.map measurement_to_json r.measurements));
+      Perfdiff.metrics_field
+        (List.map
+           (fun m ->
+             {
+               Perfdiff.key = "plan=" ^ Plan.to_string m.plan;
+               metric = "mops_per_sec";
+               dir = Higher_better;
+               value = m.mops_per_sec;
+             })
+           r.measurements);
     ]
 
 let ( let* ) = Result.bind

@@ -4,7 +4,8 @@
     over one workload {!profile} with {!Scalability.run_point}, ranks
     them by throughput, and reports the winner with its margins over the
     runner-up and over {!Dsu.Plan.default}.  Results serialize as the
-    ["dsu-autotune/v1"] JSON document (consumed by {!Perfdiff}) and cache
+    ["dsu-autotune/v1"] JSON document (its {!Perfdiff} [metrics] are the
+    per-plan throughputs; a changed ["winner"] diffs as a warning) and cache
     on disk keyed by the profile's {!fingerprint}, so [--plan auto] in the
     CLIs is a file read on every run after the first. *)
 

@@ -877,6 +877,22 @@ let to_json ?(config = default_config) scenarios =
       ("memory_order", J.String (Dsu.Memory_order.to_string config.memory_order));
       ("scenarios", J.List (List.map scenario_to_json scenarios));
       ("ok", J.Bool (List.for_all scenario_ok scenarios));
+      Perfdiff.metrics_field
+        (List.filter_map
+           (fun s ->
+             Option.map
+               (fun rto ->
+                 {
+                   Perfdiff.key =
+                     Printf.sprintf "drill %s/%s/%s"
+                       (Dsu.Plan.layout_to_string s.layout)
+                       (Policy.to_string s.policy) (depth_to_string s.depth);
+                   metric = "rto_ns";
+                   dir = Lower_better;
+                   value = float_of_int rto;
+                 })
+               s.rto_ns)
+           scenarios);
     ]
 
 let pp_scenario ppf s =

@@ -167,6 +167,8 @@ val run_all :
 
 val to_json : ?config:config -> scenario list -> Repro_obs.Json.t
 (** The ["dsu-drill/v1"] document: config echo, one object per scenario
-    with its own ["ok"], and an overall ["ok"]. *)
+    with its own ["ok"], an overall ["ok"], and the {!Perfdiff} [metrics]:
+    the [rto_ns] of each scenario that measured one (RPO is a correctness
+    gate, not a diffed metric). *)
 
 val pp_scenario : Format.formatter -> scenario -> unit

@@ -2,7 +2,9 @@
    ConnectIt-style pipeline (sampling x finish x plan x mode) over
    streamed generators, against the Borůvka and Anderson–Woll baselines,
    plus a Pătrașcu–Thorup adversarial incremental-connectivity point.
-   Emits dsu-connectivity/v1, understood by {!Perfdiff}. *)
+   Emits dsu-connectivity/v1, whose {!Perfdiff} metrics are the pipeline
+   edges/sec (total and finish phase) per point, each baseline's
+   edges/sec and the adversarial point's ops/sec. *)
 
 module J = Repro_obs.Json
 module Clock = Repro_obs.Clock
@@ -344,6 +346,37 @@ let adversarial_to_json a =
       ("ops_per_sec", J.Float a.a_ops_per_sec);
     ]
 
+(* The skipped ratio is workload shape, not a perf metric, so it is not
+   diffed. *)
+let metrics points baselines adversarial =
+  let higher key metric value = { Perfdiff.key; metric; dir = Higher_better; value } in
+  List.concat_map
+    (fun p ->
+      let key =
+        Printf.sprintf "gen=%s mode=%s sampling=%s finish=%s domains=%d" p.gen
+          p.mode p.sampling p.finish p.domains
+      in
+      [
+        higher key "edges_per_sec" p.edges_per_sec;
+        higher key "finish_edges_per_sec" p.finish_edges_per_sec;
+      ])
+    points
+  @ List.map
+      (fun b ->
+        higher
+          (Printf.sprintf "baseline=%s gen=%s domains=%d" b.b_name b.b_gen
+             b.b_domains)
+          "edges_per_sec" b.b_edges_per_sec)
+      baselines
+  @ Option.fold ~none:[]
+      ~some:(fun a ->
+        [
+          higher
+            (Printf.sprintf "adversarial=pt domains=%d" a.a_domains)
+            "ops_per_sec" a.a_ops_per_sec;
+        ])
+      adversarial
+
 let to_json ?(config = default_config) ?(baselines = [])
     ?adversarial points =
   J.Obj
@@ -357,6 +390,7 @@ let to_json ?(config = default_config) ?(baselines = [])
        ("plan", J.String (Dsu.Plan.to_string config.plan));
        ("points", J.List (List.map point_to_json points));
        ("baselines", J.List (List.map baseline_to_json baselines));
+       Perfdiff.metrics_field (metrics points baselines adversarial);
      ]
     @
     match adversarial with

@@ -3,7 +3,8 @@
     — sampling × finish × mode × domains — against the Borůvka and
     Anderson–Woll baselines, plus a Pătrașcu–Thorup adversarial
     incremental-connectivity point.  Surfaced by [dsu_workload
-    connectivity]; diffed by {!Perfdiff}. *)
+    connectivity]; diffed by {!Perfdiff} through the document's
+    [metrics]. *)
 
 type gen = Rmat | Er | Power_law
 

@@ -174,30 +174,17 @@ let to_json (r : result) =
       ("flush_records", J.Int flush_records);
       ("flush_interval", J.Float flush_interval);
       ("policy", J.String (Policy.to_string c.policy));
-      ( "points",
-        J.List
-          [
-            J.Obj
-              [
-                ("name", J.String "unite wal=off");
-                ("mops_per_sec", J.Float r.wal_off_mops);
-              ];
-            J.Obj
-              [
-                ("name", J.String "unite wal=on");
-                ("mops_per_sec", J.Float r.wal_on_mops);
-              ];
-            J.Obj
-              [
-                ("name", J.String "snapshot quiescent");
-                ("pause_ns", J.Float r.quiescent_pause_ns);
-              ];
-            J.Obj
-              [
-                ("name", J.String "snapshot fuzzy");
-                ("pause_ns", J.Float r.fuzzy_pause_ns);
-              ];
-          ] );
+      Perfdiff.metrics_field
+        [
+          { Perfdiff.key = "unite wal=off"; metric = "mops_per_sec";
+            dir = Higher_better; value = r.wal_off_mops };
+          { key = "unite wal=on"; metric = "mops_per_sec";
+            dir = Higher_better; value = r.wal_on_mops };
+          { key = "snapshot quiescent"; metric = "pause_ns";
+            dir = Lower_better; value = r.quiescent_pause_ns };
+          { key = "snapshot fuzzy"; metric = "pause_ns";
+            dir = Lower_better; value = r.fuzzy_pause_ns };
+        ];
       ("wal_overhead_pct", J.Float r.overhead_pct);
       ("fuzzy_scan_ns", J.Float r.fuzzy_scan_ns);
       ( "wal",

@@ -15,7 +15,8 @@
       guard bounds at 15%.
 
     Emits the ["dsu-durability/v1"] document ({!to_json}), whose
-    [points] are consumable by {!Perfdiff}.  CLI: [dsu_workload
+    {!Perfdiff} [metrics] are the two unite throughputs and the two
+    snapshot pauses.  CLI: [dsu_workload
     durability]. *)
 
 type config = {

@@ -456,6 +456,22 @@ let point_json config p =
           J.List (Array.to_list (Array.map (fun v -> J.Int v) p.samples)) );
       ])
 
+(* Throughput up-is-good, tail latency down-is-good, keyed by offered
+   rate — [serve rate=…] on the Service target, [rate=…] on the Direct
+   one, so the two targets never pair. *)
+let point_metrics config p =
+  let key =
+    Printf.sprintf "%srate=%.0f"
+      (if config.workers = 0 then "" else "serve ")
+      p.offered_rate
+  in
+  let lat q = float_of_int (Hdr.quantile p.latency q) in
+  [
+    { Perfdiff.key; metric = "latency_p99_ns"; dir = Lower_better; value = lat 0.99 };
+    { key; metric = "latency_p999_ns"; dir = Lower_better; value = lat 0.999 };
+    { key; metric = "achieved_rate"; dir = Higher_better; value = p.achieved_rate };
+  ]
+
 let to_json config points =
   let served =
     if config.workers = 0 then []
@@ -491,6 +507,7 @@ let to_json config points =
         ("points", J.List (List.map (point_json config) points));
         ( "knee_rate",
           match knee points with Some r -> J.Float r | None -> J.Null );
+        Perfdiff.metrics_field (List.concat_map (point_metrics config) points);
       ])
 
 (* ------------------------------------------------------------ pretty *)

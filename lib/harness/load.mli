@@ -122,7 +122,9 @@ val knee : point list -> float option
 (** Highest offered rate that did not saturate; [None] if all did. *)
 
 val to_json : config -> point list -> Repro_obs.Json.t
-(** The [dsu-load/v1] document. *)
+(** The [dsu-load/v1] document.  Its {!Perfdiff} [metrics] are each
+    point's [achieved_rate] and open-loop p99/p999 latency, keyed
+    [rate=…] on the Direct target and [serve rate=…] on the Service one. *)
 
 val pp_table : config -> Format.formatter -> point list -> unit
 (** One line per point (the admission columns on the Service target),

@@ -1,21 +1,25 @@
 (** Perf-regression differ over the repo's benchmark JSON documents.
 
-    Compares two documents of the same kind — bechamel [bench --out]
-    results, [dsu-scalability/*] sweeps, [dsu-load/*] open-loop sweeps
-    (Direct or Service target), [dsu-drill/*] crash drills (the RTO
-    of each scenario that measured one; RPO is a correctness gate, not a
-    diffed metric), [dsu-durability/*] reports, [dsu-connectivity/*]
-    sweeps, or [dsu-autotune/*] reports (auto-detected) — and flags
-    per-configuration metric deltas beyond a noise threshold, respecting
-    each metric's better-direction ([ns_per_run], latency quantiles,
-    [pause_ns] and [rto_ns] lower-better, [mops_per_sec] and
-    [achieved_rate] higher-better).  For autotune
-    documents the per-plan throughputs diff as ordinary rows and a changed
-    winning plan is reported in {!report.warnings} — a warning, not a
-    structural error.  Consumed by the [dsu_workload perfdiff] CLI; the
-    CI perf-history artifact is {!to_json}'s [dsu-perfdiff/v1] document. *)
+    Every perf document carries a ["metrics"] list of
+    [{"key","metric","dir","value"}] entries, written by {!metrics_field}
+    in the module that measured them.  {!diff} compares two documents of
+    the same kind (their ["schema"]; a document without one is
+    ["bechamel"]), pairs entries by key and metric, and flags deltas beyond
+    a noise threshold in each metric's better-direction.  A changed
+    top-level ["winner"] (the autotune report's tuned plan) is reported in
+    {!report.warnings} — a warning, not a structural error.  Consumed by
+    the [dsu_workload perfdiff] CLI; the CI perf-history artifact is
+    {!to_json}'s [dsu-perfdiff/v1] document. *)
 
 type direction = Lower_better | Higher_better
+
+type entry = { key : string; metric : string; dir : direction; value : float }
+(** One measured number: [key] names the configuration, [metric] the
+    quantity. *)
+
+val metrics_field : entry list -> string * Repro_obs.Json.t
+(** The ["metrics"] field of a perf document.  Entries with a non-finite
+    [value] are left out. *)
 
 type row = {
   key : string;  (** which measured configuration *)
@@ -35,7 +39,7 @@ type report = {
   only_base : string list;
   only_current : string list;
   warnings : string list;
-      (** non-fatal observations — currently the autotune winner changing
+      (** non-fatal observations — currently the ["winner"] changing
           between baseline and current *)
 }
 
@@ -45,8 +49,9 @@ val diff :
   current:Repro_obs.Json.t ->
   unit ->
   (report, string) result
-(** [threshold_pct] defaults to 10.  [Error] on unparseable structure,
-    unrecognized schema, or kind mismatch. *)
+(** [threshold_pct] defaults to 10.  [Error] on a missing or malformed
+    ["metrics"] list, an entry repeated within one document, or a kind
+    mismatch. *)
 
 val diff_strings :
   ?threshold_pct:float ->

@@ -117,6 +117,19 @@ let point_to_json (p : point) =
              p.failures) );
     ]
 
+let metric (p : point) =
+  {
+    Perfdiff.key =
+      Printf.sprintf "layout=%s policy=%s order=%s backoff=%b dist=%s domains=%d"
+        (Dsu.Plan.layout_to_string p.layout)
+        (Policy.to_string p.policy)
+        (Order.to_string p.memory_order)
+        p.backoff (dist_to_string p.dist) p.domains;
+    metric = "mops_per_sec";
+    dir = Higher_better;
+    value = p.mops_per_sec;
+  }
+
 let to_json ?(config = default_config) points =
   J.Obj
     [
@@ -126,6 +139,7 @@ let to_json ?(config = default_config) points =
       ("seed", J.Int config.seed);
       ("recommended_domains", J.Int (Domain.recommended_domain_count ()));
       ("points", J.List (List.map point_to_json points));
+      Perfdiff.metrics_field (List.map metric points);
     ]
 
 let pp_table ppf points =

@@ -82,8 +82,9 @@ val point_to_json : point -> Repro_obs.Json.t
 
 val to_json : ?config:config -> point list -> Repro_obs.Json.t
 (** The ["dsu-scalability/v2"] document: config echo, the host's
-    recommended domain count, and one object per point (now carrying
-    [memory_order], [backoff] and [dist]). *)
+    recommended domain count, one object per point (now carrying
+    [memory_order], [backoff] and [dist]), and the {!Perfdiff} [metrics]:
+    [mops_per_sec] per point, keyed by every swept axis. *)
 
 val pp_table : Format.formatter -> point list -> unit
 (** Human-readable table with per-(layout, policy, order, backoff, dist)

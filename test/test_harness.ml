@@ -286,25 +286,155 @@ let latency_tests =
           (json_num (Json.member "knee_rate" j)));
   ]
 
+module Autotune = Harness.Autotune
+
+(* A tiny but real profile: every autotune test below actually times
+   plans, so keep the sweep to two plans over a few thousand ops. *)
+let tiny_profile =
+  {
+    Autotune.n = 256;
+    domains = 1;
+    unite_percent = 50;
+    dist = Harness.Scalability.Uniform;
+    total_ops = 2_000;
+    seed = 3;
+  }
+
+let packed_plan =
+  {
+    Dsu.Plan.default with
+    Dsu.Plan.linking = Dsu.Plan.By_rank;
+    layout = Dsu.Plan.Packed;
+  }
+
 (* ------------------------------------------------------------ perfdiff *)
 
-let bechamel_doc entries =
-  Printf.sprintf {|{"results":[%s]}|}
-    (String.concat ","
-       (List.map
-          (fun (name, ns) ->
-            Printf.sprintf {|{"name":"%s","ns_per_run":%f}|} name ns)
-          entries))
+module Scalability = Harness.Scalability
+module Chaos = Harness.Chaos
+module Durability = Harness.Durability
+module Connectivity = Harness.Connectivity
 
-let latency_doc points =
-  Printf.sprintf {|{"schema":"dsu-load/v1","target":"direct","points":[%s]}|}
-    (String.concat ","
-       (List.map
-          (fun (rate, achieved, p99, p999) ->
-            Printf.sprintf
-              {|{"offered_rate":%f,"achieved_rate":%f,"latency":{"p99_ns":%d,"p999_ns":%d}}|}
-              rate achieved p99 p999)
-          points))
+(* A document whose metrics go through the writer every emitter uses; no
+   [schema] is the bechamel kind. *)
+let metrics_doc ?schema entries =
+  let schema = Option.to_list (Option.map (fun s -> ("schema", Json.String s)) schema) in
+  Json.to_string (Json.Obj (schema @ [ Perfdiff.metrics_field entries ]))
+
+let bechamel_doc entries =
+  metrics_doc
+    (List.map
+       (fun (key, value) ->
+         { Perfdiff.key; metric = "ns_per_run"; dir = Lower_better; value })
+       entries)
+
+let scalability_point ?(memory_order = Dsu.Memory_order.default) mops =
+  {
+    Scalability.layout = Dsu.Plan.Flat;
+    policy = Dsu.Find_policy.Two_try_splitting;
+    memory_order;
+    backoff = true;
+    dist = Scalability.Uniform;
+    domains = 4;
+    n = 1024;
+    total_ops = 4_000;
+    seconds = 0.001;
+    mops_per_sec = mops;
+    failures = [];
+  }
+
+let scalability_doc points = Json.to_string (Scalability.to_json points)
+
+(* A measured Direct point at 100k ops/s offered, re-dressed with the
+   given achieved rate and a constant open-loop latency of [lat] ns. *)
+let load_point =
+  let measured =
+    lazy (Load.run_point ~config:(direct ~ops:50 Load.Fixed) ~rate:100_000.0 ())
+  in
+  fun ~achieved ~lat ->
+    let h = Repro_obs.Hdr.create ~sharded:false () in
+    Repro_obs.Hdr.materialize h;
+    for _ = 1 to 100 do
+      Repro_obs.Hdr.observe h lat
+    done;
+    {
+      (Lazy.force measured) with
+      Load.achieved_rate = achieved;
+      latency = Repro_obs.Hdr.snap h;
+    }
+
+(* [workers = 0] is the Direct target, [>= 1] the Service one. *)
+let load_doc ~workers points =
+  Json.to_string (Load.to_json { (direct ~ops:50 Load.Fixed) with workers } points)
+
+let drill_scenario ?rto_ns ?(layout = Dsu.Plan.Flat)
+    ?(policy = Dsu.Find_policy.Two_try_splitting) depth =
+  {
+    Chaos.layout;
+    policy;
+    depth;
+    crashed = [];
+    stages = [];
+    recovery = None;
+    rto_ns;
+    faults = { Repro_fault.Inject.hits = 0; yields = 0; stalls = 0; crashes = 0 };
+    checks = [];
+    seconds = 0.01;
+  }
+
+let plan_of_string s = Result.get_ok (Dsu.Plan.of_string s)
+
+let autotune_result winner plans =
+  {
+    Autotune.profile = tiny_profile;
+    winner;
+    winner_mops = 0.;
+    runner_up = None;
+    margin_over_runner_up_pct = 0.;
+    margin_over_default_pct = 0.;
+    measurements =
+      List.map
+        (fun (plan, mops_per_sec) -> { Autotune.plan; mops_per_sec; failures = 0 })
+        plans;
+  }
+
+let autotune_doc winner plans =
+  Json.to_string
+    (Autotune.to_json
+       (autotune_result (plan_of_string winner)
+          (List.map (fun (p, mops) -> (plan_of_string p, mops)) plans)))
+
+let connectivity_point ~gen ~finish ~domains =
+  {
+    Connectivity.gen;
+    n = 256;
+    m = 1024;
+    domains;
+    sampling = "kout";
+    finish;
+    mode = "racy";
+    plan = Dsu.Plan.to_string Dsu.Plan.default;
+    seconds = 0.1;
+    edges_per_sec = 1e6;
+    finish_edges_per_sec = 2e6;
+    sample_ns = 0;
+    finish_ns = 100;
+    label_ns = 0;
+    skipped_ratio = 0.;
+    components = 1;
+    det_rounds = 0;
+  }
+
+(* The (key, metric) ids of a document's metrics list, in order. *)
+let metric_ids doc =
+  match Json.member "metrics" doc with
+  | Some (Json.List ms) ->
+    List.map
+      (fun m ->
+        match (Json.member "key" m, Json.member "metric" m) with
+        | Some (Json.String k), Some (Json.String metric) -> (k, metric)
+        | _ -> Alcotest.fail "malformed metrics entry")
+      ms
+  | _ -> Alcotest.fail "no metrics list"
 
 let diff_ok ?threshold_pct ~base ~current () =
   match Perfdiff.diff_strings ?threshold_pct ~base ~current () with
@@ -344,27 +474,23 @@ let perfdiff_tests =
         check Alcotest.int "regression at 2%" 1
           (List.length tight.Perfdiff.regressions));
     case "higher-better: a throughput drop is the regression" (fun () ->
-        let doc mops =
-          Printf.sprintf
-            {|{"schema":"dsu-scalability/v1","points":[{"layout":"native","domains":4,"mops_per_sec":%f}]}|}
-            mops
-        in
+        let doc mops = scalability_doc [ scalability_point mops ] in
         let r = diff_ok ~base:(doc 10.0) ~current:(doc 5.0) () in
-        check Alcotest.bool "kind" true
-          (String.length r.Perfdiff.kind >= 15
-          && String.sub r.Perfdiff.kind 0 15 = "dsu-scalability");
+        check Alcotest.string "kind" "dsu-scalability/v2" r.Perfdiff.kind;
         (match r.Perfdiff.regressions with
         | [ row ] ->
           check Alcotest.string "metric" "mops_per_sec" row.Perfdiff.metric;
-          check Alcotest.bool "keyed by configuration" true
-            (row.Perfdiff.key = "layout=native domains=4")
+          check Alcotest.string "keyed by configuration"
+            "layout=flat policy=two-try order=relaxed-reads backoff=true \
+             dist=uniform domains=4"
+            row.Perfdiff.key
         | _ -> Alcotest.fail "expected one regression");
         let up = diff_ok ~base:(doc 5.0) ~current:(doc 10.0) () in
         check Alcotest.int "improvement the other way" 1
           (List.length up.Perfdiff.improvements));
     case "latency documents diff quantiles and achieved rate" (fun () ->
-        let base = latency_doc [ (1000.0, 990.0, 100, 200) ] in
-        let current = latency_doc [ (1000.0, 500.0, 300, 600) ] in
+        let base = load_doc ~workers:0 [ load_point ~achieved:990.0 ~lat:100 ] in
+        let current = load_doc ~workers:0 [ load_point ~achieved:500.0 ~lat:300 ] in
         let r = diff_ok ~base ~current () in
         let metrics =
           List.map (fun row -> row.Perfdiff.metric) r.Perfdiff.regressions
@@ -378,15 +504,11 @@ let perfdiff_tests =
           metrics;
         List.iter
           (fun row ->
-            check Alcotest.string "key is the offered rate" "rate=1000"
+            check Alcotest.string "key is the offered rate" "rate=100000"
               row.Perfdiff.key)
           r.Perfdiff.regressions);
     case "service documents diff throughput and tails" (fun () ->
-        let doc achieved p99 =
-          Printf.sprintf
-            {|{"schema":"dsu-load/v1","target":"service","points":[{"offered_rate":1000.0,"achieved_rate":%f,"latency":{"p99_ns":%d,"p999_ns":%d}}]}|}
-            achieved p99 (2 * p99)
-        in
+        let doc achieved lat = load_doc ~workers:1 [ load_point ~achieved ~lat ] in
         let r = diff_ok ~base:(doc 990.0 100) ~current:(doc 500.0 300) () in
         check Alcotest.string "kind" "dsu-load/v1" r.Perfdiff.kind;
         let keyed =
@@ -399,9 +521,9 @@ let perfdiff_tests =
           (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
           "throughput and both tails regressed"
           [
-            ("serve rate=1000", "achieved_rate");
-            ("serve rate=1000", "latency_p999_ns");
-            ("serve rate=1000", "latency_p99_ns");
+            ("serve rate=100000", "achieved_rate");
+            ("serve rate=100000", "latency_p999_ns");
+            ("serve rate=100000", "latency_p99_ns");
           ]
           keyed;
         let faster = diff_ok ~base:(doc 500.0 300) ~current:(doc 990.0 100) () in
@@ -411,7 +533,7 @@ let perfdiff_tests =
            against a Service point at the same rate. *)
         let cross =
           diff_ok ~base:(doc 990.0 100)
-            ~current:(latency_doc [ (1000.0, 990.0, 100, 200) ])
+            ~current:(load_doc ~workers:0 [ load_point ~achieved:990.0 ~lat:100 ])
             ()
         in
         check Alcotest.int "no shared rows across targets" 0
@@ -421,9 +543,9 @@ let perfdiff_tests =
     case "drill documents diff the RTO of the scenarios that measured one"
       (fun () ->
         let doc rto =
-          Printf.sprintf
-            {|{"schema":"dsu-drill/v1","scenarios":[{"layout":"flat","policy":"two-try","depth":"service","rto_ns":%d},{"layout":"flat","policy":"two-try","depth":"dsu","rto_ns":null}]}|}
-            rto
+          Json.to_string
+            (Chaos.to_json
+               [ drill_scenario ~rto_ns:rto Chaos.Service; drill_scenario Chaos.Dsu ])
         in
         let r = diff_ok ~base:(doc 1_000_000) ~current:(doc 5_000_000) () in
         check Alcotest.string "kind" "dsu-drill/v1" r.Perfdiff.kind;
@@ -449,44 +571,131 @@ let perfdiff_tests =
         check Alcotest.int "one shared row" 1 (List.length r.Perfdiff.rows));
     case "structural problems are errors, not crashes" (fun () ->
         let ok = bechamel_doc [ ("a", 1.0) ] in
-        let scal =
-          {|{"schema":"dsu-scalability/v1","points":[]}|}
-        in
+        let scal = scalability_doc [] in
         let fails base current =
           match Perfdiff.diff_strings ~base ~current () with
           | Error _ -> true
           | Ok _ -> false
         in
         check Alcotest.bool "malformed JSON" true (fails "{ oops" ok);
-        check Alcotest.bool "unrecognized document" true (fails "{}" ok);
+        check Alcotest.bool "no metrics list" true (fails {|{"results":[]}|} ok);
+        check Alcotest.bool "malformed metrics entry" true
+          (fails {|{"metrics":[{"key":"a","metric":"ns_per_run"}]}|} ok);
         check Alcotest.bool "kind mismatch" true (fails ok scal);
         check Alcotest.bool "matching kinds fine" false (fails scal scal));
+    case "a repeated key and metric is an error, not a silent pairing"
+      (fun () ->
+        let ok = bechamel_doc [ ("a", 1.0) ] in
+        let dup = bechamel_doc [ ("a", 1.0); ("b", 2.0); ("a", 3.0) ] in
+        List.iter
+          (fun (base, current) ->
+            match Perfdiff.diff_strings ~base ~current () with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "accepted a duplicate a/ns_per_run")
+          [ (dup, ok); (ok, dup) ]);
+    case "metrics keys are unique in every emitter's document" (fun () ->
+        (* Three points that differ only in memory order must stay three
+           rows: a key without the order pairs each with the first. *)
+        let orders = Dsu.Memory_order.[ Seq_cst; Relaxed_reads; Acquire ] in
+        let doc =
+          scalability_doc
+            (List.mapi
+               (fun i memory_order ->
+                 scalability_point ~memory_order (float_of_int (1 + (4 * i))))
+               orders)
+        in
+        let r = diff_ok ~base:doc ~current:doc () in
+        check Alcotest.int "three rows" 3 (List.length r.Perfdiff.rows);
+        check Alcotest.int "distinct keys" 3
+          (List.length
+             (List.sort_uniq compare
+                (List.map (fun row -> row.Perfdiff.key) r.Perfdiff.rows)));
+        check Alcotest.int "no regressions" 0 (List.length r.Perfdiff.regressions);
+        check Alcotest.int "no improvements" 0
+          (List.length r.Perfdiff.improvements);
+        let unique name doc =
+          let ids = metric_ids doc in
+          check Alcotest.bool (name ^ " has metrics") true (ids <> []);
+          check Alcotest.int (name ^ " ids unique") (List.length ids)
+            (List.length (List.sort_uniq compare ids))
+        in
+        let config = direct ~ops:50 Load.Fixed in
+        let points = Load.sweep ~config ~rates:[ 20_000.0; 50_000.0 ] () in
+        unique "load direct" (Load.to_json config points);
+        unique "load service" (Load.to_json { config with workers = 2 } points);
+        unique "drill"
+          (Chaos.to_json
+             (List.concat_map
+                (fun layout ->
+                  List.concat_map
+                    (fun policy ->
+                      List.map
+                        (fun depth -> drill_scenario ~rto_ns:1_000 ~layout ~policy depth)
+                        Chaos.[ Dsu; Snapshot; Wal; Service ])
+                    Dsu.Find_policy.[ Two_try_splitting; One_try_splitting ])
+                Dsu.Plan.[ Flat; Packed ]));
+        unique "durability"
+          (Durability.to_json
+             {
+               Durability.config = Durability.default_config;
+               wal_off_mops = 5.0;
+               wal_on_mops = 4.0;
+               overhead_pct = 20.0;
+               quiescent_pause_ns = 1e5;
+               fuzzy_pause_ns = 1e3;
+               fuzzy_scan_ns = 1e5;
+               wal_appended = 10;
+               wal_committed = 10;
+               wal_commits = 1;
+             });
+        unique "connectivity"
+          (Connectivity.to_json
+             ~baselines:
+               (List.map
+                  (fun (b_name, b_gen) ->
+                    {
+                      Connectivity.b_name;
+                      b_gen;
+                      b_domains = 2;
+                      b_m = 1024;
+                      b_seconds = 0.1;
+                      b_edges_per_sec = 1e6;
+                    })
+                  [ ("anderson-woll", "rmat"); ("anderson-woll", "er"); ("boruvka", "rmat") ])
+             ~adversarial:
+               {
+                 Connectivity.a_n = 256;
+                 a_ops = 1000;
+                 a_unions = 500;
+                 a_queries = 500;
+                 a_domains = 2;
+                 a_seconds = 0.1;
+                 a_ops_per_sec = 1e4;
+               }
+             (List.concat_map
+                (fun gen ->
+                  List.concat_map
+                    (fun finish ->
+                      List.map
+                        (fun domains -> connectivity_point ~gen ~finish ~domains)
+                        [ 1; 2 ])
+                    [ "per-op"; "bulk" ])
+                [ "rmat"; "er" ]));
+        unique "autotune"
+          (Autotune.to_json
+             (autotune_result Dsu.Plan.default
+                (List.map (fun p -> (p, 1.0)) Dsu.Plan.candidates))));
     case "autotune documents diff per-plan throughput both directions"
       (fun () ->
-        let doc winner plans =
-          Printf.sprintf
-            {|{"schema":"dsu-autotune/v1","winner":"%s","measurements":[%s]}|}
-            winner
-            (String.concat ","
-               (List.map
-                  (fun (plan, mops) ->
-                    Printf.sprintf
-                      {|{"plan":"%s","mops_per_sec":%f,"failures":0}|} plan
-                      mops)
-                  plans))
-        in
-        let fast = doc "rand:two-try:relaxed-reads:on:flat"
-            [ ("rand:two-try:relaxed-reads:on:flat", 10.0) ]
-        and slow = doc "rand:two-try:relaxed-reads:on:flat"
-            [ ("rand:two-try:relaxed-reads:on:flat", 5.0) ]
-        in
+        let plan = "rand:two-try:relaxed-reads:on:flat" in
+        let fast = autotune_doc plan [ (plan, 10.0) ]
+        and slow = autotune_doc plan [ (plan, 5.0) ] in
         (* throughput drop = regression *)
         let down = diff_ok ~base:fast ~current:slow () in
         check Alcotest.string "kind" "dsu-autotune/v1" down.Perfdiff.kind;
         (match down.Perfdiff.regressions with
         | [ row ] ->
-          check Alcotest.string "key"
-            "plan=rand:two-try:relaxed-reads:on:flat" row.Perfdiff.key;
+          check Alcotest.string "key" ("plan=" ^ plan) row.Perfdiff.key;
           check Alcotest.string "metric" "mops_per_sec" row.Perfdiff.metric
         | _ -> Alcotest.fail "expected one regression");
         check Alcotest.int "no warning when the winner is unchanged" 0
@@ -499,11 +708,7 @@ let perfdiff_tests =
           (List.length up.Perfdiff.improvements));
     case "autotune winner change is a warning, not a structural error"
       (fun () ->
-        let doc winner =
-          Printf.sprintf
-            {|{"schema":"dsu-autotune/v1","winner":"%s","measurements":[{"plan":"%s","mops_per_sec":7.0,"failures":0}]}|}
-            winner winner
-        in
+        let doc winner = autotune_doc winner [ (winner, 7.0) ] in
         let base = doc "rand:two-try:relaxed-reads:on:flat" in
         let current = doc "rank:halving:relaxed-reads:on:packed" in
         let r = diff_ok ~base ~current () in
@@ -547,27 +752,6 @@ let perfdiff_tests =
   ]
 
 (* ------------------------------------------------------------ autotune *)
-
-module Autotune = Harness.Autotune
-
-(* A tiny but real profile: every autotune test below actually times
-   plans, so keep the sweep to two plans over a few thousand ops. *)
-let tiny_profile =
-  {
-    Autotune.n = 256;
-    domains = 1;
-    unite_percent = 50;
-    dist = Harness.Scalability.Uniform;
-    total_ops = 2_000;
-    seed = 3;
-  }
-
-let packed_plan =
-  {
-    Dsu.Plan.default with
-    Dsu.Plan.linking = Dsu.Plan.By_rank;
-    layout = Dsu.Plan.Packed;
-  }
 
 let in_temp_dir f =
   let dir =
