@@ -181,15 +181,6 @@ let count_components labels =
   Array.iteri (fun v l -> if l = v then incr c) labels;
   !c
 
-(* How much of the stream the sampling phase reads: enough chunks to see
-   ~2 edges per vertex on average, capped at the whole stream.  A pure
-   function of the stream geometry, so sampling work is reproducible. *)
-let sample_window stream =
-  let n = Edge_stream.n stream in
-  let per_chunk = Edge_stream.chunk_size stream in
-  let want = (2 * n + per_chunk - 1) / per_chunk in
-  min (Edge_stream.chunk_count stream) (max 1 want)
-
 (* The racy pass is one {!Team}: its domains are spawned once, and a
    barrier separates the phases
 
@@ -219,9 +210,11 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
   let t_start = Clock.now_ns () in
   match mode with
   | Deterministic ->
-    (* The deterministic engine processes every edge through min-id
-       rounds: sampling and plan choice would reintroduce schedule
-       dependence, so they are ignored by design. *)
+    (* The deterministic engine samples on its own terms: its first
+       block is the stream's sample window, and each later block drops
+       at load the edges the earlier blocks settled.  The [sampling]
+       strategies (k-out's budget is a racy byte array) and the plan
+       would reintroduce schedule dependence, so they are not used. *)
     let labels, (report : Det_bulk.report) =
       Det_bulk.run ~domains ~block_chunks stream
     in
@@ -230,7 +223,7 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
       labels;
       components = report.Det_bulk.components;
       edges_total = m;
-      edges_skipped = 0;
+      edges_skipped = report.Det_bulk.skipped;
       sample_unites = 0;
       det_rounds = report.Det_bulk.rounds;
       sample_ns = 0;
@@ -240,7 +233,7 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
     }
   | Racy ->
     let d = Dsu.Driver.create ~plan ~seed n in
-    let window = sample_window stream in
+    let window = Edge_stream.sample_window stream in
     let sample_unites = Atomic.make 0 and skipped = Atomic.make 0 in
     (* The sampling passes over the window, in order, and the work
        member 0 does between two passes, fenced by a barrier on each

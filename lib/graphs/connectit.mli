@@ -65,8 +65,10 @@ type mode =
           normalized). *)
   | Deterministic
       (** {!Det_bulk}: byte-identical labels for a given stream across
-          any domain count and schedule; sampling and plan are ignored
-          (they would reintroduce schedule dependence). *)
+          any domain count and schedule.  It samples on its own terms
+          (its first block is the stream's sample window, and later
+          blocks drop the edges already settled); [sampling] and plan
+          are not used (they would reintroduce schedule dependence). *)
 
 val sampling_to_string : sampling -> string
 
@@ -86,7 +88,10 @@ type stream_report = {
           vertex id of [v]'s component, in every mode. *)
   components : int;
   edges_total : int;
-  edges_skipped : int;  (** finish-phase edges skipped intra-giant *)
+  edges_skipped : int;
+      (** [Racy]: finish-phase edges skipped intra-giant.
+          [Deterministic]: edges dropped at load because both endpoints
+          already shared a root ({!Det_bulk.report} [skipped]). *)
   sample_unites : int;
   det_rounds : int;  (** deterministic rounds (0 in [Racy] mode) *)
   sample_ns : int;
@@ -118,7 +123,8 @@ val run_stream :
     when a domain got no sampled chunk.  Defaults: 4 domains,
     [K_out 2] sampling, [Bulk] finish, [Racy] mode, plan
     {!Dsu.Plan.default}; [block_chunks] (default 8) is the deterministic
-    engine's block size.
+    engine's block size, except that its first block is the stream's
+    sample window ({!Edge_stream.sample_window}) when that is shorter.
     @raise Invalid_argument if {!Dsu.Plan.validate} rejects [plan], or
     if [sampling] is [K_out k] with [k] outside [\[1, 255\]] or
     [Bfs_hubs h] with [h < 1] (the message names the value). *)

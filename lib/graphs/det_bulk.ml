@@ -6,11 +6,27 @@ module Faa = Repro_util.Flat_atomic_array
    of the input stream alone — independent of the number of domains,
    the OS schedule, and any injected delays.
 
-   The stream is consumed in *blocks* of [block_chunks] chunks.  A block
-   is processed in rounds of two phases, each ended by a barrier:
+   The stream is consumed in *blocks*.  The first block is the stream's
+   sample window ([Edge_stream.sample_window], capped at [block_chunks]
+   chunks), so a stream with many edges per vertex is mostly settled
+   after a short first block; every later block is [block_chunks]
+   chunks.  A block is loaded, then processed in rounds of two phases,
+   each ended by a barrier:
 
-   - {b propose}: the forest is frozen; every domain walks its share of
-     the block's (still unmerged) edges, chases both endpoints to their
+   - {b load}: the domains claim the block's chunks through an atomic
+     cursor, so a slowed domain simply takes fewer.  A domain generates
+     each chunk it claims and chases both endpoints in the forest, which
+     nobody writes while any domain loads: the previous block's flatten
+     was barrier-fenced, and round 0's propose phase below writes
+     nothing.  Only the pairs [(ru, rv)] with [ru <> rv] enter the
+     domain's slice; the others are counted as [skipped].  The forest
+     at the start of a block is a function of the stream (induction
+     over blocks), so the surviving edge set and [skipped] are too,
+     whichever domain claimed which chunk.  After the first block the
+     forest is flat, so the chase is two reads, and the rounds never see
+     an edge an earlier block already settled.
+   - {b propose}: the forest's roots are frozen; every domain walks its
+     slice's (still unmerged) edges, chases both endpoints to their
      roots, and for roots [ru <> rv] publishes [writeMin(propose[hi], lo)]
      where [hi = max ru rv], [lo = min ru rv].  writeMin (a CAS-min loop)
      is commutative and associative, so after the barrier [propose.(h)]
@@ -18,6 +34,13 @@ module Faa = Repro_util.Flat_atomic_array
      the interleaving.  The domain whose CAS replaced the sentinel owns
      the slot for the round and is the only one to record it, so every
      proposed slot appears on exactly one domain's [touched] list.
+     Before proposing, each domain first shortcuts the slots it linked
+     in the previous round: [parent.(h) <- root h].  Roots are frozen in
+     this phase, so the value is the one frozen root whoever writes it,
+     the slot has one writer (its previous owner), and [h]'s parent
+     moves only to an ancestor, the invariant Lemma 3.1 of Jayanti–Tarjan
+     states for their forests.  A racing chase reads the old or the new
+     parent; both reach the same root.
    - {b link + reset}: each owner installs [parent.(hi) <- propose.(hi)]
      and puts the sentinel back, so the next round starts clean.  Each
      slot has one writer, and the value it writes is frozen.  Links
@@ -34,15 +57,15 @@ module Faa = Repro_util.Flat_atomic_array
    parent array after every round — and hence the final labels and the
    round count — is schedule-independent.  After a block's last round
    the forest is fully compressed (a range-partitioned pass, then a
-   barrier), so the next block starts from depth-one trees.
+   barrier), so the next block loads against depth-one trees.
 
-   Work partitioning is by *chunk index*, never by domain count: chunk
-   [j] of a block always belongs to domain [j mod domains], so changing
-   [domains] changes who does the work but not which edges are in the
-   block, and the min-reductions erase the difference.  Memory is
-   [2 * n] words of shared state plus one block of edges
-   ([block_chunks * chunk_size] pairs) spread across the domains —
-   the full edge list is never materialized.
+   Which domain holds which edge is left to the cursor, never fixed by
+   the domain count: the block's edge set is, and the min-reductions
+   erase who proposed what.  Memory is [2 * n] words of shared state
+   plus the block's surviving edges, at most [block_chunks *
+   chunk_size] pairs across all domains; a slice grows on demand when
+   its domain claims more than its share.  The full edge list is never
+   materialized.
 
    The whole pass is one {!Team}: its domains are spawned once, and
    every barrier above is the team's sense-reversing barrier. *)
@@ -52,16 +75,18 @@ type report = {
   edges : int;
   blocks : int;
   rounds : int;
+  skipped : int;
   components : int;
 }
 
 (* One domain's slice of the current block, compacted across rounds,
-   and the propose slots it owns this round. *)
+   and the propose slots it owns this round (or owned last round, until
+   the next propose phase has shortcut them). *)
 type slice = {
-  src : int array;
-  dst : int array;
+  mutable src : int array;
+  mutable dst : int array;
   mutable live : int;
-  touched : int array;
+  mutable touched : int array;
   mutable touched_len : int;
 }
 
@@ -74,19 +99,47 @@ let run ?(domains = 4) ?(block_chunks = 8)
   let m = Edge_stream.total_edges stream in
   let chunk_size = Edge_stream.chunk_size stream in
   let chunks = Edge_stream.chunk_count stream in
-  let blocks = (chunks + block_chunks - 1) / block_chunks in
-  (* Plain parent array: written only in barrier-separated link/flatten
-     phases (one writer per slot), read only in frozen phases. *)
+  (* Block [b] covers chunks [block_start b, block_start (b + 1)). *)
+  let first_block = min (Edge_stream.sample_window stream) block_chunks in
+  let block_start b =
+    if b = 0 then 0 else min chunks (first_block + ((b - 1) * block_chunks))
+  in
+  let blocks =
+    if chunks = 0 then 0
+    else 1 + ((chunks - first_block + block_chunks - 1) / block_chunks)
+  in
+  (* Plain parent array: written only by one writer per slot, in the
+     barrier-separated link/flatten phases and by the shortcuts of the
+     propose phase, whose value is a frozen root. *)
   let parent = Array.init n (fun i -> i) in
   let sentinel = n in
   let propose = Faa.make n (fun _ -> sentinel) in
   (* [progress.(r land 1)]: some edge of round [r] still joins two roots. *)
   let progress = [| Atomic.make false; Atomic.make false |] in
+  (* Chunks of the current block claimed so far; domain 0 resets it in
+     the flatten phase, after every load of the block has ended. *)
+  let cursor = Atomic.make 0 in
   let rounds_total = ref 0 in
-  (* Per-domain slice capacity: chunks j mod domains = d of a block. *)
-  let slice_cap =
-    ((block_chunks + domains - 1) / domains) * chunk_size
+  let skipped = Atomic.make 0 in
+  (* Each slice starts at a fair share of the first block, the one block
+     that no earlier block filters, and grows on demand up to a whole
+     block.  Slices and chunk buffers are allocated here, on the calling
+     domain: a large allocation on a freshly spawned domain costs
+     milliseconds, several times the same allocation made before the
+     spawn. *)
+  let block_cap = block_chunks * chunk_size in
+  let share_cap = ((first_block + domains - 1) / domains) * chunk_size in
+  let slices =
+    Array.init domains (fun _ ->
+        {
+          src = Array.make share_cap 0;
+          dst = Array.make share_cap 0;
+          live = 0;
+          touched = Array.make (min share_cap n) 0;
+          touched_len = 0;
+        })
   in
+  let bufs = Array.init domains (fun _ -> Edge_stream.make_chunk stream) in
   let root v =
     let r = ref v in
     while Array.unsafe_get parent !r <> !r do
@@ -94,34 +147,58 @@ let run ?(domains = 4) ?(block_chunks = 8)
     done;
     !r
   in
+  let reserve sl need =
+    if need > Array.length sl.src then begin
+      let cap = min block_cap (max need (2 * Array.length sl.src)) in
+      let grow a =
+        let a' = Array.make cap 0 in
+        Array.blit a 0 a' 0 sl.live;
+        a'
+      in
+      sl.src <- grow sl.src;
+      sl.dst <- grow sl.dst;
+      sl.touched <- Array.make (min cap n) 0
+    end
+  in
   let body d bar =
-    let sl =
-      {
-        src = Array.make slice_cap 0;
-        dst = Array.make slice_cap 0;
-        live = 0;
-        touched = Array.make (min slice_cap n) 0;
-        touched_len = 0;
-      }
-    in
-    let buf = Edge_stream.make_chunk stream in
+    let sl = slices.(d) and buf = bufs.(d) in
+    let my_skipped = ref 0 in
     for b = 0 to blocks - 1 do
-      (* Load my chunks of block [b] into the slice. *)
+      (* Load: claim chunks of block [b], keep the edges that still join
+         two roots.  [touched] is empty here (the block's last propose
+         phase recorded nothing), so growing may drop its contents. *)
       sl.live <- 0;
-      let first = b * block_chunks in
-      let last = min chunks (first + block_chunks) - 1 in
-      for j = first to last do
-        if (j - first) mod domains = d then begin
-          Edge_stream.fill stream j buf;
-          Array.blit buf.Edge_stream.src 0 sl.src sl.live buf.Edge_stream.len;
-          Array.blit buf.Edge_stream.dst 0 sl.dst sl.live buf.Edge_stream.len;
-          sl.live <- sl.live + buf.Edge_stream.len
-        end
+      let first = block_start b and stop = block_start (b + 1) in
+      let j = ref (first + Atomic.fetch_and_add cursor 1) in
+      while !j < stop do
+        Edge_stream.fill stream !j buf;
+        let len = buf.Edge_stream.len in
+        reserve sl (sl.live + len);
+        let src = buf.Edge_stream.src and dst = buf.Edge_stream.dst in
+        let keep_src = sl.src and keep_dst = sl.dst in
+        let live = ref sl.live in
+        for k = 0 to len - 1 do
+          let ru = root (Array.unsafe_get src k) in
+          let rv = root (Array.unsafe_get dst k) in
+          if ru <> rv then begin
+            Array.unsafe_set keep_src !live ru;
+            Array.unsafe_set keep_dst !live rv;
+            incr live
+          end
+        done;
+        my_skipped := !my_skipped + len - (!live - sl.live);
+        sl.live <- !live;
+        j := first + Atomic.fetch_and_add cursor 1
       done;
       let round = ref 0 in
       let continue = ref true in
       while !continue do
         let flag = progress.(!round land 1) in
+        (* Shortcut last round's links to their frozen roots. *)
+        for k = 0 to sl.touched_len - 1 do
+          let h = Array.unsafe_get sl.touched k in
+          Array.unsafe_set parent h (root h)
+        done;
         (* Propose phase: compact live edges in place.  A plain load
            suffices for writeMin: within the phase a slot only
            decreases, so a stale read is too large and the CAS retries,
@@ -185,15 +262,24 @@ let run ?(domains = 4) ?(block_chunks = 8)
       done;
       if d = 0 then begin
         Atomic.set progress.(0) false;
-        Atomic.set progress.(1) false
+        Atomic.set progress.(1) false;
+        Atomic.set cursor 0
       end;
       bar ()
-    done
+    done;
+    ignore (Atomic.fetch_and_add skipped !my_skipped)
   in
   Team.phased ~domains (fun d _ -> body d);
   let components = ref 0 in
   for v = 0 to n - 1 do
     if parent.(v) = v then incr components
   done;
-  ( Array.copy parent,
-    { n; edges = m; blocks; rounds = !rounds_total; components = !components } )
+  ( parent,
+    {
+      n;
+      edges = m;
+      blocks;
+      rounds = !rounds_total;
+      skipped = Atomic.get skipped;
+      components = !components;
+    } )

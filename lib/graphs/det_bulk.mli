@@ -10,18 +10,26 @@
     every vertex is its component's minimum id: the labels are canonical
     without a normalization pass, and two runs agree byte-for-byte.
 
-    No sampling and no early settling: every unmerged edge of a block
-    is chased to its roots in every round until the block settles,
-    which is the price of replayability.  Even so, on the benchmark's
-    R-MAT stream at 2 domains it outruns the racy {!Connectit} pipeline
-    with k-out sampling; see docs/PERFORMANCE.md ("Deterministic
-    mode"). *)
+    Settled edges stay out of the rounds.  The first block is the
+    stream's sample window ({!Edge_stream.sample_window}, at most
+    [block_chunks] chunks); every later block drops at load each edge
+    whose endpoints already share a root in the flattened forest the
+    earlier blocks left, so the rounds see only edges that still join
+    two roots.  Which edges are dropped is a function of the stream,
+    like everything else in the report.  See docs/PERFORMANCE.md
+    ("Deterministic mode") for its cost against the racy {!Connectit}
+    pipeline. *)
 
 type report = {
   n : int;
   edges : int;
-  blocks : int;  (** Stream blocks processed ([block_chunks] chunks each). *)
+  blocks : int;
+      (** Stream blocks processed: the sample window, then
+          [block_chunks] chunks each. *)
   rounds : int;  (** Total propose/link rounds — deterministic. *)
+  skipped : int;
+      (** Edges dropped at load because both endpoints already shared a
+          root — deterministic. *)
   components : int;
 }
 
@@ -34,9 +42,10 @@ val run :
 (** [run stream] returns [(labels, report)]: [labels.(v)] is the minimum
     vertex id of [v]'s component.  [domains] (default 4) only changes
     who does the work, never the result.  [block_chunks] (default 8)
-    bounds resident edges at [block_chunks * chunk_size] pairs; the
-    forest is fully compressed after every block (a barrier-separated,
-    deterministic pass).  [on_round] fires on every domain after each
-    round's first barrier — the determinism check injects sleeps here
-    to perturb schedules.
+    bounds the edges resident across all domains at [block_chunks *
+    chunk_size] pairs; the first block is the stream's sample window
+    when that is shorter.  The forest is fully compressed after every
+    block (a barrier-separated, deterministic pass).  [on_round] fires
+    on every domain after each round's first barrier — the determinism
+    check injects sleeps here to perturb schedules.
     @raise Invalid_argument on non-positive parameters. *)

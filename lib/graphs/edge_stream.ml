@@ -75,6 +75,13 @@ let chunk_size t = t.chunk_size
 let is_simple t = t.simple
 let chunk_count t = (t.m + t.chunk_size - 1) / t.chunk_size
 
+(* Enough chunks to see ~2 edges per vertex on average, capped at the
+   whole stream: a pure function of the geometry, so sampling work is
+   reproducible. *)
+let sample_window t =
+  let want = ((2 * t.n) + t.chunk_size - 1) / t.chunk_size in
+  min (chunk_count t) (max 1 want)
+
 let kind_name t =
   match t.kind with
   | Erdos_renyi -> "erdos-renyi"

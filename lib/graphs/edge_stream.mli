@@ -52,6 +52,14 @@ val total_edges : t -> int
 
 val chunk_size : t -> int
 val chunk_count : t -> int
+
+val sample_window : t -> int
+(** How many leading chunks a sampling phase reads: enough to see about
+    two edges per vertex on average, at least one and at most the whole
+    stream (0 for an empty stream).  A function of the geometry alone;
+    the racy {!Connectit} pass samples this prefix, and {!Det_bulk}
+    makes it its first block. *)
+
 val is_simple : t -> bool
 
 val kind_name : t -> string

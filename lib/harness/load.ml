@@ -155,6 +155,9 @@ type point = {
       (* accepted = acked+shed+timed_out+failed+lost, no phantom or
          duplicate responses, no completion-lane displacement *)
   saturated : bool;
+  oversubscribed : bool;
+      (* Direct: the generators and the measuring domain outnumber the
+         cores *)
 }
 
 (* One generator's books, owned by its domain until the join. *)
@@ -283,6 +286,18 @@ let run_point ?(stall = fun ~generator:_ ~index:_ -> 0) ~config ~rate () =
     config.unite_percent < 0 || config.find_percent < 0
     || config.unite_percent + config.find_percent > 100
   then invalid_arg "Load.run_point: op mix percentages must fit in 100";
+  (* Each Direct generator busy-spins on its own domain until its next
+     arrival.  When they and the measuring domain outnumber the cores,
+     one descheduling stalls a whole schedule and the point's latencies
+     turn bimodal.  Warn rather than refuse: small CI hosts still run
+     these sweeps for schema and accounting. *)
+  let cores = Domain.recommended_domain_count () in
+  let oversubscribed = config.workers = 0 && config.generators + 1 > cores in
+  if oversubscribed then
+    Printf.eprintf
+      "warning: %d direct generators plus the measuring domain exceed %d \
+       cores; this point's latencies may be bimodal\n%!"
+      config.generators cores;
   let wal_path =
     if config.durable then Some (Filename.temp_file "dsu-load" ".wal") else None
   in
@@ -386,6 +401,7 @@ let run_point ?(stall = fun ~generator:_ ~index:_ -> 0) ~config ~rate () =
       && accepted = acked + shed + timed_out + failed + lost
       && (match st with Some st -> st.Svc.s_displaced = 0 | None -> true);
     saturated = achieved_rate < 0.95 *. offered_rate;
+    oversubscribed;
   }
 
 let sweep ?stall ~config ~rates () =
@@ -420,8 +436,8 @@ let hdr_fields (h : Hdr.snapshot) =
 let target_name config = if config.workers = 0 then "direct" else "service"
 
 let point_json config p =
-  let served =
-    if config.workers = 0 then []
+  let by_target =
+    if config.workers = 0 then [ ("oversubscribed", J.Bool p.oversubscribed) ]
     else
       [
         ("rejected", J.Int p.rejected);
@@ -446,7 +462,7 @@ let point_json config p =
        ("duration_s", J.Float p.duration_s);
        ("achieved_rate", J.Float p.achieved_rate);
      ]
-    @ served
+    @ by_target
     @ [
         ("saturated", J.Bool p.saturated);
         ("max_lag_ns", J.Int p.max_lag_ns);

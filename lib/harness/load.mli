@@ -92,6 +92,12 @@ type point = {
           phantom/duplicate responses, no completion-lane displacement —
           the "nothing silently dropped after ack" guarantee *)
   saturated : bool;  (** achieved < 95% of offered *)
+  oversubscribed : bool;
+      (** Direct only: [generators + 1 > Domain.recommended_domain_count
+          ()], so the busy-spinning generators and the measuring domain
+          outnumber the cores and the latencies may be bimodal.  The
+          point still runs, with a warning on stderr; the Direct JSON
+          point records it as ["oversubscribed"]. *)
 }
 
 val run_point :

@@ -466,26 +466,42 @@ let determinism_tests =
           Alcotest.failf "determinism violated:\n%s"
             (String.concat "\n" out.Determinism.failures));
     case "det reports pinned on multi-block streams (golden)" (fun () ->
-        (* Rounds, blocks, components and the labels' MD5 are functions
-           of the stream alone, so they are pinned at every domain count.
-           Each stream spans four blocks (8 chunks of 256 edges each).
-           The dense stream is connected within its first block, whose
-           last round has an odd index, so its later blocks propose
-           nothing: a progress flag leaking into the next block shows up
-           there as an extra round. *)
+        (* Blocks, rounds, load-skipped edges, components and the labels'
+           MD5 are functions of the stream alone, so they are pinned at
+           every domain count.  The first four streams' sample windows
+           cover at least a block, so each spans four blocks of 8 chunks
+           of 256 edges.  The dense stream is connected within its first
+           block, whose last round has an odd index, so its later blocks
+           load nothing: a progress flag leaking into the next block
+           shows up there as an extra round.  The last stream is shaped
+           like the benchmark's: its 2-chunk sample window is shorter
+           than a block, so a 2-chunk block comes first and the
+           remaining 6 chunks load against its flattened forest.  Every
+           row's labels also match the oracle, and [run_stream] reports
+           the same [skipped] as its [edges_skipped]. *)
         let labels_md5 labels =
           let b = Buffer.create 4096 in
           Array.iter (fun l -> Printf.bprintf b "%d\n" l) labels;
           Digest.to_hex (Digest.string (Buffer.contents b))
         in
         List.iter
-          (fun (name, s, rounds, components, md5) ->
+          (fun (name, s, blocks, rounds, skipped, components, md5) ->
+            let expected = oracle_labels s in
             List.iter
               (fun domains ->
                 let what = Printf.sprintf "%s, %d domain(s)" name domains in
                 let labels, r = Det_bulk.run ~domains s in
-                check Alcotest.int (what ^ ": blocks") 4 r.Det_bulk.blocks;
+                check Alcotest.bool (what ^ ": oracle labels") true
+                  (labels = expected);
+                let det =
+                  Connectit.run_stream ~domains ~mode:Connectit.Deterministic s
+                in
+                check Alcotest.int (what ^ ": run_stream edges_skipped") skipped
+                  det.Connectit.edges_skipped;
+                check Alcotest.int (what ^ ": blocks") blocks r.Det_bulk.blocks;
                 check Alcotest.int (what ^ ": rounds") rounds r.Det_bulk.rounds;
+                check Alcotest.int (what ^ ": skipped") skipped
+                  r.Det_bulk.skipped;
                 check Alcotest.int (what ^ ": components") components
                   r.Det_bulk.components;
                 check Alcotest.string (what ^ ": labels md5") md5
@@ -495,19 +511,23 @@ let determinism_tests =
             ( "rmat",
               Edge_stream.rmat ~chunk_size:256 ~seed:41 ~scale:10
                 ~edge_factor:8 (),
-              6, 224, "4154117fd27376c305d7e52ae3e2a2cd" );
+              4, 6, 5852, 224, "4154117fd27376c305d7e52ae3e2a2cd" );
             ( "erdos-renyi",
               Edge_stream.erdos_renyi ~chunk_size:256 ~seed:43 ~n:4000
                 ~m:6500 (),
-              11, 156, "1b89e1f3c7f6b49fa483b4539375ca88" );
+              4, 11, 1681, 156, "1b89e1f3c7f6b49fa483b4539375ca88" );
             ( "power-law",
               Edge_stream.power_law ~chunk_size:256 ~seed:47 ~n:4000 ~m:6500
                 (),
-              7, 760, "d55c0c98bd1d25289b07f0c878b0eef8" );
+              4, 7, 2358, 760, "d55c0c98bd1d25289b07f0c878b0eef8" );
             ( "dense erdos-renyi",
               Edge_stream.erdos_renyi ~chunk_size:256 ~seed:53 ~n:1024
                 ~m:8192 (),
-              3, 1, "4930370422bacc1c6a7d302703657c0b" );
+              4, 3, 6061, 1, "4930370422bacc1c6a7d302703657c0b" );
+            ( "rmat, short sample window",
+              Edge_stream.rmat ~chunk_size:1024 ~seed:59 ~scale:10
+                ~edge_factor:8 (),
+              2, 3, 5688, 229, "38a1df0bb0d3f0cd2a1935a07a03dc89" );
           ]);
     case "det run_stream is byte-identical across domain counts" (fun () ->
         let s =

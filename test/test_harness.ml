@@ -212,6 +212,34 @@ let latency_tests =
         let config = direct ~n:128 ~ops:200 (Load.Bursty 8) in
         let p = Load.run_point ~config ~rate:50_000.0 () in
         check Alcotest.int "completed" 200 p.Load.acked);
+    case "direct points flag generators that outnumber the cores" (fun () ->
+        (* The expectation follows the host's core count, so both sides of
+           the rule are checked wherever a host lands between them. *)
+        let cores = Domain.recommended_domain_count () in
+        List.iter
+          (fun generators ->
+            let config = { (direct ~ops:50 Load.Fixed) with generators } in
+            let p = Load.run_point ~config ~rate:100_000.0 () in
+            let expected = generators + 1 > cores in
+            let what =
+              Printf.sprintf "%d generator(s), %d cores" generators cores
+            in
+            check Alcotest.bool what expected p.Load.oversubscribed;
+            let j =
+              Json.parse_exn (Json.to_string (Load.to_json config [ p ]))
+            in
+            match Json.member "points" j with
+            | Some (Json.List [ point ]) ->
+              check Alcotest.bool (what ^ ": in the JSON point") true
+                (Json.member "oversubscribed" point = Some (Json.Bool expected))
+            | _ -> Alcotest.fail "expected one point")
+          [ 1; 2 ];
+        let served =
+          { (direct ~ops:50 Load.Fixed) with generators = 2; workers = 1 }
+        in
+        let p = Load.run_point ~config:served ~rate:100_000.0 () in
+        check Alcotest.bool "the service target is never flagged" false
+          p.Load.oversubscribed);
     case "open-loop accounting exposes the stall closed-loop hides"
       (fun () ->
         (* One generator at 50k ops/s; the server freezes for 20ms mid-run.
