@@ -415,6 +415,16 @@ let bench_packed_find =
           ignore (Dsu.Packed.Native.find d (Array.unsafe_get idx k))
         done)
 
+(* R-MAT generation alone: refill one 65,536-edge chunk of the scale-16
+   stream the streamed connectivity workloads run. *)
+let bench_fill_rmat =
+  bench "edge-stream/fill-rmat" (fun () ->
+      let stream =
+        Graphs.Edge_stream.rmat ~seed:1 ~scale:16 ~edge_factor:8 ()
+      in
+      let chunk = Graphs.Edge_stream.make_chunk stream in
+      fun () -> Graphs.Edge_stream.fill stream 0 chunk)
+
 let all_tests =
   [
     bench_native_policy Policy.No_compaction;
@@ -454,6 +464,7 @@ let all_tests =
     bench_bulk_mixed_per_op;
     bench_packed_unite_pairs;
     bench_packed_find;
+    bench_fill_rmat;
   ]
 
 (* ------------------------------------------------------------ CLI state *)

@@ -306,8 +306,14 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
       Array.init (List.length sample_passes + 1) (fun _ -> Atomic.make 0)
     in
     let t_sampled = ref t_start and t_finished = ref t_start in
+    (* Chunk buffers are allocated here, on the calling domain, as in
+       [Det_bulk.run]: the same allocation on a freshly spawned domain
+       costs several times as much. *)
+    let bufs =
+      Array.init (max 1 domains) (fun _ -> Edge_stream.make_chunk stream)
+    in
     Team.phased ~domains (fun k total sync ->
-        let buf = Edge_stream.make_chunk stream in
+        let buf = bufs.(k) in
         let mine = ref (-1) in
         (* Chunks [0, limit) from [cursor], after the chunk still in
            [buf]: each chunk some member already holds is done by that

@@ -84,13 +84,17 @@ let threshold53 x =
   else if x >= 1. then 1 lsl 53
   else int_of_float (Float.ceil (Float.ldexp x 53))
 
+(* Edges per call of the C kernel.  A domain inside it does not answer a
+   minor-GC request, so a call is kept to about 0.14 ms at scale 16. *)
+let kernel_span = 2048
+
 (* R-MAT edges [0, len) into [src]/[dst]: per edge, recurse [scale] times
    into the quadrant the (a, b, c, d) mix selects, accumulating one bit of
    each endpoint per level.  The quadrant is the first of
-   [r < a], [r < a + b], [r < a + b + c], otherwise d, on one draw [r];
-   with the three compares as 0/1 integers that is
-   [du = ge_a & ge_ab] and [dv = ge_a & (not ge_ab | ge_abc)], computed
-   without branches. *)
+   [r < a], [r < a + b], [r < a + b + c], otherwise d, on one draw [r],
+   which {!Rng.rmat_edges} evaluates as integer compares against the
+   thresholds.  It stops at each [~simple] self-loop, whose second
+   endpoint is redrawn here before the kernel resumes. *)
 let rmat_fill rng ~scale ~a ~b ~c ~simple ~src ~dst len =
   if len < 0 || len > Array.length src || len > Array.length dst then
     invalid_arg "Generators.rmat_fill: len exceeds a destination buffer";
@@ -98,20 +102,18 @@ let rmat_fill rng ~scale ~a ~b ~c ~simple ~src ~dst len =
   and tab = threshold53 (a +. b)
   and tabc = threshold53 (a +. b +. c) in
   let n = 1 lsl scale in
-  for k = 0 to len - 1 do
-    let u = ref 0 and v = ref 0 in
-    for _bit = 1 to scale do
-      let x = Rng.bits53 rng in
-      let ge_a = Bool.to_int (x >= ta)
-      and ge_ab = Bool.to_int (x >= tab)
-      and ge_abc = Bool.to_int (x >= tabc) in
-      u := (!u lsl 1) lor (ge_a land ge_ab);
-      v := (!v lsl 1) lor (ge_a land ((ge_ab lxor 1) lor ge_abc))
-    done;
-    let u = !u in
-    let v = if simple && u = !v then other_endpoint rng ~n u else !v in
-    Array.unsafe_set src k u;
-    Array.unsafe_set dst k v
+  let k = ref 0 in
+  while !k < len do
+    let upto = min len (!k + kernel_span) in
+    let stop =
+      Rng.rmat_edges rng ~scale ~ta ~tab ~tabc ~simple ~src ~dst !k upto
+    in
+    if stop < upto then begin
+      let u = Array.unsafe_get src stop in
+      Array.unsafe_set dst stop (other_endpoint rng ~n u);
+      k := stop + 1
+    end
+    else k := upto
   done
 
 let rmat ?(simple = false) ~rng ~scale ~edge_factor ?(a = 0.57) ?(b = 0.19)

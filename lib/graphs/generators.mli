@@ -41,10 +41,12 @@ val rmat_fill :
 (** [rmat_fill rng ~scale ~a ~b ~c ~simple ~src ~dst len] writes [len]
     R-MAT edges into [(src.(k), dst.(k))] for [k < len], drawing from
     [rng]; with [~simple] a self-loop's second endpoint is resampled by
-    {!other_endpoint}.  The branch-free, allocation-free R-MAT kernel that
-    {!rmat} and {!Edge_stream} share.  They share the kernel, not the rng
-    stream: {!rmat} draws every edge from the one rng it is given, while a
-    stream seeds a fresh rng per chunk, so equal seeds give different edges.
+    {!other_endpoint}.  The allocation-free R-MAT generator that {!rmat}
+    and {!Edge_stream} share; its level loop is the C kernel
+    {!Repro_util.Rng.rmat_edges}, called on a few thousand edges at a
+    time.  They share the kernel, not the rng stream: {!rmat} draws every
+    edge from the one rng it is given, while a stream seeds a fresh rng
+    per chunk, so equal seeds give different edges.
     @raise Invalid_argument if [len] exceeds either buffer. *)
 
 val other_endpoint : Repro_util.Rng.t -> n:int -> int -> int

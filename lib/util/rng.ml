@@ -3,7 +3,8 @@
    64-bit bytes primitives.  A step keeps the words in let-bound locals,
    which the native compiler holds in registers, so [bits53] and every
    [int]-returning draw allocate nothing; [int64] fields of a record would
-   be boxed, one allocation per word per step. *)
+   be boxed, one allocation per word per step.  The R-MAT kernel in
+   [rng_stubs.c] steps the same four native-endian words. *)
 type t = Bytes.t
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -86,6 +87,19 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
+
+external rmat_edges_unsafe :
+  t -> scale:int -> ta:int -> tab:int -> tabc:int -> simple:bool ->
+  src:int array -> dst:int array -> int -> int -> int
+  = "dsu_rng_rmat_edges_byte" "dsu_rng_rmat_edges"
+[@@noalloc]
+
+let rmat_edges t ~scale ~ta ~tab ~tabc ~simple ~src ~dst from upto =
+  if from < 0 || from > upto || upto > Array.length src
+     || upto > Array.length dst
+  then
+    invalid_arg "Rng.rmat_edges: range exceeds a destination buffer";
+  rmat_edges_unsafe t ~scale ~ta ~tab ~tabc ~simple ~src ~dst from upto
 
 let permutation t n =
   let a = Array.init n (fun i -> i) in

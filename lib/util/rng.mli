@@ -31,7 +31,9 @@ val bits30 : t -> int
 val bits53 : t -> int
 (** Next 53 uniformly random bits (the top 53 of {!int64}) as a
     non-negative [int].  Allocates nothing, which makes it the draw for
-    hot generation loops. *)
+    the generation loops written in OCaml (power-law hubs); R-MAT's
+    per-level draws happen in C, inside {!rmat_edges}, on the same
+    stream. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound).  Requires [bound > 0]. *)
@@ -51,3 +53,21 @@ val shuffle : t -> 'a array -> unit
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0 .. n-1]. *)
+
+val rmat_edges :
+  t -> scale:int -> ta:int -> tab:int -> tabc:int -> simple:bool ->
+  src:int array -> dst:int array -> int -> int -> int
+(** [rmat_edges t ~scale ~ta ~tab ~tabc ~simple ~src ~dst from upto] is
+    the R-MAT level loop, in C, for edges [k] in [\[from, upto)]: per
+    edge, [scale] levels each draw [x = bits53 t] and append
+    [x >= ta && x >= tab] to [src.(k)] and
+    [x >= ta && (x < tab || x >= tabc)] to [dst.(k)], most significant
+    level first.  The draws are exactly {!bits53}'s, so [t] continues
+    from the last one.  With [~simple], it stops after the first edge
+    whose endpoints are equal and returns its index (both endpoints are
+    written); otherwise it returns [upto].  Allocates nothing, and keeps
+    every other domain waiting at a minor collection for as long as it
+    runs, so callers pass ranges of a few thousand edges.
+    [Generators.rmat_fill] is the caller.
+    @raise Invalid_argument unless [0 <= from <= upto] and [upto] fits
+    both buffers. *)

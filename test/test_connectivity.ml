@@ -189,8 +189,10 @@ let golden_tests =
     case "rmat_fill matches the float quadrant chain" (fun () ->
         (* Reference: the per-level float draw and if-chain that the
            integer-threshold kernel replaces, including probability mixes
-           whose thresholds are not increasing, NaN and out-of-range ones. *)
-        let reference rng ~scale ~a ~b ~c =
+           whose thresholds are not increasing, NaN and out-of-range ones.
+           With [~simple], a self-loop's second endpoint is redrawn by
+           [Generators.other_endpoint]'s rule, spelled out here. *)
+        let reference rng ~scale ~a ~b ~c ~simple =
           let u = ref 0 and v = ref 0 in
           for _ = 1 to scale do
             let r = Rng.float rng in
@@ -203,25 +205,69 @@ let golden_tests =
             u := (!u lsl 1) lor du;
             v := (!v lsl 1) lor dv
           done;
-          (!u, !v)
+          let n = 1 lsl scale in
+          let rec redraw tries =
+            let w = Rng.int rng n in
+            if w <> !u then w
+            else if tries >= 64 then (!u + 1) mod n
+            else redraw (tries + 1)
+          in
+          (!u, if simple && !u = !v then redraw 0 else !v)
         in
+        (* Also checks the state write-back: the draw after the fill is
+           the reference generator's next one. *)
+        let agree ~scale ~simple ~len (a, b, c) =
+          let src = Array.make len 0 and dst = Array.make len 0 in
+          let rng = Rng.create 9 in
+          Generators.rmat_fill rng ~scale ~a ~b ~c ~simple ~src ~dst len;
+          let ref_rng = Rng.create 9 in
+          let loops = ref 0 in
+          for k = 0 to len - 1 do
+            let u, v = reference ref_rng ~scale ~a ~b ~c ~simple in
+            if u <> src.(k) || v <> dst.(k) then
+              Alcotest.failf "(%g, %g, %g) scale %d edge %d: (%d,%d) vs (%d,%d)"
+                a b c scale k src.(k) dst.(k) u v;
+            if u = v then incr loops
+          done;
+          check Alcotest.int
+            (Printf.sprintf "(%g, %g, %g) scale %d len %d: next draw" a b c
+               scale len)
+            (Rng.bits53 ref_rng) (Rng.bits53 rng);
+          !loops
+        in
+        let graph500 = (0.57, 0.19, 0.19) in
         List.iter
-          (fun (a, b, c) ->
-            let len = 2000 and scale = 10 in
-            let src = Array.make len 0 and dst = Array.make len 0 in
-            Generators.rmat_fill (Rng.create 9) ~scale ~a ~b ~c ~simple:false
-              ~src ~dst len;
-            let rng = Rng.create 9 in
-            for k = 0 to len - 1 do
-              let u, v = reference rng ~scale ~a ~b ~c in
-              if u <> src.(k) || v <> dst.(k) then
-                Alcotest.failf "(%g, %g, %g) edge %d: (%d,%d) vs (%d,%d)" a b
-                  c k src.(k) dst.(k) u v
-            done)
+          (fun mix -> ignore (agree ~scale:10 ~simple:false ~len:2000 mix))
           [
-            (0.57, 0.19, 0.19); (0.25, 0.25, 0.25); (0.1, -0.05, 0.3);
+            graph500; (0.25, 0.25, 0.25); (0.1, -0.05, 0.3);
             (0.6, 0.3, -0.2); (0., 0., 0.); (1.5, -1., 0.); (Float.nan, 0.1, 0.1);
-          ]);
+          ];
+        (* Scales 1 and 2 make self-loops frequent, so the kernel stops
+           and resumes many times; the plain run at scale 1 counts them. *)
+        check Alcotest.bool "scale 1 has many self-loops" true
+          (agree ~scale:1 ~simple:false ~len:4099 graph500 > 1000);
+        List.iter
+          (fun scale ->
+            List.iter
+              (fun mix -> ignore (agree ~scale ~simple:true ~len:4099 mix))
+              [ graph500; (0.25, 0.25, 0.25) ])
+          [ 1; 2 ];
+        (* An empty range draws nothing; 4099 is prime, so no kernel
+           sub-range divides it and the last call is a partial one. *)
+        List.iter
+          (fun len ->
+            ignore (agree ~scale:16 ~simple:false ~len graph500);
+            ignore (agree ~scale:16 ~simple:true ~len graph500))
+          [ 0; 4099 ]);
+        let src = Array.make 4 0 and dst = Array.make 4 0 in
+        List.iter
+          (fun (from, upto) ->
+            expect_invalid
+              (Printf.sprintf "rmat_edges [%d, %d)" from upto)
+              (fun () ->
+                Rng.rmat_edges (Rng.create 1) ~scale:4 ~ta:0 ~tab:0 ~tabc:0
+                  ~simple:false ~src ~dst from upto))
+          [ (-1, 2); (3, 2); (0, 5) ];
     case "materialized rmat" (fun () ->
         check Alcotest.string "plain" "d740a83d4c3beb25899cc6b4a89d224f"
           (graph_md5
