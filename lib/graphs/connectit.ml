@@ -174,6 +174,7 @@ type stream_report = {
   finish_ns : int;
   label_ns : int;
   total_ns : int;
+  gen_ns : int;
 }
 
 let count_components labels =
@@ -230,11 +231,13 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
       finish_ns = t_end - t_start;
       label_ns = 0;
       total_ns = t_end - t_start;
+      gen_ns = report.Det_bulk.gen_ns;
     }
   | Racy ->
     let d = Dsu.Driver.create ~plan ~seed n in
     let window = Edge_stream.sample_window stream in
     let sample_unites = Atomic.make 0 and skipped = Atomic.make 0 in
+    let gen_ns = Atomic.make 0 in
     (* The sampling passes over the window, in order, and the work
        member 0 does between two passes, fenced by a barrier on each
        side. *)
@@ -314,7 +317,7 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
     in
     Team.phased ~domains (fun k total sync ->
         let buf = bufs.(k) in
-        let mine = ref (-1) in
+        let mine = ref (-1) and my_gen_ns = ref 0 in
         (* Chunks [0, limit) from [cursor], after the chunk still in
            [buf]: each chunk some member already holds is done by that
            member from memory instead of being generated again. *)
@@ -324,7 +327,9 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
             let idx = Atomic.fetch_and_add cursor 1 in
             if idx < limit then begin
               if not (is_held idx) then begin
+                let t0 = Clock.now_ns () in
                 Edge_stream.fill stream idx buf;
+                my_gen_ns := !my_gen_ns + (Clock.now_ns () - t0);
                 mine := idx;
                 f buf
               end;
@@ -385,6 +390,7 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
         in
         pass cursors.(List.length sample_passes) ~limit:chunks finish_chunk;
         ignore (Atomic.fetch_and_add skipped !my_skipped);
+        ignore (Atomic.fetch_and_add gen_ns !my_gen_ns);
         sync ();
         if k = 0 then t_finished := Clock.now_ns ();
         label_range d labels k total);
@@ -401,4 +407,5 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
       finish_ns = !t_finished - !t_sampled;
       label_ns = t_end - !t_finished;
       total_ns = t_end - t_start;
+      gen_ns = Atomic.get gen_ns;
     }

@@ -100,6 +100,11 @@ type stream_report = {
   finish_ns : int;  (** up to the barrier after the last finish unite *)
   label_ns : int;  (** final parallel label pass *)
   total_ns : int;
+  gen_ns : int;
+      (** Time the members spent generating chunks
+          ({!Edge_stream.fill}), summed over members: one clock lap per
+          chunk, so it overlaps the phases above.  Divided by [domains]
+          times [total_ns], it is generation's share of the pass. *)
 }
 
 val run_stream :

@@ -1,4 +1,5 @@
 module Faa = Repro_util.Flat_atomic_array
+module Clock = Repro_obs.Clock
 
 (* ------------------------------------------------------------------ *)
 (* Internally deterministic bulk union-find over an edge stream, after
@@ -22,9 +23,10 @@ module Faa = Repro_util.Flat_atomic_array
      domain's slice; the others are counted as [skipped].  The forest
      at the start of a block is a function of the stream (induction
      over blocks), so the surviving edge set and [skipped] are too,
-     whichever domain claimed which chunk.  After the first block the
-     forest is flat, so the chase is two reads, and the rounds never see
-     an edge an earlier block already settled.
+     whichever domain claimed which chunk.  The forest is flat at every
+     load (the identity before the first block, the previous block's
+     flatten after it), so an endpoint's root is its parent, one read,
+     and the rounds never see an edge an earlier block already settled.
    - {b propose}: the forest's roots are frozen; every domain walks its
      slice's (still unmerged) edges, chases both endpoints to their
      roots, and for roots [ru <> rv] publishes [writeMin(propose[hi], lo)]
@@ -64,8 +66,10 @@ module Faa = Repro_util.Flat_atomic_array
    erase who proposed what.  Memory is [2 * n] words of shared state
    plus the block's surviving edges, at most [block_chunks *
    chunk_size] pairs across all domains; a slice grows on demand when
-   its domain claims more than its share.  The full edge list is never
-   materialized.
+   its domain keeps more survivors than its share.  Each chunk's
+   survivors are compacted in its buffer before they are copied, so a
+   domain that claims several mostly settled chunks does not grow.  The
+   full edge list is never materialized.
 
    The whole pass is one {!Team}: its domains are spawned once, and
    every barrier above is the team's sense-reversing barrier. *)
@@ -77,6 +81,7 @@ type report = {
   rounds : int;
   skipped : int;
   components : int;
+  gen_ns : int;
 }
 
 (* One domain's slice of the current block, compacted across rounds,
@@ -120,11 +125,11 @@ let run ?(domains = 4) ?(block_chunks = 8)
      the flatten phase, after every load of the block has ended. *)
   let cursor = Atomic.make 0 in
   let rounds_total = ref 0 in
-  let skipped = Atomic.make 0 in
+  let skipped = Atomic.make 0 and gen_ns = Atomic.make 0 in
   (* Each slice starts at a fair share of the first block, the one block
-     that no earlier block filters, and grows on demand up to a whole
-     block.  Slices and chunk buffers are allocated here, on the calling
-     domain: a large allocation on a freshly spawned domain costs
+     that no earlier block filters, and grows by survivors only, up to a
+     whole block.  Slices and chunk buffers are allocated here, on the
+     calling domain: a large allocation on a freshly spawned domain costs
      milliseconds, several times the same allocation made before the
      spawn. *)
   let block_cap = block_chunks * chunk_size in
@@ -162,7 +167,7 @@ let run ?(domains = 4) ?(block_chunks = 8)
   in
   let body d bar =
     let sl = slices.(d) and buf = bufs.(d) in
-    let my_skipped = ref 0 in
+    let my_skipped = ref 0 and my_gen_ns = ref 0 in
     for b = 0 to blocks - 1 do
       (* Load: claim chunks of block [b], keep the edges that still join
          two roots.  [touched] is empty here (the block's last propose
@@ -171,23 +176,30 @@ let run ?(domains = 4) ?(block_chunks = 8)
       let first = block_start b and stop = block_start (b + 1) in
       let j = ref (first + Atomic.fetch_and_add cursor 1) in
       while !j < stop do
+        let t0 = Clock.now_ns () in
         Edge_stream.fill stream !j buf;
+        my_gen_ns := !my_gen_ns + (Clock.now_ns () - t0);
         let len = buf.Edge_stream.len in
-        reserve sl (sl.live + len);
         let src = buf.Edge_stream.src and dst = buf.Edge_stream.dst in
-        let keep_src = sl.src and keep_dst = sl.dst in
-        let live = ref sl.live in
+        (* Compact the surviving root pairs in place in the chunk buffer,
+           so that the slice grows only by the survivors.  The forest is
+           flat here (the identity, or the previous block's flatten), so
+           a parent is a root.  Every pair is written and only a survivor
+           advances [kept]: no branch on the survivors, which are mixed
+           unpredictably with the dropped edges. *)
+        let kept = ref 0 in
         for k = 0 to len - 1 do
-          let ru = root (Array.unsafe_get src k) in
-          let rv = root (Array.unsafe_get dst k) in
-          if ru <> rv then begin
-            Array.unsafe_set keep_src !live ru;
-            Array.unsafe_set keep_dst !live rv;
-            incr live
-          end
+          let ru = Array.unsafe_get parent (Array.unsafe_get src k) in
+          let rv = Array.unsafe_get parent (Array.unsafe_get dst k) in
+          Array.unsafe_set src !kept ru;
+          Array.unsafe_set dst !kept rv;
+          kept := !kept + Bool.to_int (ru <> rv)
         done;
-        my_skipped := !my_skipped + len - (!live - sl.live);
-        sl.live <- !live;
+        my_skipped := !my_skipped + len - !kept;
+        reserve sl (sl.live + !kept);
+        Array.blit src 0 sl.src sl.live !kept;
+        Array.blit dst 0 sl.dst sl.live !kept;
+        sl.live <- sl.live + !kept;
         j := first + Atomic.fetch_and_add cursor 1
       done;
       let round = ref 0 in
@@ -267,7 +279,8 @@ let run ?(domains = 4) ?(block_chunks = 8)
       end;
       bar ()
     done;
-    ignore (Atomic.fetch_and_add skipped !my_skipped)
+    ignore (Atomic.fetch_and_add skipped !my_skipped);
+    ignore (Atomic.fetch_and_add gen_ns !my_gen_ns)
   in
   Team.phased ~domains (fun d _ -> body d);
   let components = ref 0 in
@@ -282,4 +295,5 @@ let run ?(domains = 4) ?(block_chunks = 8)
       rounds = !rounds_total;
       skipped = Atomic.get skipped;
       components = !components;
+      gen_ns = Atomic.get gen_ns;
     } )

@@ -31,6 +31,11 @@ type report = {
       (** Edges dropped at load because both endpoints already shared a
           root — deterministic. *)
   components : int;
+  gen_ns : int;
+      (** Time spent generating chunks ({!Edge_stream.fill}), summed over
+          the domains: one clock lap per chunk.  Divided by [domains]
+          times the pass's wall time, it is generation's share of the
+          pass. *)
 }
 
 val run :

@@ -85,7 +85,7 @@ let threshold53 x =
   else int_of_float (Float.ceil (Float.ldexp x 53))
 
 (* Edges per call of the C kernel.  A domain inside it does not answer a
-   minor-GC request, so a call is kept to about 0.14 ms at scale 16. *)
+   minor-GC request, so a call is kept to about 0.11 ms at scale 16. *)
 let kernel_span = 2048
 
 (* R-MAT edges [0, len) into [src]/[dst]: per edge, recurse [scale] times

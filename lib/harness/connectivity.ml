@@ -89,6 +89,7 @@ type point = {
   sample_ns : int;
   finish_ns : int;
   label_ns : int;
+  gen_ns : int;
   skipped_ratio : float;
   components : int;
   det_rounds : int;
@@ -118,6 +119,7 @@ let run_point ~config ~gen ~domains ~sampling ~finish ~mode =
     sample_ns = r.Connectit.sample_ns;
     finish_ns = r.Connectit.finish_ns;
     label_ns = r.Connectit.label_ns;
+    gen_ns = r.Connectit.gen_ns;
     skipped_ratio =
       (if m = 0 then 0.
        else float_of_int r.Connectit.edges_skipped /. float_of_int m);
@@ -318,6 +320,7 @@ let point_to_json p =
       ("sample_ns", J.Int p.sample_ns);
       ("finish_ns", J.Int p.finish_ns);
       ("label_ns", J.Int p.label_ns);
+      ("gen_ns", J.Int p.gen_ns);
       ("skipped_ratio", J.Float p.skipped_ratio);
       ("components", J.Int p.components);
       ("det_rounds", J.Int p.det_rounds);

@@ -50,6 +50,9 @@ type point = {
   sample_ns : int;
   finish_ns : int;
   label_ns : int;
+  gen_ns : int;
+      (** edge generation, summed over the domains (overlaps the phases;
+          {!Graphs.Connectit.stream_report} [gen_ns]) *)
   skipped_ratio : float;
   components : int;
   det_rounds : int;

@@ -59,9 +59,11 @@ let run ppf =
     Dsu.Find_policy.all;
   Table.pp ppf table;
   Format.fprintf ppf
-    "@.expected shape: zero violations in every row — all six variants \
-     linearize under all six schedulers, including the CAS adversary and the \
+    "@.expected shape: zero violations in every row — all %d variants \
+     linearize under all %d schedulers, including the CAS adversary and the \
      process-starving laggard (whose victim still finishes: wait-freedom).@."
+    (2 * List.length Dsu.Find_policy.all)
+    (List.length (schedulers 0))
 
 let experiment =
   Experiment.make ~id:"e11" ~title:"linearizability under adversarial schedules"

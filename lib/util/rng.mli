@@ -63,7 +63,16 @@ val rmat_edges :
     [x >= ta && x >= tab] to [src.(k)] and
     [x >= ta && (x < tab || x >= tabc)] to [dst.(k)], most significant
     level first.  The draws are exactly {!bits53}'s, so [t] continues
-    from the last one.  With [~simple], it stops after the first edge
+    from the last one.  Compares are signed, and the thresholds need not
+    be ordered: with [tab' = max ta tab] and [tabc' = max tab' tabc], the
+    two bits are bits 1 and 0 of the number of [ta <= tab' <= tabc']
+    that are [<= x].  That count is monotone in [x], so it is constant
+    over a bucket of [2^43] consecutive values of [x] whenever it agrees
+    at the bucket's two ends; the kernel looks up each level's count in
+    a table of the 1,024 buckets (the top 10 bits of [x]), built per
+    call, and falls back to the three compares only in the at most 3
+    buckets a threshold cuts.  The output is the formula's for every
+    [x] and any thresholds.  With [~simple], it stops after the first edge
     whose endpoints are equal and returns its index (both endpoints are
     written); otherwise it returns [upto].  Allocates nothing, and keeps
     every other domain waiting at a minor collection for as long as it

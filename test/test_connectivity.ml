@@ -242,6 +242,48 @@ let golden_tests =
             graph500; (0.25, 0.25, 0.25); (0.1, -0.05, 0.3);
             (0.6, 0.3, -0.2); (0., 0., 0.); (1.5, -1., 0.); (Float.nan, 0.1, 0.1);
           ];
+        (* The kernel looks each level up in a table of 2^10 buckets of
+           [bits53], falling back to the compares in a bucket that a
+           threshold cuts.  [a = 0.25] puts [ta = 2^51] on a bucket's
+           first value, which cuts nothing, while [tab] and [tabc] cut
+           the buckets they fall in; [b = 1e-6] puts [ta] and [tab]
+           inside one bucket. *)
+        List.iter
+          (fun mix -> ignore (agree ~scale:10 ~simple:false ~len:4099 mix))
+          [ (0.25, 0.3, 0.15); (0.3, 1e-6, 0.3) ];
+        (* Called directly, the kernel takes any thresholds, unordered,
+           negative or past 2^53, and compares them signed. *)
+        List.iter
+          (fun (ta, tab, tabc) ->
+            let scale = 12 and len = 512 in
+            let src = Array.make len 0 and dst = Array.make len 0 in
+            let rng = Rng.create 3 and ref_rng = Rng.create 3 in
+            ignore
+              (Rng.rmat_edges rng ~scale ~ta ~tab ~tabc ~simple:false ~src
+                 ~dst 0 len);
+            for k = 0 to len - 1 do
+              let u = ref 0 and v = ref 0 in
+              for _ = 1 to scale do
+                let x = Rng.bits53 ref_rng in
+                u := (!u lsl 1) lor Bool.to_int (x >= ta && x >= tab);
+                v :=
+                  (!v lsl 1)
+                  lor Bool.to_int (x >= ta && (x < tab || x >= tabc))
+              done;
+              if !u <> src.(k) || !v <> dst.(k) then
+                Alcotest.failf "thresholds (%d, %d, %d) edge %d" ta tab tabc
+                  k
+            done)
+          [
+            (-5, 1 lsl 60, 7); (1 lsl 52, -1, 1 lsl 51);
+            (min_int, max_int, 0); (1 lsl 53, 1 lsl 53, 1 lsl 53);
+          ];
+        (* Above 32 levels the quadrants fill a second accumulator word. *)
+        List.iter
+          (fun scale ->
+            ignore (agree ~scale ~simple:false ~len:4099 graph500);
+            ignore (agree ~scale ~simple:true ~len:4099 graph500))
+          [ 35; 40 ];
         (* Scales 1 and 2 make self-loops frequent, so the kernel stops
            and resumes many times; the plain run at scale 1 counts them. *)
         check Alcotest.bool "scale 1 has many self-loops" true
@@ -575,6 +617,61 @@ let determinism_tests =
                 ~edge_factor:8 (),
               2, 3, 5688, 229, "38a1df0bb0d3f0cd2a1935a07a03dc89" );
           ]);
+    case "det load grows a slice by survivors only (oracle)" (fun () ->
+        (* At one domain a slice outgrows its share only when a later
+           block is longer than the first, the sample window of 2n
+           edges, so the stream is long for its 64 vertices.  The
+           32-chunk first block leaves a few vertices outside the giant;
+           the one later block, 64 times longer, keeps every edge that
+           touches them.  The
+           check below shows that its survivors exceed [domains] shares
+           of the first block at every domain count, so some domain keeps
+           more survivors than its share and its slice grows after the
+           chunk is compacted.  [skipped] follows from its definition:
+           per block, the edges whose endpoints the earlier blocks
+           connect. *)
+        let chunk_size = 4 and block_chunks = 2048 in
+        let s =
+          Edge_stream.erdos_renyi ~chunk_size ~seed:61 ~n:64
+            ~m:((32 + block_chunks) * chunk_size) ()
+        in
+        let first = Edge_stream.sample_window s in
+        check Alcotest.int "first block" 32 first;
+        let uf = Sequential.Seq_dsu.create (Edge_stream.n s) in
+        let buf = Edge_stream.make_chunk s in
+        let survivors block =
+          List.concat_map
+            (fun j ->
+              Edge_stream.fill s j buf;
+              List.init buf.Edge_stream.len (fun k ->
+                  (buf.Edge_stream.src.(k), buf.Edge_stream.dst.(k))))
+            block
+          |> List.filter (fun (u, v) ->
+                 not (Sequential.Seq_dsu.same_set uf u v))
+        in
+        let load block =
+          let kept = survivors block in
+          List.iter (fun (u, v) -> Sequential.Seq_dsu.unite uf u v) kept;
+          List.length kept
+        in
+        let kept0 = load (List.init first Fun.id) in
+        let kept1 = load (List.init block_chunks (fun j -> first + j)) in
+        let skipped = Edge_stream.total_edges s - kept0 - kept1 in
+        let expected = oracle_labels s in
+        List.iter
+          (fun domains ->
+            let what = Printf.sprintf "%d domain(s)" domains in
+            let share = (first + domains - 1) / domains * chunk_size in
+            check Alcotest.bool
+              (what ^ ": later survivors exceed every share")
+              true
+              (kept1 > domains * share);
+            let labels, r = Det_bulk.run ~domains ~block_chunks s in
+            check Alcotest.int (what ^ ": blocks") 2 r.Det_bulk.blocks;
+            check Alcotest.int (what ^ ": skipped") skipped r.Det_bulk.skipped;
+            check Alcotest.bool (what ^ ": oracle labels") true
+              (labels = expected))
+          [ 1; 2; 3; 4 ]);
     case "det run_stream is byte-identical across domain counts" (fun () ->
         let s =
           Edge_stream.power_law ~chunk_size:256 ~seed:31 ~n:700 ~m:2800 ()
@@ -820,6 +917,7 @@ let synthetic_point ~finish ~rate =
     sample_ns = 0;
     finish_ns = 100;
     label_ns = 0;
+    gen_ns = 0;
     skipped_ratio = 0.;
     components = 1;
     det_rounds = 0;

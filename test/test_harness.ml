@@ -447,6 +447,7 @@ let connectivity_point ~gen ~finish ~domains =
     sample_ns = 0;
     finish_ns = 100;
     label_ns = 0;
+    gen_ns = 0;
     skipped_ratio = 0.;
     components = 1;
     det_rounds = 0;
