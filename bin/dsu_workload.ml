@@ -480,11 +480,7 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
     Dsu.Contention.reset ()
   end;
   let wal_writer =
-    Option.map
-      (fun path ->
-        Dwal.create_writer ~flush_records:Harness.Durability.flush_records
-          ~flush_interval:Harness.Durability.flush_interval path)
-      wal
+    Option.map (Dwal.create_writer ~flush_records:Harness.Durability.flush_records) wal
   in
   let on_link = Option.map Dwal.append wal_writer in
   (* [apply] runs one bucket; [finish] reads the quiescent structure:
@@ -1067,10 +1063,11 @@ let depths_arg =
            dsu): $(b,dsu) crashes mutator domains in memory; $(b,snapshot) \
            adds snapshot, repair, restore and resume; $(b,wal) runs the \
            mutators over a group-committed WAL and fuzzy snapshots and \
-           crashes the committer (torn tail) and the snapshotter instead, \
-           recovering from the newest snapshot plus the log; $(b,service) \
-           crashes service workers and the committer, recovers, resumes \
-           serving and measures RTO.")
+           crashes a mutator leading a group commit (torn tail) and the \
+           snapshotter instead, recovering from the newest snapshot plus \
+           the log; $(b,service) crashes service workers, then a worker \
+           leading a group commit, recovers, resumes serving and measures \
+           RTO.")
 
 let chaos_snapshot_out_arg =
   Arg.(

@@ -10,15 +10,19 @@ type record = { seq : int; epoch : int; x : int; y : int }
 
 (* ------------------------------------------------------------- codec *)
 
+(* Encode [r] into [b] at [off]: the writer fills a whole chunk this way. *)
+let encode_into b off r =
+  Bytes.set b off '\001';
+  Bytes.set_int64_le b (off + 1) (Int64.of_int r.epoch);
+  Bytes.set_int64_le b (off + 9) (Int64.of_int r.seq);
+  Bytes.set_int64_le b (off + 17) (Int64.of_int r.x);
+  Bytes.set_int64_le b (off + 25) (Int64.of_int r.y);
+  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:off ~len:payload_bytes in
+  Bytes.set_int32_le b (off + payload_bytes) (Int32.of_int crc)
+
 let encode_record r =
   let b = Bytes.create record_bytes in
-  Bytes.set b 0 '\001';
-  Bytes.set_int64_le b 1 (Int64.of_int r.epoch);
-  Bytes.set_int64_le b 9 (Int64.of_int r.seq);
-  Bytes.set_int64_le b 17 (Int64.of_int r.x);
-  Bytes.set_int64_le b 25 (Int64.of_int r.y);
-  let crc = Crc32.sub (Bytes.unsafe_to_string b) ~pos:0 ~len:payload_bytes in
-  Bytes.set_int32_le b payload_bytes (Int32.of_int crc);
+  encode_into b 0 r;
   b
 
 let word_fits v = Int64.of_int (Int64.to_int v) = v
@@ -61,23 +65,26 @@ let empty_tail = { records = [||]; truncated_at = None; total_bytes = 0 }
 
 let of_string s =
   let len = String.length s in
-  if len < String.length magic then Error "WAL file shorter than the magic"
-  else if String.sub s 0 (String.length magic) <> magic then
-    Error "bad magic: not a DSU WAL"
+  let start = String.length magic in
+  if len < start then Error "WAL file shorter than the magic"
+  else if String.sub s 0 start <> magic then Error "bad magic: not a DSU WAL"
   else begin
-    let rec loop pos acc =
-      if pos = len then { records = Array.of_list (List.rev acc); truncated_at = None; total_bytes = len }
+    let records = Array.make ((len - start) / record_bytes) { seq = 0; epoch = 0; x = 0; y = 0 } in
+    let rec loop i pos =
+      if pos = len then { records; truncated_at = None; total_bytes = len }
       else
         match decode_record s pos with
-        | Ok r -> loop (pos + record_bytes) (r :: acc)
+        | Ok r ->
+          records.(i) <- r;
+          loop (i + 1) (pos + record_bytes)
         | Error (`Short | `Crc | `Kind) ->
           (* Torn tail: everything from the first bad record on is
              untrustworthy — a group commit writes records in order, so a
              valid-looking record after a torn one could be half of two
              different commits. *)
-          { records = Array.of_list (List.rev acc); truncated_at = Some pos; total_bytes = len }
+          { records = Array.sub records 0 i; truncated_at = Some pos; total_bytes = len }
     in
-    Ok (loop (String.length magic) [])
+    Ok (loop 0 start)
   end
 
 let read_file path =
@@ -114,172 +121,120 @@ type writer = {
   seq : int Atomic.t;
   shards : shard array;
   flush_records : int;
-  flush_interval : float;
-  stop : bool Atomic.t;
-  force : bool Atomic.t;
+  commit_mu : Mutex.t;  (* held by the leader of a round *)
+  chunk : Bytes.t;  (* [flush_records] encoded records; used under [commit_mu] *)
+  rounds : int Atomic.t;  (* rounds started *)
   appended : int Atomic.t;
+  drained : int Atomic.t;  (* taken from the shards; written under [commit_mu] *)
   committed : int Atomic.t;
-  rounds : int Atomic.t;  (* committer rounds started *)
-  durable_round : int Atomic.t;  (* every record drained up to this round is fsynced *)
   commits : int Atomic.t;
   crashed : (Site.t * int) option Atomic.t;
   failed : exn option Atomic.t;
-  close_mu : Mutex.t;
-  mutable closed : bool;
-  mutable committer : unit Domain.t option;
+  mutable closed : bool;  (* under [commit_mu] *)
 }
 
 let[@inline] hit_site site = if Atomic.get Fi.armed then Fi.hit site
 
-(* One group commit: encode the whole batch, write it, one fsync.  When
-   fault injection is armed the batch is written in two parts with a
-   flush and a {!Site.Wal_commit_mid} hit between them — a crash there
-   deterministically leaves a torn final record on disk, which is the
-   exact state {!of_string}'s truncation logic must recover from. *)
-let commit w batch n_batch =
+(* One group commit: the first [n] records of [w.chunk], one write, one
+   fsync.  When fault injection is armed the chunk is written in two
+   parts with a flush and a {!Site.Wal_commit_mid} hit between them — a
+   crash there deterministically leaves a torn final record on disk, which
+   is the exact state {!of_string}'s truncation logic must recover from. *)
+let commit w n =
   hit_site Site.Wal_commit_pre;
-  let buf = Buffer.create (n_batch * record_bytes) in
-  List.iter (fun r -> Buffer.add_bytes buf (encode_record r)) batch;
-  let s = Buffer.contents buf in
-  let len = String.length s in
+  let len = n * record_bytes in
   if Atomic.get Fi.armed then begin
-    let cut = max 0 (len - 19) in
-    output_substring w.oc s 0 cut;
+    let cut = len - 19 in
+    output w.oc w.chunk 0 cut;
     flush w.oc;
     Fi.hit Site.Wal_commit_mid;
-    output_substring w.oc s cut (len - cut)
+    output w.oc w.chunk cut (len - cut)
   end
-  else output_string w.oc s;
+  else output w.oc w.chunk 0 len;
   flush w.oc;
   Unix.fsync w.fd;
-  ignore (Atomic.fetch_and_add w.committed n_batch);
-  ignore (Atomic.fetch_and_add w.commits 1);
+  ignore (Atomic.fetch_and_add w.committed n);
+  Atomic.incr w.commits;
   hit_site Site.Wal_commit_post
 
-let run_committer w =
-  let pending = ref [] and n_pending = ref 0 in
-  let last = ref (Unix.gettimeofday ()) in
-  let drain () =
+let dead w = Atomic.get w.crashed <> None || Atomic.get w.failed <> None
+
+(* One round, run by its leader under [commit_mu]: drain every shard and
+   commit what it held in chunks of [flush_records] — each chunk one write
+   + one fsync — so a commit's cost and blast radius (the records a torn
+   tail can lose) stay bounded however large the backlog.  A dead or
+   closed log drains and drops.  The round latches whatever kills it, so
+   no exception reaches the appender or flusher that happened to lead. *)
+let round w =
+  Atomic.incr w.rounds;
+  let live = not (w.closed || dead w) in
+  let n = ref 0 in
+  let emit () =
+    if !n > 0 then begin
+      let k = !n in
+      n := 0;
+      commit w k
+    end
+  in
+  try
     Array.iter
       (fun sh ->
         Mutex.lock sh.mu;
         let b = sh.buf in
         sh.buf <- [];
         Mutex.unlock sh.mu;
-        List.iter
-          (fun r ->
-            pending := r :: !pending;
-            incr n_pending)
-          b)
-      w.shards
-  in
-  (* A drained backlog larger than [flush_records] is committed in chunks
-     of that size — each chunk one write + one fsync — so a commit's cost
-     and blast radius (the records a torn tail can lose) stay bounded no
-     matter how far the committer fell behind. *)
-  let commit_pending now =
-    let rec go lst =
-      match lst with
-      | [] -> ()
-      | _ ->
-        let rec take k acc rest =
-          if k = 0 then (List.rev acc, rest)
-          else
-            match rest with
-            | [] -> (List.rev acc, [])
-            | r :: tl -> take (k - 1) (r :: acc) tl
-        in
-        let batch, rest = take w.flush_records [] lst in
-        commit w batch (List.length batch);
-        go rest
-    in
-    go (List.rev !pending);
-    pending := [];
-    n_pending := 0;
-    Atomic.set w.force false;
-    last := now
-  in
-  let rec loop () =
-    let round = Atomic.fetch_and_add w.rounds 1 + 1 in
-    drain ();
-    let now = Unix.gettimeofday () in
-    let committing =
-      !n_pending > 0
-      && (!n_pending >= w.flush_records
-         || now -. !last >= w.flush_interval
-         || Atomic.get w.force || Atomic.get w.stop)
-    in
-    if committing then commit_pending now
-    else if !n_pending = 0 && Atomic.get w.force then Atomic.set w.force false;
-    if !n_pending = 0 then Atomic.set w.durable_round round;
-    if Atomic.get w.stop then begin
-      (* Final drain: appends racing the stop flag may still be in the
-         shards; anything arriving after this is lost (documented). *)
-      drain ();
-      if !n_pending > 0 then commit_pending (Unix.gettimeofday ())
-    end
-    else begin
-      (* Sleep between rounds rather than spin: a spinning committer
-         (and its per-shard mutex sweep) steals mutator CPU — on a
-         fully loaded box it showed up as tens of percent of unite
-         throughput.  Only a just-finished commit or a waiting
-         [flush]er warrants an immediate next round. *)
-      if committing || Atomic.get w.force then Domain.cpu_relax ()
-      else Unix.sleepf (min 0.002 (w.flush_interval /. 2.));
-      loop ()
-    end
-  in
-  loop ()
+        Atomic.set w.drained (Atomic.get w.drained + List.length b);
+        if live then
+          List.iter
+            (fun r ->
+              encode_into w.chunk (!n * record_bytes) r;
+              incr n;
+              if !n = w.flush_records then emit ())
+            b)
+      w.shards;
+    emit ()
+  with
+  | Fi.Crashed (site, slot) -> Atomic.set w.crashed (Some (site, slot))
+  | e -> Atomic.set w.failed (Some e)
 
-let create_writer ?(shards = 8) ?(flush_records = 64) ?(flush_interval = 0.002)
-    ?epoch ?on_committer_start path =
+(* The size trigger, on the count of records in the shards.  A caller
+   that finds [commit_mu] taken leaves its records to the leader, which
+   checks the count again after unlocking: so once appends stop, fewer
+   than [flush_records] records stay staged. *)
+let rec lead_if_full w =
+  if Atomic.get w.appended - Atomic.get w.drained >= w.flush_records
+     && Mutex.try_lock w.commit_mu
+  then begin
+    round w;
+    Mutex.unlock w.commit_mu;
+    lead_if_full w
+  end
+
+let create_writer ?(shards = 8) ?(flush_records = 64) ?epoch path =
   if shards < 1 then invalid_arg "Wal.create_writer: shards must be >= 1";
   if flush_records < 1 then invalid_arg "Wal.create_writer: flush_records must be >= 1";
-  if flush_interval <= 0. then
-    invalid_arg "Wal.create_writer: flush_interval must be positive";
   let oc = open_out_bin path in
   output_string oc magic;
   flush oc;
-  let epoch = match epoch with Some e -> e | None -> Epoch.create () in
-  let w =
-    {
-      path;
-      oc;
-      fd = Unix.descr_of_out_channel oc;
-      epoch;
-      seq = Atomic.make 0;
-      shards = Array.init shards (fun _ -> { mu = Mutex.create (); buf = [] });
-      flush_records;
-      flush_interval;
-      stop = Atomic.make false;
-      force = Atomic.make false;
-      appended = Atomic.make 0;
-      committed = Atomic.make 0;
-      rounds = Atomic.make 0;
-      durable_round = Atomic.make 0;
-      commits = Atomic.make 0;
-      crashed = Atomic.make None;
-      failed = Atomic.make None;
-      close_mu = Mutex.create ();
-      closed = false;
-      committer = None;
-    }
-  in
-  (* The death latches wrap the whole domain body, [on_committer_start]
-     included: a committer that dies for ANY reason — injected crash, real
-     I/O failure, or a raising start hook — must leave a latch behind,
-     because [flush]/[close] wait loops key off them and an unlatched
-     death would leave every later [flush] spinning forever. *)
-  w.committer <-
-    Some
-      (Domain.spawn (fun () ->
-           try
-             (match on_committer_start with None -> () | Some f -> f ());
-             run_committer w
-           with
-           | Fi.Crashed (site, slot) -> Atomic.set w.crashed (Some (site, slot))
-           | e -> Atomic.set w.failed (Some e)));
-  w
+  {
+    path;
+    oc;
+    fd = Unix.descr_of_out_channel oc;
+    epoch = (match epoch with Some e -> e | None -> Epoch.create ());
+    seq = Atomic.make 0;
+    shards = Array.init shards (fun _ -> { mu = Mutex.create (); buf = [] });
+    flush_records;
+    commit_mu = Mutex.create ();
+    chunk = Bytes.create (flush_records * record_bytes);
+    rounds = Atomic.make 0;
+    appended = Atomic.make 0;
+    drained = Atomic.make 0;
+    committed = Atomic.make 0;
+    commits = Atomic.make 0;
+    crashed = Atomic.make None;
+    failed = Atomic.make None;
+    closed = false;
+  }
 
 let epoch w = w.epoch
 
@@ -294,32 +249,21 @@ let append w ~child ~parent =
   Mutex.lock sh.mu;
   sh.buf <- r :: sh.buf;
   Mutex.unlock sh.mu;
-  ignore (Atomic.fetch_and_add w.appended 1)
+  Atomic.incr w.appended;
+  lead_if_full w
 
 let crashed w = Atomic.get w.crashed
 let failed w = Atomic.get w.failed
 
-(* A dead committer will never advance [committed] again, so every wait
-   loop must give up as soon as either death latch is set. *)
-let dead w = Atomic.get w.crashed <> None || Atomic.get w.failed <> None
-
-(* The caller's records were staged before [flush] read [rounds], so the
-   next round's drain takes them.  A record count is no such proof: the
-   shards drain one by one, so a round can commit later appends from
-   other domains and reach the count while missing the caller's own. *)
+(* The caller's records were staged before [flush] read [rounds], so a
+   round that starts after the read drains them; holding [commit_mu], the
+   caller knows any such round has finished.  A record count is no such
+   proof: the shards drain one by one, so a round can commit later appends
+   from other domains and reach the count while missing the caller's own. *)
 let flush w =
-  let target = Atomic.get w.rounds + 1 in
-  Atomic.set w.force true;
-  let rec wait () =
-    if dead w then ()
-    else if Atomic.get w.durable_round >= target then ()
-    else begin
-      (* Sleep-poll: the committer needs the CPU more than this waiter. *)
-      Unix.sleepf 0.00005;
-      wait ()
-    end
-  in
-  wait ()
+  let seen = Atomic.get w.rounds in
+  Mutex.protect w.commit_mu (fun () -> if Atomic.get w.rounds = seen then round w);
+  lead_if_full w
 
 type writer_stats = {
   ws_appended : int;
@@ -336,24 +280,14 @@ let writer_stats w =
     ws_crashed = Atomic.get w.crashed;
   }
 
-(* Idempotent and safe against a dead committer: the mutex serializes
-   concurrent closers (the second waits, then sees [closed] and returns),
-   [flush] cannot hang (it exits on the death latches), and the single
-   [Domain.join] never re-raises — a committer that died took its
-   exception into a latch, not into the joiner. *)
+(* Idempotent: closers serialize on [commit_mu], and the first commits what
+   is staged and closes the file.  A round never raises, so neither does
+   [close], whatever killed the log. *)
 let close w =
-  Mutex.lock w.close_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.close_mu)
-    (fun () ->
+  Mutex.protect w.commit_mu (fun () ->
       if not w.closed then begin
+        round w;
         w.closed <- true;
-        flush w;
-        Atomic.set w.stop true;
-        (match w.committer with
-        | None -> ()
-        | Some d -> ( try Domain.join d with _ -> ()));
-        w.committer <- None;
         close_out_noerr w.oc
       end)
 

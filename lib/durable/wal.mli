@@ -10,12 +10,17 @@
 
     The mutator hot path is one enqueue: stamp (seq, epoch), push onto a
     per-domain-sharded staging buffer (one mutex each, domains hash to
-    shards so contention is spread).  A dedicated committer domain drains
-    the shards and {e group-commits}: one [write] + one [fsync] per batch,
-    a batch closing when it reaches [flush_records] records or
-    [flush_interval] seconds pass with work pending.  Burst cost per
-    record is therefore amortized to a buffer push; the window of loss on
-    a crash (RPO) is the commit window, not per-op.
+    shards so contention is spread).  There is no committer domain: the
+    caller that finds work to commit leads a {e round} itself (leader-based
+    group commit, as in Aether).  A round drains every shard and commits
+    the records in chunks of [flush_records], one [write] + one [fsync]
+    per chunk; one leader at a time, under a commit mutex.  An {!append}
+    that brings the staged count to [flush_records] leads a round if the
+    mutex is free; a {!flush} waits on the mutex for a round that covers
+    its records.  Burst cost per record is therefore amortized to a buffer
+    push; the window of loss on a crash (RPO) is the commit window, not
+    per-op.  "The committer" in this repository's messages means whichever
+    domain leads the commit.
 
     {2 On-disk format}
 
@@ -37,10 +42,11 @@
     {!Repro_fault.Site.Wal_commit_pre}, then {e flushes a partial batch}
     and hits {!Repro_fault.Site.Wal_commit_mid} (a crash here
     deterministically tears the final record), then fsyncs and hits
-    {!Repro_fault.Site.Wal_commit_post}.  A {!Repro_fault.Inject.Crashed}
-    raised in the committer is caught and latched ({!crashed}); the
-    writer stops committing, mutators keep enqueueing unharmed — the
-    crashed-committer state is exactly what the chaos drill recovers
+    {!Repro_fault.Site.Wal_commit_post}, all on the leader's domain.  A
+    {!Repro_fault.Inject.Crashed} raised in a round is caught and latched
+    ({!crashed}), like any other exception ({!failed}); either latch kills
+    the log.  The leader returns normally and mutators keep appending
+    unharmed — the dead-log state is exactly what the chaos drill recovers
     from. *)
 
 type record = { seq : int; epoch : int; x : int; y : int }
@@ -53,50 +59,43 @@ val magic : string
 type writer
 
 val create_writer :
-  ?shards:int ->
-  ?flush_records:int ->
-  ?flush_interval:float ->
-  ?epoch:Epoch.t ->
-  ?on_committer_start:(unit -> unit) ->
-  string ->
-  writer
-(** Create (truncating) the log at the given path and spawn the committer
-    domain.  [shards] (default 8) staging buffers; a batch commits at
-    [flush_records] (default 64) records or after [flush_interval]
-    (default 2ms) seconds with work pending.  [epoch] shares an existing
-    counter (else a fresh one); [on_committer_start] runs first on the
-    committer domain — the chaos drill uses it to enroll the committer
-    for fault injection.  @raise Invalid_argument on nonsensical knobs;
-    [Sys_error] if the file cannot be created. *)
+  ?shards:int -> ?flush_records:int -> ?epoch:Epoch.t -> string -> writer
+(** Create (truncating) the log at the given path.  [shards] (default 8)
+    staging buffers; an {!append} leads a round once [flush_records]
+    (default 64) records are staged, and each round commits in chunks of
+    at most that many.  [epoch] shares an existing counter (else a fresh
+    one).  @raise Invalid_argument on nonsensical knobs; [Sys_error] if
+    the file cannot be created. *)
 
 val append : writer -> child:int -> parent:int -> unit
 (** Stage one link record, epoch-stamped now (call it {e after} the link
     applied — it is shaped to be passed as the layouts' [on_link] hook
-    directly).  Never blocks on I/O. *)
+    directly).  Blocks on I/O only when the staged count reaches
+    [flush_records] and the commit mutex is free: then this call leads a
+    round.  Never raises. *)
 
 val flush : writer -> unit
-(** Block until everything appended so far is fsynced (group commit
-    forced), or the committer has died ({!crashed} or {!failed}) — a dead
-    committer will never advance the commit watermark, so waiting on it
-    would hang forever.  Callers that need the durability guarantee must
-    check {!crashed}/{!failed} after [flush] returns. *)
+(** Return once everything appended before the call is
+    fsynced, or the log is dead.  The caller takes the commit mutex; if no
+    round started since the call, it leads one, else that round already
+    drained its records.  Never raises: callers that need the durability
+    guarantee must check {!crashed}/{!failed} after [flush] returns. *)
 
 val close : writer -> unit
-(** {!flush}, stop and join the committer, close the file.  Idempotent
-    and safe under every committer state: concurrent or repeated [close]
-    calls are serialized and the non-first are no-ops, a committer that
-    already died (injected crash or real I/O failure) is joined without
-    hanging or re-raising, and the join happens exactly once. *)
+(** Commit what is staged and close the file.  Idempotent and safe
+    whatever killed the log: closers serialize on the commit mutex and the
+    non-first are no-ops; nothing raises.  Records appended after [close]
+    are dropped. *)
 
 val epoch : writer -> Epoch.t
 val path : writer -> string
 
 val crashed : writer -> (Repro_fault.Site.t * int) option
-(** The latched [(site, slot)] if an injected crash killed the committer. *)
+(** The latched [(site, slot)] if an injected crash killed a round. *)
 
 val failed : writer -> exn option
 (** The latched exception if anything {e other} than an injected crash
-    killed the committer (disk full, closed descriptor, …).  Either latch
+    killed a round (disk full, closed descriptor, …).  Either latch
     means no further record will ever commit. *)
 
 type writer_stats = {

@@ -294,15 +294,15 @@ let noise config =
     ]
   else []
 
-(* Slots below [victims] carry [victim k]; every worker slot carries the
-   stall/yield noise; slots from [config.domains] on are the durability
-   machinery's and get [extra slot]. *)
-let fault_plan config ~victims ~victim ~extra =
+(* Slots below [victims] carry [victim k]; every worker slot carries
+   [leader] (its rules for the group commits it leads) and the stall/yield
+   noise; slots from [config.domains] on are the durability machinery's
+   and get [extra slot]. *)
+let fault_plan config ~victims ~victim ~leader ~extra =
   let noise = noise config in
   let rules_for slot =
-    if slot < victims then victim slot :: noise
-    else if slot < config.domains then noise
-    else extra slot
+    if slot >= config.domains then extra slot
+    else (if slot < victims then [ victim slot ] else []) @ leader @ noise
   in
   { Fi.seed = config.fault_seed; rules_for }
 
@@ -402,30 +402,47 @@ let mutator_drill ~config ~plan ~depth ~dir =
   let m = config.ops_per_domain in
   let all = List.init domains Fun.id in
   let wal_path = Filename.concat dir "wal.log" in
-  (* At [Wal] the durability machinery crashes, not the mutators: their
-     links must fill the four group commits the committer's crash needs. *)
+  let r = fresh_run config in
+  (* At [Wal] the durability machinery crashes, not the mutators.  The
+     mutators lead the group commits, so each carries the rule "crash at
+     [Wal_commit_mid] in the [after + 1]-th chunk this slot leads", and
+     [after] is sized so that the run must reach that crash:
+     - the streams link at least [links] times ([n] minus the classes of
+       the closure of their unites: every unite completes, since no
+       mutator crashes here), and each link appends one record;
+     - the size trigger leaves fewer than [flush_records] records staged
+       once the appends stop, and a chunk holds at most [flush_records].
+       So, if the log lived, at least [links / flush_records] chunks
+       committed during the run, each led by a mutator: nothing else
+       appends or flushes before [close];
+     - one of the [domains] mutators leads at least a [domains]-th of
+       them, so with [after = (links / flush_records - 1) / domains] some
+       slot reaches its crash;
+     - [after >= 1], so that slot committed a chunk before it crashed.
+     Streams that link too little for [after >= 1] still run with
+     [after = 1]; [crash-fired] then reports a crash that never came. *)
+  let flush_records = 32 in
+  let links =
+    let s = Seq.create n in
+    Array.iter (Array.iter (function Op.Unite (x, y) -> Seq.unite s x y | _ -> ())) r.ops;
+    n - Seq.count_sets s
+  in
+  let after = max 1 (((links / flush_records) - 1) / domains) in
   let victims = if depth = Wal then 0 else config.crash_domains in
-  (* Arm before creating the writer: arming drops stale enrollments, so
-     the committer enrolls itself from [on_committer_start]. *)
+  (* Arm before the mutators and the snapshotter enroll: arming drops
+     stale enrollments. *)
   Fi.arm
     (fault_plan config ~victims
        ~victim:(fun k -> Fi.rule ~after:(config.crash_after * (k + 1)) Fi.Crash)
-       ~extra:(fun slot ->
-         (* The snapshotter dies halfway into its second scan; the
-            committer dies inside its fourth group commit. *)
-         if slot = domains then
-           Fi.rule ~sites:[ Site.Snapshot_read ] ~after:(n + (n / 2)) Fi.Crash :: noise config
-         else [ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after:3 Fi.Crash ]));
+       ~leader:[ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after Fi.Crash ]
+       ~extra:(fun _ ->
+         (* The snapshotter dies halfway into its second scan. *)
+         Fi.rule ~sites:[ Site.Snapshot_read ] ~after:(n + (n / 2)) Fi.Crash :: noise config));
   let wal =
     if depth <> Wal then None
-    else
-      Some
-        (Dwal.create_writer ~shards:(max 2 domains) ~flush_records:32 ~flush_interval:0.0005
-           ~on_committer_start:(fun () -> Fi.enroll ~slot:(domains + 1))
-           wal_path)
+    else Some (Dwal.create_writer ~shards:(max 2 domains) ~flush_records wal_path)
   in
   let d = Driver.create ~plan ~seed ?on_link:(Option.map Dwal.append wal) n in
-  let r = fresh_run config in
   let mutators_done = Atomic.make false in
   let caps = ref [] and snap_crash = ref None in
   let snapshotter =
@@ -462,8 +479,11 @@ let mutator_drill ~config ~plan ~depth ~dir =
        | _, s, c ->
          let site = Option.fold ~none:"never" ~some:Site.to_string in
          Some
-           (Printf.sprintf "snapshotter crash: %s; committer crash: %s" (site s)
-              (site (Option.map fst c))))
+           (Printf.sprintf "snapshotter crash: %s; commit crash: %s%s" (site s)
+              (site (Option.map fst c))
+              (match Option.bind wal Dwal.failed with
+               | Some e -> "; the log failed: " ^ Printexc.to_string e
+               | None -> "")))
   in
   let started = unites_of ~completed:false r in
   let facts, acked, recovery, recovered =
@@ -631,37 +651,47 @@ let drive ?(victims = 0) svc ~config ~rng ~sessions ~stop =
   (!enqueued, !acked, !first_done)
 
 (* Depth [Service]: workers below the victim count crash between drains
-   ([Queue_deq_cas]) and then the committer inside a group commit, with
-   acked traffic on both sides; then recovery from the newest fuzzy
+   ([Queue_deq_cas]) and then a worker inside a group commit it leads,
+   with acked traffic on both sides; then recovery from the newest fuzzy
    checkpoint on disk when the log died plus the log tail, audit, a
-   resumed service on the recovered backend, RTO from the committer's
-   crash (no durable ack is possible after it) to the resumed service's
-   first ack, and the audit again.
+   resumed service on the recovered backend, RTO from the commit crash
+   (no durable ack is possible after it) to the resumed service's first
+   ack, and the audit again.
 
-   The victims must crash first: a worker that finds the committer dead
-   fails its backlog and leaves its loop, so it might never reach its
-   crash hit.  The order holds by construction, not by timing.  Until
-   every victim is dead, [drive] sends traffic only to victims, with at
-   most [victim_unites] unites.  Only a link appends a WAL record and
-   every group commit carries at least one record, so that phase causes
-   at most [victim_unites] commits, and the committer crashes inside its
-   twelfth commit past that bound.  (Counting batches instead does not
-   bound commits: the committer also commits on its timer, so one batch
-   of 64 links can be cut into more than the two [flush_records] chunks.) *)
+   The victims must crash first: a worker that finds the log dead fails
+   its backlog and leaves its loop, so it might never reach its crash hit.
+   The order holds by construction, not by timing.  Any worker may lead a
+   group commit, so every worker carries the commit crash, in the
+   [victim_unites + 1]-th chunk its slot leads.  Only a link appends a
+   record, and every chunk holds one to [flush_records] records:
+   - until every victim is dead, [drive] sends traffic only to victims,
+     with at most [victim_unites] unites, so that phase commits at most
+     [victim_unites] chunks and no slot reaches its commit crash in it;
+   - after it only the [survivors] append and flush.  Random unites keep
+     linking until the structure is one set, [links] more records, and
+     every flush commits its worker's records, so if the log lived, at
+     least [links / flush_records] chunks would commit, each led by a
+     survivor.  One survivor leads [victim_unites + 1] of any
+     [survivors * victim_unites + 1] chunks, which sizes [flush_records];
+   - so the crashing slot has committed [victim_unites] chunks before it.
+   The worst case needs every link (the durable tests' n = 256 on 2
+   workers: 243 of 247 at [flush_records = 27]); the default config
+   needs 1,568 of 16,375.  A chunk of more than one record keeps the flush barrier
+   under test: most records are committed by the flush that acks them,
+   not by the size trigger. *)
 let service_drill ~config ~plan ~dir =
   let workers = config.domains in
   let victims = min config.crash_domains (workers - 1) in
+  let survivors = workers - victims in
+  let links = config.n - 1 - victim_unites in
+  let flush_records = max 1 (min 32 (links / ((survivors * victim_unites) + 1))) in
   let wal_path = Filename.concat dir "wal.log" in
   Fi.arm
     (fault_plan config ~victims
        ~victim:(fun k -> Fi.rule ~sites:[ Site.Queue_deq_cas ] ~after:(4 + k) Fi.Crash)
-       ~extra:(fun _ ->
-         [ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after:(victim_unites + 11) Fi.Crash ]));
-  let wal =
-    Dwal.create_writer ~flush_records:32 ~flush_interval:0.0005
-      ~on_committer_start:(fun () -> Fi.enroll ~slot:workers)
-      wal_path
-  in
+       ~leader:[ Fi.rule ~sites:[ Site.Wal_commit_mid ] ~after:victim_unites Fi.Crash ]
+       ~extra:(fun _ -> []));
+  let wal = Dwal.create_writer ~flush_records wal_path in
   let scfg =
     {
       Svc.n = config.n;
@@ -692,14 +722,14 @@ let service_drill ~config ~plan ~dir =
   let enqueued, acked, _ = drive ~victims svc ~config ~rng ~sessions:workers ~stop:all_crashed in
   let health = Svc.health svc in
   Svc.stop svc;
-  (* The committer is dead: close must neither hang nor double-join. *)
+  (* The log is dead: close must neither hang nor raise. *)
   Dwal.close wal;
   Fi.disarm ();
   let faults = Fi.totals () in
   let crashed = List.map (fun (k, (site, _)) -> (k, site)) health.Svc.h_dead_workers in
   let fired =
     crash_fired ~crashed ~victims ~failed:[]
-      (if health.Svc.h_committer_dead then None else Some "the committer never crashed")
+      (if health.Svc.h_committer_dead then None else Some "no group commit crashed")
   in
   let wal2 = Dwal.create_writer (Filename.concat dir "wal-resume.log") in
   Fun.protect

@@ -19,21 +19,26 @@
     - {b [Snapshot]} — the same crash, then snapshot to disk, read back,
       repair (must be a no-op), restore, and resume each stopped slot from
       the op it died inside.
-    - {b [Wal]} — the mutators (none of which crash here) log every link
-      to a group-committed write-ahead log while a snapshotter takes fuzzy
+    - {b [Wal]} — the mutators log every link to a write-ahead log whose
+      group commits they lead themselves, while a snapshotter takes fuzzy
       epoch snapshots; the snapshotter crashes halfway into its second
-      scan ([Snapshot_read]) and the committer inside its fourth group
-      commit ([Wal_commit_mid], leaving a torn tail).  Recovery is the newest snapshot plus the log
-      tail; every stream then re-runs on the recovered structure.
+      scan ([Snapshot_read]) and a mutator inside a group commit it leads
+      ([Wal_commit_mid], leaving a torn tail).  Every mutator carries the
+      commit crash, counted per slot and sized from the streams' link
+      count so that some mutator must reach it after committing a chunk;
+      the crash is caught into the log's latch, so no mutator stops.
+      Recovery is the newest snapshot plus the log tail; every stream
+      then re-runs on the recovered structure.
     - {b [Service]} — a {!Repro_service.Service} with [domains] workers,
       a WAL and fuzzy checkpoints; workers below [crash_domains] (at most
-      [domains - 1]) crash between drains ([Queue_deq_cas]), then the
-      committer inside a group commit at least twelve commits later.
-      Until every victim is dead only victims get traffic, with a few
-      unites, so the victims always crash first.  Recovery is the newest
-      checkpoint on disk when the log died plus the log tail; then a
-      second service resumes on the recovered backend, and RTO is its
-      first ack minus the committer's crash.
+      [domains - 1]) crash between drains ([Queue_deq_cas]), then a
+      surviving worker inside a group commit it leads.  Every worker
+      carries the commit crash past the most chunks the victims' traffic
+      can commit; until every victim is dead only victims get traffic,
+      with a few unites, so the victims always crash first.  Recovery is
+      the newest checkpoint on disk when the log died plus the log tail;
+      then a second service resumes on the recovered backend, and RTO is
+      its first ack minus the commit crash.
 
     One {!audit} serves every depth: forest validity (range, id/rank order
     read live, acyclicity) with [find] agreeing with the parent chains; the

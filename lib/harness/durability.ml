@@ -45,7 +45,6 @@ let default_config =
   }
 
 let flush_records = 256
-let flush_interval = 0.002
 
 type result = {
   config : config;
@@ -128,14 +127,12 @@ let run ?(config = default_config) () =
         in
         (s, scan_ns))
   in
-  (* Phase 3: WAL on — every link enqueued, committer group-committing to
-     a scratch file that is removed afterwards. *)
+  (* Phase 3: WAL on — every link enqueued, the mutators leading group
+     commits to a scratch file that is removed afterwards. *)
   let on_s, (wal_appended, wal_committed, wal_commits) =
     best c (fun () ->
         let path = Filename.temp_file "dsu-durability" ".wal" in
-        let wal =
-          Dwal.create_writer ~flush_records ~flush_interval path
-        in
+        let wal = Dwal.create_writer ~flush_records path in
         let secs, _, () = timed_run c ops ~on_link:(Dwal.append wal) ignore in
         Dwal.close wal;
         let s = Dwal.writer_stats wal in
@@ -172,7 +169,6 @@ let to_json (r : result) =
       ("repeats", J.Int c.repeats);
       ("snapshots", J.Int c.snapshots);
       ("flush_records", J.Int flush_records);
-      ("flush_interval", J.Float flush_interval);
       ("policy", J.String (Policy.to_string c.policy));
       Perfdiff.metrics_field
         [

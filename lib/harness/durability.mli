@@ -35,9 +35,8 @@ val default_config : config
     captures. *)
 
 val flush_records : int
-val flush_interval : float
 (** The group commit of the wal=on phase and of [dsu_workload native
-    --wal]: a batch closes at 256 records or after 2 ms. *)
+    --wal]: a mutator leads a round once 256 records are staged. *)
 
 type result = {
   config : config;

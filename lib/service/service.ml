@@ -338,9 +338,10 @@ let process_batch t sc n =
   done;
   let expired = !expired in
   note_max t.max_batch n;
-  (* The durability barrier: force the group commit and only ack if the
-     committer is still alive to have performed it.  An ack therefore
-     implies the batch's links are on disk — RPO = 0 by construction. *)
+  (* The durability barrier: force the group commit (leading it unless a
+     round already covers the batch) and only ack if the log is still
+     alive.  An ack therefore implies the batch's links are on disk —
+     RPO = 0 by construction. *)
   let durable =
     match t.wal with
     | None -> true

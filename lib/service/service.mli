@@ -44,8 +44,11 @@
     {2 Ack/durability contract}
 
     With a WAL attached, a worker forces the group commit {e before}
-    acknowledging any op of a drained batch, and only acks if the
-    committer is still alive to have performed it.  Therefore:
+    acknowledging any op of a drained batch, and only acks if the log is
+    still alive.  There is no committer domain: "the committer" here and
+    in [wal-committer-dead] means whichever domain leads the commit, the
+    flushing worker itself or the one whose round covered its records
+    ({!Repro_durable.Wal}).  Therefore:
 
     - an acked ([Done]) unite is on disk — recovery must reproduce it
       (RPO = 0, measured by the serving chaos drill);
@@ -53,7 +56,7 @@
       with a crashed worker and their submitters never see a response;
     - every admitted op on a surviving path gets exactly one response:
       [Done], [Shed], [Timed_out], or [Failed] (the last when durable
-      acking became impossible — dead committer — or at shutdown sweep).
+      acking became impossible — dead log — or at shutdown sweep).
 
     {2 Snapshots}
 
@@ -164,6 +167,8 @@ type health = {
   h_dead_workers : (int * (Repro_fault.Site.t * int)) list;
       (** worker index ↦ latched injected crash *)
   h_committer_dead : bool;
+      (** the WAL is dead (a group commit crashed or failed, whichever
+          domain led it), or a worker refused to ack because of it *)
 }
 
 val health : t -> health
