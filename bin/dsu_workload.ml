@@ -377,6 +377,10 @@ let check_arg cond msg = if cond then Ok () else Error (`Msg msg)
 
 let ( let* ) = Result.bind
 
+(* A [--*-frac] flag as a whole percent, rounded to nearest: 0.29 is
+   29, not the 28 that truncating [0.29 *. 100.] gives. *)
+let percent frac = int_of_float (Float.round (frac *. 100.))
+
 (* Exit statuses: 0 = ok, 124 = bad flag (Cmdliner), and this one for
    every failed check or gate — drill audits, guards, lincheck
    violations, a torn WAL under --check, perfdiff regressions, a serve
@@ -467,7 +471,7 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
         {
           Harness.Autotune.n;
           domains;
-          unite_percent = int_of_float (unite_frac *. 100.);
+          unite_percent = percent unite_frac;
           dist = Harness.Scalability.Uniform;
           total_ops = ops;
           seed;
@@ -1112,7 +1116,7 @@ let run_chaos n ops domains crash_domains crash_after stall_prob stall_len
       crash_after;
       stall_prob;
       stall_len;
-      unite_percent = int_of_float (unite_frac *. 100.);
+      unite_percent = percent unite_frac;
       seed;
       fault_seed;
       policies = default policies Policy.Two_try_splitting;
@@ -1376,7 +1380,7 @@ let run_durability n ops domains unite_frac seed repeats snapshots policy
       Durability.n;
       ops_per_domain = ops;
       domains;
-      unite_percent = int_of_float (unite_frac *. 100.);
+      unite_percent = percent unite_frac;
       seed;
       repeats;
       snapshots;
@@ -1546,6 +1550,13 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
       (unite_frac >= 0. && find_frac >= 0. && unite_frac +. find_frac <= 1.)
       "--unite-frac and --find-frac must be nonnegative and sum to <= 1"
   in
+  let unite_percent = percent unite_frac and find_percent = percent find_frac in
+  let* () =
+    check_arg
+      (unite_percent + find_percent <= 100)
+      "--unite-frac and --find-frac must sum to <= 100% once rounded to \
+       whole percents"
+  in
   let* () =
     check_arg
       (List.for_all (fun r -> r > 0.) rates)
@@ -1558,7 +1569,7 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
           {
             Harness.Autotune.n;
             domains = (if workers = 0 then gens else workers);
-            unite_percent = int_of_float (unite_frac *. 100.);
+            unite_percent;
             dist = Harness.Scalability.Uniform;
             total_ops = gens * ops;
             seed;
@@ -1570,8 +1581,8 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
   let config =
     {
       Load.n;
-      unite_percent = int_of_float (unite_frac *. 100.);
-      find_percent = int_of_float (find_frac *. 100.);
+      unite_percent;
+      find_percent;
       seed;
       generators = gens;
       ops;
@@ -1655,25 +1666,8 @@ let conn_samplings_arg =
     & opt_all conn_sampling_conv []
     & info [ "sampling" ] ~docv:"S"
         ~doc:
-          "Sampling phase: none, k-out:K or bfs-hubs:H (repeatable; default \
-           none and k-out:2).")
-
-let conn_finish_conv =
-  let parse s =
-    match Connectit.finish_of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg (Printf.sprintf "unknown finish kernel %S" s))
-  in
-  let print ppf v = Format.pp_print_string ppf (Connectit.finish_to_string v) in
-  Arg.conv (parse, print)
-
-let conn_finishes_arg =
-  Arg.(
-    value
-    & opt_all conn_finish_conv []
-    & info [ "finish" ] ~docv:"F"
-        ~doc:
-          "Finish kernel: per-op or bulk (repeatable; default both).")
+          "Sampling phase: none or k-out:K (repeatable; default none and \
+           k-out:2).")
 
 let conn_mode_conv =
   let parse s =
@@ -1751,19 +1745,9 @@ let conn_check_det_arg =
            counts 1/2/4 x three perturbation schedules (injected yields) \
            and demand byte-identical labels; exit 3 on any disagreement.")
 
-let conn_guard_finish_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "guard-finish" ] ~docv:"RATIO"
-        ~doc:
-          "CI gate: at the highest racy domain count, every bulk finish \
-           must reach $(docv) x its per-op twin's finish-phase edges/sec; \
-           exit 3 otherwise.")
-
-let run_connectivity gens samplings finishes modes domains_list scale
-    edge_factor chunk seed simple plan autotune_cache block_chunks
-    no_baselines adversarial_n check_det guard_finish json_out =
+let run_connectivity gens samplings modes domains_list scale edge_factor
+    chunk seed simple plan autotune_cache block_chunks no_baselines
+    adversarial_n check_det json_out =
   let* () = check_arg (scale >= 1 && scale <= 40) "--scale must be in [1, 40]" in
   let* () = check_arg (edge_factor >= 1) "--edge-factor must be >= 1" in
   let* () = check_arg (chunk >= 1) "--chunk must be >= 1" in
@@ -1806,8 +1790,6 @@ let run_connectivity gens samplings finishes modes domains_list scale
       gens = (if gens = [] then defaults.Connectivity.gens else gens);
       samplings =
         (if samplings = [] then defaults.Connectivity.samplings else samplings);
-      finishes =
-        (if finishes = [] then defaults.Connectivity.finishes else finishes);
       modes = (if modes = [] then defaults.Connectivity.modes else modes);
       plan;
       block_chunks;
@@ -1818,9 +1800,9 @@ let run_connectivity gens samplings finishes modes domains_list scale
   let points =
     Connectivity.sweep ~config
       ~progress:(fun p ->
-        Printf.eprintf "connectivity: %s %s %s %s d=%d  %.2f Medges/s\n%!"
+        Printf.eprintf "connectivity: %s %s %s d=%d  %.2f Medges/s\n%!"
           p.Connectivity.gen p.Connectivity.mode p.Connectivity.sampling
-          p.Connectivity.finish p.Connectivity.domains
+          p.Connectivity.domains
           (p.Connectivity.edges_per_sec /. 1e6))
       ()
   in
@@ -1881,18 +1863,6 @@ let run_connectivity gens samplings finishes modes domains_list scale
       exit check_failed_exit
     end
   end;
-  (match guard_finish with
-  | None -> ()
-  | Some min_ratio -> (
-    match Connectivity.guard_finish ~min_ratio points with
-    | Ok (worst, pairs) ->
-      Printf.printf
-        "guard-finish: ok — worst bulk/per-op finish ratio %.2f over %d \
-         pair(s) (floor %.2f)\n"
-        worst (List.length pairs) min_ratio
-    | Error e ->
-      Printf.eprintf "guard-finish: FAIL — %s\n%!" e;
-      exit check_failed_exit));
   Ok ()
 
 let connectivity_cmd =
@@ -1906,11 +1876,11 @@ let connectivity_cmd =
     Term.(
       term_result
         (const run_connectivity $ conn_gens_arg $ conn_samplings_arg
-        $ conn_finishes_arg $ conn_modes_arg $ conn_domains_arg
-        $ conn_scale_arg $ conn_edge_factor_arg $ conn_chunk_arg $ seed_arg
-        $ conn_simple_arg $ plan_arg $ autotune_cache_arg
-        $ conn_block_chunks_arg $ conn_no_baselines_arg $ conn_adversarial_arg
-        $ conn_check_det_arg $ conn_guard_finish_arg $ json_out_arg))
+        $ conn_modes_arg $ conn_domains_arg $ conn_scale_arg
+        $ conn_edge_factor_arg $ conn_chunk_arg $ seed_arg $ conn_simple_arg
+        $ plan_arg $ autotune_cache_arg $ conn_block_chunks_arg
+        $ conn_no_baselines_arg $ conn_adversarial_arg $ conn_check_det_arg
+        $ json_out_arg))
 
 (* ----------------------------------------------------- scalability mode *)
 

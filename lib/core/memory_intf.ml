@@ -18,7 +18,12 @@ module type S = sig
   type t
 
   val read : t -> int -> int
-  (** Atomic load of node [i]'s parent. *)
+  (** Load of node [i]'s parent.  The instance's memory order decides
+      the kind of load: a native memory under the default
+      [relaxed-reads] order makes it a plain load, under [acquire] an
+      acquire load and under [seq-cst] a seq-cst one.  {!Memory_order}
+      argues why each is sound (every write is a CAS that re-validates
+      what was read). *)
 
   val cas : t -> int -> int -> int -> bool
   (** [cas t i expected desired] atomically replaces node [i]'s parent.

@@ -10,8 +10,8 @@ module Clock = Repro_obs.Clock
    - [components]: the original materialized-graph API, now
      plan-dispatched ({!Dsu.Driver}), its phases on one {!Team};
    - [run_stream]: the out-of-core pipeline over an {!Edge_stream} —
-     sampling x finish x plan on the racy engine, or the
-     schedule-independent {!Det_bulk} engine. *)
+     sampling x plan on the racy engine, or the schedule-independent
+     {!Det_bulk} engine. *)
 
 (* Every vertex's current root, written into the shared [labels] by
    member [k] of a [total]-member team for its own vertex range: the
@@ -121,20 +121,17 @@ let components ?(domains = 4) ?(seed = 1) ?(strategy = Sampled 2)
 (* ------------------------------------------------------------------ *)
 (* Streamed pipeline. *)
 
-type sampling = No_sampling | K_out of int | Bfs_hubs of int
-type finish = Per_op | Bulk
+type sampling = No_sampling | K_out of int
 type mode = Racy | Deterministic
 
 let sampling_to_string = function
   | No_sampling -> "none"
   | K_out k -> Printf.sprintf "k-out:%d" k
-  | Bfs_hubs h -> Printf.sprintf "bfs-hubs:%d" h
 
 (* k-out's budget is one byte per vertex, hence the 255 ceiling. *)
 let sampling_valid = function
   | No_sampling -> true
   | K_out k -> k >= 1 && k <= 255
-  | Bfs_hubs h -> h >= 1
 
 let sampling_of_string s =
   let parsed =
@@ -142,19 +139,9 @@ let sampling_of_string s =
     | [ "none" ] -> Some No_sampling
     | [ "k-out"; k ] -> int_of_string_opt k |> Option.map (fun k -> K_out k)
     | [ "k-out" ] -> Some (K_out 2)
-    | [ "bfs-hubs"; h ] ->
-      int_of_string_opt h |> Option.map (fun h -> Bfs_hubs h)
-    | [ "bfs-hubs" ] -> Some (Bfs_hubs 64)
     | _ -> None
   in
   Option.bind parsed (fun v -> if sampling_valid v then Some v else None)
-
-let finish_to_string = function Per_op -> "per-op" | Bulk -> "bulk"
-
-let finish_of_string = function
-  | "per-op" -> Some Per_op
-  | "bulk" -> Some Bulk
-  | _ -> None
 
 let mode_to_string = function Racy -> "racy" | Deterministic -> "det"
 
@@ -185,22 +172,21 @@ let count_components labels =
 (* The racy pass is one {!Team}: its domains are spawned once, and a
    barrier separates the phases
 
-     sampling | snapshot | giant | finish | labels
+     sample | snapshot | giant | finish | labels
 
-   (bfs-hubs adds a barrier-fenced hub-marking step between its two
-   window passes).  Each member allocates one chunk buffer and keeps it
-   for the whole pass.  Chunks are handed out by an atomic cursor per
-   pass, so a slow domain simply takes fewer.  A pass first runs on the
-   chunk still in the member's buffer, and its cursor skips every chunk
-   some member holds: each chunk is processed exactly once per pass, and
-   the window chunks resident at the end of sampling are finished from
-   memory.  With [h] members holding a sampled chunk ([h = min domains
-   window] unless some member got none), k-out generates
-   [chunks + window - h] chunks per pass.  The snapshot and the final
-   labels share one [n]-array, each member writing its vertex range. *)
+   (with no sampling, only the last two run).  Each member allocates
+   one chunk buffer and keeps it for the whole pass.  Chunks are handed
+   out by an atomic cursor per pass, so a slow domain simply takes
+   fewer.  The finish first runs on the chunk still in the member's
+   buffer, and its cursor skips every chunk some member holds: each
+   chunk is finished exactly once, and the window chunks resident at
+   the end of sampling are finished from memory.  With [h] members
+   holding a sampled chunk ([h = min domains window] unless some member
+   got none), k-out generates [chunks + window - h] chunks.  The
+   snapshot and the final labels share one [n]-array, each member
+   writing its vertex range. *)
 let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
-    ?(sampling = K_out 2) ?(finish = Bulk) ?(mode = Racy) ?(block_chunks = 8)
-    stream =
+    ?(sampling = K_out 2) ?(mode = Racy) ?(block_chunks = 8) stream =
   if not (sampling_valid sampling) then
     invalid_arg
       (Printf.sprintf "Connectit.run_stream: invalid sampling %s"
@@ -238,76 +224,39 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
     let window = Edge_stream.sample_window stream in
     let sample_unites = Atomic.make 0 and skipped = Atomic.make 0 in
     let gen_ns = Atomic.make 0 in
-    (* The sampling passes over the window, in order, and the work
-       member 0 does between two passes, fenced by a barrier on each
-       side. *)
-    let sample_passes, between_passes =
+    (* The sample pass over the window, if any. *)
+    let sample =
       match sampling with
-      | No_sampling -> ([], ignore)
+      | No_sampling -> None
       | K_out k ->
         (* Per-vertex out-degree budget.  The unsynchronized byte
            counters can race a few extra unites in — harmless for the
            racy engine, and far cheaper than n atomic cells. *)
         let budget = Bytes.make n '\000' in
-        let sample (buf : Edge_stream.chunk) =
-          let mine = ref 0 in
-          for e = 0 to buf.len - 1 do
-            let u = buf.src.(e) and v = buf.dst.(e) in
-            let b = Char.code (Bytes.unsafe_get budget u) in
-            if b < k then begin
-              Bytes.unsafe_set budget u (Char.unsafe_chr (b + 1));
-              Dsu.Driver.unite d u v;
-              incr mine
-            end
-          done;
-          ignore (Atomic.fetch_and_add sample_unites !mine)
-        in
-        ([ sample ], ignore)
-      | Bfs_hubs hubs ->
-        (* Pass 1: racy degree histogram (lost updates only blur hub
-           selection, never correctness).  Pass 2: unite every window
-           edge incident to a hub — the streamed analogue of BFS
-           outward from high-degree roots. *)
-        let degree = Array.make n 0 and hub = Bytes.make n '\000' in
-        let count_degrees (buf : Edge_stream.chunk) =
-          for e = 0 to buf.len - 1 do
-            let u = buf.src.(e) in
-            degree.(u) <- degree.(u) + 1
-          done
-        in
-        let mark_hubs () =
-          let order = Array.init n (fun i -> i) in
-          Array.sort (fun a b -> compare degree.(b) degree.(a)) order;
-          for i = 0 to min hubs n - 1 do
-            Bytes.set hub order.(i) '\001'
-          done
-        in
-        let unite_hub_edges (buf : Edge_stream.chunk) =
-          let mine = ref 0 in
-          for e = 0 to buf.len - 1 do
-            let u = buf.src.(e) and v = buf.dst.(e) in
-            if Bytes.unsafe_get hub u = '\001' || Bytes.unsafe_get hub v = '\001'
-            then begin
-              Dsu.Driver.unite d u v;
-              incr mine
-            end
-          done;
-          ignore (Atomic.fetch_and_add sample_unites !mine)
-        in
-        ([ count_degrees; unite_hub_edges ], mark_hubs)
+        Some
+          (fun (buf : Edge_stream.chunk) ->
+            let mine = ref 0 in
+            for e = 0 to buf.len - 1 do
+              let u = buf.src.(e) and v = buf.dst.(e) in
+              let b = Char.code (Bytes.unsafe_get budget u) in
+              if b < k then begin
+                Bytes.unsafe_set budget u (Char.unsafe_chr (b + 1));
+                Dsu.Driver.unite d u v;
+                incr mine
+              end
+            done;
+            ignore (Atomic.fetch_and_add sample_unites !mine))
     in
     (* The giant snapshot, then the final roots. *)
     let labels = Array.make n 0 in
     let giant = ref (-1) in
-    (* [held.(k)]: the chunk member [k]'s buffer held when the current
-       pass began, or -1.  A member writes its own slot only in a phase
-       in which no pass runs, so every skip test of a pass reads the
-       values from its start. *)
+    (* [held.(k)]: the chunk member [k]'s buffer held when the finish
+       began, or -1.  A member writes its own slot only between the
+       sample pass and the finish, so every skip test of the finish
+       reads the values from its start. *)
     let held = Array.make (max 1 domains) (-1) in
     let is_held idx = Array.exists (Int.equal idx) held in
-    let cursors =
-      Array.init (List.length sample_passes + 1) (fun _ -> Atomic.make 0)
-    in
+    let sample_cursor = Atomic.make 0 and finish_cursor = Atomic.make 0 in
     let t_sampled = ref t_start and t_finished = ref t_start in
     (* Chunk buffers are allocated here, on the calling domain, as in
        [Det_bulk.run]: the same allocation on a freshly spawned domain
@@ -338,17 +287,10 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
           in
           loop ()
         in
-        List.iteri
-          (fun i f ->
-            if i > 0 then begin
-              sync ();
-              held.(k) <- !mine;
-              if k = 0 then between_passes ();
-              sync ()
-            end;
-            pass cursors.(i) ~limit:window f)
-          sample_passes;
-        if sampling <> No_sampling then begin
+        (match sample with
+        | None -> ()
+        | Some f ->
+          pass sample_cursor ~limit:window f;
           sync ();
           held.(k) <- !mine;
           label_range d labels k total;
@@ -357,23 +299,15 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
             giant := giant_of labels;
             t_sampled := Clock.now_ns ()
           end;
-          sync ()
-        end;
-        (* Finish over the whole stream.  With no sampling the giant is
-           -1, which no label equals. *)
+          sync ());
+        (* Finish over the whole stream.  With no sampling there is no
+           giant (-1), so whole chunks go to the bulk kernel. *)
         let g = !giant in
         let my_skipped = ref 0 in
         let finish_chunk (buf : Edge_stream.chunk) =
           let src = buf.src and dst = buf.dst in
-          match finish with
-          | Per_op ->
-            for e = 0 to buf.len - 1 do
-              let u = src.(e) and v = dst.(e) in
-              if labels.(u) = g && labels.(v) = g then incr my_skipped
-              else Dsu.Driver.unite d u v
-            done
-          | Bulk when g < 0 -> Dsu.Driver.unite_batch ~len:buf.len d src dst
-          | Bulk ->
+          if g < 0 then Dsu.Driver.unite_batch ~len:buf.len d src dst
+          else begin
             (* Compact the survivors in place, then one bulk-kernel call
                per chunk (root cache + prefetch amortized over it). *)
             let live = ref 0 in
@@ -387,8 +321,9 @@ let run_stream ?(domains = 4) ?(seed = 1) ?(plan = Dsu.Plan.default)
               end
             done;
             Dsu.Driver.unite_batch ~len:!live d src dst
+          end
         in
-        pass cursors.(List.length sample_passes) ~limit:chunks finish_chunk;
+        pass finish_cursor ~limit:chunks finish_chunk;
         ignore (Atomic.fetch_and_add skipped !my_skipped);
         ignore (Atomic.fetch_and_add gen_ns !my_gen_ns);
         sync ();

@@ -12,9 +12,11 @@
 
     {!components} is the materialized-graph entry point;
     {!run_stream} runs the same pipeline out-of-core over an
-    {!Edge_stream} (the edge list is never materialized), with a choice
-    of finish kernel (per-op vs bulk), any {!Dsu.Plan}, and an
-    internally deterministic mode ({!Det_bulk}). *)
+    {!Edge_stream} (the edge list is never materialized): an optional
+    k-out sample pass over a prefix window, then one finish that hands
+    each chunk's surviving edges to the bulk [unite_batch] kernel, under
+    any {!Dsu.Plan}; or an internally deterministic mode
+    ({!Det_bulk}). *)
 
 type strategy =
   | Direct  (** unite every edge; no sampling *)
@@ -50,13 +52,6 @@ type sampling =
   | K_out of int
       (** Unite each vertex's first [k] stream-incident out-edges over a
           prefix window of the stream. *)
-  | Bfs_hubs of int
-      (** Rank vertices by out-degree over a prefix window, then unite
-          every window edge incident to one of the top-[h] hubs. *)
-
-type finish =
-  | Per_op  (** one [unite] call per surviving edge *)
-  | Bulk  (** one [unite_batch] call per surviving chunk *)
 
 type mode =
   | Racy
@@ -73,12 +68,10 @@ type mode =
 val sampling_to_string : sampling -> string
 
 val sampling_of_string : string -> sampling option
-(** ["none"], ["k-out:<k>"] (bare ["k-out"] = 2), ["bfs-hubs:<h>"]
-    (bare = 64).  [None] for anything else, including [k] outside
-    [\[1, 255\]] (the budget is one byte per vertex) and [h < 1]. *)
+(** ["none"] or ["k-out:<k>"] (bare ["k-out"] = 2).  [None] for
+    anything else, including [k] outside [\[1, 255\]] (the budget is
+    one byte per vertex). *)
 
-val finish_to_string : finish -> string
-val finish_of_string : string -> finish option
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 
@@ -112,7 +105,6 @@ val run_stream :
   ?seed:int ->
   ?plan:Dsu.Plan.t ->
   ?sampling:sampling ->
-  ?finish:finish ->
   ?mode:mode ->
   ?block_chunks:int ->
   Edge_stream.t ->
@@ -121,15 +113,17 @@ val run_stream :
     [O(n + domains * chunk_size)]: the DSU state and one shared label
     array, plus one chunk buffer per domain, reused by every phase of
     the pass — the stream's edge list is never materialized.  In [Racy]
-    mode one team of domains runs all phases; the sampled chunks still
-    in the domains' buffers are finished from memory, so a [K_out] pass
-    generates [chunks + window - min domains window] chunks ([window],
-    the sampled prefix, covers about two edges per vertex), or more
-    when a domain got no sampled chunk.  Defaults: 4 domains,
-    [K_out 2] sampling, [Bulk] finish, [Racy] mode, plan
+    mode one team of domains runs all phases; the finish drops each
+    chunk's edges inside the sampled giant and passes the survivors to
+    one [unite_batch] call (the whole chunk when there is no sampling).
+    The sampled chunks still in the domains' buffers are finished from
+    memory, so a [K_out] pass generates [chunks + window - min domains
+    window] chunks ([window], the sampled prefix, covers about two edges
+    per vertex), or more when a domain got no sampled chunk.  Defaults:
+    4 domains, [K_out 2] sampling, [Racy] mode, plan
     {!Dsu.Plan.default}; [block_chunks] (default 8) is the deterministic
     engine's block size, except that its first block is the stream's
     sample window ({!Edge_stream.sample_window}) when that is shorter.
     @raise Invalid_argument if {!Dsu.Plan.validate} rejects [plan], or
-    if [sampling] is [K_out k] with [k] outside [\[1, 255\]] or
-    [Bfs_hubs h] with [h < 1] (the message names the value). *)
+    if [sampling] is [K_out k] with [k] outside [\[1, 255\]] (the
+    message names the value). *)

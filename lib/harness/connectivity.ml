@@ -1,5 +1,5 @@
 (* Streaming-connectivity benchmark family: edges/sec for the
-   ConnectIt-style pipeline (sampling x finish x plan x mode) over
+   ConnectIt-style pipeline (sampling x plan x mode) over
    streamed generators, against the Borůvka and Anderson–Woll baselines,
    plus a Pătrașcu–Thorup adversarial incremental-connectivity point.
    Emits dsu-connectivity/v1, whose {!Perfdiff} metrics are the pipeline
@@ -33,7 +33,6 @@ type config = {
   domains_list : int list;
   gens : gen list;
   samplings : Connectit.sampling list;
-  finishes : Connectit.finish list;
   modes : Connectit.mode list;
   plan : Dsu.Plan.t;
   block_chunks : int;
@@ -51,7 +50,6 @@ let default_config =
     domains_list = [ 1; 4 ];
     gens = [ Rmat; Er ];
     samplings = [ Connectit.No_sampling; Connectit.K_out 2 ];
-    finishes = [ Connectit.Per_op; Connectit.Bulk ];
     modes = [ Connectit.Racy ];
     plan = Dsu.Plan.default;
     block_chunks = 8;
@@ -79,7 +77,6 @@ type point = {
   m : int;
   domains : int;
   sampling : string;
-  finish : string;
   mode : string;
   plan : string;
   seconds : float;
@@ -95,11 +92,11 @@ type point = {
   det_rounds : int;
 }
 
-let run_point ~config ~gen ~domains ~sampling ~finish ~mode =
+let run_point ~config ~gen ~domains ~sampling ~mode =
   let stream = make_stream config gen in
   let r =
     Connectit.run_stream ~domains ~seed:config.seed ~plan:config.plan
-      ~sampling ~finish ~mode ~block_chunks:config.block_chunks stream
+      ~sampling ~mode ~block_chunks:config.block_chunks stream
   in
   let m = r.Connectit.edges_total in
   let seconds = float_of_int r.Connectit.total_ns /. 1e9 in
@@ -110,7 +107,6 @@ let run_point ~config ~gen ~domains ~sampling ~finish ~mode =
     m;
     domains;
     sampling = Connectit.sampling_to_string sampling;
-    finish = Connectit.finish_to_string finish;
     mode = Connectit.mode_to_string mode;
     plan = Dsu.Plan.to_string config.plan;
     seconds;
@@ -137,27 +133,20 @@ let sweep ?(config = default_config) ?(progress = fun (_ : point) -> ()) () =
             (fun mode ->
               match mode with
               | Connectit.Deterministic ->
-                (* Sampling and finish are ignored by the deterministic
-                   engine; one point per (gen, domains). *)
+                (* Sampling is ignored by the deterministic engine; one
+                   point per (gen, domains). *)
                 let p =
                   run_point ~config ~gen ~domains
-                    ~sampling:Connectit.No_sampling ~finish:Connectit.Bulk
-                    ~mode
+                    ~sampling:Connectit.No_sampling ~mode
                 in
                 progress p;
                 points := p :: !points
               | Connectit.Racy ->
                 List.iter
                   (fun sampling ->
-                    List.iter
-                      (fun finish ->
-                        let p =
-                          run_point ~config ~gen ~domains ~sampling ~finish
-                            ~mode
-                        in
-                        progress p;
-                        points := p :: !points)
-                      config.finishes)
+                    let p = run_point ~config ~gen ~domains ~sampling ~mode in
+                    progress p;
+                    points := p :: !points)
                   config.samplings)
             config.modes)
         config.domains_list)
@@ -311,7 +300,6 @@ let point_to_json p =
       ("m", J.Int p.m);
       ("domains", J.Int p.domains);
       ("sampling", J.String p.sampling);
-      ("finish", J.String p.finish);
       ("mode", J.String p.mode);
       ("plan", J.String p.plan);
       ("seconds", J.Float p.seconds);
@@ -356,8 +344,8 @@ let metrics points baselines adversarial =
   List.concat_map
     (fun p ->
       let key =
-        Printf.sprintf "gen=%s mode=%s sampling=%s finish=%s domains=%d" p.gen
-          p.mode p.sampling p.finish p.domains
+        Printf.sprintf "gen=%s mode=%s sampling=%s domains=%d" p.gen p.mode
+          p.sampling p.domains
       in
       [
         higher key "edges_per_sec" p.edges_per_sec;
@@ -405,7 +393,7 @@ let pp_table ppf points =
     Table.create
       ~headers:
         [
-          "gen"; "mode"; "sampling"; "finish"; "domains"; "Medges/s";
+          "gen"; "mode"; "sampling"; "domains"; "Medges/s";
           "finish Medges/s"; "skipped"; "comps";
         ]
   in
@@ -416,7 +404,6 @@ let pp_table ppf points =
           p.gen;
           p.mode;
           p.sampling;
-          p.finish;
           Table.cell_int p.domains;
           Table.cell_float (p.edges_per_sec /. 1e6);
           Table.cell_float (p.finish_edges_per_sec /. 1e6);
@@ -444,66 +431,11 @@ let pp_baselines ppf baselines =
     Table.pp ppf table
   end
 
-(* ------------------------------------------------------------- guard *)
-
-(* The CI gate: at the highest measured domain count, the bulk finish
-   must achieve at least [min_ratio] x the per-op finish's edges/sec
-   (same gen, same sampling, racy mode).  Returns the worst ratio and
-   the pairs it compared; [Error] if the sweep lacks a comparable
-   pair. *)
-let guard_finish ?(min_ratio = 0.9) points =
-  let racy = List.filter (fun p -> p.mode = "racy") points in
-  let max_domains =
-    List.fold_left (fun acc p -> max acc p.domains) 0 racy
-  in
-  let pairs =
-    List.filter_map
-      (fun p ->
-        if p.domains <> max_domains || p.finish <> "bulk" then None
-        else
-          let per_op =
-            List.find_opt
-              (fun q ->
-                q.domains = max_domains && q.finish = "per-op"
-                && q.gen = p.gen && q.sampling = p.sampling
-                && q.mode = "racy")
-              racy
-          in
-          Option.map
-            (fun q ->
-              let ratio =
-                if q.finish_edges_per_sec > 0. then
-                  p.finish_edges_per_sec /. q.finish_edges_per_sec
-                else infinity
-              in
-              (p.gen, p.sampling, ratio))
-            per_op)
-      racy
-  in
-  if pairs = [] then Error "guard-finish: no bulk/per-op pair in the sweep"
-  else begin
-    let worst =
-      List.fold_left (fun acc (_, _, r) -> min acc r) infinity pairs
-    in
-    if worst >= min_ratio then Ok (worst, pairs)
-    else
-      Error
-        (Printf.sprintf
-           "guard-finish: bulk finish is %.2fx the per-op finish at %d \
-            domains (floor %.2fx): %s"
-           worst max_domains min_ratio
-           (String.concat ", "
-              (List.map
-                 (fun (g, s, r) -> Printf.sprintf "%s/%s=%.2fx" g s r)
-                 pairs)))
-  end
-
 (* ---------------------------------------------------------- agreement *)
 
 let check_components points =
   let describe p =
-    Printf.sprintf "%s/%s/%s d=%d: %d" p.mode p.sampling p.finish p.domains
-      p.components
+    Printf.sprintf "%s/%s d=%d: %d" p.mode p.sampling p.domains p.components
   in
   let gens = List.sort_uniq compare (List.map (fun p -> p.gen) points) in
   let disagreements =

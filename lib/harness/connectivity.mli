@@ -1,6 +1,6 @@
 (** Streaming-connectivity benchmark family ([dsu-connectivity/v1]):
     edges/sec for the ConnectIt-style pipeline over streamed generators
-    — sampling × finish × mode × domains — against the Borůvka and
+    — sampling × mode × domains — against the Borůvka and
     Anderson–Woll baselines, plus a Pătrașcu–Thorup adversarial
     incremental-connectivity point.  Surfaced by [dsu_workload
     connectivity]; diffed by {!Perfdiff} through the document's
@@ -21,7 +21,6 @@ type config = {
   domains_list : int list;
   gens : gen list;
   samplings : Graphs.Connectit.sampling list;
-  finishes : Graphs.Connectit.finish list;
   modes : Graphs.Connectit.mode list;
   plan : Dsu.Plan.t;
   block_chunks : int;  (** deterministic engine block size *)
@@ -31,7 +30,7 @@ type config = {
 
 val default_config : config
 (** scale 16, edge factor 8, chunk 2^14, domains [1; 4], rmat + er,
-    no-sampling + k-out:2, per-op + bulk, racy mode, default plan. *)
+    no-sampling + k-out:2, racy mode, default plan. *)
 
 val make_stream : config -> gen -> Graphs.Edge_stream.t
 
@@ -41,7 +40,6 @@ type point = {
   m : int;
   domains : int;
   sampling : string;
-  finish : string;
   mode : string;
   plan : string;
   seconds : float;
@@ -63,7 +61,6 @@ val run_point :
   gen:gen ->
   domains:int ->
   sampling:Graphs.Connectit.sampling ->
-  finish:Graphs.Connectit.finish ->
   mode:Graphs.Connectit.mode ->
   point
 
@@ -110,17 +107,8 @@ val to_json :
 val pp_table : Format.formatter -> point list -> unit
 val pp_baselines : Format.formatter -> baseline_point list -> unit
 
-val guard_finish :
-  ?min_ratio:float ->
-  point list ->
-  ((float * (string * string * float) list), string) result
-(** CI gate: at the highest measured domain count every bulk-finish
-    point must reach [min_ratio] (default 0.9) × its per-op twin's
-    finish-phase edges/sec.  [Ok (worst, pairs)] or a saying-why
-    [Error]. *)
-
 val check_components : point list -> (unit, string) result
 (** Every point of one gen ran the same stream, so all of them — racy
-    or det, at any domain count, sampling and finish — must report the
-    same [components].  [Error] names each disagreeing gen with every
-    one of its points and their counts. *)
+    or det, at any domain count and sampling — must report the same
+    [components].  [Error] names each disagreeing gen with every one of
+    its points and their counts. *)

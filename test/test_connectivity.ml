@@ -3,7 +3,7 @@
    (with its lincheck-style determinism check and a racy-mode
    counterexample), the plan-dispatched Dsu.Driver, batch find kernels,
    the Patrascu-Thorup adversarial workload, and the dsu-connectivity/v1
-   harness (guard + perfdiff round trip). *)
+   harness (sweep, perfdiff round trip, component agreement). *)
 
 module Graph = Graphs.Graph
 module Generators = Graphs.Generators
@@ -358,9 +358,9 @@ let generator_hygiene_tests =
 let oracle_labels stream = Components.sequential (Edge_stream.materialize stream)
 
 let pipeline_tests =
-  let check_stream ?(domains = 2) ?plan ?sampling ?finish ?mode name stream =
+  let check_stream ?(domains = 2) ?plan ?sampling ?mode name stream =
     let expected = oracle_labels stream in
-    let r = Connectit.run_stream ~domains ?plan ?sampling ?finish ?mode stream in
+    let r = Connectit.run_stream ~domains ?plan ?sampling ?mode stream in
     if r.Connectit.labels <> expected then Alcotest.failf "%s: labels differ" name;
     check Alcotest.int (name ^ " components")
       (Components.count expected)
@@ -374,7 +374,7 @@ let pipeline_tests =
         List.iter
           (fun s -> check_stream (Edge_stream.kind_name s) s)
           (small_streams ()));
-    case "sampling x finish grid matches oracle" (fun () ->
+    case "sampling grid matches oracle" (fun () ->
         (* Sample windows of 4 chunks and of 1 chunk: with the second,
            every team of 2 or more has members that hold no chunk when
            the finish starts. *)
@@ -384,20 +384,12 @@ let pipeline_tests =
               (fun domains ->
                 List.iter
                   (fun sampling ->
-                    List.iter
-                      (fun finish ->
-                        check_stream
-                          (Printf.sprintf "window %d, %s/%s, %d domain(s)"
-                             window
-                             (Connectit.sampling_to_string sampling)
-                             (Connectit.finish_to_string finish)
-                             domains)
-                          ~domains ~sampling ~finish s)
-                      [ Connectit.Per_op; Connectit.Bulk ])
-                  [
-                    Connectit.No_sampling; Connectit.K_out 2;
-                    Connectit.Bfs_hubs 8;
-                  ])
+                    check_stream
+                      (Printf.sprintf "window %d, %s, %d domain(s)" window
+                         (Connectit.sampling_to_string sampling)
+                         domains)
+                      ~domains ~sampling s)
+                  [ Connectit.No_sampling; Connectit.K_out 2 ])
               [ 1; 2; 3; 4 ])
           [
             ( 4,
@@ -420,40 +412,32 @@ let pipeline_tests =
               (Edge_stream.chunk_count s);
             List.iter
               (fun (sampling, skipped, unites) ->
-                List.iter
-                  (fun finish ->
-                    let what =
-                      Printf.sprintf "%s %s/%s" name
-                        (Connectit.sampling_to_string sampling)
-                        (Connectit.finish_to_string finish)
-                    in
-                    let r = Connectit.run_stream ~domains:1 ~sampling ~finish s in
-                    check Alcotest.int (what ^ ": edges_skipped") skipped
-                      r.Connectit.edges_skipped;
-                    check Alcotest.int (what ^ ": sample_unites") unites
-                      r.Connectit.sample_unites;
-                    check Alcotest.int (what ^ ": components") components
-                      r.Connectit.components)
-                  [ Connectit.Per_op; Connectit.Bulk ])
+                let what =
+                  Printf.sprintf "%s %s" name
+                    (Connectit.sampling_to_string sampling)
+                in
+                let r = Connectit.run_stream ~domains:1 ~sampling s in
+                check Alcotest.int (what ^ ": edges_skipped") skipped
+                  r.Connectit.edges_skipped;
+                check Alcotest.int (what ^ ": sample_unites") unites
+                  r.Connectit.sample_unites;
+                check Alcotest.int (what ^ ": components") components
+                  r.Connectit.components)
               pins)
           [
             ( "rmat, window 1",
               Edge_stream.rmat ~chunk_size:256 ~seed:5 ~scale:7 ~edge_factor:8
                 (),
               4, 18,
-              [ (Connectit.K_out 2, 900, 108); (Connectit.Bfs_hubs 8, 795, 185) ]
-            );
+              [ (Connectit.K_out 2, 900, 108) ] );
             ( "erdos-renyi, window 2",
               Edge_stream.erdos_renyi ~chunk_size:256 ~seed:7 ~n:256 ~m:2048 (),
               8, 1,
-              [ (Connectit.K_out 2, 1932, 371); (Connectit.Bfs_hubs 8, 114, 58) ]
-            );
+              [ (Connectit.K_out 2, 1932, 371) ] );
             ( "power-law, window 5",
               Edge_stream.power_law ~chunk_size:256 ~seed:9 ~n:600 ~m:3000 (),
               12, 5,
-              [
-                (Connectit.K_out 2, 16, 87); (Connectit.Bfs_hubs 8, 2716, 1146);
-              ] );
+              [ (Connectit.K_out 2, 16, 87) ] );
           ]);
     case "deterministic mode matches oracle" (fun () ->
         List.iter
@@ -491,14 +475,14 @@ let pipeline_tests =
                  (Connectit.sampling_of_string (Connectit.sampling_to_string v))))
           [
             Connectit.No_sampling; Connectit.K_out 1; Connectit.K_out 3;
-            Connectit.K_out 255; Connectit.Bfs_hubs 1; Connectit.Bfs_hubs 5;
+            Connectit.K_out 255;
           ];
         List.iter
           (fun bad ->
             check Alcotest.bool ("rejects " ^ bad) true
               (Connectit.sampling_of_string bad = None))
-          [ "k-out:0"; "k-out:-3"; "k-out:256"; "k-out:300"; "bfs-hubs:0";
-            "bfs-hubs:-1"; "k-out:x"; "hubs" ];
+          [ "k-out:0"; "k-out:-3"; "k-out:256"; "k-out:300"; "bfs-hubs:8";
+            "k-out:x"; "hubs" ];
         let s = Edge_stream.erdos_renyi ~chunk_size:256 ~seed:1 ~n:50 ~m:100 () in
         List.iter
           (fun (sampling, name) ->
@@ -508,10 +492,7 @@ let pipeline_tests =
               (fun () -> ignore (Connectit.run_stream ~sampling s)))
           [
             (Connectit.K_out 0, "k-out:0"); (Connectit.K_out 256, "k-out:256");
-            (Connectit.Bfs_hubs 0, "bfs-hubs:0");
           ];
-        check Alcotest.bool "finish" true
-          (Connectit.finish_of_string "bulk" = Some Connectit.Bulk);
         check Alcotest.bool "mode" true
           (Connectit.mode_of_string "det" = Some Connectit.Deterministic));
     case "components accepts a plan (old signature intact)" (fun () ->
@@ -530,7 +511,19 @@ let pipeline_tests =
           Connectit.components ~domains:2 ~plan:packed ~collect_stats:false g
         in
         check Alcotest.bool "packed labels" true (labels' = expected);
-        check Alcotest.int "stats off" 0 stats'.Connectit.dsu_work);
+        check Alcotest.int "stats off" 0 stats'.Connectit.dsu_work;
+        (* The direct strategy (E17's "direct" row): every edge united,
+           none skipped. *)
+        List.iter
+          (fun (name, g) ->
+            let labels, stats =
+              Connectit.components ~domains:2 ~strategy:Connectit.Direct g
+            in
+            check Alcotest.bool (name ^ " direct labels") true
+              (labels = Components.sequential g);
+            check Alcotest.int (name ^ " direct skipped") 0
+              stats.Connectit.edges_skipped)
+          [ ("er", g); ("grid", Generators.grid2d ~rows:12 ~cols:20) ]);
   ]
 
 (* --------------------------------------------------------- determinism *)
@@ -895,20 +888,18 @@ let tiny_config =
     seed = 71;
     domains_list = [ 1; 2 ];
     gens = [ Connectivity.Rmat ];
-    samplings = [ Connectit.No_sampling ];
-    finishes = [ Connectit.Per_op; Connectit.Bulk ];
+    samplings = [ Connectit.No_sampling; Connectit.K_out 2 ];
     modes = [ Connectit.Racy ];
     adversarial_n = 256;
   }
 
-let synthetic_point ~finish ~rate =
+let synthetic_point ~rate =
   {
     Connectivity.gen = "rmat";
     n = 256;
     m = 1024;
     domains = 2;
     sampling = "none";
-    finish;
     mode = "racy";
     plan = Dsu.Plan.to_string Dsu.Plan.default;
     seconds = 0.1;
@@ -936,18 +927,6 @@ let harness_tests =
               (p.Connectivity.finish_edges_per_sec > 0.);
             check Alcotest.int "m" 1024 p.Connectivity.m)
           points);
-    case "guard_finish passes and fails as designed" (fun () ->
-        let per_op = synthetic_point ~finish:"per-op" ~rate:10.0 in
-        let ok_pair = [ per_op; synthetic_point ~finish:"bulk" ~rate:9.7 ] in
-        (match Connectivity.guard_finish ~min_ratio:0.9 ok_pair with
-        | Ok (worst, pairs) ->
-          check Alcotest.int "one pair" 1 (List.length pairs);
-          check Alcotest.bool "worst ~0.97" true (worst > 0.96 && worst < 0.98)
-        | Error e -> Alcotest.failf "unexpected guard failure: %s" e);
-        let bad_pair = [ per_op; synthetic_point ~finish:"bulk" ~rate:5.0 ] in
-        match Connectivity.guard_finish ~min_ratio:0.9 bad_pair with
-        | Ok _ -> Alcotest.fail "guard should have failed at ratio 0.5"
-        | Error _ -> ());
     case "report round-trips through perfdiff" (fun () ->
         let points = Connectivity.sweep ~config:tiny_config () in
         let adversarial =
@@ -967,7 +946,7 @@ let harness_tests =
         | Error e -> Alcotest.failf "perfdiff: %s" e);
     case "check_components flags a disagreeing gen" (fun () ->
         let point ~gen ~domains ~components =
-          { (synthetic_point ~finish:"bulk" ~rate:1.0) with
+          { (synthetic_point ~rate:1.0) with
             Connectivity.gen; domains; components }
         in
         let agree =

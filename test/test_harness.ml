@@ -431,14 +431,13 @@ let autotune_doc winner plans =
        (autotune_result (plan_of_string winner)
           (List.map (fun (p, mops) -> (plan_of_string p, mops)) plans)))
 
-let connectivity_point ~gen ~finish ~domains =
+let connectivity_point ~gen ~sampling ~domains =
   {
     Connectivity.gen;
     n = 256;
     m = 1024;
     domains;
-    sampling = "kout";
-    finish;
+    sampling;
     mode = "racy";
     plan = Dsu.Plan.to_string Dsu.Plan.default;
     seconds = 0.1;
@@ -704,11 +703,12 @@ let perfdiff_tests =
              (List.concat_map
                 (fun gen ->
                   List.concat_map
-                    (fun finish ->
+                    (fun sampling ->
                       List.map
-                        (fun domains -> connectivity_point ~gen ~finish ~domains)
+                        (fun domains ->
+                          connectivity_point ~gen ~sampling ~domains)
                         [ 1; 2 ])
-                    [ "per-op"; "bulk" ])
+                    [ "none"; "k-out:2" ])
                 [ "rmat"; "er" ]));
         unique "autotune"
           (Autotune.to_json
