@@ -927,6 +927,71 @@ let harness_tests =
               (p.Connectivity.finish_edges_per_sec > 0.);
             check Alcotest.int "m" 1024 p.Connectivity.m)
           points);
+    case "point keys carry no finish; older finish= rows stay unpaired"
+      (fun () ->
+        let current_points =
+          [
+            synthetic_point ~rate:1.0;
+            { (synthetic_point ~rate:1.0) with Connectivity.domains = 1 };
+          ]
+        in
+        (match Connectivity.point_to_json (List.hd current_points) with
+        | Repro_obs.Json.Obj fields ->
+          check Alcotest.bool "no finish field" false
+            (List.mem_assoc "finish" fields);
+          check Alcotest.bool "sampling field" true
+            (List.mem_assoc "sampling" fields)
+        | _ -> Alcotest.fail "point_to_json is not an object");
+        (* A document from before the finish axis was retired: same
+           schema, keys with a [finish=] part. *)
+        let older =
+          Repro_obs.Json.Obj
+            [
+              ("schema", Repro_obs.Json.String "dsu-connectivity/v1");
+              Harness.Perfdiff.metrics_field
+                (List.map
+                   (fun domains ->
+                     {
+                       Harness.Perfdiff.key =
+                         Printf.sprintf
+                           "gen=rmat mode=racy sampling=none finish=bulk \
+                            domains=%d"
+                           domains;
+                       metric = "edges_per_sec";
+                       dir = Harness.Perfdiff.Higher_better;
+                       value = 1.0;
+                     })
+                   [ 1; 2 ]);
+            ]
+        in
+        let current = Connectivity.to_json ~config:tiny_config current_points in
+        let contains sub s =
+          let n = String.length sub and m = String.length s in
+          let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+          go 0
+        in
+        match Harness.Perfdiff.diff ~base:older ~current () with
+        | Error e -> Alcotest.failf "perfdiff: %s" e
+        | Ok r ->
+          check Alcotest.int "no paired rows" 0
+            (List.length r.Harness.Perfdiff.rows);
+          check Alcotest.int "only-baseline" 2
+            (List.length r.Harness.Perfdiff.only_base);
+          List.iter
+            (fun k ->
+              check Alcotest.bool (k ^ " has finish=") true
+                (contains "finish=" k))
+            r.Harness.Perfdiff.only_base;
+          (* edges_per_sec and finish_edges_per_sec per current point *)
+          check Alcotest.int "only-current" 4
+            (List.length r.Harness.Perfdiff.only_current);
+          List.iter
+            (fun k ->
+              check Alcotest.bool (k ^ " lacks finish=") false
+                (contains "finish=" k);
+              check Alcotest.bool (k ^ " keyed by sampling") true
+                (contains "sampling=none" k))
+            r.Harness.Perfdiff.only_current);
     case "report round-trips through perfdiff" (fun () ->
         let points = Connectivity.sweep ~config:tiny_config () in
         let adversarial =
