@@ -20,7 +20,7 @@
      dsu_workload wal --file ops.wal --dump --check
      dsu_workload durability --max-overhead 15
      dsu_workload serve --arrival-rate 20000 --workers 2 --admission reject
-     dsu_workload scalability --max-domains 4 --plan auto --json sweep.json
+     dsu_workload scalability --max-domains 4 --json sweep.json
      dsu_workload perfdiff --baseline old.json --current sweep.json *)
 
 open Cmdliner
@@ -296,22 +296,12 @@ let impl_arg =
            (Section 6 variant), aw (Anderson-Woll), lock (global mutex), seq \
            (sequential).")
 
-(* --plan: run under one point of the Dsu.Plan space, or let the autotuner
-   choose.  A malformed spec is a Cmdliner conv error — proper usage
-   message and the CLI-error exit status, never a backtrace. *)
+(* --plan: run under one point of the Dsu.Plan space.  A malformed spec
+   is a Cmdliner conv error — proper usage message and the CLI-error exit
+   status, never a backtrace. *)
 let plan_conv =
-  let parse s =
-    if s = "auto" then Ok `Auto
-    else
-      match Dsu.Plan.of_string s with
-      | Ok p -> Ok (`Plan p)
-      | Error e -> Error (`Msg e)
-  in
-  let print ppf = function
-    | `Auto -> Format.pp_print_string ppf "auto"
-    | `Plan p -> Dsu.Plan.pp ppf p
-  in
-  Arg.conv (parse, print)
+  let parse s = Result.map_error (fun e -> `Msg e) (Dsu.Plan.of_string s) in
+  Arg.conv (parse, Dsu.Plan.pp)
 
 let plan_arg =
   Arg.(
@@ -321,47 +311,25 @@ let plan_arg =
         ~doc:
           "Run under one implementation plan \
            (linking:compaction:order:backoff:layout, e.g. \
-           rank:halving:relaxed-reads:on:packed), or $(b,auto) = pick the \
-           fastest plan for this workload profile via the autotuner (cached \
-           by profile fingerprint; see $(b,--autotune-cache)).  Overrides \
-           $(b,--policy) in $(b,native); pins the $(b,scalability) sweep to \
-           the plan's point.")
+           rank:halving:relaxed-reads:on:packed).  Overrides $(b,--policy) \
+           in $(b,native); pins the $(b,scalability) sweep to the plan's \
+           point.")
 
 (* The default plan under a --policy compaction rule. *)
 let plan_of_policy policy = { Dsu.Plan.default with compaction = policy }
 
-let autotune_cache_arg =
-  Arg.(
-    value
-    & opt string Harness.Autotune.default_cache_dir
-    & info [ "autotune-cache" ] ~docv:"DIR"
-        ~doc:"Cache directory for $(b,--plan auto) results.")
-
-(* The one --plan resolver.  A spec passes through; auto asks the
-   autotuner for the fastest plan on [profile] (cached by fingerprint),
-   says which plan it chose and whether that was measured or cached, and
-   writes the dsu-autotune/v1 report to [autotune_out].  The tuner's
-   result comes back with the plan so a caller can reuse its
-   measurements; [verbose] prints each calibration point. *)
-let resolve_plan ?(verbose = false) ?autotune_out ~autotune_cache ~profile =
-  function
-  | None -> None
-  | Some (`Plan p) -> Some (p, None)
-  | Some `Auto ->
-    let progress m =
-      if verbose then
-        Printf.printf "autotune: %-45s %8.3f Mops/s\n%!"
-          (Dsu.Plan.to_string m.Harness.Autotune.plan)
-          m.Harness.Autotune.mops_per_sec
-    in
-    let r, source =
-      Harness.Autotune.auto ~cache_dir:autotune_cache ~progress ~profile ()
-    in
-    Printf.printf "plan: %s (auto, %s)\n%!"
-      (Dsu.Plan.to_string r.Harness.Autotune.winner)
-      (match source with `Cached -> "cached" | `Measured -> "measured");
-    write_json autotune_out (Harness.Autotune.to_json r);
-    Some (r.Harness.Autotune.winner, Some r)
+(* A gate's percent budget (--guard-tuned, --max-overhead,
+   --diff-threshold).  Every comparison against nan is false, so a nan
+   budget would pass any gate: non-finite budgets are usage errors.
+   Negative budgets stay legal. *)
+let budget_conv =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when Float.is_finite f -> Ok f
+    | Ok _ -> Error (`Msg (Printf.sprintf "budget %S is not a finite number" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
 
 let domains_arg =
   Arg.(
@@ -426,7 +394,7 @@ let check_workers (r : _ Harness.Closed_loop.result) =
     r.failures;
   if r.failures <> [] then exit check_failed_exit
 
-let run_native impl policy plan autotune_cache n ops unite_frac seed domains
+let run_native impl policy plan n ops unite_frac seed domains
     wal metrics_out trace_out contention_out progress =
   let* () = check_arg (domains >= 1) "--domains must be >= 1" in
   let* () = check_arg (n >= 1) "--elements must be >= 1" in
@@ -461,22 +429,6 @@ let run_native impl policy plan autotune_cache n ops unite_frac seed domains
       (contention_out = None || not baseline)
       "--contention-out needs an implementation with instrumented CAS sites \
        (a plan backend or jt-early)"
-  in
-  (* Resolve --plan before arming telemetry: the auto calibration sweep
-     runs its own timed workloads and must not pollute this run's
-     metrics. *)
-  let plan =
-    resolve_plan ~autotune_cache plan
-      ~profile:
-        {
-          Harness.Autotune.n;
-          domains;
-          unite_percent = percent unite_frac;
-          dist = Harness.Scalability.Uniform;
-          total_ops = ops;
-          seed;
-        }
-    |> Option.map fst
   in
   arm_telemetry ~metrics_out ~trace_out ~progress;
   if contention_out <> None then begin
@@ -565,7 +517,7 @@ let native_cmd =
     Term.(
       term_result
         (const run_native $ impl_arg $ policy_arg $ plan_arg
-        $ autotune_cache_arg $ n_arg $ ops_arg $ unite_frac_arg $ seed_arg
+        $ n_arg $ ops_arg $ unite_frac_arg $ seed_arg
         $ domains_arg $ wal_arg $ metrics_out_arg $ trace_out_arg
         $ contention_out_arg $ progress_arg))
 
@@ -1161,7 +1113,7 @@ module Perfdiff = Harness.Perfdiff
 let diff_threshold_arg =
   Arg.(
     value
-    & opt float 10.0
+    & opt budget_conv 10.0
     & info [ "diff-threshold" ] ~docv:"PCT"
         ~doc:"Relative delta (percent) below which a change is noise.")
 
@@ -1357,7 +1309,7 @@ let dur_snapshots_arg =
 let max_overhead_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some budget_conv) None
     & info [ "max-overhead" ] ~docv:"PCT"
         ~doc:
           "Exit with status 3 if the WAL throughput overhead exceeds \
@@ -1532,7 +1484,7 @@ let serve_deadline_arg =
            (0 = none).")
 
 let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
-    batch admission plan autotune_cache durable deadline_ms json_out =
+    batch admission plan durable deadline_ms json_out =
   let* () = check_arg (n >= 2) "--elements must be >= 2" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (gens >= 1) "--gens must be >= 1" in
@@ -1562,22 +1514,7 @@ let run_serve n ops unite_frac find_frac seed gens rates shape workers qcap
       (List.for_all (fun r -> r > 0.) rates)
       "--arrival-rate must be positive"
   in
-  let plan =
-    match
-      resolve_plan ~autotune_cache plan
-        ~profile:
-          {
-            Harness.Autotune.n;
-            domains = (if workers = 0 then gens else workers);
-            unite_percent;
-            dist = Harness.Scalability.Uniform;
-            total_ops = gens * ops;
-            seed;
-          }
-    with
-    | Some (p, _) -> p
-    | None -> Dsu.Plan.default
-  in
+  let plan = Option.value plan ~default:Dsu.Plan.default in
   let config =
     {
       Load.n;
@@ -1625,7 +1562,7 @@ let serve_cmd =
         (const run_serve $ n_arg $ ops_arg $ unite_frac_arg
         $ serve_find_frac_arg $ seed_arg $ serve_gens_arg $ arrival_rates_arg
         $ shape_arg $ serve_workers_arg $ serve_qcap_arg $ serve_batch_arg
-        $ serve_admission_arg $ plan_arg $ autotune_cache_arg
+        $ serve_admission_arg $ plan_arg
         $ serve_wal_arg $ serve_deadline_arg $ json_out_arg))
 
 (* ---------------------------------------------------- connectivity mode *)
@@ -1746,7 +1683,7 @@ let conn_check_det_arg =
            and demand byte-identical labels; exit 3 on any disagreement.")
 
 let run_connectivity gens samplings modes domains_list scale edge_factor
-    chunk seed simple plan autotune_cache block_chunks no_baselines
+    chunk seed simple plan block_chunks no_baselines
     adversarial_n check_det json_out =
   let* () = check_arg (scale >= 1 && scale <= 40) "--scale must be in [1, 40]" in
   let* () = check_arg (edge_factor >= 1) "--edge-factor must be >= 1" in
@@ -1763,22 +1700,7 @@ let run_connectivity gens samplings modes domains_list scale edge_factor
     if domains_list = [] then defaults.Connectivity.domains_list
     else domains_list
   in
-  let plan =
-    match
-      resolve_plan ~autotune_cache plan
-        ~profile:
-          {
-            Harness.Autotune.n = 1 lsl scale;
-            domains = List.fold_left max 1 domains_list;
-            unite_percent = 100;
-            dist = Harness.Scalability.Uniform;
-            total_ops = edge_factor * (1 lsl scale);
-            seed;
-          }
-    with
-    | Some (p, _) -> p
-    | None -> Dsu.Plan.default
-  in
+  let plan = Option.value plan ~default:Dsu.Plan.default in
   let config =
     {
       Connectivity.scale;
@@ -1878,7 +1800,7 @@ let connectivity_cmd =
         (const run_connectivity $ conn_gens_arg $ conn_samplings_arg
         $ conn_modes_arg $ conn_domains_arg $ conn_scale_arg
         $ conn_edge_factor_arg $ conn_chunk_arg $ seed_arg $ conn_simple_arg
-        $ plan_arg $ autotune_cache_arg $ conn_block_chunks_arg
+        $ plan_arg $ conn_block_chunks_arg
         $ conn_no_baselines_arg $ conn_adversarial_arg $ conn_check_det_arg
         $ json_out_arg))
 
@@ -1957,19 +1879,10 @@ let scal_dists_arg =
   axis_arg dist_conv scal_defaults.Scalability.dists "dists" ~docv:"D1,D2"
     ~doc:"Endpoint distributions to sweep: uniform, skewed (default uniform)."
 
-let autotune_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "autotune-out" ] ~docv:"FILE"
-        ~doc:
-          "With $(b,--plan auto), write the dsu-autotune/v1 report to \
-           $(docv).")
-
 let guard_tuned_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some budget_conv) None
     & info [ "guard-tuned" ] ~docv:"PCT"
         ~doc:
           "After the sweep, exit 3 if the tuned path is more than $(docv) \
@@ -2003,7 +1916,7 @@ let best_of_3 run =
   Float.max a (Float.max b (run ()))
 
 let run_scalability n ops max_domains unite_percent policies layouts orders
-    backoffs dists plan autotune_cache autotune_out guard json_out =
+    backoffs dists plan guard json_out =
   let* () = check_arg (n >= 1) "--elements must be >= 1" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (max_domains >= 1) "--max-domains must be >= 1" in
@@ -2020,21 +1933,6 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
   in
   let rec counts d = if d > max_domains then [] else d :: counts (2 * d) in
   let domain_counts = counts 1 in
-  (* The autotuner profile mirrors the sweep at its largest domain count;
-     the seed is fixed so the cache fingerprint is stable across runs of
-     the same shape. *)
-  let tuned =
-    resolve_plan ~verbose:true ?autotune_out ~autotune_cache plan
-      ~profile:
-        {
-          Harness.Autotune.n;
-          domains = List.fold_left max 1 domain_counts;
-          unite_percent;
-          dist = List.hd dists;
-          total_ops = ops;
-          seed = 21;
-        }
-  in
   let config =
     {
       scal_defaults with
@@ -2052,9 +1950,9 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
   (* A plan pins the sweep to its point; only domains and dists still
      sweep. *)
   let config =
-    match tuned with
+    match plan with
     | None -> config
-    | Some (p, _) ->
+    | Some p ->
       {
         config with
         layouts = [ p.Dsu.Plan.layout ];
@@ -2077,7 +1975,7 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
   in
   write_json json_out (Scalability.to_json ~config points);
   Format.printf "@.%a%!" Scalability.pp_table points;
-  (match (guard, tuned) with
+  (match (guard, plan) with
   | None, _ -> ()
   | Some pct, None ->
     let best memory_order =
@@ -2091,32 +1989,17 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
     let default = best Dsu.Memory_order.default in
     guard_tuned ~pct ~base:("seq-cst", seqcst)
       ~tuned:(Dsu.Memory_order.to_string Dsu.Memory_order.default, default)
-  | Some pct, Some (plan, auto) ->
-    let tuned_mops, default_mops =
-      match auto with
-      | Some r ->
-        (* --plan auto: the calibration already measured both sides. *)
-        let default =
-          List.find_opt
-            (fun m -> Dsu.Plan.equal m.Harness.Autotune.plan Dsu.Plan.default)
-            r.Harness.Autotune.measurements
-        in
-        ( r.Harness.Autotune.winner_mops,
-          match default with
-          | Some m -> m.Harness.Autotune.mops_per_sec
-          | None -> r.Harness.Autotune.winner_mops )
-      | None ->
-        let best plan =
-          best_of_3 (fun () ->
-              (Scalability.run_point ~config ~plan ~domains:1 ())
-                .Scalability.mops_per_sec)
-        in
-        let tuned = best plan in
-        (tuned, best Dsu.Plan.default)
+  | Some pct, Some plan ->
+    let best plan =
+      best_of_3 (fun () ->
+          (Scalability.run_point ~config ~plan ~domains:1 ())
+            .Scalability.mops_per_sec)
     in
+    let tuned = best plan in
+    let default = best Dsu.Plan.default in
     guard_tuned ~pct
-      ~base:("default plan " ^ Dsu.Plan.to_string Dsu.Plan.default, default_mops)
-      ~tuned:("tuned plan " ^ Dsu.Plan.to_string plan, tuned_mops));
+      ~base:("default plan " ^ Dsu.Plan.to_string Dsu.Plan.default, default)
+      ~tuned:("tuned plan " ^ Dsu.Plan.to_string plan, tuned));
   Ok ()
 
 let scalability_cmd =
@@ -2132,8 +2015,7 @@ let scalability_cmd =
         (const run_scalability $ scal_n_arg $ scal_ops_arg $ max_domains_arg
         $ unite_percent_arg $ scal_policies_arg $ scal_layouts_arg
         $ scal_orders_arg $ scal_backoffs_arg $ scal_dists_arg $ plan_arg
-        $ autotune_cache_arg $ autotune_out_arg $ guard_tuned_arg
-        $ json_out_arg))
+        $ guard_tuned_arg $ json_out_arg))
 
 let main =
   let doc = "Workload driver for the concurrent disjoint-set-union library" in

@@ -47,8 +47,8 @@ module Packed = Packed_dsu
 
 module Plan = Dsu_plan
 (** First-class configuration points of the plan space (linking rule x
-    compaction x memory order x backoff x layout), with the registry swept
-    by [Harness.Autotune] and the [--plan] CLI spec syntax. *)
+    compaction x memory order x backoff x layout), with the registry of
+    valid points and the [--plan] CLI spec syntax. *)
 
 module Driver = Dsu_driver
 (** The one backend type: a variant over the flat and packed layouts,

@@ -5,8 +5,7 @@
     rule) point wins across workloads; this module names the grid the
     repo can actually run — linking rule x {!Find_policy} compaction x
     {!Memory_order} x link-CAS backoff x memory layout — so ablation
-    sweeps, the autotuner ([Harness.Autotune]) and the [--plan] CLI flags
-    all speak the same value.
+    sweeps and the [--plan] CLI flags speak the same value.
 
     A plan is {e valid} when the combination is implemented and
     meaningful:
@@ -158,31 +157,3 @@ let registry =
       layouts
   in
   points Random_id [ Flat ] @ points By_rank [ Packed ]
-
-(* The short list the fast calibration sweep measures: the default plan,
-   its one-axis neighbours that historically matter (compaction rule,
-   seq-cst baseline, padding) and the packed by-rank contenders.  Kept
-   small on purpose — [--plan auto] runs these on the live machine. *)
-let candidates =
-  [
-    default;
-    { default with compaction = Find_policy.One_try_splitting };
-    { default with compaction = Find_policy.Halving };
-    { default with compaction = Find_policy.Compression };
-    { default with memory_order = Memory_order.Seq_cst };
-    { default with backoff = false };
-    { default with layout = Padded };
-    { default with linking = By_rank; layout = Packed };
-    {
-      default with
-      linking = By_rank;
-      layout = Packed;
-      compaction = Find_policy.Halving;
-    };
-    {
-      default with
-      linking = By_rank;
-      layout = Packed;
-      compaction = Find_policy.One_try_splitting;
-    };
-  ]

@@ -4,8 +4,8 @@
     first spawn to the last join on the monotonic clock.
 
     Every closed-loop measurement goes through {!run} — the [native],
-    [snapshot] and [restore] subcommands, {!Scalability} (and so
-    {!Autotune}), {!Durability} and experiment E13 — so their numbers
+    [snapshot] and [restore] subcommands, {!Scalability}, {!Durability}
+    and experiment E13 — so their numbers
     come from one loop and are comparable.  The open-loop counterpart is
     {!Load}.  The chaos drill keeps its own loop (see [Chaos]). *)
 

@@ -3,13 +3,11 @@
    Each document carries its own ["metrics"] list, written by
    {!metrics_field} in the module that measured the numbers, so the
    differ is schema-blind: it reads the ["schema"] (the kind; none means
-   bechamel), the ["metrics"] list and a top-level ["winner"], pairs
-   entries by key and metric, and flags relative deltas beyond a noise
-   threshold.  Structural problems (unparseable JSON, no or malformed
-   metrics list, a repeated entry, mismatched kinds) are [Error]s so CLI
-   callers can map them onto their usage-error exit; a changed winner is
-   only a [warnings] line — two valid tuning runs may legitimately
-   disagree. *)
+   bechamel) and the ["metrics"] list, pairs entries by key and metric,
+   and flags relative deltas beyond a noise threshold.  Structural
+   problems (unparseable JSON, no or malformed metrics list, a repeated
+   entry, mismatched kinds) are [Error]s so CLI callers can map them onto
+   their usage-error exit. *)
 
 module J = Repro_obs.Json
 
@@ -34,8 +32,6 @@ type report = {
   improvements : row list;
   only_base : string list;  (* keys present only in the baseline *)
   only_current : string list;
-  warnings : string list;
-      (* non-fatal observations, e.g. a changed winner *)
 }
 
 let direction_to_string = function
@@ -141,15 +137,6 @@ let diff ?(threshold_pct = 10.0) ~base ~current () =
         (fun e -> if Hashtbl.mem other (id e) then None else Some (id e))
         es
     in
-    (* A run picking a different winner than the baseline is worth
-       surfacing but is not a regression in itself — the per-candidate
-       rows already capture any throughput movement. *)
-    let warnings =
-      match (J.member "winner" base, J.member "winner" current) with
-      | Some (J.String wb), Some (J.String wc) when wb <> wc ->
-        [ Printf.sprintf "tuned plan changed: %s -> %s" wb wc ]
-      | _ -> []
-    in
     Ok
       {
         kind;
@@ -159,7 +146,6 @@ let diff ?(threshold_pct = 10.0) ~base ~current () =
         improvements = List.filter (fun r -> gain r > threshold_pct) rows;
         only_base = unmatched eb ic;
         only_current = unmatched ec ib;
-        warnings;
       }
 
 let diff_strings ?threshold_pct ~base ~current () =
@@ -192,7 +178,6 @@ let to_json rep =
       ("improvements", J.List (List.map row_json rep.improvements));
       ("only_baseline", J.List (List.map (fun s -> J.String s) rep.only_base));
       ("only_current", J.List (List.map (fun s -> J.String s) rep.only_current));
-      ("warnings", J.List (List.map (fun s -> J.String s) rep.warnings));
     ]
 
 let pp ppf rep =
@@ -208,7 +193,6 @@ let pp ppf rep =
   in
   List.iter (pp_row "REGRESSION") rep.regressions;
   List.iter (pp_row "improvement") rep.improvements;
-  List.iter (fun w -> Format.fprintf ppf "  warning: %s@." w) rep.warnings;
   List.iter (fun k -> Format.fprintf ppf "  only in baseline: %s@." k)
     rep.only_base;
   List.iter (fun k -> Format.fprintf ppf "  only in current: %s@." k)

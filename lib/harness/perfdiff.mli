@@ -5,10 +5,8 @@
     in the module that measured them.  {!diff} compares two documents of
     the same kind (their ["schema"]; a document without one is
     ["bechamel"]), pairs entries by key and metric, and flags deltas beyond
-    a noise threshold in each metric's better-direction.  A changed
-    top-level ["winner"] (the autotune report's tuned plan) is reported in
-    {!report.warnings} — a warning, not a structural error.  Consumed by
-    the [dsu_workload perfdiff] CLI; the CI perf-history artifact is
+    a noise threshold in each metric's better-direction.  Consumed by the
+    [dsu_workload perfdiff] CLI; the CI perf-history artifact is
     {!to_json}'s [dsu-perfdiff/v1] document. *)
 
 type direction = Lower_better | Higher_better
@@ -38,9 +36,6 @@ type report = {
   improvements : row list;
   only_base : string list;
   only_current : string list;
-  warnings : string list;
-      (** non-fatal observations — currently the ["winner"] changing
-          between baseline and current *)
 }
 
 val diff :

@@ -227,15 +227,6 @@ let plan_tests =
               check Alcotest.bool "equal after round-trip" true (Plan.equal p p')
             | Error e -> Alcotest.fail e)
           Plan.registry);
-    case "candidates are valid and include the packed contenders" (fun () ->
-        List.iter
-          (fun p ->
-            check Alcotest.bool (Plan.to_string p) true (Plan.is_valid p))
-          Plan.candidates;
-        check Alcotest.bool "default present" true
-          (List.exists (Plan.equal Plan.default) Plan.candidates);
-        check Alcotest.bool "a packed plan present" true
-          (List.exists (fun p -> p.Plan.layout = Plan.Packed) Plan.candidates));
     case "invalid combinations are rejected with sayings" (fun () ->
         let rejected s =
           match Plan.of_string s with Ok _ -> false | Error _ -> true
