@@ -109,6 +109,10 @@ let extract doc =
 
 let diff ?(threshold_pct = 10.0) ~base ~current () =
   match (extract base, extract current) with
+  | _ when not (Float.is_finite threshold_pct) ->
+    (* every comparison against nan is false: a nan threshold would flag
+       nothing, however large the regression *)
+    Error (Printf.sprintf "threshold %g is not a finite number" threshold_pct)
   | Error e, _ -> Error ("baseline: " ^ e)
   | _, Error e -> Error ("current: " ^ e)
   | Ok (kb, _, _), Ok (kc, _, _) when kb <> kc ->

@@ -44,9 +44,9 @@ val diff :
   current:Repro_obs.Json.t ->
   unit ->
   (report, string) result
-(** [threshold_pct] defaults to 10.  [Error] on a missing or malformed
-    ["metrics"] list, an entry repeated within one document, or a kind
-    mismatch. *)
+(** [threshold_pct] defaults to 10.  [Error] on a non-finite
+    [threshold_pct], a missing or malformed ["metrics"] list, an entry
+    repeated within one document, or a kind mismatch. *)
 
 val diff_strings :
   ?threshold_pct:float ->

@@ -396,6 +396,18 @@ let autotune_doc mops =
     {|{"schema":"dsu-autotune/v1","fingerprint":"n65536-d2-u30-uniform-ops200000-s21","winner":"rand:two-try:relaxed-reads:on:flat","measurements":[{"plan":"rand:two-try:relaxed-reads:on:flat","mops_per_sec":%g,"failures":0}],"metrics":[{"key":"plan=rand:two-try:relaxed-reads:on:flat","metric":"mops_per_sec","dir":"higher-better","value":%g}]}|}
     mops mops
 
+(* The same archived shape with one metrics row per (plan, mops) pair;
+   only [winner] and the rows vary. *)
+let archived_autotune_doc ~winner plans =
+  let row (plan, mops) =
+    Printf.sprintf
+      {|{"key":"plan=%s","metric":"mops_per_sec","dir":"higher-better","value":%g}|}
+      plan mops
+  in
+  Printf.sprintf {|{"schema":"dsu-autotune/v1","winner":"%s","metrics":[%s]}|}
+    winner
+    (String.concat "," (List.map row plans))
+
 let connectivity_point ~gen ~sampling ~domains =
   {
     Connectivity.gen;
@@ -693,6 +705,108 @@ let perfdiff_tests =
           (List.length up.Perfdiff.regressions);
         check Alcotest.int "one improvement" 1
           (List.length up.Perfdiff.improvements));
+    case "archived autotune documents pair by plan, whatever their winner"
+      (fun () ->
+        let plans = [ ("rand:two-try:relaxed-reads:on:flat", 9.0);
+                      ("rank:one-try:relaxed-reads:on:packed", 9.2) ] in
+        let base =
+          archived_autotune_doc ~winner:"rank:one-try:relaxed-reads:on:packed"
+            plans
+        and current =
+          archived_autotune_doc ~winner:"rand:two-try:relaxed-reads:on:flat"
+            plans
+        in
+        let r = diff_ok ~base ~current () in
+        check Alcotest.int "both plans compared" 2 (List.length r.Perfdiff.rows);
+        check Alcotest.int "no regressions" 0
+          (List.length r.Perfdiff.regressions);
+        check Alcotest.int "no improvements" 0
+          (List.length r.Perfdiff.improvements));
+    case "archived autotune plans on one side only are unpaired, not errors"
+      (fun () ->
+        let winner = "rand:two-try:relaxed-reads:on:flat" in
+        let base =
+          archived_autotune_doc ~winner
+            [ (winner, 9.0); ("rand:halving:relaxed-reads:on:flat", 8.0) ]
+        and current =
+          archived_autotune_doc ~winner
+            [ (winner, 9.0); ("rank:two-try:relaxed-reads:on:packed", 8.5) ]
+        in
+        let r = diff_ok ~base ~current () in
+        check Alcotest.int "the shared plan compared" 1
+          (List.length r.Perfdiff.rows);
+        check
+          (Alcotest.list Alcotest.string)
+          "only base"
+          [ "plan=rand:halving:relaxed-reads:on:flat/mops_per_sec" ]
+          r.Perfdiff.only_base;
+        check
+          (Alcotest.list Alcotest.string)
+          "only current"
+          [ "plan=rank:two-try:relaxed-reads:on:packed/mops_per_sec" ]
+          r.Perfdiff.only_current);
+    case "an archived autotune document against a sweep is a kind mismatch"
+      (fun () ->
+        let archived = autotune_doc 10.0
+        and sweep = scalability_doc [ scalability_point 10.0 ] in
+        List.iter
+          (fun (base, current) ->
+            match Perfdiff.diff_strings ~base ~current () with
+            | Error e ->
+              check Alcotest.bool "names the mismatch" true
+                (String.starts_with ~prefix:"kind mismatch" e)
+            | Ok _ -> Alcotest.fail "paired dsu-autotune/v1 with a sweep")
+          [ (archived, sweep); (sweep, archived) ]);
+    case "a delta exactly at the threshold is not flagged" (fun () ->
+        let base = bechamel_doc [ ("a", 100.0); ("b", 100.0) ] in
+        let current = bechamel_doc [ ("a", 150.0); ("b", 50.0) ] in
+        let at = diff_ok ~threshold_pct:50.0 ~base ~current () in
+        check Alcotest.int "no regression at +50%" 0
+          (List.length at.Perfdiff.regressions);
+        check Alcotest.int "no improvement at -50%" 0
+          (List.length at.Perfdiff.improvements);
+        let under = diff_ok ~threshold_pct:49.0 ~base ~current () in
+        check Alcotest.int "regression past 49%" 1
+          (List.length under.Perfdiff.regressions);
+        check Alcotest.int "improvement past 49%" 1
+          (List.length under.Perfdiff.improvements));
+    case "a non-finite threshold is an error, not a silent pass" (fun () ->
+        let base = bechamel_doc [ ("a", 100.0) ] in
+        let current = bechamel_doc [ ("a", 10_000.0) ] in
+        List.iter
+          (fun threshold_pct ->
+            match Perfdiff.diff_strings ~threshold_pct ~base ~current () with
+            | Error _ -> ()
+            | Ok _ ->
+              Alcotest.fail
+                (Printf.sprintf "accepted threshold %g" threshold_pct))
+          [ Float.nan; Float.infinity; Float.neg_infinity ];
+        let negative = diff_ok ~threshold_pct:(-5.0) ~base ~current () in
+        check Alcotest.int "a negative threshold stays legal" 1
+          (List.length negative.Perfdiff.regressions));
+    case "a null metrics value is an error, not a silent pairing" (fun () ->
+        let ok = bechamel_doc [ ("a", 1.0) ] in
+        let null =
+          {|{"metrics":[{"key":"a","metric":"ns_per_run","dir":"lower-better","value":null}]}|}
+        in
+        List.iter
+          (fun (base, current) ->
+            match Perfdiff.diff_strings ~base ~current () with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "paired a null value")
+          [ (null, ok); (ok, null) ]);
+    case "dsu-perfdiff/v1 carries exactly its documented fields" (fun () ->
+        let doc = bechamel_doc [ ("a", 100.0) ] in
+        let r = diff_ok ~base:doc ~current:doc () in
+        match Perfdiff.to_json r with
+        | Json.Obj fields ->
+          check
+            (Alcotest.list Alcotest.string)
+            "fields"
+            [ "schema"; "kind"; "threshold_pct"; "compared"; "regressions";
+              "improvements"; "only_baseline"; "only_current" ]
+            (List.map fst fields)
+        | _ -> Alcotest.fail "dsu-perfdiff/v1 is not an object");
     case "report serializes as dsu-perfdiff/v1" (fun () ->
         let base = bechamel_doc [ ("a", 100.0) ] in
         let current = bechamel_doc [ ("a", 200.0) ] in

@@ -227,6 +227,20 @@ let plan_tests =
               check Alcotest.bool "equal after round-trip" true (Plan.equal p p')
             | Error e -> Alcotest.fail e)
           Plan.registry);
+    case "the registry holds the default and a packed plan, once each"
+      (fun () ->
+        check Alcotest.bool "default present" true
+          (List.exists (Plan.equal Plan.default) Plan.registry);
+        check Alcotest.bool "a packed plan present" true
+          (List.exists (fun p -> p.Plan.layout = Plan.Packed) Plan.registry);
+        let specs = List.map Plan.to_string Plan.registry in
+        check Alcotest.int "no plan listed twice"
+          (List.length specs)
+          (List.length (List.sort_uniq String.compare specs)));
+    case "\"auto\" is not a plan spec" (fun () ->
+        match Plan.of_string "auto" with
+        | Error _ -> ()
+        | Ok p -> Alcotest.fail ("parsed \"auto\" as " ^ Plan.to_string p));
     case "invalid combinations are rejected with sayings" (fun () ->
         let rejected s =
           match Plan.of_string s with Ok _ -> false | Error _ -> true
