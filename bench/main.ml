@@ -58,26 +58,12 @@ let bench_native_policy policy =
   bench_native (Printf.sprintf "native/%s" (Policy.to_string policy)) (fun () ->
       Dsu.Native.create ~policy ~seed:7 n_medium)
 
-(* Memory-layout A/B twin: the identical workload over the
-   cache-line-padded flat array. *)
-let bench_native_padded =
-  bench_native "native/padded-two-try" (fun () ->
-      Dsu.Native.create ~padded:true ~seed:7 n_medium)
-
 (* Memory-order A/B twin: the same end-to-end workload with every parent
    load fully fenced (seq-cst) — the fenced baseline the tuned default
    (relaxed-reads) is measured against.  Compare against native/two-try. *)
 let bench_native_seqcst =
   bench_native "native/two-try-seqcst" (fun () ->
       Dsu.Native.create ~memory_order:Dsu.Memory_order.Seq_cst ~seed:7 n_medium)
-
-(* Backoff A/B twin: link-CAS backoff disabled.  Single-threaded the two
-   should be indistinguishable (backoff only runs after a failed link CAS);
-   the multi-domain difference is the job of the [dsu_workload
-   scalability] sweep (--backoffs on,off). *)
-let bench_native_nobackoff =
-  bench_native "native/two-try-nobackoff" (fun () ->
-      Dsu.Native.create ~backoff:false ~seed:7 n_medium)
 
 (* E10 family: early termination. *)
 let bench_native_early =
@@ -237,15 +223,14 @@ let bench_growable =
         Dsu.Growable.unite g first e
       done)
 
-(* Micro: single operations on a prepared structure, with a padded-layout
-   twin for the false-sharing ablation.
+(* Micro: single operations on a prepared structure.
 
    The preparation ends with repeated find passes over every node: two-try
    splitting keeps shortening paths, so without the passes the structure
    compacts *during* measurement and the timings are non-stationary (bad
    OLS fits, run-order-dependent estimates).  Flattening first makes the
    measured operation a stationary parent-hop walk — exactly the part the
-   layouts differ on. *)
+   memory orders differ on. *)
 let flatten_native d =
   for _ = 1 to 3 do
     for i = 0 to Dsu.Native.n d - 1 do
@@ -259,16 +244,16 @@ let flatten_native d =
    (negative R^2 fits), and the batch lifts the run into the tens-of-us
    range where the OLS fit is stable and the stream spans enough of the
    structure for cache behaviour to show.  The twins share the stream
-   (same seed), so the layout comparison is paired.  ns/run figures for
-   micro/* are therefore per-batch; the A/B ratio is what matters. *)
+   (same seed), so the memory-order comparison is paired.  ns/run figures
+   for micro/* are therefore per-batch; the A/B ratio is what matters. *)
 let micro_batch = 2048
 
 let micro_indices seed =
   let rng = Rng.create seed in
   Array.init micro_batch (fun _ -> Rng.int rng n_medium)
 
-(* micro/find and its layout and memory-order twins: the same flattened
-   structure shape and index stream. *)
+(* micro/find and its memory-order twin: the same flattened structure
+   shape and index stream. *)
 let bench_micro_find name create =
   bench name (fun () ->
       let d = create () in
@@ -282,10 +267,6 @@ let bench_micro_find name create =
 
 let bench_single_find =
   bench_micro_find "micro/find" (fun () -> Dsu.Native.create ~seed:41 n_medium)
-
-let bench_single_find_padded =
-  bench_micro_find "micro/find-padded" (fun () ->
-      Dsu.Native.create ~padded:true ~seed:41 n_medium)
 
 let bench_single_same_set =
   bench "micro/same_set" (fun () ->
@@ -430,9 +411,7 @@ let all_tests =
     bench_native_policy Policy.No_compaction;
     bench_native_policy Policy.One_try_splitting;
     bench_native_policy Policy.Two_try_splitting;
-    bench_native_padded;
     bench_native_seqcst;
-    bench_native_nobackoff;
     bench_native_early;
     bench_aw;
     bench_locked;
@@ -453,7 +432,6 @@ let all_tests =
     bench_steensgaard;
     bench_growable;
     bench_single_find;
-    bench_single_find_padded;
     bench_single_find_seqcst;
     bench_single_same_set;
     bench_bulk_unite_batch;

@@ -309,9 +309,8 @@ let plan_arg =
     & opt (some plan_conv) None
     & info [ "plan" ] ~docv:"SPEC"
         ~doc:
-          "Run under one implementation plan \
-           (linking:compaction:order:backoff:layout, e.g. \
-           rank:halving:relaxed-reads:on:packed).  Overrides $(b,--policy) \
+          "Run under one implementation plan (compaction:order:layout, e.g. \
+           halving:relaxed-reads:packed).  Overrides $(b,--policy) \
            in $(b,native); pins the $(b,scalability) sweep to the plan's \
            point.")
 
@@ -321,7 +320,10 @@ let plan_of_policy policy = { Dsu.Plan.default with compaction = policy }
 (* A gate's percent budget (--guard-tuned, --max-overhead,
    --diff-threshold).  Every comparison against nan is false, so a nan
    budget would pass any gate: non-finite budgets are usage errors.
-   Negative budgets stay legal. *)
+   Negative budgets stay legal only where they mean "demand a win"
+   (--guard-tuned, --max-overhead): perfdiff rejects a negative
+   --diff-threshold, under which every unchanged row would be both a
+   regression and an improvement. *)
 let budget_conv =
   let parse s =
     match Arg.conv_parser Arg.float s with
@@ -982,8 +984,8 @@ let layouts_arg =
     & opt_all layout_conv []
     & info [ "layout" ] ~docv:"LAYOUT"
         ~doc:
-          "Memory layout to test: flat, flat-padded or packed (repeatable; \
-           default flat).")
+          "Memory layout to test: flat or packed (repeatable; default \
+           flat).")
 
 let policies_arg =
   Arg.(
@@ -1817,15 +1819,6 @@ let dist_conv =
   let print ppf d = Format.pp_print_string ppf (Scalability.dist_to_string d) in
   Arg.conv (parse, print)
 
-let backoff_conv =
-  let parse = function
-    | "on" | "true" | "1" -> Ok true
-    | "off" | "false" | "0" -> Ok false
-    | s -> Error (`Msg (Printf.sprintf "unknown backoff switch %S" s))
-  in
-  let print ppf b = Format.pp_print_string ppf (if b then "on" else "off") in
-  Arg.conv (parse, print)
-
 let scal_defaults = Scalability.default_config
 
 let scal_n_arg =
@@ -1862,7 +1855,7 @@ let scal_policies_arg =
 let scal_layouts_arg =
   axis_arg layout_conv scal_defaults.Scalability.layouts "layouts"
     ~docv:"L1,L2"
-    ~doc:"Memory layouts to sweep: flat, flat-padded, packed (default flat)."
+    ~doc:"Memory layouts to sweep: flat, packed (default flat)."
 
 let scal_orders_arg =
   axis_arg memory_order_conv scal_defaults.Scalability.memory_orders
@@ -1870,10 +1863,6 @@ let scal_orders_arg =
     ~doc:
       "Parent-load memory orders to sweep: seq-cst, acquire, relaxed-reads \
        (default relaxed-reads)."
-
-let scal_backoffs_arg =
-  axis_arg backoff_conv scal_defaults.Scalability.backoffs "backoffs"
-    ~docv:"B1,B2" ~doc:"Link-CAS backoff switches to sweep: on, off (default on)."
 
 let scal_dists_arg =
   axis_arg dist_conv scal_defaults.Scalability.dists "dists" ~docv:"D1,D2"
@@ -1916,7 +1905,7 @@ let best_of_3 run =
   Float.max a (Float.max b (run ()))
 
 let run_scalability n ops max_domains unite_percent policies layouts orders
-    backoffs dists plan guard json_out =
+    dists plan guard json_out =
   let* () = check_arg (n >= 1) "--elements must be >= 1" in
   let* () = check_arg (ops >= 1) "--ops must be >= 1" in
   let* () = check_arg (max_domains >= 1) "--max-domains must be >= 1" in
@@ -1927,8 +1916,7 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
   in
   let* () =
     check_arg
-      (policies <> [] && layouts <> [] && orders <> [] && backoffs <> []
-     && dists <> [])
+      (policies <> [] && layouts <> [] && orders <> [] && dists <> [])
       "a sweep axis is empty"
   in
   let rec counts d = if d > max_domains then [] else d :: counts (2 * d) in
@@ -1943,7 +1931,6 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
       policies;
       layouts;
       memory_orders = orders;
-      backoffs;
       dists;
     }
   in
@@ -1958,17 +1945,15 @@ let run_scalability n ops max_domains unite_percent policies layouts orders
         layouts = [ p.Dsu.Plan.layout ];
         policies = [ p.Dsu.Plan.compaction ];
         memory_orders = [ p.Dsu.Plan.memory_order ];
-        backoffs = [ p.Dsu.Plan.backoff ];
       }
   in
   let points =
     Scalability.sweep ~config
       ~progress:(fun p ->
-        Printf.printf "%-12s %-10s %-13s %-3s %-7s d=%d  %8.3f Mops/s\n%!"
+        Printf.printf "%-12s %-10s %-13s %-7s d=%d  %8.3f Mops/s\n%!"
           (Dsu.Plan.layout_to_string p.Scalability.layout)
           (Policy.to_string p.Scalability.policy)
           (Dsu.Memory_order.to_string p.Scalability.memory_order)
-          (if p.Scalability.backoff then "on" else "off")
           (Scalability.dist_to_string p.Scalability.dist)
           p.Scalability.domains p.Scalability.mops_per_sec)
       ()
@@ -2006,15 +1991,14 @@ let scalability_cmd =
   let doc =
     "Domain-parallel scalability sweep (experiment E13): one shared DSU \
      under 1, 2, 4, ... domains across find policies, memory layouts, \
-     memory orders, backoff and key distributions (emits \
-     dsu-scalability/v2)."
+     memory orders and key distributions (emits dsu-scalability/v2)."
   in
   Cmd.v (Cmd.info "scalability" ~doc ~exits:check_exits)
     Term.(
       term_result
         (const run_scalability $ scal_n_arg $ scal_ops_arg $ max_domains_arg
         $ unite_percent_arg $ scal_policies_arg $ scal_layouts_arg
-        $ scal_orders_arg $ scal_backoffs_arg $ scal_dists_arg $ plan_arg
+        $ scal_orders_arg $ scal_dists_arg $ plan_arg
         $ guard_tuned_arg $ json_out_arg))
 
 let main =

@@ -46,9 +46,9 @@ module Packed = Packed_dsu
     compaction rule. *)
 
 module Plan = Dsu_plan
-(** First-class configuration points of the plan space (linking rule x
-    compaction x memory order x backoff x layout), with the registry of
-    valid points and the [--plan] CLI spec syntax. *)
+(** First-class configuration points of the plan space (compaction x
+    memory order x layout, where the layout fixes the linking rule), with
+    the [--plan] CLI spec syntax. *)
 
 module Driver = Dsu_driver
 (** The one backend type: a variant over the flat and packed layouts,

@@ -119,26 +119,19 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
             on the fly from a large universe). *)
     policy : Find_policy.t;
     early : bool;
-    backoff : bool;
-        (** Bounded exponential backoff after a failed {e link} CAS in
-            [unite].  A failed link means another domain just linked the
-            same root, so an immediate retry mostly re-collides; splitting
-            CAS failures never back off (they are not retried at all beyond
-            the policy's second try). *)
     stats : Dsu_stats.t option;
     on_link : (child:int -> parent:int -> unit) option;
   }
 
   let create ?(policy = Find_policy.Two_try_splitting) ?(early = false)
-      ?(backoff = true) ?stats ?on_link ~mem ~n ~prio () =
+      ?stats ?on_link ~mem ~n ~prio () =
     if n < 1 then invalid_arg "Dsu_algorithm.create: n must be >= 1";
-    { mem; n; prio; policy; early; backoff; stats; on_link }
+    { mem; n; prio; policy; early; stats; on_link }
 
   let n t = t.n
   let mem t = t.mem
   let policy t = t.policy
   let early t = t.early
-  let backoff t = t.backoff
   let stats t = t.stats
 
   let id t i = t.prio i
@@ -440,9 +433,10 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
 
   (* Only a failed link CAS backs off: another domain just linked the same
      root, so an immediate retry mostly re-collides.  A stale observation
-     and an early step are progress. *)
-  let[@inline] after_failed_link t code spins =
-    if code <> stale && t.backoff then Backoff.once spins else spins
+     and an early step are progress.  Splitting CAS failures never back
+     off (they are not retried beyond the policy's second try). *)
+  let[@inline] after_failed_link code spins =
+    if code <> stale then Backoff.once spins else spins
 
   (* Algorithm 3: Unite via two complete finds per round, then one link
      attempt.  The link CAS stays {e strong} (a reported failure must mean
@@ -461,7 +455,7 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
       else begin
         p := link t !u !v;
         if !p < 0 then begin
-          spins := after_failed_link t !p !spins;
+          spins := after_failed_link !p !spins;
           retry t
         end
       end
@@ -488,7 +482,7 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) = struct
         let p = link t !u !v in
         if p >= 0 then go := false
         else begin
-          spins := after_failed_link t p !spins;
+          spins := after_failed_link p !spins;
           retry t
         end
       end

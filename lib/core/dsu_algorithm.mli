@@ -43,7 +43,6 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) : sig
   val create :
     ?policy:Find_policy.t ->
     ?early:bool ->
-    ?backoff:bool ->
     ?stats:Dsu_stats.t ->
     ?on_link:(child:int -> parent:int -> unit) ->
     mem:M.t ->
@@ -57,16 +56,14 @@ module Make (M : Memory_intf.S) (L : LINK with type mem = M.t) : sig
       index, so priorities need not be distinct (the growable extension
       draws them from a large universe on the fly).  [policy] defaults to
       two-try splitting; [early] selects Algorithms 6/7, which need a
-      [prio] that never changes; [backoff] (default [true]) spins a
-      bounded, exponentially growing number of [cpu_relax] iterations
-      after a failed link CAS in [unite] (see {!Repro_util.Backoff});
-      [on_link] observes every successful link (the union forest). *)
+      [prio] that never changes; [on_link] observes every successful link
+      (the union forest).  A failed link CAS in [unite] is always followed
+      by a bounded exponential backoff (see {!Repro_util.Backoff}). *)
 
   val n : t -> int
   val mem : t -> M.t
   val policy : t -> Find_policy.t
   val early : t -> bool
-  val backoff : t -> bool
   val stats : t -> Dsu_stats.t option
 
   val id : t -> int -> int

@@ -1,7 +1,7 @@
 (** A DSU backend as one value; see the interface.  The two layout
     dispatches are {!create} here and [Repro_recover.Restore.restore]. *)
 
-type kind = Flat | Packed
+type kind = Dsu_plan.layout = Flat | Packed
 
 type t = Flat of Dsu_native.t | Packed of Packed_dsu.Native.t
 
@@ -9,29 +9,16 @@ let kind : t -> kind = function
   | Flat _ -> Flat
   | Packed _ -> Packed
 
-let kind_to_string : kind -> string = function
-  | Flat -> "flat"
-  | Packed -> "packed"
-
-let kind_of_layout : Dsu_plan.layout -> kind = function
-  | Dsu_plan.Flat | Dsu_plan.Padded -> Flat
-  | Dsu_plan.Packed -> Packed
-
 let create ?(plan = Dsu_plan.default) ?(seed = 1) ?(collect_stats = false)
     ?on_link n =
-  (match Dsu_plan.validate plan with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Dsu_driver.create: invalid plan: " ^ msg));
-  let { Dsu_plan.compaction = policy; backoff; memory_order; layout; _ } = plan in
+  let { Dsu_plan.compaction = policy; memory_order; layout } = plan in
   match layout with
-  | Dsu_plan.Flat | Dsu_plan.Padded ->
+  | Flat ->
     Flat
-      (Dsu_native.create ~policy ~backoff ~memory_order ~collect_stats ?on_link
-         ~seed ~padded:(layout = Dsu_plan.Padded) n)
-  | Dsu_plan.Packed ->
+      (Dsu_native.create ~policy ~memory_order ~collect_stats ?on_link ~seed n)
+  | Packed ->
     Packed
-      (Packed_dsu.Native.create ~policy ~backoff ~memory_order ~collect_stats
-         ?on_link n)
+      (Packed_dsu.Native.create ~policy ~memory_order ~collect_stats ?on_link n)
 
 let n = function
   | Flat d -> Dsu_native.n d

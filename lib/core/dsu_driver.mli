@@ -1,5 +1,5 @@
-(** A DSU backend as one value: a variant over the two kinds of layout
-    (flat, also padded; packed).  A {!Dsu_plan.t} is the only selector:
+(** A DSU backend as one value: a variant over the two layouts (flat;
+    packed).  A {!Dsu_plan.t} is the only selector:
     {!create} builds whatever layout the plan names.
 
     {!Growable}, the [MakeSet] extension, is not a kind: nothing behind
@@ -19,17 +19,13 @@
     docs/PERFORMANCE.md, "Backend dispatch"): the variant is at least as
     fast. *)
 
-type kind =
-  | Flat  (** {!Dsu_native}, also the padded layout *)
+type kind = Dsu_plan.layout =
+  | Flat  (** {!Dsu_native}, random-id linking *)
   | Packed  (** {!Packed_dsu.Native}, linking by rank *)
 
 type t = Flat of Dsu_native.t | Packed of Packed_dsu.Native.t
 
 val kind : t -> kind
-val kind_to_string : kind -> string
-
-val kind_of_layout : Dsu_plan.layout -> kind
-(** The kind a plan's layout builds ([Padded] is [Flat]). *)
 
 val create :
   ?plan:Dsu_plan.t ->
@@ -42,8 +38,7 @@ val create :
     {!Dsu_plan.default}): its layout picks the kind.  [seed] feeds the random
     priorities of the id-linking layouts (ignored by [Packed]); [on_link]
     hooks every successful link CAS.
-    @raise Invalid_argument if {!Dsu_plan.validate} rejects the plan or
-    [n < 1]. *)
+    @raise Invalid_argument if [n < 1]. *)
 
 val n : t -> int
 

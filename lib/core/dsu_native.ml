@@ -12,8 +12,8 @@ type t = A.t
    randomized-linking analysis). *)
 let self_seed = Atomic.make 0x4d595df4d0f33173
 
-let create ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
-    ?on_link ?seed ?(padded = false) n =
+let create ?policy ?early ?memory_order ?(collect_stats = false) ?on_link
+    ?seed n =
   if n < 1 then invalid_arg "Dsu_native.create: n must be >= 1";
   let seed =
     match seed with
@@ -21,11 +21,9 @@ let create ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
     | None -> 1 + Atomic.fetch_and_add self_seed 1
   in
   let ids = Rng.permutation (Rng.create seed) n in
-  let mem = Native_memory.make ~padded ?order:memory_order n (fun i -> i) in
+  let mem = Native_memory.make ?order:memory_order n (fun i -> i) in
   let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
-  A.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n
-    ~prio:(fun i -> ids.(i))
-    ()
+  A.create ?policy ?early ?stats ?on_link ~mem ~n ~prio:(fun i -> ids.(i)) ()
 
 let n = A.n
 
@@ -125,8 +123,8 @@ let snapshot_fuzzy t =
   in
   (parents, ids_snapshot t)
 
-let restore ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
-    ?on_link ?(padded = false) (s : snapshot) =
+let restore ?policy ?early ?memory_order ?(collect_stats = false) ?on_link
+    (s : snapshot) =
   let n = Array.length s.parents in
   if n < 1 || Array.length s.ids <> n then
     invalid_arg "Dsu_native.restore: malformed snapshot";
@@ -144,16 +142,13 @@ let restore ?policy ?early ?backoff ?memory_order ?(collect_stats = false)
       if p <> i && ids.(p) <= ids.(i) then
         invalid_arg "Dsu_native.restore: parents violate the linking order")
     s.parents;
-  let mem =
-    Native_memory.make ~padded ?order:memory_order n (fun i -> s.parents.(i))
-  in
+  let mem = Native_memory.make ?order:memory_order n (fun i -> s.parents.(i)) in
   let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
-  A.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n ~prio:(fun i -> ids.(i)) ()
+  A.create ?policy ?early ?stats ?on_link ~mem ~n ~prio:(fun i -> ids.(i)) ()
 
-let of_snapshot ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link
-    ?padded ~parents ~ids () =
-  restore ?policy ?early ?backoff ?memory_order ?collect_stats ?on_link ?padded
-    { parents; ids }
+let of_snapshot ?policy ?early ?memory_order ?collect_stats ?on_link ~parents
+    ~ids () =
+  restore ?policy ?early ?memory_order ?collect_stats ?on_link { parents; ids }
 
 let snapshot_to_string (s : snapshot) =
   let buf = Buffer.create (Array.length s.parents * 8) in

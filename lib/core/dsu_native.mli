@@ -18,12 +18,10 @@ type t
 val create :
   ?policy:Find_policy.t ->
   ?early:bool ->
-  ?backoff:bool ->
   ?memory_order:Memory_order.t ->
   ?collect_stats:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
   ?seed:int ->
-  ?padded:bool ->
   int ->
   t
 (** [create n] makes [n] singleton sets, nodes numbered [0 .. n-1].
@@ -32,8 +30,6 @@ val create :
       the paper's best).
     - [early] enables the early-termination [SameSet]/[Unite] of Section 6
       (default [false]).
-    - [backoff] (default [true]) enables bounded exponential backoff after
-      a failed link CAS in [unite]; see {!Repro_util.Backoff}.
     - [memory_order] picks the parent-load ordering mode (default
       {!Memory_order.Relaxed_reads}); [Seq_cst] is the fully fenced
       baseline kept for A/B runs.  See {!Memory_order} and
@@ -45,9 +41,7 @@ val create :
       thread-safe.  Used by the forest-shape experiments.
     - [seed] fixes the random node order for reproducibility; omitting it
       uses a self-initializing seed (drawn from an atomic counter, so
-      concurrent [create] calls never share one).
-    - [padded] gives each parent word its own cache line (8x memory) —
-      the false-sharing ablation knob; see docs/PERFORMANCE.md. *)
+      concurrent [create] calls never share one). *)
 
 val n : t -> int
 
@@ -57,7 +51,9 @@ val same_set : t -> int -> int -> bool
 
 val unite : t -> int -> int -> unit
 (** Merge the sets of [x] and [y] (Algorithm 3, or 7 with [~early:true]).
-    Wait-free: completes regardless of other processes' speeds. *)
+    Wait-free: completes regardless of other processes' speeds.  A failed
+    link CAS is followed by a bounded exponential backoff
+    ({!Repro_util.Backoff}) before the next round. *)
 
 val find : t -> int -> int
 (** Current root of [x]'s tree.  The returned node was the root of [x]'s set
@@ -134,25 +130,20 @@ val snapshot : t -> snapshot
 val restore :
   ?policy:Find_policy.t ->
   ?early:bool ->
-  ?backoff:bool ->
   ?memory_order:Memory_order.t ->
   ?collect_stats:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
-  ?padded:bool ->
   snapshot ->
   t
 (** A fresh structure with the same partition, node order and tree shape;
-    policy/early/backoff/memory_order/padded may differ from the
-    original's. *)
+    policy/early/memory_order may differ from the original's. *)
 
 val of_snapshot :
   ?policy:Find_policy.t ->
   ?early:bool ->
-  ?backoff:bool ->
   ?memory_order:Memory_order.t ->
   ?collect_stats:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
-  ?padded:bool ->
   parents:int array ->
   ids:int array ->
   unit ->

@@ -164,14 +164,14 @@ let mix64 z =
 (* Element [i]'s priority is [mix64 (seed + i * prio_step)]. *)
 let prio_step = 0x632be59bd9b4e019
 
-let create ?policy ?early ?backoff ?(memory_order = Memory_order.default)
+let create ?policy ?early ?(memory_order = Memory_order.default)
     ?(collect_stats = false) ?on_link ?(seed = 0x9e3779b9) () =
   let mem = Memory.create memory_order in
   let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
   let algo =
     (* The universe has no bound, so the functor's own range check gets
        the largest one; the real entry check is [check] below. *)
-    Algo.create ?policy ?early ?backoff ?stats ?on_link ~mem ~n:max_int
+    Algo.create ?policy ?early ?stats ?on_link ~mem ~n:max_int
       ~prio:(fun i -> Memory.prio mem i) ()
   in
   { mem; next = Atomic.make 0; rng_state = Atomic.make seed; algo }

@@ -44,14 +44,13 @@ type t
 val create :
   ?policy:Find_policy.t ->
   ?early:bool ->
-  ?backoff:bool ->
   ?memory_order:Memory_order.t ->
   ?collect_stats:bool ->
   ?on_link:(child:int -> parent:int -> unit) ->
   ?seed:int ->
   unit ->
   t
-(** An empty universe.  [backoff]/[memory_order] as in
+(** An empty universe.  [memory_order] as in
     {!Dsu_native.create}.  Priorities are release-published by [make_set]
     and acquire-loaded by the linking order, independent of
     [memory_order]. *)

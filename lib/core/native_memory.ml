@@ -19,8 +19,7 @@ module A = Repro_util.Flat_atomic_array
 
 type t = { arr : A.t; order : Memory_order.t }
 
-let make ?(padded = false) ?(order = Memory_order.default) n f =
-  { arr = A.make ~padded n f; order }
+let make ?(order = Memory_order.default) n f = { arr = A.make n f; order }
 
 let of_flat ?(order = Memory_order.default) arr = { arr; order }
 let order t = t.order

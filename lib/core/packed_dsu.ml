@@ -162,16 +162,14 @@ module Native = struct
   (* [prio] is the live rank, the order the words maintain; [rank_of] and
      [ranks_snapshot] read it.  The rounds never call it: {!By_rank}
      compares the ranks in the words its CAS expects. *)
-  let make ?policy ?backoff ?memory_order ~collect_stats ~padded ?on_link n
-      init =
+  let make ?policy ?memory_order ~collect_stats ?on_link n init =
     let stats = if collect_stats then Some (Dsu_stats.create ()) else None in
-    let mem = Native_memory.make ~padded ?order:memory_order n init in
-    A.create ?policy ?backoff ?stats ?on_link ~mem ~n
+    let mem = Native_memory.make ?order:memory_order n init in
+    A.create ?policy ?stats ?on_link ~mem ~n
       ~prio:(fun i -> rank_of_word (Native_memory.read mem i))
       ()
 
-  let create ?policy ?backoff ?memory_order ?(collect_stats = false)
-      ?(padded = false) ?on_link n =
+  let create ?policy ?memory_order ?(collect_stats = false) ?on_link n =
     (* Bounds-check before allocating: n > max_nodes must raise
        Invalid_argument, not attempt a 2^40-word allocation. *)
     if n < 1 || n > max_nodes then
@@ -180,12 +178,10 @@ module Native = struct
            "Packed_dsu.create: n must be in [1, 2^%d] (parent field is %d \
             bits)"
            parent_bits parent_bits);
-    make ?policy ?backoff ?memory_order ~collect_stats ~padded ?on_link n
-      init_word
+    make ?policy ?memory_order ~collect_stats ?on_link n init_word
 
   let n = A.n
   let policy = A.policy
-  let backoff = A.backoff
 
   (* Top-level operations time themselves when telemetry is armed, exactly
      as {!Dsu_native} does. *)
@@ -283,8 +279,8 @@ module Native = struct
     done;
     !acc
 
-  let of_snapshot ?policy ?backoff ?memory_order ?(collect_stats = false)
-      ?(padded = false) ?on_link ~parents ~ranks () =
+  let of_snapshot ?policy ?memory_order ?(collect_stats = false) ?on_link
+      ~parents ~ranks () =
     let n = Array.length parents in
     if n < 1 || Array.length ranks <> n then
       invalid_arg "Packed_dsu.of_snapshot: malformed snapshot";
@@ -301,8 +297,7 @@ module Native = struct
           && not (ranks.(i) < ranks.(p) || (ranks.(i) = ranks.(p) && i < p))
         then invalid_arg "Packed_dsu.of_snapshot: parents violate the rank order")
       parents;
-    make ?policy ?backoff ?memory_order ~collect_stats ~padded ?on_link n
-      (fun i ->
+    make ?policy ?memory_order ~collect_stats ?on_link n (fun i ->
         if parents.(i) = i then root_word ~rank:ranks.(i) ~node:i
         else child_word ~rank:ranks.(i) ~parent:parents.(i))
 end

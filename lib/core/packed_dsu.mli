@@ -61,24 +61,20 @@ module Native : sig
 
   val create :
     ?policy:Find_policy.t ->
-    ?backoff:bool ->
     ?memory_order:Memory_order.t ->
     ?collect_stats:bool ->
-    ?padded:bool ->
     ?on_link:(child:int -> parent:int -> unit) ->
     int ->
     t
   (** [policy] (default two-try splitting) is any of the five
       {!Find_policy} compaction rules, with rank-preserving updates;
       [memory_order] as in {!Dsu_native.create} (default
-      {!Memory_order.Relaxed_reads}); [padded] spreads one word per cache
-      line; [on_link] fires after every successful link CAS (the WAL hook
-      point, {!Repro_durable.Wal}); [backoff] as in {!Dsu_native.create}.
+      {!Memory_order.Relaxed_reads}); [on_link] fires after every
+      successful link CAS (the WAL hook point, {!Repro_durable.Wal}).
       @raise Invalid_argument unless [1 <= n <= max_nodes]. *)
 
   val n : t -> int
   val policy : t -> Find_policy.t
-  val backoff : t -> bool
   val find : t -> int -> int
   val same_set : t -> int -> int -> bool
   val unite : t -> int -> int -> unit
@@ -113,10 +109,8 @@ module Native : sig
 
   val of_snapshot :
     ?policy:Find_policy.t ->
-    ?backoff:bool ->
     ?memory_order:Memory_order.t ->
     ?collect_stats:bool ->
-    ?padded:bool ->
     ?on_link:(child:int -> parent:int -> unit) ->
     parents:int array ->
     ranks:int array ->

@@ -42,8 +42,7 @@ val components :
     to 4, [strategy] to [Sampled 2].  [plan] (default {!Dsu.Plan.default})
     picks the DSU backend via {!Dsu.Driver}; [collect_stats] (default
     [true], matching the original API) feeds [dsu_work] — pass [false]
-    for timing runs, leaving [dsu_work = 0].
-    @raise Invalid_argument if {!Dsu.Plan.validate} rejects [plan]. *)
+    for timing runs, leaving [dsu_work = 0]. *)
 
 (** {1 Streamed pipeline} *)
 
@@ -124,6 +123,5 @@ val run_stream :
     {!Dsu.Plan.default}; [block_chunks] (default 8) is the deterministic
     engine's block size, except that its first block is the stream's
     sample window ({!Edge_stream.sample_window}) when that is shorter.
-    @raise Invalid_argument if {!Dsu.Plan.validate} rejects [plan], or
-    if [sampling] is [K_out k] with [k] outside [\[1, 255\]] (the
-    message names the value). *)
+    @raise Invalid_argument if [sampling] is [K_out k] with [k] outside
+    [\[1, 255\]] (the message names the value). *)

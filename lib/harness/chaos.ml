@@ -807,8 +807,7 @@ let label ~layout ~policy ~depth =
 let run ?(config = default_config) ?keep ~layout ~policy ~depth () =
   validate_config config;
   let plan =
-    Dsu.Plan.on_layout layout
-      { Dsu.Plan.default with compaction = policy; memory_order = config.memory_order }
+    { Dsu.Plan.compaction = policy; memory_order = config.memory_order; layout }
   in
   let t0 = Clock.now_ns () in
   let body dir =

@@ -93,11 +93,12 @@ type point = {
           the "nothing silently dropped after ack" guarantee *)
   saturated : bool;  (** achieved < 95% of offered *)
   oversubscribed : bool;
-      (** Direct only: [generators + 1 > Domain.recommended_domain_count
-          ()], so the busy-spinning generators and the measuring domain
-          outnumber the cores and the latencies may be bimodal.  The
-          point still runs, with a warning on stderr; the Direct JSON
-          point records it as ["oversubscribed"]. *)
+      (** [generators + workers + 1 > Domain.recommended_domain_count ()]
+          ([workers = 0] on the Direct target): the busy-spinning
+          generators, the service workers and the measuring domain
+          outnumber the cores, so the latencies may be bimodal.  The
+          point still runs (a Direct point with a warning on stderr);
+          every JSON point records it as ["oversubscribed"]. *)
 }
 
 val run_point :

@@ -113,6 +113,10 @@ let diff ?(threshold_pct = 10.0) ~base ~current () =
     (* every comparison against nan is false: a nan threshold would flag
        nothing, however large the regression *)
     Error (Printf.sprintf "threshold %g is not a finite number" threshold_pct)
+  | _ when threshold_pct < 0.0 ->
+    (* a zero delta would lie beyond the threshold in both directions:
+       every unchanged row a regression and an improvement at once *)
+    Error (Printf.sprintf "threshold %g is negative" threshold_pct)
   | Error e, _ -> Error ("baseline: " ^ e)
   | _, Error e -> Error ("current: " ^ e)
   | Ok (kb, _, _), Ok (kc, _, _) when kb <> kc ->

@@ -17,7 +17,6 @@ type point = {
   layout : Dsu.Plan.layout;
   policy : Policy.t;
   memory_order : Order.t;
-  backoff : bool;
   dist : dist;
   domains : int;
   n : int;
@@ -36,7 +35,6 @@ type config = {
   policies : Policy.t list;
   layouts : Dsu.Plan.layout list;
   memory_orders : Order.t list;
-  backoffs : bool list;
   dists : dist list;
 }
 
@@ -50,7 +48,6 @@ let default_config =
     policies = [ Policy.Two_try_splitting; Policy.One_try_splitting ];
     layouts = [ Dsu.Plan.Flat ];
     memory_orders = [ Order.default ];
-    backoffs = [ true ];
     dists = [ Uniform ];
   }
 
@@ -70,7 +67,6 @@ let run_point ?(config = default_config) ?(dist = Uniform) ~(plan : Dsu.Plan.t)
     layout = plan.layout;
     policy = plan.compaction;
     memory_order = plan.memory_order;
-    backoff = plan.backoff;
     dist;
     domains;
     n;
@@ -85,13 +81,9 @@ let sweep ?(config = default_config) ?progress () =
   let* layout = config.layouts in
   let* compaction = config.policies in
   let* memory_order = config.memory_orders in
-  let* backoff = config.backoffs in
   let* dist = config.dists in
   let* domains = config.domain_counts in
-  let plan =
-    Dsu.Plan.on_layout layout
-      { Dsu.Plan.default with compaction; memory_order; backoff }
-  in
+  let plan = { Dsu.Plan.compaction; memory_order; layout } in
   let p = run_point ~config ~dist ~plan ~domains () in
   Option.iter (fun f -> f p) progress;
   [ p ]
@@ -102,7 +94,6 @@ let point_to_json (p : point) =
       ("layout", J.String (Dsu.Plan.layout_to_string p.layout));
       ("policy", J.String (Policy.to_string p.policy));
       ("memory_order", J.String (Order.to_string p.memory_order));
-      ("backoff", J.Bool p.backoff);
       ("dist", J.String (dist_to_string p.dist));
       ("domains", J.Int p.domains);
       ("n", J.Int p.n);
@@ -120,11 +111,11 @@ let point_to_json (p : point) =
 let metric (p : point) =
   {
     Perfdiff.key =
-      Printf.sprintf "layout=%s policy=%s order=%s backoff=%b dist=%s domains=%d"
+      Printf.sprintf "layout=%s policy=%s order=%s dist=%s domains=%d"
         (Dsu.Plan.layout_to_string p.layout)
         (Policy.to_string p.policy)
         (Order.to_string p.memory_order)
-        p.backoff (dist_to_string p.dist) p.domains;
+        (dist_to_string p.dist) p.domains;
     metric = "mops_per_sec";
     dir = Higher_better;
     value = p.mops_per_sec;
@@ -147,11 +138,11 @@ let pp_table ppf points =
     Table.create
       ~headers:
         [
-          "layout"; "policy"; "order"; "backoff"; "dist"; "domains"; "Mops/s";
-          "vs 1-dom"; "errs";
+          "layout"; "policy"; "order"; "dist"; "domains"; "Mops/s"; "vs 1-dom";
+          "errs";
         ]
   in
-  let key p = (p.layout, p.policy, p.memory_order, p.backoff, p.dist) in
+  let key p = (p.layout, p.policy, p.memory_order, p.dist) in
   let base = Hashtbl.create 8 in
   List.iter
     (fun p -> if p.domains = 1 then Hashtbl.replace base (key p) p.mops_per_sec)
@@ -168,7 +159,6 @@ let pp_table ppf points =
           Dsu.Plan.layout_to_string p.layout;
           Policy.to_string p.policy;
           Order.to_string p.memory_order;
-          (if p.backoff then "on" else "off");
           dist_to_string p.dist;
           Table.cell_int p.domains;
           Table.cell_float p.mops_per_sec;

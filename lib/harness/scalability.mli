@@ -8,17 +8,16 @@
     - the domain count (default [1; 2; 4; 8]),
     - the find policy,
     - the memory layout ({!Dsu.Plan.layout}): [Flat] (the contiguous
-      {!Repro_util.Flat_atomic_array} parent array), [Padded] (one parent
-      word per cache line — false-sharing ablation) and [Packed] (linking
-      by rank over one packed word),
-    - the parent-load {!Dsu.Memory_order} mode and the link-CAS backoff
-      switch (the memory-order × backoff ablation axis), and
+      {!Repro_util.Flat_atomic_array} parent array, random-id linking) and
+      [Packed] (linking by rank over one packed word),
+    - the parent-load {!Dsu.Memory_order} mode (the memory-order ablation
+      axis), and
     - the key distribution: [Uniform], or [Skewed] (80% of endpoints drawn
       from a hot range of [max 16 (n/256)] nodes — the high-contention
-      sweep where backoff and ordering matter most).
+      sweep where the link-CAS backoff and ordering matter most).
 
     The JSON emitted by {!to_json} (schema ["dsu-scalability/v2"]; v1
-    lacked the [memory_order]/[backoff]/[dist] point fields) is the
+    lacked the [memory_order]/[dist] point fields) is the
     machine-readable product consumed by the perf-trajectory tooling;
     [dsu_workload scalability] is the CLI entry point.  See
     docs/PERFORMANCE.md for the schema and how to read the numbers on
@@ -34,7 +33,6 @@ type point = {
   layout : Dsu.Plan.layout;
   policy : Dsu.Find_policy.t;
   memory_order : Dsu.Memory_order.t;
-  backoff : bool;
   dist : dist;
   domains : int;
   n : int;
@@ -57,35 +55,34 @@ type config = {
   policies : Dsu.Find_policy.t list;
   layouts : Dsu.Plan.layout list;
   memory_orders : Dsu.Memory_order.t list;
-  backoffs : bool list;
   dists : dist list;
 }
 
 val default_config : config
 (** n = 2^16, 400k ops, 30% unites, domains 1/2/4/8, two-try and one-try
-    policies, the flat layout, the default (relaxed-reads) order
-    with backoff on, uniform keys. *)
+    policies, the flat layout, the default (relaxed-reads) order, uniform
+    keys. *)
 
 val run_point :
   ?config:config -> ?dist:dist -> plan:Dsu.Plan.t -> domains:int -> unit -> point
 (** One timed {!Closed_loop.run} of the {!Dsu.Driver} the plan names:
-    compaction, memory order, backoff and layout come from the plan.
+    compaction, memory order and layout come from the plan.
     Operation streams are generated outside the timed section; timing
     covers domain spawn to join.  [dist] defaults to [Uniform].
-    @raise Invalid_argument on [domains < 1] or an invalid plan. *)
+    @raise Invalid_argument on [domains < 1]. *)
 
 val sweep : ?config:config -> ?progress:(point -> unit) -> unit -> point list
-(** The full cross product (layouts × policies × memory_orders × backoffs
-    × dists × domain_counts); [progress] is called after each point. *)
+(** The full cross product (layouts × policies × memory_orders × dists ×
+    domain_counts); [progress] is called after each point. *)
 
 val point_to_json : point -> Repro_obs.Json.t
 
 val to_json : ?config:config -> point list -> Repro_obs.Json.t
 (** The ["dsu-scalability/v2"] document: config echo, the host's
     recommended domain count, one object per point (now carrying
-    [memory_order], [backoff] and [dist]), and the {!Perfdiff} [metrics]:
+    [memory_order] and [dist]), and the {!Perfdiff} [metrics]:
     [mops_per_sec] per point, keyed by every swept axis. *)
 
 val pp_table : Format.formatter -> point list -> unit
-(** Human-readable table with per-(layout, policy, order, backoff, dist)
+(** Human-readable table with per-(layout, policy, order, dist)
     speedup vs 1 domain. *)

@@ -11,8 +11,8 @@ val restore :
   Snapshot.t ->
   Dsu.Driver.t
 (** The snapshot's kind picks the layout; [plan] (default
-    {!Dsu.Plan.default}) supplies the compaction rule, backoff and memory
-    order, and a [Padded] plan layout pads a flat restore.  [on_link]
+    {!Dsu.Plan.default}) supplies the compaction rule and memory order;
+    its layout is ignored.  [on_link]
     hooks every successful link CAS — pass {!Repro_durable.Wal.append} to
     resume logging after recovery.
     @raise Invalid_argument when the snapshot fails the layout's invariant

@@ -15,7 +15,7 @@ let with_epoch t epoch =
   if epoch < 0 then invalid_arg "Snapshot.with_epoch: negative epoch";
   { t with epoch }
 
-let kind_to_string = Dsu.Driver.kind_to_string
+let kind_to_string = Dsu.Plan.layout_to_string
 
 let kind_of_string = function
   | "flat" -> Some Flat

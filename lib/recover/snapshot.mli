@@ -47,7 +47,7 @@
     ordinary error, never an exception. *)
 
 type kind = Dsu.Driver.kind = Flat | Packed
-(** The layout a snapshot restores into; [Flat] covers padded. *)
+(** The layout a snapshot restores into: a {!Dsu.Plan.layout}. *)
 
 type t = {
   kind : kind;

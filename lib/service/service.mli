@@ -112,7 +112,7 @@ type config = {
   queue_capacity : int;  (** per-worker ingestion bound *)
   batch : int;  (** max ops drained per [head] CAS *)
   admission : admission;
-  plan : Dsu.Plan.t;  (** the backend: layout, compaction, order, backoff *)
+  plan : Dsu.Plan.t;  (** the backend: layout, compaction, order *)
   seed : int;
   snapshot_dir : string option;
   snapshot_interval : float;  (** seconds between fuzzy checkpoints *)
@@ -137,7 +137,7 @@ val create :
     serving after a crash.  The WAL writer remains owned by the caller and is {e not}
     closed by {!stop}.  [on_worker_start k] runs first on worker domain
     [k] — the chaos drill uses it to enroll workers for fault injection.
-    @raise Invalid_argument on nonsensical knobs or an invalid plan. *)
+    @raise Invalid_argument on nonsensical knobs. *)
 
 val submit :
   t -> ?intended_ns:int -> ?deadline_ns:int -> session:int -> op -> admit

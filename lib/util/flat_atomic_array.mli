@@ -12,8 +12,9 @@
     and word-sized aligned accesses cannot tear; see flat_atomic_stubs.c.
 
     With [~padded:true] each logical cell occupies its own 64-byte cache
-    line (stride 8 words), for false-sharing ablation; indices are unchanged,
-    only the memory footprint grows 8x. *)
+    line (stride 8 words); indices are unchanged, only the memory footprint
+    grows 8x.  The service ring's control words use it to keep its two
+    indices and its parked mark on separate cache lines. *)
 
 type t
 

@@ -451,7 +451,7 @@ let pipeline_tests =
           Edge_stream.erdos_renyi ~chunk_size:256 ~seed:17 ~n:400 ~m:1200 ()
         in
         let packed =
-          { Dsu.Plan.default with linking = Dsu.Plan.By_rank; layout = Dsu.Plan.Packed }
+          { Dsu.Plan.default with layout = Dsu.Plan.Packed }
         in
         check_stream "packed plan" ~plan:packed s);
     case "sampling skips edges but keeps answers" (fun () ->
@@ -505,7 +505,7 @@ let pipeline_tests =
         check Alcotest.bool "dsu_work collected" true
           (stats.Connectit.dsu_work > 0);
         let packed =
-          { Dsu.Plan.default with linking = Dsu.Plan.By_rank; layout = Dsu.Plan.Packed }
+          { Dsu.Plan.default with layout = Dsu.Plan.Packed }
         in
         let labels', stats' =
           Connectit.components ~domains:2 ~plan:packed ~collect_stats:false g
@@ -762,18 +762,9 @@ let driver_tests =
               (Dsu.Driver.count_sets d))
           [
             Dsu.Plan.default;
-            { Dsu.Plan.default with layout = Dsu.Plan.Padded };
-            {
-              Dsu.Plan.default with
-              linking = Dsu.Plan.By_rank;
-              layout = Dsu.Plan.Packed;
-            };
+            { Dsu.Plan.default with layout = Dsu.Plan.Packed };
           ]);
-    case "driver rejects invalid plans" (fun () ->
-        expect_invalid "by-rank needs packed" (fun () ->
-            Dsu.Driver.create
-              ~plan:{ Dsu.Plan.default with linking = Dsu.Plan.By_rank }
-              8);
+    case "driver rejects n < 1" (fun () ->
         expect_invalid "n < 1" (fun () -> Dsu.Driver.create 0));
     case "find_batch agrees with find on every backend" (fun () ->
         let n = 200 in
@@ -792,11 +783,7 @@ let driver_tests =
               batched)
           [
             Dsu.Plan.default;
-            {
-              Dsu.Plan.default with
-              linking = Dsu.Plan.By_rank;
-              layout = Dsu.Plan.Packed;
-            };
+            { Dsu.Plan.default with layout = Dsu.Plan.Packed };
           ]);
     case "unite_batch equals per-op unites" (fun () ->
         let n = 250 in
@@ -831,11 +818,7 @@ let driver_tests =
                 Dsu.Driver.unite_batch ~len:(-1) d xs ys))
           [
             Dsu.Plan.default;
-            {
-              Dsu.Plan.default with
-              linking = Dsu.Plan.By_rank;
-              layout = Dsu.Plan.Packed;
-            };
+            { Dsu.Plan.default with layout = Dsu.Plan.Packed };
           ]);
   ]
 

@@ -1,5 +1,5 @@
 (* Conformance of the one backend type, Dsu.Driver, over every layout it
-   builds: the same table of checks runs on flat, padded and packed —
+   builds: the same table of checks runs on flat and packed —
    per-op answers against a sequential oracle, batch kernels against
    per-op calls, a quiescent snapshot -> restore round trip, and a
    quiescent fuzzy capture against the quiescent snapshot.  Every entry is
@@ -32,20 +32,17 @@ let plan_of spec =
 let layouts =
   [
     fresh "flat" Dsu.Plan.default Snap.Flat;
-    fresh "padded" { Dsu.Plan.default with layout = Dsu.Plan.Padded } Snap.Flat;
-    fresh "packed" (Dsu.Plan.on_layout Dsu.Plan.Packed Dsu.Plan.default) Snap.Packed;
-    (* The same layouts on the seq-cst memory order with full compression,
-       no backoff: other loads and another find loop in the kernels. *)
-    fresh "flat, seq-cst compression" (plan_of "rand:compression:seq-cst:off:flat")
+    fresh "packed" { Dsu.Plan.default with layout = Dsu.Plan.Packed } Snap.Packed;
+    (* The same layouts on the seq-cst memory order with full compression:
+       other loads and another find loop in the kernels. *)
+    fresh "flat, seq-cst compression" (plan_of "compression:seq-cst:flat")
       Snap.Flat;
-    fresh "packed, seq-cst compression"
-      (plan_of "rank:compression:seq-cst:off:packed") Snap.Packed;
-    fresh "padded, seq-cst compression"
-      (plan_of "rand:compression:seq-cst:off:flat-padded") Snap.Flat;
+    fresh "packed, seq-cst compression" (plan_of "compression:seq-cst:packed")
+      Snap.Packed;
     (* Halving and one-try splitting on the acquire order: two more find
        loops and the middle load ordering. *)
-    fresh "flat, acquire halving" (plan_of "rand:halving:acquire:on:flat") Snap.Flat;
-    fresh "packed, acquire one-try" (plan_of "rank:one-try:acquire:on:packed")
+    fresh "flat, acquire halving" (plan_of "halving:acquire:flat") Snap.Flat;
+    fresh "packed, acquire one-try" (plan_of "one-try:acquire:packed")
       Snap.Packed;
   ]
 
@@ -144,11 +141,15 @@ let kind_checks =
           | Error e -> check Alcotest.string "error" expected e))
     [
       ( "boxed",
-        "rand:two-try:seq-cst:on:boxed",
-        "bad plan layout \"boxed\" in \"rand:two-try:seq-cst:on:boxed\"" );
+        "two-try:seq-cst:boxed",
+        "bad plan layout \"boxed\" in \"two-try:seq-cst:boxed\"" );
       ( "growable",
-        "rand:two-try:relaxed-reads:on:growable",
-        "bad plan layout \"growable\" in \"rand:two-try:relaxed-reads:on:growable\"" );
+        "two-try:relaxed-reads:growable",
+        "bad plan layout \"growable\" in \"two-try:relaxed-reads:growable\"" );
+      ( "flat-padded",
+        "two-try:relaxed-reads:flat-padded",
+        "bad plan layout \"flat-padded\" in \"two-try:relaxed-reads:flat-padded\""
+      );
     ]
 
 let () =

@@ -22,8 +22,8 @@ let variant_name (policy, early) =
 
 (* Run the same random operation sequence through the native DSU and the
    quick-find oracle, checking every query answer on the way. *)
-let oracle_run ?memory_order ?backoff ~policy ~early ~n ~ops ~seed () =
-  let d = Native.create ?memory_order ?backoff ~policy ~early ~seed n in
+let oracle_run ?memory_order ~policy ~early ~n ~ops ~seed () =
+  let d = Native.create ?memory_order ~policy ~early ~seed n in
   let q = Quick_find.create n in
   List.iter
     (fun op ->
@@ -667,16 +667,6 @@ let memory_order_tests =
           check Alcotest.bool "default" true
             (Dsu.Memory_order.equal Dsu.Memory_order.default
                (Native.memory_order d)));
-      case "backoff off matches oracle too" (fun () ->
-          let rng = Rng.create 322 in
-          let n = 48 in
-          let ops = random_ops rng ~n ~m:400 in
-          let d, q =
-            oracle_run ~backoff:false ~policy:Policy.Two_try_splitting
-              ~early:false ~n ~ops ~seed:78 ()
-          in
-          check Alcotest.int "count_sets" (Quick_find.count_sets q)
-            (Native.count_sets d));
     ]
 
 (* ------------------------------------- spurious weak-CAS failure model *)
@@ -949,7 +939,7 @@ let zero_words = 0.01
 
 let driver_alloc_tests =
   List.concat_map
-    (fun (layout, linking, compression_words) ->
+    (fun (layout, compression_words) ->
       List.map
         (fun policy ->
           let layout_name = Dsu.Plan.layout_to_string layout in
@@ -963,9 +953,7 @@ let driver_alloc_tests =
                 (Policy.to_string policy)
           in
           case name (fun () ->
-              let plan =
-                { Dsu.Plan.default with linking; layout; compaction = policy }
-              in
+              let plan = { Dsu.Plan.default with layout; compaction = policy } in
               let d = Dsu.Driver.create ~plan ~seed:7 alloc_n in
               let unite =
                 words_per_op alloc_pairs (fun (x, y) -> Dsu.Driver.unite d x y)
@@ -992,8 +980,8 @@ let driver_alloc_tests =
                 compression_words))
         Policy.all)
     [
-      (Dsu.Plan.Flat, Dsu.Plan.Random_id, [ 60.33; 58.76; 23.02 ]);
-      (Dsu.Plan.Packed, Dsu.Plan.By_rank, [ 59.39; 58.77; 23.03 ]);
+      (Dsu.Plan.Flat, [ 60.33; 58.76; 23.02 ]);
+      (Dsu.Plan.Packed, [ 59.39; 58.77; 23.03 ]);
     ]
 
 let alloc_tests = parity_tests @ driver_alloc_tests

@@ -424,7 +424,7 @@ let race_domains = 2
 let test_fuzzy layout () =
   (* Packed scans may race a rank promotion, so fixes are allowed there. *)
   let strict = layout <> Dsu.Plan.Packed in
-  let plan = Dsu.Plan.on_layout layout Dsu.Plan.default in
+  let plan = { Dsu.Plan.default with layout } in
   check_fuzzy_refines ~name:(Dsu.Plan.layout_to_string layout) ~seeds ~strict
     (fun seed ->
       let d = Dsu.Driver.create ~plan ~seed race_n in
@@ -554,7 +554,6 @@ let () =
       ( "fuzzy-refines",
         [
           case "flat x100 races" (test_fuzzy Dsu.Plan.Flat);
-          case "padded x100 races" (test_fuzzy Dsu.Plan.Padded);
           case "packed x100 races" (test_fuzzy Dsu.Plan.Packed);
         ] );
       ( "snapshot",
@@ -565,7 +564,6 @@ let () =
       ( "drill",
         [
           case "flat" (test_wal_drill Dsu.Plan.Flat);
-          case "padded" (test_wal_drill Dsu.Plan.Padded);
           case "packed" (test_wal_drill Dsu.Plan.Packed);
           case "scratch directories removed" test_scratch_removed;
         ] );

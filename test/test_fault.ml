@@ -244,12 +244,11 @@ module Driver = Dsu.Driver
 
 let tuned_create layout policy ?(n = 256) ~seed () =
   let plan =
-    Dsu.Plan.on_layout layout
-      {
-        Dsu.Plan.default with
-        Dsu.Plan.memory_order = Dsu.Memory_order.Relaxed_reads;
-        compaction = policy;
-      }
+    {
+      Dsu.Plan.memory_order = Dsu.Memory_order.Relaxed_reads;
+      compaction = policy;
+      layout;
+    }
   in
   Driver.create ~plan ~seed n
 
@@ -480,9 +479,6 @@ let chaos_tests =
             List.iter (fun (_, _, ops) -> check Alcotest.int "all ops done" 2_000 ops) st.Chaos.slots)
           s.Chaos.stages;
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
-    case "padded layout passes the same audit" (fun () ->
-        let config = { chaos_config with Chaos.ops_per_domain = 2_000; domains = 4; crash_domains = 1; crash_after = 300 } in
-        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok (run_dsu ~config Dsu.Plan.Padded)));
     case "chaos json is well-formed and self-consistent" (fun () ->
         let config =
           { chaos_config with Chaos.domains = 4; crash_domains = 1; ops_per_domain = 1_500; crash_after = 200 }

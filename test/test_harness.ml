@@ -233,13 +233,31 @@ let latency_tests =
               check Alcotest.bool (what ^ ": in the JSON point") true
                 (Json.member "oversubscribed" point = Some (Json.Bool expected))
             | _ -> Alcotest.fail "expected one point")
-          [ 1; 2 ];
-        let served =
-          { (direct ~ops:50 Load.Fixed) with generators = 2; workers = 1 }
-        in
-        let p = Load.run_point ~config:served ~rate:100_000.0 () in
-        check Alcotest.bool "the service target is never flagged" false
-          p.Load.oversubscribed);
+          [ 1; 2 ]);
+    case "service points flag generators and workers that outnumber the cores"
+      (fun () ->
+        let cores = Domain.recommended_domain_count () in
+        List.iter
+          (fun (generators, workers) ->
+            let config =
+              { (direct ~ops:50 Load.Fixed) with generators; workers }
+            in
+            let p = Load.run_point ~config ~rate:100_000.0 () in
+            let expected = generators + workers + 1 > cores in
+            let what =
+              Printf.sprintf "%d generator(s), %d worker(s), %d cores"
+                generators workers cores
+            in
+            check Alcotest.bool what expected p.Load.oversubscribed;
+            let j =
+              Json.parse_exn (Json.to_string (Load.to_json config [ p ]))
+            in
+            match Json.member "points" j with
+            | Some (Json.List [ point ]) ->
+              check Alcotest.bool (what ^ ": in the JSON point") true
+                (Json.member "oversubscribed" point = Some (Json.Bool expected))
+            | _ -> Alcotest.fail "expected one point")
+          [ (1, 1); (2, 1) ]);
     case "open-loop accounting exposes the stall closed-loop hides"
       (fun () ->
         (* One generator at 50k ops/s; the server freezes for 20ms mid-run.
@@ -339,7 +357,6 @@ let scalability_point ?(memory_order = Dsu.Memory_order.default) mops =
     Scalability.layout = Dsu.Plan.Flat;
     policy = Dsu.Find_policy.Two_try_splitting;
     memory_order;
-    backoff = true;
     dist = Scalability.Uniform;
     domains = 4;
     n = 1024;
@@ -486,13 +503,57 @@ let perfdiff_tests =
         | [ row ] ->
           check Alcotest.string "metric" "mops_per_sec" row.Perfdiff.metric;
           check Alcotest.string "keyed by configuration"
-            "layout=flat policy=two-try order=relaxed-reads backoff=true \
-             dist=uniform domains=4"
+            "layout=flat policy=two-try order=relaxed-reads dist=uniform \
+             domains=4"
             row.Perfdiff.key
         | _ -> Alcotest.fail "expected one regression");
         let up = diff_ok ~base:(doc 5.0) ~current:(doc 10.0) () in
         check Alcotest.int "improvement the other way" 1
           (List.length up.Perfdiff.improvements));
+    case "archived backoff= and flat-padded rows stay unpaired" (fun () ->
+        (* A scalability document from before the backoff switch and the
+           flat-padded layout were retired: same schema, keys with a
+           [backoff=] part, one of them on the flat-padded layout. *)
+        let archived_key layout backoff =
+          Printf.sprintf
+            "layout=%s policy=two-try order=relaxed-reads backoff=%b \
+             dist=uniform domains=4"
+            layout backoff
+        in
+        let archived =
+          metrics_doc ~schema:"dsu-scalability/v2"
+            (List.map
+               (fun key ->
+                 { Perfdiff.key; metric = "mops_per_sec"; dir = Higher_better;
+                   value = 10.0 })
+               [
+                 archived_key "flat" true;
+                 archived_key "flat" false;
+                 archived_key "flat-padded" true;
+               ])
+        in
+        let current = scalability_doc [ scalability_point 10.0 ] in
+        let r = diff_ok ~base:archived ~current () in
+        check Alcotest.int "no paired rows" 0 (List.length r.Perfdiff.rows);
+        check
+          Alcotest.(list string)
+          "only-baseline"
+          (List.map
+             (fun k -> k ^ "/mops_per_sec")
+             [
+               archived_key "flat" true;
+               archived_key "flat" false;
+               archived_key "flat-padded" true;
+             ])
+          r.Perfdiff.only_base;
+        check
+          Alcotest.(list string)
+          "only-current"
+          [
+            "layout=flat policy=two-try order=relaxed-reads dist=uniform \
+             domains=4/mops_per_sec";
+          ]
+          r.Perfdiff.only_current);
     case "latency documents diff quantiles and achieved rate" (fun () ->
         let base = load_doc ~workers:0 [ load_point ~achieved:990.0 ~lat:100 ] in
         let current = load_doc ~workers:0 [ load_point ~achieved:500.0 ~lat:300 ] in
@@ -780,10 +841,27 @@ let perfdiff_tests =
             | Ok _ ->
               Alcotest.fail
                 (Printf.sprintf "accepted threshold %g" threshold_pct))
-          [ Float.nan; Float.infinity; Float.neg_infinity ];
-        let negative = diff_ok ~threshold_pct:(-5.0) ~base ~current () in
-        check Alcotest.int "a negative threshold stays legal" 1
-          (List.length negative.Perfdiff.regressions));
+          [ Float.nan; Float.infinity; Float.neg_infinity ]);
+    case "a negative threshold is an error, not a flag on every row"
+      (fun () ->
+        (* Under a negative threshold an unchanged row would be both a
+           regression and an improvement. *)
+        let doc = bechamel_doc [ ("a", 100.0); ("b", 50.0) ] in
+        List.iter
+          (fun threshold_pct ->
+            match Perfdiff.diff_strings ~threshold_pct ~base:doc ~current:doc () with
+            | Error e ->
+              check Alcotest.string "message"
+                (Printf.sprintf "threshold %g is negative" threshold_pct)
+                e
+            | Ok _ ->
+              Alcotest.fail
+                (Printf.sprintf "accepted threshold %g" threshold_pct))
+          [ -1.0; -0.5; -1000.0 ];
+        let zero = diff_ok ~threshold_pct:0.0 ~base:doc ~current:doc () in
+        check Alcotest.int "zero threshold: unchanged rows unflagged" 0
+          (List.length zero.Perfdiff.regressions
+          + List.length zero.Perfdiff.improvements));
     case "a null metrics value is an error, not a silent pairing" (fun () ->
         let ok = bechamel_doc [ ("a", 1.0) ] in
         let null =

@@ -210,49 +210,47 @@ let native_tests =
 
 (* ------------------------------------------------------------------ plans *)
 
+(* The whole plan space: every compaction x memory order x layout. *)
+let all_plans =
+  List.concat_map
+    (fun compaction ->
+      List.concat_map
+        (fun memory_order ->
+          List.map
+            (fun layout -> { Plan.compaction; memory_order; layout })
+            [ Plan.Flat; Plan.Packed ])
+        Dsu.Memory_order.all)
+    Dsu.Find_policy.all
+
 let plan_tests =
   [
-    case "default plan is valid and spells itself" (fun () ->
-        check Alcotest.bool "valid" true (Plan.is_valid Plan.default);
-        check Alcotest.string "spec" "rand:two-try:relaxed-reads:on:flat"
+    case "default plan spells itself" (fun () ->
+        check Alcotest.string "spec" "two-try:relaxed-reads:flat"
           (Plan.to_string Plan.default));
-    case "of_string round-trips every registry point" (fun () ->
-        check Alcotest.bool "registry non-trivial" true
-          (List.length Plan.registry > 20);
+    case "of_string round-trips all 30 plans" (fun () ->
+        let specs = List.map Plan.to_string all_plans in
+        check Alcotest.int "distinct specs" 30
+          (List.length (List.sort_uniq String.compare specs));
         List.iter
           (fun p ->
-            check Alcotest.bool (Plan.to_string p) true (Plan.is_valid p);
             match Plan.of_string (Plan.to_string p) with
             | Ok p' ->
               check Alcotest.bool "equal after round-trip" true (Plan.equal p p')
             | Error e -> Alcotest.fail e)
-          Plan.registry);
-    case "the registry holds the default and a packed plan, once each"
-      (fun () ->
-        check Alcotest.bool "default present" true
-          (List.exists (Plan.equal Plan.default) Plan.registry);
-        check Alcotest.bool "a packed plan present" true
-          (List.exists (fun p -> p.Plan.layout = Plan.Packed) Plan.registry);
-        let specs = List.map Plan.to_string Plan.registry in
-        check Alcotest.int "no plan listed twice"
-          (List.length specs)
-          (List.length (List.sort_uniq String.compare specs)));
+          all_plans);
     case "\"auto\" is not a plan spec" (fun () ->
         match Plan.of_string "auto" with
         | Error _ -> ()
         | Ok p -> Alcotest.fail ("parsed \"auto\" as " ^ Plan.to_string p));
-    case "invalid combinations are rejected with sayings" (fun () ->
+    case "retired layouts are rejected" (fun () ->
         let rejected s =
           match Plan.of_string s with Ok _ -> false | Error _ -> true
         in
-        check Alcotest.bool "by-size linking" true
-          (rejected "size:two-try:relaxed-reads:on:flat");
-        check Alcotest.bool "random linking on packed" true
-          (rejected "rand:two-try:relaxed-reads:on:packed");
-        check Alcotest.bool "rank linking off packed" true
-          (rejected "rank:two-try:relaxed-reads:on:flat");
+        check Alcotest.bool "flat-padded" true
+          (rejected "two-try:relaxed-reads:flat-padded");
+        check Alcotest.bool "padded" true (rejected "two-try:relaxed-reads:padded");
         check Alcotest.bool "growable is not a plan layout" true
-          (rejected "rand:two-try:relaxed-reads:on:growable"));
+          (rejected "two-try:relaxed-reads:growable"));
     case "malformed specs name the bad field" (fun () ->
         let err s =
           match Plan.of_string s with
@@ -260,22 +258,24 @@ let plan_tests =
           | Ok _ -> Alcotest.fail ("accepted " ^ s)
         in
         check Alcotest.bool "too few fields" true
-          (String.length (err "rand:two-try") > 0);
-        check Alcotest.bool "bad compaction" true
-          (String.length (err "rand:sideways:relaxed-reads:on:flat") > 0);
-        check Alcotest.bool "bad backoff" true
-          (String.length (err "rand:two-try:relaxed-reads:maybe:flat") > 0));
-    case "a by-size spec is a bad linking rule" (fun () ->
-        (* Union by size has no plan value, so [size] fails to parse rather
-           than parsing to a plan that [validate] rejects. *)
+          (String.length (err "two-try:flat") > 0);
+        check Alcotest.string "bad compaction"
+          "bad plan compaction rule \"sideways\" in \"sideways:relaxed-reads:flat\""
+          (err "sideways:relaxed-reads:flat");
+        check Alcotest.string "bad order"
+          "bad plan memory order \"weak\" in \"two-try:weak:flat\""
+          (err "two-try:weak:flat"));
+    case "a five-field spec names the three-field grammar" (fun () ->
+        (* The linking rule and the backoff switch are no longer fields:
+           the layout fixes the one and the other is always on. *)
         check
           Alcotest.(result reject string)
-          "size"
+          "five fields"
           (Error
-             "bad plan linking rule \"size\" in \"size:two-try:relaxed-reads:on:flat\"")
-          (Result.map ignore (Plan.of_string "size:two-try:relaxed-reads:on:flat")));
-    case "every valid plan runs through the scalability harness" (fun () ->
-        (* one cheap point per plan family: flat default, padded, packed *)
+             "bad plan spec \"rand:two-try:relaxed-reads:on:flat\" (want \
+              compaction:order:layout, e.g. \"two-try:relaxed-reads:flat\")")
+          (Result.map ignore (Plan.of_string "rand:two-try:relaxed-reads:on:flat")));
+    case "every plan runs through the scalability harness" (fun () ->
         let config =
           {
             Harness.Scalability.default_config with
@@ -284,21 +284,11 @@ let plan_tests =
           }
         in
         List.iter
-          (fun spec ->
-            match Plan.of_string spec with
-            | Error e -> Alcotest.fail e
-            | Ok plan ->
-              let p =
-                Harness.Scalability.run_point ~config ~plan ~domains:1 ()
-              in
-              check Alcotest.bool (spec ^ " clean") true
-                (p.Harness.Scalability.failures = []))
-          [
-            "rand:two-try:relaxed-reads:on:flat";
-            "rand:halving:seq-cst:off:flat-padded";
-            "rand:compression:seq-cst:on:flat";
-            "rank:one-try:acquire:on:packed";
-          ]);
+          (fun plan ->
+            let p = Harness.Scalability.run_point ~config ~plan ~domains:1 () in
+            check Alcotest.bool (Plan.to_string plan ^ " clean") true
+              (p.Harness.Scalability.failures = []))
+          all_plans);
   ]
 
 let () =

@@ -15,9 +15,8 @@ let domain_unites ~k ~n ~per_domain =
   let rng = Rng.create (1000 + k) in
   List.init per_domain (fun _ -> (Rng.int rng n, Rng.int rng n))
 
-let stress ?(padded = false) ?memory_order ?backoff ~policy ~early ~domains ~n
-    ~per_domain () =
-  let d = Native.create ~padded ?memory_order ?backoff ~policy ~early ~seed:7 n in
+let stress ?memory_order ~policy ~early ~domains ~n ~per_domain () =
+  let d = Native.create ?memory_order ~policy ~early ~seed:7 n in
   let worker k () = List.iter (fun (x, y) -> Native.unite d x y) (domain_unites ~k ~n ~per_domain) in
   let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
   List.iter Domain.join handles;
@@ -54,89 +53,46 @@ let variant_cases =
         [ false; true ])
     Policy.all
 
-(* The flat memory layout under real parallelism: oracle-agreement stress on
-   the cache-line-padded mode across every find policy (the default
-   unpadded mode is what every other case in this file already exercises,
-   since Native is flat now), plus a raw CAS-contention hammer on
-   Flat_atomic_array itself. *)
+(* Raw contention hammers on Flat_atomic_array itself. *)
 let flat_layout_cases =
-  let padded_cases =
-    List.map
-      (fun policy ->
-        case
-          (Printf.sprintf "padded flat layout agrees with oracle (%s)"
-             (Policy.to_string policy))
-          (fun () ->
-            let n = 300 in
-            let d, q =
-              stress ~padded:true ~policy ~early:false ~domains:4 ~n
-                ~per_domain:1500 ()
-            in
-            check Alcotest.int "count_sets" (Quick_find.count_sets q)
-              (Native.count_sets d);
-            for x = 0 to 59 do
-              for y = 0 to 59 do
-                check Alcotest.bool "pair" (Quick_find.same_set q x y)
-                  (Native.same_set d x y)
+  [
+    case "cas hammer: every increment lands exactly once" (fun () ->
+        let module F = Repro_util.Flat_atomic_array in
+        List.iter
+          (fun padded ->
+            let cells = 4 and domains = 4 and per_domain = 5000 in
+            let a = F.make ~padded cells (fun _ -> 0) in
+            let worker k () =
+              let rng = Rng.create (900 + k) in
+              for _ = 1 to per_domain do
+                let i = Rng.int rng cells in
+                let rec bump () =
+                  let v = F.get a i in
+                  if not (F.cas a i v (v + 1)) then bump ()
+                in
+                bump ()
               done
-            done;
-            check Alcotest.int "invariants" 0
-              (List.length (Native.invariant_violations d))))
-      Policy.all
-  in
-  padded_cases
-  @ [
-      case "cas hammer: every increment lands exactly once" (fun () ->
-          let module F = Repro_util.Flat_atomic_array in
-          List.iter
-            (fun padded ->
-              let cells = 4 and domains = 4 and per_domain = 5000 in
-              let a = F.make ~padded cells (fun _ -> 0) in
-              let worker k () =
-                let rng = Rng.create (900 + k) in
-                for _ = 1 to per_domain do
-                  let i = Rng.int rng cells in
-                  let rec bump () =
-                    let v = F.get a i in
-                    if not (F.cas a i v (v + 1)) then bump ()
-                  in
-                  bump ()
-                done
-              in
-              let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
-              List.iter Domain.join handles;
-              let total = Array.fold_left ( + ) 0 (F.snapshot a) in
-              check Alcotest.int
-                (if padded then "total (padded)" else "total")
-                (domains * per_domain) total)
-            [ false; true ]);
-      case "fetch_add hammer: atomic under contention" (fun () ->
-          let module F = Repro_util.Flat_atomic_array in
-          let a = F.make 1 (fun _ -> 0) in
-          let domains = 4 and per_domain = 10_000 in
-          let worker _ () =
-            for _ = 1 to per_domain do
-              ignore (F.fetch_add a 0 1)
-            done
-          in
-          let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
-          List.iter Domain.join handles;
-          check Alcotest.int "total" (domains * per_domain) (F.get a 0));
-      case "padded restore round-trips the partition" (fun () ->
-          let n = 200 in
-          let d, _ = stress ~policy:Policy.Two_try_splitting ~early:false
-              ~domains:2 ~n ~per_domain:500 ()
-          in
-          let r = Native.restore ~padded:true (Native.snapshot d) in
-          check Alcotest.int "count_sets" (Native.count_sets d)
-            (Native.count_sets r);
-          for x = 0 to 49 do
-            for y = 0 to 49 do
-              check Alcotest.bool "pair" (Native.same_set d x y)
-                (Native.same_set r x y)
-            done
-          done);
-    ]
+            in
+            let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
+            List.iter Domain.join handles;
+            let total = Array.fold_left ( + ) 0 (F.snapshot a) in
+            check Alcotest.int
+              (if padded then "total (padded)" else "total")
+              (domains * per_domain) total)
+          [ false; true ]);
+    case "fetch_add hammer: atomic under contention" (fun () ->
+        let module F = Repro_util.Flat_atomic_array in
+        let a = F.make 1 (fun _ -> 0) in
+        let domains = 4 and per_domain = 10_000 in
+        let worker _ () =
+          for _ = 1 to per_domain do
+            ignore (F.fetch_add a 0 1)
+          done
+        in
+        let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
+        List.iter Domain.join handles;
+        check Alcotest.int "total" (domains * per_domain) (F.get a 0));
+  ]
 
 let mixed_cases =
   [
@@ -205,32 +161,27 @@ let mixed_cases =
    batched kernels under real domains, against the same oracle replay. *)
 let tuned_cases =
   let order_cases =
-    List.concat_map
+    List.map
       (fun memory_order ->
-        List.map
-          (fun backoff ->
-            case
-              (Printf.sprintf "4 domains agree with oracle (%s, backoff %s)"
-                 (Dsu.Memory_order.to_string memory_order)
-                 (if backoff then "on" else "off"))
-              (fun () ->
-                let n = 400 in
-                let d, q =
-                  stress ~memory_order ~backoff
-                    ~policy:Policy.Two_try_splitting ~early:false ~domains:4
-                    ~n ~per_domain:2000 ()
-                in
-                check Alcotest.int "count_sets" (Quick_find.count_sets q)
-                  (Native.count_sets d);
-                for x = 0 to 79 do
-                  for y = 0 to 79 do
-                    check Alcotest.bool "pair" (Quick_find.same_set q x y)
-                      (Native.same_set d x y)
-                  done
-                done;
-                check Alcotest.int "invariants" 0
-                  (List.length (Native.invariant_violations d))))
-          [ true; false ])
+        case
+          (Printf.sprintf "4 domains agree with oracle (%s order)"
+             (Dsu.Memory_order.to_string memory_order))
+          (fun () ->
+            let n = 400 in
+            let d, q =
+              stress ~memory_order ~policy:Policy.Two_try_splitting
+                ~early:false ~domains:4 ~n ~per_domain:2000 ()
+            in
+            check Alcotest.int "count_sets" (Quick_find.count_sets q)
+              (Native.count_sets d);
+            for x = 0 to 79 do
+              for y = 0 to 79 do
+                check Alcotest.bool "pair" (Quick_find.same_set q x y)
+                  (Native.same_set d x y)
+              done
+            done;
+            check Alcotest.int "invariants" 0
+              (List.length (Native.invariant_violations d))))
       Dsu.Memory_order.all
   in
   order_cases

@@ -26,22 +26,13 @@ let native_snap () =
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Native.unite d);
   Snap.of_driver (Dsu.Driver.Flat d)
 
-let padded_snap () =
-  let d =
-    Dsu.Driver.create
-      ~plan:{ Dsu.Plan.default with layout = Dsu.Plan.Padded }
-      ~seed:5 128
-  in
-  rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Driver.unite d);
-  Snap.of_driver d
-
 let packed_snap () =
   let d = Dsu.Packed.Native.create 128 in
   rng_ops ~seed:11 ~n:128 ~ops:200 (Dsu.Packed.Native.unite d);
   Snap.of_driver (Dsu.Driver.Packed d)
 
 let all_layouts =
-  [ ("flat", native_snap); ("padded", padded_snap); ("packed", packed_snap) ]
+  [ ("flat", native_snap); ("packed", packed_snap) ]
 
 (* ---------------------------------------------------------------- codec *)
 
@@ -397,17 +388,6 @@ let recovery_tests =
               (ops + resumed))
           crash.Chaos.slots);
   ]
-  @ List.map
-      (fun layout ->
-        case
-          (Dsu.Plan.layout_to_string layout
-          ^ ": crash -> snapshot -> repair -> resume passes the audit")
-          (fun () ->
-            let s = run_snapshot layout in
-            check Alcotest.int "both crashed slots resumed" 2
-              (List.length (stage "resume" s).Chaos.slots);
-            check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s)))
-      [ Dsu.Plan.Padded ]
   @ [
     case "crash-free recovery drill also passes (nothing to resume)"
       (fun () ->

@@ -581,7 +581,7 @@ let test_service_sequential_oracle () =
           queue_capacity = 64;
           batch = 16;
           admission = Svc.Block 0.2;
-          plan = Dsu.Plan.on_layout layout Dsu.Plan.default;
+          plan = { Dsu.Plan.default with layout };
         }
       in
       let svc = Svc.create cfg in
@@ -1298,7 +1298,6 @@ let () =
       ( "drill",
         [
           slow "flat crash-recovery drill" (test_drill Dsu.Plan.Flat);
-          slow "flat-padded crash-recovery drill" (test_drill Dsu.Plan.Padded);
           slow "packed crash-recovery drill" (test_drill Dsu.Plan.Packed);
         ] );
     ]
