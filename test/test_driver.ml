@@ -3,7 +3,8 @@
    per-op answers against a sequential oracle, batch kernels against
    per-op calls, a quiescent snapshot -> restore round trip, and a
    quiescent fuzzy capture against the quiescent snapshot.  Every entry is
-   built from its plan alone, and the rows span every memory order. *)
+   built from its plan alone, and the rows span every memory order and
+   every compaction on each layout. *)
 
 module Driver = Dsu.Driver
 module Snap = Repro_recover.Snapshot
@@ -44,6 +45,13 @@ let layouts =
     fresh "flat, acquire halving" (plan_of "halving:acquire:flat") Snap.Flat;
     fresh "packed, acquire one-try" (plan_of "one-try:acquire:packed")
       Snap.Packed;
+    (* The compactions the rows above leave out of each layout, so every
+       find loop runs on both layouts and each layout sees every order. *)
+    fresh "flat, seq-cst one-try" (plan_of "one-try:seq-cst:flat") Snap.Flat;
+    fresh "flat, acquire none" (plan_of "none:acquire:flat") Snap.Flat;
+    fresh "packed, relaxed-reads halving" (plan_of "halving:relaxed-reads:packed")
+      Snap.Packed;
+    fresh "packed, seq-cst none" (plan_of "none:seq-cst:packed") Snap.Packed;
   ]
 
 let pairs ~n ~seed count =

@@ -479,6 +479,9 @@ let chaos_tests =
             List.iter (fun (_, _, ops) -> check Alcotest.int "all ops done" 2_000 ops) st.Chaos.slots)
           s.Chaos.stages;
         check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
+    case "packed layout passes the same audit" (fun () ->
+        let config = { chaos_config with Chaos.ops_per_domain = 2_000; domains = 4; crash_domains = 1; crash_after = 300 } in
+        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok (run_dsu ~config Dsu.Plan.Packed)));
     case "chaos json is well-formed and self-consistent" (fun () ->
         let config =
           { chaos_config with Chaos.domains = 4; crash_domains = 1; ops_per_domain = 1_500; crash_after = 200 }

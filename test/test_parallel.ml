@@ -53,6 +53,54 @@ let variant_cases =
         [ false; true ])
     Policy.all
 
+(* The same stress through Dsu.Driver, so any plan's layout can run it. *)
+let stress_plan ~plan ~domains ~n ~per_domain =
+  let d = Dsu.Driver.create ~plan ~seed:7 n in
+  let worker k () =
+    List.iter (fun (x, y) -> Dsu.Driver.unite d x y) (domain_unites ~k ~n ~per_domain)
+  in
+  let handles = List.init domains (fun k -> Domain.spawn (worker k)) in
+  List.iter Domain.join handles;
+  let q = Quick_find.create n in
+  for k = 0 to domains - 1 do
+    List.iter (fun (x, y) -> Quick_find.unite q x y) (domain_unites ~k ~n ~per_domain)
+  done;
+  (d, q)
+
+(* Oracle agreement of the plan's partition, pairs over the first [probe]
+   nodes, and the layout's own invariants. *)
+let check_plan_stress ~probe (d, q) =
+  check Alcotest.int "count_sets" (Quick_find.count_sets q)
+    (Dsu.Driver.count_sets d);
+  for x = 0 to probe - 1 do
+    for y = 0 to probe - 1 do
+      check Alcotest.bool "pair" (Quick_find.same_set q x y)
+        (Dsu.Driver.same_set d x y)
+    done
+  done;
+  let violations =
+    match d with
+    | Dsu.Driver.Flat d -> Native.invariant_violations d
+    | Dsu.Driver.Packed d -> Dsu.Packed.Native.invariant_violations d
+  in
+  check Alcotest.int "invariants" 0 (List.length violations)
+
+(* The by-rank packed layout under real parallelism, across every find
+   policy (the flat layout is what the variant cases above exercise). *)
+let packed_layout_cases =
+  List.map
+    (fun compaction ->
+      case
+        (Printf.sprintf "packed layout agrees with oracle (%s)"
+           (Policy.to_string compaction))
+        (fun () ->
+          let plan =
+            { Dsu.Plan.default with compaction; layout = Dsu.Plan.Packed }
+          in
+          check_plan_stress ~probe:60
+            (stress_plan ~plan ~domains:4 ~n:300 ~per_domain:1500)))
+    Policy.all
+
 (* Raw contention hammers on Flat_atomic_array itself. *)
 let flat_layout_cases =
   [
@@ -184,7 +232,22 @@ let tuned_cases =
               (List.length (Native.invariant_violations d))))
       Dsu.Memory_order.all
   in
+  let packed_order_cases =
+    List.map
+      (fun memory_order ->
+        case
+          (Printf.sprintf "4 domains agree with oracle (%s order, packed)"
+             (Dsu.Memory_order.to_string memory_order))
+          (fun () ->
+            let plan =
+              { Dsu.Plan.default with memory_order; layout = Dsu.Plan.Packed }
+            in
+            check_plan_stress ~probe:80
+              (stress_plan ~plan ~domains:4 ~n:400 ~per_domain:2000)))
+      Dsu.Memory_order.all
+  in
   order_cases
+  @ packed_order_cases
   @ [
       case "concurrent unite_batch agrees with oracle" (fun () ->
           let n = 400 and domains = 4 and per_domain = 2000 in
@@ -313,6 +376,7 @@ let () =
   Alcotest.run "parallel"
     [
       ("variants", variant_cases);
+      ("packed-layout", packed_layout_cases);
       ("flat-layout", flat_layout_cases);
       ("mixed", mixed_cases);
       ("tuned", tuned_cases);

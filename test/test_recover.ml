@@ -387,6 +387,12 @@ let recovery_tests =
             check Alcotest.int "stages split the stream" early_config.Chaos.ops_per_domain
               (ops + resumed))
           crash.Chaos.slots);
+    case "packed: crash -> snapshot -> repair -> resume passes the audit"
+      (fun () ->
+        let s = run_snapshot Dsu.Plan.Packed in
+        check Alcotest.int "both crashed slots resumed" 2
+          (List.length (stage "resume" s).Chaos.slots);
+        check Alcotest.bool "scenario ok" true (Chaos.scenario_ok s));
   ]
   @ [
     case "crash-free recovery drill also passes (nothing to resume)"
